@@ -1,0 +1,272 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/mapreduce"
+	"repro/internal/stats"
+)
+
+// The differential test drives the real LocalContext and a naive model
+// of the semantics it replaced (a map[K][]V with a first-seen key list
+// for the intermediate buffer, a map[K]V with a first-emitted key list
+// for the hashtable) with the same emission script, and compares
+// everything user code can observe: the order lreduce sees key groups
+// in, the values of each group, State order, Len, and Value answers.
+
+// scriptRec is one EmitLocalIntermediate call.
+type scriptRec struct{ key, val int }
+
+// scriptElem is one lmap element: it probes Value(probe), then emits.
+type scriptElem struct {
+	probe int
+	emits []scriptRec
+}
+
+// script is one gmap task: a list of local iterations, each a list of
+// lmap elements.
+type script [][]scriptElem
+
+const scriptKeys = 24
+
+// decodeScript reads a script off data; a short input decodes as if
+// padded with zeros, so every byte string is a valid script.
+func decodeScript(data []byte) script {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	sc := make(script, 1+next()%4)
+	for it := range sc {
+		sc[it] = make([]scriptElem, next()%20)
+		for e := range sc[it] {
+			el := &sc[it][e]
+			el.probe = next() % scriptKeys
+			el.emits = make([]scriptRec, next()%4)
+			for r := range el.emits {
+				el.emits[r] = scriptRec{key: next() % scriptKeys, val: next()}
+			}
+		}
+	}
+	return sc
+}
+
+// reduceRule is the lreduce both sides run: fold a group to its sum and
+// store it unless the sum is a multiple of four, so the hashtable gains
+// keys irregularly and re-emits overwrite.
+func reduceRule(values []int) (sum int, store bool) {
+	for _, v := range values {
+		sum += v
+	}
+	return sum, sum%4 != 0
+}
+
+// modelTrace runs sc on the naive model and returns what user code would
+// observe, one line per observation.
+func modelTrace(sc script, keyOf func(int) int64, reset bool) []string {
+	var (
+		trace     []string
+		stateKeys []int64
+		state     = map[int64]int{}
+	)
+	for _, elems := range sc {
+		var interKeys []int64
+		inter := map[int64][]int{}
+		for _, el := range elems {
+			v, ok := state[keyOf(el.probe)]
+			trace = append(trace, fmt.Sprintf("probe %d = %d %v", keyOf(el.probe), v, ok))
+			for _, r := range el.emits {
+				k := keyOf(r.key)
+				if _, seen := inter[k]; !seen {
+					interKeys = append(interKeys, k)
+				}
+				inter[k] = append(inter[k], r.val)
+			}
+		}
+		if reset {
+			stateKeys, state = nil, map[int64]int{}
+		}
+		for _, k := range interKeys {
+			trace = append(trace, fmt.Sprintf("group %d %v", k, inter[k]))
+			if sum, store := reduceRule(inter[k]); store {
+				if _, seen := state[k]; !seen {
+					stateKeys = append(stateKeys, k)
+				}
+				state[k] = sum
+			}
+		}
+		trace = append(trace, fmt.Sprintf("len %d", len(state)))
+		for _, k := range stateKeys {
+			trace = append(trace, fmt.Sprintf("state %d = %d", k, state[k]))
+		}
+	}
+	for _, k := range stateKeys {
+		trace = append(trace, fmt.Sprintf("out %d = %d", k, state[k]))
+	}
+	return trace
+}
+
+// scriptPart is the partition payload of the real run: the script, a
+// cursor, and the observations so far. probes has one entry per element
+// of the current iteration so that threaded lmap workers never share a
+// memory location.
+type scriptPart struct {
+	sc     script
+	iter   int
+	probes []string
+	trace  []string
+}
+
+func scriptSpec(keyOf func(int) int64, threads int, reset bool) *LocalSpec[*scriptPart, int, int64, int] {
+	return &LocalSpec[*scriptPart, int, int64, int]{
+		Elements: func(p *scriptPart) []int {
+			elems := make([]int, len(p.sc[p.iter]))
+			for i := range elems {
+				elems[i] = i
+			}
+			p.probes = make([]string, len(elems))
+			return elems
+		},
+		LMap: func(lc *LocalContext[int64, int], p *scriptPart, e int) {
+			el := p.sc[p.iter][e]
+			v, ok := lc.Value(keyOf(el.probe))
+			p.probes[e] = fmt.Sprintf("probe %d = %d %v", keyOf(el.probe), v, ok)
+			for _, r := range el.emits {
+				lc.EmitLocalIntermediate(keyOf(r.key), r.val)
+			}
+		},
+		LReduce: func(lc *LocalContext[int64, int], p *scriptPart, key int64, values []int) {
+			p.trace = append(p.trace, fmt.Sprintf("group %d %v", key, values))
+			if sum, store := reduceRule(values); store {
+				lc.EmitLocal(key, sum)
+			}
+		},
+		Apply: func(p *scriptPart, lc *LocalContext[int64, int]) {
+			// Probes ran before this iteration's groups were reduced; put
+			// them there in the trace too.
+			groups := len(p.trace)
+			for groups > 0 && p.trace[groups-1][0] == 'g' {
+				groups--
+			}
+			p.trace = slices.Insert(p.trace, groups, p.probes...)
+			p.trace = append(p.trace, fmt.Sprintf("len %d", lc.Len()))
+			lc.State(func(k int64, v int) {
+				p.trace = append(p.trace, fmt.Sprintf("state %d = %d", k, v))
+			})
+			p.iter++
+		},
+		Converged: func(p *scriptPart, _ *LocalContext[int64, int]) bool {
+			return p.iter == len(p.sc)
+		},
+		Threads:                threads,
+		ResetStatePerIteration: reset,
+	}
+}
+
+// checkAgainstModel runs every script of scripts as one split of a
+// map-only job — all of them through ONE LocalContext, re-armed per
+// task, so each task but the first meets tables another script filled —
+// and compares each task's observations and default Output to the
+// model's. The job runs twice so the engine's pooled buffers are reused
+// as well.
+func checkAgainstModel(t *testing.T, scripts []script, indexed bool, threads int, reset bool) {
+	t.Helper()
+	// Without KeyIndex the keys are sparse and signed, which only an
+	// interning resolver can take.
+	keyOf := func(k int) int64 { return int64(k)*1_000_003 - 7_000_000 }
+	spec := scriptSpec(keyOf, threads, reset)
+	if indexed {
+		keyOf = func(k int) int64 { return int64(k) }
+		spec = scriptSpec(keyOf, threads, reset)
+		spec.KeyIndex = func(k int64) int { return int(k) }
+	}
+	var lc *LocalContext[int64, int]
+	job := &mapreduce.Job[*scriptPart, int64, int]{
+		Name: "script",
+		Map: func(tc *mapreduce.TaskContext[int64, int], split mapreduce.Split[*scriptPart]) {
+			if lc == nil {
+				lc = spec.newContext(tc)
+			} else {
+				lc.arm(tc)
+			}
+			runTask(spec, lc, tc, split.Data)
+		},
+	}
+	engine := mapreduce.NewEngine(cluster.New(cluster.SingleNode()))
+	engine.Parallelism = 1 // tasks in split order on one goroutine
+	for round := 0; round < 2; round++ {
+		splits := make([]mapreduce.Split[*scriptPart], len(scripts))
+		for i, sc := range scripts {
+			splits[i] = mapreduce.Split[*scriptPart]{ID: i, Data: &scriptPart{sc: sc}}
+		}
+		res, err := mapreduce.Run(engine, job, splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.Output
+		for i, sc := range scripts {
+			// The model's trailing "out" lines are this task's share of
+			// the job's output.
+			got := splits[i].Data.trace
+			want := modelTrace(sc, keyOf, reset)
+			for j := len(got); j < len(want); j++ {
+				if len(out) == 0 {
+					t.Fatalf("round %d task %d: Output ended before %q", round, i, want[j])
+				}
+				got = append(got, fmt.Sprintf("out %d = %d", out[0].Key, out[0].Value))
+				out = out[1:]
+			}
+			if !slices.Equal(got, want) {
+				for j := range want {
+					if j >= len(got) || got[j] != want[j] {
+						t.Fatalf("round %d task %d (indexed %v, threads %d, reset %v): observation %d differs\n got %q\nwant %q",
+							round, i, indexed, threads, reset, j, got[min(j, len(got)-1):], want[j:])
+					}
+				}
+				t.Fatalf("round %d task %d: %d extra observations %q", round, i, len(got)-len(want), got[len(want):])
+			}
+		}
+		if len(out) != 0 {
+			t.Fatalf("round %d: %d records beyond every task's hashtable: %v", round, len(out), out)
+		}
+	}
+}
+
+// checkAllVariants splits data into three scripts and checks them under
+// every resolver × Threads × ResetStatePerIteration combination.
+func checkAllVariants(t *testing.T, data []byte) {
+	t.Helper()
+	third := len(data) / 3
+	scripts := []script{decodeScript(data[:third]), decodeScript(data[third : 2*third]), decodeScript(data[2*third:])}
+	for _, indexed := range []bool{false, true} {
+		for _, threads := range []int{1, 4} {
+			for _, reset := range []bool{false, true} {
+				checkAgainstModel(t, scripts, indexed, threads, reset)
+			}
+		}
+	}
+}
+
+func TestLocalContextMatchesModel(t *testing.T) {
+	rng := stats.NewRNG(0xD1FF)
+	for i := 0; i < 64; i++ {
+		data := make([]byte, 16+rng.Intn(700))
+		for j := range data {
+			data[j] = byte(rng.Intn(256))
+		}
+		checkAllVariants(t, data)
+	}
+}
+
+func FuzzLocalContextGrouping(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 9, 1, 2, 5, 7, 5, 9, 2, 1, 5, 1, 3, 2, 2, 1, 5, 6, 3, 1, 4, 4})
+	f.Fuzz(checkAllVariants)
+}

@@ -1,0 +1,65 @@
+package kmeans
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+)
+
+// TestLegacyModesGoldens pins the general and eager formulations bit for
+// bit against goldens recorded before core.LocalContext became
+// slot-addressed and the engine's shuffle buffers pooled: iteration
+// counts, shuffled records, the simulated duration's float64 bit pattern
+// and an FNV-64a hash over the final centroids. (K-Means has no
+// combiner option; the rows are default and Threads: 4.)
+func TestLegacyModesGoldens(t *testing.T) {
+	pts := smallCensus(t)
+	for _, tc := range []struct {
+		name         string
+		eager        bool
+		threads      int
+		global       int
+		local        int64
+		durBits      uint64
+		centroidHash uint64
+		shuffleRecs  int64
+		osc          bool
+	}{
+		{"general/default", false, 0, 8, 0, 0x405bc14525cd159e, 0x660e135b06cb1a8b, 1658, false},
+		{"general/threads4", false, 4, 8, 0, 0x405bc14525cd159e, 0x660e135b06cb1a8b, 1658, false},
+		{"eager/default", true, 0, 11, 331, 0x40631a72583731ae, 0xfaecf5e532db9906, 2276, false},
+		{"eager/threads4", true, 4, 11, 331, 0x406312977ebd95b8, 0xfaecf5e532db9906, 2276, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(0.01)
+			cfg.Threads = tc.threads
+			res, err := Run(engine(), pts, 13, cfg, tc.eager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Stats
+			var recs int64
+			for _, it := range s.PerIteration {
+				recs += it.ShuffleRecords
+			}
+			dur := math.Float64bits(float64(s.Duration))
+			h := fnv.New64a()
+			var b [8]byte
+			for _, cen := range res.Centroids {
+				for _, v := range cen {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+			hash := h.Sum64()
+			if s.GlobalIterations != tc.global || s.LocalIterations != tc.local ||
+				dur != tc.durBits || hash != tc.centroidHash || recs != tc.shuffleRecs ||
+				res.OscillationStop != tc.osc {
+				t.Fatalf("got {%d, %d, %#x, %#x, %d, %v}, want {%d, %d, %#x, %#x, %d, %v}",
+					s.GlobalIterations, s.LocalIterations, dur, hash, recs, res.OscillationStop,
+					tc.global, tc.local, tc.durBits, tc.centroidHash, tc.shuffleRecs, tc.osc)
+			}
+		})
+	}
+}

@@ -446,6 +446,8 @@ func eagerSpec(cfg Config, dims int) *core.LocalSpec[*state, int32, int64, Accum
 		ResetStatePerIteration: true,
 		// Default Output: the hashtable's final (input-centroid ->
 		// accumulated members) entries are emitted as-is to greduce.
-		Threads: cfg.Threads,
+		// Keys are cluster ids, 0..K-1.
+		KeyIndex: func(k int64) int { return int(k) },
+		Threads:  cfg.Threads,
 	}
 }

@@ -1,9 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -81,11 +82,16 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	counters := &counterSet{}
 
 	// --- map phase: real execution -----------------------------------
-	mapOuts := make([][]KV[K, V], len(splits))
+	// Map tasks emit into, and the shuffle routes through, buffers the
+	// job keeps from its previous run; nothing in them outlives this call
+	// (Result.Output is always a fresh copy).
+	sc := job.takeScratch(len(splits), job.NumReduces)
+	defer job.scratch.Store(sc)
+	mapOuts := sc.mapOuts
 	mapStats := make([]taskStats, len(splits))
 	err := e.forEachTask(len(splits), func(i int) error {
 		sp := &splits[i]
-		ctx := &TaskContext[K, V]{}
+		ctx := &TaskContext[K, V]{out: mapOuts[i][:0]}
 		job.Map(ctx, *sp)
 		if job.Combine != nil {
 			combineTaskOutput(job, ctx)
@@ -154,27 +160,25 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	})
 
 	if mapOnly {
-		for _, out := range mapOuts {
-			res.Output = append(res.Output, out...)
-		}
+		res.Output = slices.Concat(mapOuts...)
 		finish(e, res, counters)
 		return res, nil
 	}
 
 	// --- shuffle ------------------------------------------------------
 	nReduce := job.NumReduces
-	parts := make([][]KV[K, V], nReduce)
+	parts := sc.parts
 	var shuffleRecords, shuffleBytes int64
-	for _, out := range mapOuts {
+	for i, out := range mapOuts {
 		for _, kv := range out {
 			p := job.Partition(kv.Key, nReduce)
 			if p < 0 || p >= nReduce {
 				return nil, fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, p, nReduce)
 			}
 			parts[p] = append(parts[p], kv)
-			shuffleRecords++
-			shuffleBytes += job.RecordSize(kv.Key, kv.Value)
 		}
+		shuffleRecords += mapStats[i].outRecords
+		shuffleBytes += mapStats[i].outBytes
 	}
 	res.ShuffleRecords = shuffleRecords
 	res.ShuffleBytes = shuffleBytes
@@ -249,9 +253,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		}
 	})
 
-	for _, out := range redOuts {
-		res.Output = append(res.Output, out...)
-	}
+	res.Output = slices.Concat(redOuts...)
 	finish(e, res, counters)
 	return res, nil
 }
@@ -444,5 +446,5 @@ func runTask(i int, fn func(i int) error) (err error) {
 // SortOutputInt64 sorts a result's output by int64 key, a convenience for
 // tests and examples that want stable human-readable listings.
 func SortOutputInt64[V any](out []KV[int64, V]) {
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b KV[int64, V]) int { return cmp.Compare(a.Key, b.Key) })
 }

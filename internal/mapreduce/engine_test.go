@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -405,4 +406,88 @@ func TestSingleWorkerFallback(t *testing.T) {
 	if len(res.Output) == 0 {
 		t.Fatal("no output from serial engine")
 	}
+}
+
+// A job's map-output and shuffle buffers are recycled from run to run;
+// Result.Output must be the caller's own copy. Each iteration's output is
+// checked after later iterations on the same Job refilled the buffers —
+// with more records, with fewer, with different ones — for map-only and
+// map-reduce jobs, with and without a combiner.
+func TestResultOutputNotAliasedByLaterRuns(t *testing.T) {
+	// Split i of iteration it emits n records (i*1000+j, it*100+j).
+	emit := func(ctx *TaskContext[int64, int], split Split[[2]int]) {
+		it, n := split.Data[0], split.Data[1]
+		for j := 0; j < n; j++ {
+			ctx.Emit(int64(split.ID*1000+j), it*100+j)
+		}
+	}
+	jobs := map[string]*Job[[2]int, int64, int]{
+		"map-only": {Name: "maponly", Map: emit},
+		"map-reduce": {Name: "mapreduce", Map: emit, Partition: Int64Partition,
+			Reduce: func(ctx *TaskContext[int64, int], key int64, values []int) { ctx.Emit(key, values[0]) }},
+		"combined": {Name: "combined", Map: emit, Partition: Int64Partition,
+			Combine: func(_ int64, values []int) []int { return values[:1] },
+			Reduce:  func(ctx *TaskContext[int64, int], key int64, values []int) { ctx.Emit(key, values[0]) }},
+	}
+	sizes := []int{40, 40, 90, 7, 0, 64} // records per split, by iteration
+	for name, job := range jobs {
+		t.Run(name, func(t *testing.T) {
+			engine := ec2Engine()
+			var outs [][]KV[int64, int]
+			for it, n := range sizes {
+				splits := make([]Split[[2]int], 6)
+				for i := range splits {
+					splits[i] = Split[[2]int]{ID: i, Data: [2]int{it, n}, Records: int64(n)}
+				}
+				res, err := Run(engine, job, splits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Output) != len(splits)*n {
+					t.Fatalf("iteration %d: %d output records, want %d", it, len(res.Output), len(splits)*n)
+				}
+				outs = append(outs, res.Output)
+			}
+			for it, out := range outs {
+				for _, kv := range out {
+					if j := int(kv.Key % 1000); kv.Value != it*100+j {
+						t.Fatalf("iteration %d's output was overwritten by a later run: record %v, want value %d", it, kv, it*100+j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// Two runs of one Job at once must not share buffers either: the second
+// finds the scratch taken and works in its own. (The first, serial run
+// fills in the job's defaults, which Run does in place.)
+func TestConcurrentRunsOfOneJob(t *testing.T) {
+	job := wordCountJob()
+	if _, err := Run(testEngine(), job, textSplits("warm up")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				res, err := Run(testEngine(), job, textSplits("a b a", "b c", "a"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				counts := map[string]int{}
+				for _, kv := range res.Output {
+					counts[kv.Key] += kv.Value
+				}
+				if counts["a"] != 3 || counts["b"] != 2 || counts["c"] != 1 || len(counts) != 3 {
+					t.Errorf("concurrent run counted %v", counts)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

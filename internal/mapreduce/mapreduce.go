@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 )
 
 // KV is one key-value record flowing between phases.
@@ -96,6 +97,47 @@ type Job[P any, K comparable, V any] struct {
 	// map[K][]V per task. Jobs are always used by pointer (the pool
 	// makes Job no-copy; go vet enforces this).
 	groupers sync.Pool
+
+	// scratch holds the map-output and shuffle buffers of the job's
+	// previous run for the next one to refill; a run takes it (leaving
+	// nil, so an overlapping run of the same job makes its own) and
+	// stores it back when done.
+	scratch atomic.Pointer[runScratch[K, V]]
+}
+
+// runScratch is the per-run record buffers a Job recycles: mapOuts[i]
+// is map task i's output, parts[p] reduce partition p's shuffled input.
+// For a V that holds pointers the buffers keep the previous run's
+// records reachable until overwritten.
+type runScratch[K comparable, V any] struct {
+	mapOuts [][]KV[K, V]
+	parts   [][]KV[K, V]
+}
+
+// takeScratch claims the job's run scratch, sized for nMaps map tasks
+// and nReduces partitions, with every parts buffer empty. Map-output
+// buffers are truncated by the tasks that fill them.
+func (j *Job[P, K, V]) takeScratch(nMaps, nReduces int) *runScratch[K, V] {
+	sc := j.scratch.Swap(nil)
+	if sc == nil {
+		sc = &runScratch[K, V]{}
+	}
+	sc.mapOuts = resize(sc.mapOuts, nMaps)
+	sc.parts = resize(sc.parts, nReduces)
+	for p := range sc.parts {
+		sc.parts[p] = sc.parts[p][:0]
+	}
+	return sc
+}
+
+// resize returns bufs with length n, keeping every buffer it already
+// holds (including those beyond its current length) for reuse.
+func resize[T any](bufs [][]T, n int) [][]T {
+	bufs = bufs[:cap(bufs)]
+	if n > len(bufs) {
+		bufs = append(bufs, make([][]T, n-len(bufs))...)
+	}
+	return bufs[:n]
 }
 
 // getGrouper takes a grouper from the job's pool, or makes an empty one.

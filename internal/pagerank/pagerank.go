@@ -27,7 +27,7 @@ package pagerank
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -37,42 +37,77 @@ import (
 // pushContributions is the shared global emission of both formulations:
 // every node pushes rank/outdeg to all of its out-links, pre-aggregated
 // per destination within the partition, emitted in ascending key order.
-// Map iteration order is randomized in Go; sorted emission keeps shuffle
-// grouping — and therefore floating-point summation order — identical
-// across runs, which keeps iteration counts bit-reproducible. The
-// accumulator map and sort buffer live on the state so successive
-// iterations reuse them (one task owns a state at a time).
+// Each destination's contributions are summed in edge traversal order
+// (node ascending, OutLocal then OutRemote) and the emission order is
+// fixed, so shuffle grouping — and therefore floating-point summation
+// order — is identical across runs, which keeps iteration counts
+// bit-reproducible. Which destinations a partition pushes to never
+// changes, so the accumulator is an array addressed through the push
+// plan (buildPushPlan).
 func pushContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
 	sub := st.sub
-	if st.acc == nil {
-		st.acc = make(map[int64]float64, len(sub.Nodes))
-	} else {
-		clear(st.acc)
-	}
+	acc := st.accVals
+	clear(acc)
 	var ops int64
+	e := 0
 	for li := range sub.Nodes {
 		deg := sub.OutDeg[li]
 		if deg == 0 {
 			continue
 		}
 		c := st.rank[li] / float64(deg)
-		for _, dst := range sub.OutLocal[li] {
-			st.acc[int64(sub.Nodes[dst])] += c
+		n := len(sub.OutLocal[li]) + len(sub.OutRemote[li])
+		for _, slot := range st.edgeSlot[e : e+n] {
+			acc[slot] += c
 		}
-		for _, dst := range sub.OutRemote[li] {
-			st.acc[int64(dst)] += c
-		}
+		e += n
 		ops += int64(deg)
 	}
 	tc.Charge(ops)
-	st.accKeys = st.accKeys[:0]
-	for k := range st.acc {
-		st.accKeys = append(st.accKeys, k)
+	for i, k := range st.dstKeys {
+		tc.Emit(k, acc[i])
 	}
-	sort.Slice(st.accKeys, func(i, j int) bool { return st.accKeys[i] < st.accKeys[j] })
-	for _, k := range st.accKeys {
-		tc.Emit(k, st.acc[k])
+}
+
+// buildPushPlan fixes the partition's push layout: dstKeys, the distinct
+// destinations in ascending order, and edgeSlot, the index into dstKeys
+// of every edge pushContributions pushes along, in its traversal order.
+// slotOf is scratch with one entry per node of the whole graph, all zero
+// on entry and on return.
+func (st *state) buildPushPlan(slotOf []int32) {
+	sub := st.sub
+	edges := 0
+	for _, deg := range sub.OutDeg {
+		edges += int(deg)
 	}
+	// edgeSlot first holds each edge's destination id, then its slot.
+	st.edgeSlot = make([]int32, 0, edges)
+	for li := range sub.Nodes {
+		if sub.OutDeg[li] == 0 {
+			continue
+		}
+		for _, dst := range sub.OutLocal[li] {
+			st.edgeSlot = append(st.edgeSlot, sub.Nodes[dst])
+		}
+		st.edgeSlot = append(st.edgeSlot, sub.OutRemote[li]...)
+	}
+	for _, dst := range st.edgeSlot {
+		if slotOf[dst] == 0 {
+			slotOf[dst] = 1
+			st.dstKeys = append(st.dstKeys, int64(dst))
+		}
+	}
+	slices.Sort(st.dstKeys)
+	for i, k := range st.dstKeys {
+		slotOf[k] = int32(i)
+	}
+	for e, dst := range st.edgeSlot {
+		st.edgeSlot[e] = slotOf[dst]
+	}
+	for _, k := range st.dstKeys {
+		slotOf[k] = 0
+	}
+	st.accVals = make([]float64, len(st.dstKeys))
 }
 
 // Config parameterizes a PageRank run.
@@ -126,12 +161,14 @@ type state struct {
 	localDelta float64
 	// scratch receives new ranks during Apply.
 	scratch []float64
-	// acc/accKeys are pushContributions' reusable emission scratch;
-	// elems caches the (constant) lmap element list. One task owns a
-	// state at a time, so unsynchronized reuse is safe.
-	acc     map[int64]float64
-	accKeys []int64
-	elems   []int32
+	// dstKeys/edgeSlot are the push plan (buildPushPlan) and accVals
+	// pushContributions' accumulator over it; elems caches the
+	// (constant) lmap element list. One task owns a state at a time, so
+	// unsynchronized reuse is safe.
+	dstKeys  []int64
+	edgeSlot []int32
+	accVals  []float64
+	elems    []int32
 }
 
 // Result of a PageRank run.
@@ -152,42 +189,9 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
-	n := 0
-	for _, s := range subs {
-		n += s.NumNodes()
-	}
-
-	// Global state held by the driver (the simulated DFS contents):
-	// current ranks and out-degrees of every node.
-	ranks := make([]float64, n)
-	outDeg := make([]int32, n)
-	states := make([]*state, len(subs))
-	for i, s := range subs {
-		st := &state{
-			sub:     s,
-			rank:    make([]float64, s.NumNodes()),
-			ghost:   make([]float64, s.NumNodes()),
-			scratch: make([]float64, s.NumNodes()),
-		}
-		for li, u := range s.Nodes {
-			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
-			ranks[u] = 1
-			outDeg[u] = s.OutDeg[li]
-		}
-		states[i] = st
-	}
-	refreshGhosts(states, ranks, outDeg)
-
-	splits := make([]mapreduce.Split[*state], len(states))
-	for i, st := range states {
-		splits[i] = mapreduce.Split[*state]{
-			ID:      i,
-			Data:    st,
-			Records: int64(st.sub.NumNodes()),
-			Bytes:   st.sub.Bytes,
-			Home:    i % engine.Cluster().Config().Nodes,
-		}
-	}
+	states, ranks, outDeg := newStates(subs)
+	splits := newSplits(engine, states)
+	n := len(ranks)
 
 	job := buildJob(cfg, eager)
 	next := make([]float64, n) // Update scratch, reused every iteration
@@ -237,6 +241,53 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 		return nil, err
 	}
 	return &Result{Ranks: ranks, Stats: stats}, nil
+}
+
+// newStates builds every partition's state — initial ranks, ghost sums,
+// push plan — and the global state the driver holds (the simulated DFS
+// contents): current rank and out-degree of every node.
+func newStates(subs []*graph.SubGraph) (states []*state, ranks []float64, outDeg []int32) {
+	n := 0
+	for _, s := range subs {
+		n += s.NumNodes()
+	}
+	ranks = make([]float64, n)
+	outDeg = make([]int32, n)
+	states = make([]*state, len(subs))
+	planScratch := make([]int32, n)
+	for i, s := range subs {
+		st := &state{
+			sub:     s,
+			rank:    make([]float64, s.NumNodes()),
+			ghost:   make([]float64, s.NumNodes()),
+			scratch: make([]float64, s.NumNodes()),
+		}
+		for li, u := range s.Nodes {
+			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
+			ranks[u] = 1
+			outDeg[u] = s.OutDeg[li]
+		}
+		st.buildPushPlan(planScratch)
+		states[i] = st
+	}
+	refreshGhosts(states, ranks, outDeg)
+	return states, ranks, outDeg
+}
+
+// newSplits wraps each partition's state as one input split of the
+// per-iteration job.
+func newSplits(engine *mapreduce.Engine, states []*state) []mapreduce.Split[*state] {
+	splits := make([]mapreduce.Split[*state], len(states))
+	for i, st := range states {
+		splits[i] = mapreduce.Split[*state]{
+			ID:      i,
+			Data:    st,
+			Records: int64(st.sub.NumNodes()),
+			Bytes:   st.sub.Bytes,
+			Home:    i % engine.Cluster().Config().Nodes,
+		}
+	}
+	return splits
 }
 
 // refreshGhosts recomputes every partition's frozen cross-partition
@@ -368,6 +419,8 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 		Output: func(tc *mapreduce.TaskContext[int64, float64], st *state, _ *core.LocalContext[int64, float64]) {
 			pushContributions(tc, st)
 		},
-		Threads: cfg.Threads,
+		// Keys are local node indices, 0..len(sub.Nodes)-1.
+		KeyIndex: func(k int64) int { return int(k) },
+		Threads:  cfg.Threads,
 	}
 }

@@ -23,7 +23,7 @@ package sssp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -165,7 +165,7 @@ func emitSorted(emit func(int64, float64), acc map[int64]float64) {
 	for k := range acc {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, k := range keys {
 		emit(k, acc[k])
 	}
@@ -320,6 +320,8 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 			tc.Charge(ops)
 			emitSorted(tc.Emit, acc)
 		},
-		Threads: cfg.Threads,
+		// Keys are local node indices, 0..len(sub.Nodes)-1.
+		KeyIndex: func(k int64) int { return int(k) },
+		Threads:  cfg.Threads,
 	}
 }
