@@ -372,6 +372,42 @@ func BenchmarkGraphGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkSetup times the three calls every PageRank job pays before its
+// first step, on pagerank_des's inputs (Graph A / 4, 16 parts), one row
+// each so bench.sh's trend shows which of them moved.
+func BenchmarkSetup(b *testing.B) {
+	cfg := graph.GraphAConfig().Scaled(4)
+	g := graph.MustGenerate(cfg)
+	a, err := partition.Partition(g, 16, partition.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if graph.MustGenerate(cfg).NumNodes() == 0 {
+				b.Fatal("empty graph")
+			}
+		}
+	})
+	b.Run("partition", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := partition.Partition(g, 16, partition.Options{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("subgraphs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := graph.BuildSubGraphs(g, a.Parts, a.K); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkCensusGeneration(b *testing.B) {
 	cfg := kmeans.DefaultCensusConfig().Scaled(benchScale)
 	b.ResetTimer()

@@ -87,89 +87,6 @@ func (g *Graph) Transpose() *Graph {
 	return t
 }
 
-// Undirected returns a symmetric adjacency structure (deduplicated,
-// self-loop-free) for the partitioner, which treats the web graph as an
-// undirected locality structure the way Metis does.
-func (g *Graph) Undirected() [][]NodeID {
-	n := g.NumNodes()
-	adj := make([][]NodeID, n)
-	for u, out := range g.Out {
-		for _, v := range out {
-			if NodeID(u) == v {
-				continue
-			}
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], NodeID(u))
-		}
-	}
-	// Deduplicate in place per node.
-	for u := range adj {
-		adj[u] = dedupSorted(adj[u])
-	}
-	return adj
-}
-
-func dedupSorted(a []NodeID) []NodeID {
-	if len(a) < 2 {
-		return a
-	}
-	insertionOrQuick(a)
-	w := 1
-	for i := 1; i < len(a); i++ {
-		if a[i] != a[i-1] {
-			a[w] = a[i]
-			w++
-		}
-	}
-	return a[:w]
-}
-
-// insertionOrQuick sorts a small int32 slice without pulling in
-// sort.Slice's interface overhead on this hot path.
-func insertionOrQuick(a []NodeID) {
-	if len(a) < 24 {
-		for i := 1; i < len(a); i++ {
-			x := a[i]
-			j := i - 1
-			for j >= 0 && a[j] > x {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = x
-		}
-		return
-	}
-	// Median-of-three quicksort.
-	lo, hi := 0, len(a)-1
-	mid := (lo + hi) / 2
-	if a[mid] < a[lo] {
-		a[mid], a[lo] = a[lo], a[mid]
-	}
-	if a[hi] < a[lo] {
-		a[hi], a[lo] = a[lo], a[hi]
-	}
-	if a[hi] < a[mid] {
-		a[hi], a[mid] = a[mid], a[hi]
-	}
-	pivot := a[mid]
-	i, j := lo, hi
-	for i <= j {
-		for a[i] < pivot {
-			i++
-		}
-		for a[j] > pivot {
-			j--
-		}
-		if i <= j {
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-		}
-	}
-	insertionOrQuick(a[:j+1])
-	insertionOrQuick(a[i:])
-}
-
 // AssignUniformWeights gives every edge a uniform random weight in
 // [lo, hi), as the paper does for Shortest Path ("We assign random
 // weights to the edges").

@@ -3,7 +3,6 @@ package graph
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/stats"
 )
@@ -67,21 +66,6 @@ func TestTranspose(t *testing.T) {
 		if len(trtr.Out[u]) != len(g.Out[u]) {
 			t.Fatalf("double transpose changed degree of %d", u)
 		}
-	}
-}
-
-func TestUndirectedSymmetricDedup(t *testing.T) {
-	// Graph with a mutual edge pair 0<->1 plus a self-loop.
-	g := &Graph{Out: [][]NodeID{{1, 1, 0}, {0}, {}}}
-	adj := g.Undirected()
-	if len(adj[0]) != 1 || adj[0][0] != 1 {
-		t.Fatalf("adj[0] = %v, want [1]", adj[0])
-	}
-	if len(adj[1]) != 1 || adj[1][0] != 0 {
-		t.Fatalf("adj[1] = %v, want [0]", adj[1])
-	}
-	if len(adj[2]) != 0 {
-		t.Fatalf("adj[2] = %v, want empty", adj[2])
 	}
 }
 
@@ -259,24 +243,5 @@ func TestIORejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
-	}
-}
-
-func TestDedupSortedProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		a := make([]NodeID, len(raw))
-		for i, v := range raw {
-			a[i] = NodeID(v)
-		}
-		out := dedupSorted(a)
-		for i := 1; i < len(out); i++ {
-			if out[i] <= out[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

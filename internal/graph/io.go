@@ -61,19 +61,21 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// maxPrealloc caps how many table or list entries Read allocates on the
+// word of a count it has just decoded; beyond it, storage grows only as
+// entries actually arrive, so a short input cannot demand a large
+// allocation.
+const maxPrealloc = 1 << 16
+
 // Read deserializes a graph written by Write and validates it.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
-	var (
-		m, ver, flags uint32
-		nodes         uint64
-	)
-	for _, p := range []any{&m, &ver, &nodes, &flags} {
-		// nodes is read in header order; binary.Read handles each size.
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: read header: %w", err)
-		}
+	var hdr [20]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: read header: %w", err)
 	}
+	le := binary.LittleEndian
+	m, ver, nodes, flags := le.Uint32(hdr[0:]), le.Uint32(hdr[4:]), le.Uint64(hdr[8:]), le.Uint32(hdr[16:])
 	if m != magic {
 		return nil, fmt.Errorf("graph: bad magic %#x", m)
 	}
@@ -84,40 +86,40 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: node count %d exceeds int32", nodes)
 	}
 	weighted := flags&flagWeighted != 0
-	g := &Graph{Out: make([][]NodeID, nodes)}
+	g := &Graph{Out: make([][]NodeID, 0, min(nodes, maxPrealloc))}
 	if weighted {
-		g.Weights = make([][]float64, nodes)
+		g.Weights = make([][]float64, 0, min(nodes, maxPrealloc))
 	}
-	for u := range g.Out {
-		var deg uint32
-		if err := binary.Read(br, binary.LittleEndian, &deg); err != nil {
+	var buf [12]byte
+	edge := buf[:4] // neighbor uint32 [, weight float64]
+	if weighted {
+		edge = buf[:12]
+	}
+	for u := 0; u < int(nodes); u++ {
+		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("graph: read node %d: %w", u, err)
 		}
+		deg := le.Uint32(buf[:4])
 		if uint64(deg) > nodes {
 			return nil, fmt.Errorf("graph: node %d degree %d exceeds node count", u, deg)
 		}
-		adj := make([]NodeID, deg)
+		adj := make([]NodeID, 0, min(deg, maxPrealloc))
 		var ws []float64
 		if weighted {
-			ws = make([]float64, deg)
+			ws = make([]float64, 0, min(deg, maxPrealloc))
 		}
-		for i := range adj {
-			var v uint32
-			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+		for i := 0; i < int(deg); i++ {
+			if _, err := io.ReadFull(br, edge); err != nil {
 				return nil, fmt.Errorf("graph: read node %d edge %d: %w", u, i, err)
 			}
-			adj[i] = NodeID(v)
+			adj = append(adj, NodeID(le.Uint32(edge)))
 			if weighted {
-				var bits uint64
-				if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-					return nil, fmt.Errorf("graph: read node %d weight %d: %w", u, i, err)
-				}
-				ws[i] = math.Float64frombits(bits)
+				ws = append(ws, math.Float64frombits(le.Uint64(edge[4:])))
 			}
 		}
-		g.Out[u] = adj
+		g.Out = append(g.Out, adj)
 		if weighted {
-			g.Weights[u] = ws
+			g.Weights = append(g.Weights, ws)
 		}
 	}
 	if err := g.Validate(); err != nil {

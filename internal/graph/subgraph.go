@@ -13,13 +13,12 @@ type SubGraph struct {
 	PartID int
 	// Nodes lists the partition's global node ids in ascending order.
 	Nodes []NodeID
-	// Index maps a global node id to its position in Nodes; nodes not in
-	// this partition are absent.
-	Index map[NodeID]int32
 
 	// OutLocal[i] holds local indices of Nodes[i]'s out-neighbors inside
 	// the partition; OutRemote[i] holds global ids of out-neighbors in
-	// other partitions.
+	// other partitions. These and the other per-node lists below are
+	// capacity-limited views into one contiguous slab per field (see
+	// BuildSubGraphs).
 	OutLocal  [][]int32
 	OutRemote [][]NodeID
 	// WLocal / WRemote carry edge weights parallel to OutLocal /
@@ -49,6 +48,16 @@ func (s *SubGraph) NumNodes() int { return len(s.Nodes) }
 // BuildSubGraphs splits g into k partition payloads according to parts
 // (node -> partition, as produced by internal/partition). Every partition
 // must be non-empty; use partition.Assignment.Validate first.
+//
+// Construction is count, carve, fill: one pass over the edges counts every
+// node's local, remote and in-remote edges; each partition then gets one
+// slab per field, and every per-node list is a zero-length view into its
+// slab whose capacity is exactly the node's count, so the fill pass
+// appends without allocating and an append by a caller reallocates
+// instead of running into the next node's list. The fill pass visits
+// sources in ascending id and each source's edges in adjacency order;
+// InRemote lists inherit that order and pagerank's read plan depends on
+// it.
 func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	n := g.NumNodes()
 	if len(parts) != n {
@@ -57,47 +66,73 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	weighted := g.Weights != nil
 	subs := make([]*SubGraph, k)
 	for p := range subs {
-		subs[p] = &SubGraph{PartID: p, Index: make(map[NodeID]int32)}
+		subs[p] = &SubGraph{PartID: p}
 	}
-	// First pass: assign nodes (ascending id keeps things deterministic).
-	for u := 0; u < n; u++ {
-		p := parts[u]
+	// Assign nodes in ascending id; local[u] is u's position in its
+	// partition's Nodes.
+	sizes := make([]int, k)
+	for u, p := range parts {
 		if p < 0 || int(p) >= k {
 			return nil, fmt.Errorf("graph: node %d assigned to invalid partition %d", u, p)
 		}
+		sizes[p]++
+	}
+	for p, s := range subs {
+		if sizes[p] == 0 {
+			return nil, fmt.Errorf("graph: partition %d is empty", p)
+		}
+		s.Nodes = make([]NodeID, 0, sizes[p])
+	}
+	local := make([]int32, n)
+	for u, p := range parts {
 		s := subs[p]
-		s.Index[NodeID(u)] = int32(len(s.Nodes))
+		local[u] = int32(len(s.Nodes))
 		s.Nodes = append(s.Nodes, NodeID(u))
 	}
-	for _, s := range subs {
-		if len(s.Nodes) == 0 {
-			return nil, fmt.Errorf("graph: partition %d is empty", s.PartID)
-		}
-		m := len(s.Nodes)
-		s.OutLocal = make([][]int32, m)
-		s.OutRemote = make([][]NodeID, m)
-		s.OutDeg = make([]int32, m)
-		s.InRemote = make([][]NodeID, m)
-		if weighted {
-			s.WLocal = make([][]float64, m)
-			s.WRemote = make([][]float64, m)
-			s.InRemoteW = make([][]float64, m)
+
+	// Count every node's edges by class.
+	nLocal, nRemote, nIn := make([]int32, n), make([]int32, n), make([]int32, n)
+	for u, adj := range g.Out {
+		pu := parts[u]
+		for _, v := range adj {
+			if parts[v] == pu {
+				nLocal[u]++
+			} else {
+				nRemote[u]++
+				nIn[v]++
+			}
 		}
 	}
-	// Second pass: split edges.
-	for u := 0; u < n; u++ {
+
+	// Carve, and size each partition by its nodes' adjacency bytes.
+	for _, s := range subs {
+		s.OutDeg = make([]int32, len(s.Nodes))
+		for i, u := range s.Nodes {
+			s.OutDeg[i] = int32(len(g.Out[u]))
+			s.Bytes += g.AdjacencyBytes(int(u))
+		}
+		s.OutLocal = carve[int32](s.Nodes, nLocal)
+		s.OutRemote = carve[NodeID](s.Nodes, nRemote)
+		s.InRemote = carve[NodeID](s.Nodes, nIn)
+		if weighted {
+			s.WLocal = carve[float64](s.Nodes, nLocal)
+			s.WRemote = carve[float64](s.Nodes, nRemote)
+			s.InRemoteW = carve[float64](s.Nodes, nIn)
+		}
+	}
+
+	// Fill: split edges, in source order.
+	for u, adj := range g.Out {
 		pu := parts[u]
 		s := subs[pu]
-		ui := s.Index[NodeID(u)]
-		adj := g.Out[u]
-		s.OutDeg[ui] = int32(len(adj))
+		ui := local[u]
 		for ei, v := range adj {
 			var w float64
 			if weighted {
 				w = g.Weights[u][ei]
 			}
 			if pv := parts[v]; pv == pu {
-				s.OutLocal[ui] = append(s.OutLocal[ui], s.Index[v])
+				s.OutLocal[ui] = append(s.OutLocal[ui], local[v])
 				if weighted {
 					s.WLocal[ui] = append(s.WLocal[ui], w)
 				}
@@ -107,7 +142,7 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 					s.WRemote[ui] = append(s.WRemote[ui], w)
 				}
 				t := subs[pv]
-				vi := t.Index[v]
+				vi := local[v]
 				t.InRemote[vi] = append(t.InRemote[vi], NodeID(u))
 				if weighted {
 					t.InRemoteW[vi] = append(t.InRemoteW[vi], w)
@@ -115,13 +150,24 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 			}
 		}
 	}
-	// Size each partition: adjacency bytes of its nodes.
-	for _, s := range subs {
-		var b int64
-		for _, u := range s.Nodes {
-			b += g.AdjacencyBytes(int(u))
-		}
-		s.Bytes = b
-	}
 	return subs, nil
+}
+
+// carve allocates one slab holding counts[u] entries for each u of nodes,
+// in order, and returns the per-node views: empty, and capacity-limited to
+// the node's own stretch of the slab.
+func carve[T any](nodes []NodeID, counts []int32) [][]T {
+	total := 0
+	for _, u := range nodes {
+		total += int(counts[u])
+	}
+	slab := make([]T, total)
+	views := make([][]T, len(nodes))
+	lo := 0
+	for i, u := range nodes {
+		hi := lo + int(counts[u])
+		views[i] = slab[lo:lo:hi]
+		lo = hi
+	}
+	return views
 }

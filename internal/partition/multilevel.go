@@ -95,19 +95,26 @@ func multilevel(g *graph.Graph, k int, opts Options) (*Assignment, error) {
 // on the paper's crawl-ordered web graphs the range candidate often wins
 // at coarse granularity while growing wins on structureless ids.
 func bestInitial(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, error) {
+	// The candidates only read w and only the grown one is handed rng, so
+	// the range candidate runs beside it on a second core; the result is
+	// the sequential one.
+	ranged := make([]int32, w.n())
+	rangedCut := make(chan int64, 1)
+	go func() {
+		for i := range ranged {
+			ranged[i] = int32(i * k / w.n())
+		}
+		refine(w, ranged, k, opts)
+		rangedCut <- cutOf(w, ranged)
+	}()
 	grown, err := growPartition(w, k, opts, rng)
 	if err != nil {
+		<-rangedCut
 		return nil, err
 	}
 	refine(w, grown, k, opts)
-
-	ranged := make([]int32, w.n())
-	for i := range ranged {
-		ranged[i] = int32(i * k / w.n())
-	}
-	refine(w, ranged, k, opts)
-
-	if cutOf(w, ranged) < cutOf(w, grown) {
+	grownCut := cutOf(w, grown)
+	if <-rangedCut < grownCut {
 		return ranged, nil
 	}
 	return grown, nil

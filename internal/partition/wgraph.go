@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/stats"
 )
@@ -31,25 +33,22 @@ func (w *wgraph) neighbors(u int32) ([]int32, []int32) {
 	return w.adjncy[lo:hi], w.adjwgt[lo:hi]
 }
 
+// exactWeightLimit is the undirected entry count up to which buildWGraph
+// recovers each edge's multiplicity by scanning the directed lists. For
+// larger graphs that scan would be O(E*deg); they get unit weights — cut
+// quality is insensitive to the 1-vs-2 distinction but build time is not.
+// The limit decides which graphs get which weights, so moving it moves
+// their assignments.
+const exactWeightLimit = 200000
+
 // buildWGraph converts the directed input graph into the undirected
 // unit-weight CSR used at the finest level. Parallel directed edges
 // (u->v plus v->u) merge into one undirected edge of weight 2, matching
 // how Metis consumes symmetrized web graphs.
 func buildWGraph(g *graph.Graph) *wgraph {
-	n := g.NumNodes()
-	undirected := g.Undirected()
-	// Count degrees, fill CSR.
-	xadj := make([]int32, n+1)
-	total := 0
-	for u := range undirected {
-		total += len(undirected[u])
-		xadj[u+1] = int32(total)
-	}
-	adjncy := make([]int32, total)
+	xadj, adjncy := symmetrize(g)
+	n, total := g.NumNodes(), len(adjncy)
 	adjwgt := make([]int32, total)
-	for u := range undirected {
-		copy(adjncy[xadj[u]:], undirected[u])
-	}
 	// Weight: number of directed edges between the pair (1 or 2).
 	// Recover multiplicity by scanning the directed graph.
 	weightOf := func(u int32, v int32) int32 {
@@ -69,10 +68,6 @@ func buildWGraph(g *graph.Graph) *wgraph {
 		}
 		return w
 	}
-	// For large graphs the scan above would be O(E*deg); approximate with
-	// unit weights beyond a size threshold — cut quality is insensitive
-	// to the 1-vs-2 distinction but build time is not.
-	const exactWeightLimit = 200000
 	if total <= exactWeightLimit {
 		for u := 0; u < n; u++ {
 			for i := xadj[u]; i < xadj[u+1]; i++ {
@@ -89,6 +84,67 @@ func buildWGraph(g *graph.Graph) *wgraph {
 		vwgt[i] = 1
 	}
 	return &wgraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt}
+}
+
+// symmetrize returns g's undirected adjacency in CSR form, the way Metis
+// treats a web graph as a locality structure: every directed edge appears
+// at both endpoints, self-loops are dropped, and each row is sorted and
+// deduplicated.
+//
+// No row is ever sorted: vertices are visited in ascending id c, and c is
+// appended to the row of each of its out- and in-neighbours, so every row
+// receives its entries in ascending order and a repeat (a duplicate edge,
+// or u->v with v->u) is always the row's last entry. Rows are filled at
+// their raw capacity and then compacted towards the front of the array.
+func symmetrize(g *graph.Graph) (xadj, adjncy []int32) {
+	n := g.NumNodes()
+	// In-adjacency as CSR.
+	inStart := make([]int32, n+1)
+	for _, out := range g.Out {
+		for _, v := range out {
+			inStart[v+1]++
+		}
+	}
+	xadj = make([]int32, n+1) // raw row starts: out-degree + in-degree each
+	for u, out := range g.Out {
+		xadj[u+1] = xadj[u] + int32(len(out)) + inStart[u+1]
+		inStart[u+1] += inStart[u]
+	}
+	in := make([]int32, inStart[n])
+	next := slices.Clone(inStart[:n])
+	for u, out := range g.Out {
+		for _, v := range out {
+			in[next[v]] = int32(u)
+			next[v]++
+		}
+	}
+
+	adjncy = make([]int32, xadj[n])
+	end := next // end[r] is one past row r's last entry so far
+	copy(end, xadj[:n])
+	push := func(r, c int32) {
+		e := end[r]
+		if r != c && (e == xadj[r] || adjncy[e-1] != c) {
+			adjncy[e] = c
+			end[r] = e + 1
+		}
+	}
+	for c, out := range g.Out {
+		for _, r := range out {
+			push(r, int32(c))
+		}
+		for _, r := range in[inStart[c]:inStart[c+1]] {
+			push(r, int32(c))
+		}
+	}
+	var w int32
+	for u := 0; u < n; u++ {
+		row := adjncy[xadj[u]:end[u]]
+		xadj[u] = w
+		w += int32(copy(adjncy[w:], row))
+	}
+	xadj[n] = w
+	return xadj, adjncy[:w]
 }
 
 // bucketSortByDegree stably reorders the given vertex order into
