@@ -408,6 +408,110 @@ func BenchmarkSetup(b *testing.B) {
 	})
 }
 
+// The bottom rung of the benchmark ladder: the two data structures every
+// DES step goes through, with nothing around them. One iteration replays
+// the traffic of a sched_noop run (bench/README.md) — 64 partitions on a
+// ring of degree four, 2000 publishing steps each — so -benchtime 3x times
+// a quarter to half a million operations, and the custom metric is host
+// nanoseconds per operation.
+const (
+	rungParts = 64
+	rungSteps = 2000
+)
+
+func rungAt(v int) simtime.Duration { return simtime.Duration(v) * simtime.Millisecond }
+
+// BenchmarkStore times the versioned store: publish appends every version
+// of every partition to a new store, round-robin as a lockstep run does;
+// read_at_from and visible_from read each partition's four ring
+// neighbors once per step at an advancing time through a cursor, as
+// core.readInputs and core.gateCheck do — the first copies the snapshot
+// out, the second returns its version only.
+func BenchmarkStore(b *testing.B) {
+	payload := make([]float64, 8)
+	fill := func() *async.Store[[]float64] {
+		st := async.NewStore[[]float64](rungParts)
+		for v := 0; v <= rungSteps; v++ {
+			for p := 0; p < rungParts; p++ {
+				if err := st.Publish(p, v, rungAt(v), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		return st
+	}
+	b.Run("publish", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fill()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rungParts*(rungSteps+1)), "ns/publish")
+	})
+	reads := func(b *testing.B, read func(st *async.Store[[]float64], q int, at simtime.Duration, hint int) int) {
+		st := fill()
+		cursors := make([]int, rungParts*4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(cursors)
+			for v := 1; v <= rungSteps; v++ {
+				for p := 0; p < rungParts; p++ {
+					for j, d := range [4]int{-2, -1, 1, 2} {
+						got := read(st, (p+d+rungParts)%rungParts, rungAt(v), cursors[p*4+j])
+						if got != v {
+							b.Fatalf("read v%d at the time of v%d", got, v)
+						}
+						cursors[p*4+j] = got
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rungParts*rungSteps*4), "ns/read")
+	}
+	b.Run("read_at_from", func(b *testing.B) {
+		reads(b, func(st *async.Store[[]float64], q int, at simtime.Duration, hint int) int {
+			snap, idx, ok := st.ReadAtFrom(q, at, hint)
+			if !ok || snap.Version != idx {
+				return -1
+			}
+			return idx
+		})
+	})
+	b.Run("visible_from", func(b *testing.B) {
+		reads(b, func(st *async.Store[[]float64], q int, at simtime.Duration, hint int) int {
+			v, ok := st.VisibleFrom(q, at, hint)
+			if !ok {
+				return -1
+			}
+			return v
+		})
+	})
+}
+
+// BenchmarkEventHeap times the DES's event queue in its steady state: one
+// pending event per partition, the earliest popped and pushed back a
+// little later, once per step of the replayed run.
+func BenchmarkEventHeap(b *testing.B) {
+	b.Run("push_pop", func(b *testing.B) {
+		const ops = rungParts * rungSteps
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var h simtime.EventHeap
+			for p := 0; p < rungParts; p++ {
+				h.Push(rungAt(p%7), p)
+			}
+			for n := 0; n < ops; n++ {
+				ev := h.Pop()
+				h.Push(ev.At+rungAt(1+ev.ID%3), ev.ID)
+			}
+			if h.Len() != rungParts {
+				b.Fatalf("heap holds %d events, want %d", h.Len(), rungParts)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/pop-push")
+	})
+}
+
 func BenchmarkCensusGeneration(b *testing.B) {
 	cfg := kmeans.DefaultCensusConfig().Scaled(benchScale)
 	b.ResetTimer()

@@ -84,7 +84,7 @@ type livePart struct {
 	neighbors []int
 	readers   []int
 	consumed  []int // last version consumed, parallel to neighbors
-	cursors   []int // ReadAtFrom hints, parallel to neighbors
+	cursors   []int // VisibleFrom hints, parallel to neighbors
 
 	state       int
 	gateWaiters []int // partitions blocked until this one publishes or settles
@@ -400,20 +400,20 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	buf := s.inbuf[p]
 	t := s.now()
 	for j, q := range lp.neighbors {
-		snap, idx, ok := s.store.ReadAtFrom(q, t, lp.cursors[j])
+		v, ok := s.store.VisibleFrom(q, t, lp.cursors[j])
 		if !ok {
 			s.failLocked(fmt.Errorf("async: partition %d invisible to %d at %v", q, p, t))
 			s.mu.Unlock()
 			return
 		}
-		lp.cursors[j] = idx
-		lp.consumed[j] = snap.Version
+		lp.cursors[j] = v
+		lp.consumed[j] = v
 		if qs := s.parts[q].state; qs != liveIdle && qs != liveForced {
-			if lead := lp.version - snap.Version; lead > lp.maxLead {
+			if lead := lp.version - v; lead > lp.maxLead {
 				lp.maxLead = lead
 			}
 		}
-		buf[j] = snap
+		s.store.fill(&buf[j], q, v)
 	}
 	s.mu.Unlock()
 
@@ -529,26 +529,23 @@ func (s *liveScheduler[D]) gateLocked(p, bound int) bool {
 		if qp.state == liveIdle || qp.state == liveForced {
 			continue
 		}
-		snap, idx, ok := s.store.ReadAtFrom(q, t, lp.cursors[j])
-		if ok {
-			lp.cursors[j] = idx
-			if snap.Version >= need {
+		if v, ok := s.store.VisibleFrom(q, t, lp.cursors[j]); ok {
+			lp.cursors[j] = v
+			if v >= need {
 				continue
 			}
 		}
 		lp.gateWaits++
 		lp.waitStart = t
 		s.rec.Emit(trace.KindGateBegin, p, lp.steps, t, int64(q), int64(need), 0)
-		if s.store.Latest(q) >= need {
-			// Published but still inside its modeled network delay: the
-			// version exists, so WaitVersion returns immediately with its
-			// visibility time.
-			snap, _ := s.store.WaitVersion(q, need)
+		if visAt, ok := s.store.At(q, need); ok {
+			// Published but still inside its modeled network delay: park
+			// until its visibility time.
 			lp.waitMeasured = false
-			if s.ctrl.GateWait(p, snap.At-t) {
+			if s.ctrl.GateWait(p, visAt-t) {
 				s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
 			}
-			s.parkTimedLocked(p, snap.At)
+			s.parkTimedLocked(p, visAt)
 			return true
 		}
 		lp.waitMeasured = true
@@ -567,13 +564,9 @@ func (s *liveScheduler[D]) gateLocked(p, bound int) bool {
 // such a version becomes visible. Caller holds s.mu.
 func (s *liveScheduler[D]) firstUnseenLocked(lp *livePart) (at simtime.Duration, unseen bool) {
 	for j, q := range lp.neighbors {
-		if s.store.Latest(q) > lp.consumed[j] {
-			// Latest > consumed: the version exists, never blocks.
-			snap, _ := s.store.WaitVersion(q, lp.consumed[j]+1)
-			if !unseen || snap.At < at {
-				at = snap.At
-				unseen = true
-			}
+		if qAt, ok := s.store.At(q, lp.consumed[j]+1); ok && (!unseen || qAt < at) {
+			at = qAt
+			unseen = true
 		}
 	}
 	return at, unseen

@@ -239,13 +239,13 @@ func (s *parallelScheduler[D]) tryDispatch(p int, frontier simtime.Duration) {
 		return
 	}
 	for j, q := range st.neighbors {
-		snap, idx, ok := s.store.ReadAtFrom(q, t, st.cursors[j])
+		v, ok := s.store.VisibleFrom(q, t, st.cursors[j])
 		if !ok {
 			return // startup race impossible by construction; run inline
 		}
-		st.cursors[j] = idx
-		sp.inputs[j] = snap
-		sp.versions[j] = snap.Version
+		st.cursors[j] = v
+		s.store.fill(&sp.inputs[j], q, v)
+		sp.versions[j] = v
 	}
 	sp.active = true
 	sp.step = st.steps
@@ -272,11 +272,11 @@ func (s *parallelScheduler[D]) gateCertain(st *workerState, t simtime.Duration, 
 		return true
 	}
 	for j, nb := range st.neighbors {
-		snap, idx, ok := s.store.ReadAtFrom(nb, t, st.cursors[j])
-		if !ok || snap.Version < need {
+		v, ok := s.store.VisibleFrom(nb, t, st.cursors[j])
+		if !ok || v < need {
 			return false
 		}
-		st.cursors[j] = idx
+		st.cursors[j] = v
 	}
 	return true
 }
@@ -301,14 +301,14 @@ func (s *parallelScheduler[D]) Execute(p int) (StepOutcome[D], error) {
 		return StepOutcome[D]{}, fmt.Errorf("async: executor bug: partition %d speculated step %d, replaying step %d", p, sp.step, st.steps)
 	}
 	for j := range st.neighbors {
-		snap, err := s.consumeInput(p, j)
+		v, err := s.consumeInput(p, j)
 		if err != nil {
 			return StepOutcome[D]{}, err
 		}
-		if snap.Version != sp.versions[j] {
+		if v != sp.versions[j] {
 			return StepOutcome[D]{}, fmt.Errorf(
 				"async: speculation admission violated: partition %d reads neighbor %d at version %d, speculation used %d",
-				p, st.neighbors[j], snap.Version, sp.versions[j])
+				p, st.neighbors[j], v, sp.versions[j])
 		}
 	}
 	sp.done.Wait()

@@ -470,7 +470,7 @@ type workerState struct {
 	readers   []int // partitions that read this one (reverse-dependency index)
 	consumed  []int // last version consumed, parallel to neighbors
 	// cursors caches, per neighbor, the history index of the last
-	// snapshot this worker read (Store.ReadAtFrom). Worker clocks only
+	// version this worker saw (Store.VisibleFrom). Worker clocks only
 	// advance, so the cached cursor turns every visibility lookup into an
 	// O(1) amortized forward scan instead of a binary search.
 	cursors   []int
@@ -847,15 +847,15 @@ func (k *core[D]) handleCrash(p int, at simtime.Duration) {
 	buf := k.inbuf[p]
 	for _, rec := range lg.Steps {
 		for j, q := range st.neighbors {
-			snap, idx, ok := k.store.ReadAtFrom(q, rec.ReadAt, st.cursors[j])
+			v, ok := k.store.VisibleFrom(q, rec.ReadAt, st.cursors[j])
 			if !ok {
 				k.err = fmt.Errorf("async: replay of partition %d step %d cannot see neighbor %d at %v",
 					p, rec.Step, q, rec.ReadAt)
 				return
 			}
-			st.cursors[j] = idx
-			st.consumed[j] = snap.Version
-			buf[j] = snap
+			st.cursors[j] = v
+			st.consumed[j] = v
+			k.store.fill(&buf[j], q, v)
 		}
 		if _, err := runStep(k.w, p, rec.Step, buf); err != nil {
 			k.err = fmt.Errorf("async: replay of partition %d: %w", p, err)
@@ -1037,42 +1037,44 @@ func (k *core[D]) Gate(p int) bool {
 
 // consumeInput performs the canonical, event-ordered read of partition
 // p's j-th neighbor at p's clock: it advances the read cursor, records
-// the consumed version, and accounts the staleness lead.
+// the consumed version, accounts the staleness lead, and returns the
+// version — which is all a caller that only checks it needs.
 //
 //async:sched-only
-func (k *core[D]) consumeInput(p, j int) (Snapshot[D], error) {
+func (k *core[D]) consumeInput(p, j int) (int, error) {
 	st := k.workers[p]
 	q := st.neighbors[j]
-	snap, idx, ok := k.store.ReadAtFrom(q, st.clock, st.cursors[j])
+	v, ok := k.store.VisibleFrom(q, st.clock, st.cursors[j])
 	if !ok {
-		return snap, fmt.Errorf("async: partition %d invisible to %d at %v", q, p, st.clock)
+		return 0, fmt.Errorf("async: partition %d invisible to %d at %v", q, p, st.clock)
 	}
-	st.cursors[j] = idx
-	st.consumed[j] = snap.Version
+	st.cursors[j] = v
+	st.consumed[j] = v
 	// Lead is only meaningful against active neighbors: an idle
 	// partition's newest version IS its final state, so reading it at
 	// any age reads the freshest truth.
 	if !k.workers[q].idle && !k.workers[q].forced {
-		if lead := st.version - snap.Version; lead > k.stats.MaxLead {
+		if lead := st.version - v; lead > k.stats.MaxLead {
 			k.stats.MaxLead = lead
 		}
 	}
-	return snap, nil
+	return v, nil
 }
 
 // readInputs reads the snapshots visible at p's clock into p's reusable
 // input buffer and records consumption and staleness-lead accounting.
+// The copy into the buffer is the only one a step's input makes.
 //
 //async:sched-only
 func (k *core[D]) readInputs(p int) ([]Snapshot[D], error) {
 	st := k.workers[p]
 	buf := k.inbuf[p]
-	for j := range st.neighbors {
-		snap, err := k.consumeInput(p, j)
+	for j, q := range st.neighbors {
+		v, err := k.consumeInput(p, j)
 		if err != nil {
 			return nil, err
 		}
-		buf[j] = snap
+		k.store.fill(&buf[j], q, v)
 	}
 	return buf, nil
 }
@@ -1380,19 +1382,16 @@ func (k *core[D]) gateCheck(st *workerState, t simtime.Duration, bound int) (q, 
 		if other.idle || other.forced {
 			continue // settled neighbors impose no gate
 		}
-		snap, idx, ok := k.store.ReadAtFrom(nb, t, st.cursors[j])
-		if ok {
-			st.cursors[j] = idx
-			if snap.Version >= need {
+		if v, ok := k.store.VisibleFrom(nb, t, st.cursors[j]); ok {
+			st.cursors[j] = v
+			if v >= need {
 				continue
 			}
 		}
-		if k.store.Latest(nb) >= need {
+		if at, ok := k.store.At(nb, need); ok {
 			// Published but not yet visible: the publication time is in
-			// t's virtual future; wait exactly until then. The version
-			// exists, so this WaitVersion never blocks or fails.
-			snap, _ := k.store.WaitVersion(nb, need)
-			return -1, nb, snap.At, true
+			// t's virtual future; wait exactly until then.
+			return -1, nb, at, true
 		}
 		return nb, nb, 0, true
 	}
@@ -1406,14 +1405,9 @@ func (k *core[D]) gateCheck(st *workerState, t simtime.Duration, bound int) (q, 
 //async:sched-only
 func firstUnseen[D any](store *Store[D], st *workerState) (at simtime.Duration, unseen bool) {
 	for j, q := range st.neighbors {
-		if store.Latest(q) > st.consumed[j] {
-			// Latest > consumed, so the version exists and this never
-			// blocks or fails.
-			snap, _ := store.WaitVersion(q, st.consumed[j]+1)
-			if !unseen || snap.At < at {
-				at = snap.At
-				unseen = true
-			}
+		if qAt, ok := store.At(q, st.consumed[j]+1); ok && (!unseen || qAt < at) {
+			at = qAt
+			unseen = true
 		}
 	}
 	return at, unseen

@@ -1,6 +1,7 @@
 package async
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -158,9 +159,16 @@ func TestStoreShardedProperty(t *testing.T) {
 					if snap.Data != p*10000+snap.Version {
 						t.Errorf("torn read p%d: v%d data %d", p, snap.Version, snap.Data)
 					}
-					if chk, ok2 := s.ReadAt(p, vt); !ok2 || chk.Version != snap.Version {
-						t.Errorf("cursor/binary-search disagree on p%d at %v: v%d vs v%d (ok=%v)",
-							p, vt, snap.Version, chk.Version, ok2)
+					// Publishers run between the two reads, and growth only
+					// moves visibility forward; the strict equality is
+					// TestStoreCursorAgreement's, on a quiet store.
+					chk, ok2 := s.ReadAt(p, vt)
+					if !ok2 || chk.Version < snap.Version {
+						t.Errorf("searching read went backwards on p%d at %v: v%d after cursor read v%d (ok=%v)",
+							p, vt, chk.Version, snap.Version, ok2)
+					}
+					if ok2 && chk.Data != p*10000+chk.Version {
+						t.Errorf("torn read p%d: v%d data %d", p, chk.Version, chk.Data)
 					}
 				}
 			}
@@ -340,4 +348,264 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStoreSegmentLayout pins the version -> (segment, offset) map: the
+// segments tile the versions densely and in order, the first holds 32,
+// each later one doubles the capacity, and from the cap on they are all
+// the cap's size.
+func TestStoreSegmentLayout(t *testing.T) {
+	for seg, want := range []int{32, 32, 64, 128, 256, 512, 1024, 1024, 1024} {
+		if segSize(seg) != want {
+			t.Fatalf("segment %d holds %d versions, want %d", seg, segSize(seg), want)
+		}
+	}
+	seg, off := 0, 0
+	for v := 0; v < 5<<capSegBits; v++ {
+		if gotSeg, gotOff := locate(v); gotSeg != seg || gotOff != off {
+			t.Fatalf("locate(%d) = (%d, %d), want (%d, %d)", v, gotSeg, gotOff, seg, off)
+		}
+		if off++; off == segSize(seg) {
+			seg, off = seg+1, 0
+		}
+	}
+}
+
+// TestStoreReadersAcrossSegments is the race-detector workout for the
+// segmented history: one publisher drives a shard across every segment
+// boundary up to the first few cap-sized ones while readers, with no lock
+// and no waiting, check that every version below the length they loaded
+// is readable, has the payload and publication time it was published
+// with however often it is read again (immutable), and that publication
+// times never decrease along the history. Run with -race (the CI
+// workflow does).
+func TestStoreReadersAcrossSegments(t *testing.T) {
+	const (
+		versions = 3<<capSegBits + 40
+		readers  = 4
+	)
+	atOf := func(v int) simtime.Duration { return simtime.Duration(v/2) * simtime.Millisecond } // equal pairs
+	s := NewStore[int](1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer s.Seal(0)
+		for v := 0; v < versions; v++ {
+			if err := s.Publish(0, v, atOf(v), v*3+1); err != nil {
+				t.Errorf("publish v%d: %v", v, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			check := func(v int) {
+				at, ok := s.At(0, v)
+				if !ok || at != atOf(v) {
+					t.Errorf("At(v%d) = %v, %v; published at %v", v, at, ok, atOf(v))
+				}
+				if v > 0 {
+					if prev, _ := s.At(0, v-1); prev > at {
+						t.Errorf("publication time decreases: v%d at %v after v%d at %v", v, at, v-1, prev)
+					}
+				}
+				snap, ok := s.WaitVersion(0, v)
+				if !ok || snap.Part != 0 || snap.Version != v || snap.At != atOf(v) || snap.Data != v*3+1 {
+					t.Errorf("WaitVersion(v%d) = %+v, %v", v, snap, ok)
+				}
+				if got, ok := s.VisibleFrom(0, atOf(v), v-r); !ok || got < v || atOf(got) != atOf(v) {
+					t.Errorf("VisibleFrom(at of v%d, hint %d) = v%d, %v", v, v-r, got, ok)
+				}
+			}
+			seen := 0
+			for seen < versions && !t.Failed() {
+				n := s.Latest(0) + 1
+				if n == seen {
+					if s.Sealed(0) && s.Latest(0)+1 == seen {
+						t.Errorf("publisher stopped at %d of %d versions", seen, versions)
+						return
+					}
+					runtime.Gosched()
+					continue
+				}
+				for v := seen; v < n; v++ {
+					check(v)
+				}
+				// Read old versions again, a different stretch each round:
+				// what was published stays what it was.
+				for v := (seen * 7) % n; v < n && v < (seen*7)%n+48; v++ {
+					check(v)
+				}
+				seen = n
+			}
+		}(r)
+	}
+	wg.Wait()
+	// Versions 2k and 2k+1 share a publication time; the odd one is newer.
+	for v := 0; v < versions && !t.Failed(); v++ {
+		if snap, ok := s.ReadAt(0, atOf(v)); !ok || snap.Version != v|1 {
+			t.Fatalf("ReadAt(at of v%d) = v%d, %v; want v%d", v, snap.Version, ok, v|1)
+		}
+	}
+}
+
+// storeModel is the naive store FuzzStoreMatchesModel compares against:
+// one slice, linear scans.
+type storeModel struct {
+	hist   []Snapshot[int]
+	sealed bool
+}
+
+func (m *storeModel) visible(at simtime.Duration) int {
+	v := -1
+	for i, snap := range m.hist {
+		if snap.At <= at {
+			v = i
+		}
+	}
+	return v
+}
+
+// FuzzStoreMatchesModel runs a byte script of store operations against
+// one shard and the naive model, checking every result. Each operation
+// is one opcode byte (mod 8) and its operand bytes; a script that runs
+// out of operands ends.
+//
+//	0 dt          publish one version dt after the last (dt 0: equal times)
+//	1 count dt    publish count+1 versions, each dt after the one before
+//	2 t t         ReadAt
+//	3 t t h h     ReadAtFrom and VisibleFrom with an arbitrary hint
+//	4             Latest and Read
+//	5 v v         At, of a version that may not exist
+//	6 v v         WaitVersion on an existing version
+//	7             Seal; later publishes must be rejected
+func FuzzStoreMatchesModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 4, 2, 0, 3, 3, 0, 9, 0, 1}) // equal times, short
+	f.Add([]byte{1, 140, 1, 3, 0, 40, 0, 31, 3, 0, 70, 0, 200, 6, 0, 64, 5, 0, 128})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		s := NewStore[int](1)
+		var m storeModel
+		var last simtime.Duration
+		next := func() (int, bool) {
+			if len(script) == 0 {
+				return 0, false
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b), true
+		}
+		next2 := func() (int, bool) {
+			hi, _ := next()
+			lo, ok := next()
+			return hi<<8 | lo, ok
+		}
+		// Query times cover a little before the first publication to a
+		// little after the last.
+		timeOf := func(x int) simtime.Duration {
+			return simtime.Duration(x%(int(last/simtime.Millisecond)+4)-1) * simtime.Millisecond
+		}
+		publish := func(dt int) {
+			at := last + simtime.Duration(dt)*simtime.Millisecond
+			v := len(m.hist)
+			err := s.Publish(0, v, at, v*7+3)
+			if m.sealed {
+				if err == nil {
+					t.Fatalf("publish v%d to a sealed shard accepted", v)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("publish v%d at %v: %v", v, at, err)
+			}
+			m.hist = append(m.hist, Snapshot[int]{Part: 0, Version: v, At: at, Data: v*7 + 3})
+			last = at
+			if s.Publish(0, v, at, 0) == nil || s.Publish(0, v+2, at, 0) == nil {
+				t.Fatalf("publish out of order accepted after v%d", v)
+			}
+			if dt > 0 && s.Publish(0, v+1, at-1, 0) == nil {
+				t.Fatalf("publish before v%d's time accepted", v)
+			}
+		}
+		same := func(what string, got Snapshot[int], ok bool, want int) {
+			t.Helper()
+			if ok != (want >= 0) || ok && got != m.hist[want] {
+				t.Fatalf("%s = %+v, %v; model has v%d of %d", what, got, ok, want, len(m.hist))
+			}
+		}
+		for {
+			op, ok := next()
+			if !ok {
+				break
+			}
+			switch op % 8 {
+			case 0:
+				if dt, ok := next(); ok {
+					publish(dt)
+				}
+			case 1:
+				count, _ := next()
+				if dt, ok := next(); ok {
+					for i := 0; i <= count; i++ {
+						publish(dt)
+					}
+				}
+			case 2:
+				if x, ok := next2(); ok {
+					snap, ok := s.ReadAt(0, timeOf(x))
+					same("ReadAt", snap, ok, m.visible(timeOf(x)))
+				}
+			case 3:
+				x, _ := next2()
+				if h, ok := next2(); ok {
+					at, hint, want := timeOf(x), h-16, m.visible(timeOf(x))
+					snap, idx, ok := s.ReadAtFrom(0, at, hint)
+					same("ReadAtFrom", snap, ok, want)
+					v, vok := s.VisibleFrom(0, at, hint)
+					if vok != ok || vok && (v != want || idx != want) {
+						t.Fatalf("VisibleFrom(%v, hint %d) = v%d, %v; ReadAtFrom index %d; model has v%d", at, hint, v, vok, idx, want)
+					}
+				}
+			case 4:
+				if got := s.Latest(0); got != len(m.hist)-1 {
+					t.Fatalf("Latest = %d, model has %d versions", got, len(m.hist))
+				}
+				snap, ok := s.Read(0)
+				same("Read", snap, ok, len(m.hist)-1)
+			case 5:
+				if x, ok := next2(); ok {
+					v := x - 8
+					at, ok := s.At(0, v)
+					if exists := v >= 0 && v < len(m.hist); ok != exists || ok && at != m.hist[v].At {
+						t.Fatalf("At(v%d) = %v, %v; model has %d versions", v, at, ok, len(m.hist))
+					}
+				}
+			case 6:
+				if x, ok := next2(); ok && len(m.hist) > 0 {
+					v := x % len(m.hist)
+					snap, ok := s.WaitVersion(0, v)
+					same("WaitVersion", snap, ok, v)
+				}
+			case 7:
+				s.Seal(0)
+				m.sealed = true
+				if _, ok := s.WaitVersion(0, len(m.hist)); ok {
+					t.Fatal("WaitVersion on a sealed shard claimed a version that does not exist")
+				}
+			}
+		}
+		if s.Sealed(0) != m.sealed {
+			t.Fatalf("Sealed = %v, model %v", s.Sealed(0), m.sealed)
+		}
+		for v, want := range m.hist {
+			if at, ok := s.At(0, v); !ok || at != want.At {
+				t.Fatalf("At(v%d) = %v, %v; published at %v", v, at, ok, want.At)
+			}
+			snap, ok := s.ReadAt(0, want.At)
+			same("ReadAt of a publication time", snap, ok, m.visible(want.At))
+		}
+	})
 }

@@ -2,7 +2,7 @@
 # alloc_guard.sh — benchmem regression guard for the async runtime's
 # hot paths.
 #
-# Guards ten budgets:
+# Guards eleven budgets:
 #
 #   1. The crash-free speculated step path
 #      (BenchmarkAsyncParallel/pagerank/parallel, ~100% of whose steps
@@ -73,8 +73,16 @@
 #      PageRank job allocates 8-10 times per map or reduce task — task
 #      contexts, counters and outputs, none of it in the local runtime.
 #      The budget, 16 per task, lives in the test, which also runs in
-#      tier 1; it is listed here so the ten budgets are checked in one
+#      tier 1; it is listed here so the budgets are checked in one
 #      place.
+#
+#  11. The DES step that publishes (TestDESPublishPathAllocFree in
+#      internal/async): a ring workload with pre-built payloads run for
+#      N and for 2N steps; the extra publishes may cost 0.02 mallocs
+#      each — a new history segment and its directory every thousand
+#      versions, and nothing per step (one malloc per publish before
+#      PR 14). The budget lives in the test, as the tenth does; the test
+#      is built without the race detector, which allocates on its own.
 #
 # Except for the live row, runs are deterministic, so allocs/op is
 # stable across machines; the thresholds leave headroom for runtime/GC
@@ -123,12 +131,21 @@ check 'BenchmarkAsyncLive/pagerank/S=0' "$max_live"
 check 'BenchmarkAsyncTraced/pagerank/parallel' "$max_traced"
 check 'BenchmarkAsyncSeries/pagerank/parallel' "$max_series"
 
-out=$(go test -count 1 -run 'TestEagerSteadyStateAllocs' -v ./internal/pagerank/)
-echo "$out"
-case "$out" in
-*"--- PASS: TestEagerSteadyStateAllocs"*) echo "alloc_guard: ok — TestEagerSteadyStateAllocs" ;;
-*)
-	echo "alloc_guard: FAIL — TestEagerSteadyStateAllocs did not run and pass" >&2
-	exit 1
-	;;
-esac
+# The budgets that live in a test: it must run (not be skipped or
+# filtered out) and pass.
+check_test() {
+	name=$1
+	pkg=$2
+	out=$(go test -count 1 -run "^$name\$" -v "$pkg")
+	echo "$out"
+	case "$out" in
+	*"--- PASS: $name"*) echo "alloc_guard: ok — $name" ;;
+	*)
+		echo "alloc_guard: FAIL — $name did not run and pass" >&2
+		exit 1
+		;;
+	esac
+}
+
+check_test TestEagerSteadyStateAllocs ./internal/pagerank/
+check_test TestDESPublishPathAllocFree ./internal/async/
