@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,17 +30,32 @@ var lmapPool = sync.OnceValue(func() *workpool.Pool[func()] {
 //
 // Everything is addressed by slot. Each distinct key is resolved once to
 // a small integer that stays its slot for the context's life (see slot);
-// the intermediate buffer is an append-only (slot, value) log that the
-// partial-synchronization barrier counting-sorts into one slab, and the
-// hashtable is a value and a generation stamp per slot. Slot numbers
+// the hashtable is a value and a generation stamp per slot. Slot numbers
 // never reach user code: groups, State and the default Output all run in
-// first-emitted order, which the log and stateOrder record.
+// first-emitted order, which order and stateOrder record.
+//
+// The intermediate buffer is a plan that is replayed while it holds. A
+// local iteration that has no plan logs its (key, value) emissions, and
+// the partial-synchronization barrier counting-sorts the log into one
+// slab (group), remembering each emission's slab position: the logged
+// key sequence and those positions are the plan. The next iteration
+// checks every emitted key against the plan's key at the same position
+// and stores the value straight into the slab; if the iteration emits
+// exactly the planned sequence the barrier has nothing to do. The first
+// emission that differs, or a barrier reached early, demotes the
+// iteration: the values stored so far go back into the log, the rest of
+// the iteration logs, and the barrier groups the log and records a new
+// plan. Either way lreduce sees the groups, key order and value order a
+// fresh grouping of this iteration's emissions gives.
 //
 // A LocalContext is confined to one gmap task at a time. BuildGMap pools
-// contexts and re-arms one per task, so a context outlives the task and
-// its slot tables grow to the union of the key sets it has served. During
-// a threaded lmap phase each worker logs into its own shard, appended in
-// shard order at the barrier, so user code never needs locks.
+// contexts and re-arms one per task, so a context outlives the task, its
+// slot tables grow to the union of the key sets it has served, and the
+// plan it carries may be another split's: the plan is only ever trusted
+// key by key, so the task's first iteration demotes and replans. During a
+// threaded lmap phase each worker logs into its own shard, and the
+// barrier passes the shard logs through the plan in shard order, so user
+// code never needs locks.
 //
 // The log, the slab and the hashtable's value table are reused without
 // clearing: for a V that holds pointers (K-Means' Accum.Sum) they keep
@@ -57,17 +73,25 @@ type LocalContext[K comparable, V any] struct {
 	slotOf   map[K]int32
 	keys     []K
 
-	// Intermediate buffer (EmitLocalIntermediate): logSlot/logVal are the
-	// emission log in record order. A shard cannot resolve slots (the
-	// resolver belongs to its parent), so it logs keys in logKey instead.
-	logSlot []int32
+	// Intermediate buffer (EmitLocalIntermediate). logKey/logVal are the
+	// emission log of an iteration that is not replaying, in record
+	// order; once grouped, logKey is the plan's key sequence and pos[i]
+	// the slab position of its i-th emission. cursor is the number of
+	// emissions replayed so far this iteration, or logging when the
+	// iteration logs; planned says logKey, pos, order, end and slab are
+	// one consistent grouping (false from a demotion to the next group,
+	// and always on a shard, which only ever logs).
 	logKey  []K
 	logVal  []V
+	pos     []int32
+	cursor  int
+	planned bool
 
 	// Grouping built at the barrier: order lists this iteration's slots
 	// in first-emitted order, slab holds their values group by group, and
 	// end[s] is the end of slot s's group in slab (a group starts where
-	// the previous one in order ends). end[s] is zero outside order.
+	// the previous one in order ends). end[s] is zero outside order. A
+	// replayed iteration leaves order and end as they are.
 	order []int32
 	end   []int32
 	slab  []V
@@ -97,15 +121,20 @@ type LocalContext[K comparable, V any] struct {
 	ops       int64
 }
 
+// logging is the cursor of an iteration that logs its emissions: no plan
+// is that long, so EmitLocalIntermediate's one bounds test sends every
+// emission to the log.
+const logging = math.MaxInt
+
 // newLocalContext returns an empty context serving tc, resolving keys by
 // interning.
 func newLocalContext[K comparable, V any](tc *mapreduce.TaskContext[K, V]) *LocalContext[K, V] {
-	return &LocalContext[K, V]{task: tc, slotOf: make(map[K]int32), gen: 1}
+	return &LocalContext[K, V]{task: tc, slotOf: make(map[K]int32), gen: 1, cursor: logging}
 }
 
 // arm readies a pooled context for task tc: empty hashtable, counters
-// zero. Slots survive; the intermediate buffer is emptied by the lmap
-// phase that opens every local iteration.
+// zero. Slots and the plan survive; the lmap phase that opens every local
+// iteration rewinds or empties the intermediate buffer.
 func (lc *LocalContext[K, V]) arm(tc *mapreduce.TaskContext[K, V]) {
 	lc.task = tc
 	lc.resetState()
@@ -133,6 +162,31 @@ func (lc *LocalContext[K, V]) slot(key K) int32 {
 		lc.keys[s] = key
 	}
 	return s
+}
+
+// resolve is slot for the whole log: slots[i] becomes the slot of the
+// i-th logged key. With a KeyIndex the loop is slot's first branch
+// written out, which spares the barrier a call and a reload of the key
+// table per record.
+func (lc *LocalContext[K, V]) resolve(slots []int32) {
+	index := lc.keyIndex
+	if index == nil {
+		for i, k := range lc.logKey {
+			slots[i] = lc.slot(k)
+		}
+		return
+	}
+	keys := lc.keys
+	for i, k := range lc.logKey {
+		s := index(k)
+		if uint(s) >= uint(len(keys)) {
+			lc.checkIndex(k, s)
+			lc.growSlots(s + 1)
+			keys = lc.keys
+		}
+		keys[s] = k
+		slots[i] = int32(s)
+	}
 }
 
 // lookup is slot without the side effects: it reports whether key
@@ -165,14 +219,48 @@ func (lc *LocalContext[K, V]) growSlots(n int) {
 }
 
 // EmitLocalIntermediate buffers one record for the next local reduce,
-// the paper's EmitLocalIntermediate().
+// the paper's EmitLocalIntermediate(). While the iteration follows the
+// plan the value goes straight to its place in the slab; the first record
+// that does not (another key, or one more than planned) demotes the
+// iteration, and from there records are logged.
 func (lc *LocalContext[K, V]) EmitLocalIntermediate(key K, value V) {
-	if lc.parent != nil {
-		lc.logKey = append(lc.logKey, key)
-	} else {
-		lc.logSlot = append(lc.logSlot, lc.slot(key))
+	i := lc.cursor
+	if i < len(lc.logKey) && lc.logKey[i] == key {
+		lc.slab[lc.pos[i]] = value
+		lc.cursor = i + 1
+		return
 	}
+	if i != logging {
+		lc.demote()
+	}
+	lc.logKey = append(lc.logKey, key)
 	lc.logVal = append(lc.logVal, value)
+}
+
+// demote turns a replaying iteration into a logging one: the emissions
+// replayed so far are the plan's first cursor keys, and their values are
+// read back out of the slab positions they were stored at (the value log
+// is the one the plan was grouped from, so it has the room). The old
+// grouping is dropped.
+func (lc *LocalContext[K, V]) demote() {
+	n := lc.cursor
+	lc.logKey = lc.logKey[:n]
+	lc.logVal = lc.logVal[:n]
+	for i, p := range lc.pos[:n] {
+		lc.logVal[i] = lc.slab[p]
+	}
+	lc.dropGrouping()
+}
+
+// dropGrouping forgets the plan and the grouping it stands on; the
+// iteration logs from here.
+func (lc *LocalContext[K, V]) dropGrouping() {
+	for _, s := range lc.order {
+		lc.end[s] = 0
+	}
+	lc.order = lc.order[:0]
+	lc.planned = false
+	lc.cursor = logging
 }
 
 // EmitLocal stores one record into the local hashtable, the paper's
@@ -240,41 +328,62 @@ func (lc *LocalContext[K, V]) resetState() {
 	}
 }
 
-// clearIntermediate empties the intermediate buffer and the grouping
-// built from it, keeping all capacity.
-func (lc *LocalContext[K, V]) clearIntermediate() {
-	for _, s := range lc.order {
-		lc.end[s] = 0
+// beginIteration opens a local iteration's intermediate buffer: at the
+// start of the plan if the context holds one, otherwise (and after an
+// iteration that died between a demotion and its barrier) on an empty
+// log.
+func (lc *LocalContext[K, V]) beginIteration() {
+	if lc.planned {
+		lc.cursor = 0
+		return
 	}
-	lc.order = lc.order[:0]
-	lc.logSlot = lc.logSlot[:0]
+	lc.dropGrouping()
 	lc.logKey = lc.logKey[:0]
 	lc.logVal = lc.logVal[:0]
 }
 
-// group counting-sorts the emission log into slab: groups in
+// group is the barrier's half of the intermediate buffer. An iteration
+// that replayed the whole plan has its values in place already. Any other
+// is (by now) a log, which group counting-sorts into slab: groups in
 // first-emitted key order, values within a group in record order. Pass
-// one sizes the groups, a prefix sum over order turns sizes into start
-// cursors, and pass two scatters values through the cursors, leaving
-// end[s] at the end of slot s's group.
+// one resolves slots and sizes the groups, a prefix sum over order turns
+// sizes into start cursors, and pass two scatters values through the
+// cursors, leaving end[s] at the end of slot s's group and pos[i] at the
+// position emission i went to — the plan the next iteration replays.
 func (lc *LocalContext[K, V]) group() {
-	for _, s := range lc.logSlot {
-		if lc.end[s] == 0 {
-			lc.order = append(lc.order, s)
+	if lc.cursor != logging {
+		if lc.cursor == len(lc.logKey) {
+			return
 		}
-		lc.end[s]++
+		lc.demote() // the iteration stopped short of the plan
+	}
+	n := len(lc.logKey)
+	pos := slices.Grow(lc.pos[:0], n)[:n]
+	lc.resolve(pos) // pos holds slots until pass two
+	// The slot tables have their final size: work on the slice headers,
+	// which the compiler cannot keep in registers through lc.
+	end, order := lc.end, lc.order
+	for _, s := range pos {
+		if end[s] == 0 {
+			order = append(order, s)
+		}
+		end[s]++
 	}
 	var sum int32
-	for _, s := range lc.order {
-		n := lc.end[s]
-		lc.end[s] = sum
-		sum += n
+	for _, s := range order {
+		c := end[s]
+		end[s] = sum
+		sum += c
 	}
-	lc.slab = slices.Grow(lc.slab[:0], len(lc.logVal))[:len(lc.logVal)]
-	for i, s := range lc.logSlot {
-		lc.slab[lc.end[s]] = lc.logVal[i]
-		lc.end[s]++
+	slab, vals := slices.Grow(lc.slab[:0], n)[:n], lc.logVal[:n]
+	for i, s := range pos {
+		p := end[s]
+		slab[p] = vals[i]
+		pos[i] = p
+		end[s] = p + 1
 	}
+	lc.pos, lc.order, lc.slab = pos, order, slab
+	lc.planned = true
 }
 
 // LocalSpec describes the inner (local) MapReduce of one gmap task. P is
@@ -450,7 +559,7 @@ func discountOps(ops int64, threads int) int64 {
 // runLMapPhase applies LMap to every element, on one goroutine or on
 // the shared lmap thread pool with deterministic merge order.
 func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc *LocalContext[K, V], part P, elems []E) {
-	lc.clearIntermediate()
+	lc.beginIteration()
 	if spec.Threads <= 1 || len(elems) < 2*spec.Threads {
 		for _, e := range elems {
 			spec.LMap(lc, part, e)
@@ -458,17 +567,17 @@ func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]
 		return
 	}
 	// Shard elements into contiguous chunks; each chunk runs on the
-	// shared pool and logs into a private shard context. Appending the
-	// shard logs in shard order gives the one log a serial sweep over
-	// elems would have written, so grouping sees keys first emitted by
-	// shard then record order, and a key's values by shard then record
-	// order. The hashtable (read-only during lmap) is reached through
-	// the parent. Chunk panics are captured and re-raised on the task
-	// goroutine so the engine's per-task recovery still catches bad user
-	// code (the pool itself must never see a panic).
+	// shared pool and logs into a private shard context. Emitting the
+	// shard logs in shard order gives the context the emission sequence a
+	// serial sweep over elems would have, so grouping sees keys first
+	// emitted by shard then record order, and a key's values by shard
+	// then record order. The hashtable (read-only during lmap) is reached
+	// through the parent. Chunk panics are captured and re-raised on the
+	// task goroutine so the engine's per-task recovery still catches bad
+	// user code (the pool itself must never see a panic).
 	n := spec.Threads
 	for len(lc.shards) < n {
-		lc.shards = append(lc.shards, &LocalContext[K, V]{parent: lc})
+		lc.shards = append(lc.shards, &LocalContext[K, V]{parent: lc, cursor: logging})
 		lc.panics = append(lc.panics, nil)
 	}
 	shards, panics := lc.shards[:n], lc.panics[:n]
@@ -478,7 +587,7 @@ func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]
 		hi := (w + 1) * len(elems) / n
 		chunk := elems[lo:hi]
 		sh := shards[w]
-		sh.clearIntermediate()
+		sh.beginIteration()
 		sh.ops = 0 // merged into the parent at the end of each phase
 		lmapPool().Submit(func() {
 			defer lc.wg.Done()
@@ -495,15 +604,14 @@ func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]
 		}
 	}
 	for _, sh := range shards {
-		for _, k := range sh.logKey {
-			lc.logSlot = append(lc.logSlot, lc.slot(k))
+		for i, k := range sh.logKey {
+			lc.EmitLocalIntermediate(k, sh.logVal[i])
 		}
-		lc.logVal = append(lc.logVal, sh.logVal...)
 		lc.ops += sh.ops
 	}
 }
 
-// runLReducePhase groups the intermediate log and folds every key group
+// runLReducePhase groups the intermediate buffer and folds every key group
 // through LReduce in deterministic first-emitted order. The values slice
 // aliases the context's slab and is valid for the duration of the call.
 func runLReducePhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc *LocalContext[K, V], part P) {

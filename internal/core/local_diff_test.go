@@ -32,8 +32,28 @@ type script [][]scriptElem
 
 const scriptKeys = 24
 
+// How an iteration of a decoded script relates to the one before it: the
+// context replays an iteration's grouping into the next for as long as
+// the emitted keys repeat, so scripts must repeat them — exactly, up to
+// one changed key at the first, a middle or the last emission, with the
+// tail cut off, or with more emissions after the end.
+const (
+	iterFresh = iota
+	iterRepeat
+	iterDivergeFirst
+	iterDivergeMiddle
+	iterDivergeLast
+	iterShorter
+	iterLonger
+	iterModes
+)
+
 // decodeScript reads a script off data; a short input decodes as if
-// padded with zeros, so every byte string is a valid script.
+// padded with zeros, so every byte string is a valid script. An
+// iteration's header byte h gives its mode, h/20 (of the iterModes, the
+// first iteration always fresh), and a count, h%20: the number of
+// elements of a fresh iteration, and how much an iterShorter or
+// iterLonger one cuts off or adds.
 func decodeScript(data []byte) script {
 	next := func() int {
 		if len(data) == 0 {
@@ -43,17 +63,69 @@ func decodeScript(data []byte) script {
 		data = data[1:]
 		return int(b)
 	}
-	sc := make(script, 1+next()%4)
-	for it := range sc {
-		sc[it] = make([]scriptElem, next()%20)
-		for e := range sc[it] {
-			el := &sc[it][e]
+	freshElems := func(n int) []scriptElem {
+		elems := make([]scriptElem, n)
+		for e := range elems {
+			el := &elems[e]
 			el.probe = next() % scriptKeys
 			el.emits = make([]scriptRec, next()%4)
 			for r := range el.emits {
 				el.emits[r] = scriptRec{key: next() % scriptKeys, val: next()}
 			}
 		}
+		return elems
+	}
+	b := next()
+	sc := make(script, 1+b%4+b>>6)
+	for it := range sc {
+		h := next()
+		mode, count := h/20%iterModes, h%20
+		if it == 0 || mode == iterFresh {
+			sc[it] = freshElems(count)
+			continue
+		}
+		// Same probes and keys as the last iteration, new values.
+		salt := next()
+		var emits []*scriptRec
+		elems := make([]scriptElem, len(sc[it-1]))
+		for e, prev := range sc[it-1] {
+			elems[e] = scriptElem{probe: prev.probe, emits: slices.Clone(prev.emits)}
+			for r := range elems[e].emits {
+				rec := &elems[e].emits[r]
+				rec.val = (rec.val + salt + len(emits)) % 256
+				emits = append(emits, rec)
+			}
+		}
+		otherKey := func(i int) {
+			if len(emits) > 0 {
+				emits[i].key = (emits[i].key + 1 + next()%(scriptKeys-1)) % scriptKeys
+			}
+		}
+		switch mode {
+		case iterDivergeFirst:
+			otherKey(0)
+		case iterDivergeMiddle:
+			otherKey(len(emits) / 2)
+		case iterDivergeLast:
+			otherKey(len(emits) - 1)
+		case iterShorter:
+			// Cut emissions off the end, then maybe whole elements too.
+			for cut := 1 + count%3; cut > 0 && len(elems) > 0; {
+				last := &elems[len(elems)-1]
+				if len(last.emits) == 0 {
+					elems = elems[:len(elems)-1]
+					continue
+				}
+				last.emits = last.emits[:len(last.emits)-1]
+				cut--
+			}
+			if count >= 10 {
+				elems = elems[:len(elems)/2]
+			}
+		case iterLonger:
+			elems = append(elems, freshElems(1+count%3)...)
+		}
+		sc[it] = elems
 	}
 	return sc
 }
@@ -262,6 +334,71 @@ func TestLocalContextMatchesModel(t *testing.T) {
 			data[j] = byte(rng.Intn(256))
 		}
 		checkAllVariants(t, data)
+	}
+}
+
+// sweep is one local iteration of ten elements (enough for a threaded
+// lmap at Threads 4) emitting two records each over the keys lo..lo+span-1,
+// values salted so that no two iterations fold to the same sums.
+func sweep(lo, span, salt int) []scriptElem {
+	elems := make([]scriptElem, 10)
+	for e := range elems {
+		elems[e] = scriptElem{probe: lo + e%span, emits: []scriptRec{
+			{key: lo + e%span, val: salt + e},
+			{key: lo + (3*e+1)%span, val: 2*salt + e},
+		}}
+	}
+	return elems
+}
+
+// rekeyed is elems with emission i (counted across elements) on key.
+func rekeyed(elems []scriptElem, i, key int) []scriptElem {
+	out := make([]scriptElem, len(elems))
+	for e, el := range elems {
+		out[e] = scriptElem{probe: el.probe, emits: slices.Clone(el.emits)}
+		if i >= 0 && i < len(el.emits) {
+			out[e].emits[i].key = key
+		}
+		i -= len(el.emits)
+	}
+	return out
+}
+
+// TestReplayedIterationsMatchModel walks one re-armed context through
+// every way an iteration can relate to the plan the one before it left:
+// the same keys, one key changed at the first, a middle and the last
+// emission, fewer emissions, none, more — each followed by an exact
+// repeat, so the plan recorded after a demotion is replayed too — and
+// through splits over other key sets, including one whose first
+// iteration emits exactly what the previous split's last one did.
+func TestReplayedIterationsMatchModel(t *testing.T) {
+	walk := func(lo, span int) script {
+		base := func(salt int) []scriptElem { return sweep(lo, span, salt) }
+		last := 2*len(base(0)) - 1
+		other := lo + span // a key no sweep over lo..lo+span-1 emits
+		return script{
+			base(1), base(2),
+			rekeyed(base(3), 0, other), rekeyed(base(4), 0, other),
+			rekeyed(base(5), last/2, other), rekeyed(base(6), last/2, other),
+			rekeyed(base(7), last, other), rekeyed(base(8), last, other),
+			base(9)[:9], base(10)[:9], base(11)[:1], nil, nil,
+			base(12), append(base(13), base(14)[:3]...), base(15),
+		}
+	}
+	scripts := []script{
+		walk(0, 7),
+		walk(8, 15),         // disjoint keys, more of them
+		walk(0, 7),          // the first split again
+		{sweep(0, 7, 99)},   // starts where that one ended: same keys, other values
+		{nil},               // nothing to group at all
+		{sweep(3, 12, 100)}, // overlapping keys after the empty plan
+	}
+	for _, indexed := range []bool{false, true} {
+		for _, threads := range []int{1, 4} {
+			for _, reset := range []bool{false, true} {
+				checkAgainstModel(t, scripts, indexed, threads, reset)
+			}
+		}
 	}
 }
 

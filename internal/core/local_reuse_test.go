@@ -213,16 +213,31 @@ func TestBuildGMapSurvivesPanickedTask(t *testing.T) {
 	}
 }
 
+// A negative KeyIndex is found where slots are resolved, at the barrier
+// that groups the iteration's log: still inside the task, so the job
+// fails with an error naming the task, the index and the key. The second
+// run meets the index in an iteration that was replaying a healthy plan.
 func TestNegativeKeyIndexPanicsNamingTheKey(t *testing.T) {
 	spec := keysSpec(true, 1)
 	spec.KeyIndex = func(k int64) int { return int(k) - 1000 }
-	lc := spec.newContext(nil)
-	lc.EmitLocalIntermediate(1001, 1)
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "KeyIndex") || !strings.Contains(msg, "-7") || !strings.Contains(msg, "993") {
-			t.Fatalf("negative KeyIndex: panic %q, want one naming the index -7 and the key 993", msg)
+	job := &mapreduce.Job[*keysPart, int64, int]{Name: "keys", Map: BuildGMap(spec)}
+	engine := testEngine()
+	engine.Parallelism = 1
+	for _, keys := range [][]int64{{1001, 993}, {1001, 1002, 1003}, {1001, 1002, 993}} {
+		_, err := mapreduce.Run(engine, job, []mapreduce.Split[*keysPart]{{Data: &keysPart{keys: keys, failAt: -1}}})
+		if !slices.Contains(keys, 993) {
+			if err != nil {
+				t.Fatalf("keys %v: %v", keys, err)
+			}
+			continue
 		}
-	}()
-	lc.EmitLocalIntermediate(993, 1)
+		if err == nil {
+			t.Fatalf("keys %v: a negative KeyIndex went unnoticed", keys)
+		}
+		for _, want := range []string{"task 0", "KeyIndex", "-7", "993"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("keys %v: error %q does not name %q", keys, err, want)
+			}
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/simtime"
@@ -94,7 +95,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		ctx := &TaskContext[K, V]{out: mapOuts[i][:0]}
 		job.Map(ctx, *sp)
 		if job.Combine != nil {
-			combineTaskOutput(job, ctx)
+			combineTaskOutput(job, &sc.combiners[i], ctx)
 		}
 		var outBytes int64
 		for _, kv := range ctx.out {
@@ -190,16 +191,15 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	})
 
 	// --- reduce phase: real execution ---------------------------------
-	redOuts := make([][]KV[K, V], nReduce)
+	redOuts := sc.redOuts
 	redStats := make([]taskStats, nReduce)
 	err = e.forEachTask(nReduce, func(p int) error {
-		ctx := &TaskContext[K, V]{}
-		g := job.getGrouper()
+		ctx := &TaskContext[K, V]{out: redOuts[p][:0]}
+		g := &sc.reducers[p]
 		g.group(parts[p])
 		for i, k := range g.keys {
 			job.Reduce(ctx, k, g.values(i))
 		}
-		job.putGrouper(g)
 		var outBytes int64
 		for _, kv := range ctx.out {
 			outBytes += job.RecordSize(kv.Key, kv.Value)
@@ -308,31 +308,51 @@ func sortCost(cfg *cluster.Config, n int64) simtime.Duration {
 
 // grouper groups records by key into a reusable CSR-style layout:
 // keys in first-seen order (deterministic without an ordering on K),
-// all values in one slab, offs[i] marking the end of group i. Reusing
-// one grouper across tasks and iterations turns the former
-// fresh-map[K][]V-per-reduce allocation pattern into three amortized
-// slices and a cleared map.
+// all values in one slab, offs[i] marking the end of group i. It also
+// remembers the grouping as a plan — seq, the key of every record it
+// grouped, and pos, the slab position that record's value went to — and
+// replays the plan when the next records carry the same key sequence.
+// One grouper serves one task of a job from run to run, so the steady
+// state allocates nothing and, for an iterative job, hashes nothing.
 type grouper[K comparable, V any] struct {
 	keys []K
 	idx  map[K]int32
 	offs []int32
 	slab []V
+	seq  []K
+	pos  []int32
 }
 
-// group rebuilds the grouping for records. Two passes: the first
-// assigns group ids in first-seen order and counts group sizes, the
-// second scatters values through offs used as moving cursors, leaving
-// offs[i] = end of group i. Value order within a group is record order,
-// matching the old map-based groupByKey exactly.
+// group builds the grouping of records. While each record's key is the
+// one the last call saw at that position, its value goes straight to the
+// position it went to then; if that holds to the end of both sequences,
+// keys and offs already describe this grouping. Otherwise the grouping is
+// rebuilt in two passes: the first assigns group ids in first-seen order
+// and counts group sizes, the second scatters values through offs used as
+// moving cursors, leaving offs[i] = end of group i. Value order within a
+// group is record order either way, matching a map[K][]V filled in record
+// order.
 func (g *grouper[K, V]) group(records []KV[K, V]) {
+	if len(records) == len(g.seq) {
+		i := 0
+		for ; i < len(records) && records[i].Key == g.seq[i]; i++ {
+			g.slab[g.pos[i]] = records[i].Value
+		}
+		if i == len(records) {
+			return
+		}
+	}
 	if g.idx == nil {
 		g.idx = make(map[K]int32, len(records)/2+1)
 	} else {
 		clear(g.idx)
 	}
+	n := len(records)
 	g.keys = g.keys[:0]
 	g.offs = g.offs[:0]
-	for _, kv := range records {
+	g.seq = slices.Grow(g.seq[:0], n)[:n]
+	g.pos = slices.Grow(g.pos[:0], n)[:n]
+	for i, kv := range records {
 		gi, ok := g.idx[kv.Key]
 		if !ok {
 			gi = int32(len(g.keys))
@@ -341,21 +361,20 @@ func (g *grouper[K, V]) group(records []KV[K, V]) {
 			g.offs = append(g.offs, 0)
 		}
 		g.offs[gi]++
+		g.seq[i] = kv.Key
+		g.pos[i] = gi // until pass two
 	}
 	var sum int32
 	for i, c := range g.offs {
 		g.offs[i] = sum
 		sum += c
 	}
-	if cap(g.slab) < int(sum) {
-		g.slab = make([]V, sum)
-	} else {
-		g.slab = g.slab[:sum]
-	}
-	for _, kv := range records {
-		gi := g.idx[kv.Key]
-		g.slab[g.offs[gi]] = kv.Value
-		g.offs[gi]++
+	g.slab = slices.Grow(g.slab[:0], n)[:n]
+	for i, gi := range g.pos {
+		p := g.offs[gi]
+		g.slab[p] = records[i].Value
+		g.pos[i] = p
+		g.offs[gi] = p + 1
 	}
 }
 
@@ -371,9 +390,8 @@ func (g *grouper[K, V]) values(i int) []V {
 }
 
 // combineTaskOutput applies the job's combiner to one map task's buffered
-// output in place.
-func combineTaskOutput[P any, K comparable, V any](job *Job[P, K, V], ctx *TaskContext[K, V]) {
-	g := job.getGrouper()
+// output in place, grouping with the task's grouper g.
+func combineTaskOutput[P any, K comparable, V any](job *Job[P, K, V], g *grouper[K, V], ctx *TaskContext[K, V]) {
 	out := ctx.out[:0]
 	g.group(ctx.out)
 	for i, k := range g.keys {
@@ -382,52 +400,42 @@ func combineTaskOutput[P any, K comparable, V any](job *Job[P, K, V], ctx *TaskC
 		}
 	}
 	ctx.out = out
-	job.putGrouper(g)
 }
 
-// forEachTask runs fn(i) for i in [0,n) on a bounded pool of real
-// goroutines, recovering panics from user code into errors.
+// forEachTask runs fn(i) for every i in [0,n) on up to Parallelism real
+// goroutines, the calling one among them, each claiming the next index
+// from a shared counter. A panic in user code becomes that task's error;
+// the other tasks still run, and the first error reported is returned.
 func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := runTask(i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		wg    sync.WaitGroup
+		next  atomic.Int64
 		mu    sync.Mutex
 		first error
-		next  = make(chan int)
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if err := runTask(i, fn); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if err := runTask(i, fn); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return first
 }

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -490,4 +491,105 @@ func TestConcurrentRunsOfOneJob(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Groupers and reduce-output buffers live in the run scratch, so two runs
+// of one Job that overlap must each hold their own. The overlap here is
+// exact: the outer run's first reduce call starts an inner run of the
+// same job, over other records, in the middle of walking its grouper and
+// filling its output buffer.
+func TestOverlappingRunsShareNoGrouperOrOutput(t *testing.T) {
+	// Split data is {base, n}: the split emits keys base..base+n-1, each
+	// three times, so every reduce group has three values key*10+{0,1,2}.
+	var job *Job[[2]int, int64, int]
+	var inner *Result[int64, int]
+	splitsOver := func(base, n int) []Split[[2]int] {
+		return []Split[[2]int]{{ID: 0, Data: [2]int{base, n}}, {ID: 1, Data: [2]int{base + n, n}}}
+	}
+	job = &Job[[2]int, int64, int]{
+		Name:       "nested",
+		NumReduces: 2,
+		Partition:  Int64Partition,
+		Map: func(ctx *TaskContext[int64, int], split Split[[2]int]) {
+			for rep := 0; rep < 3; rep++ {
+				for k := split.Data[0]; k < split.Data[0]+split.Data[1]; k++ {
+					ctx.Emit(int64(k), k*10+rep)
+				}
+			}
+		},
+		Combine: func(_ int64, values []int) []int { return values },
+		Reduce: func(ctx *TaskContext[int64, int], key int64, values []int) {
+			if key == 0 && inner == nil {
+				res, err := Run(testEngine(), job, splitsOver(1000, 37))
+				if err != nil {
+					panic(err)
+				}
+				inner = res
+			}
+			sum := 0
+			for _, v := range values {
+				sum += v
+			}
+			ctx.Emit(key, sum)
+		},
+	}
+	check := func(name string, res *Result[int64, int], base, n int) {
+		t.Helper()
+		if len(res.Output) != 2*n {
+			t.Fatalf("%s run: %d output records, want %d", name, len(res.Output), 2*n)
+		}
+		for _, kv := range res.Output {
+			if kv.Key < int64(base) || kv.Key >= int64(base+2*n) || kv.Value != int(kv.Key)*30+3 {
+				t.Fatalf("%s run: record %v, want key in [%d,%d) with value key*30+3", name, kv, base, base+2*n)
+			}
+		}
+	}
+	engine := testEngine()
+	engine.Parallelism = 1
+	for round := 0; round < 2; round++ { // cold scratch, then a recycled one
+		inner = nil
+		outer, err := Run(engine, job, splitsOver(0, 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("outer", outer, 0, 50)
+		check("inner", inner, 1000, 37)
+	}
+
+	// And at the source: scratch taken twice without being returned is
+	// two scratches.
+	a, b := job.takeScratch(2, 2), job.takeScratch(2, 2)
+	if a == b || &a.reducers[0] == &b.reducers[0] || &a.combiners[0] == &b.combiners[0] {
+		t.Fatal("two overlapping runs were handed the same scratch")
+	}
+}
+
+// A panicking task fails the job with an error naming it; the tasks
+// around it still run, whoever claims them.
+func TestPanickingTaskIsNamedWhileOthersRun(t *testing.T) {
+	for _, parallelism := range []int{1, 2, 8, 64} {
+		var ran atomic.Int64
+		job := &Job[int, int64, int]{
+			Name: "one-bad-task",
+			Map: func(ctx *TaskContext[int64, int], split Split[int]) {
+				if split.ID == 5 {
+					panic("split five is cursed")
+				}
+				ran.Add(1)
+			},
+		}
+		splits := make([]Split[int], 12)
+		for i := range splits {
+			splits[i].ID = i
+		}
+		engine := testEngine()
+		engine.Parallelism = parallelism
+		_, err := Run(engine, job, splits)
+		if err == nil || !strings.Contains(err.Error(), "task 5 panicked") || !strings.Contains(err.Error(), "split five is cursed") {
+			t.Fatalf("parallelism %d: error %v, want one naming task 5 and its panic", parallelism, err)
+		}
+		if ran.Load() != 11 {
+			t.Fatalf("parallelism %d: %d of the 11 healthy tasks ran", parallelism, ran.Load())
+		}
+	}
 }

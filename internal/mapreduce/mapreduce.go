@@ -16,7 +16,6 @@ package mapreduce
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -91,32 +90,33 @@ type Job[P any, K comparable, V any] struct {
 	// records of all three paper applications.
 	RecordSize SizeFunc[K, V]
 
-	// groupers pools reduce/combine-side grouping scratch across the
-	// concurrent tasks and successive iterations of this job, so the
-	// hot reduce path reuses slabs instead of building a fresh
-	// map[K][]V per task. Jobs are always used by pointer (the pool
-	// makes Job no-copy; go vet enforces this).
-	groupers sync.Pool
-
-	// scratch holds the map-output and shuffle buffers of the job's
-	// previous run for the next one to refill; a run takes it (leaving
-	// nil, so an overlapping run of the same job makes its own) and
-	// stores it back when done.
+	// scratch holds the buffers and groupers of the job's previous run
+	// for the next one to refill; a run takes it (leaving nil, so an
+	// overlapping run of the same job makes its own) and stores it back
+	// when done. Jobs are always used by pointer (the atomic makes Job
+	// no-copy; go vet enforces this).
 	scratch atomic.Pointer[runScratch[K, V]]
 }
 
-// runScratch is the per-run record buffers a Job recycles: mapOuts[i]
-// is map task i's output, parts[p] reduce partition p's shuffled input.
-// For a V that holds pointers the buffers keep the previous run's
-// records reachable until overwritten.
+// runScratch is what a Job recycles from run to run: mapOuts[i] is map
+// task i's output, parts[p] reduce partition p's shuffled input,
+// redOuts[p] reduce task p's output, and combiners[i] / reducers[p] the
+// grouper of map task i's combine step and of reduce task p. A task
+// keeps its grouper from run to run because an iterative job tends to
+// hand it the key sequence it handed it last time, which the grouper
+// replays (grouper.group). For a V that holds pointers the buffers keep
+// the previous run's records reachable until overwritten.
 type runScratch[K comparable, V any] struct {
-	mapOuts [][]KV[K, V]
-	parts   [][]KV[K, V]
+	mapOuts   [][]KV[K, V]
+	parts     [][]KV[K, V]
+	redOuts   [][]KV[K, V]
+	combiners []grouper[K, V]
+	reducers  []grouper[K, V]
 }
 
 // takeScratch claims the job's run scratch, sized for nMaps map tasks
-// and nReduces partitions, with every parts buffer empty. Map-output
-// buffers are truncated by the tasks that fill them.
+// and nReduces partitions, with every parts buffer empty. Map- and
+// reduce-output buffers are truncated by the tasks that fill them.
 func (j *Job[P, K, V]) takeScratch(nMaps, nReduces int) *runScratch[K, V] {
 	sc := j.scratch.Swap(nil)
 	if sc == nil {
@@ -124,32 +124,24 @@ func (j *Job[P, K, V]) takeScratch(nMaps, nReduces int) *runScratch[K, V] {
 	}
 	sc.mapOuts = resize(sc.mapOuts, nMaps)
 	sc.parts = resize(sc.parts, nReduces)
+	sc.redOuts = resize(sc.redOuts, nReduces)
+	sc.combiners = resize(sc.combiners, nMaps)
+	sc.reducers = resize(sc.reducers, nReduces)
 	for p := range sc.parts {
 		sc.parts[p] = sc.parts[p][:0]
 	}
 	return sc
 }
 
-// resize returns bufs with length n, keeping every buffer it already
+// resize returns bufs with length n, keeping every element it already
 // holds (including those beyond its current length) for reuse.
-func resize[T any](bufs [][]T, n int) [][]T {
+func resize[T any](bufs []T, n int) []T {
 	bufs = bufs[:cap(bufs)]
 	if n > len(bufs) {
-		bufs = append(bufs, make([][]T, n-len(bufs))...)
+		bufs = append(bufs, make([]T, n-len(bufs))...)
 	}
 	return bufs[:n]
 }
-
-// getGrouper takes a grouper from the job's pool, or makes an empty one.
-func (j *Job[P, K, V]) getGrouper() *grouper[K, V] {
-	if g, ok := j.groupers.Get().(*grouper[K, V]); ok {
-		return g
-	}
-	return &grouper[K, V]{}
-}
-
-// putGrouper returns scratch to the pool for the next task.
-func (j *Job[P, K, V]) putGrouper(g *grouper[K, V]) { j.groupers.Put(g) }
 
 // validate normalizes defaults and reports configuration errors.
 func (j *Job[P, K, V]) validate(reduceSlots int) error {

@@ -2,7 +2,7 @@
 # bench.sh — record the async-runtime performance baseline.
 #
 # Runs the async benchmarks with -benchmem and writes the parsed results
-# as JSON (default BENCH_PR14.json at the repo root) so later PRs can
+# as JSON (default BENCH_PR15.json at the repo root) so later PRs can
 # diff allocs/op and ns/op against a committed trajectory point. Each
 # committed BENCH_PRn.json was recorded BEFORE that PR's change landed,
 # so rows for benchmarks the PR introduced are absent from its own
@@ -109,7 +109,7 @@ if [ "${1:-}" = "--trend" ]; then
 	exit 0
 fi
 
-out=${1:-BENCH_PR14.json}
+out=${1:-BENCH_PR15.json}
 benchtime=${2:-3x}
 cd "$(dirname "$0")/.."
 
@@ -117,7 +117,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 go test -run xxx \
-	-bench 'BenchmarkAsyncParallel$|BenchmarkAsyncModesPageRank$|BenchmarkAsyncStaleness$|BenchmarkAsyncRecovery$|BenchmarkAsyncAdaptive$|BenchmarkAsyncLive$|BenchmarkAsyncTraced$|BenchmarkAsyncSeries$|BenchmarkSetup$|BenchmarkStore$|BenchmarkEventHeap$' \
+	-bench 'BenchmarkAsyncParallel$|BenchmarkAsyncModesPageRank$|BenchmarkAsyncStaleness$|BenchmarkAsyncRecovery$|BenchmarkAsyncAdaptive$|BenchmarkAsyncLive$|BenchmarkAsyncTraced$|BenchmarkAsyncSeries$|BenchmarkSetup$|BenchmarkStore$|BenchmarkEventHeap$|BenchmarkLocalContext$|BenchmarkGrouper$' \
 	-benchmem -benchtime "$benchtime" . | tee "$raw" >&2
 
 # Parse `BenchmarkName-N  iters  123 ns/op  45 B/op  6 allocs/op  0.5 metric`
