@@ -84,6 +84,18 @@ func hashSubGraphs(subs []*SubGraph) uint64 {
 	return h.sum()
 }
 
+// hashFlatEdgeLists covers the two fields hashSubGraphs, whose sums were
+// committed before they existed, does not.
+func hashFlatEdgeLists(subs []*SubGraph) uint64 {
+	h := newGoldenHash()
+	h.u64(uint64(len(subs)))
+	for _, s := range subs {
+		h.ints(s.LocalSrc)
+		h.ints(s.LocalDst)
+	}
+	return h.sum()
+}
+
 // scatteredParts is a deterministic k-way assignment that keeps most of a
 // node's id-range neighbours together and scatters every third node, so
 // all three edge classes (local, remote, in-remote) are well populated.
@@ -121,10 +133,11 @@ func TestSetupGoldens(t *testing.T) {
 		weighted bool
 		k        int
 		want     uint64
+		wantFlat uint64 // LocalSrc / LocalDst, recorded from a walk over the oracle's OutLocal
 	}{
-		{"subgraphs/unweighted_k8", false, 8, 0x9411ce9570ea889e},
-		{"subgraphs/unweighted_k16", false, 16, 0xc2741628ffe2cc83},
-		{"subgraphs/weighted_k8", true, 8, 0xba41f58f0e35fdc7},
+		{"subgraphs/unweighted_k8", false, 8, 0x9411ce9570ea889e, 0x8bfea60a937fe4fc},
+		{"subgraphs/unweighted_k16", false, 16, 0xc2741628ffe2cc83, 0xebcca9b1e1d9ae5b},
+		{"subgraphs/weighted_k8", true, 8, 0xba41f58f0e35fdc7, 0x8bfea60a937fe4fc},
 	}
 	for _, c := range subsCases {
 		g.Weights = nil
@@ -137,6 +150,9 @@ func TestSetupGoldens(t *testing.T) {
 		}
 		if got := hashSubGraphs(subs); got != c.want {
 			t.Errorf("%s: hash %#x, want %#x", c.name, got, c.want)
+		}
+		if got := hashFlatEdgeLists(subs); got != c.wantFlat {
+			t.Errorf("%s/flat_edge_list: hash %#x, want %#x", c.name, got, c.wantFlat)
 		}
 	}
 }

@@ -26,6 +26,13 @@ type SubGraph struct {
 	WLocal  [][]float64
 	WRemote [][]float64
 
+	// LocalSrc / LocalDst are the partition-internal edges as one flat
+	// list, in OutLocal's traversal order (source ascending, adjacency
+	// order): edge k runs from local index LocalSrc[k] to LocalDst[k].
+	// LocalDst is the slab OutLocal's lists are views of, not a copy.
+	LocalSrc []int32
+	LocalDst []int32
+
 	// OutDeg[i] is Nodes[i]'s total out-degree in the full graph
 	// (internal + cross); PageRank divides by it.
 	OutDeg []int32
@@ -57,7 +64,9 @@ func (s *SubGraph) NumNodes() int { return len(s.Nodes) }
 // instead of running into the next node's list. The fill pass visits
 // sources in ascending id and each source's edges in adjacency order;
 // InRemote lists inherit that order and pagerank's read plan depends on
-// it.
+// it, and a partition's local edges land in its OutLocal slab front to
+// back, which is what makes the slab, with one source index appended per
+// edge, the flat edge list LocalSrc / LocalDst.
 func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	n := g.NumNodes()
 	if len(parts) != n {
@@ -111,13 +120,14 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 			s.OutDeg[i] = int32(len(g.Out[u]))
 			s.Bytes += g.AdjacencyBytes(int(u))
 		}
-		s.OutLocal = carve[int32](s.Nodes, nLocal)
-		s.OutRemote = carve[NodeID](s.Nodes, nRemote)
-		s.InRemote = carve[NodeID](s.Nodes, nIn)
+		s.OutLocal, s.LocalDst = carve[int32](s.Nodes, nLocal)
+		s.LocalSrc = make([]int32, 0, len(s.LocalDst))
+		s.OutRemote, _ = carve[NodeID](s.Nodes, nRemote)
+		s.InRemote, _ = carve[NodeID](s.Nodes, nIn)
 		if weighted {
-			s.WLocal = carve[float64](s.Nodes, nLocal)
-			s.WRemote = carve[float64](s.Nodes, nRemote)
-			s.InRemoteW = carve[float64](s.Nodes, nIn)
+			s.WLocal, _ = carve[float64](s.Nodes, nLocal)
+			s.WRemote, _ = carve[float64](s.Nodes, nRemote)
+			s.InRemoteW, _ = carve[float64](s.Nodes, nIn)
 		}
 	}
 
@@ -133,6 +143,7 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 			}
 			if pv := parts[v]; pv == pu {
 				s.OutLocal[ui] = append(s.OutLocal[ui], local[v])
+				s.LocalSrc = append(s.LocalSrc, ui)
 				if weighted {
 					s.WLocal[ui] = append(s.WLocal[ui], w)
 				}
@@ -154,9 +165,9 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 }
 
 // carve allocates one slab holding counts[u] entries for each u of nodes,
-// in order, and returns the per-node views: empty, and capacity-limited to
-// the node's own stretch of the slab.
-func carve[T any](nodes []NodeID, counts []int32) [][]T {
+// in order, and returns the per-node views — empty, and capacity-limited to
+// the node's own stretch of the slab — and the slab itself.
+func carve[T any](nodes []NodeID, counts []int32) ([][]T, []T) {
 	total := 0
 	for _, u := range nodes {
 		total += int(counts[u])
@@ -169,5 +180,5 @@ func carve[T any](nodes []NodeID, counts []int32) [][]T {
 		views[i] = slab[lo:lo:hi]
 		lo = hi
 	}
-	return views
+	return views, slab
 }

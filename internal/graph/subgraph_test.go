@@ -152,7 +152,40 @@ func checkAgainstOracle(t *testing.T, g *Graph, parts []int32, k int) []*SubGrap
 	if d := diffSubGraphs(got, want); d != "" {
 		t.Fatalf("n=%d k=%d parts=%v out=%v: %s", g.NumNodes(), k, parts, g.Out, d)
 	}
+	for _, s := range got {
+		if d := checkFlatEdgeList(s); d != "" {
+			t.Fatalf("n=%d k=%d parts=%v out=%v: partition %d: %s", g.NumNodes(), k, parts, g.Out, s.PartID, d)
+		}
+	}
 	return got
+}
+
+// checkFlatEdgeList holds a sub-graph's LocalSrc / LocalDst to their
+// contract against OutLocal (which the oracle comparison has checked):
+// LocalDst is the concatenation of the OutLocal lists and shares their
+// memory, and LocalSrc[k] is the node whose list holds position k.
+func checkFlatEdgeList(s *SubGraph) string {
+	k := 0
+	for i, adj := range s.OutLocal {
+		for e, dst := range adj {
+			switch {
+			case k >= len(s.LocalDst) || k >= len(s.LocalSrc):
+				return fmt.Sprintf("flat list holds %d sources and %d destinations, OutLocal more", len(s.LocalSrc), len(s.LocalDst))
+			case s.LocalDst[k] != dst || s.LocalSrc[k] != int32(i):
+				return fmt.Sprintf("edge %d is %d->%d, OutLocal[%d][%d] says %d->%d", k, s.LocalSrc[k], s.LocalDst[k], i, e, i, dst)
+			case &s.LocalDst[k] != &adj[e]:
+				return fmt.Sprintf("LocalDst[%d] is a copy of OutLocal[%d][%d], not the same slab entry", k, i, e)
+			}
+			k++
+		}
+	}
+	if len(s.LocalSrc) != k || len(s.LocalDst) != k {
+		return fmt.Sprintf("flat list holds %d sources and %d destinations, OutLocal %d edges", len(s.LocalSrc), len(s.LocalDst), k)
+	}
+	if !slices.IsSorted(s.LocalSrc) {
+		return fmt.Sprintf("LocalSrc %v decreases", s.LocalSrc)
+	}
+	return ""
 }
 
 // messyGraph draws a small graph with everything the generator never
@@ -238,9 +271,10 @@ func TestBuildSubGraphsRejectsLikeOracle(t *testing.T) {
 	}
 }
 
-// TestSubGraphViewsAreCapLimited checks the carve: every per-node list
-// fills its capacity exactly, so appending to one reallocates and leaves
-// the neighbouring node's list, which follows it in the slab, untouched.
+// TestSubGraphViewsAreCapLimited checks the carve: every per-node list,
+// and the flat edge list, fills its capacity exactly, so appending to one
+// reallocates and leaves the neighbouring node's list, which follows it
+// in the slab, untouched.
 func TestSubGraphViewsAreCapLimited(t *testing.T) {
 	g := MustGenerate(GraphAConfig().Scaled(200))
 	g.AssignUniformWeights(1, 10, 3)
@@ -248,7 +282,8 @@ func TestSubGraphViewsAreCapLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := hashSubGraphs(subs)
+	sums := func() [2]uint64 { return [2]uint64{hashSubGraphs(subs), hashFlatEdgeLists(subs)} }
+	before := sums()
 	for _, s := range subs {
 		for i := range s.Nodes {
 			for _, l := range [][]int32{s.OutLocal[i], s.OutRemote[i], s.InRemote[i]} {
@@ -264,8 +299,14 @@ func TestSubGraphViewsAreCapLimited(t *testing.T) {
 				_ = append(l, -7)
 			}
 		}
+		for _, l := range [][]int32{s.LocalSrc, s.LocalDst} {
+			if len(l) != cap(l) {
+				t.Fatalf("partition %d: flat edge list len %d cap %d", s.PartID, len(l), cap(l))
+			}
+			_ = append(l, -7)
+		}
 	}
-	if after := hashSubGraphs(subs); after != before {
+	if sums() != before {
 		t.Fatal("appending to a view overwrote another view")
 	}
 }

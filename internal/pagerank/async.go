@@ -29,7 +29,9 @@ type AsyncResult struct {
 // from versioned snapshots.
 type asyncState struct {
 	sub *graph.SubGraph
-	// rank, ghost, scratch, acc mirror the eager formulation's arrays.
+	// rank and ghost mirror the eager formulation's arrays. acc and
+	// scratch are Step's per-step scratch: the per-destination sums of a
+	// sweep, and every node's contribution rank/outdeg.
 	rank    []float64
 	ghost   []float64
 	scratch []float64
@@ -119,8 +121,26 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	ops += int64(len(st.ghostNode))
 
 	// Local Jacobi sweeps to local convergence against frozen ghosts,
-	// the same inner loop the eager gmap runs between global barriers.
+	// the same inner loop the eager gmap runs between global barriers,
+	// run edge-centric: one stream over the partition's flat edge list
+	// (source ascending, so every destination is summed in the order a
+	// per-node push would sum it), then one pass per node that folds the
+	// new rank, the delta, the accumulator reset and the node's next
+	// contribution together. contrib and acc are per-step scratch, rebuilt
+	// from rank here, so rank and lastPub remain the only cross-step
+	// state. A node without out-edges gets contribution +Inf; no edge and
+	// no border entry reads it.
 	sub := st.sub
+	rank := st.rank
+	n := len(rank)
+	ghost, acc, contrib, outDeg := st.ghost[:n], st.acc[:n], st.scratch[:n], sub.OutDeg[:n]
+	dst := sub.LocalDst
+	src := sub.LocalSrc[:len(dst)]
+	for i, r := range rank {
+		acc[i] = 0
+		contrib[i] = r / float64(outDeg[i])
+	}
+	sweepOps := int64(len(dst)) + 2*int64(n)
 	base := 1 - cfg.Damping
 	startDelta := 0.0
 	sweeps := 0
@@ -129,34 +149,24 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		maxSweeps = async.DefaultMaxSteps
 	}
 	for sweeps < maxSweeps {
-		for i := range st.acc {
-			st.acc[i] = 0
-		}
-		for li := range sub.Nodes {
-			deg := sub.OutDeg[li]
-			if deg == 0 {
-				continue
-			}
-			c := st.rank[li] / float64(deg)
-			for _, dst := range sub.OutLocal[li] {
-				st.acc[dst] += c
-			}
-			ops += int64(len(sub.OutLocal[li]))
+		for k, d := range dst {
+			acc[d] += contrib[src[k]]
 		}
 		delta := 0.0
-		for i := range sub.Nodes {
-			nr := base + cfg.Damping*(st.acc[i]+st.ghost[i])
-			d := nr - st.rank[i]
+		for i, old := range rank {
+			nr := base + cfg.Damping*(acc[i]+ghost[i])
+			acc[i] = 0
+			d := nr - old
 			if d < 0 {
 				d = -d
 			}
 			if d > delta {
 				delta = d
 			}
-			st.scratch[i] = nr
+			rank[i] = nr
+			contrib[i] = nr / float64(outDeg[i])
 		}
-		ops += int64(len(sub.Nodes)) * 2
-		copy(st.rank, st.scratch)
+		ops += sweepOps
 		sweeps++
 		if delta > startDelta {
 			startDelta = delta
@@ -172,15 +182,14 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	pubEps := cfg.Epsilon * publishFraction
 	changed := false
 	for bi, li := range st.border {
-		c := st.rank[li] / float64(st.sub.OutDeg[li])
-		d := c - st.lastPub[bi]
+		d := contrib[li] - st.lastPub[bi]
 		if d < 0 {
 			d = -d
 		}
 		if d > pubEps {
 			changed = true
+			break
 		}
-		st.scratch[li] = c // reuse scratch as the candidate publication
 	}
 	out := async.StepOutcome[[]float64]{
 		Ops:        ops,
@@ -190,7 +199,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	if changed {
 		pub := make([]float64, len(st.border))
 		for bi, li := range st.border {
-			pub[bi] = st.scratch[li]
+			pub[bi] = contrib[li]
 		}
 		copy(st.lastPub, pub)
 		out.Publish = true
@@ -266,6 +275,16 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 			acc:     make([]float64, m),
 		}
 		st.lastDelta = 1 // pre-step residual: the initial rank magnitude
+		// Step sweeps the flat edge list only; a sub-graph built without
+		// it would lose its local edges without a sign.
+		local := 0
+		for _, adj := range s.OutLocal {
+			local += len(adj)
+		}
+		if len(s.LocalSrc) != local || len(s.LocalDst) != local {
+			return nil, 0, fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d sources and %d destinations",
+				p, local, len(s.LocalSrc), len(s.LocalDst))
+		}
 		for li := range s.Nodes {
 			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
 			if len(s.OutRemote[li]) > 0 {

@@ -14,7 +14,7 @@ func engine() *mapreduce.Engine {
 	return mapreduce.NewEngine(cluster.New(cluster.EC2LargeCluster()))
 }
 
-func subgraphs(t *testing.T, g *graph.Graph, k int) []*graph.SubGraph {
+func subgraphs(t testing.TB, g *graph.Graph, k int) []*graph.SubGraph {
 	t.Helper()
 	a, err := partition.Partition(g, k, partition.Options{Seed: 7})
 	if err != nil {

@@ -1,0 +1,423 @@
+package pagerank
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/async"
+	"repro/internal/graph"
+	"repro/internal/stats"
+)
+
+// stepOracle is asyncWorkload.Step as it stood before the edge-centric
+// sweep: every node pushes rank/outdeg down its own OutLocal list into a
+// freshly cleared accumulator, new ranks go to scratch and are copied
+// back, and the publication scan divides again. Tests compare the
+// production Step against it; it is not a second production path.
+func stepOracle(w *asyncWorkload, p int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
+	st := w.states[p]
+	cfg := w.cfg
+	var ops int64
+
+	for i := range st.ghost {
+		st.ghost[i] = 0
+	}
+	for r := range st.ghostNode {
+		st.ghost[st.ghostNode[r]] += inputs[st.ghostSlot[r]].Data[st.ghostIdx[r]]
+	}
+	ops += int64(len(st.ghostNode))
+
+	sub := st.sub
+	base := 1 - cfg.Damping
+	startDelta := 0.0
+	sweeps := 0
+	maxSweeps := cfg.MaxLocalIters
+	if maxSweeps <= 0 {
+		maxSweeps = async.DefaultMaxSteps
+	}
+	for sweeps < maxSweeps {
+		for i := range st.acc {
+			st.acc[i] = 0
+		}
+		for li := range sub.Nodes {
+			deg := sub.OutDeg[li]
+			if deg == 0 {
+				continue
+			}
+			c := st.rank[li] / float64(deg)
+			for _, dst := range sub.OutLocal[li] {
+				st.acc[dst] += c
+			}
+			ops += int64(len(sub.OutLocal[li]))
+		}
+		delta := 0.0
+		for i := range sub.Nodes {
+			nr := base + cfg.Damping*(st.acc[i]+st.ghost[i])
+			d := nr - st.rank[i]
+			if d < 0 {
+				d = -d
+			}
+			if d > delta {
+				delta = d
+			}
+			st.scratch[i] = nr
+		}
+		ops += int64(len(sub.Nodes)) * 2
+		copy(st.rank, st.scratch)
+		sweeps++
+		if delta > startDelta {
+			startDelta = delta
+		}
+		if delta < cfg.LocalEpsilon {
+			break
+		}
+	}
+
+	st.lastDelta = startDelta
+
+	pubEps := cfg.Epsilon * publishFraction
+	changed := false
+	for bi, li := range st.border {
+		c := st.rank[li] / float64(st.sub.OutDeg[li])
+		d := c - st.lastPub[bi]
+		if d < 0 {
+			d = -d
+		}
+		if d > pubEps {
+			changed = true
+		}
+		st.scratch[li] = c
+	}
+	out := async.StepOutcome[[]float64]{
+		Ops:        ops,
+		LocalIters: int64(sweeps),
+		Quiescent:  startDelta < cfg.Epsilon,
+	}
+	if changed {
+		pub := make([]float64, len(st.border))
+		for bi, li := range st.border {
+			pub[bi] = st.scratch[li]
+		}
+		copy(st.lastPub, pub)
+		out.Publish = true
+		out.Data = pub
+		out.Bytes = 16 + 8*int64(len(pub))
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// stepPair holds the same job twice, one workload stepped by the
+// production kernel and one by the oracle, and feeds both the same
+// neighbour snapshots.
+type stepPair struct {
+	kernel, oracle *asyncWorkload
+	// latest[q] is partition q's last publication, what a lockstep
+	// runtime would hand its readers next.
+	latest [][]float64
+	// amp scales the synthetic disturbance of the snapshots: every value
+	// read is latest*(1 + amp*u), u uniform in [-1/2, 1/2) from rng. Zero
+	// replays the lockstep run, which converges and falls quiescent; a
+	// positive amp keeps every step sweeping and publishing.
+	amp float64
+	rng *stats.RNG
+}
+
+func newStepPair(t testing.TB, subs []*graph.SubGraph, cfg Config, amp float64, seed uint64) *stepPair {
+	t.Helper()
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	kernel, _, err := buildAsyncWorkload(subs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, _, err := buildAsyncWorkload(subs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &stepPair{kernel: kernel, oracle: oracle, amp: amp, rng: stats.NewRNG(seed)}
+	for p := range subs {
+		data, _ := kernel.Init(p)
+		sp.latest = append(sp.latest, data)
+	}
+	return sp
+}
+
+func (sp *stepPair) inputs(p int) []async.Snapshot[[]float64] {
+	nb := sp.kernel.Neighbors(p)
+	in := make([]async.Snapshot[[]float64], len(nb))
+	for slot, q := range nb {
+		data := append([]float64(nil), sp.latest[q]...)
+		for i := range data {
+			data[i] *= 1 + sp.amp*(sp.rng.Float64()-0.5)
+		}
+		in[slot] = async.Snapshot[[]float64]{Part: q, Data: data}
+	}
+	return in
+}
+
+// diff names the first quantity in which the kernel's step of partition p
+// departed from the oracle's, or returns "".
+func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
+	k, o := sp.kernel.states[p], sp.oracle.states[p]
+	switch {
+	case got.Ops != want.Ops:
+		return fmt.Sprintf("Ops %d, oracle %d", got.Ops, want.Ops)
+	case got.LocalIters != want.LocalIters:
+		return fmt.Sprintf("LocalIters %d, oracle %d", got.LocalIters, want.LocalIters)
+	case got.Quiescent != want.Quiescent:
+		return fmt.Sprintf("Quiescent %v, oracle %v", got.Quiescent, want.Quiescent)
+	case got.Publish != want.Publish:
+		return fmt.Sprintf("Publish %v, oracle %v", got.Publish, want.Publish)
+	case got.Bytes != want.Bytes:
+		return fmt.Sprintf("Bytes %d, oracle %d", got.Bytes, want.Bytes)
+	case (got.Data == nil) != (want.Data == nil) || !sameBits(got.Data, want.Data):
+		return fmt.Sprintf("Data %v, oracle %v", got.Data, want.Data)
+	case !sameBits(k.rank, o.rank):
+		return fmt.Sprintf("rank %v, oracle %v", k.rank, o.rank)
+	case math.Float64bits(k.lastDelta) != math.Float64bits(o.lastDelta):
+		return fmt.Sprintf("lastDelta %g, oracle %g", k.lastDelta, o.lastDelta)
+	case !sameBits(k.lastPub, o.lastPub):
+		return fmt.Sprintf("lastPub %v, oracle %v", k.lastPub, o.lastPub)
+	}
+	return ""
+}
+
+// step runs one step of partition p through both sides on the same
+// snapshots and returns the oracle's outcome and the first difference.
+// The kernel's two scratch arrays are poisoned first: a step that read
+// what the last one left in them would carry the NaN into its ranks.
+func (sp *stepPair) step(p, step int) (async.StepOutcome[[]float64], string) {
+	in := sp.inputs(p)
+	st := sp.kernel.states[p]
+	for i := range st.acc {
+		st.acc[i], st.scratch[i] = math.NaN(), math.NaN()
+	}
+	got := sp.kernel.Step(p, step, in)
+	want := stepOracle(sp.oracle, p, in)
+	if d := sp.diff(p, got, want); d != "" {
+		return want, fmt.Sprintf("partition %d step %d: %s", p, step, d)
+	}
+	if want.Publish {
+		sp.latest[p] = want.Data
+	}
+	return want, ""
+}
+
+// stepTally is what a driven run exercised.
+type stepTally struct {
+	steps, published, quiescent int
+	// capped counts steps that ran as many sweeps as MaxLocalIters allows.
+	capped int
+}
+
+// run drives every partition through steps [from, to), round robin.
+func (sp *stepPair) run(t testing.TB, from, to int) stepTally {
+	t.Helper()
+	var n stepTally
+	for s := from; s < to; s++ {
+		for p := range sp.kernel.states {
+			out, d := sp.step(p, s)
+			if d != "" {
+				t.Fatal(d)
+			}
+			n.steps++
+			if out.Publish {
+				n.published++
+			}
+			if out.Quiescent {
+				n.quiescent++
+			}
+			if out.LocalIters == int64(sp.oracle.cfg.MaxLocalIters) {
+				n.capped++
+			}
+		}
+	}
+	return n
+}
+
+// handBuilt is a three-partition graph holding every shape the kernel's
+// inner loop must not mishandle. Partition 0 = {0,1,2,3,4}, partition 1 =
+// {5,6}, partition 2 = {7}, a single node.
+//
+//	0: no out-edges at all (deg 0), but in-edges from 1 and 5
+//	1: out-edges 0, 2, 2 (a duplicate), 1 (a self-loop)
+//	2: out-edges 5 and 7 only: deg 2, no local edge, on the border
+//	3: isolated, neither in- nor out-edges
+//	4: out-edges 1 (local) and 6 (remote)
+//	5: out-edges 0, 6, 6
+//	6: out-edge 5
+//	7: out-edges 7 (self-loop in a single-node partition), 2
+func handBuilt(t testing.TB) []*graph.SubGraph {
+	t.Helper()
+	g := &graph.Graph{Out: [][]graph.NodeID{
+		{}, {0, 2, 2, 1}, {5, 7}, {}, {1, 6}, {0, 6, 6}, {5}, {7, 2},
+	}}
+	subs, err := graph.BuildSubGraphs(g, []int32{0, 0, 0, 0, 0, 1, 1, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs
+}
+
+func graphASubs(scale int) func(testing.TB) []*graph.SubGraph {
+	return func(t testing.TB) []*graph.SubGraph {
+		return subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(scale)), 8)
+	}
+}
+
+func TestStepMatchesOracle(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		subs  func(testing.TB) []*graph.SubGraph
+		cap   int     // MaxLocalIters
+		amp   float64 // snapshot disturbance; 0 is the lockstep run
+		steps int
+	}{
+		{"graphA_div35/lockstep", graphASubs(35), 0, 0, 25},
+		{"graphA_div35/disturbed", graphASubs(35), 0, 0.5, 5},
+		{"graphA_div140/lockstep", graphASubs(140), 0, 0, 25},
+		{"graphA_div140/disturbed", graphASubs(140), 0, 0.5, 8},
+		{"graphA_div140/sweep_cap_2", graphASubs(140), 2, 0.5, 8},
+		{"hand_built/lockstep", handBuilt, 0, 0, 25},
+		{"hand_built/disturbed", handBuilt, 0, 0.5, 10},
+		{"hand_built/sweep_cap_1", handBuilt, 1, 0.5, 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MaxLocalIters = c.cap
+			n := newStepPair(t, c.subs(t), cfg, c.amp, 11).run(t, 0, c.steps)
+			t.Logf("%+v", n)
+			// A case that never takes a branch of the step does not test it.
+			switch {
+			case n.published == 0:
+				t.Fatal("no step published")
+			case c.amp == 0 && (n.published == n.steps || n.quiescent == 0):
+				t.Fatal("the lockstep run never held a publication back or never fell quiescent")
+			case c.cap > 0 && n.capped == 0:
+				t.Fatal("no step reached the sweep cap")
+			}
+		})
+	}
+}
+
+// TestStepAfterRestoreMatchesOracle pins that the kernel keeps nothing
+// from one step to the next beyond what a checkpoint captures: partitions
+// checkpointed mid-run, stepped further on snapshots the oracle never
+// sees and then restored must go on exactly as the oracle does from the
+// checkpointed point.
+func TestStepAfterRestoreMatchesOracle(t *testing.T) {
+	for _, build := range []func(testing.TB) []*graph.SubGraph{handBuilt, graphASubs(140)} {
+		sp := newStepPair(t, build(t), DefaultConfig(), 0.5, 3)
+		sp.run(t, 0, 3)
+		ckpts := make([]any, len(sp.kernel.states))
+		for p := range ckpts {
+			ckpts[p], _ = sp.kernel.Checkpoint(p)
+		}
+		for s := 3; s < 6; s++ {
+			for p := range sp.kernel.states {
+				sp.kernel.Step(p, s, sp.inputs(p))
+			}
+		}
+		for p, c := range ckpts {
+			sp.kernel.Restore(p, c)
+		}
+		sp.run(t, 3, 6)
+	}
+}
+
+// TestAsyncRejectsMissingFlatEdgeList: Step sweeps LocalSrc/LocalDst
+// only, so a sub-graph that lists local edges in OutLocal but carries no
+// (or a short) flat list must be refused, not run without those edges.
+func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func(*graph.SubGraph)
+	}{
+		{"no flat list", func(s *graph.SubGraph) { s.LocalSrc, s.LocalDst = nil, nil }},
+		{"short sources", func(s *graph.SubGraph) { s.LocalSrc = s.LocalSrc[:len(s.LocalSrc)-1] }},
+		{"short destinations", func(s *graph.SubGraph) { s.LocalDst = s.LocalDst[:len(s.LocalDst)-1] }},
+		{"extra edge", func(s *graph.SubGraph) {
+			s.LocalSrc = append(s.LocalSrc[:len(s.LocalSrc):len(s.LocalSrc)], 0)
+			s.LocalDst = append(s.LocalDst[:len(s.LocalDst):len(s.LocalDst)], 0)
+		}},
+	} {
+		subs := handBuilt(t)
+		c.mangle(subs[0])
+		_, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{})
+		if err == nil || !strings.Contains(err.Error(), "flat edge list") {
+			t.Fatalf("%s: error %v, want the flat edge list named", c.name, err)
+		}
+	}
+	if _, err := RunAsync(asyncCluster(), handBuilt(t), DefaultConfig(), async.Options{}); err != nil {
+		t.Fatalf("intact sub-graphs rejected: %v", err)
+	}
+}
+
+// FuzzStepMatchesOracle decodes a small graph, an assignment and a
+// configuration and runs the oracle comparison over consecutive steps:
+// byte 0 the node count, byte 1 the partition count, byte 2 the
+// configuration (bits 0-1 the sweep cap: none, 1, 2, 5; bit 2 disturbed
+// snapshots; bits 3-5 the step count, 2 + 4x), byte 3 the disturbance
+// seed, then one assignment byte per node (partitions no node names are
+// closed up), then edges as (source, destination) byte pairs. The
+// committed corpus holds TestStepMatchesOracle's hand-built shapes one
+// by one.
+func FuzzStepMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 1 + int(data[0])%24
+		k := 1 + int(data[1])%n
+		cfg := DefaultConfig()
+		cfg.MaxLocalIters = []int{0, 1, 2, 5}[data[2]&3]
+		amp := 0.0
+		if data[2]&4 != 0 {
+			amp = 0.5
+		}
+		steps := 2 + 4*int(data[2]>>3&7)
+		seed := uint64(data[3])
+		data = data[4:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		parts := make([]int32, n)
+		used := make([]int32, k)
+		for u := range parts {
+			parts[u] = int32(next() % k)
+			used[parts[u]] = 1
+		}
+		k = 0
+		for p, u := range used { // used[p] becomes p's rank among the named partitions
+			used[p] = int32(k)
+			k += int(u)
+		}
+		for u, p := range parts {
+			parts[u] = used[p]
+		}
+		g := &graph.Graph{Out: make([][]graph.NodeID, n)}
+		for len(data) >= 2 {
+			u := next() % n
+			g.Out[u] = append(g.Out[u], graph.NodeID(next()%n))
+		}
+		subs, err := graph.BuildSubGraphs(g, parts, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("n=%d parts=%v out=%v cap=%d amp=%g steps=%d", n, parts, g.Out, cfg.MaxLocalIters, amp, steps)
+		newStepPair(t, subs, cfg, amp, seed).run(t, 0, steps)
+	})
+}

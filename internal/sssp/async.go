@@ -25,6 +25,10 @@ type asyncState struct {
 	sub    *graph.SubGraph
 	dist   []float64
 	active []bool
+	// next is the local sweeps' next-frontier buffer, reused from sweep
+	// to sweep. A sweep marks its entries active before the buffer is
+	// reused, so nothing in it outlives a step or belongs in a checkpoint.
+	next []int32
 	// border lists local indices of nodes with cross-partition
 	// out-edges; the partition publishes their distances.
 	border  []int32
@@ -128,7 +132,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	}
 	frontierLeft := false
 	for sweeps < maxSweeps {
-		var next []int32
+		next := st.next[:0]
 		for li := range st.active {
 			if !st.active[li] {
 				continue
@@ -143,6 +147,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 			}
 			ops += int64(len(sub.OutLocal[li]))
 		}
+		st.next = next
 		sweeps++
 		if len(next) == 0 {
 			break
