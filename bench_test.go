@@ -427,7 +427,7 @@ func rungAt(v int) simtime.Duration { return simtime.Duration(v) * simtime.Milli
 // of every partition to a new store, round-robin as a lockstep run does;
 // read_at_from and visible_from read each partition's four ring
 // neighbors once per step at an advancing time through a cursor, as
-// core.readInputs and core.gateCheck do — the first copies the snapshot
+// the engine's input read and gate do — the first copies the snapshot
 // out, the second returns its version only.
 func BenchmarkStore(b *testing.B) {
 	payload := make([]float64, 8)

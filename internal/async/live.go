@@ -7,10 +7,13 @@ package async
 // workload's Step functions on a fixed goroutine pool
 // (internal/workpool: per-worker sharded run queues + work stealing)
 // and *measures* costs as monotonic wall-clock deltas. The versioned
-// store, the staleness gate, and the adaptive controllers are reused
-// unchanged — they only ever see the Scheduler[D] contract and
-// simtime.Duration timestamps, which here hold real elapsed seconds
-// since the run started instead of virtual time.
+// store, the partition model with its gate, input read, unseen-input,
+// publish-lag and sampling rules (part.go), and the adaptive controllers
+// are reused unchanged — they only ever see simtime.Duration timestamps,
+// which here hold real elapsed seconds since the run started instead of
+// virtual time. What this file adds is what measuring needs: the
+// partition state machine below, waits booked as pool parks and timer
+// wakes, and the engine mutex in place of a scheduling goroutine.
 //
 // One piece of the cluster model is kept, in real time: publish
 // visibility. A publication becomes visible at
@@ -75,23 +78,16 @@ const (
 	liveForced          // stopped by MaxSteps (settled)
 )
 
-// livePart is the live executor's per-partition bookkeeping. The
-// counter fields at the bottom are written only by the partition's own
+// livePart is what the live state machine adds to the shared partition
+// model (part.go). The counter fields at the bottom — and the part's
+// version, steps and quiescent — are written only by the partition's own
 // task (partitions are single-flight) and folded into RunStats after
 // the pool has been closed, so they need no synchronization of their
-// own; the state-machine fields are guarded by liveScheduler.mu.
+// own; the state-machine fields, and the rest of the part, are guarded
+// by liveScheduler.mu.
 type livePart struct {
-	neighbors []int
-	readers   []int
-	consumed  []int // last version consumed, parallel to neighbors
-	cursors   []int // VisibleFrom hints, parallel to neighbors
-
-	state       int
-	gateWaiters []int // partitions blocked until this one publishes or settles
-
-	version   int
-	steps     int
-	quiescent bool
+	*part
+	state int
 	// waitStart is the real time a gate wait began (-1 when none);
 	// waitMeasured marks the blocked-on-a-laggard case whose duration is
 	// only known at release (adapt.Controller.AddWaitTime).
@@ -124,8 +120,8 @@ type liveScheduler[D any] struct {
 	netScale float64
 	store    *Store[D]
 	ctrl     *adapt.Controller
-	needLag  bool
 	inbuf    [][]Snapshot[D]
+	pts      []part
 	parts    []*livePart
 	pool     *workpool.Pool[int]
 	rec      *trace.Recorder
@@ -133,7 +129,7 @@ type liveScheduler[D any] struct {
 	start time.Time // monotonic run origin; all timestamps are offsets from it
 
 	mu         sync.Mutex
-	settled    int
+	nSettled   int // partitions with part.settled set
 	timed      simtime.EventHeap
 	timerKick  chan struct{}
 	quit       chan struct{}
@@ -156,20 +152,11 @@ type liveScheduler[D any] struct {
 	// Sample.Time is the grid time, Sample.Wall the measured wall
 	// offset. The counters below are updated in runPart's locked tail
 	// (lp.steps/lp.publishes are written outside the mutex and may not
-	// be read by the sampler) and read by sampleLocked; all are guarded
-	// by mu. resid caches per-partition Progressive residuals at step
-	// completion — the sampler must not call into workload state that a
-	// concurrent Step may be mutating.
-	series        *metrics.Series
-	prog          Progressive
-	sampleEvery   simtime.Duration
-	sampleTick    int64
-	sSteps        int64
-	sPubs         int64
-	resid         []float64
-	lastSample    metrics.Sample
-	seriesTicks   int64
-	seriesSamples int64
+	// be read by the sampler) and read by sampleLocked; they and the
+	// sampler are guarded by mu.
+	smp    *sampler[D]
+	sSteps int64
+	sPubs  int64
 }
 
 // newLiveScheduler validates the workload and options and builds the
@@ -179,10 +166,11 @@ type liveScheduler[D any] struct {
 //
 //async:sched-root
 func newLiveScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (*liveScheduler[D], error) {
-	n := w.Parts()
-	if n <= 0 {
-		return nil, fmt.Errorf("async: workload has %d partitions", n)
+	pts, inbuf, err := newParts(w)
+	if err != nil {
+		return nil, err
 	}
+	n := len(pts)
 	cfg := c.Config()
 	if cfg.CrashMTTF > 0 {
 		return nil, fmt.Errorf("async: the live executor does not support the crash fault model (CrashMTTF %v); crash schedules and recovery pricing are virtual-time machinery — run DES or parallel", cfg.CrashMTTF)
@@ -202,43 +190,20 @@ func newLiveScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (*l
 		maxSteps:  maxSteps,
 		netScale:  cfg.LiveNetScale,
 		store:     NewStore[D](n),
-		inbuf:     make([][]Snapshot[D], n),
+		ctrl:      newController(opt, n),
+		inbuf:     inbuf,
+		pts:       pts,
 		parts:     make([]*livePart, n),
 		timerKick: make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
 		stats:     &RunStats{Converged: true},
 	}
-	for p := 0; p < n; p++ {
-		nbrs := w.Neighbors(p)
-		for _, q := range nbrs {
-			if q < 0 || q >= n || q == p {
-				return nil, fmt.Errorf("async: partition %d has invalid neighbor %d", p, q)
-			}
-		}
-		lp := &livePart{
-			neighbors: nbrs,
-			consumed:  make([]int, len(nbrs)),
-			cursors:   make([]int, len(nbrs)),
-			waitStart: -1,
-		}
-		for j := range lp.consumed {
-			lp.consumed[j] = -1
-		}
-		s.parts[p] = lp
-		s.inbuf[p] = make([]Snapshot[D], len(nbrs))
+	states := make([]livePart, n)
+	for p := range states {
+		states[p] = livePart{part: &pts[p], waitStart: -1}
+		s.parts[p] = &states[p]
 	}
-	for p, lp := range s.parts {
-		for _, q := range lp.neighbors {
-			s.parts[q].readers = append(s.parts[q].readers, p)
-		}
-	}
-	pol := opt.Adapt
-	if pol == nil {
-		pol = adapt.Fixed(opt.Staleness)
-	}
-	s.ctrl = adapt.NewController(pol, n)
-	s.needLag = s.ctrl.NeedsLag()
 	for p := range s.parts {
 		data, _ := w.Init(p)
 		if err := s.store.Publish(p, 0, 0, data); err != nil {
@@ -253,17 +218,7 @@ func newLiveScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (*l
 		workers = n
 	}
 	s.pool = workpool.New(workers, s.runPart)
-	if opt.Series != nil {
-		s.series = opt.Series
-		s.sampleEvery = opt.Series.Interval()
-		if pw, ok := w.(Progressive); ok {
-			s.prog = pw
-			s.resid = make([]float64, n)
-			for p := range s.resid {
-				s.resid[p] = pw.Residual(p)
-			}
-		}
-	}
+	s.smp = newSampler(opt.Series, w, s.store, pts, s.ctrl)
 	s.rec = opt.Trace
 	if rec := s.rec; rec != nil {
 		// Steal attribution: the hook runs on the stealing worker's
@@ -316,13 +271,13 @@ func (s *liveScheduler[D]) Admit() (int, bool) {
 func (s *liveScheduler[D]) runLive() {
 	s.start = time.Now()
 	s.rec.StartWall()
-	if s.series != nil {
+	if s.smp != nil {
 		// Setup sample at grid time 0, then the first tick on the wake
 		// heap — pushed before the timer goroutine starts, so no kick is
 		// needed.
 		s.mu.Lock()
 		s.sampleLocked(0)
-		s.timed.Push(s.sampleEvery, len(s.parts))
+		s.timed.Push(s.smp.every, len(s.parts))
 		s.mu.Unlock()
 	}
 	s.timerWG.Add(1)
@@ -399,22 +354,13 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	}
 	buf := s.inbuf[p]
 	t := s.now()
-	for j, q := range lp.neighbors {
-		v, ok := s.store.VisibleFrom(q, t, lp.cursors[j])
-		if !ok {
-			s.failLocked(fmt.Errorf("async: partition %d invisible to %d at %v", q, p, t))
-			s.mu.Unlock()
-			return
-		}
-		lp.cursors[j] = v
-		lp.consumed[j] = v
-		if qs := s.parts[q].state; qs != liveIdle && qs != liveForced {
-			if lead := lp.version - v; lead > lp.maxLead {
-				lp.maxLead = lead
-			}
-		}
-		s.store.fill(&buf[j], q, v)
+	lead, blind := readInputs(s.store, s.pts, lp.part, t, buf)
+	if blind >= 0 {
+		s.failLocked(fmt.Errorf("async: partition %d invisible to %d at %v", blind, p, t))
+		s.mu.Unlock()
+		return
 	}
+	lp.maxLead = max(lp.maxLead, lead)
 	s.mu.Unlock()
 
 	s.rec.Emit(trace.KindStepStart, p, lp.steps, t, 0, 0, 0)
@@ -461,7 +407,7 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	if s.runErr != nil {
 		return
 	}
-	if s.series != nil {
+	if s.smp != nil {
 		// Mirror the step into the mutex-guarded sampling counters:
 		// lp.steps/lp.publishes above are written outside mu and may not
 		// be read by the sampler. The residual cache is refreshed here —
@@ -470,26 +416,21 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 		if out.Publish {
 			s.sPubs++
 		}
-		if s.prog != nil {
-			s.resid[p] = s.prog.Residual(p)
-		}
+		s.smp.observe(p)
 	}
 	if out.Publish {
 		for _, r := range lp.readers {
 			if s.parts[r].state == liveIdle {
-				s.settled--
+				s.parts[r].settled = false
+				s.nSettled--
 				s.parkOrRunLocked(r, lp.lastPubAt, -1)
 			}
 		}
 		s.releaseWaitersLocked(lp)
 	}
 	lag := 0
-	if s.needLag {
-		for j, q := range lp.neighbors {
-			if l := s.store.Latest(q) - lp.consumed[j]; l > lag {
-				lag = l
-			}
-		}
+	if s.ctrl.NeedsLag() {
+		lag = publishLag(s.store, lp.part)
 	}
 	if s.ctrl.StepDone(p, out.Publish, lag) {
 		s.rec.Emit(trace.KindAdaptBound, p, lp.steps, s.now(), int64(s.ctrl.Bound(p)), 0, 0)
@@ -500,7 +441,7 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	case !out.Quiescent:
 		s.pool.SubmitLocal(w, p)
 	default:
-		if at, unseen := s.firstUnseenLocked(lp); unseen {
+		if at, unseen := firstUnseen(s.store, lp.part); unseen {
 			s.parkOrRunLocked(p, at, w)
 		} else {
 			s.idleLocked(p)
@@ -509,67 +450,40 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 }
 
 // gateLocked applies the staleness bound to p at the current real
-// time, mirroring the core's gateCheck: a version that exists but is
-// not yet visible parks p in the wake heap until its visibility time
-// (wait priced at booking); a version that does not exist yet blocks p
-// on the laggard neighbor (wait measured at release). Settled
-// neighbors impose no gate. Reports whether p was parked. Caller
-// holds s.mu.
+// time and books the wait the shared gate asks for: a version that
+// exists but is not yet visible parks p in the wake heap until its
+// visibility time (wait priced at booking); a version that does not
+// exist yet blocks p on the laggard neighbor (wait measured at
+// release). Reports whether p was parked. Caller holds s.mu.
 //
 //async:measured — gate bookings run on pool workers; the engine mutex serializes the controller.
 func (s *liveScheduler[D]) gateLocked(p, bound int) bool {
 	lp := s.parts[p]
 	need := lp.version - bound
-	if need <= 0 {
+	t := s.now()
+	q, visAt, exists := gate(s.store, s.pts, lp.part, t, need)
+	if q < 0 {
 		return false
 	}
-	t := s.now()
-	for j, q := range lp.neighbors {
-		qp := s.parts[q]
-		if qp.state == liveIdle || qp.state == liveForced {
-			continue
-		}
-		if v, ok := s.store.VisibleFrom(q, t, lp.cursors[j]); ok {
-			lp.cursors[j] = v
-			if v >= need {
-				continue
-			}
-		}
-		lp.gateWaits++
-		lp.waitStart = t
-		s.rec.Emit(trace.KindGateBegin, p, lp.steps, t, int64(q), int64(need), 0)
-		if visAt, ok := s.store.At(q, need); ok {
-			// Published but still inside its modeled network delay: park
-			// until its visibility time.
-			lp.waitMeasured = false
-			if s.ctrl.GateWait(p, visAt-t) {
-				s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
-			}
-			s.parkTimedLocked(p, visAt)
-			return true
-		}
-		lp.waitMeasured = true
-		if s.ctrl.GateWait(p, 0) {
-			s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
-		}
+	lp.gateWaits++
+	lp.waitStart = t
+	lp.waitMeasured = !exists
+	s.rec.Emit(trace.KindGateBegin, p, lp.steps, t, int64(q), int64(need), 0)
+	var booked simtime.Duration
+	if exists {
+		booked = visAt - t
+	}
+	if s.ctrl.GateWait(p, booked) {
+		s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
+	}
+	if exists {
+		// Published but still inside its modeled network delay.
+		s.parkTimedLocked(p, visAt)
+	} else {
 		lp.state = liveBlocked
-		qp.gateWaiters = append(qp.gateWaiters, p)
-		return true
+		s.pts[q].gateWaiters = append(s.pts[q].gateWaiters, p)
 	}
-	return false
-}
-
-// firstUnseenLocked reports whether any neighbor has published a
-// version newer than what lp last consumed, and the earliest real time
-// such a version becomes visible. Caller holds s.mu.
-func (s *liveScheduler[D]) firstUnseenLocked(lp *livePart) (at simtime.Duration, unseen bool) {
-	for j, q := range lp.neighbors {
-		if qAt, ok := s.store.At(q, lp.consumed[j]+1); ok && (!unseen || qAt < at) {
-			at = qAt
-			unseen = true
-		}
-	}
-	return at, unseen
+	return true
 }
 
 // parkOrRunLocked makes p runnable now or parks it in the wake heap
@@ -620,20 +534,20 @@ func (s *liveScheduler[D]) releaseWaitersLocked(lp *livePart) {
 // partitions impose no gate). Caller holds s.mu.
 func (s *liveScheduler[D]) idleLocked(p int) {
 	lp := s.parts[p]
-	lp.state = liveIdle
-	s.settled++
+	lp.state, lp.settled = liveIdle, true
+	s.nSettled++
 	s.releaseWaitersLocked(lp)
 	s.checkDoneLocked()
 }
 
 // forceLocked settles p at the step cap: the run will report
-// Converged=false, the store seals the partition so external
-// WaitVersion callers wake, and gate waiters are released (forced
-// partitions impose no gate). Caller holds s.mu.
+// Converged=false, the store seals the partition against further
+// publishes, and gate waiters are released (forced partitions impose no
+// gate). Caller holds s.mu.
 func (s *liveScheduler[D]) forceLocked(p int) {
 	lp := s.parts[p]
-	lp.state = liveForced
-	s.settled++
+	lp.state, lp.settled = liveForced, true
+	s.nSettled++
 	s.store.Seal(p)
 	s.releaseWaitersLocked(lp)
 	s.checkDoneLocked()
@@ -654,7 +568,7 @@ func (s *liveScheduler[D]) failLocked(err error) {
 //
 //async:measured — stamps the run's measured makespan at quiescence.
 func (s *liveScheduler[D]) checkDoneLocked() {
-	if s.settled == len(s.parts) {
+	if s.nSettled == len(s.parts) {
 		s.endAt = s.now()
 		s.closeDoneLocked()
 	}
@@ -669,60 +583,18 @@ func (s *liveScheduler[D]) closeDoneLocked() {
 
 // sampleLocked records one time-series sample at grid time at. Caller
 // holds s.mu, which guards every input: the sampling counters, the
-// residual cache, gate-wait sums (written under mu in runPart's locked
-// head), consumed cursors, and the controller (Store.Latest and the
-// pool gauges are safely concurrent on their own). Ticks are numbered
-// setup 0, interior 1..N, final N+1, like the virtual-time executors.
+// sampler's residual cache, gate-wait sums (written under mu in
+// runPart's locked head), consumed versions, and the controller
+// (Store.Latest and the pool gauges are safely concurrent on their own).
 //
 //async:measured — stamps Sample.Wall; recorded only, never branched on.
 func (s *liveScheduler[D]) sampleLocked(at simtime.Duration) {
-	smp := metrics.Sample{Tick: s.sampleTick, Time: at, Wall: float64(s.now()), Residual: -1}
-	if s.prog != nil {
-		smp.Residual = 0
-		for _, r := range s.resid {
-			if r > smp.Residual {
-				smp.Residual = r
-			}
-			smp.ResidualSum += r
-		}
-	}
-	smp.Steps = s.sSteps
-	smp.DeltaSteps = smp.Steps - s.lastSample.Steps
-	smp.Publishes = s.sPubs
-	smp.DeltaPublishes = smp.Publishes - s.lastSample.Publishes
+	smp := metrics.Sample{Time: at, Wall: float64(s.now()), Steps: s.sSteps, Publishes: s.sPubs,
+		QueueDepth: s.pool.Queued(), Steals: s.pool.Steals()}
 	for _, lp := range s.parts {
 		smp.GateWait += lp.gateWaitTime
 	}
-	smp.DeltaGateWait = smp.GateWait - s.lastSample.GateWait
-	boundSum := 0
-	for p, lp := range s.parts {
-		smp.StoreVersions += int64(s.store.Latest(p))
-		b := s.ctrl.Signal(p).Bound
-		if p == 0 || b < smp.BoundMin {
-			smp.BoundMin = b
-		}
-		if p == 0 || b > smp.BoundMax {
-			smp.BoundMax = b
-		}
-		boundSum += b
-		for j, q := range lp.neighbors {
-			lag := s.store.Latest(q) - lp.consumed[j]
-			if lag < 0 {
-				lag = 0
-			}
-			if lag > smp.LagMax {
-				smp.LagMax = lag
-			}
-			smp.LagHist[metrics.LagBucket(lag)]++
-		}
-	}
-	smp.BoundMean = float64(boundSum) / float64(len(s.parts))
-	smp.QueueDepth = s.pool.Queued()
-	smp.Steals = s.pool.Steals()
-	s.series.Record(smp)
-	s.seriesSamples++
-	s.lastSample = smp
-	s.sampleTick++
+	s.smp.record(smp)
 }
 
 // timerLoop serves the wake heap: it sleeps until the earliest parked
@@ -756,10 +628,10 @@ func (s *liveScheduler[D]) timerLoop() {
 				// Sampler tick (out-of-band ID): record and re-arm on the
 				// grid. The run's end stops the chain; the final boundary
 				// sample comes from Finish at endAt.
-				if s.runErr == nil && !s.doneClosed && s.series != nil {
-					s.seriesTicks++
+				if s.runErr == nil && !s.doneClosed && s.smp != nil {
+					s.stats.SeriesTicks++
 					s.sampleLocked(ev.At)
-					s.timed.Push(ev.At+s.sampleEvery, len(s.parts))
+					s.timed.Push(ev.At+s.smp.every, len(s.parts))
 				}
 				continue
 			}
@@ -806,25 +678,23 @@ func (s *liveScheduler[D]) Finish() (*RunStats, error) {
 	if s.runErr != nil {
 		return nil, s.runErr
 	}
-	if s.settled != len(s.parts) {
-		return nil, fmt.Errorf("async: executor bug: live run ended with %d of %d partitions settled", s.settled, len(s.parts))
+	if s.nSettled != len(s.parts) {
+		return nil, fmt.Errorf("async: executor bug: live run ended with %d of %d partitions settled", s.nSettled, len(s.parts))
 	}
 	for p := range s.parts {
 		s.store.Seal(p)
 	}
-	if s.series != nil {
+	stats := s.stats
+	if s.smp != nil {
 		// Final boundary sample at the measured makespan. The pool and
 		// timer are stopped, so the mutex is uncontended; it is taken for
 		// the memory edge to the sampler counters.
 		s.mu.Lock()
 		s.sampleLocked(s.endAt)
 		s.mu.Unlock()
+		stats.SeriesSamples = s.smp.n
 	}
-	stats := s.stats
-	n := len(s.parts)
-	stats.PerWorkerSteps = make([]int, n)
-	for p, lp := range s.parts {
-		stats.PerWorkerSteps[p] = lp.steps
+	for _, lp := range s.parts {
 		stats.Steps += int64(lp.steps)
 		stats.Publishes += lp.publishes
 		stats.PushedBytes += lp.pushedBytes
@@ -840,26 +710,11 @@ func (s *liveScheduler[D]) Finish() (*RunStats, error) {
 		s.totalOps += lp.ops
 	}
 	stats.Duration = s.endAt
-	stats.MeanSteps = float64(stats.Steps) / float64(n)
 	stats.LiveSteals = s.pool.Steals()
-	stats.AdaptRaises = s.ctrl.Raises()
-	stats.AdaptCuts = s.ctrl.Cuts()
-	stats.StalenessMean = s.ctrl.StalenessMean()
-	stats.StalenessMax = s.ctrl.StalenessMax()
-	stats.SeriesTicks = s.seriesTicks
-	stats.SeriesSamples = s.seriesSamples
-
 	s.c.Account(func(m *cluster.Metrics) {
-		m.AsyncSteps += stats.Steps
-		m.AsyncPublishes += stats.Publishes
-		m.AsyncPushedBytes += stats.PushedBytes
-		m.AsyncGateWaits += stats.GateWaits
-		m.AsyncAdaptRaises += stats.AdaptRaises
-		m.AsyncAdaptCuts += stats.AdaptCuts
 		m.AsyncLiveSteps += stats.Steps
 		m.AsyncLiveSteals += stats.LiveSteals
-		m.ComputeOps += s.totalOps
 	})
-	s.c.Clock().Advance(stats.Duration)
+	finishRun(s.c, s.ctrl, s.pts, stats, s.totalOps)
 	return stats, nil
 }

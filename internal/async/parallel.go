@@ -284,8 +284,9 @@ func (s *parallelScheduler[D]) gateCertain(st *workerState, t simtime.Duration, 
 // Execute consumes p's pre-executed step when one exists, re-running the
 // canonical input read (consumption and staleness-lead accounting happen
 // in event order, exactly as under DES) and verifying the speculation
-// saw the same input versions. The canonical read stays off the spec's
-// input buffer, which the pool goroutine may still be using. Without a
+// saw the same input versions. The canonical read goes to p's inline
+// input buffer, idle while a speculation is outstanding, and stays off
+// the spec's, which the pool goroutine may still be using. Without a
 // speculation, the step runs inline.
 //
 //async:sched-only
@@ -300,11 +301,10 @@ func (s *parallelScheduler[D]) Execute(p int) (StepOutcome[D], error) {
 	if sp.step != st.steps {
 		return StepOutcome[D]{}, fmt.Errorf("async: executor bug: partition %d speculated step %d, replaying step %d", p, sp.step, st.steps)
 	}
-	for j := range st.neighbors {
-		v, err := s.consumeInput(p, j)
-		if err != nil {
-			return StepOutcome[D]{}, err
-		}
+	if _, err := s.readInputs(p); err != nil {
+		return StepOutcome[D]{}, err
+	}
+	for j, v := range st.consumed {
 		if v != sp.versions[j] {
 			return StepOutcome[D]{}, fmt.Errorf(
 				"async: speculation admission violated: partition %d reads neighbor %d at version %d, speculation used %d",

@@ -1,0 +1,298 @@
+package async
+
+// The partition model and the bounded-staleness rules every executor
+// shares. What a partition has read, what it has published and who waits
+// on it is one record (part) whichever executor runs it, and the rules
+// over that record — when the gate holds a step back, what a step reads,
+// when fresher input exists, how far a partition lags its inputs, what a
+// time-series sample holds — are written here once, as plain functions
+// over the store and the parts. An executor adds only what differs: how a
+// wait is booked (event-heap push, or pool park and timer), how a step is
+// priced (cost model, or wall clock) and what serializes the bookkeeping
+// (the scheduling goroutine, or the live engine mutex).
+
+import (
+	"fmt"
+
+	"repro/internal/adapt"
+	"repro/internal/cluster"
+	"repro/internal/metrics"
+	"repro/internal/simtime"
+)
+
+// part is one partition's executor-independent bookkeeping.
+type part struct {
+	neighbors []int // partitions read, in Workload.Neighbors order
+	readers   []int // partitions that read this one (reverse-dependency index)
+	consumed  []int // last version consumed, parallel to neighbors
+	// cursors caches, per neighbor, the history index of the last version
+	// this partition saw (Store.VisibleFrom). A partition's read times only
+	// advance, so the cursor turns every visibility lookup into an O(1)
+	// amortized forward scan instead of a binary search.
+	cursors   []int
+	version   int  // publication counter; version 0 is the initial state
+	steps     int  // steps completed
+	quiescent bool // last outcome's report
+	// settled marks a partition that is idle or force-stopped: it imposes
+	// no gate on its readers, and its newest version is its final state,
+	// so reading it at any age reads the freshest truth.
+	settled bool
+	// gateWaiters lists partitions blocked until this one publishes a
+	// version or settles.
+	gateWaiters []int
+}
+
+// newParts validates the workload's dependency graph and builds the
+// partition model: topology, the reverse index, and one reusable step
+// input buffer per partition (Step implementations must not retain it
+// past the call). The per-neighbor bookkeeping of all partitions is
+// carved from one slab per element type.
+func newParts[D any](w Workload[D]) ([]part, [][]Snapshot[D], error) {
+	n := w.Parts()
+	if n <= 0 {
+		return nil, nil, fmt.Errorf("async: workload has %d partitions", n)
+	}
+	parts := make([]part, n)
+	readBy := make([]int, n) // how many partitions read each one
+	edges := 0
+	for p := range parts {
+		nbrs := w.Neighbors(p)
+		for _, q := range nbrs {
+			if q < 0 || q >= n || q == p {
+				return nil, nil, fmt.Errorf("async: partition %d has invalid neighbor %d", p, q)
+			}
+			readBy[q]++
+		}
+		parts[p].neighbors = nbrs
+		edges += len(nbrs)
+	}
+	ints := make([]int, 3*edges)
+	snaps := make([]Snapshot[D], edges)
+	inbuf := make([][]Snapshot[D], n)
+	take := func(n, max int) []int { // the slab's next max ints, the first n in use
+		v := ints[:n:max]
+		ints = ints[max:]
+		return v
+	}
+	for p := range parts {
+		pt, d := &parts[p], len(parts[p].neighbors)
+		pt.consumed, pt.cursors, pt.readers = take(d, d), take(d, d), take(0, readBy[p])
+		inbuf[p], snaps = snaps[:d:d], snaps[d:]
+		for j := range pt.consumed {
+			pt.consumed[j] = -1
+		}
+	}
+	for p := range parts {
+		for _, q := range parts[p].neighbors {
+			parts[q].readers = append(parts[q].readers, p)
+		}
+	}
+	return parts, inbuf, nil
+}
+
+// newController builds the run's staleness controller. A nil policy is
+// the static bound: adapt.Fixed is the identity controller, so the
+// default path is bit-identical to an engine without one.
+func newController(opt Options, n int) *adapt.Controller {
+	pol := opt.Adapt
+	if pol == nil {
+		pol = adapt.Fixed(opt.Staleness)
+	}
+	return adapt.NewController(pol, n)
+}
+
+// gate evaluates the staleness bound for pt at time t: pt may not step
+// while the version of an unsettled neighbor visible at t is older than
+// need, its own publication counter minus the bound in force. nb < 0
+// admits the step. Otherwise nb is the first neighbor, in Neighbors
+// order, holding pt back, and exists says how: true, the needed version
+// is published but only becomes visible at `at` — wait until then; false,
+// it does not exist yet — block until nb publishes or settles. Gate reads
+// go through the per-neighbor cursors: one partition's gate and input
+// reads happen at the same non-decreasing clock, so they share the cache.
+func gate[D any](store *Store[D], parts []part, pt *part, t simtime.Duration, need int) (nb int, at simtime.Duration, exists bool) {
+	if need <= 0 {
+		return -1, 0, false
+	}
+	for j, q := range pt.neighbors {
+		if parts[q].settled {
+			continue
+		}
+		if v, ok := store.VisibleFrom(q, t, pt.cursors[j]); ok {
+			pt.cursors[j] = v
+			if v >= need {
+				continue
+			}
+		}
+		at, exists = store.At(q, need)
+		return q, at, exists
+	}
+	return -1, 0, false
+}
+
+// readInputs is the canonical input read: it fills buf, parallel to
+// pt.neighbors, with the snapshots visible at t — the only copy a step's
+// input makes — advancing the read cursors and recording the consumed
+// versions. lead is the largest lead of pt's publication counter over a
+// version read from an unsettled neighbor (the quantity the staleness
+// bound caps). blind is the neighbor with nothing visible at t, -1 when
+// the read is complete; the read stops there.
+func readInputs[D any](store *Store[D], parts []part, pt *part, t simtime.Duration, buf []Snapshot[D]) (lead, blind int) {
+	for j, q := range pt.neighbors {
+		v, ok := store.VisibleFrom(q, t, pt.cursors[j])
+		if !ok {
+			return lead, q
+		}
+		pt.cursors[j], pt.consumed[j] = v, v
+		if l := pt.version - v; l > lead && !parts[q].settled {
+			lead = l
+		}
+		store.fill(&buf[j], q, v)
+	}
+	return lead, -1
+}
+
+// firstUnseen reports whether any neighbor has published a version newer
+// than what pt last consumed, and the earliest time such a version
+// becomes visible.
+func firstUnseen[D any](store *Store[D], pt *part) (at simtime.Duration, unseen bool) {
+	for j, q := range pt.neighbors {
+		if qAt, ok := store.At(q, pt.consumed[j]+1); ok && (!unseen || qAt < at) {
+			at, unseen = qAt, true
+		}
+	}
+	return at, unseen
+}
+
+// publishLag is the largest number of published-but-unconsumed versions
+// across the partitions pt reads: the drift policy's signal.
+func publishLag[D any](store *Store[D], pt *part) int {
+	lag := 0
+	for j, q := range pt.neighbors {
+		if l := store.Latest(q) - pt.consumed[j]; l > lag {
+			lag = l
+		}
+	}
+	return lag
+}
+
+// sampler records the run's time-series (Options.Series) from the
+// partition model. prog is the workload's Progressive view (nil when it
+// has none) and resid the per-partition residual cache, refreshed by
+// observe at each canonical step boundary: a sample must not call into
+// workload state that a speculated or concurrent Step may be mutating.
+type sampler[D any] struct {
+	series *metrics.Series
+	store  *Store[D]
+	parts  []part
+	ctrl   *adapt.Controller
+	prog   Progressive
+	resid  []float64
+	every  simtime.Duration // the tick interval
+	n      int64            // samples recorded; the next sample's tick
+	last   metrics.Sample   // for the delta fields
+}
+
+// newSampler returns the sampler for series, nil (sampling off) when
+// series is nil.
+func newSampler[D any](series *metrics.Series, w Workload[D], store *Store[D], parts []part, ctrl *adapt.Controller) *sampler[D] {
+	if series == nil {
+		return nil
+	}
+	sm := &sampler[D]{series: series, store: store, parts: parts, ctrl: ctrl, every: series.Interval()}
+	if pw, ok := w.(Progressive); ok {
+		sm.prog = pw
+		sm.resid = make([]float64, len(parts))
+		for p := range sm.resid {
+			sm.resid[p] = pw.Residual(p)
+		}
+	}
+	return sm
+}
+
+// observe refreshes p's cached residual; the caller owns p's workload
+// state (p's step just completed and p is single-flight).
+func (sm *sampler[D]) observe(p int) {
+	if sm.prog != nil {
+		sm.resid[p] = sm.prog.Residual(p)
+	}
+}
+
+// record completes smp and appends it to the series. The executor fills
+// in what only it knows — Time, its cumulative Steps, Publishes and
+// GateWait, and under Live Wall, QueueDepth and Steals; the residual
+// fold, store heads, controller bounds, input-lag occupancy, deltas and
+// tick number (setup 0, interior 1..N, final N+1) are read here from
+// state both kinds of executor maintain in canonical order. Read cursors
+// and in-flight step results are deliberately not sampled: under
+// speculation they advance in wall-clock order.
+//
+//async:sched-only
+func (sm *sampler[D]) record(smp metrics.Sample) {
+	smp.Tick = sm.n
+	smp.Residual = -1
+	if sm.prog != nil {
+		smp.Residual = 0
+		for _, r := range sm.resid {
+			if r > smp.Residual {
+				smp.Residual = r
+			}
+			smp.ResidualSum += r
+		}
+	}
+	smp.DeltaSteps = smp.Steps - sm.last.Steps
+	smp.DeltaPublishes = smp.Publishes - sm.last.Publishes
+	smp.DeltaGateWait = smp.GateWait - sm.last.GateWait
+	boundSum := 0
+	for p := range sm.parts {
+		pt := &sm.parts[p]
+		smp.StoreVersions += int64(sm.store.Latest(p))
+		b := sm.ctrl.Signal(p).Bound
+		if p == 0 || b < smp.BoundMin {
+			smp.BoundMin = b
+		}
+		if p == 0 || b > smp.BoundMax {
+			smp.BoundMax = b
+		}
+		boundSum += b
+		for j, q := range pt.neighbors {
+			lag := max(sm.store.Latest(q)-pt.consumed[j], 0)
+			smp.LagMax = max(smp.LagMax, lag)
+			smp.LagHist[metrics.LagBucket(lag)]++
+		}
+	}
+	smp.BoundMean = float64(boundSum) / float64(len(sm.parts))
+	sm.series.Record(smp)
+	sm.n++
+	sm.last = smp
+}
+
+// finishRun completes stats from the partition model and the controller
+// and folds the run into the cluster's metrics and clock: the tail both
+// kinds of executor end Finish with. ops is the run's total user compute.
+//
+//async:sched-only
+func finishRun(c *cluster.Cluster, ctrl *adapt.Controller, parts []part, stats *RunStats, ops int64) {
+	stats.PerWorkerSteps = make([]int, len(parts))
+	for p := range parts {
+		stats.PerWorkerSteps[p] = parts[p].steps
+	}
+	stats.MeanSteps = float64(stats.Steps) / float64(len(parts))
+	stats.AdaptRaises = ctrl.Raises()
+	stats.AdaptCuts = ctrl.Cuts()
+	stats.StalenessMean = ctrl.StalenessMean()
+	stats.StalenessMax = ctrl.StalenessMax()
+	c.Account(func(m *cluster.Metrics) {
+		m.AsyncSteps += stats.Steps
+		m.AsyncPublishes += stats.Publishes
+		m.AsyncPushedBytes += stats.PushedBytes
+		m.AsyncGateWaits += stats.GateWaits
+		m.AsyncCrashes += stats.Crashes
+		m.AsyncRecoveries += stats.Recoveries
+		m.AsyncCheckpoints += stats.Checkpoints
+		m.AsyncAdaptRaises += stats.AdaptRaises
+		m.AsyncAdaptCuts += stats.AdaptCuts
+		m.ComputeOps += ops
+	})
+	c.Clock().Advance(stats.Duration)
+}

@@ -419,8 +419,9 @@ func Run[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, erro
 func NewScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (Scheduler[D], error) {
 	if opt.Executor == Live {
 		// The live executor measures costs instead of drawing them and
-		// owns its own concurrent bookkeeping; it shares the store, gate
-		// semantics, and controllers but not the virtual-time core.
+		// owns its own concurrent bookkeeping; it shares the store, the
+		// partition model and its rules (part.go), and the controllers,
+		// but not the virtual-time core.
 		return newLiveScheduler(c, w, opt)
 	}
 	k, err := newCore(c, w, opt)
@@ -461,25 +462,13 @@ func Drive[D any](s Scheduler[D]) (*RunStats, error) {
 	return s.Finish()
 }
 
-// workerState is the core's per-partition bookkeeping.
+// workerState is what virtual time adds to the shared partition model
+// (part.go): the core's per-partition bookkeeping.
 type workerState struct {
-	clock     simtime.Duration // the worker's local virtual clock
-	steps     int
-	version   int // publication counter; version 0 is the initial state
-	neighbors []int
-	readers   []int // partitions that read this one (reverse-dependency index)
-	consumed  []int // last version consumed, parallel to neighbors
-	// cursors caches, per neighbor, the history index of the last
-	// version this worker saw (Store.VisibleFrom). Worker clocks only
-	// advance, so the cached cursor turns every visibility lookup into an
-	// O(1) amortized forward scan instead of a binary search.
-	cursors   []int
-	idle      bool
-	forced    bool // stopped by MaxSteps
-	quiescent bool // last outcome's report
-	// gateWaiters lists workers blocked until this partition publishes a
-	// version (or goes idle).
-	gateWaiters []int
+	*part
+	clock  simtime.Duration // the worker's local virtual clock
+	idle   bool             // settled: quiescent with no unseen input
+	forced bool             // settled: stopped by MaxSteps
 	// log is the worker's recovery journal (last checkpoint + steps
 	// since); nil when the crash fault model is inert, so the crash-free
 	// hot path carries no journaling cost.
@@ -497,6 +486,7 @@ type core[D any] struct {
 	opt      Options
 	maxSteps int
 	store    *Store[D]
+	parts    []part
 	workers  []*workerState
 	heap     simtime.EventHeap
 	stats    *RunStats
@@ -549,11 +539,9 @@ type core[D any] struct {
 	// in event order, and only while processing that worker's own
 	// phases, which is what keeps dispatched speculations and their
 	// canonical gates reading the same bound. adaptCost prices one
-	// bound change onto the worker's critical path; needLag caches
-	// whether the policy wants the per-step publish-lag scan.
+	// bound change onto the worker's critical path.
 	ctrl      *adapt.Controller
 	adaptCost simtime.Duration
-	needLag   bool
 
 	// rec is the optional structured-event recorder (Options.Trace).
 	// Hooks call it unconditionally: a nil recorder is a single branch.
@@ -567,20 +555,12 @@ type core[D any] struct {
 	// holds the next tick's virtual time and Admit fires every due
 	// tick before popping an event — without touching stepEvents or
 	// the heap, so the canonical event sequence is bit-identical with
-	// or without a sampler on both executors. prog is the workload's
-	// Progressive view (nil when it has none) and resid the
-	// per-partition residual cache, refreshed at noteStep — the
-	// canonical step boundary — so a parallel run's sampler reads the
-	// same values DES would even while speculation runs workload steps
-	// early. lastSample carries the previous sample's cumulative
-	// counters for the delta fields.
-	series      *metrics.Series
-	prog        Progressive
-	resid       []float64
-	sampleEvery simtime.Duration
-	sampleAt    simtime.Duration
-	sampleTick  int64
-	lastSample  metrics.Sample
+	// or without a sampler on both executors. The sampler's residual
+	// cache is refreshed at noteStep — the canonical step boundary — so
+	// a parallel run's sampler reads the same values DES would even
+	// while speculation runs workload steps early.
+	smp      *sampler[D]
+	sampleAt simtime.Duration
 }
 
 // newCore validates the workload and performs startup: version 0 of
@@ -591,10 +571,11 @@ type core[D any] struct {
 //
 //async:sched-root
 func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], error) {
-	n := w.Parts()
-	if n <= 0 {
-		return nil, fmt.Errorf("async: workload has %d partitions", n)
+	parts, inbuf, err := newParts(w)
+	if err != nil {
+		return nil, err
 	}
+	n := len(parts)
 	maxSteps := opt.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
@@ -606,47 +587,22 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 		opt:       opt,
 		maxSteps:  maxSteps,
 		store:     NewStore[D](n),
+		parts:     parts,
 		workers:   make([]*workerState, n),
 		stats:     &RunStats{Converged: true},
-		inbuf:     make([][]Snapshot[D], n),
+		inbuf:     inbuf,
 		pending:   make([]bool, n),
 		pendingAt: make([]simtime.Duration, n),
 		inDirty:   make([]bool, n),
+		ctrl:      newController(opt, n),
 		rec:       opt.Trace,
 	}
-	for p := 0; p < n; p++ {
-		nbrs := w.Neighbors(p)
-		for _, q := range nbrs {
-			if q < 0 || q >= n || q == p {
-				return nil, fmt.Errorf("async: partition %d has invalid neighbor %d", p, q)
-			}
-		}
-		k.workers[p] = &workerState{
-			neighbors: nbrs,
-			consumed:  make([]int, len(nbrs)),
-			cursors:   make([]int, len(nbrs)),
-		}
-		k.inbuf[p] = make([]Snapshot[D], len(nbrs))
-		for j := range k.workers[p].consumed {
-			k.workers[p].consumed[j] = -1
-		}
+	states := make([]workerState, n)
+	for p := range states {
+		states[p].part = &parts[p]
+		k.workers[p] = &states[p]
 	}
-	for p, st := range k.workers {
-		for _, q := range st.neighbors {
-			k.workers[q].readers = append(k.workers[q].readers, p)
-		}
-	}
-
-	// Staleness controller setup: a nil policy is the static bound —
-	// adapt.Fixed is the identity controller, so the default path is
-	// bit-identical to the pre-controller engine.
-	pol := opt.Adapt
-	if pol == nil {
-		pol = adapt.Fixed(opt.Staleness)
-	}
-	k.ctrl = adapt.NewController(pol, n)
 	k.adaptCost = k.cfg.AdaptCost
-	k.needLag = k.ctrl.NeedsLag()
 
 	// Crash fault model setup. The model is active when the cluster
 	// schedules crashes or a checkpoint policy is set; either requires
@@ -692,18 +648,9 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 	// time zero (version 0 of every partition is already visible) and
 	// arm the first interior tick. The tick chain lives in sampleAt,
 	// not on the heap — see the sampler field comment.
-	if opt.Series != nil {
-		k.series = opt.Series
-		k.sampleEvery = opt.Series.Interval()
-		if pw, ok := w.(Progressive); ok {
-			k.prog = pw
-			k.resid = make([]float64, n)
-			for p := range k.resid {
-				k.resid[p] = pw.Residual(p)
-			}
-		}
-		k.recordSample(0, 0)
-		k.sampleAt = k.sampleEvery // first interior tick
+	if k.smp = newSampler(opt.Series, w, k.store, parts, k.ctrl); k.smp != nil {
+		k.recordSample(0)
+		k.sampleAt = k.smp.every // first interior tick
 	}
 	return k, nil
 }
@@ -764,14 +711,18 @@ func (k *core[D]) Admit() (int, bool) {
 		if k.stepEvents == 0 || k.err != nil {
 			return -1, false
 		}
-		if k.series != nil {
+		if k.smp != nil {
 			// Fire every sampler tick due at or before the next event —
-			// at a tie the sample is taken before the event processes.
-			// The tick chain never touches the heap (the parallel
-			// executor's admission frontier peeks its head), stepEvents,
-			// or the pending mirror, so sampling is inert.
+			// at a tie the sample is taken before the event processes —
+			// and arm the next on the fixed grid. The chain lives in
+			// sampleAt and never touches the heap (the parallel executor's
+			// admission frontier peeks its head), stepEvents, the pending
+			// mirror or the speculation worklist, so sampling is inert;
+			// once the run drains, the return above stops it.
 			if head, ok := k.heap.Peek(); ok && k.sampleAt <= head.At {
-				k.handleSample(k.sampleAt)
+				k.stats.SeriesTicks++
+				k.recordSample(k.sampleAt)
+				k.sampleAt += k.smp.every
 				continue
 			}
 		}
@@ -846,16 +797,10 @@ func (k *core[D]) handleCrash(p int, at simtime.Duration) {
 	// original execution already counted these reads.
 	buf := k.inbuf[p]
 	for _, rec := range lg.Steps {
-		for j, q := range st.neighbors {
-			v, ok := k.store.VisibleFrom(q, rec.ReadAt, st.cursors[j])
-			if !ok {
-				k.err = fmt.Errorf("async: replay of partition %d step %d cannot see neighbor %d at %v",
-					p, rec.Step, q, rec.ReadAt)
-				return
-			}
-			st.cursors[j] = v
-			st.consumed[j] = v
-			k.store.fill(&buf[j], q, v)
+		if _, q := readInputs(k.store, k.parts, st.part, rec.ReadAt, buf); q >= 0 {
+			k.err = fmt.Errorf("async: replay of partition %d step %d cannot see neighbor %d at %v",
+				p, rec.Step, q, rec.ReadAt)
+			return
 		}
 		if _, err := runStep(k.w, p, rec.Step, buf); err != nil {
 			k.err = fmt.Errorf("async: replay of partition %d: %w", p, err)
@@ -905,79 +850,15 @@ func (k *core[D]) scheduleCrash(p int) {
 	}
 }
 
-// handleSample processes one sampler tick at virtual time at and arms
-// the next tick on the fixed grid. The chain lives entirely in
-// sampleAt — the heap, stepEvents, the pending mirror and the
-// speculation worklist are untouched: the sampler can observe the run
-// but never perturb it. Once the run drains (stepEvents hits zero),
-// Admit returns before the tick check, so residual ticks simply never
-// fire — the final boundary sample comes from Finish instead.
+// recordSample records one time-series sample at virtual time at. Every
+// quantity sampled is maintained in event order on the scheduling
+// goroutine — run counters, consumed versions, store heads, controller
+// bounds, the noteStep residual cache — which is exactly why a DES and a
+// parallel run sample identical values at identical ticks.
 //
 //async:sched-only
-func (k *core[D]) handleSample(at simtime.Duration) {
-	k.stats.SeriesTicks++
-	k.sampleTick++
-	k.recordSample(k.sampleTick, at)
-	k.sampleAt = at + k.sampleEvery
-}
-
-// recordSample reads the engine's canonical state into one Sample and
-// appends it to the series. Every quantity read here is maintained in
-// event order on the scheduling goroutine — run counters, consumed
-// versions, store heads, controller bounds, the noteStep residual
-// cache — which is exactly why a DES and a parallel run sample
-// identical values at identical ticks. Speculation-only state
-// (cursors, in-flight step results) is deliberately not sampled: it
-// advances in wall-clock order and would differ between executors.
-//
-//async:sched-only
-func (k *core[D]) recordSample(tick int64, at simtime.Duration) {
-	smp := metrics.Sample{
-		Tick:     tick,
-		Time:     at,
-		Residual: -1,
-	}
-	if k.prog != nil {
-		smp.Residual = 0
-		for _, r := range k.resid {
-			if r > smp.Residual {
-				smp.Residual = r
-			}
-			smp.ResidualSum += r
-		}
-	}
-	smp.Steps = k.stats.Steps
-	smp.DeltaSteps = smp.Steps - k.lastSample.Steps
-	smp.Publishes = k.stats.Publishes
-	smp.DeltaPublishes = smp.Publishes - k.lastSample.Publishes
-	smp.GateWait = k.stats.GateWaitTime
-	smp.DeltaGateWait = smp.GateWait - k.lastSample.GateWait
-	boundSum := 0
-	for p, st := range k.workers {
-		smp.StoreVersions += int64(k.store.Latest(p))
-		b := k.ctrl.Signal(p).Bound
-		if p == 0 || b < smp.BoundMin {
-			smp.BoundMin = b
-		}
-		if p == 0 || b > smp.BoundMax {
-			smp.BoundMax = b
-		}
-		boundSum += b
-		for j, q := range st.neighbors {
-			lag := k.store.Latest(q) - st.consumed[j]
-			if lag < 0 {
-				lag = 0
-			}
-			if lag > smp.LagMax {
-				smp.LagMax = lag
-			}
-			smp.LagHist[metrics.LagBucket(lag)]++
-		}
-	}
-	smp.BoundMean = float64(boundSum) / float64(len(k.workers))
-	k.series.Record(smp)
-	k.stats.SeriesSamples++
-	k.lastSample = smp
+func (k *core[D]) recordSample(at simtime.Duration) {
+	k.smp.record(metrics.Sample{Time: at, Steps: k.stats.Steps, Publishes: k.stats.Publishes, GateWait: k.stats.GateWaitTime})
 }
 
 // Gate applies the staleness bound; see Scheduler. With bound S(p) —
@@ -998,14 +879,15 @@ func (k *core[D]) Gate(p int) bool {
 	if bound < 0 {
 		return true
 	}
-	q, nb, wakeAt, wait := k.gateCheck(st, st.clock, bound)
-	if !wait {
+	need := st.version - bound
+	nb, wakeAt, exists := gate(k.store, k.parts, st.part, st.clock, need)
+	if nb < 0 {
 		return true
 	}
 	k.stats.GateWaits++
-	k.rec.Emit(trace.KindGateBegin, p, st.steps, st.clock, int64(nb), int64(st.version-bound), 0)
+	k.rec.Emit(trace.KindGateBegin, p, st.steps, st.clock, int64(nb), int64(need), 0)
 	var waited simtime.Duration
-	if q < 0 {
+	if exists {
 		// The wake time is known at booking; the blocked-on-a-laggard
 		// case is measured when the publication releases the waiter.
 		waited = wakeAt - st.clock
@@ -1015,11 +897,11 @@ func (k *core[D]) Gate(p int) bool {
 		st.clock += k.adaptCost
 		k.rec.Emit(trace.KindAdaptBound, p, st.steps, st.clock, int64(k.ctrl.Bound(p)), 0, 0)
 	}
-	if q >= 0 {
-		// The needed version does not exist yet: sleep until q publishes
-		// or goes idle. p loses its pending event without a re-push, so
+	if !exists {
+		// The needed version does not exist yet: sleep until nb publishes
+		// or settles. p loses its pending event without a re-push, so
 		// its readers' admission bounds fall back to the frontier rule.
-		k.workers[q].gateWaiters = append(k.workers[q].gateWaiters, p)
+		k.parts[nb].gateWaiters = append(k.parts[nb].gateWaiters, p)
 		k.blocked++
 		k.markReaders(p)
 	} else {
@@ -1035,48 +917,19 @@ func (k *core[D]) Gate(p int) bool {
 	return false
 }
 
-// consumeInput performs the canonical, event-ordered read of partition
-// p's j-th neighbor at p's clock: it advances the read cursor, records
-// the consumed version, accounts the staleness lead, and returns the
-// version — which is all a caller that only checks it needs.
-//
-//async:sched-only
-func (k *core[D]) consumeInput(p, j int) (int, error) {
-	st := k.workers[p]
-	q := st.neighbors[j]
-	v, ok := k.store.VisibleFrom(q, st.clock, st.cursors[j])
-	if !ok {
-		return 0, fmt.Errorf("async: partition %d invisible to %d at %v", q, p, st.clock)
-	}
-	st.cursors[j] = v
-	st.consumed[j] = v
-	// Lead is only meaningful against active neighbors: an idle
-	// partition's newest version IS its final state, so reading it at
-	// any age reads the freshest truth.
-	if !k.workers[q].idle && !k.workers[q].forced {
-		if lead := st.version - v; lead > k.stats.MaxLead {
-			k.stats.MaxLead = lead
-		}
-	}
-	return v, nil
-}
-
-// readInputs reads the snapshots visible at p's clock into p's reusable
-// input buffer and records consumption and staleness-lead accounting.
-// The copy into the buffer is the only one a step's input makes.
+// readInputs performs the canonical, event-ordered read of partition
+// p's neighbors at p's clock into p's reusable input buffer, accounting
+// the staleness lead.
 //
 //async:sched-only
 func (k *core[D]) readInputs(p int) ([]Snapshot[D], error) {
 	st := k.workers[p]
-	buf := k.inbuf[p]
-	for j, q := range st.neighbors {
-		v, err := k.consumeInput(p, j)
-		if err != nil {
-			return nil, err
-		}
-		k.store.fill(&buf[j], q, v)
+	lead, blind := readInputs(k.store, k.parts, st.part, st.clock, k.inbuf[p])
+	if blind >= 0 {
+		return nil, fmt.Errorf("async: partition %d invisible to %d at %v", blind, p, st.clock)
 	}
-	return buf, nil
+	k.stats.MaxLead = max(k.stats.MaxLead, lead)
+	return k.inbuf[p], nil
 }
 
 // noteStep records a completed step in the worker and run counters.
@@ -1093,14 +946,14 @@ func (k *core[D]) noteStep(p int, out StepOutcome[D]) {
 	st.quiescent = out.Quiescent
 	k.stats.Steps++
 	k.totalOps += out.Ops
-	if k.prog != nil {
+	if k.smp != nil {
 		// Refresh the sampler's residual cache at the canonical step
 		// boundary. Under the parallel executor the workload may already
 		// have speculated ahead in wall time, but noteStep runs in event
 		// order right after this step's state became canonical (the
 		// speculation consume waited on the step's completion), so the
 		// cache — and every sample built from it — matches DES exactly.
-		k.resid[p] = k.prog.Residual(p)
+		k.smp.observe(p)
 	}
 }
 
@@ -1167,7 +1020,7 @@ func (k *core[D]) Publish(p int, out StepOutcome[D]) error {
 	// Wake idle readers: fresh input may un-quiesce them.
 	for _, r := range st.readers {
 		if k.workers[r].idle && !k.workers[r].forced {
-			k.workers[r].idle = false
+			k.workers[r].idle, k.workers[r].settled = false, false
 			wake := k.workers[r].clock
 			if st.clock > wake {
 				wake = st.clock
@@ -1184,24 +1037,19 @@ func (k *core[D]) Publish(p int, out StepOutcome[D]) error {
 // adaptStep feeds the completed (and priced, published,
 // waiter-released, possibly checkpointed) step into the staleness
 // controller at the step boundary, charging a bound change to the
-// worker's critical path. The publish-lag scan — the largest number of
-// published-but-unconsumed versions across the partitions p reads, the
-// drift policy's signal — runs only for policies that want it, so the
-// fixed and aimd hot paths pay no per-step neighbor loop. Latest is
-// read on the scheduling goroutine after this step's own publication,
-// a point both executors reach with identical store contents, so the
-// signal (and every decision derived from it) is executor-independent.
+// worker's critical path. The publish-lag scan runs only for policies
+// that want it, so the fixed and aimd hot paths pay no per-step neighbor
+// loop. Latest is read on the scheduling goroutine after this step's own
+// publication, a point both executors reach with identical store
+// contents, so the signal (and every decision derived from it) is
+// executor-independent.
 //
 //async:sched-only
 func (k *core[D]) adaptStep(p int, published bool) {
 	st := k.workers[p]
 	lag := 0
-	if k.needLag {
-		for j, q := range st.neighbors {
-			if l := k.store.Latest(q) - st.consumed[j]; l > lag {
-				lag = l
-			}
-		}
+	if k.ctrl.NeedsLag() {
+		lag = publishLag(k.store, st.part)
 	}
 	if k.ctrl.StepDone(p, published, lag) {
 		st.clock += k.adaptCost
@@ -1241,11 +1089,10 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 	st := k.workers[p]
 	switch {
 	case st.steps >= k.maxSteps:
-		st.forced = true
+		st.forced, st.settled = true, true
 		k.stats.Converged = false
 		// Seal the partition in the store: it will never publish again,
-		// so any (external) WaitVersion caller blocked on a future
-		// version must wake and observe the failure instead of hanging.
+		// and the store rejects the engine bug that tries.
 		k.store.Seal(p)
 		k.blocked -= k.releaseGateWaiters(p)
 		// A forced partition never publishes again: readers' admission
@@ -1254,7 +1101,7 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 	case !out.Quiescent:
 		k.schedule(p, st.clock)
 	default:
-		if at, unseen := firstUnseen(k.store, st); unseen {
+		if at, unseen := firstUnseen(k.store, st.part); unseen {
 			// Fresher input already exists; consume it once it is visible
 			// on p's clock.
 			if at < st.clock {
@@ -1262,7 +1109,7 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 			}
 			k.schedule(p, at)
 		} else {
-			st.idle = true
+			st.idle, st.settled = true, true
 			k.blocked -= k.releaseGateWaiters(p)
 			// p now has no pending event; its readers' bounds fall back
 			// to the frontier rule and grow as the frontier advances.
@@ -1282,18 +1129,13 @@ func (k *core[D]) Finish() (*RunStats, error) {
 	if k.blocked != 0 {
 		return nil, fmt.Errorf("async: %d workers still gate-blocked at drain", k.blocked)
 	}
-	// The run is over: no partition publishes again. Seal them all so
-	// any straggling external WaitVersion caller wakes instead of
-	// deadlocking.
+	// The run is over: no partition publishes again.
 	for p := range k.workers {
 		k.store.Seal(p)
 	}
 	stats := k.stats
-	n := len(k.workers)
-	stats.PerWorkerSteps = make([]int, n)
 	var latest simtime.Duration
-	for p, st := range k.workers {
-		stats.PerWorkerSteps[p] = st.steps
+	for _, st := range k.workers {
 		if st.clock > latest {
 			latest = st.clock
 		}
@@ -1302,34 +1144,16 @@ func (k *core[D]) Finish() (*RunStats, error) {
 		}
 	}
 	stats.Duration = latest
-	stats.MeanSteps = float64(stats.Steps) / float64(n)
-	if k.series != nil {
+	if k.smp != nil {
 		// Final boundary sample at the run's end, whether or not it
 		// lands on the tick grid: the convergence curve always ends at
 		// the converged state. Monotone by construction — the last
 		// popped tick precedes the last step event, which bounds
 		// Duration from below.
-		k.sampleTick++
-		k.recordSample(k.sampleTick, stats.Duration)
+		k.recordSample(stats.Duration)
+		stats.SeriesSamples = k.smp.n
 	}
-	stats.AdaptRaises = k.ctrl.Raises()
-	stats.AdaptCuts = k.ctrl.Cuts()
-	stats.StalenessMean = k.ctrl.StalenessMean()
-	stats.StalenessMax = k.ctrl.StalenessMax()
-
-	k.c.Account(func(m *cluster.Metrics) {
-		m.AsyncSteps += stats.Steps
-		m.AsyncPublishes += stats.Publishes
-		m.AsyncPushedBytes += stats.PushedBytes
-		m.AsyncGateWaits += stats.GateWaits
-		m.AsyncCrashes += stats.Crashes
-		m.AsyncRecoveries += stats.Recoveries
-		m.AsyncCheckpoints += stats.Checkpoints
-		m.AsyncAdaptRaises += stats.AdaptRaises
-		m.AsyncAdaptCuts += stats.AdaptCuts
-		m.ComputeOps += k.totalOps
-	})
-	k.c.Clock().Advance(stats.Duration)
+	finishRun(k.c, k.ctrl, k.parts, stats, k.totalOps)
 	return stats, nil
 }
 
@@ -1359,58 +1183,6 @@ func (k *core[D]) releaseGateWaiters(p int) int {
 	}
 	st.gateWaiters = st.gateWaiters[:0]
 	return released
-}
-
-// gateCheck evaluates the staleness bound for st at time t. wait=false
-// means the step may run. Otherwise either q >= 0 (the needed version of
-// q does not exist yet; block until q publishes or idles) or q = -1 and
-// wakeAt holds the virtual time the needed version becomes visible. nb
-// is the neighbor the gate parked on in either case (equal to q when
-// q >= 0) — the attribution the trace layer records. Reads go through
-// the per-neighbor cursors: gate reads and input reads for one worker
-// happen at the same non-decreasing clock, so they share the cursor
-// cache.
-//
-//async:sched-only
-func (k *core[D]) gateCheck(st *workerState, t simtime.Duration, bound int) (q, nb int, wakeAt simtime.Duration, wait bool) {
-	need := st.version - bound
-	if need <= 0 {
-		return -1, -1, 0, false
-	}
-	for j, nb := range st.neighbors {
-		other := k.workers[nb]
-		if other.idle || other.forced {
-			continue // settled neighbors impose no gate
-		}
-		if v, ok := k.store.VisibleFrom(nb, t, st.cursors[j]); ok {
-			st.cursors[j] = v
-			if v >= need {
-				continue
-			}
-		}
-		if at, ok := k.store.At(nb, need); ok {
-			// Published but not yet visible: the publication time is in
-			// t's virtual future; wait exactly until then.
-			return -1, nb, at, true
-		}
-		return nb, nb, 0, true
-	}
-	return -1, -1, 0, false
-}
-
-// firstUnseen reports whether any neighbor has published a version newer
-// than what st last consumed, and the earliest virtual time such a
-// version becomes visible.
-//
-//async:sched-only
-func firstUnseen[D any](store *Store[D], st *workerState) (at simtime.Duration, unseen bool) {
-	for j, q := range st.neighbors {
-		if qAt, ok := store.At(q, st.consumed[j]+1); ok && (!unseen || qAt < at) {
-			at = qAt
-			unseen = true
-		}
-	}
-	return at, unseen
 }
 
 // runStep invokes the workload step, converting panics in user code into

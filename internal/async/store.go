@@ -75,8 +75,7 @@ func segSize(seg int) int {
 // before that length was stored, and no slot is written twice. So a
 // reader can never see the slot being written, and needs no lock.
 type shard[D any] struct {
-	mu   sync.Mutex
-	cond *sync.Cond // signaled on publish or seal, for WaitVersion's slow path
+	mu sync.Mutex
 	// n is the published length: versions 0..n-1 are readable.
 	//
 	//async:atomic
@@ -86,7 +85,7 @@ type shard[D any] struct {
 	//
 	//async:atomic
 	dir    atomic.Pointer[[][]slot[D]]
-	sealed bool // owner will never publish again (force-stopped, crashed for good, or drained)
+	sealed bool // owner will never publish again (force-stopped, or the run drained); guarded by mu
 }
 
 // history is a reader's view of one shard: versions 0..n-1, all of them
@@ -159,15 +158,14 @@ func (h history[D]) visibleFrom(at simtime.Duration, hint int) (v int, sl *slot[
 // worker may advance.
 //
 // The store is sharded per partition: each shard has its own writer
-// mutex and an atomically readable history, so every read but a
-// WaitVersion that has to wait is lock-free and publications to
-// different partitions never contend. A partition's version v is
-// element v of its history, so the schedulers work on indices
-// (VisibleFrom, At, Latest) and copy a Snapshot out only where a step
-// needs one. It is safe for concurrent use: the deterministic
-// virtual-time engine is one client, and tests hammer it from many
-// goroutines under the race detector to keep it honest as a standalone
-// component.
+// mutex and an atomically readable history, so every read is lock-free
+// and never blocks, and publications to different partitions never
+// contend. A partition's version v is element v of its history, so the
+// schedulers work on indices (VisibleFrom, At, Latest) and copy a
+// Snapshot out only where a step needs one. It is safe for concurrent
+// use: the deterministic virtual-time engine is one client, and tests
+// hammer it from many goroutines under the race detector to keep it
+// honest as a standalone component.
 type Store[D any] struct {
 	shards []shard[D]
 }
@@ -175,12 +173,7 @@ type Store[D any] struct {
 // NewStore returns an empty store for n partitions. Every partition must
 // publish its version 0 (the initial state) before any reader runs.
 func NewStore[D any](n int) *Store[D] {
-	s := &Store[D]{shards: make([]shard[D], n)}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.cond = sync.NewCond(&sh.mu)
-	}
-	return s
+	return &Store[D]{shards: make([]shard[D], n)}
 }
 
 // NumParts returns the number of partitions.
@@ -223,7 +216,6 @@ func (s *Store[D]) Publish(p, version int, at simtime.Duration, data D) error {
 		sh.dir.Store(&dir)
 	}
 	sh.n.Store(int64(version + 1))
-	sh.cond.Broadcast()
 	return nil
 }
 
@@ -305,50 +297,15 @@ func (s *Store[D]) Read(p int) (snap Snapshot[D], ok bool) {
 	return snap, true
 }
 
-// WaitVersion blocks until partition p has published at least version v,
-// then returns that version's snapshot (not a newer one): the blocking
-// read a free-running worker performs when the staleness bound forces it
-// to observe a laggard's progress. The fast path is lock-free; only a
-// reader that genuinely has to wait touches the shard mutex.
-//
-// ok is false when the partition was sealed before version v appeared:
-// its owner crashed without recovery, was force-stopped at the step
-// cap, or the run drained — the awaited version will never exist, and a
-// waiter that kept sleeping would deadlock. A version published before
-// the seal is still returned with ok=true (sealing never hides
-// history).
-func (s *Store[D]) WaitVersion(p, v int) (snap Snapshot[D], ok bool) {
-	if v <= s.Latest(p) {
-		s.fill(&snap, p, v)
-		return snap, true
-	}
-	sh := &s.shards[p]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for s.Latest(p) < v {
-		if sh.sealed {
-			return snap, false
-		}
-		sh.cond.Wait()
-	}
-	s.fill(&snap, p, v)
-	return snap, true
-}
-
-// Seal marks partition p as permanently done publishing — its owner
-// crashed beyond recovery, was force-stopped, or the run drained — and
-// wakes every WaitVersion caller blocked on it so they can observe the
-// failure instead of sleeping forever. Publishing to a sealed partition
-// is an engine bug and is rejected; reads of existing history remain
-// valid.
+// Seal marks partition p as permanently done publishing: its owner was
+// force-stopped, or the run drained. Publishing to a sealed partition is
+// an engine bug and is rejected; reads of existing history remain valid.
+// Idempotent.
 func (s *Store[D]) Seal(p int) {
 	sh := &s.shards[p]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.sealed {
-		sh.sealed = true
-		sh.cond.Broadcast()
-	}
+	sh.sealed = true
 }
 
 // Sealed reports whether partition p has been sealed.

@@ -8,6 +8,17 @@ import (
 	"repro/internal/simtime"
 )
 
+// awaitVersion spins until partition p has published version v and
+// returns exactly that version (not a newer one): the store has no
+// blocking read, so tests that race readers against publishers poll.
+func awaitVersion[D any](s *Store[D], p, v int) (snap Snapshot[D]) {
+	for s.Latest(p) < v {
+		runtime.Gosched()
+	}
+	s.fill(&snap, p, v)
+	return snap
+}
+
 func TestStorePublishRead(t *testing.T) {
 	s := NewStore[int](2)
 	if s.NumParts() != 2 {
@@ -103,8 +114,8 @@ func TestStoreCursorAgreement(t *testing.T) {
 // TestStoreShardedProperty is the property test for the sharded store:
 // per-partition publishers race against three reader populations —
 // monotone cursor readers (the engine's access pattern), random-hint
-// readers checking cursor/binary-search agreement, and blocking version
-// waiters — while the test asserts visibility monotonicity (a reader
+// readers checking cursor/binary-search agreement, and readers polling
+// for a given version — while the test asserts visibility monotonicity (a reader
 // moving forward in time never sees Version or At go backwards) and
 // payload consistency. Run with -race (the CI workflow does).
 func TestStoreShardedProperty(t *testing.T) {
@@ -202,16 +213,17 @@ func TestStoreShardedProperty(t *testing.T) {
 		}(r)
 	}
 
-	// Blocking waiters: WaitVersion returns exactly the requested version.
+	// Version waiters: a version, once published, reads back as exactly
+	// the requested one.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for p := 0; p < parts; p++ {
 				for _, v := range []int{0, versions / 2, versions - 1} {
-					snap, ok := s.WaitVersion(p, v)
-					if !ok || snap.Version != v || snap.Data != p*10000+v {
-						t.Errorf("WaitVersion(p%d, v%d) = v%d data %d ok=%v", p, v, snap.Version, snap.Data, ok)
+					snap := awaitVersion(s, p, v)
+					if snap.Version != v || snap.Data != p*10000+v {
+						t.Errorf("awaitVersion(p%d, v%d) = v%d data %d", p, v, snap.Version, snap.Data)
 					}
 				}
 			}
@@ -220,69 +232,42 @@ func TestStoreShardedProperty(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreSealWakesWaiters is the regression test for the crash/stop
-// wakeup path: a WaitVersion caller blocked on a version that will
-// never arrive — its owner crashed for good or was force-stopped — must
-// be woken by Seal and observe the failure (ok=false) instead of
-// sleeping forever. Before Seal existed only a publish signalled the
-// shard condition variable, so waiters on a dead partition deadlocked.
-// Run with -race (the CI workflow does).
+// TestStoreSealWakesWaiters pins what sealing does now that the store has
+// no blocking read (and so no waiters to wake; the name is kept for the
+// test's history): the seal is per partition, history published before
+// it stays readable, a version that was never published stays absent,
+// later publishes are rejected, and sealing twice is harmless.
 func TestStoreSealWakesWaiters(t *testing.T) {
-	const waiters = 8
 	s := NewStore[int](2)
 	if err := s.Publish(0, 0, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-
-	results := make(chan bool, waiters)
-	var started sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		started.Add(1)
-		go func() {
-			started.Done()
-			_, ok := s.WaitVersion(0, 5) // version 5 will never be published
-			results <- ok
-		}()
-	}
-	started.Wait()
-	// Concurrent publisher on the other partition keeps the store busy
-	// while the waiters block.
 	if err := s.Publish(1, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Seal(0)
-	for i := 0; i < waiters; i++ {
-		if ok := <-results; ok {
-			t.Fatal("waiter on a sealed partition reported success for a version that never existed")
-		}
-	}
 	if !s.Sealed(0) || s.Sealed(1) {
 		t.Fatalf("seal state wrong: p0=%v p1=%v", s.Sealed(0), s.Sealed(1))
-	}
-
-	// History published before the seal stays readable, with and without
-	// blocking; new publishes are rejected.
-	if snap, ok := s.WaitVersion(0, 0); !ok || snap.Data != 7 {
-		t.Fatalf("pre-seal version lost: %+v ok=%v", snap, ok)
 	}
 	if snap, ok := s.Read(0); !ok || snap.Data != 7 {
 		t.Fatalf("sealed partition unreadable: %+v ok=%v", snap, ok)
 	}
+	if _, ok := s.At(0, 1); ok {
+		t.Fatal("sealed partition claimed a version that was never published")
+	}
 	if err := s.Publish(0, 1, simtime.Second, 8); err == nil {
 		t.Fatal("publish to sealed partition accepted")
 	}
-	// Waiting on a sealed partition returns immediately.
-	if _, ok := s.WaitVersion(0, 9); ok {
-		t.Fatal("WaitVersion on sealed partition claimed a future version")
+	if err := s.Publish(1, 1, simtime.Second, 2); err != nil {
+		t.Fatalf("sealing partition 0 closed partition 1: %v", err)
 	}
-	// Seal is idempotent.
 	s.Seal(0)
 }
 
 // TestStoreConcurrentAccess is the race-detector workout for the shared
 // store: writers append monotone version chains per partition while
-// readers mix latest reads, time-bounded reads, and blocking version
-// waits. Run with -race (the CI workflow does).
+// readers mix latest reads, time-bounded reads, and polls for the final
+// version. Run with -race (the CI workflow does).
 func TestStoreConcurrentAccess(t *testing.T) {
 	const (
 		parts    = 8
@@ -306,15 +291,14 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}(p)
 	}
 
-	// Blocking readers: wait for the final version of every partition.
+	// Waiting readers: poll for the final version of every partition.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for p := 0; p < parts; p++ {
-				snap, ok := s.WaitVersion(p, versions-1)
-				if !ok || snap.Data != p*1000+versions-1 {
-					t.Errorf("WaitVersion(p%d) data %d ok=%v", p, snap.Data, ok)
+				if snap := awaitVersion(s, p, versions-1); snap.Data != p*1000+versions-1 {
+					t.Errorf("awaitVersion(p%d) data %d", p, snap.Data)
 				}
 			}
 		}(r)
@@ -412,9 +396,9 @@ func TestStoreReadersAcrossSegments(t *testing.T) {
 						t.Errorf("publication time decreases: v%d at %v after v%d at %v", v, at, v-1, prev)
 					}
 				}
-				snap, ok := s.WaitVersion(0, v)
-				if !ok || snap.Part != 0 || snap.Version != v || snap.At != atOf(v) || snap.Data != v*3+1 {
-					t.Errorf("WaitVersion(v%d) = %+v, %v", v, snap, ok)
+				snap := awaitVersion(s, 0, v)
+				if snap.Part != 0 || snap.Version != v || snap.At != atOf(v) || snap.Data != v*3+1 {
+					t.Errorf("version %d reads back as %+v", v, snap)
 				}
 				if got, ok := s.VisibleFrom(0, atOf(v), v-r); !ok || got < v || atOf(got) != atOf(v) {
 					t.Errorf("VisibleFrom(at of v%d, hint %d) = v%d, %v", v, v-r, got, ok)
@@ -480,7 +464,7 @@ func (m *storeModel) visible(at simtime.Duration) int {
 //	3 t t h h     ReadAtFrom and VisibleFrom with an arbitrary hint
 //	4             Latest and Read
 //	5 v v         At, of a version that may not exist
-//	6 v v         WaitVersion on an existing version
+//	6 v v         At, of an existing version
 //	7             Seal; later publishes must be rejected
 func FuzzStoreMatchesModel(f *testing.F) {
 	f.Add([]byte{})
@@ -586,14 +570,15 @@ func FuzzStoreMatchesModel(f *testing.F) {
 			case 6:
 				if x, ok := next2(); ok && len(m.hist) > 0 {
 					v := x % len(m.hist)
-					snap, ok := s.WaitVersion(0, v)
-					same("WaitVersion", snap, ok, v)
+					if at, ok := s.At(0, v); !ok || at != m.hist[v].At {
+						t.Fatalf("At(v%d) = %v, %v; model published it at %v", v, at, ok, m.hist[v].At)
+					}
 				}
 			case 7:
 				s.Seal(0)
 				m.sealed = true
-				if _, ok := s.WaitVersion(0, len(m.hist)); ok {
-					t.Fatal("WaitVersion on a sealed shard claimed a version that does not exist")
+				if _, ok := s.At(0, len(m.hist)); ok {
+					t.Fatal("sealed shard claimed a version that does not exist")
 				}
 			}
 		}

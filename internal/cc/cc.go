@@ -50,9 +50,12 @@ func (r *AsyncResult) Components() int {
 }
 
 // asyncState is one partition's worker payload: local min-label
-// propagation plus the plan for reading neighbor border labels.
+// propagation plus the plan (graph.Exchange, undirected: labels cross
+// the cut both ways) to publish its border nodes' labels and relax
+// against the ones it reads.
 type asyncState struct {
 	sub    *graph.SubGraph
+	x      graph.Exchange
 	comp   []graph.NodeID
 	active []bool
 	// inLocalOff/inLocalAdj are the partition-internal reverse adjacency
@@ -65,11 +68,8 @@ type asyncState struct {
 	// next is the reusable next-frontier buffer of the local sweeps,
 	// mirroring the engine's reusable step buffers: the hot per-step
 	// loop allocates nothing.
-	next []int32
-	// border lists local indices of nodes with cross-partition edges in
-	// either direction; the partition publishes their labels.
-	border  []int32
-	lastPub []graph.NodeID
+	next    []int32
+	lastPub []graph.NodeID // parallel to x.Border
 	// arena backs published border vectors. The store's history is
 	// append-only (crash replay re-reads old versions), so published
 	// slices can never be reused — but they can be carved out of chunks
@@ -78,14 +78,6 @@ type asyncState struct {
 	// ckpts are the ping-pong checkpoint buffers (see Checkpoint).
 	ckpts [2]asyncCkpt
 	ckptN int
-	// Cross-edge read plan: entry r relaxes node ghostNode[r] with
-	// inputs[ghostSlot[r]].Data[ghostIdx[r]] — covering both the remote
-	// sources of local in-edges and the remote targets of local
-	// out-edges, since labels propagate both ways.
-	ghostSlot []int32
-	ghostIdx  []int32
-	ghostNode []int32
-	neighbors []int
 	// lastChanged is the partition's convergence residual: the fraction
 	// of local nodes whose label the most recent step lowered (clamped
 	// to 1 — a node can be lowered more than once inside one step's
@@ -103,7 +95,7 @@ type asyncWorkload struct {
 }
 
 func (w *asyncWorkload) Parts() int            { return len(w.states) }
-func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].neighbors }
+func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].x.Neighbors }
 
 // Residual implements async.Progressive: the fraction of the
 // partition's labels its most recent step lowered. Monotone label
@@ -151,21 +143,21 @@ func (w *asyncWorkload) Init(p int) ([]graph.NodeID, int64) {
 func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]graph.NodeID]) async.StepOutcome[[]graph.NodeID] {
 	st := w.states[p]
 	sub := st.sub
+	x := &st.x
 	var ops int64
 	lowered := 0
 
 	// Relax against the neighbor snapshots; improvements seed the local
 	// frontier.
-	for r := range st.ghostNode {
-		cand := inputs[st.ghostSlot[r]].Data[st.ghostIdx[r]]
-		li := st.ghostNode[r]
+	for r, li := range x.Node {
+		cand := inputs[x.Slot[r]].Data[x.Idx[r]]
 		if cand < st.comp[li] {
 			st.comp[li] = cand
 			st.active[li] = true
 			lowered++
 		}
 	}
-	ops += int64(len(st.ghostNode))
+	ops += int64(len(x.Node))
 
 	// Local min-label sweeps over the active frontier, in both edge
 	// directions, until it drains (or the sweep cap leaves residual
@@ -227,7 +219,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]graph.NodeID
 	// Publish border labels that improved; monotonicity means any
 	// change is material and the stream of publications is finite.
 	changed := false
-	for bi, li := range st.border {
+	for bi, li := range x.Border {
 		if st.comp[li] < st.lastPub[bi] {
 			changed = true
 			break
@@ -239,13 +231,13 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]graph.NodeID
 		Quiescent:  !frontierLeft,
 	}
 	if changed {
-		if cap(st.arena)-len(st.arena) < len(st.border) {
-			st.arena = make([]graph.NodeID, 0, 16*len(st.border))
+		if cap(st.arena)-len(st.arena) < len(x.Border) {
+			st.arena = make([]graph.NodeID, 0, 16*len(x.Border))
 		}
 		lo := len(st.arena)
-		st.arena = st.arena[:lo+len(st.border)]
+		st.arena = st.arena[:lo+len(x.Border)]
 		pub := st.arena[lo:len(st.arena):len(st.arena)]
-		for bi, li := range st.border {
+		for bi, li := range x.Border {
 			pub[bi] = st.comp[li]
 		}
 		copy(st.lastPub, pub)
@@ -282,33 +274,22 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	return &AsyncResult{Comp: comp, Stats: stats}, nil
 }
 
-// buildAsyncWorkload precomputes border lists, the local reverse
-// adjacency, and the cross-edge read plan covering both edge
-// directions.
+// buildAsyncWorkload builds every partition's propagation state — the
+// local reverse adjacency included — around its boundary exchange plan.
+// Labels cross the cut along edges in both directions, so the plan is
+// undirected: a partition reads the remote source of every cross in-edge
+// and the remote target of every cross out-edge.
 func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
-	n := 0
-	for _, s := range subs {
-		n += s.NumNodes()
-	}
-	owner := make([]int32, n)
-	borderIdx := make([]int32, n) // global node id -> border index on its owner
-	for i := range owner {
-		owner[i] = -1
-		borderIdx[i] = -1
-	}
-	for p, s := range subs {
-		for _, u := range s.Nodes {
-			if u < 0 || int(u) >= n {
-				return nil, 0, fmt.Errorf("cc: node id %d outside [0,%d)", u, n)
-			}
-			owner[u] = int32(p)
-		}
+	xs, n, err := graph.BuildExchange(subs, true)
+	if err != nil {
+		return nil, 0, fmt.Errorf("cc: %w", err)
 	}
 	states := make([]*asyncState, len(subs))
 	for p, s := range subs {
 		m := s.NumNodes()
 		st := &asyncState{
 			sub:    s,
+			x:      xs[p],
 			comp:   make([]graph.NodeID, m),
 			active: make([]bool, m),
 			// Pre-step residual: every label is provisional.
@@ -319,10 +300,6 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 			// Every node is initially active: its own label must reach
 			// its local neighborhood even without any cross input.
 			st.active[li] = true
-			if len(s.OutRemote[li]) > 0 || len(s.InRemote[li]) > 0 {
-				borderIdx[u] = int32(len(st.border))
-				st.border = append(st.border, int32(li))
-			}
 		}
 		// Reverse adjacency in CSR form: count in-degrees, prefix-sum
 		// into offsets, then scatter with the offsets as cursors (they
@@ -345,53 +322,11 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 				cursor[dst]++
 			}
 		}
-		st.lastPub = make([]graph.NodeID, len(st.border))
-		for bi, li := range st.border {
+		st.lastPub = make([]graph.NodeID, len(st.x.Border))
+		for bi, li := range st.x.Border {
 			st.lastPub[bi] = st.comp[li]
 		}
 		states[p] = st
-	}
-	// Read plans: labels cross the cut along out-edges in both
-	// directions, so partition p reads the remote source of every
-	// cross in-edge and the remote target of every cross out-edge.
-	slotOf := make([]int32, len(subs))
-	for p, s := range subs {
-		st := states[p]
-		for i := range slotOf {
-			slotOf[i] = -1
-		}
-		addRead := func(li int, remote graph.NodeID) error {
-			if remote < 0 || int(remote) >= n || owner[remote] < 0 {
-				return fmt.Errorf("cc: remote node %d has no owner", remote)
-			}
-			q := int(owner[remote])
-			slot := slotOf[q]
-			if slot < 0 {
-				slot = int32(len(st.neighbors))
-				slotOf[q] = slot
-				st.neighbors = append(st.neighbors, q)
-			}
-			bi := borderIdx[remote]
-			if bi < 0 {
-				return fmt.Errorf("cc: node %d not on partition %d's border", remote, q)
-			}
-			st.ghostSlot = append(st.ghostSlot, slot)
-			st.ghostIdx = append(st.ghostIdx, bi)
-			st.ghostNode = append(st.ghostNode, int32(li))
-			return nil
-		}
-		for li := range s.Nodes {
-			for _, src := range s.InRemote[li] {
-				if err := addRead(li, src); err != nil {
-					return nil, 0, err
-				}
-			}
-			for _, dst := range s.OutRemote[li] {
-				if err := addRead(li, dst); err != nil {
-					return nil, 0, err
-				}
-			}
-		}
 	}
 	return &asyncWorkload{cfg: cfg, states: states}, n, nil
 }

@@ -312,7 +312,8 @@ func TestSubGraphViewsAreCapLimited(t *testing.T) {
 }
 
 // FuzzBuildSubGraphs decodes a small graph and a covering assignment from
-// the input and runs the oracle comparison: byte 0 the node count, byte 1
+// the input and runs the oracle comparison, then the exchange-plan builder's
+// on the sub-graphs (exchange_test.go): byte 0 the node count, byte 1
 // the partition count, byte 2 weighted or not, then one assignment byte
 // per node, then edges as (source, destination) byte pairs.
 func FuzzBuildSubGraphs(f *testing.F) {
@@ -344,6 +345,6 @@ func FuzzBuildSubGraphs(f *testing.F) {
 		if weighted {
 			distinctWeights(g)
 		}
-		checkAgainstOracle(t, g, parts, k)
+		checkExchangeAgainstOracle(t, checkAgainstOracle(t, g, parts, k))
 	})
 }

@@ -77,4 +77,19 @@ func measuredEscape(e *engine) {
 	}()
 }
 
-var _ = []any{drive, offGoroutine, escape, poolDispatch, measuredTask, measuredEscape}
+// behind is a plain helper: it calls nothing sched-only, so it carries
+// no marker and both kinds of cleared context may share it — the shape of
+// the engine's rules over the partition model (gate, input read), which
+// sched-only phases and measured live tasks both call.
+func behind(e *engine, than int) int { return than - e.clock }
+
+//async:sched-only
+func (e *engine) settle() { e.advance(behind(e, 10)) }
+
+//async:measured
+func measuredSettle(e *engine) int {
+	e.settle()
+	return behind(e, 10)
+}
+
+var _ = []any{drive, offGoroutine, escape, poolDispatch, measuredTask, measuredEscape, measuredSettle}

@@ -25,10 +25,12 @@ type AsyncResult struct {
 }
 
 // asyncState is one partition's worker payload: a dense local Jacobi
-// solver plus the bookkeeping to read neighbor boundary contributions
-// from versioned snapshots.
+// solver plus the plan (graph.Exchange) to publish its border nodes'
+// contributions (rank/outdeg) and add up the ones it reads from neighbor
+// snapshots.
 type asyncState struct {
 	sub *graph.SubGraph
+	x   graph.Exchange
 	// rank and ghost mirror the eager formulation's arrays. acc and
 	// scratch are Step's per-step scratch: the per-destination sums of a
 	// sweep, and every node's contribution rank/outdeg.
@@ -36,19 +38,9 @@ type asyncState struct {
 	ghost   []float64
 	scratch []float64
 	acc     []float64
-	// border lists the local indices of nodes with cross-partition
-	// out-edges; their contributions (rank/outdeg) are what the
-	// partition publishes.
-	border []int32
 	// lastPub is the last published contribution vector (parallel to
-	// border), for change detection.
+	// x.Border), for change detection.
 	lastPub []float64
-	// ghostSlot/ghostIdx/ghostNode flatten the reads: ghost contribution
-	// r adds inputs[ghostSlot[r]].Data[ghostIdx[r]] to node ghostNode[r].
-	ghostSlot []int32
-	ghostIdx  []int32
-	ghostNode []int32
-	neighbors []int
 	// lastDelta is the partition's convergence residual: the largest
 	// rank delta its most recent step observed across its local sweeps
 	// (the quantity Quiescent thresholds). Written only by Step, so
@@ -64,7 +56,7 @@ type asyncWorkload struct {
 }
 
 func (w *asyncWorkload) Parts() int            { return len(w.states) }
-func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].neighbors }
+func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].x.Neighbors }
 
 // Residual implements async.Progressive: the largest rank delta the
 // partition's most recent step observed. Before the first step it is
@@ -108,6 +100,7 @@ func (w *asyncWorkload) Init(p int) ([]float64, int64) {
 
 func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
 	st := w.states[p]
+	x := &st.x
 	cfg := w.cfg
 	var ops int64
 
@@ -115,10 +108,10 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	for i := range st.ghost {
 		st.ghost[i] = 0
 	}
-	for r := range st.ghostNode {
-		st.ghost[st.ghostNode[r]] += inputs[st.ghostSlot[r]].Data[st.ghostIdx[r]]
+	for r, li := range x.Node {
+		st.ghost[li] += inputs[x.Slot[r]].Data[x.Idx[r]]
 	}
-	ops += int64(len(st.ghostNode))
+	ops += int64(len(x.Node))
 
 	// Local Jacobi sweeps to local convergence against frozen ghosts,
 	// the same inner loop the eager gmap runs between global barriers,
@@ -181,7 +174,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	// Publish boundary contributions only on material change.
 	pubEps := cfg.Epsilon * publishFraction
 	changed := false
-	for bi, li := range st.border {
+	for bi, li := range x.Border {
 		d := contrib[li] - st.lastPub[bi]
 		if d < 0 {
 			d = -d
@@ -197,8 +190,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		Quiescent:  startDelta < cfg.Epsilon,
 	}
 	if changed {
-		pub := make([]float64, len(st.border))
-		for bi, li := range st.border {
+		pub := make([]float64, len(x.Border))
+		for bi, li := range x.Border {
 			pub[bi] = contrib[li]
 		}
 		copy(st.lastPub, pub)
@@ -240,35 +233,19 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	return &AsyncResult{Ranks: ranks, Stats: stats}, nil
 }
 
-// buildAsyncWorkload precomputes the boundary exchange plan: who
-// publishes which contributions and who reads them.
+// buildAsyncWorkload builds every partition's solver state around its
+// boundary exchange plan; contributions follow edge direction.
 func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
-	// Node ids are dense in [0, n) (RunAsync's rank gather relies on the
-	// same invariant), so flat arrays replace the per-node maps — the
-	// workload rebuild is on every run's critical path.
-	n := 0
-	for _, s := range subs {
-		n += s.NumNodes()
-	}
-	owner := make([]int32, n)
-	borderIdx := make([]int32, n) // global node id -> border index on its owner
-	for i := range owner {
-		owner[i] = -1
-		borderIdx[i] = -1
-	}
-	for p, s := range subs {
-		for _, u := range s.Nodes {
-			if u < 0 || int(u) >= n {
-				return nil, 0, fmt.Errorf("pagerank: node id %d outside [0,%d)", u, n)
-			}
-			owner[u] = int32(p)
-		}
+	xs, n, err := graph.BuildExchange(subs, false)
+	if err != nil {
+		return nil, 0, fmt.Errorf("pagerank: %w", err)
 	}
 	states := make([]*asyncState, len(subs))
 	for p, s := range subs {
 		m := s.NumNodes()
 		st := &asyncState{
 			sub:     s,
+			x:       xs[p],
 			rank:    make([]float64, m),
 			ghost:   make([]float64, m),
 			scratch: make([]float64, m),
@@ -285,48 +262,14 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 			return nil, 0, fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d sources and %d destinations",
 				p, local, len(s.LocalSrc), len(s.LocalDst))
 		}
-		for li := range s.Nodes {
+		for li := range st.rank {
 			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
-			if len(s.OutRemote[li]) > 0 {
-				borderIdx[s.Nodes[li]] = int32(len(st.border))
-				st.border = append(st.border, int32(li))
-			}
 		}
-		st.lastPub = make([]float64, len(st.border))
-		for bi, li := range st.border {
+		st.lastPub = make([]float64, len(st.x.Border))
+		for bi, li := range st.x.Border {
 			st.lastPub[bi] = 1 / float64(s.OutDeg[li])
 		}
 		states[p] = st
-	}
-	// Read plans: for each partition, the neighbor slot and border index
-	// of every cross-partition in-edge source.
-	slotOf := make([]int32, len(subs))
-	for p, s := range subs {
-		st := states[p]
-		for i := range slotOf {
-			slotOf[i] = -1
-		}
-		for li := range s.Nodes {
-			for _, src := range s.InRemote[li] {
-				if src < 0 || int(src) >= n || owner[src] < 0 {
-					return nil, 0, fmt.Errorf("pagerank: remote source %d has no owner", src)
-				}
-				q := int(owner[src])
-				slot := slotOf[q]
-				if slot < 0 {
-					slot = int32(len(st.neighbors))
-					slotOf[q] = slot
-					st.neighbors = append(st.neighbors, q)
-				}
-				bi := borderIdx[src]
-				if bi < 0 {
-					return nil, 0, fmt.Errorf("pagerank: source %d not on partition %d's border", src, q)
-				}
-				st.ghostSlot = append(st.ghostSlot, slot)
-				st.ghostIdx = append(st.ghostIdx, bi)
-				st.ghostNode = append(st.ghostNode, int32(li))
-			}
-		}
 	}
 	return &asyncWorkload{cfg: cfg, states: states}, n, nil
 }

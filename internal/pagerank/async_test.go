@@ -2,11 +2,13 @@ package pagerank
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/async"
 	"repro/internal/async/asynctest"
 	"repro/internal/cluster"
+	"repro/internal/graph"
 	"repro/internal/recovery"
 	"repro/internal/simtime"
 )
@@ -280,6 +282,34 @@ func TestAsyncValidation(t *testing.T) {
 	subs := subgraphs(t, g, 2)
 	if _, err := RunAsync(asyncCluster(), subs, bad, async.Options{}); err == nil {
 		t.Fatal("bad damping accepted")
+	}
+}
+
+// TestAsyncRejectsMalformedSubGraphs: sub-graph sets that break the
+// exchange plan's three requirements (graph.BuildExchange) are errors
+// from this package, not panics.
+func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func(subs []*graph.SubGraph)
+	}{
+		{"node ids not dense", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 9 }},
+		{"cross in-edge source owned by nobody", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2; subs[0].InRemote[0][0] = 3 }},
+		{"cross in-edge source missing from its owner's border", func(subs []*graph.SubGraph) { subs[0].InRemote[0][0] = 3 }},
+	} {
+		// Nodes 0, 1 | 2, 3: edges 0->2, 1->2 and 2->0 cross; 3 is isolated.
+		g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2}, {0}, {}}}
+		subs, err := graph.BuildSubGraphs(g, []int32{0, 0, 1, 1}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{}); err != nil {
+			t.Fatalf("well-formed sub-graphs rejected: %v", err)
+		}
+		c.mangle(subs)
+		if _, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{}); err == nil || !strings.HasPrefix(err.Error(), "pagerank: graph: ") {
+			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
+		}
 	}
 }
 

@@ -25,10 +25,10 @@ func stepOracle(w *asyncWorkload, p int, inputs []async.Snapshot[[]float64]) asy
 	for i := range st.ghost {
 		st.ghost[i] = 0
 	}
-	for r := range st.ghostNode {
-		st.ghost[st.ghostNode[r]] += inputs[st.ghostSlot[r]].Data[st.ghostIdx[r]]
+	for r := range st.x.Node {
+		st.ghost[st.x.Node[r]] += inputs[st.x.Slot[r]].Data[st.x.Idx[r]]
 	}
-	ops += int64(len(st.ghostNode))
+	ops += int64(len(st.x.Node))
 
 	sub := st.sub
 	base := 1 - cfg.Damping
@@ -80,7 +80,7 @@ func stepOracle(w *asyncWorkload, p int, inputs []async.Snapshot[[]float64]) asy
 
 	pubEps := cfg.Epsilon * publishFraction
 	changed := false
-	for bi, li := range st.border {
+	for bi, li := range st.x.Border {
 		c := st.rank[li] / float64(st.sub.OutDeg[li])
 		d := c - st.lastPub[bi]
 		if d < 0 {
@@ -97,8 +97,8 @@ func stepOracle(w *asyncWorkload, p int, inputs []async.Snapshot[[]float64]) asy
 		Quiescent:  startDelta < cfg.Epsilon,
 	}
 	if changed {
-		pub := make([]float64, len(st.border))
-		for bi, li := range st.border {
+		pub := make([]float64, len(st.x.Border))
+		for bi, li := range st.x.Border {
 			pub[bi] = st.scratch[li]
 		}
 		copy(st.lastPub, pub)

@@ -20,26 +20,21 @@ type AsyncResult struct {
 }
 
 // asyncState is one partition's worker payload: a local label-correcting
-// solver plus the plan for reading neighbor border distances.
+// solver plus the plan (graph.Exchange) to publish its border nodes'
+// distances and relax against the ones it reads.
 type asyncState struct {
 	sub    *graph.SubGraph
+	x      graph.Exchange
 	dist   []float64
 	active []bool
 	// next is the local sweeps' next-frontier buffer, reused from sweep
 	// to sweep. A sweep marks its entries active before the buffer is
 	// reused, so nothing in it outlives a step or belongs in a checkpoint.
-	next []int32
-	// border lists local indices of nodes with cross-partition
-	// out-edges; the partition publishes their distances.
-	border  []int32
-	lastPub []float64
-	// Cross in-edge read plan: candidate r relaxes node ghostNode[r]
-	// with inputs[ghostSlot[r]].Data[ghostIdx[r]] + ghostW[r].
-	ghostSlot []int32
-	ghostIdx  []int32
-	ghostNode []int32
-	ghostW    []float64
-	neighbors []int
+	next    []int32
+	lastPub []float64 // parallel to x.Border
+	// ghostW[r] is the weight of the cross in-edge read r travels:
+	// InRemoteW flattened in node order, parallel to the plan's reads.
+	ghostW []float64
 }
 
 // asyncWorkload implements async.Workload for SSSP; the published data
@@ -50,7 +45,7 @@ type asyncWorkload struct {
 }
 
 func (w *asyncWorkload) Parts() int            { return len(w.states) }
-func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].neighbors }
+func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].x.Neighbors }
 
 // Residual implements async.Progressive: the fraction of local nodes
 // still unreached (distance +Inf) — the settled-fraction complement. A
@@ -109,19 +104,19 @@ func (w *asyncWorkload) Init(p int) ([]float64, int64) {
 func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
 	st := w.states[p]
 	sub := st.sub
+	x := &st.x
 	var ops int64
 
 	// Relax cross-partition in-edges from the snapshots; improvements
 	// seed the local frontier.
-	for r := range st.ghostNode {
-		cand := inputs[st.ghostSlot[r]].Data[st.ghostIdx[r]] + st.ghostW[r]
-		li := st.ghostNode[r]
+	for r, li := range x.Node {
+		cand := inputs[x.Slot[r]].Data[x.Idx[r]] + st.ghostW[r]
 		if cand < st.dist[li] {
 			st.dist[li] = cand
 			st.active[li] = true
 		}
 	}
-	ops += int64(len(st.ghostNode))
+	ops += int64(len(x.Node))
 
 	// Local Bellman-Ford over the active frontier until it drains (or
 	// the sweep cap leaves residual work for the next step).
@@ -166,7 +161,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	// Publish border distances that improved; monotonicity means any
 	// change is material and the stream of publications is finite.
 	changed := false
-	for bi, li := range st.border {
+	for bi, li := range x.Border {
 		if st.dist[li] < st.lastPub[bi] {
 			changed = true
 			break
@@ -178,8 +173,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		Quiescent:  !frontierLeft,
 	}
 	if changed {
-		pub := make([]float64, len(st.border))
-		for bi, li := range st.border {
+		pub := make([]float64, len(x.Border))
+		for bi, li := range x.Border {
 			pub[bi] = st.dist[li]
 		}
 		copy(st.lastPub, pub)
@@ -226,65 +221,40 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	return &AsyncResult{Dist: dist, Stats: stats}, nil
 }
 
-// buildAsyncWorkload precomputes border lists and cross-edge read plans.
+// buildAsyncWorkload builds every partition's solver state around its
+// boundary exchange plan; distances follow edge direction.
 func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, error) {
-	owner := map[graph.NodeID]int{}
-	for p, s := range subs {
-		for _, u := range s.Nodes {
-			owner[u] = p
-		}
+	xs, _, err := graph.BuildExchange(subs, false)
+	if err != nil {
+		return nil, fmt.Errorf("sssp: %w", err)
 	}
-	borderIdx := make([]map[graph.NodeID]int32, len(subs))
 	states := make([]*asyncState, len(subs))
 	for p, s := range subs {
 		st := &asyncState{
 			sub:    s,
+			x:      xs[p],
 			dist:   make([]float64, s.NumNodes()),
 			active: make([]bool, s.NumNodes()),
+			ghostW: make([]float64, 0, len(xs[p].Node)),
 		}
-		borderIdx[p] = map[graph.NodeID]int32{}
 		for li, u := range s.Nodes {
 			st.dist[li] = math.Inf(1)
 			if u == cfg.Source {
 				st.dist[li] = 0
 				st.active[li] = true
 			}
-			if len(s.OutRemote[li]) > 0 {
-				borderIdx[p][u] = int32(len(st.border))
-				st.border = append(st.border, int32(li))
-			}
 		}
-		st.lastPub = make([]float64, len(st.border))
-		for bi, li := range st.border {
+		for _, ws := range s.InRemoteW {
+			st.ghostW = append(st.ghostW, ws...)
+		}
+		if len(st.ghostW) != len(st.x.Node) {
+			return nil, fmt.Errorf("sssp: partition %d has %d cross in-edges but %d weights for them", p, len(st.x.Node), len(st.ghostW))
+		}
+		st.lastPub = make([]float64, len(st.x.Border))
+		for bi, li := range st.x.Border {
 			st.lastPub[bi] = st.dist[li]
 		}
 		states[p] = st
-	}
-	for p, s := range subs {
-		st := states[p]
-		slotOf := map[int]int32{}
-		for li := range s.Nodes {
-			for ei, src := range s.InRemote[li] {
-				q, ok := owner[src]
-				if !ok {
-					return nil, fmt.Errorf("sssp: remote source %d has no owner", src)
-				}
-				slot, ok := slotOf[q]
-				if !ok {
-					slot = int32(len(st.neighbors))
-					slotOf[q] = slot
-					st.neighbors = append(st.neighbors, q)
-				}
-				bi, ok := borderIdx[q][src]
-				if !ok {
-					return nil, fmt.Errorf("sssp: source %d not on partition %d's border", src, q)
-				}
-				st.ghostSlot = append(st.ghostSlot, slot)
-				st.ghostIdx = append(st.ghostIdx, bi)
-				st.ghostNode = append(st.ghostNode, int32(li))
-				st.ghostW = append(st.ghostW, s.InRemoteW[li][ei])
-			}
-		}
 	}
 	return &asyncWorkload{cfg: cfg, states: states}, nil
 }

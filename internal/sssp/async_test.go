@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/async"
@@ -141,6 +142,35 @@ func TestAsyncValidation(t *testing.T) {
 	unweighted := subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(1000)), 2)
 	if _, err := RunAsync(asyncCluster(), unweighted, Config{Source: 0}, async.Options{}); err == nil {
 		t.Fatal("unweighted graph accepted")
+	}
+}
+
+// TestAsyncRejectsMalformedSubGraphs: sub-graph sets that break the
+// exchange plan's three requirements (graph.BuildExchange) are errors
+// from this package, not panics.
+func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func(subs []*graph.SubGraph)
+	}{
+		{"node ids not dense", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 9 }},
+		{"cross in-edge source owned by nobody", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2; subs[0].InRemote[0][0] = 3 }},
+		{"cross in-edge source missing from its owner's border", func(subs []*graph.SubGraph) { subs[0].InRemote[0][0] = 3 }},
+	} {
+		// Nodes 0, 1 | 2, 3: edges 0->2, 1->2 and 2->0 cross; 3 is isolated.
+		g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2}, {0}, {}}}
+		g.AssignUniformWeights(1, 10, 3)
+		subs, err := graph.BuildSubGraphs(g, []int32{0, 0, 1, 1}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{}); err != nil {
+			t.Fatalf("well-formed sub-graphs rejected: %v", err)
+		}
+		c.mangle(subs)
+		if _, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{}); err == nil || !strings.HasPrefix(err.Error(), "sssp: graph: ") {
+			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
+		}
 	}
 }
 
