@@ -795,8 +795,8 @@ func BenchmarkAsyncStaleness(b *testing.B) {
 // parallel executor against the sequential DES on the same workloads
 // (run with -cpu 1,4 to see the GOMAXPROCS effect). Simulated results
 // are identical by construction — parity is asserted — so ns/op isolates
-// executor throughput; speculated-frac reports how many steps
-// dependency-aware admission managed to pre-execute, and spec-depth the
+// executor throughput; speculated-frac reports what share of the steps
+// a kept speculation satisfied, and spec-depth the
 // peak number in flight at once (the usable overlap). Run with -benchmem
 // to track the speculated path's allocations against BENCH_PR3.json
 // (scripts/alloc_guard.sh enforces the threshold in CI).

@@ -32,9 +32,9 @@
 //	parallel           wall-clock cores-scaling figure: async PageRank
 //	                   under the parallel executor at 1..8 goroutines vs
 //	                   the sequential DES (identical virtual-time results)
-//	parallelhpc        the same figure on the HPC preset, whose tiny
-//	                   publish floor is the hard case for the executor's
-//	                   dependency-aware admission
+//	parallelhpc        the same figure on the HPC preset, whose
+//	                   microsecond publish latency makes the executor's
+//	                   speculations stale most often
 //	livescaling        live-executor figure: async PageRank computed for
 //	                   real on the work-stealing pool at 1/2/4 workers,
 //	                   measured wall-clock speedup of free-running (S=inf)

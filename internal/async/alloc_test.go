@@ -36,6 +36,11 @@ func (w *scripted) Step(p, step int, inputs []Snapshot[[]float64]) StepOutcome[[
 	return StepOutcome[[]float64]{Publish: true, Data: w.rows[p*(w.steps+1)+step+1], Bytes: 8, Ops: 10}
 }
 
+// Step carries nothing from one call to the next, so there is nothing to
+// undo: the parallel executor may speculate the script as it is.
+func (w *scripted) SaveUndo(p int, _ any) any { return nil }
+func (w *scripted) Restore(p int, _ any)      {}
+
 // TestDESPublishPathAllocFree is the eleventh alloc budget
 // (scripts/alloc_guard.sh): a DES step that publishes allocates nothing
 // beyond its share of a new history segment. It runs the scripted ring
@@ -43,6 +48,18 @@ func (w *scripted) Step(p, step int, inputs []Snapshot[[]float64]) StepOutcome[[
 // mallocs to the extra publishes: set-up, which both runs pay, cancels.
 // (The race detector allocates on its own; the test is built without it.)
 func TestDESPublishPathAllocFree(t *testing.T) {
+	publishPathAllocFree(t, Options{Staleness: 2})
+}
+
+// TestParallelSpeculatedPathAllocFree holds the speculated path to the
+// same budget: dispatch, the pool hand-off, the commit and the discard
+// reuse the partition's slot and the executor's undo buffers, so an extra
+// step costs what it costs the DES.
+func TestParallelSpeculatedPathAllocFree(t *testing.T) {
+	publishPathAllocFree(t, Options{Staleness: 2, Executor: Parallel, Workers: 2})
+}
+
+func publishPathAllocFree(t *testing.T, opt Options) {
 	const (
 		parts  = 8
 		steps  = 1500
@@ -51,12 +68,15 @@ func TestDESPublishPathAllocFree(t *testing.T) {
 	mallocs := func(steps int) float64 {
 		w := newScripted(parts, steps)
 		return testing.AllocsPerRun(3, func() {
-			st, err := Run(quietCluster(), w, Options{Staleness: 2})
+			st, err := Run(quietCluster(), w, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.Publishes != int64(parts*steps) {
 				t.Fatalf("%d publishes, want %d", st.Publishes, parts*steps)
+			}
+			if opt.Executor == Parallel && (st.Speculated == 0 || st.SpecDiscarded == 0) {
+				t.Fatalf("%d speculations kept, %d discarded; want both paths measured", st.Speculated, st.SpecDiscarded)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ package asynctest
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -33,8 +34,8 @@ type Runner func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.R
 
 // Presets returns the cluster cost models the executor-parity contract
 // covers: the paper's cloud testbed, its cross-rack variant, and the
-// HPC interconnect whose tiny publish floor is the hard case for
-// dependency-aware admission.
+// HPC interconnect, whose microsecond publish latency makes speculated
+// steps read stale input most often.
 func Presets() []*cluster.Config {
 	return []*cluster.Config{
 		cluster.EC2LargeCluster(),
@@ -56,6 +57,7 @@ func Stalenesses() []int { return []int{0, 2, async.Unbounded} }
 // declared here (and is itself pinned by the field-drift test).
 var ExecutorSpecificStats = map[string]bool{
 	"Speculated":      true,
+	"SpecDiscarded":   true,
 	"SpecDepth":       true,
 	"LiveComputeTime": true,
 	"LiveSteals":      true,
@@ -87,8 +89,9 @@ func StatsEqual(t *testing.T, label string, des, par *async.RunStats) {
 // stats or converged state.
 func CheckParallelMatchesDES(t *testing.T, stalenesses []int, run Runner) {
 	t.Helper()
-	for _, cfg := range Presets() {
-		for _, s := range stalenesses {
+	var kept, discarded int64
+	for i, cfg := range Presets() {
+		for j, s := range stalenesses {
 			opt := async.Options{Staleness: s}
 			opt.Executor = async.DES
 			desStats, desState := run(t, cfg, opt)
@@ -99,7 +102,22 @@ func CheckParallelMatchesDES(t *testing.T, stalenesses []int, run Runner) {
 			if !reflect.DeepEqual(desState, parState) {
 				t.Fatalf("%s: converged state diverged between executors", label)
 			}
+			if i+j == 0 {
+				// What is speculated, kept and discarded is decided from
+				// virtual-time state: a second run must count the same.
+				if again, _ := run(t, cfg, opt); again.Speculated != parStats.Speculated ||
+					again.SpecDiscarded != parStats.SpecDiscarded || again.SpecDepth != parStats.SpecDepth {
+					t.Fatalf("%s: a second parallel run kept %d, discarded %d, depth %d; the first %d, %d, %d", label,
+						again.Speculated, again.SpecDiscarded, again.SpecDepth, parStats.Speculated, parStats.SpecDiscarded, parStats.SpecDepth)
+				}
+			}
+			t.Logf("%s: %d steps, %d speculations kept, %d discarded", label, parStats.Steps, parStats.Speculated, parStats.SpecDiscarded)
+			kept += parStats.Speculated
+			discarded += parStats.SpecDiscarded
 		}
+	}
+	if kept == 0 || discarded == 0 {
+		t.Fatalf("%d speculations kept and %d discarded over the whole sweep; parity says nothing about the commit or the undo path", kept, discarded)
 	}
 }
 
@@ -336,6 +354,7 @@ func checkTracedPair(t *testing.T, label string, cfg *cluster.Config, opt async.
 func CheckTraceInert(t *testing.T, stalenesses []int, tol float64, dist func(des, live any) float64, run Runner) {
 	t.Helper()
 	presets := []*cluster.Config{cluster.EC2LargeCluster(), cluster.HPCCluster()}
+	discards := 0
 	for _, cfg := range presets {
 		for _, s := range stalenesses {
 			for _, ex := range []async.Executor{async.DES, async.Parallel} {
@@ -345,13 +364,21 @@ func CheckTraceInert(t *testing.T, stalenesses []int, tol float64, dist func(des
 				assertKinds(t, label, rec, trace.KindStepStart, trace.KindStepEnd, trace.KindPublish)
 				if ex == async.Parallel {
 					assertKinds(t, label, rec, trace.KindSpecDispatch, trace.KindSpecCommit)
+					for _, e := range rec.Events() {
+						if e.Kind == trace.KindSpecInvalidate {
+							discards++
+						}
+					}
 				}
 			}
 		}
 	}
+	if discards == 0 {
+		t.Fatalf("no traced parallel run discarded a speculation; %v coverage is vacuous", trace.KindSpecInvalidate)
+	}
 
 	// Crash leg: crashes + checkpoints on both executors; under the
-	// parallel executor recovery invalidates in-flight speculation, the
+	// parallel executor recovery takes back in-flight speculation, the
 	// hardest interleaving the hooks ride along with.
 	cfg := cluster.EC2LargeCluster()
 	s := stalenesses[len(stalenesses)-1]
@@ -555,5 +582,90 @@ func assertKinds(t *testing.T, label string, rec *trace.Recorder, kinds ...trace
 		if !found {
 			t.Fatalf("%s: trace captured no %v events (%d total); kind coverage is vacuous", label, k, len(events))
 		}
+	}
+}
+
+// UndoWorkload is what an adapter hands CheckUndo.
+type UndoWorkload[D any] interface {
+	async.Undoable[D]
+	async.Recoverable[D]
+}
+
+// CheckUndo pins the async.Undoable contract on one adapter. Two copies
+// of a job (fresh builds one) step through lockstep rounds on what their
+// neighbors published up to the round before. Copy b makes each step
+// alone. Copy a first does what the parallel executor does to a
+// speculation that read stale input — save, step on the version-0
+// snapshots, undo — then has its per-step scratch overwritten by poison
+// with values no step can use unnoticed, then steps: outcome and every
+// field a checkpoint captures (the residual is one) must agree bit for
+// bit. One undo buffer serves all partitions in turn, as the executor's
+// slots do. With ckpt, a is checkpointed after the rounds and goes on
+// alone, through more save-step-undo cycles than any buffer rotation is
+// long; restoring must bring it back to where b still is — undo built on
+// Checkpoint, whose snapshot has a single holder (async.Recoverable),
+// fails here.
+func CheckUndo[D any](t *testing.T, fresh func() UndoWorkload[D], poison func(w UndoWorkload[D], p int), ckpt bool) {
+	t.Helper()
+	const rounds = 4
+	a, b := fresh(), fresh()
+	first := make([]async.Snapshot[D], a.Parts())
+	for p := range first {
+		first[p].Part = p
+		first[p].Data, _ = a.Init(p)
+	}
+	last, next := slices.Clone(first), slices.Clone(first)
+	read := func(from []async.Snapshot[D], p int) (in []async.Snapshot[D]) {
+		for _, q := range a.Neighbors(p) {
+			in = append(in, from[q])
+		}
+		return in
+	}
+	same := func(p int, when string) {
+		t.Helper()
+		ca, _ := a.Checkpoint(p)
+		cb, _ := b.Checkpoint(p)
+		if !reflect.DeepEqual(ca, cb) {
+			t.Fatalf("partition %d, %s: state differs from the lone steps'", p, when)
+		}
+	}
+	var buf any
+	var ckpts []any
+	undone := 0
+	for step := 0; step < rounds+3; step++ {
+		for p := range first {
+			buf = a.SaveUndo(p, buf)
+			if out := a.Step(p, step, read(first, p)); out.Publish || !out.Quiescent {
+				undone++ // the stale step did something worth undoing
+			}
+			a.Restore(p, buf)
+			poison(a, p)
+			got := a.Step(p, step, read(last, p))
+			if step >= rounds {
+				continue // a goes on alone
+			}
+			if want := b.Step(p, step, read(last, p)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("partition %d step %d: outcome after undo differs from the lone step's", p, step)
+			} else if want.Publish {
+				next[p].Version, next[p].Data = last[p].Version+1, want.Data
+			}
+			same(p, "undone and stepped")
+		}
+		copy(last, next)
+		if step == rounds-1 {
+			if undone == 0 {
+				t.Fatal("no stale step changed anything; the undo was never needed")
+			} else if !ckpt {
+				return
+			}
+			for p := range first {
+				c, _ := a.Checkpoint(p)
+				ckpts = append(ckpts, c)
+			}
+		}
+	}
+	for p, c := range ckpts {
+		a.Restore(p, c)
+		same(p, "checkpoint restored")
 	}
 }

@@ -34,6 +34,14 @@ func TestStatsEqualCoversEveryField(t *testing.T) {
 			t.Errorf("ExecutorSpecificStats exempts %q, which is not a RunStats field (stale exemption?)", name)
 		}
 	}
+	// The speculation counters say how the parallel executor ran, not what
+	// the run computed: the benchmark's correctness gate compares every
+	// field not listed against a DES run, which reports all three as zero.
+	for _, name := range []string{"Speculated", "SpecDiscarded", "SpecDepth"} {
+		if !ExecutorSpecificStats[name] {
+			t.Errorf("RunStats.%s is not exempt: a parallel run could never equal its DES reference", name)
+		}
+	}
 
 	// SeriesStats (the series-inertness exemptions) is held to the same
 	// no-stale-names contract, and must stay disjoint from the parity
@@ -68,6 +76,7 @@ func TestStatsEqualDetectsDivergence(t *testing.T) {
 	// Exempt fields may diverge freely.
 	a, b := base(), base()
 	b.Speculated = 99
+	b.SpecDiscarded = 5
 	b.SpecDepth = 7
 	StatsEqual(t, "exempt-divergence", a, b)
 

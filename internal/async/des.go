@@ -7,9 +7,7 @@ package async
 // executor is required to reproduce its virtual-time results exactly —
 // and preserves the original engine's behavior bit for bit: same event
 // order, same stochastic draw order, same floating-point operation
-// order. It leaves the core's speculation tracking disabled (core.track
-// stays false), so the dependency-aware admission bookkeeping costs the
-// DES nothing beyond the pending-event mirror.
+// order.
 type desScheduler[D any] struct {
 	*core[D]
 }

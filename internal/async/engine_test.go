@@ -13,6 +13,10 @@ type toy struct {
 	neighbors func(p int) []int
 	init      func(p int) (int64, int64)
 	step      func(p, step int, inputs []Snapshot[int64]) StepOutcome[int64]
+	// state is everything a partition's step closure carries from one
+	// step to the next, one word per partition (nil: nothing) — what
+	// makes the toy Undoable, so the parallel executor speculates it.
+	state []int64
 }
 
 func (t *toy) Parts() int                { return t.parts }
@@ -20,6 +24,19 @@ func (t *toy) Neighbors(p int) []int     { return t.neighbors(p) }
 func (t *toy) Init(p int) (int64, int64) { return t.init(p) }
 func (t *toy) Step(p, step int, inputs []Snapshot[int64]) StepOutcome[int64] {
 	return t.step(p, step, inputs)
+}
+
+func (t *toy) SaveUndo(p int, _ any) any {
+	if t.state == nil {
+		return nil
+	}
+	return t.state[p]
+}
+
+func (t *toy) Restore(p int, buf any) {
+	if t.state != nil {
+		t.state[p] = buf.(int64)
+	}
 }
 
 func quietCluster() *cluster.Cluster {
@@ -41,6 +58,7 @@ func maxProp(vals []int64) *toy {
 	return &toy{
 		parts:     n,
 		neighbors: ring(n),
+		state:     vals,
 		init:      func(p int) (int64, int64) { return vals[p], 1 << 10 },
 		step: func(p, step int, inputs []Snapshot[int64]) StepOutcome[int64] {
 			changed := false
@@ -91,6 +109,7 @@ func counter(n int, target int, opsOf func(p int) int64) *toy {
 	return &toy{
 		parts:     n,
 		neighbors: ring(n),
+		state:     cnt,
 		init:      func(p int) (int64, int64) { return 0, 1 << 10 },
 		step: func(p, step int, inputs []Snapshot[int64]) StepOutcome[int64] {
 			if cnt[p] >= int64(target) {

@@ -8,10 +8,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
-// statsEqual compares every virtual-time field of two runs. Speculated
-// is the one executor-specific observability counter and is excluded.
+// statsEqual compares every virtual-time field of two runs. The
+// speculation counters are executor-specific observability and excluded.
 func statsEqual(t *testing.T, label string, des, par *RunStats) {
 	t.Helper()
 	if des.Steps != par.Steps || des.Publishes != par.Publishes ||
@@ -31,8 +32,8 @@ func statsEqual(t *testing.T, label string, des, par *RunStats) {
 
 // parityClusters are the cost models the executor parity contract runs
 // on: the noisy cloud testbed (stochastic draw order), the cross-rack
-// variant, and the HPC interconnect whose microsecond publish floor is
-// the hard case for dependency-aware admission.
+// variant, and the HPC interconnect, whose microsecond publish latency
+// makes a speculated step's inputs stale most often.
 func parityClusters() []*cluster.Config {
 	noisy := cluster.EC2LargeCluster()
 	noisy.FailureProb = 0.05
@@ -82,7 +83,7 @@ func TestParallelMatchesDES(t *testing.T) {
 	}
 }
 
-// TestParallelSpeculates: with several same-speed workers, admission
+// TestParallelSpeculates: with several same-speed workers, the executor
 // must actually dispatch concurrent steps — a parallel executor that
 // never speculates (or only ever pre-executes the imminent head event,
 // SpecDepth 1) is just a slower DES.
@@ -111,29 +112,25 @@ func TestParallelSpeculates(t *testing.T) {
 	}
 }
 
-// TestParallelSpeculationDepthHPC pins the tentpole claim of
-// dependency-aware admission: on a cluster whose publish floor is
-// microseconds (HPC preset), the old global-window rule could only ever
-// dispatch the head event (depth ~1), while the per-neighbor rule must
-// keep every independent partition in flight. With a ring of uniform
-// workers and staleness high enough not to gate, every partition's step
-// is independent of its neighbors' pending events one round out, so the
-// depth must reach the partition count on the EC2 *and* the HPC floor.
+// TestParallelSpeculationDepthHPC: how many steps are in flight is a
+// matter of the pool size, not of the cost model. On a cluster whose
+// publish latency is microseconds (HPC preset) a rule that waits for a
+// step's inputs to be provably final can only ever dispatch the head
+// event (depth ~1); validated speculation keeps the window full there as
+// on EC2. Measured with four pool goroutines (window 12) on this ring of
+// eight: depth 8 on both presets, 24 of 208 steps discarded on HPC, 7 of
+// 213 on EC2.
 func TestParallelSpeculationDepthHPC(t *testing.T) {
 	uniform := func(int) int64 { return 1e6 }
 	depth := func(cfg *cluster.Config) int {
-		stats, err := Run(cluster.New(cfg), counter(8, 25, uniform), Options{Staleness: 4, Executor: Parallel})
+		stats, err := Run(cluster.New(cfg), counter(8, 25, uniform), Options{Staleness: 4, Executor: Parallel, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		return stats.SpecDepth
 	}
-	hpcCfg := cluster.HPCCluster()
-	if hpc, ec2 := depth(hpcCfg), depth(cluster.EC2LargeCluster()); hpc < ec2/2 || hpc < 4 {
-		t.Fatalf("speculation depth collapsed on the HPC floor: hpc=%d ec2=%d", hpc, ec2)
-	}
-	if floor := cluster.New(hpcCfg).AsyncPublishFloor(); floor > 50*simtime.Microsecond {
-		t.Fatalf("HPC publish floor %v no longer tiny; test premise broken", floor)
+	if hpc, ec2 := depth(cluster.HPCCluster()), depth(cluster.EC2LargeCluster()); hpc < ec2/2 || hpc < 4 {
+		t.Fatalf("speculation depth collapsed on the HPC preset: hpc=%d ec2=%d", hpc, ec2)
 	}
 }
 
@@ -151,13 +148,16 @@ func TestParallelStepConcurrencyContract(t *testing.T) {
 	w := &toy{
 		parts:     parts,
 		neighbors: ring(parts),
+		state:     cnt,
 		init:      func(p int) (int64, int64) { return 0, 1 << 10 },
 		step: func(p, step int, inputs []Snapshot[int64]) StepOutcome[int64] {
 			if inFlight[p].Add(1) != 1 {
 				t.Errorf("partition %d stepped concurrently with itself", p)
 			}
-			if int32(step) != lastStep[p].Load() {
-				t.Errorf("partition %d ran step %d after %d", p, step, lastStep[p].Load())
+			// In step order, except that a discarded speculation's step
+			// comes round once more.
+			if last := lastStep[p].Load(); int32(step) != last && int32(step) != last-1 {
+				t.Errorf("partition %d ran step %d after %d", p, step, last-1)
 			}
 			lastStep[p].Store(int32(step) + 1)
 			for i := 0; i < 2000; i++ { // linger to widen any overlap window
@@ -196,6 +196,7 @@ func sleepToy(n, target int, d time.Duration) *toy {
 	return &toy{
 		parts:     n,
 		neighbors: ring(n),
+		state:     cnt,
 		init:      func(p int) (int64, int64) { return 0, 1 << 10 },
 		step: func(p, step int, inputs []Snapshot[int64]) StepOutcome[int64] {
 			time.Sleep(d)
@@ -240,13 +241,12 @@ func TestParallelOverlapScales(t *testing.T) {
 	}
 }
 
-// TestParallelOverlapHPC is the wall-clock half of the dependency-aware
-// admission claim: on the HPC preset the publish floor is ~36µs — far
-// below the inter-event spacing — so the old global window admitted at
-// most the head event and the executor degenerated to a serial DES with
-// extra bookkeeping. Per-neighbor admission must keep real overlap: the
-// same blocking-step workload must beat the DES by 2x even with the
-// tiny floor.
+// TestParallelOverlapHPC is the wall-clock half of
+// TestParallelSpeculationDepthHPC: on the HPC preset a publication is
+// visible ~36µs after the step that made it — far below the inter-event
+// spacing — so more speculations read stale input and are rerun inline.
+// Enough must still commit for real overlap: the same blocking-step
+// workload must beat the DES by 2x there too.
 func TestParallelOverlapHPC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based")
@@ -266,8 +266,8 @@ func TestParallelOverlapHPC(t *testing.T) {
 		t.Fatalf("executors diverged: %+v vs %+v", desStats, parStats)
 	}
 	if parWall*2 >= desWall {
-		t.Fatalf("no overlap on the HPC publish floor: DES %v, parallel(4) %v (depth %d)",
-			desWall, parWall, parStats.SpecDepth)
+		t.Fatalf("no overlap on the HPC preset: DES %v, parallel(4) %v (depth %d, %d of %d steps discarded)",
+			desWall, parWall, parStats.SpecDepth, parStats.SpecDiscarded, parStats.Steps)
 	}
 }
 
@@ -306,4 +306,271 @@ func TestParallelWorkerCap(t *testing.T) {
 			t.Fatalf("workers=%d changed results: %+v vs %+v", workers, stats, base)
 		}
 	}
+}
+
+// plain hides whatever else a workload implements: the parallel executor
+// sees a Workload and nothing more.
+type plain struct{ Workload[int64] }
+
+// TestParallelWithoutUndoRunsInline: a workload that cannot take a step
+// back is never speculated — there is no second, proof-based admission
+// path — and still runs to the DES's result.
+func TestParallelWithoutUndoRunsInline(t *testing.T) {
+	uniform := func(int) int64 { return 1e5 }
+	des, err := Run(quietCluster(), counter(6, 25, uniform), Options{Staleness: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Run(quietCluster(), plain{counter(6, 25, uniform)}, Options{Staleness: 2, Executor: Parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsEqual(t, "plain", des, par)
+	if par.Speculated != 0 || par.SpecDiscarded != 0 || par.SpecDepth != 0 {
+		t.Fatalf("a workload without undo was speculated: %+v", par)
+	}
+}
+
+// TestParallelSpeculationDeterministic: what is dispatched, kept and
+// discarded is decided from virtual-time state, so the counters repeat
+// run for run whatever the pool's timing was (CI runs this at -cpu 1,4
+// under the race detector, which perturbs it plenty).
+func TestParallelSpeculationDeterministic(t *testing.T) {
+	hetero := func(p int) int64 { return int64(1e4 * (1 + p)) }
+	var first *RunStats
+	for i := 0; i < 5; i++ {
+		st, err := Run(cluster.New(cluster.HPCCluster()), counter(8, 30, hetero),
+			Options{Staleness: 2, Executor: Parallel, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = st
+			if st.Speculated == 0 || st.SpecDiscarded == 0 {
+				t.Fatalf("want both outcomes in the run, got %d kept, %d discarded", st.Speculated, st.SpecDiscarded)
+			}
+		} else if st.Speculated != first.Speculated || st.SpecDiscarded != first.SpecDiscarded || st.SpecDepth != first.SpecDepth {
+			t.Fatalf("run %d: kept/discarded/depth %d/%d/%d, first run %d/%d/%d", i,
+				st.Speculated, st.SpecDiscarded, st.SpecDepth, first.Speculated, first.SpecDiscarded, first.SpecDepth)
+		}
+	}
+}
+
+// chain builds a toy over explicit neighbor lists. A partition with a
+// bigger input starts later, which is how the discard cases order their
+// events; state is the steps' whole cross-step state.
+func chain(nbrs [][]int, inputBytes, state []int64, step func(p, step int, in []Snapshot[int64]) StepOutcome[int64]) *toy {
+	return &toy{
+		parts:     len(nbrs),
+		neighbors: func(p int) []int { return nbrs[p] },
+		state:     state,
+		init:      func(p int) (int64, int64) { return state[p], inputBytes[p] },
+		step:      step,
+	}
+}
+
+// adopt is the max-propagation step over state: publish on change, then
+// rest.
+func adopt(state []int64, p int, in []Snapshot[int64], ops int64) StepOutcome[int64] {
+	changed := false
+	for _, s := range in {
+		if s.Data > state[p] {
+			state[p], changed = s.Data, true
+		}
+	}
+	return StepOutcome[int64]{Publish: changed, Data: state[p], Bytes: 8, Ops: ops, LocalIters: 1, Quiescent: true}
+}
+
+// TestParallelDiscards covers what can become of a speculation other than
+// being committed as it is. Every case that runs to the end must leave
+// the DES's state and stats behind.
+func TestParallelDiscards(t *testing.T) {
+	const late = 1 << 30 // input bytes: starts seconds after a 1 KB partition
+	kinds := func(rec *trace.Recorder, part int, kind trace.Kind) (evs []trace.Event) {
+		for _, e := range rec.Events() {
+			if int(e.Part) == part && e.Kind == kind {
+				evs = append(evs, e)
+			}
+		}
+		return evs
+	}
+
+	// Partition 1 reads partition 0 and starts long after 0's first
+	// publication is visible, but its step 0 is dispatched beside 0's, at
+	// the first Admit, on version 0: stale, and the step says so by
+	// panicking. The panic must go with the discard.
+	t.Run("stale input, its panic discarded with it", func(t *testing.T) {
+		run := func(ex Executor) ([]int64, *RunStats) {
+			state := []int64{3, 1}
+			w := chain([][]int{{}, {0}}, []int64{1 << 10, late}, state,
+				func(p, step int, in []Snapshot[int64]) StepOutcome[int64] {
+					if p == 0 && step == 0 {
+						state[0] = 9
+						return StepOutcome[int64]{Publish: true, Data: 9, Bytes: 8, Ops: 10, LocalIters: 1, Quiescent: true}
+					}
+					if p == 1 && in[0].Version == 0 {
+						state[1] = -1
+						panic("stepped on stale input")
+					}
+					return adopt(state, p, in, 10)
+				})
+			st, err := Run(quietCluster(), w, Options{Staleness: Unbounded, Executor: ex, Workers: 2})
+			if err != nil {
+				t.Fatalf("%v: %v", ex, err)
+			}
+			return state, st
+		}
+		desState, des := run(DES)
+		parState, par := run(Parallel)
+		statsEqual(t, "stale", des, par)
+		if !reflect.DeepEqual(desState, parState) || parState[1] != 9 {
+			t.Fatalf("state %v, DES %v", parState, desState)
+		}
+		if par.SpecDiscarded != 1 {
+			t.Fatalf("%d speculations discarded, want partition 1's step 0", par.SpecDiscarded)
+		}
+	})
+
+	// Partition 0's step 0 panics on the inputs it is meant to have: the
+	// speculation is committed, and the run fails as it does under DES.
+	// Partition 1's step was dispatched beside it and is still in flight;
+	// Close must wait for it and take it back.
+	t.Run("committed, its panic fails the run", func(t *testing.T) {
+		state := []int64{3, 1}
+		var running atomic.Int32
+		w := chain([][]int{{}, {0}}, []int64{1 << 10, late}, state,
+			func(p, step int, in []Snapshot[int64]) StepOutcome[int64] {
+				if p == 0 {
+					panic("boom")
+				}
+				running.Add(1)
+				defer running.Add(-1)
+				state[1] = 7
+				return StepOutcome[int64]{Ops: 10, LocalIters: 1, Quiescent: true}
+			})
+		_, err := Run(quietCluster(), w, Options{Staleness: Unbounded, Executor: Parallel, Workers: 2})
+		if err == nil || err.Error() != "async: partition 0 step 0 panicked: boom" {
+			t.Fatalf("error %v, want partition 0's panic", err)
+		}
+		if running.Load() != 0 || state[1] != 1 {
+			t.Fatalf("after Run returned: %d steps running, partition 1's state %d (want 0 and 1: undone)", running.Load(), state[1])
+		}
+	})
+
+	// A speculation outlives its partition's gate park. Partition 2 reads
+	// 1, which reads 0; S = 0. Partition 1 rests at once, so when 2's step
+	// 1 is dispatched the gate lets it through on the settled exemption,
+	// reading 1 at version 0. Then 0 — started late, and slow — publishes
+	// and wakes 1; 2's event pops while 1 is awake and behind: parked, its
+	// speculation still in flight. 1 publishes and releases 2, whose
+	// canonical read now sees version 1: discarded, rerun.
+	t.Run("gate-parked with a speculation in flight", func(t *testing.T) {
+		c := quietCluster()
+		gap := c.DFSReadCost(late, true) - c.DFSReadCost(1<<10, true) // 0 starts this long after 2
+		rate := c.Config().ComputeRate
+		run := func(ex Executor, rec *trace.Recorder) ([]int64, *RunStats) {
+			state := []int64{0, 0, 0}
+			w := chain([][]int{{}, {0}, {1}}, []int64{late, 1 << 10, 1 << 10}, state,
+				func(p, step int, in []Snapshot[int64]) StepOutcome[int64] {
+					switch {
+					case p == 0: // publishes 5, a thousand seconds after it started
+						state[0] = 5
+						return StepOutcome[int64]{Publish: true, Data: 5, Bytes: 8, Ops: int64(1000 * rate), LocalIters: 1, Quiescent: true}
+					case p == 2 && step == 0: // still busy when 0 starts, done long before 0 is
+						state[2] = 1
+						return StepOutcome[int64]{Publish: true, Data: 1, Bytes: 8, Ops: int64((float64(gap) + 10) * rate), LocalIters: 1}
+					}
+					return adopt(state, p, in, 10)
+				})
+			st, err := Run(quietCluster(), w, Options{Staleness: 0, Executor: ex, Workers: 2, Trace: rec})
+			if err != nil {
+				t.Fatalf("%v: %v", ex, err)
+			}
+			return state, st
+		}
+		desState, des := run(DES, nil)
+		rec := trace.NewRecorder(1 << 10)
+		parState, par := run(Parallel, rec)
+		statsEqual(t, "parked", des, par)
+		if !reflect.DeepEqual(desState, parState) || !reflect.DeepEqual(parState, []int64{5, 5, 5}) {
+			t.Fatalf("state %v, DES %v", parState, desState)
+		}
+		disp, park, inv := kinds(rec, 2, trace.KindSpecDispatch), kinds(rec, 2, trace.KindGateBegin), kinds(rec, 2, trace.KindSpecInvalidate)
+		if len(park) != 1 || len(inv) != 1 || len(disp) < 2 || disp[1].Step != 1 || inv[0].Step != 1 {
+			t.Fatalf("partition 2: dispatches %+v, parks %+v, discards %+v; want step 1 dispatched, parked once, discarded once", disp, park, inv)
+		}
+		if !(disp[1].Vt <= park[0].Vt && park[0].Vt < inv[0].Vt) {
+			t.Fatalf("partition 2 step 1: dispatched for %v, parked at %v, discarded at %v; want in that order", disp[1].Vt, park[0].Vt, inv[0].Vt)
+		}
+		if inv[0].Arg1 != 1 || inv[0].Arg2 != 1<<32|0 {
+			t.Fatalf("discard blames neighbor %d, versions %#x; want neighbor 1 read at version 1, speculated on 0", inv[0].Arg1, inv[0].Arg2)
+		}
+	})
+
+	// The run ends under its speculations. The phase loop cannot end that
+	// way on its own — a partition that is force-stopped, or parked for
+	// good, has no event pending and so no speculation — but a caller
+	// driving the phases can stop early, and an aborted run does. Finish
+	// must wait for what is in flight and take it back before it reads the
+	// partitions.
+	t.Run("run ended under it", func(t *testing.T) {
+		uniform := func(int) int64 { return 1e5 }
+		w := counter(8, 25, uniform)
+		var running atomic.Int32
+		inner := w.step
+		w.step = func(p, step int, in []Snapshot[int64]) StepOutcome[int64] {
+			running.Add(1)
+			defer running.Add(-1)
+			return inner(p, step, in)
+		}
+		s, err := NewScheduler[int64](quietCluster(), w, Options{Staleness: 2, Executor: Parallel, Workers: 2, MaxSteps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, ok := s.Admit(); !ok {
+			t.Fatal("nothing admitted")
+		}
+		st, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SpecDepth == 0 || st.SpecDiscarded != int64(st.SpecDepth) || st.Speculated != 0 {
+			t.Fatalf("depth %d, %d discarded, %d kept; want every dispatched step discarded", st.SpecDepth, st.SpecDiscarded, st.Speculated)
+		}
+		if running.Load() != 0 || !reflect.DeepEqual(w.state, make([]int64, 8)) {
+			t.Fatalf("after Finish: %d steps running, state %v; want none and nothing stepped", running.Load(), w.state)
+		}
+	})
+
+	// A crash takes back the crashed worker's own speculation before
+	// recovery restores and replays (the discard names no neighbor).
+	t.Run("crashed", func(t *testing.T) {
+		cfg := crashyCluster(cluster.HPCCluster(), 200*simtime.Millisecond)
+		run := func(ex Executor, rec *trace.Recorder) ([]int64, *RunStats) {
+			w := newRecCounter(t, 8, 25, func(int) int64 { return 1e6 })
+			w.strict = ex == DES
+			st, err := Run(cluster.New(cfg), w, Options{Staleness: 4, Executor: ex, Workers: 4, Trace: rec})
+			if err != nil {
+				t.Fatalf("%v: %v", ex, err)
+			}
+			return w.cnt, st
+		}
+		desState, des := run(DES, nil)
+		rec := trace.NewRecorder(1 << 14)
+		parState, par := run(Parallel, rec)
+		statsEqual(t, "crashed", des, par)
+		if !reflect.DeepEqual(desState, parState) {
+			t.Fatalf("state %v, DES %v", parState, desState)
+		}
+		crashed := 0
+		for _, e := range rec.Events() {
+			if e.Kind == trace.KindSpecInvalidate && e.Arg1 == -1 {
+				crashed++
+			}
+		}
+		if crashed == 0 || par.Crashes == 0 {
+			t.Fatalf("%d crashes, %d of them under a speculation in flight; the case was not exercised", par.Crashes, crashed)
+		}
+	})
 }

@@ -19,13 +19,12 @@ import (
 //
 // The strict oracle is sound only under DES, where every re-invocation
 // of a step index is a genuine replay. Under the parallel executor a
-// crash discards the crashed worker's in-flight speculation, and the
-// later canonical run of that step index legitimately reads fresher
-// inputs at the recovered (later) clock — a conforming Step is a pure
-// function of (p, step, inputs) and restored state, so the superseded
-// call is invisible, but the fingerprints differ by design. Parallel
-// runs therefore record without checking, and correctness is pinned by
-// exact DES/parallel parity of final state and stats instead.
+// discarded speculation ran the step index on inputs the canonical run
+// legitimately does not read — a conforming Step is a pure function of
+// (p, step, inputs) and the undone state, so the superseded call is
+// invisible, but the fingerprints differ by design. Parallel runs
+// therefore record without checking, and correctness is pinned by exact
+// DES/parallel parity of final state and stats instead.
 type recCounter struct {
 	t      *testing.T
 	n      int
@@ -86,6 +85,7 @@ func (w *recCounter) Step(p, step int, inputs []Snapshot[int64]) StepOutcome[int
 
 func (w *recCounter) Checkpoint(p int) (any, int64) { return w.cnt[p], 64 }
 func (w *recCounter) Restore(p int, state any)      { w.cnt[p] = state.(int64) }
+func (w *recCounter) SaveUndo(p int, _ any) any     { return w.cnt[p] }
 
 // crashyCluster returns a preset with worker crashes enabled at the
 // given MTTF, on top of the full stochastic noise (stragglers and
@@ -248,9 +248,9 @@ func TestCheckpointPolicyTradeoff(t *testing.T) {
 }
 
 // TestCrashDuringSpeculation drives crashes into the parallel executor
-// at a scale where speculation is active, pinning that invalidation
-// (the crashed worker's in-flight pre-execution is discarded, its step
-// re-run inline at the recovered clock) preserves exact parity.
+// at a scale where speculation is active, pinning that taking back the
+// crashed worker's in-flight speculation (waited for and undone before
+// recovery restores and replays) preserves exact parity.
 func TestCrashDuringSpeculation(t *testing.T) {
 	cfg := crashyCluster(cluster.HPCCluster(), 200*simtime.Millisecond)
 	uniform := func(int) int64 { return 1e6 }

@@ -24,11 +24,11 @@
 // The scheduling core is mode-agnostic (Scheduler); two executors
 // implement it. DES (des.go) runs every step inline on the scheduling
 // goroutine — the original sequential discrete-event mode. Parallel
-// (parallel.go) pre-executes provably independent steps on real
-// goroutines using dependency-aware admission (only the publications of
-// the partitions a step actually reads can invalidate it), overlapping
-// worker compute on real cores while producing virtual-time results
-// identical to DES.
+// (parallel.go) runs the next few steps early on real goroutines with
+// the inputs visible so far, keeps each one whose inputs turn out to be
+// the ones the event-ordered read makes and undoes and reruns the rest,
+// overlapping worker compute on real cores while producing virtual-time
+// results identical to DES.
 //
 // The package is the heart of the deterministic engine core, and its
 // contracts are machine-checked by cmd/asynclint: no wall-clock reads,
@@ -67,9 +67,10 @@ const (
 	// DES runs every step inline on the scheduling goroutine in strict
 	// virtual-time order: the original deterministic discrete-event mode.
 	DES Executor = iota
-	// Parallel pre-executes provably independent steps on real goroutines
-	// (dependency-aware admission), keeping virtual-time results identical
-	// to DES while wall-clock work overlaps across cores.
+	// Parallel runs upcoming steps early on real goroutines and validates
+	// each against the event-ordered read (validate or undo), keeping
+	// virtual-time results identical to DES while wall-clock work overlaps
+	// across cores.
 	Parallel
 	// Live runs the actual partition compute on a work-stealing goroutine
 	// pool with costs *measured* by wall clock instead of drawn from the
@@ -175,9 +176,9 @@ type StepOutcome[D any] struct {
 // inputs slice past the call (the runtime reuses per-partition input
 // buffers; the snapshots' Data values stay immutable and may be kept).
 // The parallel executor relies on this: it may run Step for different
-// partitions concurrently, and it may run a step long before its
-// virtual timestamp is reached, whenever dependency-aware admission
-// proves the inputs final.
+// partitions concurrently, and — for a workload that is also Undoable —
+// it may run a step before its virtual timestamp is reached, on inputs
+// that later prove stale, and then take the step back.
 type Workload[D any] interface {
 	// Parts returns the number of partitions (= workers).
 	Parts() int
@@ -212,11 +213,41 @@ type Recoverable[D any] interface {
 	// Checkpoint returns an opaque snapshot of partition p's local state
 	// plus its serialized size in bytes (pricing the DFS write and the
 	// recovery read). The snapshot must be immutable: later steps must
-	// not mutate what it captures.
+	// not mutate what it captures. It has a single holder: the scheduler
+	// keeps only the latest checkpoint of a partition, so an
+	// implementation may recycle the snapshot handed out two calls ago
+	// (K-Means and CC do). A second caller would silently corrupt
+	// recovery — which is why Undoable saves into buffers of its own.
 	Checkpoint(p int) (state any, bytes int64)
 	// Restore resets partition p's local state to a snapshot previously
 	// returned by Checkpoint.
 	Restore(p int, state any)
+}
+
+// Undoable extends Workload with a one-step undo, the hook the parallel
+// executor's optimistic speculation needs: it runs a step on the inputs
+// visible so far and, when the event-ordered read later sees other
+// versions, takes the step back and reruns it. A workload without the
+// pair runs every step inline under the parallel executor.
+//
+// Between SaveUndo(p, ...) and the matching Restore exactly one
+// Step(p, ...) runs — or panics part-way — and nothing else touches
+// partition p. After Restore, everything a later Step, Checkpoint or
+// Residual reads must be, bit for bit, what it was at SaveUndo; scratch a
+// Step rebuilds before reading it need not be saved. The buffers are the
+// executor's, never the checkpoint's: see Recoverable.Checkpoint.
+type Undoable[D any] interface {
+	Workload[D]
+	// SaveUndo copies partition p's cross-step state into buf and returns
+	// it. buf is nil, or a buffer an earlier SaveUndo — of any partition —
+	// returned and whose speculation is over: reuse its memory. It runs on
+	// the goroutine about to run p's speculated Step.
+	SaveUndo(p int, buf any) any
+	// Restore puts partition p back to the state SaveUndo(p, ...) left in
+	// buf, on the scheduling goroutine, after that Step returned. It is
+	// Recoverable's method: a workload that is both saves the record it
+	// checkpoints and has one piece of restore code.
+	Restore(p int, buf any)
 }
 
 // Progressive is an optional Workload extension for the metrics layer
@@ -272,11 +303,16 @@ type RunStats struct {
 	Duration simtime.Duration
 	// PerWorkerSteps records each worker's step count.
 	PerWorkerSteps []int
-	// Speculated counts steps satisfied by pre-execution on the parallel
-	// executor (always 0 under DES). It is an observability counter, not
-	// a virtual-time quantity: two executors producing the same run
-	// report the same stats apart from this field and SpecDepth.
-	Speculated int64
+	// Speculated counts steps satisfied by a committed speculation on the
+	// parallel executor, and SpecDiscarded the speculations taken back
+	// instead: the event-ordered read saw a version they had not, or the
+	// partition crashed or the run ended under them (both 0 under DES).
+	// They are observability counters, not virtual-time quantities: two
+	// executors producing the same run report the same stats apart from
+	// these fields and SpecDepth. They repeat run for run at a fixed pool
+	// size: both are decided from virtual-time state.
+	Speculated    int64
+	SpecDiscarded int64
 	// Crashes counts worker-crash events that struck while the run was
 	// live (the crash fault model, internal/recovery); Recoveries counts
 	// the restore+replay cycles performed — crashes of force-stopped
@@ -309,14 +345,11 @@ type RunStats struct {
 	StalenessMean float64
 	StalenessMax  int
 	// SpecDepth is the peak number of speculated steps in flight at
-	// once — the usable width of the admission window, and the upper
-	// bound on wall-clock overlap. A parallel run whose SpecDepth stays
-	// at 1 only ever pre-executes the imminent head event and degenerates
-	// to a slower DES; dependency-aware admission keeps it near the
-	// worker count even when the cluster's publish floor is tiny (HPC).
-	// Deterministic for a fixed configuration (dispatch and consumption
-	// both happen on the scheduling goroutine in event order), and
-	// independent of the pool size. Always 0 under DES.
+	// once — the upper bound on wall-clock overlap. A parallel run whose
+	// SpecDepth stays at 1 only ever pre-executes the imminent head event
+	// and degenerates to a slower DES. It is capped by a fixed number per
+	// pool goroutine, so it follows the pool size, not the cluster's cost
+	// model, and is deterministic at a fixed one. Always 0 under DES.
 	SpecDepth int
 	// LiveComputeTime is the summed measured wall-clock time pool workers
 	// spent inside Workload.Step under the live executor (always 0 under
@@ -355,7 +388,8 @@ type RunStats struct {
 //
 // Every phase method is //async:sched-only: the phases mutate
 // unsynchronized scheduling state and must stay on the single
-// scheduling goroutine (Drive's loop). Only Close is free-threaded.
+// scheduling goroutine (Drive's loop). Close comes after the last phase,
+// from that goroutine too.
 type Scheduler[D any] interface {
 	// Admit pops the next due worker event and advances that worker's
 	// local clock to the event time; ok is false once the event queue
@@ -394,7 +428,9 @@ type Scheduler[D any] interface {
 	//async:sched-only
 	Finish() (*RunStats, error)
 	// Close releases executor resources (goroutine pools). It is
-	// idempotent and must be called even when a phase returned an error.
+	// idempotent and must be called even when a phase returned an error;
+	// once it returns no executor goroutine touches workload state, and
+	// no step the run did not keep has left a mark on it.
 	Close()
 }
 
@@ -498,23 +534,12 @@ type core[D any] struct {
 	// free. Step implementations must not retain it past the call.
 	inbuf [][]Snapshot[D]
 
-	// Pending-event mirror: each worker has at most one event in the
-	// heap; pending[p]/pendingAt[p] track it so the parallel executor's
-	// dependency-aware admission can bound a neighbor's earliest possible
-	// publication without scanning the heap.
+	// Pending-event mirror: each worker has at most one live event in the
+	// heap; pending[p]/pendingAt[p] track it, so Admit can tell an entry a
+	// crash-recovery reschedule superseded and the parallel executor can
+	// pick the earliest pending steps without scanning the heap.
 	pending   []bool
 	pendingAt []simtime.Duration
-
-	// Speculation worklist, maintained only when track is set (parallel
-	// executor). A partition is marked dirty when its own pending event
-	// changes or when a partition it reads transitions (re-scheduled,
-	// published, blocked, idled, forced) — exactly the occasions its
-	// admission verdict can improve. The executor drains the list
-	// incrementally instead of rescanning the whole event heap on every
-	// frontier move.
-	track   bool
-	dirty   []int
-	inDirty []bool
 
 	// Crash fault model (inert — all nil/zero — unless the cluster sets
 	// CrashMTTF or Options carry a checkpoint policy). Crash events ride
@@ -524,7 +549,7 @@ type core[D any] struct {
 	// Recoverable view, plan the per-worker deterministic crash
 	// schedule, policy the checkpoint cadence. err carries a failure
 	// from crash handling (which runs inside Admit) to Finish. onCrash
-	// lets the parallel executor discard the crashed worker's in-flight
+	// lets the parallel executor take back the crashed worker's in-flight
 	// speculation before recovery touches its state.
 	rw         Recoverable[D]
 	plan       *recovery.Plan
@@ -536,10 +561,8 @@ type core[D any] struct {
 	// Adaptive staleness control (internal/adapt). The controller owns
 	// each worker's effective bound; the core consults it at gate
 	// bookings and step boundaries — always on the scheduling goroutine,
-	// in event order, and only while processing that worker's own
-	// phases, which is what keeps dispatched speculations and their
-	// canonical gates reading the same bound. adaptCost prices one
-	// bound change onto the worker's critical path.
+	// in event order. adaptCost prices one bound change onto the
+	// worker's critical path.
 	ctrl      *adapt.Controller
 	adaptCost simtime.Duration
 
@@ -548,14 +571,11 @@ type core[D any] struct {
 	rec *trace.Recorder
 
 	// Time-series sampler (Options.Series; nil = sampling off).
-	// Sampler ticks deliberately do NOT ride the event heap: the
-	// parallel executor's admission frontier is the heap head
-	// (speculate peeks it), so tick entries there would perturb
-	// speculation decisions and break inertness. Instead sampleAt
-	// holds the next tick's virtual time and Admit fires every due
-	// tick before popping an event — without touching stepEvents or
-	// the heap, so the canonical event sequence is bit-identical with
-	// or without a sampler on both executors. The sampler's residual
+	// Sampler ticks do not ride the event heap: sampleAt holds the next
+	// tick's virtual time and Admit fires every due tick before popping
+	// an event — without touching stepEvents, the heap or its sequence
+	// numbers, so the canonical event sequence is bit-identical with or
+	// without a sampler on both executors. The sampler's residual
 	// cache is refreshed at noteStep — the canonical step boundary — so
 	// a parallel run's sampler reads the same values DES would even
 	// while speculation runs workload steps early.
@@ -593,7 +613,6 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 		inbuf:     inbuf,
 		pending:   make([]bool, n),
 		pendingAt: make([]simtime.Duration, n),
-		inDirty:   make([]bool, n),
 		ctrl:      newController(opt, n),
 		rec:       opt.Trace,
 	}
@@ -656,10 +675,7 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 }
 
 // schedule queues partition p's next event and keeps the pending-event
-// mirror coherent. Under the parallel executor it also marks p and p's
-// readers for (re-)speculation: a fresh event makes p itself a
-// speculation candidate, and it moves p's earliest-possible-publish
-// bound, which can unblock the admission of every partition reading p.
+// mirror coherent.
 //
 //async:sched-only
 func (k *core[D]) schedule(p int, at simtime.Duration) {
@@ -667,34 +683,6 @@ func (k *core[D]) schedule(p int, at simtime.Duration) {
 	k.stepEvents++
 	k.pending[p] = true
 	k.pendingAt[p] = at
-	if k.track {
-		k.markDirty(p)
-		k.markReaders(p)
-	}
-}
-
-// markDirty enqueues p for the executor's next speculation pass.
-//
-//async:sched-only
-func (k *core[D]) markDirty(p int) {
-	if !k.inDirty[p] {
-		k.inDirty[p] = true
-		k.dirty = append(k.dirty, p)
-	}
-}
-
-// markReaders marks every partition that reads p — the reverse edge of
-// the dependency graph — because a transition of p (scheduled, blocked,
-// idled, forced) changes the admission bound those readers compute.
-//
-//async:sched-only
-func (k *core[D]) markReaders(p int) {
-	if !k.track {
-		return
-	}
-	for _, r := range k.workers[p].readers {
-		k.markDirty(r)
-	}
 }
 
 // Admit pops the next due event; see Scheduler. Crash events (IDs
@@ -715,10 +703,9 @@ func (k *core[D]) Admit() (int, bool) {
 			// Fire every sampler tick due at or before the next event —
 			// at a tie the sample is taken before the event processes —
 			// and arm the next on the fixed grid. The chain lives in
-			// sampleAt and never touches the heap (the parallel executor's
-			// admission frontier peeks its head), stepEvents, the pending
-			// mirror or the speculation worklist, so sampling is inert;
-			// once the run drains, the return above stops it.
+			// sampleAt and never touches the heap, stepEvents or the
+			// pending mirror, so sampling is inert; once the run drains,
+			// the return above stops it.
 			if head, ok := k.heap.Peek(); ok && k.sampleAt <= head.At {
 				k.stats.SeriesTicks++
 				k.recordSample(k.sampleAt)
@@ -756,12 +743,11 @@ func (k *core[D]) Admit() (int, bool) {
 // resumes exactly what it was doing: a pending step event is
 // rescheduled at the recovered clock (so the step still reads exactly
 // at the frontier — see below), a blocked or idle worker stays blocked
-// or idle with its wake times pushed past recovery. Crashes therefore
-// only ever *delay* publications, which is what keeps the parallel
-// executor's admission bounds (lower bounds on publication times)
-// sound; the one speculation a crash does invalidate — the crashed
-// worker's own, whose inputs were read at the pre-crash event time — is
-// discarded via the onCrash hook before state is touched.
+// or idle with its wake times pushed past recovery. Under the parallel
+// executor the crashed worker's own speculation is taken back via the
+// onCrash hook before state is touched (restore and replay need the
+// partition to themselves); any other the delay makes stale is caught
+// where all stale ones are, by the version comparison at its Execute.
 //
 //async:sched-only
 func (k *core[D]) handleCrash(p int, at simtime.Duration) {
@@ -866,11 +852,7 @@ func (k *core[D]) recordSample(at simtime.Duration) {
 // step while its publication counter leads the visible version of any
 // active neighbor by more than S(p). A booked wait is fed to the
 // staleness controller, whose decision (a raise probing for head-room
-// under the aimd policy) applies from p's next gate evaluation on;
-// since p's event has already been popped and any speculation for it
-// was either consumed or never dispatched (a dispatched speculation
-// implies a passing gate), the change can never invalidate in-flight
-// work.
+// under the aimd policy) applies from p's next gate evaluation on.
 //
 //async:sched-only
 func (k *core[D]) Gate(p int) bool {
@@ -899,11 +881,9 @@ func (k *core[D]) Gate(p int) bool {
 	}
 	if !exists {
 		// The needed version does not exist yet: sleep until nb publishes
-		// or settles. p loses its pending event without a re-push, so
-		// its readers' admission bounds fall back to the frontier rule.
+		// or settles.
 		k.parts[nb].gateWaiters = append(k.parts[nb].gateWaiters, p)
 		k.blocked++
-		k.markReaders(p)
 	} else {
 		// The needed version exists but becomes visible only at wakeAt:
 		// wait for it in virtual time. (A controller decision charge may
@@ -958,8 +938,8 @@ func (k *core[D]) noteStep(p int, out StepOutcome[D]) {
 }
 
 // Execute runs p's step inline on the scheduling goroutine; see
-// Scheduler. The parallel executor overrides this with a speculative
-// fast path.
+// Scheduler. The parallel executor overrides this to commit a valid
+// speculation instead.
 //
 //async:sched-only
 func (k *core[D]) Execute(p int) (StepOutcome[D], error) {
@@ -1095,9 +1075,6 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 		// and the store rejects the engine bug that tries.
 		k.store.Seal(p)
 		k.blocked -= k.releaseGateWaiters(p)
-		// A forced partition never publishes again: readers' admission
-		// bounds against it become vacuous.
-		k.markReaders(p)
 	case !out.Quiescent:
 		k.schedule(p, st.clock)
 	default:
@@ -1111,9 +1088,6 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 		} else {
 			st.idle, st.settled = true, true
 			k.blocked -= k.releaseGateWaiters(p)
-			// p now has no pending event; its readers' bounds fall back
-			// to the frontier rule and grow as the frontier advances.
-			k.markReaders(p)
 		}
 	}
 }

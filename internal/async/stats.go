@@ -45,8 +45,8 @@ func (s *RunStats) String() string {
 		s.CheckpointTime, s.RecoveryTime)
 	fmt.Fprintf(&sb, "  AdaptRaises: %d  AdaptCuts: %d  StalenessMean: %.3f  StalenessMax: %d\n",
 		s.AdaptRaises, s.AdaptCuts, s.StalenessMean, s.StalenessMax)
-	fmt.Fprintf(&sb, "  Speculated: %d  SpecDepth: %d  LiveComputeTime: %v  LiveSteals: %d\n",
-		s.Speculated, s.SpecDepth, s.LiveComputeTime, s.LiveSteals)
+	fmt.Fprintf(&sb, "  Speculated: %d  SpecDiscarded: %d  SpecDepth: %d  LiveComputeTime: %v  LiveSteals: %d\n",
+		s.Speculated, s.SpecDiscarded, s.SpecDepth, s.LiveComputeTime, s.LiveSteals)
 	fmt.Fprintf(&sb, "  SeriesTicks: %d  SeriesSamples: %d\n",
 		s.SeriesTicks, s.SeriesSamples)
 	fmt.Fprintf(&sb, "}")

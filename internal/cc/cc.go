@@ -104,11 +104,13 @@ func (w *asyncWorkload) Residual(p int) float64 { return w.states[p].lastChanged
 
 // asyncCkpt is one partition's checkpoint for the crash fault model:
 // labels, the active frontier, and the last published border labels are
-// the state that survives across steps.
+// the state that survives across steps (lastChanged for the undo buffer,
+// which is the same record: a recovery's replay rebuilds it anyway).
 type asyncCkpt struct {
-	comp    []graph.NodeID
-	active  []bool
-	lastPub []graph.NodeID
+	comp        []graph.NodeID
+	active      []bool
+	lastPub     []graph.NodeID
+	lastChanged float64
 }
 
 // Checkpoint implements async.Recoverable. It ping-pongs between two
@@ -117,12 +119,26 @@ type asyncCkpt struct {
 // two Checkpoint calls ago is unreachable and safe to overwrite.
 func (w *asyncWorkload) Checkpoint(p int) (any, int64) {
 	st := w.states[p]
-	c := &st.ckpts[st.ckptN]
+	c := w.SaveUndo(p, &st.ckpts[st.ckptN]).(*asyncCkpt)
 	st.ckptN ^= 1
+	return c, 16 + 4*int64(len(c.comp)+len(c.lastPub)) + int64(len(c.active))
+}
+
+// SaveUndo implements async.Undoable beside Restore: the cross-step state
+// in a checkpoint record of the executor's, never one of the ping-pong
+// pair. What an undone step carved from the arena was never published and
+// is simply not handed out again.
+func (w *asyncWorkload) SaveUndo(p int, buf any) any {
+	c, _ := buf.(*asyncCkpt)
+	if c == nil {
+		c = new(asyncCkpt)
+	}
+	st := w.states[p]
 	c.comp = append(c.comp[:0], st.comp...)
 	c.active = append(c.active[:0], st.active...)
 	c.lastPub = append(c.lastPub[:0], st.lastPub...)
-	return c, 16 + 4*int64(len(c.comp)+len(c.lastPub)) + int64(len(c.active))
+	c.lastChanged = st.lastChanged
+	return c
 }
 
 // Restore implements async.Recoverable: rewind to a checkpoint; replay
@@ -133,6 +149,7 @@ func (w *asyncWorkload) Restore(p int, state any) {
 	copy(st.comp, c.comp)
 	copy(st.active, c.active)
 	copy(st.lastPub, c.lastPub)
+	st.lastChanged = c.lastChanged
 }
 
 func (w *asyncWorkload) Init(p int) ([]graph.NodeID, int64) {

@@ -167,6 +167,41 @@ func asyncParityRunner(t *testing.T) asynctest.Runner {
 	}
 }
 
+// undoRig opens the adapter to asynctest.CheckUndo: next is each sweep's
+// own buffer and gets poisoned. The sweep cap leaves a frontier behind
+// for the stale steps to work on.
+func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]graph.NodeID], func(asynctest.UndoWorkload[[]graph.NodeID], int)) {
+	subs := spreadSubgraphs(t, multiComponentGraph(), 8)
+	fresh := func() asynctest.UndoWorkload[[]graph.NodeID] {
+		w, _, err := buildAsyncWorkload(subs, Config{MaxLocalIters: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	return fresh, func(w asynctest.UndoWorkload[[]graph.NodeID], p int) {
+		st := w.(*asyncWorkload).states[p]
+		st.next = st.next[:cap(st.next)]
+		for i := range st.next {
+			st.next[i] = -1
+		}
+	}
+}
+
+// TestUndoRestoresStep: a step on stale snapshots, undone, leaves the
+// partition exactly where a lone canonical step finds it.
+func TestUndoRestoresStep(t *testing.T) {
+	fresh, poison := undoRig(t)
+	asynctest.CheckUndo(t, fresh, poison, false)
+}
+
+// TestUndoLeavesCheckpointIntact: undo keeps out of the checkpoint's
+// memory, which a second Checkpoint caller would overwrite.
+func TestUndoLeavesCheckpointIntact(t *testing.T) {
+	fresh, poison := undoRig(t)
+	asynctest.CheckUndo(t, fresh, poison, true)
+}
+
 // TestAsyncParallelExecutorMatchesDES: the parity contract on every
 // cluster preset, via the shared asynctest harness.
 func TestAsyncParallelExecutorMatchesDES(t *testing.T) {

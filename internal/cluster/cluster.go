@@ -217,20 +217,6 @@ func (c *Cluster) AsyncPushCost(bytes int64) simtime.Duration {
 	return c.cfg.AsyncSyncOverhead + c.TransferCost(bytes)
 }
 
-// AsyncPublishFloor returns a lower bound on the virtual latency of any
-// asynchronous state publication under this cost model: a publishing
-// step pays at least AsyncPushCost(0) = AsyncSyncOverhead + NetLatency,
-// scaled by the worst-case straggler speedup (minStragglerFactor — a
-// "straggler" can also be a task that runs faster than nominal). This
-// bound is what makes the parallel executor's dependency-aware
-// admission sound: a pending event at time t cannot make state visible
-// earlier than t plus this floor, so a step is independent of every
-// dependency whose next event lies closer to it than the floor — and of
-// everything it does not read at all — and may execute concurrently.
-func (c *Cluster) AsyncPublishFloor() simtime.Duration {
-	return simtime.Duration(float64(c.cfg.AsyncSyncOverhead+c.cfg.NetLatency) * minStragglerFactor)
-}
-
 // CheckpointWriteCost prices one worker checkpoint in the asynchronous
 // runtime's fault model: the fixed quiesce/bookkeeping overhead plus a
 // replicated DFS write of the snapshot. Checkpoints are on the worker's
@@ -283,8 +269,9 @@ func (c *Cluster) TaskAttempts() (int, float64) {
 }
 
 // minStragglerFactor clamps how much faster than nominal a task may run
-// under straggler jitter. AsyncPublishFloor relies on this clamp to
-// lower-bound publication latency.
+// under straggler jitter (a "straggler" can also be a task that beats
+// the nominal cost). Every priced duration goes through it, so it is
+// part of every simulated time.
 const minStragglerFactor = 0.7
 
 // StragglerFactor samples the multiplicative slowdown of one task,

@@ -273,23 +273,3 @@ func TestAsyncSyncOverheadInPresets(t *testing.T) {
 		t.Fatal("negative AsyncSyncOverhead not caught")
 	}
 }
-
-// TestAsyncPublishFloor: the executor's per-edge admission bound must be
-// positive on every preset and never exceed the cost of an actual
-// publication, under any straggler draw.
-func TestAsyncPublishFloor(t *testing.T) {
-	for _, cfg := range []*Config{EC2LargeCluster(), CluECluster(), HPCCluster(), SingleNode()} {
-		cfg.StragglerJitter = 0.5 // exaggerate jitter to stress the clamp
-		c := New(cfg)
-		floor := c.AsyncPublishFloor()
-		if floor <= 0 {
-			t.Errorf("preset %s has zero publish floor: no admission window, no parallelism", cfg.Name)
-		}
-		for i := 0; i < 1000; i++ {
-			d := simtime.Duration(float64(c.AsyncPushCost(0)) * c.StragglerFactor())
-			if d < floor {
-				t.Fatalf("preset %s: publish cost %v beat the floor %v", cfg.Name, d, floor)
-			}
-		}
-	}
-}

@@ -289,10 +289,10 @@ const parallelScalingReps = 3
 // values are speedups over the DES baseline; virtual-time results are
 // verified identical across all runs, so the figure isolates pure
 // executor performance on real cores (bounded by GOMAXPROCS). The
-// SpecFrac and SpecDepth series report how much of the run the
-// dependency-aware admission pre-executed and how many steps were in
-// flight at the peak — the usable overlap, identical across worker
-// counts by construction.
+// SpecFrac and SpecDepth series report what share of the steps a kept
+// speculation satisfied and how many were in flight at the peak — the
+// usable overlap, which grows with the worker count while the kept share
+// falls off once the window spans most of the partitions.
 func (s *Suite) FigureParallelScaling() (*Figure, error) {
 	g := s.GraphA()
 	ks := s.PartitionCounts()
@@ -355,11 +355,10 @@ func (s *Suite) FigureParallelScaling() (*Figure, error) {
 }
 
 // FigureParallelScalingHPC is the cores-scaling figure on the HPC
-// preset, whose microsecond publish floor collapsed the old global
-// lookahead window (speculation depth ~1, ROADMAP item). Under
-// dependency-aware admission the SpecFrac/SpecDepth series must stay at
-// the EC2 figure's level: only *neighbor* publications gate a step, so a
-// tiny floor no longer serializes independent partitions.
+// preset, where a publication is visible microseconds after the step
+// that made it: more speculations read stale input and are rerun there,
+// but SpecDepth stays what the pool size makes it and SpecFrac near the
+// EC2 figure's level.
 func (s *Suite) FigureParallelScalingHPC() (*Figure, error) {
 	saved := s.Cluster
 	s.Cluster = cluster.HPCCluster()

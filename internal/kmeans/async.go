@@ -90,12 +90,15 @@ func (w *asyncWorkload) Residual(p int) float64 { return w.states[p].lastMovemen
 // asyncCkpt is one partition's checkpoint for the crash fault model:
 // the flat accumulator set, the flat centroid estimate, and the
 // oscillation detector's movement history (which replay re-extends
-// deterministically). The points themselves are immutable job input.
+// deterministically). The points themselves are immutable job input;
+// lastMovement is there for the undo buffer, which is the same record (a
+// recovery's replay rebuilds it anyway).
 type asyncCkpt struct {
-	accum      []float64
-	centroids  []float64
-	history    []float64
-	oscillated bool
+	accum        []float64
+	centroids    []float64
+	history      []float64
+	oscillated   bool
+	lastMovement float64
 }
 
 // Checkpoint implements async.Recoverable. It ping-pongs between two
@@ -104,12 +107,8 @@ type asyncCkpt struct {
 // two Checkpoint calls ago is unreachable and safe to overwrite.
 func (w *asyncWorkload) Checkpoint(p int) (any, int64) {
 	st := w.states[p]
-	c := &st.ckpts[st.ckptN]
+	c := w.SaveUndo(p, &st.ckpts[st.ckptN]).(*asyncCkpt)
 	st.ckptN ^= 1
-	c.accum = append(c.accum[:0], st.accum...)
-	c.centroids = append(c.centroids[:0], st.centroids...)
-	c.history = append(c.history[:0], st.history...)
-	c.oscillated = st.oscillated
 	bytes := int64(w.cfg.K)*(16+8*int64(w.dims)) + // accumulators
 		int64(w.cfg.K)*8*int64(w.dims) + // centroid estimate
 		8*int64(len(c.history)) + 16
@@ -123,7 +122,22 @@ func (w *asyncWorkload) Restore(p int, state any) {
 	copy(st.accum, c.accum)
 	copy(st.centroids, c.centroids)
 	st.history = append(st.history[:0], c.history...)
-	st.oscillated = c.oscillated
+	st.oscillated, st.lastMovement = c.oscillated, c.lastMovement
+}
+
+// SaveUndo implements async.Undoable beside Restore: the cross-step state
+// in a checkpoint record of the executor's, never one of the ping-pong pair.
+func (w *asyncWorkload) SaveUndo(p int, buf any) any {
+	c, _ := buf.(*asyncCkpt)
+	if c == nil {
+		c = new(asyncCkpt)
+	}
+	st := w.states[p]
+	c.accum = append(c.accum[:0], st.accum...)
+	c.centroids = append(c.centroids[:0], st.centroids...)
+	c.history = append(c.history[:0], st.history...)
+	c.oscillated, c.lastMovement = st.oscillated, st.lastMovement
+	return c
 }
 
 func (w *asyncWorkload) Init(p int) ([]float64, int64) {

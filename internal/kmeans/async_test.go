@@ -107,9 +107,9 @@ func TestAsyncFasterThanGeneral(t *testing.T) {
 }
 
 // asyncParityRunner adapts K-Means — the dense all-to-all exchange,
-// the hardest case for dependency-aware admission — to the shared
-// executor-parity harness: the converged state fingerprint is the full
-// centroid matrix.
+// where any partition's publication makes every speculation stale — to
+// the shared executor-parity harness: the converged state fingerprint is
+// the full centroid matrix.
 func asyncParityRunner(t *testing.T) asynctest.Runner {
 	pts := smallCensus(t)
 	return func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
@@ -119,6 +119,37 @@ func asyncParityRunner(t *testing.T) asynctest.Runner {
 		}
 		return res.Stats, res.Centroids
 	}
+}
+
+// undoRig opens the adapter to asynctest.CheckUndo: the swap twins and
+// the fold scratch get poisoned.
+func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
+	pts := smallCensus(t)
+	fresh := func() asynctest.UndoWorkload[[]float64] {
+		return newAsyncWorkload(pts, 5, DefaultConfig(0.01), len(pts[0]))
+	}
+	return fresh, func(w asynctest.UndoWorkload[[]float64], p int) {
+		st := w.(*asyncWorkload).states[p]
+		for _, scratch := range [][]float64{st.stepAccum, st.nextCentroids, st.foldSum} {
+			for i := range scratch {
+				scratch[i] = math.NaN()
+			}
+		}
+	}
+}
+
+// TestUndoRestoresStep: a step on stale snapshots, undone, leaves the
+// partition exactly where a lone canonical step finds it.
+func TestUndoRestoresStep(t *testing.T) {
+	fresh, poison := undoRig(t)
+	asynctest.CheckUndo(t, fresh, poison, false)
+}
+
+// TestUndoLeavesCheckpointIntact: undo keeps out of the checkpoint's
+// memory, which a second Checkpoint caller would overwrite.
+func TestUndoLeavesCheckpointIntact(t *testing.T) {
+	fresh, poison := undoRig(t)
+	asynctest.CheckUndo(t, fresh, poison, true)
 }
 
 // TestAsyncParallelExecutorMatchesDES: the parallel executor must

@@ -38,8 +38,11 @@ type asyncState struct {
 	ghost   []float64
 	scratch []float64
 	acc     []float64
-	// lastPub is the last published contribution vector (parallel to
-	// x.Border), for change detection.
+	// lastPub is the last published contribution vector itself (parallel
+	// to x.Border), for change detection. A published vector is immutable,
+	// so nothing writes through this slice: a publishing step, Restore and
+	// Undo replace the header, and a checkpoint or undo buffer keeps it by
+	// reference.
 	lastPub []float64
 	// lastDelta is the partition's convergence residual: the largest
 	// rank delta its most recent step observed across its local sweeps
@@ -67,20 +70,32 @@ func (w *asyncWorkload) Residual(p int) float64 { return w.states[p].lastDelta }
 // the mutable cross-step state is the rank vector and the last
 // published contributions. ghost/acc/scratch are per-step scratch,
 // rebuilt from inputs before they are read, so they need no capture.
+// lastDelta is there for the undo buffer, which is the same record (a
+// recovery's replay rebuilds it anyway).
 type asyncCkpt struct {
-	rank    []float64
-	lastPub []float64
+	rank      []float64
+	lastPub   []float64
+	lastDelta float64
 }
 
 // Checkpoint implements async.Recoverable: an immutable copy of the
 // partition's rank state, priced at its serialized size.
 func (w *asyncWorkload) Checkpoint(p int) (any, int64) {
-	st := w.states[p]
-	c := &asyncCkpt{
-		rank:    append([]float64(nil), st.rank...),
-		lastPub: append([]float64(nil), st.lastPub...),
-	}
+	c := w.SaveUndo(p, nil).(*asyncCkpt)
 	return c, 16 + 8*int64(len(c.rank)+len(c.lastPub))
+}
+
+// SaveUndo implements async.Undoable beside Restore: the cross-step state
+// in a checkpoint record of the executor's, whose memory is reused.
+func (w *asyncWorkload) SaveUndo(p int, buf any) any {
+	c, _ := buf.(*asyncCkpt)
+	if c == nil {
+		c = new(asyncCkpt)
+	}
+	st := w.states[p]
+	c.rank = append(c.rank[:0], st.rank...)
+	c.lastPub, c.lastDelta = st.lastPub, st.lastDelta
+	return c
 }
 
 // Restore implements async.Recoverable: rewind the partition to a
@@ -90,12 +105,12 @@ func (w *asyncWorkload) Restore(p int, state any) {
 	c := state.(*asyncCkpt)
 	st := w.states[p]
 	copy(st.rank, c.rank)
-	copy(st.lastPub, c.lastPub)
+	st.lastPub, st.lastDelta = c.lastPub, c.lastDelta
 }
 
 func (w *asyncWorkload) Init(p int) ([]float64, int64) {
 	st := w.states[p]
-	return append([]float64(nil), st.lastPub...), st.sub.Bytes
+	return st.lastPub, st.sub.Bytes
 }
 
 func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
@@ -194,7 +209,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		for bi, li := range x.Border {
 			pub[bi] = contrib[li]
 		}
-		copy(st.lastPub, pub)
+		st.lastPub = pub
 		out.Publish = true
 		out.Data = pub
 		out.Bytes = 16 + 8*int64(len(pub))

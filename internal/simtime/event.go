@@ -23,8 +23,8 @@ type EventHeap struct {
 func (h *EventHeap) Len() int { return len(h.events) }
 
 // Peek returns the earliest pending event without removing it; ok is
-// false when the heap is empty. Schedulers read the head's time as the
-// admission frontier before popping.
+// false when the heap is empty. Schedulers read the head's time before
+// popping: to fire what is due first, or to arm a timer.
 //
 //async:sched-only
 func (h *EventHeap) Peek() (ev Event, ok bool) {

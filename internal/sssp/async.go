@@ -77,13 +77,22 @@ type asyncCkpt struct {
 
 // Checkpoint implements async.Recoverable.
 func (w *asyncWorkload) Checkpoint(p int) (any, int64) {
-	st := w.states[p]
-	c := &asyncCkpt{
-		dist:    append([]float64(nil), st.dist...),
-		active:  append([]bool(nil), st.active...),
-		lastPub: append([]float64(nil), st.lastPub...),
-	}
+	c := w.SaveUndo(p, nil).(*asyncCkpt)
 	return c, 16 + 8*int64(len(c.dist)+len(c.lastPub)) + int64(len(c.active))
+}
+
+// SaveUndo implements async.Undoable beside Restore: the cross-step state
+// in a checkpoint record of the executor's, whose memory is reused.
+func (w *asyncWorkload) SaveUndo(p int, buf any) any {
+	c, _ := buf.(*asyncCkpt)
+	if c == nil {
+		c = new(asyncCkpt)
+	}
+	st := w.states[p]
+	c.dist = append(c.dist[:0], st.dist...)
+	c.active = append(c.active[:0], st.active...)
+	c.lastPub = append(c.lastPub[:0], st.lastPub...)
+	return c
 }
 
 // Restore implements async.Recoverable: rewind to a checkpoint; replay

@@ -107,6 +107,41 @@ func asyncParityRunner(t *testing.T) asynctest.Runner {
 	}
 }
 
+// undoRig opens the adapter to asynctest.CheckUndo: next is each sweep's
+// own buffer and gets poisoned. The sweep cap leaves a frontier behind
+// for the stale steps to work on.
+func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
+	subs := subgraphs(t, smallGraph(), 8)
+	fresh := func() asynctest.UndoWorkload[[]float64] {
+		w, err := buildAsyncWorkload(subs, Config{Source: 0, MaxLocalIters: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	return fresh, func(w asynctest.UndoWorkload[[]float64], p int) {
+		st := w.(*asyncWorkload).states[p]
+		st.next = st.next[:cap(st.next)]
+		for i := range st.next {
+			st.next[i] = -1
+		}
+	}
+}
+
+// TestUndoRestoresStep: a step on stale snapshots, undone, leaves the
+// partition exactly where a lone canonical step finds it.
+func TestUndoRestoresStep(t *testing.T) {
+	fresh, poison := undoRig(t)
+	asynctest.CheckUndo(t, fresh, poison, false)
+}
+
+// TestUndoLeavesCheckpointIntact: undo keeps out of the checkpoint's
+// memory, which a second Checkpoint caller would overwrite.
+func TestUndoLeavesCheckpointIntact(t *testing.T) {
+	fresh, poison := undoRig(t)
+	asynctest.CheckUndo(t, fresh, poison, true)
+}
+
 // TestAsyncParallelExecutorMatchesDES: the parallel executor must
 // produce the exact distances and virtual-time stats of the DES, on
 // every preset the executor targets (shared harness: asynctest).

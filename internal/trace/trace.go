@@ -62,8 +62,10 @@ const (
 	KindSpecDispatch
 	// KindSpecCommit marks a speculated result consumed canonically.
 	KindSpecCommit
-	// KindSpecInvalidate marks a speculated result discarded (crash
-	// recovery rewound the inputs it read).
+	// KindSpecInvalidate marks a speculation discarded. Arg1 is the
+	// neighbor whose version the canonical read found moved on (-1: the
+	// partition crashed or the run ended under it) and Arg2 packs the two
+	// versions, the one read shifted left 32 bits over the one speculated on.
 	KindSpecInvalidate
 	// KindCrash marks a worker-crash event striking at Vt.
 	KindCrash

@@ -5,8 +5,9 @@
 # Guards twelve budgets:
 #
 #   1. The crash-free speculated step path
-#      (BenchmarkAsyncParallel/pagerank/parallel, ~100% of whose steps
-#      speculate): after PR 3's scratch-buffer reuse it sits around
+#      (BenchmarkAsyncParallel/pagerank/parallel, over nine tenths of
+#      whose steps are kept speculations and a few discarded ones):
+#      after PR 3's scratch-buffer reuse it sits around
 #      1.8K allocs/op (see BENCH_PR3.json for the 5.6K pre-change
 #      value), and the worker-crash fault model of PR 4 must stay inert
 #      on it — its journaling and checkpoint machinery only activates
