@@ -168,12 +168,12 @@ func (s *Suite) asyncFigurePair(graphName string, ks []int, modes []ModeSeries) 
 	itFig := &Figure{
 		Title:  fmt.Sprintf("Async mode: PageRank iterations vs partitions (%s)", graphName),
 		XLabel: "# Partitions", YLabel: "# Iterations", X: x,
-		Series: itSeries,
+		Series: itSeries, Comparable: true,
 	}
 	tFig := &Figure{
 		Title:  fmt.Sprintf("Async mode: PageRank time to converge vs partitions (%s)", graphName),
 		XLabel: "# Partitions", YLabel: "Time (seconds)", X: x,
-		Series: tSeries,
+		Series: tSeries, Comparable: true,
 	}
 	return itFig, tFig
 }

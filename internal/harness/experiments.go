@@ -215,11 +215,11 @@ func figurePair(titleIt, titleT string, ks []int, genIt, eagIt, genT, eagT []flo
 	x := intsToFloats(ks)
 	itFig = &Figure{
 		Title: titleIt, XLabel: "# Partitions", YLabel: "# Iterations", X: x,
-		Series: []Series{{Label: "General", Y: genIt}, {Label: "Eager", Y: eagIt}},
+		Series: []Series{{Label: "General", Y: genIt}, {Label: "Eager", Y: eagIt}}, Comparable: true,
 	}
 	tFig = &Figure{
 		Title: titleT, XLabel: "# Partitions", YLabel: "Time (seconds)", X: x,
-		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}},
+		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}}, Comparable: true,
 	}
 	return itFig, tFig
 }
@@ -339,13 +339,13 @@ func (s *Suite) Figures8and9() (*Figure, *Figure, error) {
 		Title:  "Figure 8. K-Means: iterations to converge vs threshold (52 partitions)",
 		XLabel: "Threshold (Delta)", YLabel: "# Iterations",
 		X: KMeansThresholds, XFmt: xfmt,
-		Series: []Series{{Label: "General", Y: genIt}, {Label: "Eager", Y: eagIt}},
+		Series: []Series{{Label: "General", Y: genIt}, {Label: "Eager", Y: eagIt}}, Comparable: true,
 	}
 	f9 := &Figure{
 		Title:  "Figure 9. K-Means: time to converge vs threshold (52 partitions)",
 		XLabel: "Threshold (Delta)", YLabel: "Time (seconds)",
 		X: KMeansThresholds, XFmt: xfmt,
-		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}},
+		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}}, Comparable: true,
 	}
 	return f8, f9, nil
 }
@@ -431,6 +431,6 @@ func (s *Suite) Scalability() (*Figure, error) {
 		Title:  "Scalability (§VI): PageRank on simulated 460-node CluE cluster",
 		XLabel: "# Partitions", YLabel: "Time (seconds)",
 		X:      intsToFloats(ks),
-		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}},
+		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}}, Comparable: true,
 	}, nil
 }

@@ -51,6 +51,10 @@ type Figure struct {
 	X      []float64
 	XFmt   func(float64) string
 	Series []Series
+	// Comparable says the first two series measure the same quantity in
+	// the same unit (general vs eager), so their ratio is a speedup.
+	// Render prints the SpeedupSummary line for such figures only.
+	Comparable bool
 }
 
 // SpeedupSummary returns the geometric-mean and max ratio of the first
@@ -104,7 +108,7 @@ func (f *Figure) Render(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if geo, max := f.SpeedupSummary(); geo > 0 {
+	if geo, max := f.SpeedupSummary(); f.Comparable && geo > 0 {
 		fmt.Fprintf(w, "%s/%s ratio: geomean %.2fx, max %.2fx\n",
 			f.Series[0].Label, f.Series[1].Label, geo, max)
 	}

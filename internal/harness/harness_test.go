@@ -511,6 +511,7 @@ func TestFigureRendering(t *testing.T) {
 			{Label: "General", Y: []float64{800, 900, 1000}},
 			{Label: "Eager", Y: []float64{100, 150, 400}},
 		},
+		Comparable: true,
 	}
 	var buf bytes.Buffer
 	f.Render(&buf)
