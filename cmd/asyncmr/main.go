@@ -11,62 +11,12 @@
 //	        [-mttf T] [-ckpt P] [-trace F] [-series F] [-metrics-addr A]
 //	        [-cpuprofile F] [-memprofile F] <experiment>
 //
-// Experiments:
-//
-//	table1 table2      the paper's tables
-//	figure2..figure9   the paper's figures (general vs eager)
-//	scale              §VI 460-node scalability remark
-//	asyncA asyncB      three-mode comparison figures (Graphs A, B)
-//	staleness          async staleness sweep (new scenario axis)
-//	stalenessx         the staleness sweep on the cross-rack cluster
-//	                   (CrossRackFraction 0.5); at -scale 1 this is the
-//	                   paper-scale figure where gate waits and push
-//	                   traffic are material
-//	stalenessclue      the staleness sweep on the 460-node CluE cluster
-//	                   model (higher JobOverhead/AsyncSyncOverhead)
-//	adaptive           fixed-vs-adaptive staleness sweep (internal/adapt)
-//	                   on the cross-rack cluster: every fixed bound
-//	                   against the aimd and drift per-worker controllers,
-//	                   with gate-wait time and the controller trajectory
-//	adaptiveclue       the same sweep on the 460-node CluE model
-//	parallel           wall-clock cores-scaling figure: async PageRank
-//	                   under the parallel executor at 1..8 goroutines vs
-//	                   the sequential DES (identical virtual-time results)
-//	parallelhpc        the same figure on the HPC preset, whose
-//	                   microsecond publish latency makes the executor's
-//	                   speculations stale most often
-//	livescaling        live-executor figure: async PageRank computed for
-//	                   real on the work-stealing pool at 1/2/4 workers,
-//	                   measured wall-clock speedup of free-running (S=inf)
-//	                   over lockstep (S=0), each run checked against the
-//	                   DES oracle's converged ranks
-//	recovery           checkpoint-interval-vs-MTTF sweep of the worker-
-//	                   crash fault model (internal/recovery): time to
-//	                   converge across checkpoint cadences under several
-//	                   failure regimes, with the checkpoint-write vs
-//	                   recovery-replay decomposition
-//	convergence        convergence-telemetry experiment: async PageRank
-//	                   sampled on a fixed grid (internal/metrics) under
-//	                   the S=0 lockstep baseline, the suite's async
-//	                   configuration on DES and parallel (series files
-//	                   byte-identical, checked), and the live executor,
-//	                   reporting each leg's time to the synchronous
-//	                   baseline's final residual
-//	trace              event-tracing experiment: async PageRank under
-//	                   all three executors with the recorder attached,
-//	                   printing each run's aggregated profile (compute /
-//	                   gate-wait / stall decomposition, top blocking
-//	                   edges) and re-checking on DES that tracing is
-//	                   inert (identical stats with the recorder on)
-//	run                run PageRank, SSSP, connected components and
-//	                   K-Means end to end in the mode selected by
-//	                   -mode/-staleness (cc is async-only: label
-//	                   propagation has no MapReduce formulation here).
-//	                   -mode live runs them on the live executor: real
-//	                   partition compute on the work-stealing pool, with
-//	                   measured wall-clock durations instead of the cost
-//	                   model's virtual time
-//	all                everything above except run
+// asyncmr -h lists the experiments, one line each, from the registry in
+// internal/harness; `all` runs every one of them except `run`. A flag
+// the chosen experiment would ignore is refused (exit 2) rather than
+// accepted: -mode, -trace, -series and -metrics-addr belong to `run`,
+// and each registry entry says which of -staleness, -parallel,
+// -workers, -mttf and -ckpt it reads.
 //
 // -staleness takes a fixed bound ("4"; "inf" or any negative value =
 // unbounded free-running) or an adaptive staleness-control policy:
@@ -76,10 +26,10 @@
 // worker's bound during the run; results stay deterministic and
 // executor-independent.
 //
-// -parallel runs every async-mode experiment on the wall-clock-parallel
-// executor (-workers caps its goroutines); simulated results are
-// identical to the default sequential DES, only real elapsed time
-// changes.
+// -parallel runs async-mode experiments on the wall-clock-parallel
+// executor; simulated results are identical to the default sequential
+// DES, only real elapsed time changes. -workers caps the goroutine pool
+// of the parallel executor and of the live one (-mode live).
 //
 // -mttf enables the worker-crash fault model for async runs: each
 // worker crashes as a Poisson process with the given mean time to
@@ -126,12 +76,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/adapt"
@@ -150,7 +103,7 @@ func main() {
 	parallel := flag.Bool("parallel", false,
 		"execute async runs on the wall-clock-parallel executor (identical simulated results)")
 	workers := flag.Int("workers", 0,
-		"goroutine cap for the parallel executor; 0 = GOMAXPROCS")
+		"goroutine cap for the parallel executor's and the live executor's pool; 0 = GOMAXPROCS")
 	mttf := flag.Float64("mttf", 0,
 		"worker-crash mean time to failure in simulated seconds for async runs; 0 disables crashes")
 	ckpt := flag.String("ckpt", "none",
@@ -164,13 +117,18 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: asyncmr [-scale N] [-v] [-mode M] [-staleness S] [-parallel] [-workers W] [-mttf T] [-ckpt P] [-trace F] [-series F] [-metrics-addr A] [-cpuprofile F] [-memprofile F] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 table2 figure2 figure3 figure4 figure5 figure6 figure7 figure8 figure9 scale asyncA asyncB staleness stalenessx stalenessclue adaptive adaptiveclue parallel parallelhpc livescaling recovery trace convergence run all\n")
+		fmt.Fprint(os.Stderr, usage())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
+		os.Exit(2)
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := refuseIgnored(flag.Arg(0), *mode, set); err != nil {
+		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -242,7 +200,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(s, flag.Arg(0), *mode)
+	err := run(s, flag.Arg(0), *mode, os.Stdout)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -275,238 +233,85 @@ func main() {
 	}
 }
 
-func run(s *harness.Suite, what, mode string) error {
-	out := os.Stdout
-	renderPair := func(a, b *harness.Figure, first bool) {
-		if first {
-			a.Render(out)
-		} else {
-			b.Render(out)
+// usage is the help text's head: the synopsis and the registry, one
+// line per experiment.
+func usage() string {
+	var b strings.Builder
+	b.WriteString("usage: asyncmr [-scale N] [-v] [-mode M] [-staleness S] [-parallel] [-workers W] [-mttf T] [-ckpt P] [-trace F] [-series F] [-metrics-addr A] [-cpuprofile F] [-memprofile F] <experiment>\nexperiments:\n")
+	var standalone []string
+	for _, e := range harness.Experiments() {
+		fmt.Fprintf(&b, "  %-16s %s", strings.Join(e.Names, " "), e.Help)
+		if len(e.Flags) > 0 {
+			fmt.Fprintf(&b, " [reads -%s]", strings.Join(e.Flags, " -"))
+		}
+		b.WriteString("\n")
+		if e.Standalone {
+			standalone = append(standalone, e.Names...)
 		}
 	}
-	switch what {
-	case "table1":
-		s.Table1(out)
-	case "table2":
-		return s.Table2(out)
-	case "figure2", "figure4":
-		f2, f4, err := s.Figures2and4()
-		if err != nil {
-			return err
+	fmt.Fprintf(&b, "  %-16s every experiment above except %s\n", "all", strings.Join(standalone, " "))
+	return b.String()
+}
+
+// selected returns the registry entries `what` runs: one, or for "all"
+// every entry not marked standalone.
+func selected(what string) []*harness.Experiment {
+	if what != "all" {
+		if e, _ := harness.Lookup(what); e != nil {
+			return []*harness.Experiment{e}
 		}
-		renderPair(f2, f4, what == "figure2")
-	case "figure3", "figure5":
-		f3, f5, err := s.Figures3and5()
-		if err != nil {
-			return err
+		return nil
+	}
+	var es []*harness.Experiment
+	for _, e := range harness.Experiments() {
+		if !e.Standalone {
+			es = append(es, e)
 		}
-		renderPair(f3, f5, what == "figure3")
-	case "figure6", "figure7":
-		f6, f7, err := s.Figures6and7()
-		if err != nil {
-			return err
+	}
+	return es
+}
+
+// refuseIgnored returns an error naming the first set flag that every
+// experiment `what` selects would accept and then ignore.
+func refuseIgnored(what, mode string, set []string) error {
+	es := selected(what)
+	ignoredBy := map[string]int{}
+	for _, e := range es {
+		for _, f := range e.Ignored(mode, set) {
+			ignoredBy[f]++
 		}
-		renderPair(f6, f7, what == "figure6")
-	case "figure8", "figure9":
-		f8, f9, err := s.Figures8and9()
-		if err != nil {
-			return err
+	}
+	for _, f := range harness.ExperimentFlags {
+		if ignoredBy[f] > 0 && ignoredBy[f] == len(es) {
+			if f != "mode" && len(es) == 1 && slices.Contains(es[0].Flags, "mode") {
+				what += " in -mode " + mode
+			}
+			return fmt.Errorf("-%s has no effect on %s; asyncmr -h lists what each experiment reads", f, what)
 		}
-		renderPair(f8, f9, what == "figure8")
-	case "scale":
-		f, err := s.Scalability()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "asyncA", "asyncB":
-		var itFig, tFig *harness.Figure
-		var err error
-		if what == "asyncA" {
-			itFig, tFig, err = s.FiguresAsyncA()
-		} else {
-			itFig, tFig, err = s.FiguresAsyncB()
-		}
-		if err != nil {
-			return err
-		}
-		itFig.Render(out)
-		tFig.Render(out)
-	case "staleness":
-		f, err := s.StalenessSweep()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "stalenessx":
-		f, err := s.StalenessSweepCrossRack()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "stalenessclue":
-		f, err := s.StalenessSweepCluE()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "adaptive":
-		f, err := s.FigureAdaptive()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "adaptiveclue":
-		f, err := s.FigureAdaptiveCluE()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "parallel":
-		f, err := s.FigureParallelScaling()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "parallelhpc":
-		f, err := s.FigureParallelScalingHPC()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "livescaling":
-		f, err := s.FigureLiveScaling()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "recovery":
-		f, err := s.FigureRecoverySweep()
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "trace":
-		f, err := s.TraceExperiment(out)
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "convergence":
-		f, err := s.FigureConvergence(out)
-		if err != nil {
-			return err
-		}
-		f.Render(out)
-	case "run":
-		rows, err := s.RunWorkloads(mode, s.AsyncStaleness)
-		if err != nil {
-			return err
-		}
-		label := strconv.Itoa(s.AsyncStaleness)
-		if s.AdaptPolicy != nil {
-			label = s.AdaptPolicy.String()
-		} else if s.AsyncStaleness < 0 {
-			label = "unbounded"
-		}
-		harness.RenderWorkloadRows(out, rows, label)
-	case "all":
-		s.Table1(out)
-		if err := s.Table2(out); err != nil {
-			return err
-		}
-		f2, f4, err := s.Figures2and4()
-		if err != nil {
-			return err
-		}
-		f3, f5, err := s.Figures3and5()
-		if err != nil {
-			return err
-		}
-		f6, f7, err := s.Figures6and7()
-		if err != nil {
-			return err
-		}
-		f8, f9, err := s.Figures8and9()
-		if err != nil {
-			return err
-		}
-		for _, f := range []*harness.Figure{f2, f3, f4, f5, f6, f7, f8, f9} {
-			f.Render(out)
-		}
-		aIt, aT, err := s.FiguresAsyncA()
-		if err != nil {
-			return err
-		}
-		bIt, bT, err := s.FiguresAsyncB()
-		if err != nil {
-			return err
-		}
-		for _, f := range []*harness.Figure{aIt, aT, bIt, bT} {
-			f.Render(out)
-		}
-		fst, err := s.StalenessSweep()
-		if err != nil {
-			return err
-		}
-		fst.Render(out)
-		fsx, err := s.StalenessSweepCrossRack()
-		if err != nil {
-			return err
-		}
-		fsx.Render(out)
-		fsc, err := s.StalenessSweepCluE()
-		if err != nil {
-			return err
-		}
-		fsc.Render(out)
-		fad, err := s.FigureAdaptive()
-		if err != nil {
-			return err
-		}
-		fad.Render(out)
-		fac, err := s.FigureAdaptiveCluE()
-		if err != nil {
-			return err
-		}
-		fac.Render(out)
-		fp, err := s.FigureParallelScaling()
-		if err != nil {
-			return err
-		}
-		fp.Render(out)
-		fph, err := s.FigureParallelScalingHPC()
-		if err != nil {
-			return err
-		}
-		fph.Render(out)
-		fl, err := s.FigureLiveScaling()
-		if err != nil {
-			return err
-		}
-		fl.Render(out)
-		fr, err := s.FigureRecoverySweep()
-		if err != nil {
-			return err
-		}
-		fr.Render(out)
-		ftr, err := s.TraceExperiment(out)
-		if err != nil {
-			return err
-		}
-		ftr.Render(out)
-		fcv, err := s.FigureConvergence(out)
-		if err != nil {
-			return err
-		}
-		fcv.Render(out)
-		fs, err := s.Scalability()
-		if err != nil {
-			return err
-		}
-		fs.Render(out)
-	default:
+	}
+	return nil
+}
+
+// run executes the selected experiments in registry order: each prints
+// what is not a figure itself, then its figures are rendered — all of
+// them, or the one `what` names in a multi-figure entry.
+func run(s *harness.Suite, what, mode string, out io.Writer) error {
+	es := selected(what)
+	if es == nil {
 		return fmt.Errorf("unknown experiment %q", what)
+	}
+	_, pick := harness.Lookup(what)
+	for _, e := range es {
+		figs, err := e.Run(s, mode, out)
+		if err != nil {
+			return err
+		}
+		if what != "all" && len(e.Names) > 1 {
+			figs = figs[pick : pick+1]
+		}
+		for _, f := range figs {
+			f.Render(out)
+		}
 	}
 	return nil
 }

@@ -41,9 +41,10 @@ func (w *scripted) Step(p, step int, inputs []Snapshot[[]float64]) StepOutcome[[
 func (w *scripted) SaveUndo(p int, _ any) any { return nil }
 func (w *scripted) Restore(p int, _ any)      {}
 
-// TestDESPublishPathAllocFree is the eleventh alloc budget
-// (scripts/alloc_guard.sh): a DES step that publishes allocates nothing
-// beyond its share of a new history segment. It runs the scripted ring
+// TestDESPublishPathAllocFree is an allocation budget (TestAllocBudgets
+// at the repository root holds the whole-run ones): a DES step that
+// publishes allocates nothing beyond its share of a new history
+// segment. It runs the scripted ring
 // for N and for 2N steps per partition and charges the difference in
 // mallocs to the extra publishes: set-up, which both runs pay, cancels.
 // (The race detector allocates on its own; the test is built without it.)

@@ -176,9 +176,6 @@ func NewStore[D any](n int) *Store[D] {
 	return &Store[D]{shards: make([]shard[D], n)}
 }
 
-// NumParts returns the number of partitions.
-func (s *Store[D]) NumParts() int { return len(s.shards) }
-
 // Publish appends a new version of partition p, visible at virtual time
 // at. Versions must be dense (latest+1, starting at 0) and publication
 // times non-decreasing per partition; violations are engine bugs and
@@ -274,27 +271,6 @@ func (s *Store[D]) ReadAtFrom(p int, at simtime.Duration, hint int) (snap Snapsh
 		return snap, 0, false
 	}
 	return Snapshot[D]{Part: p, Version: idx, At: sl.at, Data: sl.data}, idx, true
-}
-
-// ReadAt returns partition p's newest snapshot visible at virtual time
-// at. ok is false when p has published nothing by then (only possible
-// before its version 0). Lock-free. Having no cursor, it starts from the
-// newest version: visible, that is the answer; not yet visible, VisibleFrom
-// bisects.
-func (s *Store[D]) ReadAt(p int, at simtime.Duration) (snap Snapshot[D], ok bool) {
-	snap, _, ok = s.ReadAtFrom(p, at, s.Latest(p))
-	return snap, ok
-}
-
-// Read returns partition p's newest snapshot regardless of time. ok is
-// false when p has never published. Lock-free.
-func (s *Store[D]) Read(p int) (snap Snapshot[D], ok bool) {
-	v := s.Latest(p)
-	if v < 0 {
-		return snap, false
-	}
-	s.fill(&snap, p, v)
-	return snap, true
 }
 
 // Seal marks partition p as permanently done publishing: its owner was

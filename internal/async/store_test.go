@@ -19,12 +19,30 @@ func awaitVersion[D any](s *Store[D], p, v int) (snap Snapshot[D]) {
 	return snap
 }
 
+// readAt and readLatest are the tests' cursor-less reads, spelled with
+// what the schedulers call: the newest version visible at a time
+// (ReadAtFrom, searching from the newest version) and the newest version
+// regardless of time (Latest + fill).
+func readAt[D any](s *Store[D], p int, at simtime.Duration) (Snapshot[D], bool) {
+	snap, _, ok := s.ReadAtFrom(p, at, s.Latest(p))
+	return snap, ok
+}
+
+func readLatest[D any](s *Store[D], p int) (snap Snapshot[D], ok bool) {
+	v := s.Latest(p)
+	if v < 0 {
+		return snap, false
+	}
+	s.fill(&snap, p, v)
+	return snap, true
+}
+
 func TestStorePublishRead(t *testing.T) {
 	s := NewStore[int](2)
-	if s.NumParts() != 2 {
-		t.Fatalf("NumParts = %d", s.NumParts())
+	if len(s.shards) != 2 {
+		t.Fatalf("NumParts = %d", len(s.shards))
 	}
-	if _, ok := s.Read(0); ok {
+	if _, ok := readLatest(s, 0); ok {
 		t.Fatal("empty partition readable")
 	}
 	if s.Latest(0) != -1 {
@@ -40,7 +58,7 @@ func TestStorePublishRead(t *testing.T) {
 	mustPublish(0, 1, 5*simtime.Second, 101)
 	mustPublish(0, 2, 9*simtime.Second, 102)
 
-	snap, ok := s.Read(0)
+	snap, ok := readLatest(s, 0)
 	if !ok || snap.Version != 2 || snap.Data != 102 {
 		t.Fatalf("Read = %+v, %v", snap, ok)
 	}
@@ -53,7 +71,7 @@ func TestStorePublishRead(t *testing.T) {
 		{8 * simtime.Second, 1}, {100 * simtime.Second, 2},
 	}
 	for _, c := range cases {
-		snap, ok := s.ReadAt(0, c.at)
+		snap, ok := readAt(s, 0, c.at)
 		if !ok || snap.Version != c.version {
 			t.Fatalf("ReadAt(%v) = v%d, want v%d", c.at, snap.Version, c.version)
 		}
@@ -92,7 +110,7 @@ func TestStoreCursorAgreement(t *testing.T) {
 		}
 	}
 	for at := simtime.Duration(-1); at <= 55; at++ {
-		want, wantOK := s.ReadAt(0, at*simtime.Second)
+		want, wantOK := readAt(s, 0, at*simtime.Second)
 		for hint := -2; hint <= len(ats)+1; hint++ {
 			got, idx, ok := s.ReadAtFrom(0, at*simtime.Second, hint)
 			if ok != wantOK {
@@ -173,7 +191,7 @@ func TestStoreShardedProperty(t *testing.T) {
 					// Publishers run between the two reads, and growth only
 					// moves visibility forward; the strict equality is
 					// TestStoreCursorAgreement's, on a quiet store.
-					chk, ok2 := s.ReadAt(p, vt)
+					chk, ok2 := readAt(s, p, vt)
 					if !ok2 || chk.Version < snap.Version {
 						t.Errorf("searching read went backwards on p%d at %v: v%d after cursor read v%d (ok=%v)",
 							p, vt, chk.Version, snap.Version, ok2)
@@ -197,7 +215,7 @@ func TestStoreShardedProperty(t *testing.T) {
 				p := int(rnd>>8) % parts
 				vt := simtime.Duration(int(rnd>>16)%versions) * simtime.Millisecond * simtime.Duration(p+1)
 				hint := int(rnd>>4)%(versions+2) - 1
-				want, wantOK := s.ReadAt(p, vt)
+				want, wantOK := readAt(s, p, vt)
 				got, _, ok := s.ReadAtFrom(p, vt, hint)
 				// The store may have grown between the two reads; only a
 				// same-version comparison is meaningful, and growth only
@@ -249,7 +267,7 @@ func TestStoreSealWakesWaiters(t *testing.T) {
 	if !s.Sealed(0) || s.Sealed(1) {
 		t.Fatalf("seal state wrong: p0=%v p1=%v", s.Sealed(0), s.Sealed(1))
 	}
-	if snap, ok := s.Read(0); !ok || snap.Data != 7 {
+	if snap, ok := readLatest(s, 0); !ok || snap.Data != 7 {
 		t.Fatalf("sealed partition unreadable: %+v ok=%v", snap, ok)
 	}
 	if _, ok := s.At(0, 1); ok {
@@ -316,7 +334,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			}
 			for i := 0; i < 2000; i++ {
 				p := i % parts
-				if snap, ok := s.Read(p); ok {
+				if snap, ok := readLatest(s, p); ok {
 					if snap.Data != p*1000+snap.Version {
 						t.Errorf("torn read: p%d v%d data %d", p, snap.Version, snap.Data)
 					}
@@ -325,7 +343,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					}
 					last[p] = snap.Version
 				}
-				if snap, ok := s.ReadAt(p, 50*simtime.Millisecond); ok && snap.Version > 50 {
+				if snap, ok := readAt(s, p, 50*simtime.Millisecond); ok && snap.Version > 50 {
 					t.Errorf("ReadAt returned future version %d", snap.Version)
 				}
 			}
@@ -430,7 +448,7 @@ func TestStoreReadersAcrossSegments(t *testing.T) {
 	wg.Wait()
 	// Versions 2k and 2k+1 share a publication time; the odd one is newer.
 	for v := 0; v < versions && !t.Failed(); v++ {
-		if snap, ok := s.ReadAt(0, atOf(v)); !ok || snap.Version != v|1 {
+		if snap, ok := readAt(s, 0, atOf(v)); !ok || snap.Version != v|1 {
 			t.Fatalf("ReadAt(at of v%d) = v%d, %v; want v%d", v, snap.Version, ok, v|1)
 		}
 	}
@@ -539,7 +557,7 @@ func FuzzStoreMatchesModel(f *testing.F) {
 				}
 			case 2:
 				if x, ok := next2(); ok {
-					snap, ok := s.ReadAt(0, timeOf(x))
+					snap, ok := readAt(s, 0, timeOf(x))
 					same("ReadAt", snap, ok, m.visible(timeOf(x)))
 				}
 			case 3:
@@ -557,7 +575,7 @@ func FuzzStoreMatchesModel(f *testing.F) {
 				if got := s.Latest(0); got != len(m.hist)-1 {
 					t.Fatalf("Latest = %d, model has %d versions", got, len(m.hist))
 				}
-				snap, ok := s.Read(0)
+				snap, ok := readLatest(s, 0)
 				same("Read", snap, ok, len(m.hist)-1)
 			case 5:
 				if x, ok := next2(); ok {
@@ -589,7 +607,7 @@ func FuzzStoreMatchesModel(f *testing.F) {
 			if at, ok := s.At(0, v); !ok || at != want.At {
 				t.Fatalf("At(v%d) = %v, %v; published at %v", v, at, ok, want.At)
 			}
-			snap, ok := s.ReadAt(0, want.At)
+			snap, ok := readAt(s, 0, want.At)
 			same("ReadAt of a publication time", snap, ok, m.visible(want.At))
 		}
 	})

@@ -45,13 +45,6 @@ type RunStats struct {
 	PerIteration []IterationStats
 }
 
-// TotalSynchronizations returns global + local synchronization count; the
-// paper notes the two-level scheme increases this total while decreasing
-// the global count, which is what matters for time.
-func (s *RunStats) TotalSynchronizations() int64 {
-	return int64(s.GlobalIterations) + s.LocalIterations
-}
-
 // Driver runs a MapReduce job iteratively until the application reports
 // global convergence, re-feeding each global reduction into the next
 // iteration's splits. It works for both formulations: the general

@@ -40,15 +40,6 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// OutDegrees returns the out-degree of every node.
-func (g *Graph) OutDegrees() []int {
-	d := make([]int, len(g.Out))
-	for u, adj := range g.Out {
-		d[u] = len(adj)
-	}
-	return d
-}
-
 // InDegrees returns the in-degree of every node. The paper fits the
 // power-law exponent on in-degrees ("the best-fit for inlinks").
 func (g *Graph) InDegrees() []int {
@@ -59,32 +50,6 @@ func (g *Graph) InDegrees() []int {
 		}
 	}
 	return d
-}
-
-// Transpose returns the reversed graph (in-adjacency), preserving
-// weights.
-func (g *Graph) Transpose() *Graph {
-	n := g.NumNodes()
-	deg := g.InDegrees()
-	t := &Graph{Out: make([][]NodeID, n)}
-	for v := 0; v < n; v++ {
-		t.Out[v] = make([]NodeID, 0, deg[v])
-	}
-	if g.Weights != nil {
-		t.Weights = make([][]float64, n)
-		for v := 0; v < n; v++ {
-			t.Weights[v] = make([]float64, 0, deg[v])
-		}
-	}
-	for u, adj := range g.Out {
-		for i, v := range adj {
-			t.Out[v] = append(t.Out[v], NodeID(u))
-			if g.Weights != nil {
-				t.Weights[v] = append(t.Weights[v], g.Weights[u][i])
-			}
-		}
-	}
-	return t
 }
 
 // AssignUniformWeights gives every edge a uniform random weight in

@@ -2,35 +2,26 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/adapt"
 	"repro/internal/async"
 	"repro/internal/cluster"
-	"repro/internal/pagerank"
+	"repro/internal/stats"
 )
 
-// AdaptiveFixedBounds is the fixed-S half of the fixed-vs-adaptive
-// sweep's x-axis — the staleness figures' axis, so the two families of
-// figures stay point-for-point comparable; the adaptive policies
-// (AdaptivePolicies) follow it.
-var AdaptiveFixedBounds = StalenessValues
-
-// AdaptivePolicies is the adaptive half of the sweep: both controller
-// families at their default parameters.
+// AdaptivePolicies is the adaptive half of the fixed-vs-adaptive sweep:
+// both controller families at their default parameters. The fixed half
+// is StalenessValues, the staleness figures' axis, so the two families of
+// figures stay point-for-point comparable.
 func AdaptivePolicies() []adapt.Policy {
 	return []adapt.Policy{adapt.AIMDDefault(), adapt.DriftDefault()}
 }
 
 // AdaptiveSweepLabels names the sweep's entries, fixed bounds first.
 func AdaptiveSweepLabels() []string {
-	labels := make([]string, 0, len(AdaptiveFixedBounds)+2)
-	for _, s := range AdaptiveFixedBounds {
-		if s < 0 {
-			labels = append(labels, "S=inf")
-		} else {
-			labels = append(labels, fmt.Sprintf("S=%d", s))
-		}
+	labels := make([]string, 0, len(StalenessValues)+2)
+	for _, sv := range StalenessValues {
+		labels = append(labels, "S="+boundName(sv))
 	}
 	for _, pol := range AdaptivePolicies() {
 		labels = append(labels, pol.Name())
@@ -49,20 +40,13 @@ type AdaptiveSweepRow struct {
 }
 
 // AdaptiveSweep runs async PageRank on Graph A across every fixed bound
-// in AdaptiveFixedBounds and every adaptive policy, on the given cost
+// in StalenessValues and every adaptive policy, on the given cost
 // model: the fixed-vs-adaptive comparison behind FigureAdaptive. The
 // interesting read is GateWaitTime (what the controller tries to
 // shrink) against MeanSteps (the stale-extra-step price) and
 // StalenessMean/Max (the controller's trajectory).
-func (s *Suite) AdaptiveSweep(cfg *cluster.Config) ([]AdaptiveSweepRow, error) {
-	saved := s.Cluster
-	s.Cluster = cfg
-	defer func() { s.Cluster = saved }()
-
-	g := s.GraphA()
-	ks := s.PartitionCounts()
-	k := ks[len(ks)/2]
-	subs, _, err := s.partitions(g, k)
+func (s *Suite) AdaptiveSweep(preset *cluster.Config) ([]AdaptiveSweepRow, error) {
+	in, err := s.midGraphA()
 	if err != nil {
 		return nil, err
 	}
@@ -71,25 +55,23 @@ func (s *Suite) AdaptiveSweep(cfg *cluster.Config) ([]AdaptiveSweepRow, error) {
 	var baseline []float64 // the lockstep run's ranks
 	sweep := func(opt async.Options) error {
 		label := labels[len(rows)]
-		res, err := pagerank.RunAsync(s.asyncCluster(), subs, pagerank.DefaultConfig(), opt)
+		res, err := pagerankAsync(cluster.New(s.withCrashes(preset)), in, opt)
 		if err != nil {
 			return fmt.Errorf("harness: adaptive sweep %s: %w", label, err)
 		}
 		if baseline == nil {
 			baseline = res.Ranks
 		}
-		rows = append(rows, AdaptiveSweepRow{Label: label, Stats: res.Stats, RankDrift: rankDrift(res.Ranks, baseline)})
+		rows = append(rows, AdaptiveSweepRow{Label: label, Stats: res.Stats, RankDrift: stats.InfNormDiff(res.Ranks, baseline)})
 		return nil
 	}
-	for _, sv := range AdaptiveFixedBounds {
-		opt := s.asyncOptions(sv)
-		opt.Adapt = nil // the fixed half of the sweep overrides a suite policy
-		if err := sweep(opt); err != nil {
+	for _, sv := range StalenessValues {
+		if err := sweep(s.fixedBound(sv)); err != nil {
 			return nil, err
 		}
 	}
 	for _, pol := range AdaptivePolicies() {
-		opt := s.asyncOptions(s.Staleness())
+		opt := s.asyncOptions()
 		opt.Adapt = pol
 		if err := sweep(opt); err != nil {
 			return nil, err
@@ -104,24 +86,15 @@ func (s *Suite) AdaptiveSweep(cfg *cluster.Config) ([]AdaptiveSweepRow, error) {
 	return rows, nil
 }
 
-// rankDrift returns the largest per-node absolute deviation between two
-// rank vectors (0 when base is nil — the baseline row itself).
-func rankDrift(ranks, base []float64) float64 {
-	if base == nil {
-		return 0
-	}
-	d := 0.0
-	for u := range ranks {
-		if dd := math.Abs(ranks[u] - base[u]); dd > d {
-			d = dd
-		}
-	}
-	return d
-}
-
-// figureAdaptiveOn renders the sweep on one cost model.
-func (s *Suite) figureAdaptiveOn(cfg *cluster.Config) (*Figure, error) {
-	rows, err := s.AdaptiveSweep(cfg)
+// FigureAdaptive renders the fixed-vs-adaptive staleness sweep on one
+// cost model. The registry runs it on the EC2 cross-rack cluster — where
+// gate waits and push traffic are material, so a controller that spends
+// the asynchrony budget per worker has something to win — and on the
+// 460-node CluE model, whose heavier per-publication cost raises the
+// stakes on both sides of the trade. Run with -scale 1 to reproduce the
+// EXPERIMENTS.md figures.
+func (s *Suite) FigureAdaptive(preset *cluster.Config) (*Figure, error) {
+	rows, err := s.AdaptiveSweep(preset)
 	if err != nil {
 		return nil, err
 	}
@@ -135,10 +108,9 @@ func (s *Suite) figureAdaptiveOn(cfg *cluster.Config) (*Figure, error) {
 		smean = append(smean, r.Stats.StalenessMean)
 	}
 	labels := AdaptiveSweepLabels()
-	ks := s.PartitionCounts()
 	return &Figure{
 		Title: fmt.Sprintf("Adaptive staleness: fixed bounds vs per-worker controllers (async PageRank, Graph A, %d partitions, %s)",
-			ks[len(ks)/2], cfg.Name),
+			s.midK(), preset.Name),
 		XLabel: "Staleness policy",
 		YLabel: "Time (s) / gate-wait time (s) / mean steps / mean S",
 		X:      x,
@@ -156,20 +128,4 @@ func (s *Suite) figureAdaptiveOn(cfg *cluster.Config) (*Figure, error) {
 			{Label: "MeanS", Y: smean},
 		},
 	}, nil
-}
-
-// FigureAdaptive is the fixed-vs-adaptive staleness sweep on the EC2
-// cross-rack cluster — the cost model where gate waits and push traffic
-// are material (the stalenessx figure's setting), so a controller that
-// spends the asynchrony budget per worker has something to win. Run
-// with -scale 1 to reproduce the EXPERIMENTS.md figure.
-func (s *Suite) FigureAdaptive() (*Figure, error) {
-	return s.figureAdaptiveOn(cluster.EC2CrossRackCluster())
-}
-
-// FigureAdaptiveCluE is the same sweep on the 460-node CluE model,
-// whose heavier per-publication cost raises the stakes on both sides of
-// the trade.
-func (s *Suite) FigureAdaptiveCluE() (*Figure, error) {
-	return s.figureAdaptiveOn(cluster.CluECluster())
 }

@@ -6,11 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/async"
 	"repro/internal/metrics"
-	"repro/internal/pagerank"
 	"repro/internal/simtime"
 )
 
@@ -23,21 +21,6 @@ const seriesPoints = 48
 // as a table.
 const convergencePoints = 32
 
-// seriesPathFor derives one workload's series file from the suite's
-// SeriesPath by splicing the workload name before the extension:
-// "out.csv" -> "out.pagerank.csv" (mirroring tracePathFor).
-func (s *Suite) seriesPathFor(workload string) string {
-	ext := filepath.Ext(s.SeriesPath)
-	return strings.TrimSuffix(s.SeriesPath, ext) + "." + workload + ext
-}
-
-// seriesFor sizes a fresh sampler from a probe run's duration. Callers
-// gate on SeriesPath/SeriesHook; a nil return keeps the engine's
-// one-branch fast path.
-func (s *Suite) seriesFor(probeDuration simtime.Duration) *metrics.Series {
-	return metrics.NewSeries(probeDuration/seriesPoints, 0)
-}
-
 // flushSeries writes one workload's recorded series; the SeriesPath
 // extension picks the format (.csv -> CSV, anything else JSON). A nil
 // series (recording off) or empty SeriesPath (hook-only sampling, no
@@ -46,7 +29,7 @@ func (s *Suite) flushSeries(ser *metrics.Series, workload string) error {
 	if ser == nil || s.SeriesPath == "" {
 		return nil
 	}
-	path := s.seriesPathFor(workload)
+	path := splicePath(s.SeriesPath, workload)
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("harness: series: %w", err)
@@ -92,15 +75,14 @@ func residuals(ser *metrics.Series) []float64 {
 // probe), so ticks align across the simulated legs and the live curve
 // is shape-comparable.
 func (s *Suite) FigureConvergence(w io.Writer) (*Figure, error) {
-	g := s.GraphA()
-	ks := s.PartitionCounts()
-	k := ks[len(ks)/2]
-	subs, _, err := s.partitions(g, k)
+	in, err := s.midGraphA()
 	if err != nil {
 		return nil, err
 	}
-	run := func(opt async.Options) (*pagerank.AsyncResult, error) {
-		return pagerank.RunAsync(s.asyncCluster(), subs, pagerank.DefaultConfig(), opt)
+	preset := s.withCrashes(s.preset())
+	run := func(opt async.Options) (*async.RunStats, error) {
+		r, err := PageRank.Async(preset, in, opt)
+		return r.Stats, err
 	}
 	// The lockstep probe fixes the shared grid: S=0 is the slowest
 	// simulated leg, so every other leg's run fits on its axis.
@@ -108,21 +90,18 @@ func (s *Suite) FigureConvergence(w io.Writer) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	interval := probe.Stats.Duration / convergencePoints
+	interval := probe.Duration / convergencePoints
 	sampled := func(opt async.Options, iv simtime.Duration) (*metrics.Series, *async.RunStats, error) {
 		ser := metrics.NewSeries(iv, 0)
 		opt.Series = ser
-		res, err := run(opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ser, res.Stats, nil
+		st, err := run(opt)
+		return ser, st, err
 	}
 	syncSer, syncStats, err := sampled(async.Options{Staleness: 0}, interval)
 	if err != nil {
 		return nil, err
 	}
-	asyncOpt := s.asyncOptions(s.Staleness())
+	asyncOpt := s.asyncOptions()
 	asyncOpt.Executor = async.DES
 	desSer, desStats, err := sampled(asyncOpt, interval)
 	if err != nil {
@@ -153,7 +132,7 @@ func (s *Suite) FigureConvergence(w io.Writer) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	liveSer, liveStats, err := sampled(liveOpt, liveProbe.Stats.Duration/convergencePoints)
+	liveSer, liveStats, err := sampled(liveOpt, liveProbe.Duration/convergencePoints)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +184,7 @@ func (s *Suite) FigureConvergence(w io.Writer) (*Figure, error) {
 	}
 	return &Figure{
 		Title: fmt.Sprintf("Convergence telemetry: PageRank residual per sampling tick (Graph A, %d partitions, %s; parallel byte-identical to DES)",
-			k, s.clusterName()),
+			len(in.Subs), preset.Name),
 		XLabel: "Sample tick (uniform per-leg grid)", YLabel: "Residual (max partition delta)",
 		X:      x,
 		Series: curves,

@@ -78,12 +78,8 @@ func TestFigureConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	var buf bytes.Buffer
-	f, err := s.FigureConvergence(&buf)
-	if err != nil {
-		t.Fatalf("FigureConvergence: %v", err)
-	}
+	r := ran(t, "convergence")
+	f, buf := r.figs[0], bytes.NewBuffer(r.text)
 	if len(f.Series) != 3 {
 		t.Fatalf("figure has %d curves, want Sync/Async/Live", len(f.Series))
 	}

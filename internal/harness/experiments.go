@@ -8,13 +8,9 @@ import (
 	"repro/internal/async"
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/kmeans"
-	"repro/internal/mapreduce"
 	"repro/internal/metrics"
-	"repro/internal/pagerank"
 	"repro/internal/partition"
 	"repro/internal/recovery"
-	"repro/internal/sssp"
 	"repro/internal/stats"
 )
 
@@ -110,12 +106,12 @@ func (s *Suite) logf(format string, args ...any) {
 	fmt.Fprintf(s.Out, format, args...)
 }
 
-func (s *Suite) engine() *mapreduce.Engine {
-	cfg := s.Cluster
-	if cfg == nil {
-		cfg = cluster.EC2LargeCluster()
+// preset returns the suite's simulated platform.
+func (s *Suite) preset() *cluster.Config {
+	if s.Cluster != nil {
+		return s.Cluster
 	}
-	return mapreduce.NewEngine(cluster.New(cfg))
+	return cluster.EC2LargeCluster()
 }
 
 // PartitionCounts returns the paper's x-axis {100, 200, ..., 6400}
@@ -145,62 +141,43 @@ func (s *Suite) PartitionCounts() []int {
 }
 
 // GraphA returns the (scaled) Table II Graph A with SSSP weights.
-func (s *Suite) GraphA() *graph.Graph {
-	g := graph.MustGenerate(graph.GraphAConfig().Scaled(s.Scale))
-	g.AssignUniformWeights(1, 100, 42)
-	return g
-}
+func (s *Suite) GraphA() *graph.Graph { return s.tableGraph(graph.GraphAConfig(), 42) }
 
 // GraphB returns the (scaled) Table II Graph B.
-func (s *Suite) GraphB() *graph.Graph {
-	g := graph.MustGenerate(graph.GraphBConfig().Scaled(s.Scale))
-	g.AssignUniformWeights(1, 100, 43)
+func (s *Suite) GraphB() *graph.Graph { return s.tableGraph(graph.GraphBConfig(), 43) }
+
+func (s *Suite) tableGraph(cfg graph.GenerateConfig, weightSeed uint64) *graph.Graph {
+	g := graph.MustGenerate(cfg.Scaled(s.Scale))
+	g.AssignUniformWeights(1, 100, weightSeed)
 	return g
 }
 
-// partitions builds sub-graphs for the given k with the multilevel
+// graphInputs builds g's sub-graphs for the given k with the multilevel
 // (Metis-substitute) partitioner, mirroring the paper's one-time
 // partitioning prepass (not charged to runtimes; §V-B3 reports ~5s,
 // "negligible compared to the runtime ... and hence not included").
-func (s *Suite) partitions(g *graph.Graph, k int) ([]*graph.SubGraph, *partition.Assignment, error) {
+func graphInputs(g *graph.Graph, k int) (*Inputs, error) {
 	a, err := partition.Partition(g, k, partition.Options{Seed: 7})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	subs, err := graph.BuildSubGraphs(g, a.Parts, a.K)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return subs, a, nil
+	return &Inputs{Subs: subs}, nil
 }
 
-// pagerankSweep runs general and eager PageRank across the partition
-// sweep, returning iteration and time series.
-func (s *Suite) pagerankSweep(g *graph.Graph) (ks []int, genIt, eagIt, genT, eagT []float64, err error) {
-	ks = s.PartitionCounts()
-	for _, k := range ks {
-		subs, _, perr := s.partitions(g, k)
-		if perr != nil {
-			return nil, nil, nil, nil, nil, perr
-		}
-		rg, rerr := pagerank.Run(s.engine(), subs, pagerank.DefaultConfig(), false)
-		if rerr != nil {
-			return nil, nil, nil, nil, nil, rerr
-		}
-		re, rerr := pagerank.Run(s.engine(), subs, pagerank.DefaultConfig(), true)
-		if rerr != nil {
-			return nil, nil, nil, nil, nil, rerr
-		}
-		genIt = append(genIt, float64(rg.Stats.GlobalIterations))
-		eagIt = append(eagIt, float64(re.Stats.GlobalIterations))
-		genT = append(genT, rg.Stats.Duration.Seconds())
-		eagT = append(eagT, re.Stats.Duration.Seconds())
-		s.logf("pagerank k=%d: general %d it %.0fs, eager %d it %.0fs\n",
-			k, rg.Stats.GlobalIterations, rg.Stats.Duration.Seconds(),
-			re.Stats.GlobalIterations, re.Stats.Duration.Seconds())
-	}
-	return ks, genIt, eagIt, genT, eagT, nil
+// midK is the partition count of the single-configuration experiments:
+// the middle of the sweep axis.
+func (s *Suite) midK() int {
+	ks := s.PartitionCounts()
+	return ks[len(ks)/2]
 }
+
+// midGraphA is the fixture every single-configuration experiment runs
+// on: Graph A cut into midK partitions.
+func (s *Suite) midGraphA() (*Inputs, error) { return graphInputs(s.GraphA(), s.midK()) }
 
 func intsToFloats(ks []int) []float64 {
 	xs := make([]float64, len(ks))
@@ -210,77 +187,17 @@ func intsToFloats(ks []int) []float64 {
 	return xs
 }
 
-// figurePair builds the iterations-figure and time-figure from a sweep.
-func figurePair(titleIt, titleT string, ks []int, genIt, eagIt, genT, eagT []float64) (itFig, tFig *Figure) {
-	x := intsToFloats(ks)
-	itFig = &Figure{
-		Title: titleIt, XLabel: "# Partitions", YLabel: "# Iterations", X: x,
-		Series: []Series{{Label: "General", Y: genIt}, {Label: "Eager", Y: eagIt}}, Comparable: true,
-	}
-	tFig = &Figure{
-		Title: titleT, XLabel: "# Partitions", YLabel: "Time (seconds)", X: x,
-		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}}, Comparable: true,
-	}
-	return itFig, tFig
-}
-
-// Figures2and4 reproduces the PageRank Graph A pair.
-func (s *Suite) Figures2and4() (*Figure, *Figure, error) {
-	ks, genIt, eagIt, genT, eagT, err := s.pagerankSweep(s.GraphA())
-	if err != nil {
-		return nil, nil, err
-	}
-	f2, f4 := figurePair(
-		"Figure 2. PageRank: iterations to converge vs partitions (Graph A)",
-		"Figure 4. PageRank: time to converge vs partitions (Graph A)",
-		ks, genIt, eagIt, genT, eagT)
-	return f2, f4, nil
-}
-
-// Figures3and5 reproduces the PageRank Graph B pair.
-func (s *Suite) Figures3and5() (*Figure, *Figure, error) {
-	ks, genIt, eagIt, genT, eagT, err := s.pagerankSweep(s.GraphB())
-	if err != nil {
-		return nil, nil, err
-	}
-	f3, f5 := figurePair(
-		"Figure 3. PageRank: iterations to converge vs partitions (Graph B)",
-		"Figure 5. PageRank: time to converge vs partitions (Graph B)",
-		ks, genIt, eagIt, genT, eagT)
-	return f3, f5, nil
-}
-
-// Figures6and7 reproduces the SSSP Graph A pair.
-func (s *Suite) Figures6and7() (*Figure, *Figure, error) {
-	g := s.GraphA()
+// PartitionFigures sweeps w over the partition axis of g and returns the
+// iterations figure and the time figure: general vs eager (the paper's
+// Figures 2-7), plus the suite's async configuration when withAsync is
+// set (the three-mode comparison).
+func (s *Suite) PartitionFigures(w *Workload, g *graph.Graph, withAsync bool, titleIt, titleT string) ([]*Figure, error) {
 	ks := s.PartitionCounts()
-	var genIt, eagIt, genT, eagT []float64
-	for _, k := range ks {
-		subs, _, err := s.partitions(g, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		sg, err := sssp.Run(s.engine(), subs, sssp.Config{Source: 0}, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		se, err := sssp.Run(s.engine(), subs, sssp.Config{Source: 0}, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		genIt = append(genIt, float64(sg.Stats.GlobalIterations))
-		eagIt = append(eagIt, float64(se.Stats.GlobalIterations))
-		genT = append(genT, sg.Stats.Duration.Seconds())
-		eagT = append(eagT, se.Stats.Duration.Seconds())
-		s.logf("sssp k=%d: general %d it %.0fs, eager %d it %.0fs\n",
-			k, sg.Stats.GlobalIterations, sg.Stats.Duration.Seconds(),
-			se.Stats.GlobalIterations, se.Stats.Duration.Seconds())
+	modes, err := s.partitionSweep(w, s.modes(s.preset(), withAsync), g, ks)
+	if err != nil {
+		return nil, err
 	}
-	f6, f7 := figurePair(
-		"Figure 6. SSSP: iterations to converge vs partitions (Graph A)",
-		"Figure 7. SSSP: time to converge vs partitions (Graph A)",
-		ks, genIt, eagIt, genT, eagT)
-	return f6, f7, nil
+	return modeFigures(titleIt, titleT, "# Partitions", intsToFloats(ks), nil, modes), nil
 }
 
 // kmeansScale caps the K-Means scale-down: the eager formulation
@@ -306,57 +223,31 @@ var KMeansThresholds = []float64{0.1, 0.01, 0.001, 0.0001}
 // KMeansPartitions is the paper's fixed partition count for Figures 8/9.
 const KMeansPartitions = 52
 
-// Figures8and9 reproduces the K-Means threshold sweep. The dataset
-// scales down at most 2x: the eager formulation averages per-partition
-// local optima, and with fewer than ~2000 points per partition (52
-// partitions fixed by the paper) subset noise drowns the
-// threshold-sensitivity the figure measures.
-func (s *Suite) Figures8and9() (*Figure, *Figure, error) {
-	pts, err := kmeans.GenerateCensus(kmeans.DefaultCensusConfig().Scaled(s.kmeansScale()))
+// Figures8and9 reproduces the K-Means threshold sweep (the dataset
+// scales down at most 2x; see kmeansScale).
+func (s *Suite) Figures8and9() ([]*Figure, error) {
+	census, err := KMeans.Inputs(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var genIt, eagIt, genT, eagT []float64
-	for _, thr := range KMeansThresholds {
-		kg, err := kmeans.Run(s.engine(), pts, KMeansPartitions, kmeans.DefaultConfig(thr), false)
-		if err != nil {
-			return nil, nil, err
-		}
-		ke, err := kmeans.Run(s.engine(), pts, KMeansPartitions, kmeans.DefaultConfig(thr), true)
-		if err != nil {
-			return nil, nil, err
-		}
-		genIt = append(genIt, float64(kg.Stats.GlobalIterations))
-		eagIt = append(eagIt, float64(ke.Stats.GlobalIterations))
-		genT = append(genT, kg.Stats.Duration.Seconds())
-		eagT = append(eagT, ke.Stats.Duration.Seconds())
-		s.logf("kmeans thr=%g: general %d it %.0fs, eager %d it %.0fs\n",
-			thr, kg.Stats.GlobalIterations, kg.Stats.Duration.Seconds(),
-			ke.Stats.GlobalIterations, ke.Stats.Duration.Seconds())
+	modes, err := s.sweep(KMeans, s.modes(s.preset(), false), len(KMeansThresholds), func(i int) (*Inputs, string, error) {
+		in := *census
+		in.Threshold = KMeansThresholds[i]
+		return &in, fmt.Sprintf("thr=%g", in.Threshold), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	xfmt := func(x float64) string { return fmt.Sprintf("%g", x) }
-	f8 := &Figure{
-		Title:  "Figure 8. K-Means: iterations to converge vs threshold (52 partitions)",
-		XLabel: "Threshold (Delta)", YLabel: "# Iterations",
-		X: KMeansThresholds, XFmt: xfmt,
-		Series: []Series{{Label: "General", Y: genIt}, {Label: "Eager", Y: eagIt}}, Comparable: true,
-	}
-	f9 := &Figure{
-		Title:  "Figure 9. K-Means: time to converge vs threshold (52 partitions)",
-		XLabel: "Threshold (Delta)", YLabel: "Time (seconds)",
-		X: KMeansThresholds, XFmt: xfmt,
-		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}}, Comparable: true,
-	}
-	return f8, f9, nil
+	return modeFigures(
+		"Figure 8. K-Means: iterations to converge vs threshold (52 partitions)",
+		"Figure 9. K-Means: time to converge vs threshold (52 partitions)",
+		"Threshold (Delta)", KMeansThresholds, func(x float64) string { return fmt.Sprintf("%g", x) }, modes), nil
 }
 
 // Table1 renders the measurement testbed (paper Table I) from the
 // simulated cluster configuration.
 func (s *Suite) Table1(w io.Writer) {
-	cfg := s.Cluster
-	if cfg == nil {
-		cfg = cluster.EC2LargeCluster()
-	}
+	cfg := s.preset()
 	fmt.Fprintln(w, "Table I. Measurement testbed, software (simulated)")
 	fmt.Fprintln(w, "===================================================")
 	fmt.Fprintf(w, "%-28s %s\n", "Cluster", cfg.Name)
@@ -395,42 +286,17 @@ func (s *Suite) Table2(w io.Writer) error {
 // simulated 460-node CluE-like cluster, showing eager's gains persist at
 // scale (heavier per-job overheads and oversubscribed network).
 func (s *Suite) Scalability() (*Figure, error) {
-	clue := cluster.CluECluster()
-	saved := s.Cluster
-	s.Cluster = clue
-	defer func() { s.Cluster = saved }()
-
-	g := s.GraphA()
 	ks := []int{460, 920, 1840}
-	if s.Scale > 1 {
-		for i := range ks {
-			ks[i] /= s.Scale
-			if ks[i] < 2 {
-				ks[i] = 2
-			}
+	for i := range ks {
+		if ks[i] /= s.Scale; ks[i] < 2 {
+			ks[i] = 2
 		}
 	}
-	var genT, eagT []float64
-	for _, k := range ks {
-		subs, _, err := s.partitions(g, k)
-		if err != nil {
-			return nil, err
-		}
-		rg, err := pagerank.Run(s.engine(), subs, pagerank.DefaultConfig(), false)
-		if err != nil {
-			return nil, err
-		}
-		re, err := pagerank.Run(s.engine(), subs, pagerank.DefaultConfig(), true)
-		if err != nil {
-			return nil, err
-		}
-		genT = append(genT, rg.Stats.Duration.Seconds())
-		eagT = append(eagT, re.Stats.Duration.Seconds())
+	modes, err := s.partitionSweep(PageRank, s.modes(cluster.CluECluster(), false), s.GraphA(), ks)
+	if err != nil {
+		return nil, err
 	}
-	return &Figure{
-		Title:  "Scalability (§VI): PageRank on simulated 460-node CluE cluster",
-		XLabel: "# Partitions", YLabel: "Time (seconds)",
-		X:      intsToFloats(ks),
-		Series: []Series{{Label: "General", Y: genT}, {Label: "Eager", Y: eagT}}, Comparable: true,
-	}, nil
+	// The remark is about time; the iterations figure is not rendered.
+	return modeFigures("", "Scalability (§VI): PageRank on simulated 460-node CluE cluster",
+		"# Partitions", intsToFloats(ks), nil, modes)[1], nil
 }

@@ -1,23 +1,14 @@
 // Package harness runs the paper's experiments end to end and renders
-// their tables and figures. Each experiment function regenerates one
-// artifact of the evaluation section:
-//
-//	Table I   — testbed description               (Table1)
-//	Table II  — input graph properties            (Table2)
-//	Figure 2  — PageRank iterations vs partitions, Graph A  (Figure2)
-//	Figure 3  — same, Graph B                               (Figure3)
-//	Figure 4  — PageRank time vs partitions, Graph A        (Figure4)
-//	Figure 5  — same, Graph B                               (Figure5)
-//	Figure 6  — SSSP iterations vs partitions, Graph A      (Figure6)
-//	Figure 7  — SSSP time vs partitions, Graph A            (Figure7)
-//	Figure 8  — K-Means iterations vs threshold             (Figure8)
-//	Figure 9  — K-Means time vs threshold                   (Figure9)
-//	§VI       — 460-node scalability remark                 (Scalability)
-//
-// Beyond the paper, the suite compares the repository's third
-// scheduling mode — fully-asynchronous bounded-staleness execution
-// (internal/async) — against the general and eager formulations
-// (FiguresAsyncA/B, StalenessSweep, RunWorkloads).
+// their tables and figures. Two tables say what there is: the workload
+// table (workloads.go) states each of PageRank, SSSP, K-Means and
+// connected components once — how to build its inputs at a suite's scale
+// and how to run them general, eager or asynchronously on a cluster
+// preset — and the experiment registry (registry.go) lists every
+// experiment once: the paper's Tables I-II, Figures 2-9 and §VI
+// scalability remark, and beyond the paper the third scheduling mode's
+// figures (fully-asynchronous bounded-staleness execution,
+// internal/async) and the end-to-end `run`. cmd/asyncmr, the root
+// benchmarks and the tests all go through the two.
 //
 // Figures are emitted as aligned text tables plus a log-scale ASCII chart
 // (the original figures are log-log gnuplot charts). A Scale factor
@@ -32,8 +23,6 @@ import (
 	"io"
 	"math"
 	"strings"
-
-	"repro/internal/simtime"
 )
 
 // Series is one curve of an experiment: a labelled Y per swept X.
@@ -185,6 +174,3 @@ func trimFloat(x float64) string {
 		return fmt.Sprintf("%.4g", x)
 	}
 }
-
-// secondsOf converts simulated durations for figure Y values.
-func secondsOf(d simtime.Duration) float64 { return d.Seconds() }

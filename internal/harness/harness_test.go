@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,6 +22,51 @@ func testSuite() *Suite {
 	s.MaxSweepPoints = 4
 	s.KMeansScaleCap = 16
 	return s
+}
+
+// ranExperiment is one registry entry's run on a testSuite(): the suite
+// it ran on, what it printed itself and the figures it returned.
+type ranExperiment struct {
+	suite *Suite
+	text  []byte
+	figs  []*Figure
+}
+
+var ranCache = map[string]*ranExperiment{}
+
+// ran runs the registry entry carrying name on a fresh testSuite(), once
+// per test binary: the shape tests and TestExperimentOutputGoldens look
+// at the same run.
+func ran(t *testing.T, name string) *ranExperiment {
+	t.Helper()
+	e, _ := Lookup(name)
+	if e == nil {
+		t.Fatalf("no experiment %q in the registry", name)
+	}
+	if r, ok := ranCache[e.Names[0]]; ok {
+		return r
+	}
+	r := &ranExperiment{suite: testSuite()}
+	var buf bytes.Buffer
+	figs, err := e.Run(r.suite, "general", &buf)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	r.text, r.figs = buf.Bytes(), figs
+	ranCache[e.Names[0]] = r
+	return r
+}
+
+// seriesY returns the figure's series carrying label.
+func seriesY(t *testing.T, f *Figure, label string) []float64 {
+	t.Helper()
+	for _, sr := range f.Series {
+		if sr.Label == label {
+			return sr.Y
+		}
+	}
+	t.Fatalf("figure %q has no series %q", f.Title, label)
+	return nil
 }
 
 func TestPartitionCountsScale(t *testing.T) {
@@ -88,11 +134,8 @@ func TestFigures2and4ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f2, f4, err := s.Figures2and4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := ran(t, "figure2").figs
+	f2, f4 := figs[0], figs[1]
 	gen, eag := f2.Series[0].Y, f2.Series[1].Y
 	// General iteration count is partition-independent (paper: "The
 	// number of iterations does not change in the general case").
@@ -127,11 +170,8 @@ func TestFigures6and7ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f6, f7, err := s.Figures6and7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := ran(t, "figure6").figs
+	f6, f7 := figs[0], figs[1]
 	gen, eag := f6.Series[0].Y, f6.Series[1].Y
 	for i := 1; i < len(gen); i++ {
 		if gen[i] != gen[0] {
@@ -153,11 +193,8 @@ func TestFigures8and9Run(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f8, f9, err := s.Figures8and9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := ran(t, "figure8").figs
+	f8, f9 := figs[0], figs[1]
 	gen := f8.Series[0].Y
 	// Tighter thresholds need at least as many general iterations.
 	for i := 1; i < len(gen); i++ {
@@ -174,11 +211,8 @@ func TestFiguresAsyncShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	itFig, tFig, err := s.FiguresAsyncA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := ran(t, "asyncA").figs
+	itFig, tFig := figs[0], figs[1]
 	if len(itFig.Series) != 3 || len(tFig.Series) != 3 {
 		t.Fatalf("want three series (general/eager/async), got %d", len(tFig.Series))
 	}
@@ -212,11 +246,7 @@ func TestStalenessSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.StalenessSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := ran(t, "staleness").figs[0]
 	if len(f.Series) != 3 || len(f.Series[0].Y) != len(StalenessValues) {
 		t.Fatalf("bad sweep shape: %+v", f.Series)
 	}
@@ -234,11 +264,8 @@ func TestStalenessSweepCrossRack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.StalenessSweepCrossRack()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := ran(t, "stalenessx")
+	s, f := r.suite, r.figs[0]
 	if !strings.Contains(f.Title, "xrack") {
 		t.Fatalf("cross-rack sweep not labelled with its cluster: %q", f.Title)
 	}
@@ -253,31 +280,21 @@ func TestModeSweepWithParallelExecutor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	des := testSuite()
-	_, desFig, err := des.FiguresAsyncA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := ran(t, "asyncA")
+	des, desFig := r.suite, r.figs[1]
 	par := testSuite()
 	par.AsyncExecutor = async.Parallel
-	_, parFig, err := par.FiguresAsyncA()
+	asyncA, _ := Lookup("asyncA")
+	parFigs, err := asyncA.Run(par, "general", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Look the async series up by its label, not position: modeRunners
+	parFig := parFigs[1]
+	// Look the async series up by its label, not position: the mode list
 	// may grow/reorder without this test silently comparing the wrong
 	// (identical-by-construction) series.
-	asyncSeries := func(f *Figure, label string) []float64 {
-		for _, s := range f.Series {
-			if s.Label == label {
-				return s.Y
-			}
-		}
-		t.Fatalf("figure %q has no series %q", f.Title, label)
-		return nil
-	}
-	label := stalenessLabel(des.Staleness())
-	desY, parY := asyncSeries(desFig, label), asyncSeries(parFig, label)
+	label := des.asyncLabel()
+	desY, parY := seriesY(t, desFig, label), seriesY(t, parFig, label)
 	for i := range desY {
 		if desY[i] != parY[i] {
 			t.Fatalf("async time series diverged across executors at %d: %v vs %v", i, desY, parY)
@@ -291,11 +308,7 @@ func TestFigureParallelScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.FigureParallelScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := ran(t, "parallel").figs[0]
 	if len(f.Series) != 4 || len(f.Series[0].Y) != len(ParallelWorkerCounts) {
 		t.Fatalf("bad scaling figure shape: %+v", f.Series)
 	}
@@ -315,11 +328,7 @@ func TestFigureLiveScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.FigureLiveScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := ran(t, "livescaling").figs[0]
 	if len(f.Series) != 4 || len(f.Series[0].Y) != len(LiveWorkerCounts) {
 		t.Fatalf("bad live scaling figure shape: %+v", f.Series)
 	}
@@ -342,32 +351,17 @@ func TestFigureParallelScalingHPC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	ec2, err := s.FigureParallelScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpc, err := s.FigureParallelScalingHPC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ec2 := ran(t, "parallel").figs[0]
+	r := ran(t, "parallelhpc")
+	s, hpc := r.suite, r.figs[0]
 	if !strings.Contains(hpc.Title, "hpc") {
 		t.Fatalf("HPC figure not labelled with its cluster: %q", hpc.Title)
 	}
 	if s.Cluster.Name != "ec2-8-xlarge" {
 		t.Fatalf("suite cluster not restored: %s", s.Cluster.Name)
 	}
-	series := func(f *Figure, label string) []float64 {
-		for _, sr := range f.Series {
-			if sr.Label == label {
-				return sr.Y
-			}
-		}
-		t.Fatalf("figure %q has no series %q", f.Title, label)
-		return nil
-	}
-	ec2Frac, hpcFrac := series(ec2, "SpecFrac"), series(hpc, "SpecFrac")
-	hpcDepth := series(hpc, "SpecDepth")
+	ec2Frac, hpcFrac := seriesY(t, ec2, "SpecFrac"), seriesY(t, hpc, "SpecFrac")
+	hpcDepth := seriesY(t, hpc, "SpecDepth")
 	for i := range hpcFrac {
 		if hpcFrac[i] < ec2Frac[i]*2/3 {
 			t.Fatalf("HPC speculation collapsed at workers=%d: frac %.2f vs EC2 %.2f",
@@ -385,11 +379,8 @@ func TestStalenessSweepCluE(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.StalenessSweepCluE()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := ran(t, "stalenessclue")
+	s, f := r.suite, r.figs[0]
 	if !strings.Contains(f.Title, "clue") {
 		t.Fatalf("CluE sweep not labelled with its cluster: %q", f.Title)
 	}
@@ -407,11 +398,8 @@ func TestAdaptiveSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.FigureAdaptive()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := ran(t, "adaptive")
+	s, f := r.suite, r.figs[0]
 	labels := AdaptiveSweepLabels()
 	if len(f.Series) != 4 || len(f.Series[0].Y) != len(labels) {
 		t.Fatalf("bad adaptive sweep shape: %+v", f.Series)
@@ -551,11 +539,8 @@ func TestScalabilityRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := NewSuite(64)
-	f, err := s.Scalability()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := ran(t, "scale")
+	s, f := r.suite, r.figs[0]
 	genT, eagT := f.Series[0].Y, f.Series[1].Y
 	for i := range eagT {
 		if eagT[i] >= genT[i] {
@@ -578,11 +563,7 @@ func TestFigureRecoverySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	f, err := s.FigureRecoverySweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := ran(t, "recovery").figs[0]
 	if len(f.Series) != len(RecoveryMTTFFractions)+2 {
 		t.Fatalf("bad sweep shape: %d series", len(f.Series))
 	}
@@ -617,6 +598,7 @@ func TestFigureRecoverySweep(t *testing.T) {
 
 	// Executor parity: the parallel executor regenerates the identical
 	// figure (crashes included).
+	s := testSuite()
 	s.AsyncExecutor = async.Parallel
 	pf, err := s.FigureRecoverySweep()
 	if err != nil {
@@ -703,12 +685,8 @@ func TestTraceExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	s := testSuite()
-	var buf bytes.Buffer
-	f, err := s.TraceExperiment(&buf)
-	if err != nil {
-		t.Fatalf("TraceExperiment: %v", err)
-	}
+	r := ran(t, "trace")
+	f, buf := r.figs[0], bytes.NewBuffer(r.text)
 	if len(f.X) != 3 {
 		t.Fatalf("figure has %d points, want one per executor", len(f.X))
 	}

@@ -2,11 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/async"
 	"repro/internal/cluster"
-	"repro/internal/pagerank"
+	"repro/internal/stats"
 )
 
 // LiveWorkerCounts is the cores axis of the live-executor figure.
@@ -40,22 +39,15 @@ const liveScalingTol = 1e-2
 // converged ranks at the same bound, so the speedup is only reported
 // for runs that actually converged to the right answer.
 func (s *Suite) FigureLiveScaling() (*Figure, error) {
-	g := s.GraphA()
-	ks := s.PartitionCounts()
-	k := ks[len(ks)/2]
-	subs, _, err := s.partitions(g, k)
+	in, err := s.midGraphA()
 	if err != nil {
 		return nil, err
 	}
-	base := s.Cluster
-	if base == nil {
-		base = cluster.EC2LargeCluster()
-	}
-	cfg := *base
+	cfg := *s.preset()
 	cfg.LiveNetScale = liveNetScale
 
 	oracle := func(staleness int) ([]float64, error) {
-		res, err := pagerank.RunAsync(cluster.New(&cfg), subs, pagerank.DefaultConfig(), async.Options{Staleness: staleness})
+		res, err := pagerankAsync(cluster.New(&cfg), in, async.Options{Staleness: staleness})
 		if err != nil {
 			return nil, err
 		}
@@ -73,51 +65,47 @@ func (s *Suite) FigureLiveScaling() (*Figure, error) {
 	// timedLive keeps the fastest of parallelScalingReps runs; the
 	// run's own Duration is the measured wall clock, so harness overhead
 	// (graph setup, rank comparison) never leaks into the figure.
-	timedLive := func(staleness, workers int, want []float64) (wallSeconds float64, stats *async.RunStats, err error) {
-		best := 0.0
+	timedLive := func(staleness, workers int, want []float64) (best *async.RunStats, err error) {
 		for rep := 0; rep < parallelScalingReps; rep++ {
-			res, err := pagerank.RunAsync(cluster.New(&cfg), subs, pagerank.DefaultConfig(),
-				async.Options{Staleness: staleness, Executor: async.Live, Workers: workers})
+			res, err := pagerankAsync(cluster.New(&cfg), in, async.Options{Staleness: staleness, Executor: async.Live, Workers: workers})
 			if err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 			if !res.Stats.Converged {
-				return 0, nil, fmt.Errorf("harness: live run (S=%d workers=%d) did not converge", staleness, workers)
+				return nil, fmt.Errorf("harness: live run (S=%d workers=%d) did not converge", staleness, workers)
 			}
-			if drift := maxAbsDiff(want, res.Ranks); drift > liveScalingTol {
-				return 0, nil, fmt.Errorf("harness: live run (S=%d workers=%d) drifted %g from the DES oracle, tolerance %g",
+			if drift := stats.InfNormDiff(want, res.Ranks); drift > liveScalingTol {
+				return nil, fmt.Errorf("harness: live run (S=%d workers=%d) drifted %g from the DES oracle, tolerance %g",
 					staleness, workers, drift, liveScalingTol)
 			}
-			wall := res.Stats.Duration.Seconds()
-			if rep == 0 || wall < best {
-				best = wall
-				stats = res.Stats
+			if best == nil || res.Stats.Duration < best.Duration {
+				best = res.Stats
 			}
 		}
-		return best, stats, nil
+		return best, nil
 	}
 
 	var speedups, lockMs, asyncMs, steals []float64
 	for _, wc := range LiveWorkerCounts {
-		lockWall, _, err := timedLive(0, wc, desLock)
+		lock, err := timedLive(0, wc, desLock)
 		if err != nil {
 			return nil, err
 		}
-		freeWall, freeStats, err := timedLive(async.Unbounded, wc, desFree)
+		free, err := timedLive(async.Unbounded, wc, desFree)
 		if err != nil {
 			return nil, err
 		}
+		lockWall, freeWall := lock.Duration.Seconds(), free.Duration.Seconds()
 		speedups = append(speedups, lockWall/freeWall)
 		lockMs = append(lockMs, lockWall*1e3)
 		asyncMs = append(asyncMs, freeWall*1e3)
-		steals = append(steals, float64(freeStats.LiveSteals))
+		steals = append(steals, float64(free.LiveSteals))
 		s.logf("live workers=%d: lockstep %.1fms, async %.1fms, speedup %.2fx, steals %d, compute %.1fms\n",
-			wc, lockWall*1e3, freeWall*1e3, lockWall/freeWall, freeStats.LiveSteals,
-			freeStats.LiveComputeTime.Seconds()*1e3)
+			wc, lockWall*1e3, freeWall*1e3, lockWall/freeWall, free.LiveSteals, free.LiveComputeTime.Seconds()*1e3)
 	}
 	return &Figure{
 		Title: fmt.Sprintf("Live executor: measured async speedup over lockstep vs cores (Graph A, %d partitions, netScale=%g, %s)",
-			k, liveNetScale, cfg.Name),
+			len(in.Subs), liveNetScale, cfg.Name),
 		XLabel: "# Pool workers", YLabel: "Measured speedup of S=inf over S=0 (wall clock)",
 		X: intsToFloats(LiveWorkerCounts),
 		Series: []Series{
@@ -125,18 +113,4 @@ func (s *Suite) FigureLiveScaling() (*Figure, error) {
 			{Label: "AsyncMs", Y: asyncMs}, {Label: "Steals", Y: steals},
 		},
 	}, nil
-}
-
-// maxAbsDiff is the rank-drift metric of the live-vs-DES checks.
-func maxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var max float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }

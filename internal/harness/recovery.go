@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/pagerank"
 	"repro/internal/recovery"
 	"repro/internal/simtime"
 )
@@ -29,15 +28,10 @@ var RecoveryMTTFFractions = []float64{0.25, 0.75, 2.5}
 // is disabled so the curves isolate the checkpoint-cadence trade-off.
 // Checkpoint and restore overheads are scaled to the shortened run for
 // the same reason. Crashes stay off (CrashMTTF 0); callers set the
-// MTTF for their regime. BenchmarkAsyncRecovery and the alloc-guard
-// thresholds are tuned against this exact configuration — keep them on
-// it.
+// MTTF for their regime. The recovery row of TestAllocBudgets is tuned
+// against this exact configuration — keep it on it.
 func (s *Suite) RecoveryCluster() *cluster.Config {
-	base := s.Cluster
-	if base == nil {
-		base = cluster.EC2LargeCluster()
-	}
-	cfg := *base
+	cfg := *s.preset()
 	cfg.JobOverhead = 200 * simtime.Millisecond
 	cfg.TaskOverhead = 20 * simtime.Millisecond
 	cfg.CheckpointCost = 20 * simtime.Millisecond
@@ -58,10 +52,7 @@ func (s *Suite) RecoveryCluster() *cluster.Config {
 // shrinks. All runs use the suite's executor — DES and parallel report
 // identical virtual-time results, crashes included.
 func (s *Suite) FigureRecoverySweep() (*Figure, error) {
-	g := s.GraphA()
-	ks := s.PartitionCounts()
-	k := ks[len(ks)/2]
-	subs, _, err := s.partitions(g, k)
+	in, err := s.midGraphA()
 	if err != nil {
 		return nil, err
 	}
@@ -69,9 +60,9 @@ func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 
 	// Crash-free baseline: calibrates the MTTF fractions and anchors
 	// the "what does fault tolerance cost" comparison.
-	baseOpt := s.asyncOptions(s.Staleness())
+	baseOpt := s.asyncOptions()
 	baseOpt.Checkpoint = nil
-	clean, err := pagerank.RunAsync(cluster.New(cfg), subs, pagerank.DefaultConfig(), baseOpt)
+	clean, err := PageRank.Async(cfg, in, baseOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +79,7 @@ func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 			if steps > 0 {
 				opt.Checkpoint = recovery.EverySteps(steps)
 			}
-			res, err := pagerank.RunAsync(cluster.New(&crashy), subs, pagerank.DefaultConfig(), opt)
+			res, err := PageRank.Async(&crashy, in, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -113,19 +104,13 @@ func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 				Series{Label: "RecTime", Y: recT})
 		}
 	}
-	x := make([]float64, len(RecoveryCheckpointSteps))
-	for i, v := range RecoveryCheckpointSteps {
-		x[i] = float64(v)
-	}
 	return &Figure{
 		Title: fmt.Sprintf("Recovery sweep: async PageRank time vs checkpoint interval (Graph A, %d partitions, S=%d, %s; crash-free %.2fs)",
-			k, s.Staleness(), cfg.Name, cleanDur.Seconds()),
+			len(in.Subs), s.AsyncStaleness, cfg.Name, cleanDur.Seconds()),
 		XLabel: "Checkpoint every K steps (0 = none)",
 		YLabel: "Time to converge (s)",
-		X:      x,
-		XFmt: func(v float64) string {
-			return ckptLabel(int(v))
-		},
+		X:      intsToFloats(RecoveryCheckpointSteps),
+		XFmt:   func(v float64) string { return ckptLabel(int(v)) },
 		Series: series,
 	}, nil
 }

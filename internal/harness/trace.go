@@ -9,26 +9,15 @@ import (
 	"strings"
 
 	"repro/internal/async"
-	"repro/internal/pagerank"
 	"repro/internal/trace"
 )
 
-// traceRecorder returns a fresh event recorder when the suite's
-// TracePath is set, nil (tracing off — the runtime's one-branch fast
-// path) otherwise.
-func (s *Suite) traceRecorder() *trace.Recorder {
-	if s.TracePath == "" {
-		return nil
-	}
-	return trace.NewRecorder(trace.DefaultCapacity)
-}
-
-// tracePathFor derives one workload's output file from the suite's
-// TracePath by splicing the workload name before the extension:
+// splicePath derives one workload's trace or series file from the path
+// the user gave, splicing the workload name before the extension:
 // "out.json" -> "out.pagerank.json".
-func (s *Suite) tracePathFor(workload string) string {
-	ext := filepath.Ext(s.TracePath)
-	return strings.TrimSuffix(s.TracePath, ext) + "." + workload + ext
+func splicePath(path, workload string) string {
+	ext := filepath.Ext(path)
+	return strings.TrimSuffix(path, ext) + "." + workload + ext
 }
 
 // flushTrace writes one workload's recorded events as a Chrome
@@ -45,7 +34,7 @@ func (s *Suite) flushTrace(rec *trace.Recorder, workload string, live bool) (*tr
 		domain = trace.Wall
 	}
 	events := rec.Events()
-	path := s.tracePathFor(workload)
+	path := splicePath(s.TracePath, workload)
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("harness: trace: %w", err)
@@ -81,27 +70,25 @@ var traceExecutors = []struct {
 // contract end to end. Live legs use the suite's cluster at its
 // configured LiveNetScale and lay their export out in wall time.
 func (s *Suite) TraceExperiment(w io.Writer) (*Figure, error) {
-	g := s.GraphA()
-	ks := s.PartitionCounts()
-	k := ks[len(ks)/2]
-	subs, _, err := s.partitions(g, k)
+	in, err := s.midGraphA()
 	if err != nil {
 		return nil, err
 	}
+	preset := s.withCrashes(s.preset())
 	var compute, gate, stall, events []float64
 	for _, leg := range traceExecutors {
-		opt := s.asyncOptions(s.Staleness())
+		opt := s.asyncOptions()
 		opt.Executor = leg.Exec
 		rec := trace.NewRecorder(trace.DefaultCapacity)
 		opt.Trace = rec
-		res, err := pagerank.RunAsync(s.asyncCluster(), subs, pagerank.DefaultConfig(), opt)
+		res, err := PageRank.Async(preset, in, opt)
 		if err != nil {
 			return nil, err
 		}
 		if leg.Exec == async.DES {
 			base := opt
 			base.Trace = nil
-			ref, err := pagerank.RunAsync(s.asyncCluster(), subs, pagerank.DefaultConfig(), base)
+			ref, err := PageRank.Async(preset, in, base)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +118,7 @@ func (s *Suite) TraceExperiment(w io.Writer) (*Figure, error) {
 	}
 	return &Figure{
 		Title: fmt.Sprintf("Trace experiment: traced time decomposition per executor (Graph A PageRank, %d partitions, S=%d, %s)",
-			k, s.Staleness(), s.clusterName()),
+			len(in.Subs), s.AsyncStaleness, preset.Name),
 		XLabel: "Executor", YLabel: "Summed seconds (virtual domain)",
 		X: []float64{0, 1, 2},
 		XFmt: func(v float64) string {

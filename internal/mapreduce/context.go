@@ -16,9 +16,6 @@ type TaskContext[K comparable, V any] struct {
 	// localSyncs counts partial synchronizations performed inside this
 	// task by the partial-synchronization runtime.
 	localSyncs int64
-	// extraBytes counts simulated bytes the task reads/writes beyond its
-	// split (e.g. side-loaded centroid files in K-Means).
-	extraBytes int64
 
 	counters map[string]int64
 }
@@ -42,11 +39,6 @@ func (c *TaskContext[K, V]) LocalSync() {
 	c.localSyncs++
 }
 
-// ChargeBytes accounts additional simulated I/O attributed to this task.
-func (c *TaskContext[K, V]) ChargeBytes(n int64) {
-	c.extraBytes += n
-}
-
 // Counter increments a named user counter, mirroring Hadoop counters.
 // Counters from all tasks are summed into the job result.
 func (c *TaskContext[K, V]) Counter(name string, delta int64) {
@@ -66,7 +58,6 @@ type taskStats struct {
 	outBytes   int64
 	ops        int64
 	localSyncs int64
-	extraBytes int64
 }
 
 // counterSet aggregates user counters across tasks; safe for concurrent

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -110,7 +109,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			outBytes:   outBytes,
 			ops:        ctx.ops,
 			localSyncs: ctx.localSyncs,
-			extraBytes: ctx.extraBytes,
 		}
 		counters.merge(ctx.counters)
 		return nil
@@ -132,9 +130,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		d += simtime.Duration(float64(st.outRecords)) * cfg.EmitCost
 		d += c.ComputeCost(st.ops)
 		d += simtime.Duration(float64(st.localSyncs)) * cfg.LocalSyncOverhead
-		if st.extraBytes > 0 {
-			d += c.TransferCost(st.extraBytes)
-		}
 		if mapOnly {
 			d += c.DFSWriteCost(st.outBytes)
 		}
@@ -211,7 +206,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			outBytes:   outBytes,
 			ops:        ctx.ops,
 			localSyncs: ctx.localSyncs,
-			extraBytes: ctx.extraBytes,
 		}
 		counters.merge(ctx.counters)
 		return nil
@@ -232,9 +226,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		d += simtime.Duration(float64(st.outRecords)) * cfg.EmitCost
 		d += c.ComputeCost(st.ops)
 		d += c.DFSWriteCost(st.outBytes)
-		if st.extraBytes > 0 {
-			d += c.TransferCost(st.extraBytes)
-		}
 		d = simtime.Duration(float64(d) * c.StragglerFactor())
 		attempts, wasted := c.TaskAttempts()
 		if attempts > 1 {
@@ -449,10 +440,4 @@ func runTask(i int, fn func(i int) error) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// SortOutputInt64 sorts a result's output by int64 key, a convenience for
-// tests and examples that want stable human-readable listings.
-func SortOutputInt64[V any](out []KV[int64, V]) {
-	slices.SortFunc(out, func(a, b KV[int64, V]) int { return cmp.Compare(a.Key, b.Key) })
 }

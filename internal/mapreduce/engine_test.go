@@ -389,14 +389,6 @@ func TestInt64Partition(t *testing.T) {
 	}
 }
 
-func TestSortOutputInt64(t *testing.T) {
-	out := []KV[int64, int]{{3, 0}, {1, 0}, {2, 0}}
-	SortOutputInt64(out)
-	if out[0].Key != 1 || out[1].Key != 2 || out[2].Key != 3 {
-		t.Fatalf("not sorted: %v", out)
-	}
-}
-
 func TestSingleWorkerFallback(t *testing.T) {
 	e := testEngine()
 	e.Parallelism = 1

@@ -234,70 +234,6 @@ func (s *Series) Last() (Sample, bool) {
 	return s.buf[(s.n-1)%uint64(len(s.buf))], true
 }
 
-// Summary aggregates a series: the run-level view of the curves.
-type Summary struct {
-	// Samples retained and Dropped overwritten by the ring.
-	Samples int
-	Dropped uint64
-	// Start/End are the first and last retained sample times.
-	Start, End simtime.Duration
-	// FinalResidual is the last sample's Residual, MinResidual the
-	// smallest non-negative Residual seen (-1 when the workload is not
-	// Progressive).
-	FinalResidual float64
-	MinResidual   float64
-	// Steps/Publishes/GateWait/StoreVersions/Steals are the last
-	// sample's cumulative values.
-	Steps         int64
-	Publishes     int64
-	GateWait      simtime.Duration
-	StoreVersions int64
-	Steals        int64
-	// LagHist sums the per-tick occupancy histograms over the retained
-	// window; LagMax is the largest observed lag.
-	LagHist [LagBuckets]int64
-	LagMax  int
-	// MaxQueueDepth is the deepest pool backlog observed (live only).
-	MaxQueueDepth int
-}
-
-// Summarize folds the retained samples into a Summary. Nil-safe.
-func (s *Series) Summarize() Summary {
-	var sum Summary
-	samples := s.Samples()
-	sum.Samples = len(samples)
-	sum.Dropped = s.Dropped()
-	sum.FinalResidual = -1
-	sum.MinResidual = -1
-	if len(samples) == 0 {
-		return sum
-	}
-	sum.Start = samples[0].Time
-	last := samples[len(samples)-1]
-	sum.End = last.Time
-	sum.FinalResidual = last.Residual
-	sum.Steps = last.Steps
-	sum.Publishes = last.Publishes
-	sum.GateWait = last.GateWait
-	sum.StoreVersions = last.StoreVersions
-	sum.Steals = last.Steals
-	for _, smp := range samples {
-		if smp.Residual >= 0 && (sum.MinResidual < 0 || smp.Residual < sum.MinResidual) {
-			sum.MinResidual = smp.Residual
-		}
-		if smp.LagMax > sum.LagMax {
-			sum.LagMax = smp.LagMax
-		}
-		if smp.QueueDepth > sum.MaxQueueDepth {
-			sum.MaxQueueDepth = smp.QueueDepth
-		}
-		for i, c := range smp.LagHist {
-			sum.LagHist[i] += c
-		}
-	}
-	return sum
-}
-
 // TimeToResidual returns the time of the first retained sample whose
 // residual is non-negative and at or below threshold, ok=false when
 // the series never got there. This is the "time to eager quality"

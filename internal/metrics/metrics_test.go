@@ -34,9 +34,6 @@ func TestNilSeriesSafe(t *testing.T) {
 	if _, ok := s.Last(); ok {
 		t.Fatal("nil series Last must report empty")
 	}
-	if sum := s.Summarize(); sum.Samples != 0 {
-		t.Fatal("nil series Summarize must be empty")
-	}
 }
 
 func TestRingWraparound(t *testing.T) {
@@ -71,18 +68,13 @@ func TestSummarizeAndTimeToResidual(t *testing.T) {
 		smp.QueueDepth = 10 - i
 		s.Record(smp)
 	}
-	sum := s.Summarize()
-	if sum.Samples != 4 || sum.Start != 0 || sum.End != 3 {
-		t.Fatalf("bad summary bounds: %+v", sum)
+	samples := s.Samples()
+	last, _ := s.Last()
+	if len(samples) != 4 || samples[0].Time != 0 || last.Time != 3 {
+		t.Fatalf("bad series bounds: %+v", samples)
 	}
-	if sum.FinalResidual != 0.01 || sum.MinResidual != 0.01 {
-		t.Fatalf("bad summary residuals: %+v", sum)
-	}
-	if sum.Steps != 4 || sum.LagMax != 3 || sum.MaxQueueDepth != 10 {
-		t.Fatalf("bad summary folds: %+v", sum)
-	}
-	if sum.LagHist[0] != 4 {
-		t.Fatalf("LagHist not summed: %+v", sum.LagHist)
+	if last.Residual != 0.01 || last.Steps != 4 || last.LagMax != 3 || samples[0].QueueDepth != 10 {
+		t.Fatalf("bad last sample: %+v", last)
 	}
 	at, ok := s.TimeToResidual(0.1)
 	if !ok || at != 2 {

@@ -19,13 +19,14 @@ const directGrowLimit = 400000
 // multilevel runs the Metis-style pipeline: coarsen with heavy-edge
 // matching until the graph is small relative to k, partition the coarsest
 // graph by greedy graph growing, then project back level by level with
-// boundary refinement at each step. Small graphs skip the hierarchy (see
-// directGrowLimit).
-func multilevel(g *graph.Graph, k int, opts Options) (*Assignment, error) {
+// boundary refinement at each step. Graphs of up to directLimit vertices
+// skip the hierarchy; Partition passes directGrowLimit, the tests a limit
+// small enough for their graphs to cross it.
+func multilevel(g *graph.Graph, k int, opts Options, directLimit int) (*Assignment, error) {
 	rng := stats.NewRNG(opts.Seed ^ 0x9e3779b9)
 	fine := buildWGraph(g)
 
-	if fine.n() <= directGrowLimit {
+	if fine.n() <= directLimit {
 		parts, err := bestInitial(fine, k, opts, rng)
 		if err != nil {
 			return nil, err

@@ -174,7 +174,7 @@ func Partition(g *graph.Graph, k int, opts Options) (*Assignment, error) {
 	}
 	switch opts.Method {
 	case Multilevel:
-		return multilevel(g, k, opts)
+		return multilevel(g, k, opts, directGrowLimit)
 	case BFS:
 		return bfsGrow(g, k, opts)
 	case Range:

@@ -33,7 +33,9 @@ func hashInt32s(lists ...[]int32) uint64 {
 // Under directGrowLimit no method draws from its RNG unless a part comes
 // out empty, so the three seeds of a row share one sum; the seed-dependent
 // code (coarsen's visiting order) and bestInitial on weighted vertices are
-// reached only above the limit and have their own rows.
+// reached only above the limit and have their own rows, as has the whole
+// hierarchy (Graph A / 35 with the limit lowered to 1 000 vertices;
+// recorded when TestMultilevelHierarchy was added, PR 19).
 func TestSetupGoldens(t *testing.T) {
 	parts := map[string]uint64{
 		"multilevel/k8":  0x42b3b0099cd17c24,
@@ -86,6 +88,16 @@ func TestSetupGoldens(t *testing.T) {
 		}
 		if got, want := hashInt32s(initial), coarsened[seed][1]; got != want {
 			t.Errorf("initial seed %d: hash %#x, want %#x", seed, got, want)
+		}
+	}
+
+	for k, want := range map[int]uint64{8: 0xd62a9466e23c6967, 25: 0x55617da0f0aefb52} {
+		a, err := multilevel(testGraph(t, 35), k, Options{Seed: 3}.normalized(), 1000)
+		if err != nil {
+			t.Fatalf("hierarchy k%d: %v", k, err)
+		}
+		if got := hashInt32s(a.Parts); got != want {
+			t.Errorf("hierarchy k%d seed 3: hash %#x, want %#x", k, got, want)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func (d Duration) String() string {
 }
 
 // Clock is a monotonically advancing virtual clock. A single scheduling
-// goroutine owns advancement (Advance/AdvanceTo/Reset are not mutually
+// goroutine owns advancement (Advance/Reset are not mutually
 // safe), but Now is safe to call from any goroutine at any time: the
 // parallel async executor runs worker steps on real goroutines while the
 // scheduling loop advances virtual time, and progress reporting must be
@@ -88,16 +88,6 @@ func (c *Clock) Advance(d Duration) {
 		panic(fmt.Sprintf("simtime: negative advance %v", d))
 	}
 	c.store(c.Now() + d)
-}
-
-// AdvanceTo moves the clock to t if t is later than now; earlier t is a
-// no-op (joining an event that finished in the past costs nothing).
-//
-//async:sched-only
-func (c *Clock) AdvanceTo(t Duration) {
-	if t > c.Now() {
-		c.store(t)
-	}
 }
 
 // Reset rewinds the clock to zero for reuse across experiment runs.

@@ -33,19 +33,6 @@ func TestClockAdvanceNegativePanics(t *testing.T) {
 	c.Advance(-1)
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	var c Clock
-	c.Advance(5 * Second)
-	c.AdvanceTo(3 * Second) // earlier: no-op
-	if c.Now() != 5 {
-		t.Fatalf("AdvanceTo moved clock backwards to %v", c.Now())
-	}
-	c.AdvanceTo(8 * Second)
-	if c.Now() != 8 {
-		t.Fatalf("AdvanceTo = %v, want 8", c.Now())
-	}
-}
-
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration

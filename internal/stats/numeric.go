@@ -1,25 +1,11 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// InfNorm returns the infinity norm (max absolute value) of v.
-// The paper's PageRank convergence test is an infinity-norm bound of 1e-5
-// on the per-node rank delta.
-func InfNorm(v []float64) float64 {
-	max := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// InfNormDiff returns the infinity norm of a-b. It panics if the slices
-// have different lengths, which always indicates a caller bug.
+// InfNormDiff returns the infinity norm (max absolute value) of a-b: the
+// paper's PageRank convergence test is an infinity-norm bound of 1e-5 on
+// the per-node rank delta. It panics if the slices have different
+// lengths, which always indicates a caller bug.
 func InfNormDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("stats: InfNormDiff length mismatch")
@@ -31,15 +17,6 @@ func InfNormDiff(a, b []float64) float64 {
 		}
 	}
 	return max
-}
-
-// L2Norm returns the Euclidean norm of v.
-func L2Norm(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // EuclideanDistance returns the L2 distance between points a and b.
@@ -67,59 +44,6 @@ func Mean(v []float64) float64 {
 		s += x
 	}
 	return s / float64(len(v))
-}
-
-// GeoMean returns the geometric mean of v, treating non-positive entries
-// as 1 (they contribute nothing). Used to summarize speedup series the way
-// the paper reports "on average 8x".
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	n := 0
-	for _, x := range v {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
-// Median returns the median of v (average of middle two for even length).
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), v...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
-}
-
-// MinMax returns the minimum and maximum of v. For an empty slice both
-// results are 0.
-func MinMax(v []float64) (min, max float64) {
-	if len(v) == 0 {
-		return 0, 0
-	}
-	min, max = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // LinearFit fits y = a + b*x by ordinary least squares and returns the

@@ -10,23 +10,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-func TestInfNorm(t *testing.T) {
-	cases := []struct {
-		v    []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{0}, 0},
-		{[]float64{-3, 2}, 3},
-		{[]float64{1, -1, 0.5}, 1},
-	}
-	for _, c := range cases {
-		if got := InfNorm(c.v); got != c.want {
-			t.Errorf("InfNorm(%v) = %g, want %g", c.v, got, c.want)
-		}
-	}
-}
-
 func TestInfNormDiff(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{1, 4, 2.5}
@@ -45,9 +28,6 @@ func TestInfNormDiffPanicsOnMismatch(t *testing.T) {
 }
 
 func TestL2NormAndEuclidean(t *testing.T) {
-	if got := L2Norm([]float64{3, 4}); got != 5 {
-		t.Fatalf("L2Norm(3,4) = %g, want 5", got)
-	}
 	if got := EuclideanDistance([]float64{1, 1}, []float64{4, 5}); got != 5 {
 		t.Fatalf("EuclideanDistance = %g, want 5", got)
 	}
@@ -91,36 +71,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %g, want 0", got)
-	}
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Fatalf("Median odd = %g, want 3", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Fatalf("Median even = %g, want 2.5", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); !almostEqual(got, 4, 1e-12) {
-		t.Fatalf("GeoMean(2,8) = %g, want 4", got)
-	}
-	// Non-positive entries are ignored.
-	if got := GeoMean([]float64{2, 8, 0, -5}); !almostEqual(got, 4, 1e-12) {
-		t.Fatalf("GeoMean with junk = %g, want 4", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %g, want 0", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = (%g,%g), want (-1,7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Fatalf("MinMax(nil) = (%g,%g), want zeros", min, max)
 	}
 }
 
