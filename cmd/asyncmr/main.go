@@ -74,6 +74,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -127,7 +128,7 @@ func main() {
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := refuseIgnored(flag.Arg(0), *mode, set); err != nil {
+	if err := cmp.Or(refuseIgnored(flag.Arg(0), *mode, set), refuseBadValues(*scale, *workers)); err != nil {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 		os.Exit(2)
 	}
@@ -288,6 +289,20 @@ func refuseIgnored(what, mode string, set []string) error {
 			}
 			return fmt.Errorf("-%s has no effect on %s; asyncmr -h lists what each experiment reads", f, what)
 		}
+	}
+	return nil
+}
+
+// refuseBadValues names a flag whose value would be replaced without a
+// word: harness.NewSuite reads a -scale below 1 as 1, paper-size inputs
+// that take minutes where -scale 8 takes seconds, and the executors read
+// a negative -workers as GOMAXPROCS.
+func refuseBadValues(scale, workers int) error {
+	switch {
+	case scale < 1:
+		return fmt.Errorf("-scale %d: the divisor is 1 (paper-size inputs) or more", scale)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: the cap is 0 (GOMAXPROCS) or more", workers)
 	}
 	return nil
 }

@@ -160,3 +160,29 @@ func TestIgnoredFlagsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFlagValuesRefused: a -scale or -workers value the harness would
+// silently read as another one is an error naming the flag and what it
+// accepts.
+func TestBadFlagValuesRefused(t *testing.T) {
+	for _, c := range []struct {
+		scale, workers int
+		refused        string // "" = accepted
+	}{
+		{0, 0, "-scale 0"},
+		{-3, 0, "-scale -3"},
+		{8, -2, "-workers -2"},
+		{0, -2, "-scale 0"},
+		{1, 0, ""},
+		{8, 0, ""},
+		{32, 4, ""},
+	} {
+		err := refuseBadValues(c.scale, c.workers)
+		switch {
+		case c.refused == "" && err != nil:
+			t.Errorf("-scale %d -workers %d: refused: %v", c.scale, c.workers, err)
+		case c.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refused+":") || !strings.Contains(err.Error(), "or more")):
+			t.Errorf("-scale %d -workers %d: got %v, want %q refused with the accepted range", c.scale, c.workers, err, c.refused)
+		}
+	}
+}

@@ -15,6 +15,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cluster"
@@ -185,30 +186,9 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]graph.NodeID
 		maxSweeps = async.DefaultMaxSteps
 	}
 	for sweeps < maxSweeps {
-		next := st.next[:0]
-		for li := range st.active {
-			if !st.active[li] {
-				continue
-			}
-			st.active[li] = false
-			c := st.comp[li]
-			for _, dst := range sub.OutLocal[li] {
-				if c < st.comp[dst] {
-					st.comp[dst] = c
-					next = append(next, dst)
-					lowered++
-				}
-			}
-			inLocal := st.inLocalAdj[st.inLocalOff[li]:st.inLocalOff[li+1]]
-			for _, src := range inLocal {
-				if c < st.comp[src] {
-					st.comp[src] = c
-					next = append(next, src)
-					lowered++
-				}
-			}
-			ops += int64(len(sub.OutLocal[li]) + len(inLocal))
-		}
+		next, edges := sweepLabels(st.comp, st.active, sub.OutLocal, st.inLocalOff, st.inLocalAdj, st.next[:0])
+		ops += edges
+		lowered += len(next)
 		st.next = next
 		sweeps++
 		if len(next) == 0 {
@@ -263,6 +243,46 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]graph.NodeID
 		out.Bytes = 16 + 4*int64(len(pub))
 	}
 	return out
+}
+
+// sweepLabels is one local sweep: every active node goes inactive and
+// pushes its label along its local out- and in-edges. It returns next with
+// one entry per label lowered, and the edges examined. A function of its
+// own that makes room in next once per node, so that neither edge loop
+// holds a call: around an append the compiler kept the loops' counters on
+// the stack (lockstep A/B 0.84-0.87 of the inline loops, DESIGN.md §5b).
+func sweepLabels(comp []graph.NodeID, active []bool, outLocal [][]int32, inOff, inAdj, next []int32) ([]int32, int64) {
+	var edges int64
+	outLocal = outLocal[:len(active)]
+	for li, on := range active {
+		if !on {
+			continue
+		}
+		active[li] = false
+		c := comp[li]
+		out := outLocal[li]
+		in := inAdj[inOff[li]:inOff[li+1]]
+		n := len(next)
+		next = slices.Grow(next, len(out)+len(in))
+		buf := next[:cap(next)]
+		for _, dst := range out {
+			if c < comp[dst] {
+				comp[dst] = c
+				buf[n] = dst
+				n++
+			}
+		}
+		for _, src := range in {
+			if c < comp[src] {
+				comp[src] = c
+				buf[n] = src
+				n++
+			}
+		}
+		next = buf[:n]
+		edges += int64(len(out) + len(in))
+	}
+	return next, edges
 }
 
 // RunAsync executes connected components in the fully-asynchronous

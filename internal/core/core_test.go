@@ -321,3 +321,70 @@ func TestDriverValidation(t *testing.T) {
 		t.Fatal("empty driver accepted")
 	}
 }
+
+// TestDriverRecyclesOutput: the driver hands each iteration's output back
+// to the job once Update has returned, so the next iteration fills the
+// same backing array — with its own records only, also when it emits
+// fewer — while a run of the same job made inside Update, when the driver's
+// output is still in use, gets an array of its own and leaves Update's
+// alone.
+func TestDriverRecyclesOutput(t *testing.T) {
+	type part struct {
+		it    int
+		sizes []int // records emitted, by iteration
+	}
+	job := &mapreduce.Job[*part, int64, int]{
+		Name:      "recycling",
+		Partition: mapreduce.Int64Partition,
+		Map: func(ctx *mapreduce.TaskContext[int64, int], split mapreduce.Split[*part]) {
+			p := split.Data
+			for j := 0; j < p.sizes[p.it]; j++ {
+				ctx.Emit(int64(j), p.it*1000+j)
+			}
+		},
+		Reduce: func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) { ctx.Emit(key, values[0]) },
+	}
+	holdsOnly := func(out []mapreduce.KV[int64, int], it, n int) {
+		t.Helper()
+		if len(out) != n {
+			t.Fatalf("iteration %d: %d output records, want %d", it, len(out), n)
+		}
+		for _, kv := range out {
+			if kv.Value != it*1000+int(kv.Key) {
+				t.Fatalf("iteration %d's output holds record %v of another run", it, kv)
+			}
+		}
+	}
+	engine := testEngine()
+	p := &part{sizes: []int{40, 40, 25, 40}}
+	splits := []mapreduce.Split[*part]{{ID: 0, Data: p, Records: 1}}
+	var arrays []*mapreduce.KV[int64, int]
+	d := &Driver[*part, int64, int]{
+		Engine: engine,
+		Job:    job,
+		Update: func(iter int, out []mapreduce.KV[int64, int], _ []mapreduce.Split[*part]) (bool, error) {
+			holdsOnly(out, p.it, p.sizes[p.it])
+			arrays = append(arrays, &out[0])
+			if iter == 2 {
+				nested, err := mapreduce.Run(engine, job, splits)
+				if err != nil {
+					return false, err
+				}
+				if &nested.Output[0] == &out[0] {
+					t.Fatal("a run inside Update was given the array Update is reading")
+				}
+				holdsOnly(out, p.it, p.sizes[p.it])
+			}
+			p.it++
+			return p.it == len(p.sizes), nil
+		},
+	}
+	if _, err := d.Run(splits); err != nil {
+		t.Fatal(err)
+	}
+	for it := 1; it < len(arrays); it++ {
+		if arrays[it] != arrays[0] {
+			t.Fatalf("iteration %d's output is not in iteration 0's backing array", it)
+		}
+	}
+}

@@ -60,7 +60,8 @@ type Driver[P any, K comparable, V any] struct {
 	// for the next iteration and reports whether the computation has
 	// globally converged. It runs between iterations (driver side, like
 	// the convergence check a Hadoop job driver performs between
-	// chained jobs).
+	// chained jobs). output is valid only during the call: the next
+	// iteration's job writes its output over it (mapreduce.Job.Recycle).
 	Update func(iter int, output []mapreduce.KV[K, V], splits []mapreduce.Split[P]) (converged bool, err error)
 	// MaxIterations bounds the run; 0 means DefaultMaxIterations.
 	MaxIterations int
@@ -101,6 +102,7 @@ func (d *Driver[P, K, V]) Run(splits []mapreduce.Split[P]) (*RunStats, error) {
 		stats.LocalIterations += it.LocalIterations
 
 		converged, err := d.Update(iter, res.Output, splits)
+		d.Job.Recycle(res.Output)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d update: %w", iter, err)
 		}

@@ -84,7 +84,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	// --- map phase: real execution -----------------------------------
 	// Map tasks emit into, and the shuffle routes through, buffers the
 	// job keeps from its previous run; nothing in them outlives this call
-	// (Result.Output is always a fresh copy).
+	// (Result.Output is a copy no buffer of the job's aliases).
 	sc := job.takeScratch(len(splits), job.NumReduces)
 	defer job.scratch.Store(sc)
 	mapOuts := sc.mapOuts
@@ -156,7 +156,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	})
 
 	if mapOnly {
-		res.Output = slices.Concat(mapOuts...)
+		res.Output = sc.takeOutput(mapOuts)
 		finish(e, res, counters)
 		return res, nil
 	}
@@ -244,7 +244,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		}
 	})
 
-	res.Output = slices.Concat(redOuts...)
+	res.Output = sc.takeOutput(redOuts)
 	finish(e, res, counters)
 	return res, nil
 }

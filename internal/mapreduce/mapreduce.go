@@ -16,6 +16,7 @@ package mapreduce
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync/atomic"
 )
 
@@ -104,14 +105,43 @@ type Job[P any, K comparable, V any] struct {
 // grouper of map task i's combine step and of reduce task p. A task
 // keeps its grouper from run to run because an iterative job tends to
 // hand it the key sequence it handed it last time, which the grouper
-// replays (grouper.group). For a V that holds pointers the buffers keep
-// the previous run's records reachable until overwritten.
+// replays (grouper.group). output is a Result.Output handed back by its
+// holder (Recycle), else nil. For a V that holds pointers the buffers
+// keep the previous run's records reachable until overwritten.
 type runScratch[K comparable, V any] struct {
 	mapOuts   [][]KV[K, V]
 	parts     [][]KV[K, V]
 	redOuts   [][]KV[K, V]
 	combiners []grouper[K, V]
 	reducers  []grouper[K, V]
+	output    []KV[K, V]
+}
+
+// takeOutput concatenates the tasks' outputs into the array handed back
+// to the job (Recycle), or a fresh one, and takes it out of the scratch:
+// what a run returns is held by its caller alone.
+func (sc *runScratch[K, V]) takeOutput(outs [][]KV[K, V]) []KV[K, V] {
+	n := 0
+	for _, out := range outs {
+		n += len(out)
+	}
+	output := slices.Grow(sc.output[:0], n)
+	sc.output = nil
+	for _, out := range outs {
+		output = append(output, out...)
+	}
+	return output
+}
+
+// Recycle hands a Result.Output the caller is done with back to the job,
+// whose next run fills it instead of allocating. It is there for
+// core.Driver, which would otherwise drop one output-sized slice per
+// global iteration. A job that is running, or has not run, ignores it.
+func (j *Job[P, K, V]) Recycle(output []KV[K, V]) {
+	if sc := j.scratch.Swap(nil); sc != nil {
+		sc.output = output
+		j.scratch.Store(sc)
+	}
 }
 
 // takeScratch claims the job's run scratch, sized for nMaps map tasks

@@ -36,7 +36,7 @@ func checkWarmIterationAllocs(t *testing.T, eager bool) {
 			t.Fatal(err)
 		}
 		eng := engine()
-		states, _, _ := newStates(subs)
+		states, _, _ := newStates(subs, eager)
 		splits := newSplits(eng, states)
 		job := buildJob(cfg, eager)
 		iterate := func() {

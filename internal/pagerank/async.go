@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/async"
 	"repro/internal/cluster"
@@ -130,25 +131,19 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 
 	// Local Jacobi sweeps to local convergence against frozen ghosts,
 	// the same inner loop the eager gmap runs between global barriers,
-	// run edge-centric: one stream over the partition's flat edge list
-	// (source ascending, so every destination is summed in the order a
-	// per-node push would sum it), then one pass per node that folds the
-	// new rank, the delta, the accumulator reset and the node's next
-	// contribution together. contrib and acc are per-step scratch, rebuilt
-	// from rank here, so rank and lastPub remain the only cross-step
-	// state. A node without out-edges gets contribution +Inf; no edge and
-	// no border entry reads it.
+	// run edge-centric: scatterEdges, then foldNodes. contrib and acc are
+	// per-step scratch, rebuilt from rank here, so rank and lastPub remain
+	// the only cross-step state. A node without out-edges gets
+	// contribution +Inf; no edge and no border entry reads it.
 	sub := st.sub
 	rank := st.rank
 	n := len(rank)
 	ghost, acc, contrib, outDeg := st.ghost[:n], st.acc[:n], st.scratch[:n], sub.OutDeg[:n]
-	dst := sub.LocalDst
-	src := sub.LocalSrc[:len(dst)]
 	for i, r := range rank {
 		acc[i] = 0
 		contrib[i] = r / float64(outDeg[i])
 	}
-	sweepOps := int64(len(dst)) + 2*int64(n)
+	sweepOps := int64(len(sub.LocalDst)) + 2*int64(n)
 	base := 1 - cfg.Damping
 	startDelta := 0.0
 	sweeps := 0
@@ -157,23 +152,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		maxSweeps = async.DefaultMaxSteps
 	}
 	for sweeps < maxSweeps {
-		for k, d := range dst {
-			acc[d] += contrib[src[k]]
-		}
-		delta := 0.0
-		for i, old := range rank {
-			nr := base + cfg.Damping*(acc[i]+ghost[i])
-			acc[i] = 0
-			d := nr - old
-			if d < 0 {
-				d = -d
-			}
-			if d > delta {
-				delta = d
-			}
-			rank[i] = nr
-			contrib[i] = nr / float64(outDeg[i])
-		}
+		scatterEdges(acc, contrib, sub.LocalSrc, sub.LocalDst)
+		delta := foldNodes(rank, acc, ghost, contrib, outDeg, base, cfg.Damping)
 		ops += sweepOps
 		sweeps++
 		if delta > startDelta {
@@ -215,6 +195,49 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		out.Bytes = 16 + 8*int64(len(pub))
 	}
 	return out
+}
+
+// scatterEdges is the first half of a sweep: one stream over the
+// partition's flat edge list, source ascending, so every destination is
+// summed in the order a per-node push would sum it.
+//
+// It and foldNodes are leaf functions, kept so by go:noinline, for the
+// register allocator's sake: inside Step, with some 25 values live, each
+// loop's induction variable was spilled and every iteration waited on a
+// store-to-load forward of its own counter. Handed only what its loop
+// reads, a leaf keeps all of it in registers, which
+// TestSweepKernelsKeepNoStackTraffic holds; the inliner would put
+// scatterEdges (cost 23 of a budget of 80) straight back (DESIGN.md §5b).
+//
+//go:noinline
+func scatterEdges(acc, contrib []float64, src, dst []int32) {
+	src = src[:len(dst)]
+	for k, d := range dst {
+		acc[d] += contrib[src[k]]
+	}
+}
+
+// foldNodes is the second half: one pass per node that folds the new rank,
+// the accumulator reset and the node's next contribution together, and
+// returns the largest rank change (math.Abs, not a sign branch: a -0 or
+// NaN difference passes d > delta either way). The other slices are at
+// least as long as rank. Out of line for scatterEdges' reason: at cost 98
+// the inliner leaves it alone today, but only just.
+//
+//go:noinline
+func foldNodes(rank, acc, ghost, contrib []float64, outDeg []int32, base, damping float64) (delta float64) {
+	n := len(rank)
+	acc, ghost, contrib, outDeg = acc[:n], ghost[:n], contrib[:n], outDeg[:n]
+	for i, old := range rank {
+		nr := base + damping*(acc[i]+ghost[i])
+		acc[i] = 0
+		if d := math.Abs(nr - old); d > delta {
+			delta = d
+		}
+		rank[i] = nr
+		contrib[i] = nr / float64(outDeg[i])
+	}
+	return delta
 }
 
 // RunAsync executes PageRank in the fully-asynchronous bounded-staleness

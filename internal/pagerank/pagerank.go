@@ -155,7 +155,8 @@ type state struct {
 	// rank[i] is the current rank of sub.Nodes[i].
 	rank []float64
 	// ghost[i] is the frozen cross-partition contribution sum for
-	// sub.Nodes[i], recomputed at every global synchronization.
+	// sub.Nodes[i], recomputed at every global synchronization. Only the
+	// eager spec reads it, so only an eager run keeps it up to date.
 	ghost []float64
 	// localDelta is the last local iteration's max rank change (eager).
 	localDelta float64
@@ -189,7 +190,7 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
-	states, ranks, outDeg := newStates(subs)
+	states, ranks, outDeg := newStates(subs, eager)
 	splits := newSplits(engine, states)
 	n := len(ranks)
 
@@ -232,7 +233,9 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 					st.rank[li] = ranks[u]
 				}
 			}
-			refreshGhosts(states, ranks, outDeg)
+			if eager {
+				refreshGhosts(states, ranks, outDeg)
+			}
 			return delta < cfg.Epsilon, nil
 		},
 	}
@@ -243,10 +246,11 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	return &Result{Ranks: ranks, Stats: stats}, nil
 }
 
-// newStates builds every partition's state — initial ranks, ghost sums,
-// push plan — and the global state the driver holds (the simulated DFS
-// contents): current rank and out-degree of every node.
-func newStates(subs []*graph.SubGraph) (states []*state, ranks []float64, outDeg []int32) {
+// newStates builds every partition's state — initial ranks, push plan
+// and, for the eager formulation, ghost sums — and the global state the
+// driver holds (the simulated DFS contents): current rank and out-degree
+// of every node.
+func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []float64, outDeg []int32) {
 	n := 0
 	for _, s := range subs {
 		n += s.NumNodes()
@@ -270,7 +274,9 @@ func newStates(subs []*graph.SubGraph) (states []*state, ranks []float64, outDeg
 		st.buildPushPlan(planScratch)
 		states[i] = st
 	}
-	refreshGhosts(states, ranks, outDeg)
+	if eager {
+		refreshGhosts(states, ranks, outDeg)
+	}
 	return states, ranks, outDeg
 }
 

@@ -136,21 +136,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	}
 	frontierLeft := false
 	for sweeps < maxSweeps {
-		next := st.next[:0]
-		for li := range st.active {
-			if !st.active[li] {
-				continue
-			}
-			st.active[li] = false
-			d := st.dist[li]
-			for ei, dst := range sub.OutLocal[li] {
-				if nd := d + sub.WLocal[li][ei]; nd < st.dist[dst] {
-					st.dist[dst] = nd
-					next = append(next, dst)
-				}
-			}
-			ops += int64(len(sub.OutLocal[li]))
-		}
+		next, edges := relaxSweep(st.dist, st.active, sub.OutLocal, sub.WLocal, st.next[:0])
+		ops += edges
 		st.next = next
 		sweeps++
 		if len(next) == 0 {
@@ -192,6 +179,34 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		out.Bytes = 16 + 8*int64(len(pub))
 	}
 	return out
+}
+
+// relaxSweep is one local Bellman-Ford sweep: every active node goes
+// inactive and relaxes its local out-edges. It returns next with one entry
+// per distance lowered, and the edges examined. A function of its own so
+// that the edge loop reads dist and the node's two lists from registers:
+// inside Step it reloaded three slice headers and its own spilled counter
+// per edge (lockstep A/B 0.76-0.83 of the inline loop, DESIGN.md §5b).
+func relaxSweep(dist []float64, active []bool, outLocal [][]int32, wLocal [][]float64, next []int32) ([]int32, int64) {
+	var edges int64
+	outLocal, wLocal = outLocal[:len(active)], wLocal[:len(active)]
+	for li, on := range active {
+		if !on {
+			continue
+		}
+		active[li] = false
+		d := dist[li]
+		out := outLocal[li]
+		w := wLocal[li][:len(out)]
+		for ei, dst := range out {
+			if nd := d + w[ei]; nd < dist[dst] {
+				dist[dst] = nd
+				next = append(next, dst)
+			}
+		}
+		edges += int64(len(out))
+	}
+	return next, edges
 }
 
 // RunAsync executes SSSP in the fully-asynchronous bounded-staleness
