@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -120,6 +121,43 @@ func TestGenerateProperties(t *testing.T) {
 				t.Fatalf("duplicate edge %d->%d", u, v)
 			}
 			seen[v] = true
+		}
+	}
+}
+
+// TestGenerateAdjacencyIsOneCapLimitedArray checks the generator's
+// compaction on TestSetupGoldens' three configurations: the Out lists lie
+// end to end, in vertex order, in one array of NumEdges entries, each
+// filling its capacity exactly, so appending to one reallocates instead of
+// running into the next vertex's list; the lists are still the golden
+// ones, and survive Write and Read.
+func TestGenerateAdjacencyIsOneCapLimitedArray(t *testing.T) {
+	for _, c := range generateGoldens {
+		g := MustGenerate(c.cfg)
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(g.Out[0])))
+		lo := 0
+		for u, out := range g.Out {
+			if len(out) != cap(out) {
+				t.Fatalf("%s: node %d: list len %d cap %d", c.name, u, len(out), cap(out))
+			}
+			if at := uintptr(unsafe.Pointer(unsafe.SliceData(out))); at != base+unsafe.Sizeof(NodeID(0))*uintptr(lo) {
+				t.Fatalf("%s: node %d: list does not start at entry %d of node 0's array", c.name, u, lo)
+			}
+			lo += len(out)
+			_ = append(out, -7)
+		}
+		if lo != g.NumEdges() {
+			t.Fatalf("%s: lists cover %d entries, NumEdges %d", c.name, lo, g.NumEdges())
+		}
+		if got := hashGraph(g); got != c.want {
+			t.Errorf("%s: hash %#x after appending to every list, want %#x", c.name, got, c.want)
+		}
+		read, err := Read(bytes.NewReader(encode(t, g)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hashGraph(read); got != c.want {
+			t.Errorf("%s: hash %#x after Write and Read, want %#x", c.name, got, c.want)
 		}
 	}
 }

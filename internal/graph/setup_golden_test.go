@@ -107,21 +107,22 @@ func scatteredParts(n, k int) []int32 {
 	return parts
 }
 
+// generateGoldens is TestSetupGoldens' generator rows.
+var generateGoldens = []struct {
+	name string
+	cfg  GenerateConfig
+	want uint64
+}{
+	{"generate/graphA_div8", GraphAConfig().Scaled(8), 0xcab518c21e178293},
+	{"generate/graphB_div8", GraphBConfig().Scaled(8), 0x09b52ab2ddaef736},
+	{"generate/no_locality", GenerateConfig{Nodes: 20000, NumConn: 3, NumIn: 2, NumOut: 4, Seed: 7}, 0xa1cac68ae5c8cbf7},
+}
+
 // TestSetupGoldens pins the generator and the sub-graph builder to the
 // sums recorded on the commit before the slab/counted rewrite (PR 13):
 // every adjacency list in order, and every field of every SubGraph.
 func TestSetupGoldens(t *testing.T) {
-	noLocality := GenerateConfig{Nodes: 20000, NumConn: 3, NumIn: 2, NumOut: 4, Seed: 7}
-	gens := []struct {
-		name string
-		cfg  GenerateConfig
-		want uint64
-	}{
-		{"generate/graphA_div8", GraphAConfig().Scaled(8), 0xcab518c21e178293},
-		{"generate/graphB_div8", GraphBConfig().Scaled(8), 0x09b52ab2ddaef736},
-		{"generate/no_locality", noLocality, 0xa1cac68ae5c8cbf7},
-	}
-	for _, c := range gens {
+	for _, c := range generateGoldens {
 		if got := hashGraph(MustGenerate(c.cfg)); got != c.want {
 			t.Errorf("%s: hash %#x, want %#x", c.name, got, c.want)
 		}

@@ -3,14 +3,21 @@ package partition
 // gainItem is a frontier candidate in greedy graph growing: vertex v with
 // its connectivity to the growing region at push time. Entries go stale
 // when connectivity changes; consumers re-check against the live conn
-// array and discard stale pops (lazy deletion).
+// array and discard stale pops (lazy deletion). Eight bytes an entry: a
+// region's frontier holds tens of thousands of them.
 type gainItem struct {
 	v    int32
-	gain int64
+	gain int32
 }
 
 // gainHeap is a max-heap of gainItems. A hand-rolled heap avoids
 // container/heap's interface boxing on the partitioner's hot path.
+//
+// Equal gains pop in an order Assignment.Parts depends on. What fixes
+// that order is which entries are compared, how each comparison falls
+// (push stops at a parent that is not smaller; pop prefers the left child
+// unless the right is strictly larger) and where every entry ends up; both
+// sifts move a hole instead of swapping, which changes none of the three.
 type gainHeap struct {
 	a []gainItem
 }
@@ -24,34 +31,36 @@ func (h *gainHeap) push(it gainItem) {
 	i := len(h.a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.a[parent].gain >= h.a[i].gain {
+		if h.a[parent].gain >= it.gain {
 			break
 		}
-		h.a[parent], h.a[i] = h.a[i], h.a[parent]
+		h.a[i] = h.a[parent]
 		i = parent
 	}
+	h.a[i] = it
 }
 
 func (h *gainHeap) pop() gainItem {
 	top := h.a[0]
 	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
+	it := h.a[last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && h.a[l].gain > h.a[big].gain {
-			big = l
+		big, gain := i, it.gain
+		if l < last && h.a[l].gain > gain {
+			big, gain = l, h.a[l].gain
 		}
-		if r < last && h.a[r].gain > h.a[big].gain {
+		if r < last && h.a[r].gain > gain {
 			big = r
 		}
 		if big == i {
 			break
 		}
-		h.a[i], h.a[big] = h.a[big], h.a[i]
+		h.a[i] = h.a[big]
 		i = big
 	}
+	h.a[i] = it
+	h.a = h.a[:last]
 	return top
 }

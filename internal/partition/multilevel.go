@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -24,7 +25,10 @@ const directGrowLimit = 400000
 // small enough for their graphs to cross it.
 func multilevel(g *graph.Graph, k int, opts Options, directLimit int) (*Assignment, error) {
 	rng := stats.NewRNG(opts.Seed ^ 0x9e3779b9)
-	fine := buildWGraph(g)
+	fine, err := buildWGraph(g)
+	if err != nil {
+		return nil, err
+	}
 
 	if fine.n() <= directLimit {
 		parts, err := bestInitial(fine, k, opts, rng)
@@ -146,6 +150,17 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 	if k > n {
 		return nil, fmt.Errorf("partition: k=%d exceeds coarse vertices %d", k, n)
 	}
+	// A frontier gain is at most its vertex's weighted degree, and is
+	// kept in 32 bits.
+	for u := int32(0); u < int32(n); u++ {
+		var deg int64
+		for _, x := range w.adjwgt[w.xadj[u]:w.xadj[u+1]] {
+			deg += int64(x)
+		}
+		if deg > math.MaxInt32 {
+			return nil, fmt.Errorf("partition: vertex %d has weighted degree %d, above %d", u, deg, math.MaxInt32)
+		}
+	}
 	parts := make([]int32, n)
 	for i := range parts {
 		parts[i] = -1
@@ -171,7 +186,7 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 
 	// conn[v] is v's edge weight into the region being grown; a lazy
 	// max-heap orders frontier candidates by conn.
-	conn := make([]int64, n)
+	conn := make([]int32, n)
 	touched := make([]int32, 0, n/k+16)
 	h := &gainHeap{}
 	for p := 0; p < k; p++ {
@@ -197,7 +212,7 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 				if conn[v] == 0 {
 					touched = append(touched, v)
 				}
-				conn[v] += int64(wgt[i])
+				conn[v] += wgt[i]
 				h.push(gainItem{v: v, gain: conn[v]})
 			}
 		}
@@ -360,7 +375,10 @@ func fixEmptyParts(w *wgraph, a *Assignment, rng *stats.RNG) {
 // bfsGrow is the single-level BFS baseline: graph growing directly on the
 // input graph with no refinement.
 func bfsGrow(g *graph.Graph, k int, opts Options) (*Assignment, error) {
-	w := buildWGraph(g)
+	w, err := buildWGraph(g)
+	if err != nil {
+		return nil, err
+	}
 	rng := stats.NewRNG(opts.Seed ^ 0x51ed2701)
 	parts, err := growPartition(w, k, opts.normalized(), rng)
 	if err != nil {

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +14,16 @@ import (
 func testGraph(t *testing.T, scale int) *graph.Graph {
 	t.Helper()
 	return graph.MustGenerate(graph.GraphAConfig().Scaled(scale))
+}
+
+// mustWGraph is buildWGraph on a graph known to be well formed.
+func mustWGraph(t testing.TB, g *graph.Graph) *wgraph {
+	t.Helper()
+	w, err := buildWGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func TestAllMethodsProduceValidAssignments(t *testing.T) {
@@ -62,6 +74,21 @@ func TestDegenerateK(t *testing.T) {
 func TestEmptyGraphRejected(t *testing.T) {
 	if _, err := Partition(&graph.Graph{}, 4, Options{}); err == nil {
 		t.Fatal("empty graph accepted")
+	}
+}
+
+// TestPartitionRejectsMalformedGraph: an edge whose endpoint is not a
+// vertex of the graph is an error from the methods that read the edges,
+// not an index panic in the symmetrization.
+func TestPartitionRejectsMalformedGraph(t *testing.T) {
+	for _, bad := range []graph.NodeID{-1, 4, math.MaxInt32, math.MinInt32} {
+		g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2, bad}, {0}, {0}}}
+		for _, m := range []Method{Multilevel, BFS} {
+			_, err := Partition(g, 2, Options{Method: m})
+			if err == nil || !strings.HasPrefix(err.Error(), "partition: edge (1,") {
+				t.Errorf("%v, endpoint %d: error %v, want one naming the edge", m, bad, err)
+			}
+		}
 	}
 }
 
@@ -141,7 +168,7 @@ func TestValidateCatchesProblems(t *testing.T) {
 
 func TestRefineNeverWorsensCut(t *testing.T) {
 	g := testGraph(t, 56)
-	w := buildWGraph(g)
+	w := mustWGraph(t, g)
 	rng := stats.NewRNG(11)
 	opts := Options{}.normalized()
 	parts, err := growPartition(w, 8, opts, rng)
@@ -158,7 +185,7 @@ func TestRefineNeverWorsensCut(t *testing.T) {
 
 func TestCoarsenPreservesStructure(t *testing.T) {
 	g := testGraph(t, 56)
-	w := buildWGraph(g)
+	w := mustWGraph(t, g)
 	coarse, cmap := coarsen(w, stats.NewRNG(3))
 	if coarse == nil {
 		t.Fatal("coarsening stalled on a healthy graph")
@@ -211,9 +238,9 @@ func TestGainHeapOrdering(t *testing.T) {
 	f := func(raw []int16) bool {
 		h := &gainHeap{}
 		for i, v := range raw {
-			h.push(gainItem{v: int32(i), gain: int64(v)})
+			h.push(gainItem{v: int32(i), gain: int32(v)})
 		}
-		last := int64(1 << 62)
+		last := int32(math.MaxInt32)
 		for h.len() > 0 {
 			it := h.pop()
 			if it.gain > last {

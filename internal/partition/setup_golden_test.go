@@ -64,7 +64,7 @@ func TestSetupGoldens(t *testing.T) {
 	}
 
 	// Graph A / 56 is under exactWeightLimit, so adjwgt carries 1s and 2s.
-	w := buildWGraph(testGraph(t, 56))
+	w := mustWGraph(t, testGraph(t, 56))
 	if got, want := hashInt32s(w.xadj, w.adjncy, w.adjwgt, w.vwgt), uint64(0x91edecf4b707c8ac); got != want {
 		t.Errorf("wgraph: hash %#x, want %#x", got, want)
 	}

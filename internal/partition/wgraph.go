@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -45,8 +46,11 @@ const exactWeightLimit = 200000
 // unit-weight CSR used at the finest level. Parallel directed edges
 // (u->v plus v->u) merge into one undirected edge of weight 2, matching
 // how Metis consumes symmetrized web graphs.
-func buildWGraph(g *graph.Graph) *wgraph {
-	xadj, adjncy := symmetrize(g)
+func buildWGraph(g *graph.Graph) (*wgraph, error) {
+	xadj, adjncy, err := symmetrize(g)
+	if err != nil {
+		return nil, err
+	}
 	n, total := g.NumNodes(), len(adjncy)
 	adjwgt := make([]int32, total)
 	// Weight: number of directed edges between the pair (1 or 2).
@@ -83,7 +87,7 @@ func buildWGraph(g *graph.Graph) *wgraph {
 	for i := range vwgt {
 		vwgt[i] = 1
 	}
-	return &wgraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt}
+	return &wgraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt}, nil
 }
 
 // symmetrize returns g's undirected adjacency in CSR form, the way Metis
@@ -96,12 +100,16 @@ func buildWGraph(g *graph.Graph) *wgraph {
 // receives its entries in ascending order and a repeat (a duplicate edge,
 // or u->v with v->u) is always the row's last entry. Rows are filled at
 // their raw capacity and then compacted towards the front of the array.
-func symmetrize(g *graph.Graph) (xadj, adjncy []int32) {
+func symmetrize(g *graph.Graph) (xadj, adjncy []int32, err error) {
 	n := g.NumNodes()
-	// In-adjacency as CSR.
+	// In-adjacency as CSR. This first pass over the edges is also where
+	// an endpoint outside the graph is caught.
 	inStart := make([]int32, n+1)
-	for _, out := range g.Out {
+	for u, out := range g.Out {
 		for _, v := range out {
+			if uint32(v) >= uint32(n) {
+				return nil, nil, fmt.Errorf("partition: edge (%d,%d) out of range [0,%d)", u, v, n)
+			}
 			inStart[v+1]++
 		}
 	}
@@ -144,7 +152,7 @@ func symmetrize(g *graph.Graph) (xadj, adjncy []int32) {
 		w += int32(copy(adjncy[w:], row))
 	}
 	xadj[n] = w
-	return xadj, adjncy[:w]
+	return xadj, adjncy[:w], nil
 }
 
 // bucketSortByDegree stably reorders the given vertex order into

@@ -82,14 +82,14 @@ func TestBuildWGraphMatchesOracle(t *testing.T) {
 	rng := stats.NewRNG(17)
 	for i := 0; i < 300; i++ {
 		g := messyGraph(rng, 1+rng.Intn(40))
-		if got, want := buildWGraph(g), buildWGraphOracle(g); !sameWGraph(got, want) {
+		if got, want := mustWGraph(t, g), buildWGraphOracle(g); !sameWGraph(got, want) {
 			t.Fatalf("out=%v:\n got %+v\nwant %+v", g.Out, got, want)
 		}
 	}
 	// Generated graphs either side of exactWeightLimit.
 	for _, scale := range []int{56, 16} {
 		g := testGraph(t, scale)
-		got, want := buildWGraph(g), buildWGraphOracle(g)
+		got, want := mustWGraph(t, g), buildWGraphOracle(g)
 		if !sameWGraph(got, want) {
 			t.Fatalf("Graph A / %d differs from the oracle", scale)
 		}
@@ -102,7 +102,7 @@ func TestBuildWGraphMatchesOracle(t *testing.T) {
 func TestSymmetrizeSymmetricDedup(t *testing.T) {
 	// A mutual pair 0<->1 with a duplicate, plus a self-loop.
 	g := &graph.Graph{Out: [][]graph.NodeID{{1, 1, 0}, {0}, {}}}
-	w := buildWGraph(g)
+	w := mustWGraph(t, g)
 	if !slices.Equal(w.xadj, []int32{0, 1, 2, 2}) || !slices.Equal(w.adjncy, []int32{1, 0}) {
 		t.Fatalf("xadj %v adjncy %v, want rows [1] [0] []", w.xadj, w.adjncy)
 	}
@@ -121,7 +121,10 @@ func TestSymmetrizeRowsSortedProperty(t *testing.T) {
 		for _, e := range raw {
 			g.Out[e[0]%n] = append(g.Out[e[0]%n], graph.NodeID(e[1]%n))
 		}
-		xadj, adjncy := symmetrize(g)
+		xadj, adjncy, err := symmetrize(g)
+		if err != nil {
+			return false
+		}
 		for u := int32(0); u < n; u++ {
 			row := adjncy[xadj[u]:xadj[u+1]]
 			for i, v := range row {

@@ -2,6 +2,9 @@ package simtime
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -257,5 +260,43 @@ func TestEventHeapPeek(t *testing.T) {
 	}
 	if got := h.Pop(); got.ID != 1 {
 		t.Fatalf("heap order disturbed: popped %d", got.ID)
+	}
+}
+
+// TestEventHeapMatchesSortedSlice drives the heap and a naive model — a
+// slice kept sorted by (At, push order) — with the same random pushes and
+// pops, the timestamps drawn from five values so nearly every event ties
+// with others: the order ties pop in is part of every simulated time. Pop,
+// Peek and Len agree at every step.
+func TestEventHeapMatchesSortedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var h EventHeap
+	var model []Event
+	var pushes int64
+	// Pushes outnumber pops for the first half and pops pushes for the
+	// second, so the heap grows to a couple of thousand events and drains.
+	const steps = 20000
+	for step := 0; step < steps; step++ {
+		if push := rng.Intn(10) < 6; len(model) == 0 || push == (step < steps/2) {
+			e := Event{At: Duration(rng.Intn(5)) * Millisecond, Seq: pushes, ID: step}
+			pushes++
+			h.Push(e.At, e.ID)
+			// After the last event due at or before e.At: FIFO among ties.
+			i := sort.Search(len(model), func(i int) bool { return model[i].At > e.At })
+			model = slices.Insert(model, i, e)
+		} else {
+			got, want := h.Pop(), model[0]
+			model = model[1:]
+			if got != want {
+				t.Fatalf("step %d: popped %+v, the sorted slice %+v", step, got, want)
+			}
+		}
+		if h.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, the sorted slice holds %d", step, h.Len(), len(model))
+		}
+		head, ok := h.Peek()
+		if ok != (len(model) > 0) || (ok && head != model[0]) {
+			t.Fatalf("step %d: Peek %+v %v, the sorted slice %d events", step, head, ok, len(model))
+		}
 	}
 }
