@@ -12,12 +12,10 @@ package asynctest
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"slices"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/async"
@@ -670,75 +668,4 @@ func CheckUndo[D any](t *testing.T, fresh func() UndoWorkload[D], poison func(w 
 		a.Restore(p, c)
 		same(p, "checkpoint restored")
 	}
-}
-
-// Lockstep is the A/B instrument for a rewrite of a Step that must not
-// change what the step computes. a and b hold the same job; in each round
-// every partition steps once on each side, on one copy of the snapshots
-// its neighbors had published by the end of the round before, and the
-// side that goes first alternates from step to step. The two outcomes must
-// agree field by field (float payloads bit for bit) or the test fails
-// naming the field; what the steps left in the workloads is the caller's
-// to compare. The result is the time a's steps took over the time b's
-// took, per round and over the whole run (the one to read when rounds
-// differ in weight): a wall-clock reading for a log line, not something
-// to assert on.
-func Lockstep[D any](t testing.TB, a, b async.Workload[D], rounds int) (perRound []float64, overall float64) {
-	t.Helper()
-	last := make([]async.Snapshot[D], a.Parts())
-	for p := range last {
-		last[p].Part = p
-		last[p].Data, _ = a.Init(p)
-		b.Init(p) // as the runtime would before b's first Step; both sides read a's
-	}
-	next := slices.Clone(last)
-	timed := func(w async.Workload[D], p, step int, in []async.Snapshot[D], total *time.Duration) async.StepOutcome[D] {
-		start := time.Now()
-		out := w.Step(p, step, in)
-		*total += time.Since(start)
-		return out
-	}
-	var in []async.Snapshot[D]
-	var sumA, sumB time.Duration
-	for round := 0; round < rounds; round++ {
-		var ta, tb time.Duration
-		for p := range last {
-			in = in[:0]
-			for _, q := range a.Neighbors(p) {
-				in = append(in, last[q])
-			}
-			var oa, ob async.StepOutcome[D]
-			if (round+p)%2 == 0 {
-				oa, ob = timed(a, p, round, in, &ta), timed(b, p, round, in, &tb)
-			} else {
-				ob, oa = timed(b, p, round, in, &tb), timed(a, p, round, in, &ta)
-			}
-			va, vb := reflect.ValueOf(oa), reflect.ValueOf(ob)
-			for i := 0; i < va.NumField(); i++ {
-				if x, y := va.Field(i).Interface(), vb.Field(i).Interface(); !sameBits(x, y) {
-					t.Fatalf("lockstep: partition %d round %d: %s %v against %v", p, round, va.Type().Field(i).Name, x, y)
-				}
-			}
-			if oa.Publish {
-				next[p].Version, next[p].Data = last[p].Version+1, oa.Data
-			}
-		}
-		copy(last, next)
-		perRound = append(perRound, float64(ta)/float64(tb))
-		sumA, sumB = sumA+ta, sumB+tb
-	}
-	return perRound, float64(sumA) / float64(sumB)
-}
-
-// sameBits is reflect.DeepEqual, except that float64 vectors are compared
-// by bit pattern (DeepEqual takes -0 for +0 and no NaN for itself).
-func sameBits(a, b any) bool {
-	fa, ok := a.([]float64)
-	if !ok {
-		return reflect.DeepEqual(a, b)
-	}
-	fb := b.([]float64)
-	return (fa == nil) == (fb == nil) && slices.EqualFunc(fa, fb, func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	})
 }

@@ -153,8 +153,10 @@ func checkAgainstOracle(t *testing.T, g *Graph, parts []int32, k int) []*SubGrap
 		t.Fatalf("n=%d k=%d parts=%v out=%v: %s", g.NumNodes(), k, parts, g.Out, d)
 	}
 	for _, s := range got {
-		if d := checkFlatEdgeList(s); d != "" {
-			t.Fatalf("n=%d k=%d parts=%v out=%v: partition %d: %s", g.NumNodes(), k, parts, g.Out, s.PartID, d)
+		for _, check := range []func(*SubGraph) string{checkFlatEdgeList, checkPullPlan} {
+			if d := check(s); d != "" {
+				t.Fatalf("n=%d k=%d parts=%v out=%v: partition %d: %s", g.NumNodes(), k, parts, g.Out, s.PartID, d)
+			}
 		}
 	}
 	return got
@@ -184,6 +186,74 @@ func checkFlatEdgeList(s *SubGraph) string {
 	}
 	if !slices.IsSorted(s.LocalSrc) {
 		return fmt.Sprintf("LocalSrc %v decreases", s.LocalSrc)
+	}
+	return ""
+}
+
+// checkPullPlan holds a sub-graph's pull plan to its contract against the
+// flat edge list (which checkFlatEdgeList has checked): positions are a
+// permutation of the nodes sorted by local in-degree, ties by local index;
+// every node's row, read in order and taken back to local indices, is the
+// flat list's sources filtered by that destination; a slice is as long as
+// its longest row, pads sit only at row tails and fill the extra
+// positions' rows; OutDeg follows the positions.
+func checkPullPlan(s *SubGraph) string {
+	pl := &s.Pull
+	n := s.NumNodes()
+	if err := pl.Check(n, len(s.LocalDst)); err != nil {
+		return err.Error()
+	}
+	in := make([][]int32, n) // the model: sources by destination, in list order
+	for k, d := range s.LocalDst {
+		in[d] = append(in[d], s.LocalSrc[k])
+	}
+	pad := int32(len(pl.OutDeg))
+	order := make([]int32, pad) // position -> local index, -1 at the extra ones
+	for r := range order {
+		order[r] = -1
+	}
+	for i, r := range pl.Pos {
+		if order[r] >= 0 {
+			return fmt.Sprintf("nodes %d and %d share position %d", order[r], i, r)
+		}
+		order[r] = int32(i)
+	}
+	for r := 1; r < n; r++ {
+		a, b := order[r-1], order[r]
+		if len(in[a]) > len(in[b]) || len(in[a]) == len(in[b]) && a > b {
+			return fmt.Sprintf("position %d holds node %d (in-degree %d) before node %d (in-degree %d)", r-1, a, len(in[a]), b, len(in[b]))
+		}
+	}
+	for r, i := range order {
+		want, wantDeg := []int32(nil), 1.0
+		if i >= 0 {
+			want, wantDeg = in[i], float64(s.OutDeg[i])
+		}
+		if pl.OutDeg[r] != wantDeg {
+			return fmt.Sprintf("position %d (node %d): out-degree %g, want %g", r, i, pl.OutDeg[r], wantDeg)
+		}
+		sl := r / PullRows
+		var row []int32
+		for _, q := range pl.Src[pl.Start[sl]:pl.Start[sl+1]] {
+			row = append(row, [PullRows]int32{q.R0, q.R1, q.R2, q.R3}[r%PullRows])
+		}
+		var got []int32
+		for j, p := range row {
+			switch {
+			case p == pad && j < len(want):
+				return fmt.Sprintf("position %d (node %d): a pad at entry %d of a row of %d", r, i, j, len(want))
+			case p != pad && j >= len(want):
+				return fmt.Sprintf("position %d (node %d): entry %d names position %d past the row's %d in-edges", r, i, j, p, len(want))
+			case p != pad:
+				got = append(got, order[p])
+			}
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Sprintf("position %d (node %d): row reads sources %v, the flat list filtered by it %v", r, i, got, want)
+		}
+		if last := min(sl*PullRows+PullRows, n) - 1; r == last && len(row) != len(want) {
+			return fmt.Sprintf("slice %d holds %d entries, its longest row %d", sl, len(row), len(want))
+		}
 	}
 	return ""
 }
@@ -312,10 +382,15 @@ func TestSubGraphViewsAreCapLimited(t *testing.T) {
 }
 
 // FuzzBuildSubGraphs decodes a small graph and a covering assignment from
-// the input and runs the oracle comparison, then the exchange-plan builder's
-// on the sub-graphs (exchange_test.go): byte 0 the node count, byte 1
-// the partition count, byte 2 weighted or not, then one assignment byte
-// per node, then edges as (source, destination) byte pairs.
+// the input and runs the oracle comparison (with it the flat edge list's
+// and the pull plan's checks), then the exchange-plan builder's on the
+// sub-graphs (exchange_test.go): byte 0 the node count, byte 1 the
+// partition count, byte 2 weighted or not, then one assignment byte per
+// node past the first k, then edges as (source, destination) byte pairs.
+// The corpus's pull-* entries are the shapes the plan pads for: node
+// counts one, two and three past a multiple of four, a one-node partition,
+// a partition without a local edge, rows without an in-edge beside a hub
+// wider than all other rows together.
 func FuzzBuildSubGraphs(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 0, 3, 3})
 	f.Add([]byte{3, 3, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 2})

@@ -28,17 +28,20 @@ type AsyncResult struct {
 // asyncState is one partition's worker payload: a dense local Jacobi
 // solver plus the plan (graph.Exchange) to publish its border nodes'
 // contributions (rank/outdeg) and add up the ones it reads from neighbor
-// snapshots.
+// snapshots. Every array is indexed by the position sub.Pull gives a node,
+// not by its local index, and so are x.Node and x.Border.
 type asyncState struct {
 	sub *graph.SubGraph
 	x   graph.Exchange
-	// rank and ghost mirror the eager formulation's arrays. acc and
-	// scratch are Step's per-step scratch: the per-destination sums of a
-	// sweep, and every node's contribution rank/outdeg.
-	rank    []float64
-	ghost   []float64
-	scratch []float64
-	acc     []float64
+	// rank and ghost mirror the eager formulation's arrays, one entry per
+	// position: the nodes, then the plan's extra positions, which hold
+	// 1-Damping and 0 and stay there (no in-edge, no ghost).
+	rank  []float64
+	ghost []float64
+	// contrib is Step's per-step scratch: every position's contribution
+	// rank/outdeg as a sweep reads it and as it leaves it for the next
+	// one, each with the plan's pad position, a +0, at the end.
+	contrib [2][]float64
 	// lastPub is the last published contribution vector itself (parallel
 	// to x.Border), for change detection. A published vector is immutable,
 	// so nothing writes through this slice: a publishing step, Restore and
@@ -69,7 +72,7 @@ func (w *asyncWorkload) Residual(p int) float64 { return w.states[p].lastDelta }
 
 // asyncCkpt is one partition's checkpoint for the crash fault model:
 // the mutable cross-step state is the rank vector and the last
-// published contributions. ghost/acc/scratch are per-step scratch,
+// published contributions. ghost and contrib are per-step scratch,
 // rebuilt from inputs before they are read, so they need no capture.
 // lastDelta is there for the undo buffer, which is the same record (a
 // recovery's replay rebuilds it anyway).
@@ -94,7 +97,7 @@ func (w *asyncWorkload) SaveUndo(p int, buf any) any {
 		c = new(asyncCkpt)
 	}
 	st := w.states[p]
-	c.rank = append(c.rank[:0], st.rank...)
+	c.rank = append(c.rank[:0], st.rank[:st.sub.NumNodes()]...)
 	c.lastPub, c.lastDelta = st.lastPub, st.lastDelta
 	return c
 }
@@ -124,26 +127,29 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	for i := range st.ghost {
 		st.ghost[i] = 0
 	}
-	for r, li := range x.Node {
-		st.ghost[li] += inputs[x.Slot[r]].Data[x.Idx[r]]
+	for r, pos := range x.Node {
+		st.ghost[pos] += inputs[x.Slot[r]].Data[x.Idx[r]]
 	}
 	ops += int64(len(x.Node))
 
 	// Local Jacobi sweeps to local convergence against frozen ghosts,
 	// the same inner loop the eager gmap runs between global barriers,
-	// run edge-centric: scatterEdges, then foldNodes. contrib and acc are
-	// per-step scratch, rebuilt from rank here, so rank and lastPub remain
-	// the only cross-step state. A node without out-edges gets
-	// contribution +Inf; no edge and no border entry reads it.
+	// pulled over sub.Pull: each sweep reads one contribution buffer and
+	// fills the other. Both are per-step scratch, rebuilt from rank here,
+	// so rank and lastPub remain the only cross-step state. A node without
+	// out-edges gets contribution +Inf; no edge and no border entry reads
+	// it.
 	sub := st.sub
+	pull := &sub.Pull
 	rank := st.rank
-	n := len(rank)
-	ghost, acc, contrib, outDeg := st.ghost[:n], st.acc[:n], st.scratch[:n], sub.OutDeg[:n]
+	cur, next := st.contrib[0], st.contrib[1]
 	for i, r := range rank {
-		acc[i] = 0
-		contrib[i] = r / float64(outDeg[i])
+		cur[i] = r / pull.OutDeg[i]
 	}
-	sweepOps := int64(len(sub.LocalDst)) + 2*int64(n)
+	cur[len(rank)], next[len(rank)] = 0, 0
+	// What a per-node walk counts: the nodes and the edges, not the plan's
+	// extra positions and pads.
+	sweepOps := int64(len(sub.LocalDst)) + 2*int64(sub.NumNodes())
 	base := 1 - cfg.Damping
 	startDelta := 0.0
 	sweeps := 0
@@ -152,8 +158,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		maxSweeps = async.DefaultMaxSteps
 	}
 	for sweeps < maxSweeps {
-		scatterEdges(acc, contrib, sub.LocalSrc, sub.LocalDst)
-		delta := foldNodes(rank, acc, ghost, contrib, outDeg, base, cfg.Damping)
+		delta := sweepSlices(pull, next, rank, cur, st.ghost, base, cfg.Damping)
+		cur, next = next, cur
 		ops += sweepOps
 		sweeps++
 		if delta > startDelta {
@@ -169,8 +175,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	// Publish boundary contributions only on material change.
 	pubEps := cfg.Epsilon * publishFraction
 	changed := false
-	for bi, li := range x.Border {
-		d := contrib[li] - st.lastPub[bi]
+	for bi, pos := range x.Border {
+		d := cur[pos] - st.lastPub[bi]
 		if d < 0 {
 			d = -d
 		}
@@ -186,8 +192,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	}
 	if changed {
 		pub := make([]float64, len(x.Border))
-		for bi, li := range x.Border {
-			pub[bi] = contrib[li]
+		for bi, pos := range x.Border {
+			pub[bi] = cur[pos]
 		}
 		st.lastPub = pub
 		out.Publish = true
@@ -197,45 +203,53 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	return out
 }
 
-// scatterEdges is the first half of a sweep: one stream over the
-// partition's flat edge list, source ascending, so every destination is
-// summed in the order a per-node push would sum it.
+// sweepSlices is one Jacobi sweep over a pull plan: per slice, the four
+// rows' in-contributions summed side by side from cur, then each row's new
+// rank, its change and its next contribution (into next) straight from the
+// sums. It returns the largest rank change (math.Abs, not a sign branch: a
+// -0 or NaN difference passes d > delta either way).
 //
-// It and foldNodes are leaf functions, kept so by go:noinline, for the
-// register allocator's sake: inside Step, with some 25 values live, each
-// loop's induction variable was spilled and every iteration waited on a
-// store-to-load forward of its own counter. Handed only what its loop
-// reads, a leaf keeps all of it in registers, which
-// TestSweepKernelsKeepNoStackTraffic holds; the inliner would put
-// scatterEdges (cost 23 of a budget of 80) straight back (DESIGN.md §5b).
+// Every row adds its in-neighbours in push order, from +0, and pads add
+// cur's last entry, a +0, after them: the sum an accumulator array swept
+// over the flat edge list would hold, to the bit (DESIGN.md §5b). rank
+// and ghost have one entry per position, cur and next one more.
 //
-//go:noinline
-func scatterEdges(acc, contrib []float64, src, dst []int32) {
-	src = src[:len(dst)]
-	for k, d := range dst {
-		acc[d] += contrib[src[k]]
-	}
-}
-
-// foldNodes is the second half: one pass per node that folds the new rank,
-// the accumulator reset and the node's next contribution together, and
-// returns the largest rank change (math.Abs, not a sign branch: a -0 or
-// NaN difference passes d > delta either way). The other slices are at
-// least as long as rank. Out of line for scatterEdges' reason: at cost 98
-// the inliner leaves it alone today, but only just.
+// A leaf, kept so by go:noinline, and handed the plan rather than its
+// arrays, for the register allocator's sake: the edge loop keeps its four
+// sums, its cursor and cur in registers and touches no stack slot
+// (TestSweepKernelsKeepNoStackTraffic); the plan's slice headers are
+// reloaded once a slice, not once an entry.
 //
 //go:noinline
-func foldNodes(rank, acc, ghost, contrib []float64, outDeg []int32, base, damping float64) (delta float64) {
-	n := len(rank)
-	acc, ghost, contrib, outDeg = acc[:n], ghost[:n], contrib[:n], outDeg[:n]
-	for i, old := range rank {
-		nr := base + damping*(acc[i]+ghost[i])
-		acc[i] = 0
-		if d := math.Abs(nr - old); d > delta {
+func sweepSlices(pl *graph.PullPlan, next, rank, cur, ghost []float64, base, damping float64) (delta float64) {
+	for s := 1; s < len(pl.Start); s++ {
+		var a0, a1, a2, a3 float64
+		for _, q := range pl.Src[pl.Start[s-1]:pl.Start[s]] {
+			a0 += cur[q.R0]
+			a1 += cur[q.R1]
+			a2 += cur[q.R2]
+			a3 += cur[q.R3]
+		}
+		i := 4 * (s - 1)
+		r, g, od, nx := rank[i:i+4], ghost[i:i+4], pl.OutDeg[i:i+4], next[i:i+4]
+		n0 := base + damping*(a0+g[0])
+		n1 := base + damping*(a1+g[1])
+		n2 := base + damping*(a2+g[2])
+		n3 := base + damping*(a3+g[3])
+		if d := math.Abs(n0 - r[0]); d > delta {
 			delta = d
 		}
-		rank[i] = nr
-		contrib[i] = nr / float64(outDeg[i])
+		if d := math.Abs(n1 - r[1]); d > delta {
+			delta = d
+		}
+		if d := math.Abs(n2 - r[2]); d > delta {
+			delta = d
+		}
+		if d := math.Abs(n3 - r[3]); d > delta {
+			delta = d
+		}
+		r[0], r[1], r[2], r[3] = n0, n1, n2, n3
+		nx[0], nx[1], nx[2], nx[3] = n0/od[0], n1/od[1], n2/od[2], n3/od[3]
 	}
 	return delta
 }
@@ -265,14 +279,15 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	ranks := make([]float64, n)
 	for _, st := range w.states {
 		for li, u := range st.sub.Nodes {
-			ranks[u] = st.rank[li]
+			ranks[u] = st.rank[st.sub.Pull.Pos[li]]
 		}
 	}
 	return &AsyncResult{Ranks: ranks, Stats: stats}, nil
 }
 
 // buildAsyncWorkload builds every partition's solver state around its
-// boundary exchange plan; contributions follow edge direction.
+// boundary exchange plan, moved from local indices to the pull plan's
+// positions; contributions follow edge direction.
 func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
 	xs, n, err := graph.BuildExchange(subs, false)
 	if err != nil {
@@ -280,18 +295,9 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 	}
 	states := make([]*asyncState, len(subs))
 	for p, s := range subs {
-		m := s.NumNodes()
-		st := &asyncState{
-			sub:     s,
-			x:       xs[p],
-			rank:    make([]float64, m),
-			ghost:   make([]float64, m),
-			scratch: make([]float64, m),
-			acc:     make([]float64, m),
-		}
-		st.lastDelta = 1 // pre-step residual: the initial rank magnitude
-		// Step sweeps the flat edge list only; a sub-graph built without
-		// it would lose its local edges without a sign.
+		// Step sweeps the pull plan only; a sub-graph built without it, or
+		// edited since, would lose local edges without a sign or index out
+		// of range. The flat edge list is what Step prices.
 		local := 0
 		for _, adj := range s.OutLocal {
 			local += len(adj)
@@ -300,12 +306,33 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 			return nil, 0, fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d sources and %d destinations",
 				p, local, len(s.LocalSrc), len(s.LocalDst))
 		}
-		for li := range st.rank {
-			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
+		if err := s.Pull.Check(s.NumNodes(), local); err != nil {
+			return nil, 0, fmt.Errorf("pagerank: partition %d: %w", p, err)
+		}
+		pos := s.Pull.Pos
+		m := len(s.Pull.OutDeg)
+		st := &asyncState{
+			sub:     s,
+			x:       xs[p],
+			rank:    make([]float64, m),
+			ghost:   make([]float64, m),
+			contrib: [2][]float64{make([]float64, m+1), make([]float64, m+1)},
+		}
+		st.lastDelta = 1 // pre-step residual: the initial rank magnitude
+		for r := range st.rank {
+			st.rank[r] = 1 // all nodes start with rank 1 (§V-B)
+		}
+		for r := s.NumNodes(); r < m; r++ {
+			st.rank[r] = 1 - cfg.Damping // what a sweep computes there, so no change
+		}
+		// The plan is this run's own copy.
+		for r, li := range st.x.Node {
+			st.x.Node[r] = pos[li]
 		}
 		st.lastPub = make([]float64, len(st.x.Border))
 		for bi, li := range st.x.Border {
 			st.lastPub[bi] = 1 / float64(s.OutDeg[li])
+			st.x.Border[bi] = pos[li]
 		}
 		states[p] = st
 	}

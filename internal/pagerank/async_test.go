@@ -135,8 +135,8 @@ func TestAsyncParallelExecutorMatchesDES(t *testing.T) {
 	asynctest.CheckParallelMatchesDES(t, asynctest.Stalenesses(), asyncParityRunner(t))
 }
 
-// undoRig opens the adapter to asynctest.CheckUndo: ghost, acc and
-// scratch are rebuilt by every step and get poisoned.
+// undoRig opens the adapter to asynctest.CheckUndo: ghost and the
+// contribution buffers are rebuilt by every step and get poisoned.
 func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
 	subs := subgraphs(t, smallGraph(), 8)
 	cfg := DefaultConfig()
@@ -152,8 +152,9 @@ func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(async
 	}
 	return fresh, func(w asynctest.UndoWorkload[[]float64], p int) {
 		st := w.(*asyncWorkload).states[p]
-		for i := range st.acc {
-			st.acc[i], st.scratch[i], st.ghost[i] = math.NaN(), math.NaN(), math.NaN()
+		poisonScratch(st)
+		for i := range st.ghost {
+			st.ghost[i] = math.NaN()
 		}
 	}
 }

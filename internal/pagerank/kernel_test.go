@@ -11,49 +11,72 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/stats"
 )
 
-// TestScatterEdgesOrder: every destination's sum is its old value plus the
-// contributions of its in-edges in list order, on the list shapes a
-// hand-written loop gets wrong first. The values are chosen so that any
-// other order rounds differently.
-func TestScatterEdgesOrder(t *testing.T) {
-	contrib := []float64{1e16, 1, -1e16, 3, 1e-3, 0.1}
+// TestSweepSlicesSumsInPushOrder: every node's new rank is built on the sum
+// of its in-edges' contributions in flat-list order, starting from +0, on
+// the shapes a hand-written loop gets wrong first: node counts that leave
+// the last slice one, two and three nodes short, nodes without in-edges
+// beside a hub wider than all other rows together, a repeated edge. The
+// contributions are chosen so that any other order rounds differently, and
+// base and damping so that the new rank is the sum itself.
+func TestSweepSlicesSumsInPushOrder(t *testing.T) {
+	contrib := []float64{1e16, 1, -1e16, 3, 1e-3, 0.1, -2, 1e-17, 7}
 	for _, c := range []struct {
-		name     string
-		nodes    int
-		src, dst []int32
+		name  string
+		nodes int
+		edges [][2]graph.NodeID
 	}{
-		{"empty list", 4, nil, nil},
-		{"one node", 1, []int32{0, 0, 0}, []int32{0, 0, 0}},
-		{"destination repeated on consecutive edges", 6, []int32{0, 1, 2, 3, 4, 5, 5}, []int32{2, 2, 2, 0, 0, 5, 2}},
-		{"every edge to one destination", 6, []int32{0, 1, 2, 3, 4, 5, 1, 0}, []int32{3, 3, 3, 3, 3, 3, 3, 3}},
+		{"no edge", 4, nil},
+		{"one node", 1, [][2]graph.NodeID{{0, 0}, {0, 0}, {0, 0}}},
+		{"five nodes, an edge repeated", 5, [][2]graph.NodeID{{0, 2}, {1, 2}, {2, 2}, {3, 0}, {4, 0}, {4, 0}, {4, 2}}},
+		{"six nodes, every edge to one", 6, [][2]graph.NodeID{{0, 3}, {1, 3}, {1, 3}, {2, 3}, {3, 3}, {4, 3}, {5, 3}}},
+		{"seven nodes, a hub and a chain", 7, [][2]graph.NodeID{{0, 1}, {0, 6}, {1, 6}, {1, 2}, {2, 6}, {3, 6}, {4, 6}, {5, 6}, {5, 0}, {6, 6}}},
+		{"nine nodes, all orders", 9, [][2]graph.NodeID{{0, 8}, {1, 8}, {2, 8}, {2, 4}, {1, 4}, {3, 4}, {8, 4}, {7, 4}, {7, 0}, {6, 0}, {5, 0}, {0, 0}}},
 	} {
-		acc := make([]float64, c.nodes)
-		want := make([]float64, c.nodes)
-		for d := range want {
-			acc[d] = 0.5 * float64(d)
-			want[d] = acc[d]
-			for k := range c.dst {
-				if int(c.dst[k]) == d {
-					want[d] += contrib[c.src[k]]
-				}
-			}
+		g := &graph.Graph{Out: make([][]graph.NodeID, c.nodes)}
+		for _, e := range c.edges {
+			g.Out[e[0]] = append(g.Out[e[0]], e[1])
 		}
-		scatterEdges(acc, contrib, c.src, c.dst)
-		if !sameBits(acc, want) {
-			t.Errorf("%s: sums %v, in-order sums %v", c.name, acc, want)
+		subs, err := graph.BuildSubGraphs(g, make([]int32, c.nodes), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := subs[0]
+		pl := s.Pull
+		m := len(pl.OutDeg)
+		rank, ghost, ones := make([]float64, m), make([]float64, m), make([]float64, m)
+		cur, next := make([]float64, m+1), make([]float64, m+1)
+		want := make([]float64, c.nodes)
+		for li, r := range pl.Pos {
+			cur[r] = contrib[li]
+		}
+		for i := range ones {
+			ones[i] = 1
+		}
+		for k, d := range s.LocalDst {
+			want[d] += contrib[s.LocalSrc[k]]
+		}
+		pl.OutDeg = ones
+		delta := sweepSlices(&pl, next, rank, cur, ghost, 0, 1)
+		got, wantDelta := make([]float64, c.nodes), 0.0
+		for li, r := range pl.Pos {
+			got[li] = rank[r]
+			wantDelta = max(wantDelta, math.Abs(want[li]))
+		}
+		if !sameBits(got, want) || !sameBits(next[:m], rank) || delta != wantDelta {
+			t.Errorf("%s: sums %v (next %v, delta %g), in-order sums %v (delta %g)", c.name, got, next, delta, want, wantDelta)
 		}
 	}
 }
 
-// foldNodesBranch is foldNodes with the absolute value taken by the sign
-// branch the loop had while it was part of Step.
-func foldNodesBranch(rank, acc, ghost, contrib []float64, outDeg []int32, base, damping float64) (delta float64) {
+// foldBranch is the node-wise half of a sweep as the naive model has it:
+// the sum handed in, the absolute value taken by a sign branch.
+func foldBranch(rank, sum, ghost, outDeg, next []float64, base, damping float64) (delta float64) {
 	for i, old := range rank {
-		nr := base + damping*(acc[i]+ghost[i])
-		acc[i] = 0
+		nr := base + damping*((0+sum[i])+ghost[i])
 		d := nr - old
 		if d < 0 {
 			d = -d
@@ -62,74 +85,87 @@ func foldNodesBranch(rank, acc, ghost, contrib []float64, outDeg []int32, base, 
 			delta = d
 		}
 		rank[i] = nr
-		contrib[i] = nr / float64(outDeg[i])
+		next[i] = nr / outDeg[i]
 	}
 	return delta
 }
 
-// TestFoldNodesDeltaMatchesBranch: math.Abs changes nothing the branch
-// computed, on 10 000 random (acc, ghost, rank) triples and on every triple
+// TestSweepSlicesDeltaMatchesBranch: math.Abs changes nothing a sign branch
+// computes, on 10 000 random (sum, ghost, rank) triples and on every triple
 // of the values where the two could part: signed zeros, denormals,
-// infinities, NaN. Each triple is folded alone, so its own delta is
-// compared and not only the maximum, then all of them in one call.
-func TestFoldNodesDeltaMatchesBranch(t *testing.T) {
+// infinities, NaN. Position i's one in-edge comes from itself, so its sum
+// is cur[i]. Each triple is swept alone, beside three still rows, so its
+// own delta is compared and not only the maximum, then all of them in one
+// call.
+func TestSweepSlicesDeltaMatchesBranch(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, math.Inf(1), math.Inf(-1), math.NaN(), 1}
-	var acc, ghost, rank []float64
+	var sum, ghost, rank []float64
 	for _, a := range special {
 		for _, g := range special {
 			for _, r := range special {
-				acc, ghost, rank = append(acc, a), append(ghost, g), append(rank, r)
+				sum, ghost, rank = append(sum, a), append(ghost, g), append(rank, r)
 			}
 		}
 	}
 	rng := stats.NewRNG(20)
-	for i := 0; i < 10000; i++ {
-		acc, ghost, rank = append(acc, 4*rng.Float64()), append(ghost, 4*rng.Float64()-1), append(rank, 3*rng.Float64())
+	for len(rank)%4 != 0 || len(rank) < 10000 {
+		sum, ghost, rank = append(sum, 4*rng.Float64()), append(ghost, 4*rng.Float64()-1), append(rank, 3*rng.Float64())
 	}
-	outDeg := make([]int32, len(rank))
+	n := len(rank)
+	outDeg := make([]float64, n)
+	start := make([]int32, n/4+1)
+	self := make([]graph.PullQuad, n/4)
 	for i := range outDeg {
-		outDeg[i] = int32(i % 5) // every fifth node has no out-edge
+		outDeg[i] = float64(i % 5) // every fifth node has no out-edge
+	}
+	for s := range self {
+		r := int32(4 * s)
+		self[s] = graph.PullQuad{R0: r, R1: r + 1, R2: r + 2, R3: r + 3}
+		start[s+1] = int32(s + 1)
 	}
 	const base, damping = 0.15, 0.85
-	check := func(lo, hi int) {
+	clone := func(s []float64, extra ...float64) []float64 { return append(append([]float64(nil), s...), extra...) }
+	check := func(what string, rank, sum, ghost, outDeg []float64, start []int32, src []graph.PullQuad) {
 		t.Helper()
-		clone := func(s []float64) []float64 { return append([]float64(nil), s[lo:hi]...) }
-		r1, a1, c1 := clone(rank), clone(acc), make([]float64, hi-lo)
-		r2, a2, c2 := clone(rank), clone(acc), make([]float64, hi-lo)
-		got := foldNodes(r1, a1, ghost[lo:hi], c1, outDeg[lo:hi], base, damping)
-		want := foldNodesBranch(r2, a2, ghost[lo:hi], c2, outDeg[lo:hi], base, damping)
+		r1, n1 := clone(rank), make([]float64, len(rank)+1)
+		r2, n2 := clone(rank), make([]float64, len(rank)+1)
+		got := sweepSlices(&graph.PullPlan{Start: start, Src: src, OutDeg: outDeg}, n1, r1, clone(sum, 0), ghost, base, damping)
+		want := foldBranch(r2, sum, ghost, outDeg, n2, base, damping)
 		switch {
 		case math.Float64bits(got) != math.Float64bits(want):
-			t.Fatalf("triples [%d,%d): delta %g, with the branch %g (acc %g ghost %g rank %g)", lo, hi, got, want, acc[lo], ghost[lo], rank[lo])
-		case !sameBits(r1, r2) || !sameBits(c1, c2) || !sameBits(a1, a2):
-			t.Fatalf("triples [%d,%d): rank, contrib or acc differ from the branch loop's", lo, hi)
+			t.Fatalf("%s: delta %g, with the branch %g", what, got, want)
+		case !sameBits(r1, r2) || !sameBits(n1, n2):
+			t.Fatalf("%s: rank or contribution differ from the branch loop's", what)
 		}
 	}
 	for i := range rank {
-		check(i, i+1)
+		// Rows 1 to 3 read the pad and sit at the rank that gives them.
+		check(fmt.Sprintf("triple %d (sum %g ghost %g rank %g)", i, sum[i], ghost[i], rank[i]),
+			[]float64{rank[i], base, base, base}, []float64{sum[i], 0, 0, 0}, []float64{ghost[i], 0, 0, 0},
+			[]float64{outDeg[i], 1, 1, 1}, []int32{0, 1}, []graph.PullQuad{{R0: 0, R1: 4, R2: 4, R3: 4}})
 	}
-	check(0, len(rank))
-	check(len(special)*len(special)*len(special), len(rank)) // the random triples: a finite running maximum
+	check("all triples", rank, sum, ghost, outDeg, start, self)
+	k := len(special) * len(special) * len(special) / 4 * 4
+	check("the random triples", rank[k:], sum[k:], ghost[k:], outDeg[k:], start[:len(start)-k/4], self[:len(self)-k/4]) // a finite running maximum
 
 	// A node without out-edges gets +Inf; the hand-built graph of
 	// TestStepMatchesOracle has one, and no edge or border entry reads it.
-	contrib := []float64{0}
-	foldNodes([]float64{1}, []float64{2}, []float64{0}, contrib, []int32{0}, base, damping)
-	if !math.IsInf(contrib[0], 1) {
-		t.Fatalf("contribution of a node without out-edges %g, want +Inf", contrib[0])
+	next := make([]float64, 5)
+	sweepSlices(&graph.PullPlan{Start: []int32{0, 0}, OutDeg: []float64{0, 1, 1, 1}}, next, []float64{1, 1, 1, 1}, make([]float64, 5), make([]float64, 4), base, damping)
+	if !math.IsInf(next[0], 1) {
+		t.Fatalf("contribution of a node without out-edges %g, want +Inf", next[0])
 	}
 }
 
-// TestSweepKernelsKeepNoStackTraffic holds what the kernels exist for: the
-// compiled loop of each touches no stack slot. It builds the package's
-// test binary as go test -c does, disassembles it, takes each kernel's loop
-// as the span from the target of the function's last backward conditional
-// jump to that jump, and fails on any SP-relative operand inside it. A
-// kernel that was inlined away has no symbol and fails too. While both
-// loops were written out in Step (go1.24.0, amd64) the same span held five
-// such operands in the edge loop — the store of k+1, its reload at the loop
-// head and reloads of three values the loop never uses — and five in the
-// node loop, Damping among them.
+// TestSweepKernelsKeepNoStackTraffic holds what the kernel is a leaf for:
+// its compiled edge loop touches no stack slot. It builds the package's
+// test binary as go test -c does, disassembles it, takes the innermost loop
+// as the shortest span from the target of a backward conditional jump to
+// that jump, and fails on any SP-relative operand inside it. A kernel that
+// was inlined away has no symbol and fails too. (The same loop over
+// [4]int32 entries copies each entry through the stack; handed the plan's
+// three arrays instead of the plan, it reloads two spilled slice headers
+// every iteration — go1.24.0, amd64.)
 func TestSweepKernelsKeepNoStackTraffic(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("reads amd64 disassembly")
@@ -151,7 +187,7 @@ func TestSweepKernelsKeepNoStackTraffic(t *testing.T) {
 	if out, err := exec.Command(goTool, "test", "-c", "-o", exe, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go test -c: %v\n%s", err, out)
 	}
-	for _, kernel := range []string{"scatterEdges", "foldNodes"} {
+	for _, kernel := range []string{"sweepSlices"} {
 		out, err := exec.Command(goTool, "tool", "objdump", "-s", `^repro/internal/pagerank\.`+kernel+`$`, exe).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go tool objdump: %v\n%s", err, out)
@@ -169,8 +205,8 @@ func TestSweepKernelsKeepNoStackTraffic(t *testing.T) {
 	}
 }
 
-// innerLoop returns the instructions, as "0xaddr TEXT", of the span of an
-// objdump listing that the last backward conditional jump closes.
+// innerLoop returns the instructions, as "0xaddr TEXT", of the shortest
+// span of an objdump listing that a backward conditional jump closes.
 func innerLoop(listing string) ([]string, error) {
 	type instr struct {
 		addr uint64
@@ -198,7 +234,7 @@ func innerLoop(listing string) ([]string, error) {
 		if !ok || !strings.HasPrefix(op, "J") || op == "JMP" {
 			continue
 		}
-		if to, err := strconv.ParseUint(target, 0, 64); err == nil && to < ins.addr {
+		if to, err := strconv.ParseUint(target, 0, 64); err == nil && to < ins.addr && (tail < 0 || ins.addr-to < code[tail].addr-head) {
 			head, tail = to, i
 		}
 	}

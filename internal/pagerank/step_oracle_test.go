@@ -12,12 +12,50 @@ import (
 	"repro/internal/stats"
 )
 
-// stepOracle is asyncWorkload.Step as it stood before the edge-centric
-// sweep: every node pushes rank/outdeg down its own OutLocal list into a
-// freshly cleared accumulator, new ranks go to scratch and are copied
-// back, and the publication scan divides again. Tests compare the
-// production Step against it; it is not a second production path.
-func stepOracle(w *asyncWorkload, p int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
+// oracleState is one partition as stepOracle keeps it: every array by
+// local index, the exchange plan as graph.BuildExchange returns it, and
+// nothing of the pull plan.
+type oracleState struct {
+	sub                       *graph.SubGraph
+	x                         graph.Exchange
+	rank, ghost, acc, scratch []float64
+	lastPub                   []float64
+	lastDelta                 float64
+}
+
+type oracleWorkload struct {
+	cfg    Config
+	states []*oracleState
+}
+
+func newOracleWorkload(t testing.TB, subs []*graph.SubGraph, cfg Config) *oracleWorkload {
+	t.Helper()
+	xs, _, err := graph.BuildExchange(subs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &oracleWorkload{cfg: cfg}
+	for p, s := range subs {
+		n := s.NumNodes()
+		st := &oracleState{sub: s, x: xs[p], rank: make([]float64, n), ghost: make([]float64, n), acc: make([]float64, n), scratch: make([]float64, n)}
+		for li := range st.rank {
+			st.rank[li] = 1
+		}
+		for _, li := range st.x.Border {
+			st.lastPub = append(st.lastPub, 1/float64(s.OutDeg[li]))
+		}
+		st.lastDelta = 1
+		w.states = append(w.states, st)
+	}
+	return w
+}
+
+// stepOracle is the naive model of asyncWorkload.Step: every node pushes
+// rank/outdeg down its own OutLocal list into a freshly cleared
+// accumulator, new ranks go to scratch and are copied back, and the
+// publication scan divides again. Tests compare the production Step
+// against it; it is not a second production path.
+func stepOracle(w *oracleWorkload, p int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
 	st := w.states[p]
 	cfg := w.cfg
 	var ops int64
@@ -117,7 +155,8 @@ func sameBits(a, b []float64) bool {
 // production kernel and one by the oracle, and feeds both the same
 // neighbour snapshots.
 type stepPair struct {
-	kernel, oracle *asyncWorkload
+	kernel *asyncWorkload
+	oracle *oracleWorkload
 	// latest[q] is partition q's last publication, what a lockstep
 	// runtime would hand its readers next.
 	latest [][]float64
@@ -138,11 +177,7 @@ func newStepPair(t testing.TB, subs []*graph.SubGraph, cfg Config, amp float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _, err := buildAsyncWorkload(subs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &stepPair{kernel: kernel, oracle: oracle, amp: amp, rng: stats.NewRNG(seed)}
+	sp := &stepPair{kernel: kernel, oracle: newOracleWorkload(t, subs, cfg), amp: amp, rng: stats.NewRNG(seed)}
 	for p := range subs {
 		data, _ := kernel.Init(p)
 		sp.latest = append(sp.latest, data)
@@ -167,6 +202,17 @@ func (sp *stepPair) inputs(p int) []async.Snapshot[[]float64] {
 // departed from the oracle's, or returns "".
 func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
 	k, o := sp.kernel.states[p], sp.oracle.states[p]
+	// The kernel's ranks by local index, and what it keeps at the pull
+	// plan's extra positions.
+	ranks := make([]float64, len(o.rank))
+	for li, r := range k.sub.Pull.Pos {
+		ranks[li] = k.rank[r]
+	}
+	for r := len(ranks); r < len(k.rank); r++ {
+		if k.rank[r] != 1-sp.kernel.cfg.Damping || k.ghost[r] != 0 {
+			return fmt.Sprintf("extra position %d holds rank %g and ghost %g", r, k.rank[r], k.ghost[r])
+		}
+	}
 	switch {
 	case got.Ops != want.Ops:
 		return fmt.Sprintf("Ops %d, oracle %d", got.Ops, want.Ops)
@@ -180,8 +226,8 @@ func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
 		return fmt.Sprintf("Bytes %d, oracle %d", got.Bytes, want.Bytes)
 	case (got.Data == nil) != (want.Data == nil) || !sameBits(got.Data, want.Data):
 		return fmt.Sprintf("Data %v, oracle %v", got.Data, want.Data)
-	case !sameBits(k.rank, o.rank):
-		return fmt.Sprintf("rank %v, oracle %v", k.rank, o.rank)
+	case !sameBits(ranks, o.rank):
+		return fmt.Sprintf("rank %v, oracle %v", ranks, o.rank)
 	case math.Float64bits(k.lastDelta) != math.Float64bits(o.lastDelta):
 		return fmt.Sprintf("lastDelta %g, oracle %g", k.lastDelta, o.lastDelta)
 	case !sameBits(k.lastPub, o.lastPub):
@@ -192,14 +238,10 @@ func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
 
 // step runs one step of partition p through both sides on the same
 // snapshots and returns the oracle's outcome and the first difference.
-// The kernel's two scratch arrays are poisoned first: a step that read
-// what the last one left in them would carry the NaN into its ranks.
+// The kernel's scratch is poisoned first.
 func (sp *stepPair) step(p, step int) (async.StepOutcome[[]float64], string) {
 	in := sp.inputs(p)
-	st := sp.kernel.states[p]
-	for i := range st.acc {
-		st.acc[i], st.scratch[i] = math.NaN(), math.NaN()
-	}
+	poisonScratch(sp.kernel.states[p])
 	got := sp.kernel.Step(p, step, in)
 	want := stepOracle(sp.oracle, p, in)
 	if d := sp.diff(p, got, want); d != "" {
@@ -209,6 +251,17 @@ func (sp *stepPair) step(p, step int) (async.StepOutcome[[]float64], string) {
 		sp.latest[p] = want.Data
 	}
 	return want, ""
+}
+
+// poisonScratch fills what a step must rebuild before it reads it — both
+// contribution buffers, pad position included — with NaN: a step that read
+// what the last one left there would carry it into its ranks.
+func poisonScratch(st *asyncState) {
+	for _, c := range st.contrib {
+		for i := range c {
+			c[i] = math.NaN()
+		}
+	}
 }
 
 // stepTally is what a driven run exercised.
@@ -333,9 +386,10 @@ func TestStepAfterRestoreMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsMissingFlatEdgeList: Step sweeps LocalSrc/LocalDst
-// only, so a sub-graph that lists local edges in OutLocal but carries no
-// (or a short) flat list must be refused, not run without those edges.
+// TestAsyncRejectsMissingFlatEdgeList: Step prices the sweeps by
+// LocalSrc/LocalDst and the pull plan is checked against them, so a
+// sub-graph that lists local edges in OutLocal but carries no (or a short)
+// flat list must be refused.
 func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -361,6 +415,41 @@ func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 	}
 }
 
+// TestAsyncRejectsMalformedPullPlan: Step sweeps the pull plan only, so a
+// hand-built or edited sub-graph whose plan is missing, loses an edge or
+// would index out of range is an error naming the partition, not a panic
+// or a run without those edges.
+func TestAsyncRejectsMalformedPullPlan(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func(*graph.PullPlan)
+	}{
+		{"no plan", func(pl *graph.PullPlan) { *pl = graph.PullPlan{} }},
+		{"no entries", func(pl *graph.PullPlan) { pl.Src = nil }},
+		{"an entry short", func(pl *graph.PullPlan) { pl.Src = pl.Src[:len(pl.Src)-1] }},
+		{"an entry dropped", func(pl *graph.PullPlan) {
+			pl.Src = pl.Src[:len(pl.Src)-1]
+			pl.Start = append(slices.Clone(pl.Start[:len(pl.Start)-1]), int32(len(pl.Src)))
+		}},
+		{"an edge padded over", func(pl *graph.PullPlan) { pl.Src[0].R2 = int32(len(pl.OutDeg)) }},
+		{"slice starts decrease", func(pl *graph.PullPlan) { pl.Start = []int32{0, pl.Start[2] + 1, pl.Start[2]} }},
+		{"slice starts past the entries", func(pl *graph.PullPlan) { pl.Start = []int32{0, pl.Start[1], pl.Start[2] + 1} }},
+		{"a slice missing", func(pl *graph.PullPlan) { pl.Start = pl.Start[:2] }},
+		{"source past the pad", func(pl *graph.PullPlan) { pl.Src[1].R3 = int32(len(pl.OutDeg)) + 1 }},
+		{"negative source", func(pl *graph.PullPlan) { pl.Src[0].R0 = -1 }},
+		{"node placed outside", func(pl *graph.PullPlan) { pl.Pos[2] = int32(len(pl.Pos)) }},
+		{"node placed below zero", func(pl *graph.PullPlan) { pl.Pos[0] = -1 }},
+		{"out-degrees short", func(pl *graph.PullPlan) { pl.OutDeg = pl.OutDeg[:len(pl.Pos)] }},
+	} {
+		subs := handBuilt(t)
+		c.mangle(&subs[0].Pull)
+		_, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{})
+		if err == nil || !strings.Contains(err.Error(), "partition 0: pull plan") {
+			t.Fatalf("%s: error %v, want partition 0's pull plan named", c.name, err)
+		}
+	}
+}
+
 // FuzzStepMatchesOracle decodes a small graph, an assignment and a
 // configuration and runs the oracle comparison over consecutive steps:
 // byte 0 the node count, byte 1 the partition count, byte 2 the
@@ -369,7 +458,11 @@ func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 // seed, then one assignment byte per node (partitions no node names are
 // closed up), then edges as (source, destination) byte pairs. The
 // committed corpus holds TestStepMatchesOracle's hand-built shapes one
-// by one.
+// by one and, as pull-*, the shapes the pull plan pads for: node counts one,
+// two and three past a multiple of four, a one-node partition, a partition
+// without a local edge, nodes without in-edges beside a hub wider than all
+// other rows together. stepPair poisons the contribution buffers, pad
+// position included, before every step.
 func FuzzStepMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {

@@ -14,10 +14,10 @@ type gainItem struct {
 // container/heap's interface boxing on the partitioner's hot path.
 //
 // Equal gains pop in an order Assignment.Parts depends on. What fixes
-// that order is which entries are compared, how each comparison falls
-// (push stops at a parent that is not smaller; pop prefers the left child
-// unless the right is strictly larger) and where every entry ends up; both
-// sifts move a hole instead of swapping, which changes none of the three.
+// that order is how ties fall (push stops at a parent that is not smaller;
+// pop prefers the left child unless the right is strictly larger, and
+// stops above a child that is not larger) and where every entry ends up;
+// FuzzGainHeapMatchesSwapHeap holds both sifts to the textbook ones.
 type gainHeap struct {
 	a []gainItem
 }
@@ -40,25 +40,31 @@ func (h *gainHeap) push(it gainItem) {
 	h.a[i] = it
 }
 
+// pop sifts bottom-up: the hole left by the top descends the larger-child
+// path (left on a tie) all the way to a leaf, one comparison a level, and
+// the last entry then climbs from there past every entry that is not
+// larger than it. Gains do not increase down a path, so the climb stops
+// where a top-down sift — two comparisons a level — would have stopped
+// the descent, with the same entries moved up: the same array.
 func (h *gainHeap) pop() gainItem {
 	top := h.a[0]
 	last := len(h.a) - 1
 	it := h.a[last]
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big, gain := i, it.gain
-		if l < last && h.a[l].gain > gain {
-			big, gain = l, h.a[l].gain
+	for l := 1; l < last; l = 2*i + 1 {
+		if r := l + 1; r < last && h.a[r].gain > h.a[l].gain {
+			l = r
 		}
-		if r < last && h.a[r].gain > gain {
-			big = r
-		}
-		if big == i {
+		h.a[i] = h.a[l]
+		i = l
+	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.a[parent].gain > it.gain {
 			break
 		}
-		h.a[i] = h.a[big]
-		i = big
+		h.a[i] = h.a[parent]
+		i = parent
 	}
 	h.a[i] = it
 	h.a = h.a[:last]
