@@ -174,31 +174,6 @@ func BenchmarkAblationLocalIterations(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCombiner measures the shuffle reduction from a Hadoop
-// combiner on the general formulation (§V-A: combiners compose with the
-// partial synchronization API).
-func BenchmarkAblationCombiner(b *testing.B) {
-	f := buildPRFixture(b, benchScale, []partition.Method{partition.Multilevel}, 8)
-	for _, comb := range []bool{false, true} {
-		b.Run(fmt.Sprintf("combiner=%v", comb), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := pagerank.DefaultConfig()
-				cfg.Combiner = comb
-				res, err := pagerank.Run(ec2Engine(), f.subs["multilevel"], cfg, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var bytes float64
-				for _, it := range res.Stats.PerIteration {
-					bytes += float64(it.ShuffleBytes)
-				}
-				b.ReportMetric(bytes/1e6, "shuffle-MB")
-				b.ReportMetric(res.Stats.Duration.Seconds(), "sim-seconds-general")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationNetwork reproduces the §II claim that partial
 // synchronization gains are amplified on cloud networks relative to HPC
 // interconnects: the same workload on both cluster models.

@@ -39,17 +39,6 @@ type AsyncResult struct {
 	Stats *async.RunStats
 }
 
-// Components counts the distinct components in a result.
-func (r *AsyncResult) Components() int {
-	n := 0
-	for u, c := range r.Comp {
-		if graph.NodeID(u) == c {
-			n++
-		}
-	}
-	return n
-}
-
 // asyncState is one partition's worker payload: local min-label
 // propagation plus the plan (graph.Exchange, undirected: labels cross
 // the cut both ways) to publish its border nodes' labels and relax

@@ -82,13 +82,6 @@ type Config struct {
 	// mode's premise is AsyncSyncOverhead << JobOverhead.
 	AsyncSyncOverhead simtime.Duration
 
-	// CoresPerMapSlot is how many hardware threads one map task can use
-	// for the paper's intra-task local thread pool (§IV: "local map and
-	// local reduce operations can use a thread-pool"). On the Table I
-	// testbed, 8 EC2 compute units over 4 map slots leaves ~2 cores per
-	// slot. Values < 1 are treated as 1.
-	CoresPerMapSlot float64
-
 	// FailureProb is the per-task-attempt probability of a transient
 	// failure; failed attempts are re-executed (deterministic replay),
 	// wasting the fraction of the attempt that had completed.
@@ -217,7 +210,6 @@ func EC2LargeCluster() *Config {
 		LocalSyncOverhead:  20 * simtime.Microsecond,
 		AsyncSyncOverhead:  5 * simtime.Millisecond,
 		AdaptCost:          100 * simtime.Microsecond,
-		CoresPerMapSlot:    2,
 		FailureProb:        0.002,
 		CrashMTTF:          0, // worker crashes off by default; experiments opt in
 		CheckpointCost:     250 * simtime.Millisecond,

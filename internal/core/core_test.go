@@ -151,7 +151,6 @@ func TestSpecValidation(t *testing.T) {
 
 func TestEmitLocalFromLMapPanics(t *testing.T) {
 	spec := countingSpec(1)
-	spec.Threads = 4
 	spec.LMap = func(lc *LocalContext[int64, int], p *counterPart, i int) {
 		lc.EmitLocal(int64(i), 1) // illegal: writes belong to lreduce
 	}
@@ -164,45 +163,7 @@ func TestEmitLocalFromLMapPanics(t *testing.T) {
 	}
 	_, err := mapreduce.Run(testEngine(), job, []mapreduce.Split[*counterPart]{{ID: 0, Data: part, Records: 1}})
 	if err == nil || !strings.Contains(err.Error(), "EmitLocal") {
-		t.Fatalf("EmitLocal from threaded lmap not rejected: %v", err)
-	}
-}
-
-func TestThreadedLMapMatchesSerial(t *testing.T) {
-	build := func(threads int) *counterPart {
-		part := &counterPart{cells: make([]int, 200), target: 3}
-		spec := countingSpec(0)
-		spec.Threads = threads
-		job := &mapreduce.Job[*counterPart, int64, int]{
-			Name:      "threads",
-			Map:       BuildGMap(spec),
-			Partition: mapreduce.Int64Partition,
-			Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
-		}
-		if _, err := mapreduce.Run(testEngine(), job, []mapreduce.Split[*counterPart]{{ID: 0, Data: part, Records: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		return part
-	}
-	serial := build(1)
-	threaded := build(8)
-	for i := range serial.cells {
-		if serial.cells[i] != threaded.cells[i] {
-			t.Fatalf("cell %d differs: %d vs %d", i, serial.cells[i], threaded.cells[i])
-		}
-	}
-}
-
-func TestThreadPoolDiscountsOps(t *testing.T) {
-	if got := discountOps(1000, 1); got != 1000 {
-		t.Fatalf("threads=1 discount = %d", got)
-	}
-	if got := discountOps(1000, 2); got != 500 {
-		t.Fatalf("threads=2 discount = %d", got)
-	}
-	// Capped at the per-slot core budget.
-	if got := discountOps(1000, 16); got != 500 {
-		t.Fatalf("threads=16 discount = %d, want cap at 2x", got)
+		t.Fatalf("EmitLocal from lmap not rejected: %v", err)
 	}
 }
 

@@ -25,7 +25,6 @@
 //	EmitLocalIntermediate()    LocalContext.EmitLocalIntermediate
 //	EmitLocal()                LocalContext.EmitLocal
 //	local convergence check    LocalSpec.Converged / MaxLocalIters
-//	thread-pool local maps     LocalSpec.Threads
 //
 // BuildGMap reproduces the paper's Figure 1 construction:
 //

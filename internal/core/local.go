@@ -3,23 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/mapreduce"
-	"repro/internal/workpool"
 )
-
-// lmapPool is the process-wide thread pool backing every threaded lmap
-// phase, shared with nothing else: work-stealing keeps uneven chunks
-// from idling workers, and one fixed pool bounds the process at
-// GOMAXPROCS lmap threads no matter how many gmap tasks run
-// concurrently, instead of spawning Threads goroutines per task per
-// local iteration. Built lazily on the first threaded phase.
-var lmapPool = sync.OnceValue(func() *workpool.Pool[func()] {
-	return workpool.New(runtime.GOMAXPROCS(0), func(_ int, fn func()) { fn() })
-})
 
 // LocalContext is the emission interface available to lmap and lreduce
 // inside one gmap task. It owns the paper's per-task hashtable: lmap
@@ -52,10 +40,7 @@ var lmapPool = sync.OnceValue(func() *workpool.Pool[func()] {
 // contexts and re-arms one per task, so a context outlives the task, its
 // slot tables grow to the union of the key sets it has served, and the
 // plan it carries may be another split's: the plan is only ever trusted
-// key by key, so the task's first iteration demotes and replans. During a
-// threaded lmap phase each worker logs into its own shard, and the
-// barrier passes the shard logs through the plan in shard order, so user
-// code never needs locks.
+// key by key, so the task's first iteration demotes and replans.
 //
 // The log, the slab and the hashtable's value table are reused without
 // clearing: for a V that holds pointers (K-Means' Accum.Sum) they keep
@@ -79,8 +64,7 @@ type LocalContext[K comparable, V any] struct {
 	// the slab position of its i-th emission. cursor is the number of
 	// emissions replayed so far this iteration, or logging when the
 	// iteration logs; planned says logKey, pos, order, end and slab are
-	// one consistent grouping (false from a demotion to the next group,
-	// and always on a shard, which only ever logs).
+	// one consistent grouping (false from a demotion to the next group).
 	logKey  []K
 	logVal  []V
 	pos     []int32
@@ -104,17 +88,9 @@ type LocalContext[K comparable, V any] struct {
 	stateOrder []int32
 	gen        uint32
 
-	// shards are the per-worker contexts of a threaded lmap phase, with
-	// the phase's panic slots and wait group beside them, all reused
-	// across local iterations.
-	shards []*LocalContext[K, V]
-	panics []any
-	wg     sync.WaitGroup
-
-	// parent is set on a shard: Value reads the parent's hashtable
-	// (shared read-only across workers), and EmitLocal is a bug and
-	// panics.
-	parent *LocalContext[K, V]
+	// inLMap is set for the length of an lmap phase, where EmitLocal is a
+	// bug and panics.
+	inLMap bool
 
 	// localIter is the completed local iteration count.
 	localIter int
@@ -190,7 +166,7 @@ func (lc *LocalContext[K, V]) resolve(slots []int32) {
 }
 
 // lookup is slot without the side effects: it reports whether key
-// already has a slot. Safe for concurrent use during an lmap phase.
+// already has a slot.
 func (lc *LocalContext[K, V]) lookup(key K) (int32, bool) {
 	if lc.keyIndex != nil {
 		i := lc.keyIndex(key)
@@ -267,7 +243,7 @@ func (lc *LocalContext[K, V]) dropGrouping() {
 // EmitLocal(). Re-emitting a key overwrites its value; the key keeps its
 // original position in the deterministic output order.
 func (lc *LocalContext[K, V]) EmitLocal(key K, value V) {
-	if lc.parent != nil {
+	if lc.inLMap {
 		panic("core: EmitLocal called from lmap; hashtable writes belong to lreduce")
 	}
 	s := lc.slot(key)
@@ -282,9 +258,6 @@ func (lc *LocalContext[K, V]) EmitLocal(key K, value V) {
 // later local iteration to consume earlier lreduce output ("otherwise,
 // lmap receives it as input", §IV).
 func (lc *LocalContext[K, V]) Value(key K) (V, bool) {
-	if lc.parent != nil {
-		lc = lc.parent
-	}
 	if s, ok := lc.lookup(key); ok && lc.stateGen[s] == lc.gen {
 		return lc.stateVal[s], true
 	}
@@ -397,8 +370,8 @@ type LocalSpec[P any, E any, K comparable, V any] struct {
 	Elements func(part P) []E
 
 	// LMap processes one element, reading prior local results via
-	// lc.Value and emitting via lc.EmitLocalIntermediate. It must not
-	// call lc.EmitLocal; writes to the hashtable belong to lreduce.
+	// lc.Value and emitting via lc.EmitLocalIntermediate. lc.EmitLocal
+	// panics here; writes to the hashtable belong to lreduce.
 	LMap func(lc *LocalContext[K, V], part P, elem E)
 
 	// LReduce folds one locally-grouped key, emitting via lc.EmitLocal.
@@ -433,11 +406,6 @@ type LocalSpec[P any, E any, K comparable, V any] struct {
 	// emitted key. A negative index panics. Leave nil for any other key
 	// type.
 	KeyIndex func(key K) int
-
-	// Threads sizes the intra-task thread pool for lmap execution
-	// (§IV: "local map and local reduce operations can use a thread-pool
-	// to extract further parallelism"). 0 or 1 disables threading.
-	Threads int
 
 	// ResetStatePerIteration clears the hashtable before each local
 	// reduce, so it holds exactly one local iteration's lreduce output.
@@ -529,9 +497,7 @@ func runTask[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc 
 			break
 		}
 	}
-	// Charge accumulated local compute, discounted by the intra-task
-	// thread pool (bounded by the cores available to one map slot).
-	tc.Charge(discountOps(lc.ops, spec.Threads))
+	tc.Charge(lc.ops)
 	tc.Counter("core.local_iterations", int64(lc.localIter))
 	if spec.Output != nil {
 		spec.Output(tc, part, lc)
@@ -540,75 +506,14 @@ func runTask[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc 
 	}
 }
 
-// discountOps models the local thread pool's speedup on charged compute.
-// The pool cannot exceed the cores available to one map slot; the engine
-// reads the bound at pricing time, so here we cap at a conservative 2
-// (Table I: 8 EC2 compute units across 4 map slots). Functional
-// parallelism is real regardless; this only affects simulated time.
-func discountOps(ops int64, threads int) int64 {
-	if threads <= 1 {
-		return ops
-	}
-	eff := float64(threads)
-	if eff > 2 {
-		eff = 2
-	}
-	return int64(float64(ops) / eff)
-}
-
-// runLMapPhase applies LMap to every element, on one goroutine or on
-// the shared lmap thread pool with deterministic merge order.
+// runLMapPhase applies LMap to every element in order.
 func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc *LocalContext[K, V], part P, elems []E) {
 	lc.beginIteration()
-	if spec.Threads <= 1 || len(elems) < 2*spec.Threads {
-		for _, e := range elems {
-			spec.LMap(lc, part, e)
-		}
-		return
+	lc.inLMap = true
+	for _, e := range elems {
+		spec.LMap(lc, part, e)
 	}
-	// Shard elements into contiguous chunks; each chunk runs on the
-	// shared pool and logs into a private shard context. Emitting the
-	// shard logs in shard order gives the context the emission sequence a
-	// serial sweep over elems would have, so grouping sees keys first
-	// emitted by shard then record order, and a key's values by shard
-	// then record order. The hashtable (read-only during lmap) is reached
-	// through the parent. Chunk panics are captured and re-raised on the
-	// task goroutine so the engine's per-task recovery still catches bad
-	// user code (the pool itself must never see a panic).
-	n := spec.Threads
-	for len(lc.shards) < n {
-		lc.shards = append(lc.shards, &LocalContext[K, V]{parent: lc, cursor: logging})
-		lc.panics = append(lc.panics, nil)
-	}
-	shards, panics := lc.shards[:n], lc.panics[:n]
-	lc.wg.Add(n)
-	for w := 0; w < n; w++ {
-		lo := w * len(elems) / n
-		hi := (w + 1) * len(elems) / n
-		chunk := elems[lo:hi]
-		sh := shards[w]
-		sh.beginIteration()
-		sh.ops = 0 // merged into the parent at the end of each phase
-		lmapPool().Submit(func() {
-			defer lc.wg.Done()
-			defer func() { panics[w] = recover() }()
-			for _, e := range chunk {
-				spec.LMap(sh, part, e)
-			}
-		})
-	}
-	lc.wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
-		}
-	}
-	for _, sh := range shards {
-		for i, k := range sh.logKey {
-			lc.EmitLocalIntermediate(k, sh.logVal[i])
-		}
-		lc.ops += sh.ops
-	}
+	lc.inLMap = false
 }
 
 // runLReducePhase groups the intermediate buffer and folds every key group

@@ -186,30 +186,26 @@ func modelTrace(sc script, keyOf func(int) int64, reset bool) []string {
 }
 
 // scriptPart is the partition payload of the real run: the script, a
-// cursor, and the observations so far. probes has one entry per element
-// of the current iteration so that threaded lmap workers never share a
-// memory location.
+// cursor, and the observations so far.
 type scriptPart struct {
-	sc     script
-	iter   int
-	probes []string
-	trace  []string
+	sc    script
+	iter  int
+	trace []string
 }
 
-func scriptSpec(keyOf func(int) int64, threads int, reset bool) *LocalSpec[*scriptPart, int, int64, int] {
+func scriptSpec(keyOf func(int) int64, reset bool) *LocalSpec[*scriptPart, int, int64, int] {
 	return &LocalSpec[*scriptPart, int, int64, int]{
 		Elements: func(p *scriptPart) []int {
 			elems := make([]int, len(p.sc[p.iter]))
 			for i := range elems {
 				elems[i] = i
 			}
-			p.probes = make([]string, len(elems))
 			return elems
 		},
 		LMap: func(lc *LocalContext[int64, int], p *scriptPart, e int) {
 			el := p.sc[p.iter][e]
 			v, ok := lc.Value(keyOf(el.probe))
-			p.probes[e] = fmt.Sprintf("probe %d = %d %v", keyOf(el.probe), v, ok)
+			p.trace = append(p.trace, fmt.Sprintf("probe %d = %d %v", keyOf(el.probe), v, ok))
 			for _, r := range el.emits {
 				lc.EmitLocalIntermediate(keyOf(r.key), r.val)
 			}
@@ -221,13 +217,6 @@ func scriptSpec(keyOf func(int) int64, threads int, reset bool) *LocalSpec[*scri
 			}
 		},
 		Apply: func(p *scriptPart, lc *LocalContext[int64, int]) {
-			// Probes ran before this iteration's groups were reduced; put
-			// them there in the trace too.
-			groups := len(p.trace)
-			for groups > 0 && p.trace[groups-1][0] == 'g' {
-				groups--
-			}
-			p.trace = slices.Insert(p.trace, groups, p.probes...)
 			p.trace = append(p.trace, fmt.Sprintf("len %d", lc.Len()))
 			lc.State(func(k int64, v int) {
 				p.trace = append(p.trace, fmt.Sprintf("state %d = %d", k, v))
@@ -237,7 +226,6 @@ func scriptSpec(keyOf func(int) int64, threads int, reset bool) *LocalSpec[*scri
 		Converged: func(p *scriptPart, _ *LocalContext[int64, int]) bool {
 			return p.iter == len(p.sc)
 		},
-		Threads:                threads,
 		ResetStatePerIteration: reset,
 	}
 }
@@ -248,15 +236,15 @@ func scriptSpec(keyOf func(int) int64, threads int, reset bool) *LocalSpec[*scri
 // and compares each task's observations and default Output to the
 // model's. The job runs twice so the engine's pooled buffers are reused
 // as well.
-func checkAgainstModel(t *testing.T, scripts []script, indexed bool, threads int, reset bool) {
+func checkAgainstModel(t *testing.T, scripts []script, indexed bool, reset bool) {
 	t.Helper()
 	// Without KeyIndex the keys are sparse and signed, which only an
 	// interning resolver can take.
 	keyOf := func(k int) int64 { return int64(k)*1_000_003 - 7_000_000 }
-	spec := scriptSpec(keyOf, threads, reset)
+	spec := scriptSpec(keyOf, reset)
 	if indexed {
 		keyOf = func(k int) int64 { return int64(k) }
-		spec = scriptSpec(keyOf, threads, reset)
+		spec = scriptSpec(keyOf, reset)
 		spec.KeyIndex = func(k int64) int { return int(k) }
 	}
 	var lc *LocalContext[int64, int]
@@ -298,8 +286,8 @@ func checkAgainstModel(t *testing.T, scripts []script, indexed bool, threads int
 			if !slices.Equal(got, want) {
 				for j := range want {
 					if j >= len(got) || got[j] != want[j] {
-						t.Fatalf("round %d task %d (indexed %v, threads %d, reset %v): observation %d differs\n got %q\nwant %q",
-							round, i, indexed, threads, reset, j, got[min(j, len(got)-1):], want[j:])
+						t.Fatalf("round %d task %d (indexed %v, reset %v): observation %d differs\n got %q\nwant %q",
+							round, i, indexed, reset, j, got[min(j, len(got)-1):], want[j:])
 					}
 				}
 				t.Fatalf("round %d task %d: %d extra observations %q", round, i, len(got)-len(want), got[len(want):])
@@ -312,16 +300,14 @@ func checkAgainstModel(t *testing.T, scripts []script, indexed bool, threads int
 }
 
 // checkAllVariants splits data into three scripts and checks them under
-// every resolver × Threads × ResetStatePerIteration combination.
+// every resolver × ResetStatePerIteration combination.
 func checkAllVariants(t *testing.T, data []byte) {
 	t.Helper()
 	third := len(data) / 3
 	scripts := []script{decodeScript(data[:third]), decodeScript(data[third : 2*third]), decodeScript(data[2*third:])}
 	for _, indexed := range []bool{false, true} {
-		for _, threads := range []int{1, 4} {
-			for _, reset := range []bool{false, true} {
-				checkAgainstModel(t, scripts, indexed, threads, reset)
-			}
+		for _, reset := range []bool{false, true} {
+			checkAgainstModel(t, scripts, indexed, reset)
 		}
 	}
 }
@@ -337,9 +323,9 @@ func TestLocalContextMatchesModel(t *testing.T) {
 	}
 }
 
-// sweep is one local iteration of ten elements (enough for a threaded
-// lmap at Threads 4) emitting two records each over the keys lo..lo+span-1,
-// values salted so that no two iterations fold to the same sums.
+// sweep is one local iteration of ten elements emitting two records each
+// over the keys lo..lo+span-1, values salted so that no two iterations
+// fold to the same sums.
 func sweep(lo, span, salt int) []scriptElem {
 	elems := make([]scriptElem, 10)
 	for e := range elems {
@@ -394,10 +380,8 @@ func TestReplayedIterationsMatchModel(t *testing.T) {
 		{sweep(3, 12, 100)}, // overlapping keys after the empty plan
 	}
 	for _, indexed := range []bool{false, true} {
-		for _, threads := range []int{1, 4} {
-			for _, reset := range []bool{false, true} {
-				checkAgainstModel(t, scripts, indexed, threads, reset)
-			}
+		for _, reset := range []bool{false, true} {
+			checkAgainstModel(t, scripts, indexed, reset)
 		}
 	}
 }

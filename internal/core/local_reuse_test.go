@@ -32,7 +32,7 @@ type keysPart struct {
 // universe bounds the keys the isolation tests use and probe.
 const universe = 48
 
-func keysSpec(indexed bool, threads int) *LocalSpec[*keysPart, int, int64, int] {
+func keysSpec(indexed bool) *LocalSpec[*keysPart, int, int64, int] {
 	spec := &LocalSpec[*keysPart, int, int64, int]{
 		Elements: func(p *keysPart) []int {
 			elems := make([]int, len(p.keys))
@@ -56,7 +56,6 @@ func keysSpec(indexed bool, threads int) *LocalSpec[*keysPart, int, int64, int] 
 		},
 		Apply:         func(p *keysPart, _ *LocalContext[int64, int]) { p.iter++ },
 		MaxLocalIters: 2,
-		Threads:       threads,
 	}
 	if indexed {
 		spec.KeyIndex = func(k int64) int { return int(k) }
@@ -133,21 +132,19 @@ func TestRearmedContextStartsEmpty(t *testing.T) {
 		{keys: []int64{47, 0, 23}, bias: 600},
 	}
 	for _, indexed := range []bool{false, true} {
-		for _, threads := range []int{1, 4} {
-			spec := keysSpec(indexed, threads)
-			lc := spec.newContext(nil)
-			for i, task := range tasks {
-				p := &keysPart{keys: task.keys, bias: task.bias, failAt: -1}
-				out, panicked := runOn(spec, lc, p)
-				if panicked != nil {
-					t.Fatalf("indexed %v threads %d task %d: panic: %v", indexed, threads, i, panicked)
-				}
-				if len(p.leaks) != 0 {
-					t.Fatalf("indexed %v threads %d task %d: earlier tasks leak into a re-armed context: %v", indexed, threads, i, p.leaks)
-				}
-				if want := wantOutput(p); !slices.Equal(out, want) {
-					t.Fatalf("indexed %v threads %d task %d: output %v, want %v", indexed, threads, i, out, want)
-				}
+		spec := keysSpec(indexed)
+		lc := spec.newContext(nil)
+		for i, task := range tasks {
+			p := &keysPart{keys: task.keys, bias: task.bias, failAt: -1}
+			out, panicked := runOn(spec, lc, p)
+			if panicked != nil {
+				t.Fatalf("indexed %v task %d: panic: %v", indexed, i, panicked)
+			}
+			if len(p.leaks) != 0 {
+				t.Fatalf("indexed %v task %d: earlier tasks leak into a re-armed context: %v", indexed, i, p.leaks)
+			}
+			if want := wantOutput(p); !slices.Equal(out, want) {
+				t.Fatalf("indexed %v task %d: output %v, want %v", indexed, i, out, want)
 			}
 		}
 	}
@@ -155,27 +152,25 @@ func TestRearmedContextStartsEmpty(t *testing.T) {
 
 func TestRearmAfterLMapPanic(t *testing.T) {
 	// The failing task dies in its second lmap phase: hashtable full of
-	// iteration-one results, intermediate log (or, threaded, the shard
-	// logs) half written. arm must make that context as good as new.
+	// iteration-one results, intermediate log half written. arm must make
+	// that context as good as new.
 	for _, indexed := range []bool{false, true} {
-		for _, threads := range []int{1, 4} {
-			spec := keysSpec(indexed, threads)
-			lc := spec.newContext(nil)
-			bad := &keysPart{keys: span(0, 32), bias: 100, failAt: 19}
-			if _, panicked := runOn(spec, lc, bad); panicked == nil {
-				t.Fatalf("indexed %v threads %d: injected lmap failure did not surface", indexed, threads)
-			}
-			good := &keysPart{keys: span(10, 24), bias: 200, failAt: -1}
-			out, panicked := runOn(spec, lc, good)
-			if panicked != nil {
-				t.Fatalf("indexed %v threads %d: task after a panic: %v", indexed, threads, panicked)
-			}
-			if len(good.leaks) != 0 {
-				t.Fatalf("indexed %v threads %d: the failed task leaks into the next: %v", indexed, threads, good.leaks)
-			}
-			if want := wantOutput(good); !slices.Equal(out, want) {
-				t.Fatalf("indexed %v threads %d: output %v, want %v", indexed, threads, out, want)
-			}
+		spec := keysSpec(indexed)
+		lc := spec.newContext(nil)
+		bad := &keysPart{keys: span(0, 32), bias: 100, failAt: 19}
+		if _, panicked := runOn(spec, lc, bad); panicked == nil {
+			t.Fatalf("indexed %v: injected lmap failure did not surface", indexed)
+		}
+		good := &keysPart{keys: span(10, 24), bias: 200, failAt: -1}
+		out, panicked := runOn(spec, lc, good)
+		if panicked != nil {
+			t.Fatalf("indexed %v: task after a panic: %v", indexed, panicked)
+		}
+		if len(good.leaks) != 0 {
+			t.Fatalf("indexed %v: the failed task leaks into the next: %v", indexed, good.leaks)
+		}
+		if want := wantOutput(good); !slices.Equal(out, want) {
+			t.Fatalf("indexed %v: output %v, want %v", indexed, out, want)
 		}
 	}
 }
@@ -184,31 +179,29 @@ func TestRearmAfterLMapPanic(t *testing.T) {
 // serving later runs correctly, whether the pool hands the next task the
 // survivor of an earlier run or a new context.
 func TestBuildGMapSurvivesPanickedTask(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		spec := keysSpec(true, threads)
-		job := &mapreduce.Job[*keysPart, int64, int]{Name: "keys", Map: BuildGMap(spec)}
-		engine := testEngine()
-		engine.Parallelism = 1
-		run := func(p *keysPart) ([]mapreduce.KV[int64, int], error) {
-			res, err := mapreduce.Run(engine, job, []mapreduce.Split[*keysPart]{{Data: p}})
-			if err != nil {
-				return nil, err
-			}
-			return res.Output, nil
+	spec := keysSpec(true)
+	job := &mapreduce.Job[*keysPart, int64, int]{Name: "keys", Map: BuildGMap(spec)}
+	engine := testEngine()
+	engine.Parallelism = 1
+	run := func(p *keysPart) ([]mapreduce.KV[int64, int], error) {
+		res, err := mapreduce.Run(engine, job, []mapreduce.Split[*keysPart]{{Data: p}})
+		if err != nil {
+			return nil, err
 		}
-		first := &keysPart{keys: span(0, 40), bias: 100, failAt: -1}
-		if out, err := run(first); err != nil || !slices.Equal(out, wantOutput(first)) {
-			t.Fatalf("threads %d: first run: %v %v", threads, out, err)
-		}
-		bad := &keysPart{keys: span(8, 40), bias: 200, failAt: 17}
-		if _, err := run(bad); err == nil || !strings.Contains(err.Error(), "injected lmap failure") {
-			t.Fatalf("threads %d: injected lmap failure not reported: %v", threads, err)
-		}
-		for i := 0; i < 3; i++ {
-			p := &keysPart{keys: span(int64(3*i), int64(3*i+5)), bias: 300 + i, failAt: -1}
-			if out, err := run(p); err != nil || !slices.Equal(out, wantOutput(p)) {
-				t.Fatalf("threads %d: run %d after the panic: %v %v, want %v", threads, i, out, err, wantOutput(p))
-			}
+		return res.Output, nil
+	}
+	first := &keysPart{keys: span(0, 40), bias: 100, failAt: -1}
+	if out, err := run(first); err != nil || !slices.Equal(out, wantOutput(first)) {
+		t.Fatalf("first run: %v %v", out, err)
+	}
+	bad := &keysPart{keys: span(8, 40), bias: 200, failAt: 17}
+	if _, err := run(bad); err == nil || !strings.Contains(err.Error(), "injected lmap failure") {
+		t.Fatalf("injected lmap failure not reported: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		p := &keysPart{keys: span(int64(3*i), int64(3*i+5)), bias: 300 + i, failAt: -1}
+		if out, err := run(p); err != nil || !slices.Equal(out, wantOutput(p)) {
+			t.Fatalf("run %d after the panic: %v %v, want %v", i, out, err, wantOutput(p))
 		}
 	}
 }
@@ -218,7 +211,7 @@ func TestBuildGMapSurvivesPanickedTask(t *testing.T) {
 // fails with an error naming the task, the index and the key. The second
 // run meets the index in an iteration that was replaying a healthy plan.
 func TestNegativeKeyIndexPanicsNamingTheKey(t *testing.T) {
-	spec := keysSpec(true, 1)
+	spec := keysSpec(true)
 	spec.KeyIndex = func(k int64) int { return int(k) - 1000 }
 	job := &mapreduce.Job[*keysPart, int64, int]{Name: "keys", Map: BuildGMap(spec)}
 	engine := testEngine()

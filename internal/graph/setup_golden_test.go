@@ -84,13 +84,14 @@ func hashSubGraphs(subs []*SubGraph) uint64 {
 	return h.sum()
 }
 
-// hashFlatEdgeLists covers the two fields hashSubGraphs, whose sums were
-// committed before they existed, does not.
+// hashFlatEdgeLists covers the flat edge list, which hashSubGraphs, whose
+// sums were committed before it existed, does not: every local edge's
+// source, from a walk over OutLocal, then LocalDst.
 func hashFlatEdgeLists(subs []*SubGraph) uint64 {
 	h := newGoldenHash()
 	h.u64(uint64(len(subs)))
 	for _, s := range subs {
-		h.ints(s.LocalSrc)
+		h.ints(localSources(s))
 		h.ints(s.LocalDst)
 	}
 	return h.sum()
@@ -134,7 +135,7 @@ func TestSetupGoldens(t *testing.T) {
 		weighted bool
 		k        int
 		want     uint64
-		wantFlat uint64 // LocalSrc / LocalDst, recorded from a walk over the oracle's OutLocal
+		wantFlat uint64 // local sources and LocalDst, recorded from a walk over the oracle's OutLocal
 	}{
 		{"subgraphs/unweighted_k8", false, 8, 0x9411ce9570ea889e, 0x8bfea60a937fe4fc},
 		{"subgraphs/unweighted_k16", false, 16, 0xc2741628ffe2cc83, 0xebcca9b1e1d9ae5b},

@@ -29,11 +29,10 @@ type SubGraph struct {
 	WLocal  [][]float64
 	WRemote [][]float64
 
-	// LocalSrc / LocalDst are the partition-internal edges as one flat
-	// list, in OutLocal's traversal order (source ascending, adjacency
-	// order): edge k runs from local index LocalSrc[k] to LocalDst[k].
-	// LocalDst is the slab OutLocal's lists are views of, not a copy.
-	LocalSrc []int32
+	// LocalDst is the destinations of the partition-internal edges as one
+	// flat list, in OutLocal's traversal order (source ascending,
+	// adjacency order). It is the slab OutLocal's lists are views of, not
+	// a copy.
 	LocalDst []int32
 
 	// Pull is the same edges laid out by destination (see PullPlan).
@@ -82,11 +81,11 @@ type PullPlan struct {
 	Start []int32
 	// Src holds each slice's rows side by side: row i of Src[Start[s]+j] is
 	// the position of the j-th in-neighbour of position PullRows*s+i,
-	// in-neighbours in LocalSrc order (the order a push over the flat edge
-	// list adds them in). A slice has as many entries as its longest row;
-	// the shorter rows end in the pad position, PullRows*(len(Start)-1):
-	// one past every other position, where a sweep keeps a +0 so that a
-	// pad adds nothing.
+	// in-neighbours in OutLocal's traversal order (the order a push over
+	// the local edges adds them in). A slice has as many entries as its
+	// longest row; the shorter rows end in the pad position,
+	// PullRows*(len(Start)-1): one past every other position, where a
+	// sweep keeps a +0 so that a pad adds nothing.
 	Src []PullQuad
 	// OutDeg is SubGraph.OutDeg by position, as the float64 PageRank
 	// divides by; 1 at the extra positions.
@@ -152,8 +151,7 @@ func (s *SubGraph) NumNodes() int { return len(s.Nodes) }
 // sources in ascending id and each source's edges in adjacency order;
 // InRemote lists inherit that order and pagerank's read plan depends on
 // it, and a partition's local edges land in its OutLocal slab front to
-// back, which is what makes the slab, with one source index appended per
-// edge, the flat edge list LocalSrc / LocalDst.
+// back, which is what makes the slab the flat destination list LocalDst.
 func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	n := g.NumNodes()
 	if len(parts) != n {
@@ -208,7 +206,6 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 			s.Bytes += g.AdjacencyBytes(int(u))
 		}
 		s.OutLocal, s.LocalDst = carve[int32](s.Nodes, nLocal)
-		s.LocalSrc = make([]int32, 0, len(s.LocalDst))
 		s.OutRemote, _ = carve[NodeID](s.Nodes, nRemote)
 		s.InRemote, _ = carve[NodeID](s.Nodes, nIn)
 		if weighted {
@@ -230,7 +227,6 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 			}
 			if pv := parts[v]; pv == pu {
 				s.OutLocal[ui] = append(s.OutLocal[ui], local[v])
-				s.LocalSrc = append(s.LocalSrc, ui)
 				if weighted {
 					s.WLocal[ui] = append(s.WLocal[ui], w)
 				}
@@ -255,7 +251,7 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	return subs, nil
 }
 
-// buildPull lays the partition's flat edge list out as its pull plan.
+// buildPull lays the partition's local edges out as its pull plan.
 // scratch is working memory, returned (grown) for the next partition.
 func (s *SubGraph) buildPull(scratch []int32) []int32 {
 	m := len(s.Nodes)
@@ -301,9 +297,9 @@ func (s *SubGraph) buildPull(scratch []int32) []int32 {
 		pl.Start[sl+1] += pl.Start[sl]
 	}
 
-	// Scatter the edges, in list order, into the rows, laid out as Src
-	// will be: at[i] is where node i's next in-neighbour goes. Then end
-	// every row in pads and pack the rows four to an entry.
+	// Scatter the edges, in OutLocal's order, into the rows, laid out as
+	// Src will be: at[i] is where node i's next in-neighbour goes. Then
+	// end every row in pads and pack the rows four to an entry.
 	rowStart := func(r int32) int32 { return PullRows*pl.Start[r/PullRows] + r%PullRows }
 	rowEnd := func(r int32) int32 { return PullRows * pl.Start[r/PullRows+1] }
 	at := inDeg
@@ -312,10 +308,12 @@ func (s *SubGraph) buildPull(scratch []int32) []int32 {
 	}
 	scratch = resize(scratch, m+int(rowEnd(pad-1)))
 	at, rows := scratch[:m], scratch[m:]
-	src := s.LocalSrc[:len(s.LocalDst)]
-	for k, d := range s.LocalDst {
-		rows[at[d]] = pl.Pos[src[k]]
-		at[d] += PullRows
+	for i, adj := range s.OutLocal {
+		r := pl.Pos[i]
+		for _, d := range adj {
+			rows[at[d]] = r
+			at[d] += PullRows
+		}
 	}
 	for i, r := range pl.Pos {
 		for a := at[i]; a < rowEnd(r); a += PullRows {

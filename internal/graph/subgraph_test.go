@@ -162,30 +162,38 @@ func checkAgainstOracle(t *testing.T, g *Graph, parts []int32, k int) []*SubGrap
 	return got
 }
 
-// checkFlatEdgeList holds a sub-graph's LocalSrc / LocalDst to their
-// contract against OutLocal (which the oracle comparison has checked):
-// LocalDst is the concatenation of the OutLocal lists and shares their
-// memory, and LocalSrc[k] is the node whose list holds position k.
+// localSources lists the source of every local edge in OutLocal's
+// traversal order: entry k is the node whose list holds LocalDst[k].
+func localSources(s *SubGraph) []int32 {
+	var src []int32
+	for i, adj := range s.OutLocal {
+		for range adj {
+			src = append(src, int32(i))
+		}
+	}
+	return src
+}
+
+// checkFlatEdgeList holds a sub-graph's LocalDst to its contract against
+// OutLocal (which the oracle comparison has checked): it is the
+// concatenation of the OutLocal lists and shares their memory.
 func checkFlatEdgeList(s *SubGraph) string {
 	k := 0
 	for i, adj := range s.OutLocal {
 		for e, dst := range adj {
 			switch {
-			case k >= len(s.LocalDst) || k >= len(s.LocalSrc):
-				return fmt.Sprintf("flat list holds %d sources and %d destinations, OutLocal more", len(s.LocalSrc), len(s.LocalDst))
-			case s.LocalDst[k] != dst || s.LocalSrc[k] != int32(i):
-				return fmt.Sprintf("edge %d is %d->%d, OutLocal[%d][%d] says %d->%d", k, s.LocalSrc[k], s.LocalDst[k], i, e, i, dst)
+			case k >= len(s.LocalDst):
+				return fmt.Sprintf("flat list holds %d destinations, OutLocal more", len(s.LocalDst))
+			case s.LocalDst[k] != dst:
+				return fmt.Sprintf("edge %d ends at %d, OutLocal[%d][%d] says %d", k, s.LocalDst[k], i, e, dst)
 			case &s.LocalDst[k] != &adj[e]:
 				return fmt.Sprintf("LocalDst[%d] is a copy of OutLocal[%d][%d], not the same slab entry", k, i, e)
 			}
 			k++
 		}
 	}
-	if len(s.LocalSrc) != k || len(s.LocalDst) != k {
-		return fmt.Sprintf("flat list holds %d sources and %d destinations, OutLocal %d edges", len(s.LocalSrc), len(s.LocalDst), k)
-	}
-	if !slices.IsSorted(s.LocalSrc) {
-		return fmt.Sprintf("LocalSrc %v decreases", s.LocalSrc)
+	if len(s.LocalDst) != k {
+		return fmt.Sprintf("flat list holds %d destinations, OutLocal %d edges", len(s.LocalDst), k)
 	}
 	return ""
 }
@@ -204,8 +212,10 @@ func checkPullPlan(s *SubGraph) string {
 		return err.Error()
 	}
 	in := make([][]int32, n) // the model: sources by destination, in list order
-	for k, d := range s.LocalDst {
-		in[d] = append(in[d], s.LocalSrc[k])
+	for i, adj := range s.OutLocal {
+		for _, d := range adj {
+			in[d] = append(in[d], int32(i))
+		}
 	}
 	pad := int32(len(pl.OutDeg))
 	order := make([]int32, pad) // position -> local index, -1 at the extra ones
@@ -369,12 +379,10 @@ func TestSubGraphViewsAreCapLimited(t *testing.T) {
 				_ = append(l, -7)
 			}
 		}
-		for _, l := range [][]int32{s.LocalSrc, s.LocalDst} {
-			if len(l) != cap(l) {
-				t.Fatalf("partition %d: flat edge list len %d cap %d", s.PartID, len(l), cap(l))
-			}
-			_ = append(l, -7)
+		if l := s.LocalDst; len(l) != cap(l) {
+			t.Fatalf("partition %d: flat edge list len %d cap %d", s.PartID, len(l), cap(l))
 		}
+		_ = append(s.LocalDst, -7)
 	}
 	if sums() != before {
 		t.Fatal("appending to a view overwrote another view")

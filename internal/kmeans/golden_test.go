@@ -11,14 +11,12 @@ import (
 // bit against goldens recorded before core.LocalContext became
 // slot-addressed and the engine's shuffle buffers pooled: iteration
 // counts, shuffled records, the simulated duration's float64 bit pattern
-// and an FNV-64a hash over the final centroids. (K-Means has no
-// combiner option; the rows are default and Threads: 4.)
+// and an FNV-64a hash over the final centroids.
 func TestLegacyModesGoldens(t *testing.T) {
 	pts := smallCensus(t)
 	for _, tc := range []struct {
 		name         string
 		eager        bool
-		threads      int
 		global       int
 		local        int64
 		durBits      uint64
@@ -26,15 +24,11 @@ func TestLegacyModesGoldens(t *testing.T) {
 		shuffleRecs  int64
 		osc          bool
 	}{
-		{"general/default", false, 0, 8, 0, 0x405bc14525cd159e, 0x660e135b06cb1a8b, 1658, false},
-		{"general/threads4", false, 4, 8, 0, 0x405bc14525cd159e, 0x660e135b06cb1a8b, 1658, false},
-		{"eager/default", true, 0, 11, 331, 0x40631a72583731ae, 0xfaecf5e532db9906, 2276, false},
-		{"eager/threads4", true, 4, 11, 331, 0x406312977ebd95b8, 0xfaecf5e532db9906, 2276, false},
+		{"general/default", false, 8, 0, 0x405bc14525cd159e, 0x660e135b06cb1a8b, 1658, false},
+		{"eager/default", true, 11, 331, 0x40631a72583731ae, 0xfaecf5e532db9906, 2276, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(0.01)
-			cfg.Threads = tc.threads
-			res, err := Run(engine(), pts, 13, cfg, tc.eager)
+			res, err := Run(engine(), pts, 13, DefaultConfig(0.01), tc.eager)
 			if err != nil {
 				t.Fatal(err)
 			}

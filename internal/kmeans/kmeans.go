@@ -27,8 +27,6 @@ type Config struct {
 	// less than this Euclidean distance in one global iteration
 	// (Figure 8 sweeps δ over {0.1, 0.01, 0.001, 0.0001}).
 	Threshold float64
-	// MaxIterations caps global iterations (0 = core default).
-	MaxIterations int
 	// MaxLocalIters caps local iterations inside one gmap (0 = none).
 	MaxLocalIters int
 	// ReshuffleEvery repartitions the points across global maps every
@@ -43,8 +41,6 @@ type Config struct {
 	// period 2 over this many iterations, the run is declared converged.
 	// 0 disables.
 	OscillationWindow int
-	// Threads sizes the intra-task local thread pool (eager only).
-	Threads int
 	// Seed drives initial centroid choice and reshuffles.
 	Seed uint64
 }
@@ -160,9 +156,8 @@ func Run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 	res := &Result{}
 	var history []float64
 	driver := &core.Driver[*state, int64, Accum]{
-		Engine:        engine,
-		Job:           job,
-		MaxIterations: cfg.MaxIterations,
+		Engine: engine,
+		Job:    job,
 		Update: func(iter int, out []mapreduce.KV[int64, Accum], _ []mapreduce.Split[*state]) (bool, error) {
 			// Fold the global reduction into new centroids; empty
 			// clusters keep their previous center.
@@ -448,6 +443,5 @@ func eagerSpec(cfg Config, dims int) *core.LocalSpec[*state, int32, int64, Accum
 		// accumulated members) entries are emitted as-is to greduce.
 		// Keys are cluster ids, 0..K-1.
 		KeyIndex: func(k int64) int { return int(k) },
-		Threads:  cfg.Threads,
 	}
 }

@@ -5,8 +5,7 @@ import "sync"
 // TaskContext is the interface a map or reduce function uses to emit
 // records and to charge simulated compute. One context belongs to exactly
 // one task attempt and is not safe for concurrent use by multiple
-// goroutines (Hadoop tasks are single-threaded too; the paper's local
-// thread pool lives above this layer, in internal/core).
+// goroutines (Hadoop tasks are single-threaded too).
 type TaskContext[K comparable, V any] struct {
 	out []KV[K, V]
 

@@ -32,7 +32,7 @@ func checkWarmIterationAllocs(t *testing.T, eager bool) {
 		g := graph.MustGenerate(graph.GraphAConfig().Scaled(scale))
 		subs := subgraphs(t, g, 8)
 		cfg := DefaultConfig()
-		if err := cfg.normalize(); err != nil {
+		if err := cfg.validate(); err != nil {
 			t.Fatal(err)
 		}
 		eng := engine()

@@ -165,7 +165,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		if delta > startDelta {
 			startDelta = delta
 		}
-		if delta < cfg.LocalEpsilon {
+		if delta < cfg.Epsilon {
 			break
 		}
 	}
@@ -262,7 +262,7 @@ func sweepSlices(pl *graph.PullPlan, next, rank, cur, ghost []float64, base, dam
 // contract) and produces virtual-time results identical to the default
 // sequential DES.
 func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.Options) (*AsyncResult, error) {
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(subs) == 0 {
@@ -302,9 +302,9 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 		for _, adj := range s.OutLocal {
 			local += len(adj)
 		}
-		if len(s.LocalSrc) != local || len(s.LocalDst) != local {
-			return nil, 0, fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d sources and %d destinations",
-				p, local, len(s.LocalSrc), len(s.LocalDst))
+		if len(s.LocalDst) != local {
+			return nil, 0, fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d destinations",
+				p, local, len(s.LocalDst))
 		}
 		if err := s.Pull.Check(s.NumNodes(), local); err != nil {
 			return nil, 0, fmt.Errorf("pagerank: partition %d: %w", p, err)

@@ -140,7 +140,7 @@ func TestAsyncParallelExecutorMatchesDES(t *testing.T) {
 func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
 	subs := subgraphs(t, smallGraph(), 8)
 	cfg := DefaultConfig()
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
 	fresh := func() asynctest.UndoWorkload[[]float64] {

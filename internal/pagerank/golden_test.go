@@ -30,24 +30,17 @@ func TestLegacyModesGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		eager       bool
-		cfg         func(*Config)
 		global      int
 		local       int64
 		durBits     uint64
 		rankHash    uint64
 		shuffleRecs int64
 	}{
-		{"general/default", false, func(*Config) {}, 51, 0, 0x408604c804e772f8, 0xe3107577cae72706, 227307},
-		{"general/combiner", false, func(c *Config) { c.Combiner = true }, 51, 0, 0x408604c804e772f8, 0xe3107577cae72706, 227307},
-		{"general/threads4", false, func(c *Config) { c.Threads = 4 }, 51, 0, 0x408604c804e772f8, 0xe3107577cae72706, 227307},
-		{"eager/default", true, func(*Config) {}, 18, 1118, 0x406f0bb77bcb4511, 0x4cc38f14b31d0cd2, 80226},
-		{"eager/combiner", true, func(c *Config) { c.Combiner = true }, 18, 1118, 0x406f0bb77bcb4511, 0x4cc38f14b31d0cd2, 80226},
-		{"eager/threads4", true, func(c *Config) { c.Threads = 4 }, 18, 1118, 0x406f0b35b4e3cd26, 0x4cc38f14b31d0cd2, 80226},
+		{"general/default", false, 51, 0, 0x408604c804e772f8, 0xe3107577cae72706, 227307},
+		{"eager/default", true, 18, 1118, 0x406f0bb77bcb4511, 0x4cc38f14b31d0cd2, 80226},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			tc.cfg(&cfg)
-			res, err := Run(engine(), subs, cfg, tc.eager)
+			res, err := Run(engine(), subs, DefaultConfig(), tc.eager)
 			if err != nil {
 				t.Fatal(err)
 			}

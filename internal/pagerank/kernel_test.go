@@ -56,8 +56,10 @@ func TestSweepSlicesSumsInPushOrder(t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		for k, d := range s.LocalDst {
-			want[d] += contrib[s.LocalSrc[k]]
+		for i, adj := range s.OutLocal {
+			for _, d := range adj {
+				want[d] += contrib[i]
+			}
 		}
 		pl.OutDeg = ones
 		delta := sweepSlices(&pl, next, rank, cur, ghost, 0, 1)

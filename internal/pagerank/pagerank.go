@@ -117,18 +117,9 @@ type Config struct {
 	// Epsilon is the global convergence bound on the infinity norm of
 	// the per-node rank delta; the paper uses 1e-5.
 	Epsilon float64
-	// LocalEpsilon bounds local (sub-graph) convergence in the eager
-	// formulation; 0 means Epsilon.
-	LocalEpsilon float64
-	// MaxIterations caps global iterations (0 = core default).
-	MaxIterations int
 	// MaxLocalIters caps local iterations inside one gmap (0 = none).
 	// The ablation benches set 1 to degrade Eager into General.
 	MaxLocalIters int
-	// Threads sizes the intra-task local thread pool (eager only).
-	Threads int
-	// Combiner enables a Hadoop combiner on the global job.
-	Combiner bool
 }
 
 // DefaultConfig returns the paper's settings.
@@ -136,15 +127,12 @@ func DefaultConfig() Config {
 	return Config{Damping: 0.85, Epsilon: 1e-5}
 }
 
-func (c *Config) normalize() error {
+func (c Config) validate() error {
 	if c.Damping <= 0 || c.Damping >= 1 {
 		return fmt.Errorf("pagerank: damping must be in (0,1), got %g", c.Damping)
 	}
 	if c.Epsilon <= 0 {
 		return fmt.Errorf("pagerank: epsilon must be positive, got %g", c.Epsilon)
-	}
-	if c.LocalEpsilon == 0 {
-		c.LocalEpsilon = c.Epsilon
 	}
 	return nil
 }
@@ -184,7 +172,7 @@ type Result struct {
 // Run executes PageRank over the given sub-graphs (from
 // graph.BuildSubGraphs) using engine. eager selects the formulation.
 func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(subs) == 0 {
@@ -197,9 +185,8 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	job := buildJob(cfg, eager)
 	next := make([]float64, n) // Update scratch, reused every iteration
 	driver := &core.Driver[*state, int64, float64]{
-		Engine:        engine,
-		Job:           job,
-		MaxIterations: cfg.MaxIterations,
+		Engine: engine,
+		Job:    job,
 		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
 			// The global reduce emitted the new rank of every node that
 			// received contributions; nodes with no in-edges settle at
@@ -326,15 +313,6 @@ func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
 			ctx.Emit(key, (1-cfg.Damping)+cfg.Damping*sum)
 		},
 	}
-	if cfg.Combiner {
-		job.Combine = func(key int64, values []float64) []float64 {
-			sum := 0.0
-			for _, v := range values {
-				sum += v
-			}
-			return []float64{sum}
-		}
-	}
 	if !eager {
 		job.Map = generalMap
 		return job
@@ -416,7 +394,7 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 			st.localDelta = delta
 		},
 		Converged: func(st *state, _ *core.LocalContext[int64, float64]) bool {
-			return st.localDelta < cfg.LocalEpsilon
+			return st.localDelta < cfg.Epsilon
 		},
 		MaxLocalIters: cfg.MaxLocalIters,
 		// Global emission: after local convergence every node pushes its
@@ -427,6 +405,5 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 		},
 		// Keys are local node indices, 0..len(sub.Nodes)-1.
 		KeyIndex: func(k int64) int { return int(k) },
-		Threads:  cfg.Threads,
 	}
 }

@@ -120,33 +120,6 @@ func TestEagerMatchesGeneral(t *testing.T) {
 	}
 }
 
-func TestEagerWithThreadsMatches(t *testing.T) {
-	g := smallGraph()
-	subs := subgraphs(t, g, 4)
-	cfg := DefaultConfig()
-	plain, err := Run(engine(), subs, cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Threads = 4
-	threaded, err := Run(engine(), subs, cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range plain.Ranks {
-		if plain.Ranks[u] != threaded.Ranks[u] {
-			t.Fatalf("thread pool changed rank of %d: %g vs %g",
-				u, plain.Ranks[u], threaded.Ranks[u])
-		}
-	}
-	// Charged local compute shrinks with the thread pool, so simulated
-	// time must not increase.
-	if threaded.Stats.Duration > plain.Stats.Duration {
-		t.Fatalf("threads slowed simulation: %v vs %v",
-			threaded.Stats.Duration, plain.Stats.Duration)
-	}
-}
-
 func TestEagerLocalIterCapBoundsIterations(t *testing.T) {
 	// MaxLocalIters=1 degrades eager to one local sweep per global
 	// synchronization. Because the gmap's global emission uses the
@@ -199,29 +172,6 @@ func TestSinglePartitionConvergesInTwoIterations(t *testing.T) {
 		if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
 			t.Fatalf("node %d rank %g vs reference %g", u, res.Ranks[u], want[u])
 		}
-	}
-}
-
-func TestCombinerDoesNotChangeResults(t *testing.T) {
-	g := smallGraph()
-	subs := subgraphs(t, g, 8)
-	cfg := DefaultConfig()
-	plain, err := Run(engine(), subs, cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Combiner = true
-	comb, err := Run(engine(), subs, cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range plain.Ranks {
-		if math.Abs(plain.Ranks[u]-comb.Ranks[u]) > 1e-9 {
-			t.Fatalf("combiner changed rank of node %d", u)
-		}
-	}
-	if plain.Stats.GlobalIterations != comb.Stats.GlobalIterations {
-		t.Fatal("combiner changed iteration count")
 	}
 }
 

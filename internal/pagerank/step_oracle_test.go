@@ -109,7 +109,7 @@ func stepOracle(w *oracleWorkload, p int, inputs []async.Snapshot[[]float64]) as
 		if delta > startDelta {
 			startDelta = delta
 		}
-		if delta < cfg.LocalEpsilon {
+		if delta < cfg.Epsilon {
 			break
 		}
 	}
@@ -170,7 +170,7 @@ type stepPair struct {
 
 func newStepPair(t testing.TB, subs []*graph.SubGraph, cfg Config, amp float64, seed uint64) *stepPair {
 	t.Helper()
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
 	kernel, _, err := buildAsyncWorkload(subs, cfg)
@@ -386,20 +386,17 @@ func TestStepAfterRestoreMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsMissingFlatEdgeList: Step prices the sweeps by
-// LocalSrc/LocalDst and the pull plan is checked against them, so a
-// sub-graph that lists local edges in OutLocal but carries no (or a short)
-// flat list must be refused.
+// TestAsyncRejectsMissingFlatEdgeList: Step prices the sweeps by LocalDst
+// and the pull plan is checked against it, so a sub-graph that lists local
+// edges in OutLocal but carries no (or a short) flat list must be refused.
 func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		mangle func(*graph.SubGraph)
 	}{
-		{"no flat list", func(s *graph.SubGraph) { s.LocalSrc, s.LocalDst = nil, nil }},
-		{"short sources", func(s *graph.SubGraph) { s.LocalSrc = s.LocalSrc[:len(s.LocalSrc)-1] }},
+		{"no flat list", func(s *graph.SubGraph) { s.LocalDst = nil }},
 		{"short destinations", func(s *graph.SubGraph) { s.LocalDst = s.LocalDst[:len(s.LocalDst)-1] }},
 		{"extra edge", func(s *graph.SubGraph) {
-			s.LocalSrc = append(s.LocalSrc[:len(s.LocalSrc):len(s.LocalSrc)], 0)
 			s.LocalDst = append(s.LocalDst[:len(s.LocalDst):len(s.LocalDst)], 0)
 		}},
 	} {

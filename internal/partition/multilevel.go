@@ -266,6 +266,9 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 	return parts, nil
 }
 
+// refinePasses bounds FM passes per uncoarsening level.
+const refinePasses = 4
+
 // refine runs FM-flavored boundary passes: scan boundary vertices, move
 // each to the neighbor partition with the largest positive cut gain that
 // keeps balance. Passes repeat until no improving move or the pass budget
@@ -285,7 +288,7 @@ func refine(w *wgraph, parts []int32, k int, opts Options) {
 	conn := make([]int64, k)
 	touched := make([]int32, 0, 64)
 
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for u := int32(0); u < int32(n); u++ {
 			pu := parts[u]

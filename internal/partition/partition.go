@@ -136,16 +136,11 @@ type Options struct {
 	// MaxImbalance caps partition size at MaxImbalance × mean; values
 	// < 1.01 are raised to 1.05 (Metis's default tolerance).
 	MaxImbalance float64
-	// RefinePasses bounds FM passes per uncoarsening level; 0 means 4.
-	RefinePasses int
 }
 
 func (o Options) normalized() Options {
 	if o.MaxImbalance < 1.01 {
 		o.MaxImbalance = 1.05
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
 	}
 	return o
 }

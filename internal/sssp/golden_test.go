@@ -17,22 +17,17 @@ func TestLegacyModesGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		eager       bool
-		cfg         Config
 		global      int
 		local       int64
 		durBits     uint64
 		distHash    uint64
 		shuffleRecs int64
 	}{
-		{"general/default", false, Config{}, 17, 0, 0x406d52aeffe98522, 0xfb504b142e8e58f4, 57889},
-		{"general/combiner", false, Config{Combiner: true}, 17, 0, 0x406d52aeffe98522, 0xfb504b142e8e58f4, 57889},
-		{"general/threads4", false, Config{Threads: 4}, 17, 0, 0x406d52aeffe98522, 0xfb504b142e8e58f4, 57889},
-		{"eager/default", true, Config{}, 8, 226, 0x405ba55888071791, 0xfb504b142e8e58f4, 31805},
-		{"eager/combiner", true, Config{Combiner: true}, 8, 226, 0x405ba55888071791, 0xfb504b142e8e58f4, 31805},
-		{"eager/threads4", true, Config{Threads: 4}, 8, 226, 0x405ba552c2ef5e76, 0xfb504b142e8e58f4, 31805},
+		{"general/default", false, 17, 0, 0x406d52aeffe98522, 0xfb504b142e8e58f4, 57889},
+		{"eager/default", true, 8, 226, 0x405ba55888071791, 0xfb504b142e8e58f4, 31805},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(engine(), subs, tc.cfg, tc.eager)
+			res, err := Run(engine(), subs, Config{}, tc.eager)
 			if err != nil {
 				t.Fatal(err)
 			}

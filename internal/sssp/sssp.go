@@ -34,14 +34,8 @@ import (
 type Config struct {
 	// Source is the source node (global id).
 	Source graph.NodeID
-	// MaxIterations caps global iterations (0 = core default).
-	MaxIterations int
 	// MaxLocalIters caps local iterations inside one gmap (0 = none).
 	MaxLocalIters int
-	// Threads sizes the intra-task local thread pool (eager only).
-	Threads int
-	// Combiner enables a Hadoop combiner (min per destination).
-	Combiner bool
 }
 
 // state is one partition's mutable payload.
@@ -118,9 +112,8 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 
 	job := buildJob(cfg, eager)
 	driver := &core.Driver[*state, int64, float64]{
-		Engine:        engine,
-		Job:           job,
-		MaxIterations: cfg.MaxIterations,
+		Engine: engine,
+		Job:    job,
 		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
 			improved := false
 			for _, kv := range out {
@@ -194,17 +187,6 @@ func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
 			ctx.Charge(int64(len(values)))
 			ctx.Emit(key, best)
 		},
-	}
-	if cfg.Combiner {
-		job.Combine = func(key int64, values []float64) []float64 {
-			best := math.Inf(1)
-			for _, v := range values {
-				if v < best {
-					best = v
-				}
-			}
-			return []float64{best}
-		}
 	}
 	if !eager {
 		job.Map = generalMap
@@ -322,6 +304,5 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 		},
 		// Keys are local node indices, 0..len(sub.Nodes)-1.
 		KeyIndex: func(k int64) int { return int(k) },
-		Threads:  cfg.Threads,
 	}
 }

@@ -159,27 +159,6 @@ func TestDifferentSources(t *testing.T) {
 	}
 }
 
-func TestCombinerDoesNotChangeDistances(t *testing.T) {
-	g := smallGraph()
-	subs := subgraphs(t, g, 8)
-	plain, err := Run(engine(), subs, Config{Source: 0}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := Run(engine(), subs, Config{Source: 0, Combiner: true}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range plain.Dist {
-		if plain.Dist[u] != comb.Dist[u] {
-			t.Fatal("combiner changed distances")
-		}
-	}
-	if comb.Stats.PerIteration[0].ShuffleRecords > plain.Stats.PerIteration[0].ShuffleRecords {
-		t.Fatal("combiner increased shuffle volume")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 2)

@@ -1,7 +1,5 @@
-// Package workpool provides the fixed work-stealing goroutine pool the
-// runtime's real-execution paths share: the async live executor's
-// partition step tasks and the legacy engines' intra-task lmap
-// sharding.
+// Package workpool provides the fixed work-stealing goroutine pool that
+// runs the async live executor's partition step tasks.
 //
 // A Pool[T] owns a fixed set of worker goroutines and one run queue per
 // worker. Owners pop their own queue FIFO (head first), so partitions
@@ -14,12 +12,12 @@
 //
 // All queue operations are arbitrated by a single pool mutex rather
 // than per-queue locks with lock-free deques. That is a deliberate
-// tradeoff: every item this pool runs is a whole partition step or a
-// whole lmap chunk (tens of microseconds and up), so the critical
-// sections around a push/pop are noise against the work itself, and a
-// single lock makes the park/wake and steal paths trivially free of
-// lost-wakeup races. The steady-state Submit/run cycle performs no
-// allocation once the queues have grown to their working capacity.
+// tradeoff: every item this pool runs is a whole partition step (tens
+// of microseconds and up), so the critical sections around a push/pop
+// are noise against the work itself, and a single lock makes the
+// park/wake and steal paths trivially free of lost-wakeup races. The
+// steady-state Submit/run cycle performs no allocation once the queues
+// have grown to their working capacity.
 package workpool
 
 import "sync"
@@ -27,8 +25,7 @@ import "sync"
 // Pool is a fixed-size worker pool running items of type T through a
 // single runner function. The runner must not panic: pool workers run
 // it bare, so a panic propagates and kills the process (callers that
-// need capture, like core's lmap sharding, recover inside the item
-// itself).
+// need capture recover inside the item itself).
 type Pool[T any] struct {
 	run func(worker int, item T)
 
