@@ -2,8 +2,8 @@
 // asynchronous runtime: a deterministic per-worker feedback controller
 // that re-schedules each worker's effective staleness bound S(w) during
 // the run, from the signals already flowing through the scheduler core
-// (gate-wait durations, steps since the last material publication,
-// publish lag behind neighbors).
+// (gate waits, steps since the last material publication, publish lag
+// behind neighbors).
 //
 // The source paper fixes S globally and up front, but the right bound
 // varies by preset, workload, and phase of the run: lockstep (S=0) pays
@@ -37,7 +37,7 @@
 // cmd/asynclint: the package carries the deterministic marker (no wall
 // clock, no global randomness, no map-order iteration), and every
 // Policy implementation is checked for receiver/global writes and
-// impure calls (declare controller state with //async:mutable).
+// impure calls.
 //
 //async:deterministic
 package adapt
@@ -46,34 +46,19 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/simtime"
 )
 
-// Signals is one worker's accumulated controller input, maintained by
-// the engine on the scheduling goroutine. Policies read it; only the
-// Controller writes it.
+// Signals is one worker's controller input, maintained by the engine on
+// the scheduling goroutine: the fields some policy reads, and no others.
+// Only the Controller writes it.
 type Signals struct {
 	// Bound is the staleness bound currently in force for the worker
 	// (negative = free-running). It is the policy's own previous output.
 	Bound int
-	// Steps counts the worker's completed steps; Publishes the subset
-	// that published a material change.
-	Steps     int
-	Publishes int
 	// StallSteps counts consecutive completed steps that published
 	// nothing — the wasted/extra-step estimate: the worker is spinning
 	// on inputs too stale to move its state materially.
 	StallSteps int
-	// GateWaits counts staleness-gate waits booked for this worker, and
-	// WaitTime their cumulative virtual duration (waits on a version
-	// that exists but is not yet visible are priced at booking; waits on
-	// a version that does not exist yet are measured when the laggard's
-	// publication releases the worker). LastWait is the most recent
-	// priced-at-booking wait.
-	GateWaits int
-	WaitTime  simtime.Duration
-	LastWait  simtime.Duration
 	// Lag is the worker's newest observed publish lag: the largest
 	// number of published-but-unconsumed versions across the partitions
 	// it reads, sampled at its last completed step. It estimates the
@@ -320,39 +305,16 @@ func NewController(pol Policy, n int) *Controller {
 //async:sched-only
 func (c *Controller) Bound(w int) int { return c.sig[w].Bound }
 
-// Signal returns a copy of worker w's current feedback signals — the
-// read port the metrics sampler uses to export the effective bound
-// S(w) and the controller's accumulated evidence without reaching into
-// controller internals. Like Bound, it must be called in event order
-// on the scheduling goroutine (the sampler's tick events are).
-//
-//async:sched-only
-func (c *Controller) Signal(w int) Signals { return c.sig[w] }
-
 // NeedsLag reports whether StepDone wants the lag signal computed.
 func (c *Controller) NeedsLag() bool { return c.needLag }
 
 // GateWait books one staleness-gate wait for worker w and consults the
-// policy. wait is the wait's virtual duration when it is known at
-// booking (a wake scheduled at a version's visibility time), zero when
-// the worker blocks on a version that does not exist yet (measure that
-// with AddWaitTime at release). Reports whether the bound changed.
+// policy. Reports whether the bound changed.
 //
 //async:sched-only
-func (c *Controller) GateWait(w int, wait simtime.Duration) bool {
+func (c *Controller) GateWait(w int) bool {
 	sig := &c.sig[w]
-	sig.GateWaits++
-	sig.WaitTime += wait
-	sig.LastWait = wait
 	return c.apply(sig, c.pol.OnGateWait(sig))
-}
-
-// AddWaitTime accounts a gate wait measured at release time (the
-// blocked-on-a-laggard case, whose duration is unknown at booking).
-//
-//async:sched-only
-func (c *Controller) AddWaitTime(w int, wait simtime.Duration) {
-	c.sig[w].WaitTime += wait
 }
 
 // StepDone records worker w's completed step (and whether it published
@@ -363,9 +325,7 @@ func (c *Controller) AddWaitTime(w int, wait simtime.Duration) {
 //async:sched-only
 func (c *Controller) StepDone(w int, published bool, lag int) bool {
 	sig := &c.sig[w]
-	sig.Steps++
 	if published {
-		sig.Publishes++
 		sig.StallSteps = 0
 	} else {
 		sig.StallSteps++

@@ -1,10 +1,6 @@
 package adapt
 
-import (
-	"testing"
-
-	"repro/internal/simtime"
-)
+import "testing"
 
 func TestFixedIsIdentity(t *testing.T) {
 	for _, s := range []int{-1, 0, 4} {
@@ -12,7 +8,7 @@ func TestFixedIsIdentity(t *testing.T) {
 		if c.Bound(1) != s {
 			t.Fatalf("fixed(%d) init bound %d", s, c.Bound(1))
 		}
-		if c.GateWait(1, simtime.Second) || c.StepDone(1, false, 0) || c.StepDone(1, true, 5) {
+		if c.GateWait(1) || c.StepDone(1, false, 0) || c.StepDone(1, true, 5) {
 			t.Fatalf("fixed(%d) changed a bound", s)
 		}
 		if c.Raises() != 0 || c.Cuts() != 0 {
@@ -35,7 +31,7 @@ func TestAIMDRaisesAndCuts(t *testing.T) {
 	c := NewController(pol, 2)
 	// Additive raise per gate wait, saturating at max.
 	for i := 0; i < 10; i++ {
-		c.GateWait(0, 0)
+		c.GateWait(0)
 	}
 	if c.Bound(0) != 4 {
 		t.Fatalf("bound %d after raises, want saturation at 4", c.Bound(0))
@@ -92,7 +88,7 @@ func TestDriftCapsBoundByLag(t *testing.T) {
 	if c.Bound(0) != 5 {
 		t.Fatalf("bound %d at lag 0, want 5", c.Bound(0))
 	}
-	if c.GateWait(0, simtime.Second) {
+	if c.GateWait(0) {
 		t.Fatal("drift moved a bound on a gate wait")
 	}
 	if !pol.NeedsLag() {
@@ -186,7 +182,7 @@ func TestControllerTrajectoryAccounting(t *testing.T) {
 	}
 	c := NewController(pol, 2)
 	c.StepDone(0, true, 0) // samples bound 2
-	c.GateWait(0, 0)       // raise to 3
+	c.GateWait(0)          // raise to 3
 	c.StepDone(0, true, 0) // samples bound 3
 	c.StepDone(1, true, 0) // samples bound 2
 	if got := c.StalenessMean(); got != (2+3+2)/3.0 {

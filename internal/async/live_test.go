@@ -1,6 +1,7 @@
 package async
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,25 @@ func liveCluster() *cluster.Cluster {
 func TestLiveExecutorString(t *testing.T) {
 	if got := Live.String(); got != "live" {
 		t.Fatalf("Live.String() = %q", got)
+	}
+}
+
+// TestLiveHasNoScheduler: the live executor has no phase loop, so
+// NewScheduler refuses it, names Run, and starts nothing: no goroutine,
+// and no call into the workload.
+func TestLiveHasNoScheduler(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := maxProp([]int64{1, 2, 3, 4})
+	w.init = func(p int) (int64, int64) {
+		t.Fatalf("NewScheduler(Live) initialized partition %d", p)
+		return 0, 0
+	}
+	s, err := NewScheduler[int64](liveCluster(), w, Options{Executor: Live, Workers: 4})
+	if err == nil || s != nil || !strings.Contains(err.Error(), "Run") {
+		t.Fatalf("NewScheduler(Live) = %v, %v; want no scheduler and an error naming Run", s, err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("NewScheduler(Live) left %d goroutines running, %d before", after, before)
 	}
 }
 

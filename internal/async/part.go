@@ -6,10 +6,11 @@ package async
 // over that record — when the gate holds a step back, what a step reads,
 // when fresher input exists, how far a partition lags its inputs, what a
 // time-series sample holds — are written here once, as plain functions
-// over the store and the parts. An executor adds only what differs: how a
-// wait is booked (event-heap push, or pool park and timer), how a step is
-// priced (cost model, or wall clock) and what serializes the bookkeeping
-// (the scheduling goroutine, or the live engine mutex).
+// over the store and the parts. So is the run record (run) around them:
+// one set-up, one set of counters, one finish. An executor adds only what
+// differs: how a wait is booked (event-heap push, or pool park and timer),
+// how a step is priced (cost model, or wall clock) and what serializes the
+// bookkeeping (the scheduling goroutine, or the live engine mutex).
 
 import (
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 // part is one partition's executor-independent bookkeeping.
@@ -90,15 +92,111 @@ func newParts[D any](w Workload[D]) ([]part, [][]Snapshot[D], error) {
 	return parts, inbuf, nil
 }
 
-// newController builds the run's staleness controller. A nil policy is
-// the static bound: adapt.Fixed is the identity controller, so the
-// default path is bit-identical to an engine without one.
-func newController(opt Options, n int) *adapt.Controller {
+// run is the one run record every executor embeds, by value so that a
+// field access is one load off the executor's own pointer: what the run
+// was asked for, the store and partition model it runs over, what
+// observes it, and the stats it accumulates.
+type run[D any] struct {
+	c        *cluster.Cluster
+	cfg      *cluster.Config
+	w        Workload[D]
+	opt      Options
+	maxSteps int
+	store    *Store[D]
+	parts    []part
+	// inbuf[p] is partition p's reusable step input buffer (see newParts).
+	inbuf [][]Snapshot[D]
+	ctrl  *adapt.Controller
+	// rec is the optional structured-event recorder (Options.Trace).
+	// Hooks call it unconditionally: a nil recorder is a single branch.
+	rec      *trace.Recorder
+	smp      *sampler[D] // Options.Series; nil = sampling off
+	stats    *RunStats
+	totalOps int64 // the run's user compute, priced into the cluster at finish
+}
+
+// newRun validates the workload and builds the run record. Version 0 of
+// every partition is published, visible at time zero (the job input
+// already resides on the DFS), and the sampler records the run-start
+// sample. A nil Options.Adapt is the static bound: adapt.Fixed is the
+// identity controller, so the default path is bit-identical to an engine
+// without one. inputBytes[p] is partition p's input size, which the
+// virtual-time executors price as its start-up read.
+//
+//async:sched-root
+func newRun[D any](c *cluster.Cluster, w Workload[D], opt Options) (r run[D], inputBytes []int64, err error) {
+	parts, inbuf, err := newParts(w)
+	if err != nil {
+		return r, nil, err
+	}
+	n := len(parts)
+	maxSteps := opt.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = DefaultMaxSteps
+	}
 	pol := opt.Adapt
 	if pol == nil {
 		pol = adapt.Fixed(opt.Staleness)
 	}
-	return adapt.NewController(pol, n)
+	r = run[D]{c: c, cfg: c.Config(), w: w, opt: opt, maxSteps: maxSteps, store: NewStore[D](n), parts: parts,
+		inbuf: inbuf, ctrl: adapt.NewController(pol, n), rec: opt.Trace, stats: &RunStats{Converged: true}}
+	inputBytes = make([]int64, n)
+	for p := range parts {
+		var data D
+		data, inputBytes[p] = w.Init(p)
+		if err := r.store.Publish(p, 0, 0, data); err != nil {
+			return r, nil, err
+		}
+	}
+	if r.smp = newSampler(opt.Series, w, r.store, parts, r.ctrl, r.stats); r.smp != nil {
+		r.smp.record(metrics.Sample{})
+	}
+	return r, inputBytes, nil
+}
+
+// finish is the tail every executor ends with, at the run's end time
+// end. No partition publishes again, so the store is sealed; the final
+// sample is recorded at end whether or not it lands on the tick grid, so
+// the convergence curve always ends at the final state (last carries
+// what only the executor knows: see sampler.record); the stats are
+// completed from the partition model and the controller; and the run is
+// folded into the cluster's metrics and clock.
+//
+//async:sched-only
+func (r *run[D]) finish(end simtime.Duration, last metrics.Sample) *RunStats {
+	for p := range r.parts {
+		r.store.Seal(p)
+	}
+	stats := r.stats
+	stats.Duration = end
+	if r.smp != nil {
+		last.Time = end
+		r.smp.record(last)
+		stats.SeriesSamples = r.smp.n
+	}
+	stats.PerWorkerSteps = make([]int, len(r.parts))
+	for p := range r.parts {
+		stats.PerWorkerSteps[p] = r.parts[p].steps
+	}
+	stats.MeanSteps = float64(stats.Steps) / float64(len(r.parts))
+	stats.AdaptRaises = r.ctrl.Raises()
+	stats.AdaptCuts = r.ctrl.Cuts()
+	stats.StalenessMean = r.ctrl.StalenessMean()
+	stats.StalenessMax = r.ctrl.StalenessMax()
+	r.c.Account(func(m *cluster.Metrics) {
+		m.AsyncSteps += stats.Steps
+		m.AsyncPublishes += stats.Publishes
+		m.AsyncPushedBytes += stats.PushedBytes
+		m.AsyncGateWaits += stats.GateWaits
+		m.AsyncCrashes += stats.Crashes
+		m.AsyncRecoveries += stats.Recoveries
+		m.AsyncCheckpoints += stats.Checkpoints
+		m.AsyncAdaptRaises += stats.AdaptRaises
+		m.AsyncAdaptCuts += stats.AdaptCuts
+		m.ComputeOps += r.totalOps
+	})
+	r.c.Clock().Advance(end)
+	return stats
 }
 
 // gate evaluates the staleness bound for pt at time t: pt may not step
@@ -186,6 +284,7 @@ type sampler[D any] struct {
 	store  *Store[D]
 	parts  []part
 	ctrl   *adapt.Controller
+	stats  *RunStats // the run counters: Steps, Publishes, GateWaitTime
 	prog   Progressive
 	resid  []float64
 	every  simtime.Duration // the tick interval
@@ -195,11 +294,11 @@ type sampler[D any] struct {
 
 // newSampler returns the sampler for series, nil (sampling off) when
 // series is nil.
-func newSampler[D any](series *metrics.Series, w Workload[D], store *Store[D], parts []part, ctrl *adapt.Controller) *sampler[D] {
+func newSampler[D any](series *metrics.Series, w Workload[D], store *Store[D], parts []part, ctrl *adapt.Controller, stats *RunStats) *sampler[D] {
 	if series == nil {
 		return nil
 	}
-	sm := &sampler[D]{series: series, store: store, parts: parts, ctrl: ctrl, every: series.Interval()}
+	sm := &sampler[D]{series: series, store: store, parts: parts, ctrl: ctrl, stats: stats, every: series.Interval()}
 	if pw, ok := w.(Progressive); ok {
 		sm.prog = pw
 		sm.resid = make([]float64, len(parts))
@@ -219,17 +318,18 @@ func (sm *sampler[D]) observe(p int) {
 }
 
 // record completes smp and appends it to the series. The executor fills
-// in what only it knows — Time, its cumulative Steps, Publishes and
-// GateWait, and under Live Wall, QueueDepth and Steals; the residual
-// fold, store heads, controller bounds, input-lag occupancy, deltas and
-// tick number (setup 0, interior 1..N, final N+1) are read here from
-// state both kinds of executor maintain in canonical order. Read cursors
-// and in-flight step results are deliberately not sampled: under
-// speculation they advance in wall-clock order.
+// in what only it knows — Time, and under Live Wall, QueueDepth and
+// Steals; the run counters, residual fold, store heads, controller
+// bounds, input-lag occupancy, deltas and tick number (setup 0, interior
+// 1..N, final N+1) are read here from state every executor maintains in
+// canonical order. Read cursors and in-flight step results are
+// deliberately not sampled: under speculation they advance in wall-clock
+// order.
 //
 //async:sched-only
 func (sm *sampler[D]) record(smp metrics.Sample) {
 	smp.Tick = sm.n
+	smp.Steps, smp.Publishes, smp.GateWait = sm.stats.Steps, sm.stats.Publishes, sm.stats.GateWaitTime
 	smp.Residual = -1
 	if sm.prog != nil {
 		smp.Residual = 0
@@ -247,7 +347,7 @@ func (sm *sampler[D]) record(smp metrics.Sample) {
 	for p := range sm.parts {
 		pt := &sm.parts[p]
 		smp.StoreVersions += int64(sm.store.Latest(p))
-		b := sm.ctrl.Signal(p).Bound
+		b := sm.ctrl.Bound(p)
 		if p == 0 || b < smp.BoundMin {
 			smp.BoundMin = b
 		}
@@ -265,34 +365,4 @@ func (sm *sampler[D]) record(smp metrics.Sample) {
 	sm.series.Record(smp)
 	sm.n++
 	sm.last = smp
-}
-
-// finishRun completes stats from the partition model and the controller
-// and folds the run into the cluster's metrics and clock: the tail both
-// kinds of executor end Finish with. ops is the run's total user compute.
-//
-//async:sched-only
-func finishRun(c *cluster.Cluster, ctrl *adapt.Controller, parts []part, stats *RunStats, ops int64) {
-	stats.PerWorkerSteps = make([]int, len(parts))
-	for p := range parts {
-		stats.PerWorkerSteps[p] = parts[p].steps
-	}
-	stats.MeanSteps = float64(stats.Steps) / float64(len(parts))
-	stats.AdaptRaises = ctrl.Raises()
-	stats.AdaptCuts = ctrl.Cuts()
-	stats.StalenessMean = ctrl.StalenessMean()
-	stats.StalenessMax = ctrl.StalenessMax()
-	c.Account(func(m *cluster.Metrics) {
-		m.AsyncSteps += stats.Steps
-		m.AsyncPublishes += stats.Publishes
-		m.AsyncPushedBytes += stats.PushedBytes
-		m.AsyncGateWaits += stats.GateWaits
-		m.AsyncCrashes += stats.Crashes
-		m.AsyncRecoveries += stats.Recoveries
-		m.AsyncCheckpoints += stats.Checkpoints
-		m.AsyncAdaptRaises += stats.AdaptRaises
-		m.AsyncAdaptCuts += stats.AdaptCuts
-		m.ComputeOps += ops
-	})
-	c.Clock().Advance(stats.Duration)
 }

@@ -227,42 +227,59 @@ func TestReadInputsLeadAndConsumed(t *testing.T) {
 // TestFinalSampleInvariants holds the last sample of a converged run to
 // what follows from there being one record for every executor: it closes
 // the run's counters, and with every partition idle nothing published is
-// unconsumed.
+// unconsumed. At S = 0 a slow partition makes the others wait at the gate,
+// so the gate-wait total is checked on a run that has one.
 func TestFinalSampleInvariants(t *testing.T) {
-	for _, ex := range []Executor{DES, Parallel, Live} {
-		vals := []int64{3, 9, 1, 7, 2, 8, 4, 6}
-		w := maxProp(vals)
-		every := simtime.Second // virtual; under Live the grid is real time
-		if ex == Live {
-			every = simtime.Millisecond
+	slow0 := func(p int) int64 {
+		if p == 0 {
+			return 4e6
 		}
-		ser := metrics.NewSeries(every, 0)
-		stats, err := Run(liveCluster(), w, Options{Staleness: 1, Executor: ex, Workers: 2, Series: ser})
-		if err != nil {
-			t.Fatalf("%v: %v", ex, err)
-		}
-		if !stats.Converged {
-			t.Fatalf("%v: not converged", ex)
-		}
-		smp := ser.Samples()
-		last := smp[len(smp)-1]
-		if last.Tick != stats.SeriesSamples-1 || last.Time != stats.Duration {
-			t.Fatalf("%v: last sample is tick %d at %v; the run recorded %d samples and ended at %v", ex, last.Tick, last.Time, stats.SeriesSamples, stats.Duration)
-		}
-		if last.Steps != stats.Steps || last.Publishes != stats.Publishes || last.StoreVersions != stats.Publishes {
-			t.Fatalf("%v: last sample has %d steps, %d publishes, %d store versions; the run %d steps, %d publishes",
-				ex, last.Steps, last.Publishes, last.StoreVersions, stats.Steps, stats.Publishes)
-		}
-		edges := int64(0)
-		for p := 0; p < w.Parts(); p++ {
-			edges += int64(len(w.Neighbors(p)))
-		}
-		if last.LagMax != 0 || last.LagHist[0] != edges {
-			t.Fatalf("%v: converged run ends with input lag %d, histogram %v; want all %d inputs in bucket 0", ex, last.LagMax, last.LagHist, edges)
-		}
-		for b := 1; b < metrics.LagBuckets; b++ {
-			if last.LagHist[b] != 0 {
-				t.Fatalf("%v: converged run ends with inputs in lag bucket %d: %v", ex, b, last.LagHist)
+		return 1e4
+	}
+	for _, tc := range []struct {
+		s int
+		w func() *toy
+	}{
+		{1, func() *toy { return maxProp([]int64{3, 9, 1, 7, 2, 8, 4, 6}) }},
+		{0, func() *toy { return counter(8, 20, slow0) }},
+	} {
+		for _, ex := range []Executor{DES, Parallel, Live} {
+			w := tc.w()
+			every := simtime.Second // virtual; under Live the grid is real time
+			if ex == Live {
+				every = simtime.Millisecond
+			}
+			ser := metrics.NewSeries(every, 0)
+			stats, err := Run(liveCluster(), w, Options{Staleness: tc.s, Executor: ex, Workers: 2, Series: ser})
+			if err != nil {
+				t.Fatalf("S=%d %v: %v", tc.s, ex, err)
+			}
+			if !stats.Converged {
+				t.Fatalf("S=%d %v: not converged", tc.s, ex)
+			}
+			if tc.s == 0 && stats.GateWaits == 0 {
+				t.Fatalf("S=0 %v: lockstep behind a slow partition booked no gate waits", ex)
+			}
+			smp := ser.Samples()
+			last := smp[len(smp)-1]
+			if last.Tick != stats.SeriesSamples-1 || last.Time != stats.Duration {
+				t.Fatalf("S=%d %v: last sample is tick %d at %v; the run recorded %d samples and ended at %v", tc.s, ex, last.Tick, last.Time, stats.SeriesSamples, stats.Duration)
+			}
+			if last.Steps != stats.Steps || last.Publishes != stats.Publishes || last.StoreVersions != stats.Publishes || last.GateWait != stats.GateWaitTime {
+				t.Fatalf("S=%d %v: last sample has %d steps, %d publishes, %d store versions, %v gate wait; the run %d steps, %d publishes, %v gate wait",
+					tc.s, ex, last.Steps, last.Publishes, last.StoreVersions, last.GateWait, stats.Steps, stats.Publishes, stats.GateWaitTime)
+			}
+			edges := int64(0)
+			for p := 0; p < w.Parts(); p++ {
+				edges += int64(len(w.Neighbors(p)))
+			}
+			if last.LagMax != 0 || last.LagHist[0] != edges {
+				t.Fatalf("S=%d %v: converged run ends with input lag %d, histogram %v; want all %d inputs in bucket 0", tc.s, ex, last.LagMax, last.LagHist, edges)
+			}
+			for b := 1; b < metrics.LagBuckets; b++ {
+				if last.LagHist[b] != 0 {
+					t.Fatalf("S=%d %v: converged run ends with inputs in lag bucket %d: %v", tc.s, ex, b, last.LagHist)
+				}
 			}
 		}
 	}

@@ -77,7 +77,8 @@ const (
 	// cluster model (publish visibility keeps the modeled network delay,
 	// in real time — see live.go). Not deterministic: DES is its
 	// correctness oracle, exact for monotone workloads and
-	// tolerance-bounded otherwise (asynctest.CheckLiveMatchesDES).
+	// tolerance-bounded otherwise (asynctest.CheckLiveMatchesDES). It has
+	// no phase loop: Run is its only entry point.
 	Live
 )
 
@@ -437,10 +438,14 @@ type Scheduler[D any] interface {
 // Run executes the workload to global quiescence on the given simulated
 // cluster, advancing its clock by the run's duration. The executor in
 // opt chooses between the sequential DES and the wall-clock-parallel
-// strategy; both produce identical virtual-time results.
+// strategy, which produce identical virtual-time results, and the live
+// executor, which measures instead (live.go).
 //
 //async:sched-root
 func Run[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, error) {
+	if opt.Executor == Live {
+		return runLive(c, w, opt)
+	}
 	s, err := NewScheduler(c, w, opt)
 	if err != nil {
 		return nil, err
@@ -449,29 +454,27 @@ func Run[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, erro
 	return Drive(s)
 }
 
-// NewScheduler builds the scheduler for opt.Executor over the workload.
+// NewScheduler builds the scheduler for opt.Executor over the workload:
+// DES or Parallel. The live executor has no phase loop to drive — its
+// partitions step concurrently — so Run is its only entry point.
 //
 //async:sched-root
 func NewScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (Scheduler[D], error) {
-	if opt.Executor == Live {
-		// The live executor measures costs instead of drawing them and
-		// owns its own concurrent bookkeeping; it shares the store, the
-		// partition model and its rules (part.go), and the controllers,
-		// but not the virtual-time core.
-		return newLiveScheduler(c, w, opt)
+	switch opt.Executor {
+	case DES, Parallel:
+	case Live:
+		return nil, fmt.Errorf("async: the live executor has no phase loop; run it with Run")
+	default:
+		return nil, fmt.Errorf("async: unknown executor %v", opt.Executor)
 	}
 	k, err := newCore(c, w, opt)
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Executor {
-	case DES:
-		return &desScheduler[D]{k}, nil
-	case Parallel:
+	if opt.Executor == Parallel {
 		return newParallelScheduler(k), nil
-	default:
-		return nil, fmt.Errorf("async: unknown executor %v", opt.Executor)
 	}
+	return &desScheduler[D]{k}, nil
 }
 
 // Drive runs a scheduler's phase loop to global quiescence.
@@ -511,28 +514,15 @@ type workerState struct {
 	log *recovery.Log
 }
 
-// core holds the shared bookkeeping both executors drive: worker states,
-// the versioned store, the event heap, pricing, and stats. All core
+// core is what virtual time adds to the run record both virtual-time
+// executors drive: worker states, the event heap and pricing. All core
 // methods run on the single scheduling goroutine; only Workload.Step may
 // be offloaded (see parallel.go).
 type core[D any] struct {
-	c        *cluster.Cluster
-	cfg      *cluster.Config
-	w        Workload[D]
-	opt      Options
-	maxSteps int
-	store    *Store[D]
-	parts    []part
-	workers  []*workerState
-	heap     simtime.EventHeap
-	stats    *RunStats
-	blocked  int
-	totalOps int64
-
-	// inbuf[p] is partition p's reusable snapshot buffer for inline step
-	// execution; allocated once at setup so the hot loop is allocation
-	// free. Step implementations must not retain it past the call.
-	inbuf [][]Snapshot[D]
+	run[D]
+	workers []*workerState
+	heap    simtime.EventHeap
+	blocked int
 
 	// Pending-event mirror: each worker has at most one live event in the
 	// heap; pending[p]/pendingAt[p] track it, so Admit can tell an entry a
@@ -558,70 +548,47 @@ type core[D any] struct {
 	err        error
 	onCrash    func(p int)
 
-	// Adaptive staleness control (internal/adapt). The controller owns
-	// each worker's effective bound; the core consults it at gate
-	// bookings and step boundaries — always on the scheduling goroutine,
-	// in event order. adaptCost prices one bound change onto the
-	// worker's critical path.
-	ctrl      *adapt.Controller
+	// adaptCost prices one staleness-controller bound change onto the
+	// worker's critical path. The controller (run.ctrl) is consulted at
+	// gate bookings and step boundaries, on the scheduling goroutine, in
+	// event order.
 	adaptCost simtime.Duration
 
-	// rec is the optional structured-event recorder (Options.Trace).
-	// Hooks call it unconditionally: a nil recorder is a single branch.
-	rec *trace.Recorder
-
-	// Time-series sampler (Options.Series; nil = sampling off).
-	// Sampler ticks do not ride the event heap: sampleAt holds the next
-	// tick's virtual time and Admit fires every due tick before popping
-	// an event — without touching stepEvents, the heap or its sequence
-	// numbers, so the canonical event sequence is bit-identical with or
-	// without a sampler on both executors. The sampler's residual
-	// cache is refreshed at noteStep — the canonical step boundary — so
-	// a parallel run's sampler reads the same values DES would even
-	// while speculation runs workload steps early.
-	smp      *sampler[D]
+	// sampleAt is the next sampler tick's virtual time (Options.Series).
+	// Ticks do not ride the event heap: Admit fires every due tick before
+	// popping an event — without touching stepEvents, the heap or its
+	// sequence numbers, so the canonical event sequence is bit-identical
+	// with or without a sampler on both executors. The sampler's residual
+	// cache is refreshed at noteStep — the canonical step boundary — so a
+	// parallel run's sampler reads the same values DES would even while
+	// speculation runs workload steps early.
 	sampleAt simtime.Duration
 }
 
-// newCore validates the workload and performs startup: version 0 of
-// every partition is the job input, visible at time zero. Workers pay
-// one job launch (amortized over the whole run — the asynchronous
+// newCore builds the run record (newRun) and performs startup. Workers
+// pay one job launch (amortized over the whole run — the asynchronous
 // runtime is a single long-lived job) plus their task start and input
 // read before their first step.
 //
 //async:sched-root
 func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], error) {
-	parts, inbuf, err := newParts(w)
+	r, inputBytes, err := newRun(c, w, opt)
 	if err != nil {
 		return nil, err
 	}
-	n := len(parts)
-	maxSteps := opt.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
+	n := len(r.parts)
 	k := &core[D]{
-		c:         c,
-		cfg:       c.Config(),
-		w:         w,
-		opt:       opt,
-		maxSteps:  maxSteps,
-		store:     NewStore[D](n),
-		parts:     parts,
+		run:       r,
 		workers:   make([]*workerState, n),
-		stats:     &RunStats{Converged: true},
-		inbuf:     inbuf,
 		pending:   make([]bool, n),
 		pendingAt: make([]simtime.Duration, n),
-		ctrl:      newController(opt, n),
-		rec:       opt.Trace,
+		adaptCost: r.cfg.AdaptCost,
 	}
 	states := make([]workerState, n)
 	for p := range states {
-		states[p].part = &parts[p]
+		states[p].part = &k.parts[p]
 		k.workers[p] = &states[p]
 	}
-	k.adaptCost = k.cfg.AdaptCost
 
 	// Crash fault model setup. The model is active when the cluster
 	// schedules crashes or a checkpoint policy is set; either requires
@@ -641,11 +608,7 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 	}
 
 	for p, st := range k.workers {
-		data, bytes := w.Init(p)
-		if err := k.store.Publish(p, 0, 0, data); err != nil {
-			return nil, err
-		}
-		start := k.cfg.TaskOverhead + c.DFSReadCost(bytes, true)
+		start := k.cfg.TaskOverhead + c.DFSReadCost(inputBytes[p], true)
 		start = simtime.Duration(float64(start) * c.StragglerFactor())
 		st.clock = k.cfg.JobOverhead + start
 		k.schedule(p, st.clock)
@@ -663,13 +626,8 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 		}
 	}
 
-	// Time-series sampler setup: record the run-start sample inline at
-	// time zero (version 0 of every partition is already visible) and
-	// arm the first interior tick. The tick chain lives in sampleAt,
-	// not on the heap — see the sampler field comment.
-	if k.smp = newSampler(opt.Series, w, k.store, parts, k.ctrl); k.smp != nil {
-		k.recordSample(0)
-		k.sampleAt = k.smp.every // first interior tick
+	if k.smp != nil {
+		k.sampleAt = k.smp.every // the first interior tick; newRun took the run-start sample
 	}
 	return k, nil
 }
@@ -708,7 +666,7 @@ func (k *core[D]) Admit() (int, bool) {
 			// the return above stops it.
 			if head, ok := k.heap.Peek(); ok && k.sampleAt <= head.At {
 				k.stats.SeriesTicks++
-				k.recordSample(k.sampleAt)
+				k.smp.record(metrics.Sample{Time: k.sampleAt})
 				k.sampleAt += k.smp.every
 				continue
 			}
@@ -836,17 +794,6 @@ func (k *core[D]) scheduleCrash(p int) {
 	}
 }
 
-// recordSample records one time-series sample at virtual time at. Every
-// quantity sampled is maintained in event order on the scheduling
-// goroutine — run counters, consumed versions, store heads, controller
-// bounds, the noteStep residual cache — which is exactly why a DES and a
-// parallel run sample identical values at identical ticks.
-//
-//async:sched-only
-func (k *core[D]) recordSample(at simtime.Duration) {
-	k.smp.record(metrics.Sample{Time: at, Steps: k.stats.Steps, Publishes: k.stats.Publishes, GateWait: k.stats.GateWaitTime})
-}
-
 // Gate applies the staleness bound; see Scheduler. With bound S(p) —
 // the controller's bound in force for p — partition p may not run a
 // step while its publication counter leads the visible version of any
@@ -868,14 +815,12 @@ func (k *core[D]) Gate(p int) bool {
 	}
 	k.stats.GateWaits++
 	k.rec.Emit(trace.KindGateBegin, p, st.steps, st.clock, int64(nb), int64(need), 0)
-	var waited simtime.Duration
 	if exists {
 		// The wake time is known at booking; the blocked-on-a-laggard
 		// case is measured when the publication releases the waiter.
-		waited = wakeAt - st.clock
-		k.stats.GateWaitTime += waited
+		k.stats.GateWaitTime += wakeAt - st.clock
 	}
-	if k.ctrl.GateWait(p, waited) {
+	if k.ctrl.GateWait(p) {
 		st.clock += k.adaptCost
 		k.rec.Emit(trace.KindAdaptBound, p, st.steps, st.clock, int64(k.ctrl.Bound(p)), 0, 0)
 	}
@@ -1103,32 +1048,19 @@ func (k *core[D]) Finish() (*RunStats, error) {
 	if k.blocked != 0 {
 		return nil, fmt.Errorf("async: %d workers still gate-blocked at drain", k.blocked)
 	}
-	// The run is over: no partition publishes again.
-	for p := range k.workers {
-		k.store.Seal(p)
-	}
-	stats := k.stats
+	// The run ends at the latest worker clock; the final sample there is
+	// monotone by construction — the last popped tick precedes the last
+	// step event, which bounds it from below.
 	var latest simtime.Duration
 	for _, st := range k.workers {
 		if st.clock > latest {
 			latest = st.clock
 		}
 		if !st.quiescent && !st.forced {
-			stats.Converged = false
+			k.stats.Converged = false
 		}
 	}
-	stats.Duration = latest
-	if k.smp != nil {
-		// Final boundary sample at the run's end, whether or not it
-		// lands on the tick grid: the convergence curve always ends at
-		// the converged state. Monotone by construction — the last
-		// popped tick precedes the last step event, which bounds
-		// Duration from below.
-		k.recordSample(stats.Duration)
-		stats.SeriesSamples = k.smp.n
-	}
-	finishRun(k.c, k.ctrl, k.parts, stats, k.totalOps)
-	return stats, nil
+	return k.finish(latest, metrics.Sample{}), nil
 }
 
 // releaseGateWaiters reschedules every worker blocked on st (after st
@@ -1150,7 +1082,6 @@ func (k *core[D]) releaseGateWaiters(p int) int {
 		}
 		if d := wake - k.workers[r].clock; d > 0 {
 			k.stats.GateWaitTime += d
-			k.ctrl.AddWaitTime(r, d)
 		}
 		k.rec.Emit(trace.KindGateRelease, r, k.workers[r].steps, wake, int64(p), 0, 0)
 		k.schedule(r, wake)

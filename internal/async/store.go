@@ -283,11 +283,3 @@ func (s *Store[D]) Seal(p int) {
 	defer sh.mu.Unlock()
 	sh.sealed = true
 }
-
-// Sealed reports whether partition p has been sealed.
-func (s *Store[D]) Sealed(p int) bool {
-	sh := &s.shards[p]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sealed
-}

@@ -7,7 +7,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/stats"
 )
@@ -56,26 +55,15 @@ func (g *Graph) InDegrees() []int {
 // [lo, hi), as the paper does for Shortest Path ("We assign random
 // weights to the edges").
 func (g *Graph) AssignUniformWeights(lo, hi float64, seed uint64) {
-	g.AssignPowerWeights(lo, hi, 1, seed)
-}
-
-// AssignPowerWeights gives every edge the weight lo + (hi-lo)*u^gamma for
-// uniform u — gamma 1 is uniform; gamma > 1 skews toward light edges,
-// which stretches weighted shortest paths over many light hops the way
-// road-like and transaction-like networks do.
-func (g *Graph) AssignPowerWeights(lo, hi, gamma float64, seed uint64) {
 	if hi <= lo {
 		panic(fmt.Sprintf("graph: invalid weight range [%g, %g)", lo, hi))
-	}
-	if gamma <= 0 {
-		panic(fmt.Sprintf("graph: invalid weight exponent %g", gamma))
 	}
 	rng := stats.NewRNG(seed)
 	g.Weights = make([][]float64, len(g.Out))
 	for u, adj := range g.Out {
 		w := make([]float64, len(adj))
 		for i := range w {
-			w[i] = lo + (hi-lo)*math.Pow(rng.Float64(), gamma)
+			w[i] = lo + (hi-lo)*rng.Float64()
 		}
 		g.Weights[u] = w
 	}

@@ -19,7 +19,6 @@ const (
 	annotMeasured      = "measured"
 	annotTraced        = "traced"
 	annotUnorderedOK   = "unordered-ok"
-	annotMutable       = "mutable"
 )
 
 const annotPrefix = "//async:"

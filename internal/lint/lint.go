@@ -45,11 +45,6 @@
 //	    is iteration-order-insensitive, waiving the determinism
 //	    analyzer's ordered-iteration rule.
 //
-//	//async:mutable
-//	    Struct-field annotation on an adapt.Policy implementation:
-//	    declares the field as explicit controller state the purepolicy
-//	    analyzer permits the policy's methods to write.
-//
 // Run the suite with scripts/lint.sh, or directly:
 //
 //	go build -o bin/asynclint ./cmd/asynclint

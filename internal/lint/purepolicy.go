@@ -14,8 +14,7 @@ import (
 // many runs and both executors deterministically, and what makes the
 // bound trajectory replayable. Concretely, policy methods must not
 //
-//   - write to receiver state (fields explicitly annotated
-//     //async:mutable are exempt: they are declared controller state),
+//   - write to receiver state,
 //   - write to package-level variables (their own package's or any
 //     imported package's),
 //   - read the wall clock or global randomness, or perform I/O
@@ -44,7 +43,6 @@ func runPurePolicy(pass *analysis.Pass) (any, error) {
 	if iface == nil {
 		return nil, nil
 	}
-	mutable := collectMutableFields(pass)
 
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
@@ -63,7 +61,7 @@ func runPurePolicy(pass *analysis.Pass) (any, error) {
 			if names := d.Recv.List[0].Names; len(names) > 0 {
 				recvObj = pass.TypesInfo.Defs[names[0]]
 			}
-			checkPolicyMethod(pass, d, recvObj, mutable)
+			checkPolicyMethod(pass, d, recvObj)
 		}
 	}
 	return nil, nil
@@ -101,36 +99,7 @@ func implementsPolicy(t types.Type, iface *types.Interface) bool {
 	return false
 }
 
-// collectMutableFields gathers the //async:mutable field objects of
-// this package: declared controller state a policy may write.
-func collectMutableFields(pass *analysis.Pass) map[types.Object]bool {
-	mutable := map[types.Object]bool{}
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !groupHas(field.Doc, annotMutable) && !groupHas(field.Comment, annotMutable) {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						mutable[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return mutable
-}
-
-func checkPolicyMethod(pass *analysis.Pass, d *ast.FuncDecl, recvObj types.Object, mutable map[types.Object]bool) {
+func checkPolicyMethod(pass *analysis.Pass, d *ast.FuncDecl, recvObj types.Object) {
 	method := d.Name.Name
 	report := func(pos ast.Node, format string, args ...any) {
 		args = append([]any{method}, args...)
@@ -140,10 +109,10 @@ func checkPolicyMethod(pass *analysis.Pass, d *ast.FuncDecl, recvObj types.Objec
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkPolicyWrite(pass, lhs, recvObj, mutable, report)
+				checkPolicyWrite(pass, lhs, recvObj, report)
 			}
 		case *ast.IncDecStmt:
-			checkPolicyWrite(pass, n.X, recvObj, mutable, report)
+			checkPolicyWrite(pass, n.X, recvObj, report)
 		case *ast.GoStmt:
 			report(n, "spawns a goroutine")
 		case *ast.SelectorExpr:
@@ -165,9 +134,9 @@ func checkPolicyMethod(pass *analysis.Pass, d *ast.FuncDecl, recvObj types.Objec
 	})
 }
 
-// checkPolicyWrite flags an assignment whose target is receiver state
-// (unless //async:mutable) or a package-level variable.
-func checkPolicyWrite(pass *analysis.Pass, lhs ast.Expr, recvObj types.Object, mutable map[types.Object]bool, report func(ast.Node, string, ...any)) {
+// checkPolicyWrite flags an assignment whose target is receiver state or
+// a package-level variable.
+func checkPolicyWrite(pass *analysis.Pass, lhs ast.Expr, recvObj types.Object, report func(ast.Node, string, ...any)) {
 	switch e := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		obj := pass.TypesInfo.Uses[e]
@@ -184,9 +153,7 @@ func checkPolicyWrite(pass *analysis.Pass, lhs ast.Expr, recvObj types.Object, m
 		// Writes through the receiver: p.field = ..., p.a.b = ...
 		if field, ok := pass.TypesInfo.Uses[e.Sel].(*types.Var); ok {
 			if field.IsField() && rootIsReceiver(pass, e.X, recvObj) {
-				if !chainHasMutable(pass, e, mutable) {
-					report(e, "writes receiver field %s (annotate the field //async:mutable if it is declared controller state)", field.Name())
-				}
+				report(e, "writes receiver field %s", field.Name())
 				return
 			}
 			if !field.IsField() && field.Pkg() != nil && field.Parent() == field.Pkg().Scope() {
@@ -200,29 +167,8 @@ func checkPolicyWrite(pass *analysis.Pass, lhs ast.Expr, recvObj types.Object, m
 		}
 	case *ast.IndexExpr:
 		// p.slice[i] = ... — a write into receiver-reachable state.
-		if rootIsReceiver(pass, e.X, recvObj) && !chainHasMutable(pass, e, mutable) {
+		if rootIsReceiver(pass, e.X, recvObj) {
 			report(e, "writes into receiver-reachable state")
-		}
-	}
-}
-
-// chainHasMutable reports whether any field selected along the
-// expression chain is //async:mutable: writes through declared
-// controller state are exempt wherever they land.
-func chainHasMutable(pass *analysis.Pass, e ast.Expr, mutable map[types.Object]bool) bool {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if field, ok := pass.TypesInfo.Uses[x.Sel].(*types.Var); ok && field.IsField() && mutable[field.Origin()] {
-				return true
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return false
 		}
 	}
 }

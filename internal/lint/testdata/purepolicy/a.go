@@ -21,23 +21,6 @@ func (p pure) OnGateWait(sig *adapt.Signals) int { return sig.Bound + 1 }
 func (p pure) OnStep(sig *adapt.Signals) int     { return sig.Bound }
 func (p pure) NeedsLag() bool                    { return false }
 
-// counting keeps declared controller state: the annotated field may be
-// written.
-type counting struct {
-	//async:mutable
-	decisions int
-}
-
-func (c *counting) Name() string   { return "counting" }
-func (c *counting) String() string { return "counting" }
-func (c *counting) Init() int      { return 0 }
-func (c *counting) OnGateWait(sig *adapt.Signals) int {
-	c.decisions++ // declared mutable state: allowed
-	return sig.Bound
-}
-func (c *counting) OnStep(sig *adapt.Signals) int { return sig.Bound }
-func (c *counting) NeedsLag() bool                { return false }
-
 var calls int
 
 // sneaky violates the contract in every way the analyzer covers.
@@ -67,5 +50,4 @@ func (s *sneaky) OnStep(sig *adapt.Signals) int {
 func (s *sneaky) NeedsLag() bool { return false }
 
 var _ adapt.Policy = pure{}
-var _ adapt.Policy = (*counting)(nil)
 var _ adapt.Policy = (*sneaky)(nil)

@@ -59,9 +59,6 @@ func New[T any](workers int, run func(worker int, item T)) *Pool[T] {
 	return p
 }
 
-// Workers returns the fixed worker count.
-func (p *Pool[T]) Workers() int { return len(p.queues) }
-
 // Steals returns the number of items executed by a worker other than
 // the one whose queue they were submitted to. Safe to call only when no
 // worker is running (after Close) or when approximate values are
