@@ -50,17 +50,19 @@ func Stalenesses() []int { return []int{0, 2, async.Unbounded} }
 
 // ExecutorSpecificStats names the RunStats fields StatsEqual exempts
 // from the parity contract: the executor-specific observability
-// counters, meaningful only under the parallel executor. Every other
+// counters, meaningful only under the parallel or live executor. Every other
 // field is a virtual-time quantity and must match across executors —
 // StatsEqual compares the struct by reflection, so a field added to
 // RunStats is parity-checked by default and an exemption must be
 // declared here (and is itself pinned by the field-drift test).
 var ExecutorSpecificStats = map[string]bool{
-	"Speculated":      true,
-	"SpecDiscarded":   true,
-	"SpecDepth":       true,
-	"LiveComputeTime": true,
-	"LiveSteals":      true,
+	"Speculated":       true,
+	"SpecDiscarded":    true,
+	"SpecDepth":        true,
+	"LiveComputeTime":  true,
+	"LiveSteals":       true,
+	"LiveWakes":        true,
+	"LiveWakeLateTime": true,
 }
 
 // StatsEqual fails the test unless every virtual-time field of the two

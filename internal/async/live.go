@@ -27,7 +27,11 @@ package async
 // it is what makes the lockstep-vs-free-running gap measurable even
 // when compute alone saturates the machine. LiveNetScale = 0 turns the
 // emulation off (pure compute); the presets ship 1 (full model
-// latency).
+// latency). A partition parked on a publication still in flight wakes
+// at its visibility time, not up to the runtime timer's millisecond
+// later: the timer goroutine sleeps only until wakeMargin before the
+// deadline and spins the rest (timerLoop). RunStats.LiveWakeLateTime
+// reports the lateness that remains.
 //
 // Unlike DES and the parallel executor, a live run is NOT
 // deterministic: step interleaving, measured durations, and adaptive
@@ -44,12 +48,17 @@ package async
 // idle, or forced — and every transition happens under one engine
 // mutex. Workload compute and store publications run outside the
 // mutex; a single timer goroutine (the executor's second sanctioned
-// goroutine besides the pool) serves the wake heap. Publications reach
-// the store *before* the mutex section that wakes readers, and an
-// idling partition re-checks for unseen versions inside the same
-// locked section that parks it, so no wakeup can be lost. Wall-clock
-// reads and the resulting calls into scheduling-goroutine-only code
-// are sanctioned per function via //async:measured (see
+// goroutine besides the pool) serves the wake heap. It hands each due
+// partition to the pool with Submit (the next queue round-robin; an
+// idle worker steals it from there if that queue is busy), as does
+// every wake from another partition's task. Only a partition re-queued
+// at the end of its own step, because it is not quiescent or already
+// sees unseen input, goes to that worker's queue (SubmitLocal).
+// Publications reach the store *before* the mutex section that wakes
+// readers, and an idling partition re-checks for unseen versions inside
+// the same locked section that parks it, so no wakeup can be lost.
+// Wall-clock reads and the resulting calls into scheduling-goroutine-only
+// code are sanctioned per function via //async:measured (see
 // internal/lint): the engine mutex provides the serialization that
 // goroutine confinement provides elsewhere.
 
@@ -466,12 +475,23 @@ func (s *liveExecutor[D]) gauges() metrics.Sample {
 	return metrics.Sample{Wall: float64(s.now()), QueueDepth: s.pool.Queued(), Steals: s.pool.Steals()}
 }
 
-// timerLoop serves the wake heap: it sleeps until the earliest parked
-// partition's wake time, re-enqueues due partitions, and re-arms. A
-// kick on timerKick (a new earliest entry) or quit (shutdown)
-// interrupts the sleep.
+// wakeMargin is how long before a wake deadline timerLoop stops sleeping
+// on the runtime timer and yield-spins instead. An idle Go scheduler
+// polls its timers with 1 ms resolution, so a timer fires up to that
+// late — longer than the sub-millisecond pushes LiveNetScale models at
+// small scales. Two resolutions of slack leave every timer sleep ending
+// before the deadline.
+const wakeMargin = 2 * time.Millisecond
+
+// timerLoop serves the wake heap: it re-enqueues due partitions and
+// waits for the earliest remaining wake time — on the runtime timer until
+// wakeMargin before it, then yield-spinning (runtime.Gosched hands the P
+// to any runnable worker, so the spin only holds a P no worker is using)
+// until the deadline itself. A kick on timerKick (a new earliest entry)
+// or quit (shutdown) interrupts either wait. Nothing is woken before its
+// time.
 //
-//async:measured — converts heap deadlines to real timer sleeps.
+//async:measured — converts heap deadlines to real timer sleeps and spins.
 func (s *liveExecutor[D]) timerLoop() {
 	defer s.timerWG.Done()
 	timer := time.NewTimer(time.Hour)
@@ -479,17 +499,18 @@ func (s *liveExecutor[D]) timerLoop() {
 	if !timer.Stop() {
 		<-timer.C
 	}
+serve:
 	for {
-		var sleep time.Duration = -1
+		var next simtime.Duration = -1
 		s.mu.Lock()
 		for {
 			ev, ok := s.timed.Peek()
 			if !ok {
 				break
 			}
-			d := ev.At - s.now()
-			if d > 0 {
-				sleep = time.Duration(float64(d) * float64(time.Second))
+			now := s.now()
+			if ev.At > now {
+				next = ev.At
 				break
 			}
 			s.timed.Pop()
@@ -508,11 +529,13 @@ func (s *liveExecutor[D]) timerLoop() {
 			}
 			if s.runErr == nil && s.lps[ev.ID].state == liveTimed {
 				s.lps[ev.ID].state = liveRunnable
+				s.stats.LiveWakes++
+				s.stats.LiveWakeLateTime += now - ev.At
 				s.pool.Submit(ev.ID)
 			}
 		}
 		s.mu.Unlock()
-		if sleep < 0 {
+		if next < 0 {
 			select {
 			case <-s.timerKick:
 				continue
@@ -520,18 +543,31 @@ func (s *liveExecutor[D]) timerLoop() {
 				return
 			}
 		}
-		timer.Reset(sleep)
-		select {
-		case <-timer.C:
-		case <-s.timerKick:
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
+		if sleep := time.Duration(float64(next-s.now())*float64(time.Second)) - wakeMargin; sleep > 0 {
+			timer.Reset(sleep)
+			select {
+			case <-timer.C:
+			case <-s.timerKick:
+				if !timer.Stop() {
+					select {
+					case <-timer.C:
+					default:
+					}
 				}
+			case <-s.quit:
+				return
 			}
-		case <-s.quit:
-			return
+			continue
+		}
+		for s.now() < next {
+			select {
+			case <-s.timerKick:
+				continue serve
+			case <-s.quit:
+				return
+			default:
+				runtime.Gosched()
+			}
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/cluster"
 	"repro/internal/recovery"
+	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 // liveCluster is quietCluster with the emulated publish-visibility
@@ -111,6 +113,67 @@ func TestLiveStalenessBoundEnforced(t *testing.T) {
 		}
 		if stats.GateWaits > 0 && stats.GateWaitTime <= 0 {
 			t.Fatalf("S=%d: %d gate waits measured no wait time", s, stats.GateWaits)
+		}
+	}
+}
+
+// TestLiveTimedWakeOnTime: a partition parked until a neighbor's
+// publication becomes visible must wake no earlier than that, and on an
+// idle pool well inside a millisecond after it. Lockstep over a toy ring
+// whose steps are near-empty makes every wave wait out one ≈ 0.2 ms
+// modeled push; the runtime's idle timer alone fires up to a millisecond
+// late, which would put the mean lateness near 1 ms.
+func TestLiveTimedWakeOnTime(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's overhead, not the wake, would be measured")
+	}
+	cfg := cluster.EC2LargeCluster()
+	cfg.FailureProb = 0
+	cfg.StragglerJitter = 0
+	cfg.LiveNetScale = 0.04 // an 8-byte push: 0.22 ms
+	var means []time.Duration
+	for range 3 {
+		rec := trace.NewRecorder(1 << 14)
+		stats, err := Run(cluster.New(cfg), counter(4, 50, func(int) int64 { return 1 }),
+			Options{Staleness: 0, Executor: Live, Workers: 2, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Converged || stats.LiveWakes == 0 || rec.Dropped() != 0 {
+			t.Fatalf("want a converged run with timed wakes and a complete trace: %v, dropped %d", stats, rec.Dropped())
+		}
+		checkNoEarlyWake(t, rec.Events())
+		mean := time.Duration(float64(stats.LiveWakeLateTime) / float64(stats.LiveWakes) * float64(time.Second))
+		t.Logf("%d timed wakes, mean lateness %v", stats.LiveWakes, mean)
+		if mean < 500*time.Microsecond {
+			return
+		}
+		means = append(means, mean)
+	}
+	t.Fatalf("mean lateness per timed wake %v in every run, want < 0.5 ms in one", means)
+}
+
+// checkNoEarlyWake fails unless every gate wait on a published version
+// was released no earlier than that version became visible: the release
+// is stamped when the woken partition runs, the visibility time is the
+// publication's stamp plus its modeled push.
+func checkNoEarlyWake(t *testing.T, evs []trace.Event) {
+	t.Helper()
+	type version struct{ part, v int64 }
+	visible := map[version]simtime.Duration{}
+	waiting := map[int32]version{}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case trace.KindPublish:
+			visible[version{int64(ev.Part), ev.Arg1}] = ev.Vt + ev.Dur
+		case trace.KindGateBegin:
+			waiting[ev.Part] = version{ev.Arg1, ev.Arg2}
+		case trace.KindGateRelease:
+			// A wait released by a neighbor settling may name a version
+			// that never exists.
+			if at, ok := visible[waiting[ev.Part]]; ok && ev.Vt < at {
+				t.Fatalf("partition %d woke at %v, before %v made the version it waited on visible", ev.Part, ev.Vt, at)
+			}
 		}
 	}
 }

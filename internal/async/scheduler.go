@@ -363,6 +363,14 @@ type RunStats struct {
 	// than the one they were queued on — the live executor's
 	// work-stealing migrations (always 0 under DES and parallel).
 	LiveSteals int64
+	// LiveWakes counts the timed wakes the live executor served: partitions
+	// parked in its wake heap until a publication became visible, handed
+	// back to the pool by the timer. LiveWakeLateTime is their summed
+	// lateness, each wake's queueing time minus its scheduled wake time:
+	// how far the emulated network sits behind the modeled push (both
+	// always 0 under DES and parallel).
+	LiveWakes        int64
+	LiveWakeLateTime simtime.Duration
 	// SeriesTicks counts interior sampler ticks fired on the sampling
 	// grid (Admit's due-tick check, or the live executor's timed-wake
 	// heap), and SeriesSamples the samples recorded

@@ -47,6 +47,8 @@ func (s *RunStats) String() string {
 		s.AdaptRaises, s.AdaptCuts, s.StalenessMean, s.StalenessMax)
 	fmt.Fprintf(&sb, "  Speculated: %d  SpecDiscarded: %d  SpecDepth: %d  LiveComputeTime: %v  LiveSteals: %d\n",
 		s.Speculated, s.SpecDiscarded, s.SpecDepth, s.LiveComputeTime, s.LiveSteals)
+	fmt.Fprintf(&sb, "  LiveWakes: %d  LiveWakeLateTime: %v\n",
+		s.LiveWakes, s.LiveWakeLateTime)
 	fmt.Fprintf(&sb, "  SeriesTicks: %d  SeriesSamples: %d\n",
 		s.SeriesTicks, s.SeriesSamples)
 	fmt.Fprintf(&sb, "}")

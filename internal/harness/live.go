@@ -17,8 +17,8 @@ var LiveWorkerCounts = []int{1, 2, 4}
 // on the EC2 testbed) to become visible, in real time. That is the
 // paper's regime — communication latency comparable to or above a
 // sweep of compute — and it is what bounded staleness exists to hide;
-// at much smaller scales the run is compute-bound on the host's cores
-// and free-running only adds redundant steps.
+// at much smaller scales compute takes over and the speedup shrinks
+// (EXPERIMENTS.md, livescaling).
 const liveNetScale = 1.0
 
 // liveScalingTol bounds the converged-rank drift between the live runs

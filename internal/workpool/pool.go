@@ -6,9 +6,11 @@
 // multiplexed onto one worker take fair turns; an idle worker steals
 // from the tail of the longest other queue, migrating the freshest item
 // to itself. SubmitLocal keeps an item on its current worker's queue —
-// the live executor uses it to re-run a non-quiescent partition on the
-// worker whose scratch (flat buffers, CSR cursors) is already warm —
-// while Submit round-robins across queues for initial placement.
+// the live executor uses it to re-run a partition straight after its own
+// step, on the worker whose scratch (flat buffers, CSR cursors) is
+// already warm — while Submit round-robins across queues: the live
+// executor's initial placement and every wake (a timer's, a
+// publication's, a gate release's) go through it.
 //
 // All queue operations are arbitrated by a single pool mutex rather
 // than per-queue locks with lock-free deques. That is a deliberate
