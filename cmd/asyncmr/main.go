@@ -141,9 +141,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", serr)
 		os.Exit(2)
 	}
-	if sv < 0 {
-		sv = async.Unbounded
-	}
 	s.AsyncStaleness = sv
 	s.AdaptPolicy = spol
 	if *parallel {

@@ -33,11 +33,12 @@
 // read time — so a later cut can never invalidate an already-admitted
 // speculation, mirroring how crash events only ever delay publications.
 //
-// The purity and determinism contracts above are machine-checked by
-// cmd/asynclint: the package carries the deterministic marker (no wall
-// clock, no global randomness, no map-order iteration), and every
-// Policy implementation is checked for receiver/global writes and
-// impure calls.
+// Purity comes from the types: Policy is sealed (its decision methods
+// are unexported, so only this package can implement it) and those
+// methods take Signals by value, so no policy can write the
+// controller's state. Determinism is machine-checked by cmd/asynclint:
+// the package carries the deterministic marker (no wall clock, no
+// global randomness, no map-order iteration).
 //
 //async:deterministic
 package adapt
@@ -63,46 +64,46 @@ type Signals struct {
 	// number of published-but-unconsumed versions across the partitions
 	// it reads, sampled at its last completed step. It estimates the
 	// drift between the worker's view and the frontier (the ASAP-style
-	// signal). Maintained only for policies that declare NeedsLag.
+	// signal). Maintained only for policies that read it.
 	Lag int
 }
 
-// Policy decides a worker's next staleness bound from its signals. A
-// policy must be a pure function of the Signals it is handed (no
-// internal mutable state): that is what lets one Policy value drive
-// many runs and both executors deterministically.
+// Policy decides a worker's next staleness bound from its signals. The
+// interface is sealed: only this package's policies (Fixed, AIMD,
+// Drift, built by Parse) implement it, and each decision is a pure
+// function of a copy of the worker's Signals. That is what lets one
+// Policy value drive many runs and every executor deterministically.
 type Policy interface {
-	// Name is the short policy family name ("fixed", "aimd", "drift").
-	Name() string
 	// String is the CLI/figure spelling; Parse round-trips it.
 	String() string
-	// Init returns every worker's starting bound.
-	Init() int
-	// OnGateWait is consulted when a staleness-gate wait is booked for
+	// start returns every worker's starting bound.
+	start() int
+	// onGateWait is consulted when a staleness-gate wait is booked for
 	// the worker, and returns the worker's new bound.
-	OnGateWait(sig *Signals) int
-	// OnStep is consulted after each completed step, and returns the
+	onGateWait(sig Signals) int
+	// onStep is consulted after each completed step, and returns the
 	// worker's new bound.
-	OnStep(sig *Signals) int
-	// NeedsLag reports whether the policy reads Signals.Lag, so the
+	onStep(sig Signals) int
+	// needsLag reports whether the policy reads Signals.Lag, so the
 	// engine can skip the per-step neighbor scan for policies that
 	// don't.
-	NeedsLag() bool
+	needsLag() bool
 }
 
 // Fixed returns the static policy: every worker keeps bound s for the
-// whole run (negative = free-running). It is the identity controller —
+// whole run. Any negative s is free-running and is kept as -1 (the
+// runtime's Unbounded), so every spelling of free-running reports the
+// same bound and prints as "fixed:inf". It is the identity controller —
 // an engine run under Fixed(s) is bit-identical to one with the
 // controller absent and a global bound s.
-func Fixed(s int) Policy { return fixedPolicy{s} }
+func Fixed(s int) Policy { return fixedPolicy{max(s, -1)} }
 
 type fixedPolicy struct{ s int }
 
-func (p fixedPolicy) Name() string                { return "fixed" }
-func (p fixedPolicy) Init() int                   { return p.s }
-func (p fixedPolicy) OnGateWait(sig *Signals) int { return sig.Bound }
-func (p fixedPolicy) OnStep(sig *Signals) int     { return sig.Bound }
-func (p fixedPolicy) NeedsLag() bool              { return false }
+func (p fixedPolicy) start() int                 { return p.s }
+func (p fixedPolicy) onGateWait(sig Signals) int { return sig.Bound }
+func (p fixedPolicy) onStep(sig Signals) int     { return sig.Bound }
+func (p fixedPolicy) needsLag() bool             { return false }
 func (p fixedPolicy) String() string {
 	if p.s < 0 {
 		return "fixed:inf"
@@ -134,7 +135,7 @@ func AIMD(start, max, stall int) (Policy, error) {
 	case stall < 1:
 		return nil, fmt.Errorf("adapt: aimd stall threshold must be >= 1, got %d", stall)
 	}
-	return aimdPolicy{start: start, max: max, stall: stall}, nil
+	return aimdPolicy{first: start, max: max, stall: stall}, nil
 }
 
 // AIMDDefault returns AIMD with the default parameters (start 1, max
@@ -144,23 +145,22 @@ func AIMDDefault() Policy {
 	return p
 }
 
-type aimdPolicy struct{ start, max, stall int }
+type aimdPolicy struct{ first, max, stall int }
 
-func (p aimdPolicy) Name() string   { return "aimd" }
-func (p aimdPolicy) Init() int      { return p.start }
-func (p aimdPolicy) NeedsLag() bool { return false }
+func (p aimdPolicy) start() int     { return p.first }
+func (p aimdPolicy) needsLag() bool { return false }
 func (p aimdPolicy) String() string {
-	return fmt.Sprintf("aimd:%d:%d:%d", p.start, p.max, p.stall)
+	return fmt.Sprintf("aimd:%d:%d:%d", p.first, p.max, p.stall)
 }
 
-func (p aimdPolicy) OnGateWait(sig *Signals) int {
+func (p aimdPolicy) onGateWait(sig Signals) int {
 	if sig.Bound < p.max {
 		return sig.Bound + 1
 	}
 	return sig.Bound
 }
 
-func (p aimdPolicy) OnStep(sig *Signals) int {
+func (p aimdPolicy) onStep(sig Signals) int {
 	if sig.StallSteps >= p.stall {
 		return sig.Bound / 2
 	}
@@ -192,13 +192,12 @@ func DriftDefault() Policy {
 
 type driftPolicy struct{ cap int }
 
-func (p driftPolicy) Name() string                { return "drift" }
-func (p driftPolicy) Init() int                   { return p.cap }
-func (p driftPolicy) OnGateWait(sig *Signals) int { return sig.Bound }
-func (p driftPolicy) NeedsLag() bool              { return true }
-func (p driftPolicy) String() string              { return fmt.Sprintf("drift:%d", p.cap) }
+func (p driftPolicy) start() int                 { return p.cap }
+func (p driftPolicy) onGateWait(sig Signals) int { return sig.Bound }
+func (p driftPolicy) needsLag() bool             { return true }
+func (p driftPolicy) String() string             { return fmt.Sprintf("drift:%d", p.cap) }
 
-func (p driftPolicy) OnStep(sig *Signals) int {
+func (p driftPolicy) onStep(sig Signals) int {
 	b := p.cap - sig.Lag
 	if b < 0 {
 		b = 0
@@ -252,8 +251,8 @@ func Parse(s string) (Policy, error) {
 }
 
 // ParseStaleness parses the CLI's -staleness value: a plain integer is
-// a fixed global bound ("4"; negative or "inf" = unbounded, returned
-// with a nil Policy — the engine's static fast path), and
+// a fixed global bound ("4"; any negative or "inf" = unbounded, returned
+// as -1 with a nil Policy — the engine's static fast path), and
 // "adaptive:POLICY" selects a controller policy (the returned staleness
 // is the policy's initial bound, for labels and defaults).
 func ParseStaleness(s string) (staleness int, pol Policy, err error) {
@@ -262,7 +261,7 @@ func ParseStaleness(s string) (staleness int, pol Policy, err error) {
 		return -1, nil, nil
 	}
 	if v, aerr := strconv.Atoi(s); aerr == nil {
-		return v, nil, nil
+		return max(v, -1), nil, nil
 	}
 	spec, ok := strings.CutPrefix(s, "adaptive:")
 	if !ok {
@@ -272,7 +271,7 @@ func ParseStaleness(s string) (staleness int, pol Policy, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return pol.Init(), pol, nil
+	return pol.start(), pol, nil
 }
 
 // Controller owns the per-worker signals and bound trajectory of one
@@ -292,9 +291,9 @@ type Controller struct {
 // NewController builds the controller for n workers, seeding every
 // worker's bound from the policy.
 func NewController(pol Policy, n int) *Controller {
-	c := &Controller{pol: pol, sig: make([]Signals, n), needLag: pol.NeedsLag(), maxBound: pol.Init()}
+	c := &Controller{pol: pol, sig: make([]Signals, n), needLag: pol.needsLag(), maxBound: pol.start()}
 	for w := range c.sig {
-		c.sig[w].Bound = pol.Init()
+		c.sig[w].Bound = pol.start()
 	}
 	return c
 }
@@ -314,7 +313,7 @@ func (c *Controller) NeedsLag() bool { return c.needLag }
 //async:sched-only
 func (c *Controller) GateWait(w int) bool {
 	sig := &c.sig[w]
-	return c.apply(sig, c.pol.OnGateWait(sig))
+	return c.apply(sig, c.pol.onGateWait(*sig))
 }
 
 // StepDone records worker w's completed step (and whether it published
@@ -333,7 +332,7 @@ func (c *Controller) StepDone(w int, published bool, lag int) bool {
 	sig.Lag = lag
 	c.samples++
 	c.sumBound += float64(sig.Bound)
-	return c.apply(sig, c.pol.OnStep(sig))
+	return c.apply(sig, c.pol.onStep(*sig))
 }
 
 // apply installs a policy decision, counting raises and cuts and

@@ -1,11 +1,18 @@
 package adapt
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
+// TestFixedIsIdentity: a fixed policy never moves a bound, and every
+// negative bound is the one free-running bound -1, so fixed:-5 reports
+// the staleness fixed:inf reports.
 func TestFixedIsIdentity(t *testing.T) {
-	for _, s := range []int{-1, 0, 4} {
+	for _, tc := range []struct{ s, want int }{{-1, -1}, {-5, -1}, {0, 0}, {4, 4}} {
+		s := tc.s
 		c := NewController(Fixed(s), 3)
-		if c.Bound(1) != s {
+		if c.Bound(1) != tc.want {
 			t.Fatalf("fixed(%d) init bound %d", s, c.Bound(1))
 		}
 		if c.GateWait(1) || c.StepDone(1, false, 0) || c.StepDone(1, true, 5) {
@@ -14,10 +21,10 @@ func TestFixedIsIdentity(t *testing.T) {
 		if c.Raises() != 0 || c.Cuts() != 0 {
 			t.Fatalf("fixed(%d) counted changes: %d/%d", s, c.Raises(), c.Cuts())
 		}
-		if c.StalenessMax() != s {
+		if c.StalenessMax() != tc.want {
 			t.Fatalf("fixed(%d) StalenessMax %d", s, c.StalenessMax())
 		}
-		if m := c.StalenessMean(); m != float64(s) {
+		if m := c.StalenessMean(); m != float64(tc.want) {
 			t.Fatalf("fixed(%d) StalenessMean %g", s, m)
 		}
 	}
@@ -91,7 +98,7 @@ func TestDriftCapsBoundByLag(t *testing.T) {
 	if c.GateWait(0) {
 		t.Fatal("drift moved a bound on a gate wait")
 	}
-	if !pol.NeedsLag() {
+	if !pol.needsLag() {
 		t.Fatal("drift must request the lag signal")
 	}
 }
@@ -143,16 +150,19 @@ func TestParseStaleness(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		s    int
-		name string // "" = nil policy (static engine path)
+		name string // policy family; "" = nil policy (static engine path)
 	}{
 		{"4", 4, ""},
 		{"0", 0, ""},
 		{"-1", -1, ""},
+		{"-5", -1, ""},
 		{"inf", -1, ""},
 		{"adaptive:aimd", DefaultAIMDStart, "aimd"},
 		{"adaptive:drift", DefaultDriftCap, "drift"},
 		{"adaptive:aimd:0:3:1", 0, "aimd"},
 		{"adaptive:fixed:2", 2, "fixed"},
+		{"adaptive:fixed:-5", -1, "fixed"},
+		{"adaptive:fixed:inf", -1, "fixed"},
 	} {
 		s, pol, err := ParseStaleness(tc.in)
 		if err != nil {
@@ -164,7 +174,7 @@ func TestParseStaleness(t *testing.T) {
 		if tc.name == "" && pol != nil {
 			t.Fatalf("%q: unexpected policy %v", tc.in, pol)
 		}
-		if tc.name != "" && (pol == nil || pol.Name() != tc.name) {
+		if tc.name != "" && (pol == nil || !strings.HasPrefix(pol.String(), tc.name+":")) {
 			t.Fatalf("%q: policy %v, want %s", tc.in, pol, tc.name)
 		}
 	}
@@ -194,4 +204,29 @@ func TestControllerTrajectoryAccounting(t *testing.T) {
 	if c.Raises() != 1 || c.Cuts() != 0 {
 		t.Fatalf("raises/cuts %d/%d, want 1/0", c.Raises(), c.Cuts())
 	}
+}
+
+// FuzzParse: Parse never panics, and every spelling it accepts prints
+// through String as one that re-parses to the same policy — same
+// spelling, same starting bound. Regressions are committed under
+// testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{"fixed:0", "fixed:inf", "fixed:+3", " fixed ", "aimd", "aimd:0:3:1",
+		"aimd:1:16:2", "drift", "drift:0", "drift:-1", "aimd:x", "fixed:9223372036854775808", ""} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pol, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(pol.String())
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", spec, pol.String(), err)
+		}
+		if again != pol || again.String() != pol.String() || again.start() != pol.start() {
+			t.Fatalf("%q prints as %q, which re-parses to %q (start %d, want %d)",
+				spec, pol.String(), again.String(), again.start(), pol.start())
+		}
+	})
 }

@@ -31,12 +31,13 @@
 // results identical to DES.
 //
 // The package is the heart of the deterministic engine core, and its
-// contracts are machine-checked by cmd/asynclint: no wall-clock reads,
-// global randomness, or map-order iteration (this marker), scheduling
-// bookkeeping confined to the scheduling goroutine (//async:sched-only
-// / //async:sched-root), lock-free fields accessed only via sync/atomic
-// (//async:atomic), and goroutines launched only at the executor's
-// annotated pool dispatch (//async:pool).
+// contracts are machine-checked by cmd/asynclint: no wall-clock reads
+// outside //async:measured live-executor code, no global randomness or
+// map-order iteration (this marker), scheduling bookkeeping confined to
+// the scheduling goroutine (//async:sched-only / //async:sched-root),
+// and goroutines launched only at the executor's annotated pool
+// dispatch (//async:pool). The store's lock-free fields are typed
+// atomics, which admit no plain access.
 //
 //async:deterministic
 package async

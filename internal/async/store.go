@@ -77,13 +77,9 @@ func segSize(seg int) int {
 type shard[D any] struct {
 	mu sync.Mutex
 	// n is the published length: versions 0..n-1 are readable.
-	//
-	//async:atomic
 	n atomic.Int64
 	// dir is the segment directory, replaced (never edited) when a
 	// segment is added; a directory that has been stored is immutable.
-	//
-	//async:atomic
 	dir    atomic.Pointer[[][]slot[D]]
 	sealed bool // owner will never publish again (force-stopped, or the run drained); guarded by mu
 }

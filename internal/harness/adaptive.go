@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/adapt"
 	"repro/internal/async"
@@ -17,14 +18,16 @@ func AdaptivePolicies() []adapt.Policy {
 	return []adapt.Policy{adapt.AIMDDefault(), adapt.DriftDefault()}
 }
 
-// AdaptiveSweepLabels names the sweep's entries, fixed bounds first.
+// AdaptiveSweepLabels names the sweep's entries, fixed bounds first; an
+// adaptive entry is named by its policy family, the spelling's prefix.
 func AdaptiveSweepLabels() []string {
 	labels := make([]string, 0, len(StalenessValues)+2)
 	for _, sv := range StalenessValues {
 		labels = append(labels, "S="+boundName(sv))
 	}
 	for _, pol := range AdaptivePolicies() {
-		labels = append(labels, pol.Name())
+		family, _, _ := strings.Cut(pol.String(), ":")
+		labels = append(labels, family)
 	}
 	return labels
 }

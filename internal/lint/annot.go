@@ -14,11 +14,8 @@ const (
 	annotDeterministic = "deterministic"
 	annotSchedOnly     = "sched-only"
 	annotSchedRoot     = "sched-root"
-	annotAtomic        = "atomic"
 	annotPool          = "pool"
 	annotMeasured      = "measured"
-	annotTraced        = "traced"
-	annotUnorderedOK   = "unordered-ok"
 )
 
 const annotPrefix = "//async:"
@@ -59,34 +56,19 @@ func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
-// annotLines indexes, per annotation name, the file lines carrying it —
-// the lookup used for statement-level annotations (//async:pool,
-// //async:unordered-ok), which Go's AST does not attach to statements.
-type annotLines map[string]map[int]bool
-
-// fileAnnotLines scans every comment in the file.
-func fileAnnotLines(fset *token.FileSet, f *ast.File) annotLines {
-	idx := annotLines{}
+// annotLines returns the file lines carrying the annotation — the
+// lookup for the statement-level //async:pool, which Go's AST does not
+// attach to statements.
+func annotLines(fset *token.FileSet, f *ast.File, name string) map[int]bool {
+	lines := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			name := parseAnnotation(c.Text)
-			if name == "" {
-				continue
+			if parseAnnotation(c.Text) == name {
+				lines[fset.Position(c.Pos()).Line] = true
 			}
-			if idx[name] == nil {
-				idx[name] = map[int]bool{}
-			}
-			idx[name][fset.Position(c.Pos()).Line] = true
 		}
 	}
-	return idx
-}
-
-// at reports whether the annotation appears on the statement's own line
-// or the line directly above it.
-func (a annotLines) at(fset *token.FileSet, name string, pos token.Pos) bool {
-	line := fset.Position(pos).Line
-	return a[name][line] || a[name][line-1]
+	return lines
 }
 
 // packageMarked reports whether any file's package doc comment carries
@@ -98,21 +80,4 @@ func packageMarked(pass *analysis.Pass, name string) bool {
 		}
 	}
 	return false
-}
-
-// pkgFunc returns the *types.Func-like object a call or reference
-// resolves to, unwrapping selectors; nil for unresolvable (dynamic)
-// callees.
-func calleeIdent(fun ast.Expr) *ast.Ident {
-	switch e := ast.Unparen(fun).(type) {
-	case *ast.Ident:
-		return e
-	case *ast.SelectorExpr:
-		return e.Sel
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		return calleeIdent(e.X)
-	case *ast.IndexListExpr:
-		return calleeIdent(e.X)
-	}
-	return nil
 }

@@ -14,21 +14,18 @@ import (
 // a map in unspecified order, or spawn goroutines outside the
 // executor's annotated pool dispatch.
 //
-// Functions declared //async:measured are the live executor's waiver:
-// their job is to observe real elapsed time (measured step costs), so
-// wall-clock reads are legal inside them. //async:traced is the trace
-// layer's variant of the same waiver: hook functions that stamp events
-// with monotonic wall time may read the clock, on the package's
-// promise that the observation is only recorded, never consulted (the
-// inertness contract asynctest.CheckTraceInert enforces dynamically).
-// Both waivers are scoped to the clock — measured and traced code is
-// still bound by the randomness, map-order, and goroutine-spawn
-// rules.
+// Functions declared //async:measured are the waiver: their job is to
+// observe real elapsed time (the live executor's measured step costs,
+// the trace recorder's wall stamps, which are recorded and never
+// consulted), so wall-clock reads are legal inside them. The waiver is
+// scoped to the clock — measured code is still bound by the randomness,
+// map-order, and goroutine-spawn rules. The map-order rule has no
+// waiver: iterate a sorted key slice.
 var DeterminismAnalyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock time, global math/rand, unordered map iteration, " +
 		"and bare go statements in //async:deterministic packages " +
-		"(//async:measured and //async:traced waive the clock rule per function)",
+		"(//async:measured waives the clock rule per function)",
 	Run: runDeterminism,
 }
 
@@ -59,25 +56,25 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		lines := fileAnnotLines(pass.Fset, f)
+		pool := annotLines(pass.Fset, f, annotPool)
 		for _, decl := range f.Decls {
 			fd, isFunc := decl.(*ast.FuncDecl)
-			measured := isFunc && (groupHas(fd.Doc, annotMeasured) || groupHas(fd.Doc, annotTraced))
+			measured := isFunc && groupHas(fd.Doc, annotMeasured)
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
 					checkForbiddenRef(pass, n, measured)
 				case *ast.GoStmt:
-					if !lines.at(pass.Fset, annotPool, n.Pos()) {
+					// The waiver sits on the go statement's line or the one above.
+					if line := pass.Fset.Position(n.Pos()).Line; !pool[line] && !pool[line-1] {
 						pass.Reportf(n.Pos(), "bare go statement in deterministic engine code: "+
 							"goroutines may only be spawned by the executor pool dispatch (annotate with //async:pool)")
 					}
 				case *ast.RangeStmt:
 					if t := pass.TypesInfo.TypeOf(n.X); t != nil {
-						if _, isMap := t.Underlying().(*types.Map); isMap &&
-							!lines.at(pass.Fset, annotUnorderedOK, n.Pos()) {
+						if _, isMap := t.Underlying().(*types.Map); isMap {
 							pass.Reportf(n.Pos(), "map iteration order is unspecified and feeds engine state: "+
-								"iterate a sorted key slice, or annotate the loop //async:unordered-ok if the body is order-insensitive")
+								"iterate a sorted key slice")
 						}
 					}
 				}

@@ -1,11 +1,14 @@
-// Package lint is the asynclint analyzer suite: a set of
-// golang.org/x/tools/go/analysis analyzers that mechanically enforce
-// the concurrency and determinism contracts of the asynchronous
-// runtime. Every claim the reproduction makes — async beats eager,
-// parallel-executor parity with the DES, bit-exact crash replay,
-// speculation-safe adaptive bounds — rests on invariants that used to
-// live only in doc comments; this package turns them into machine
-// checks so a new executor or subsystem cannot silently erode them.
+// Package lint is the asynclint analyzer suite: two
+// golang.org/x/tools/go/analysis analyzers that enforce the contracts of
+// the asynchronous runtime the Go type system cannot state. Every claim
+// the reproduction makes — async beats eager, parallel-executor parity
+// with the DES, bit-exact crash replay — rests on deterministic
+// simulated runs; the determinism analyzer keeps wall clock, global
+// randomness, map order and stray goroutines out of the engine, and the
+// schedonly analyzer keeps scheduling bookkeeping on the scheduling
+// goroutine. What the types already say (typed atomics reachable only
+// through their methods, adapt.Policy sealed inside its package) is not
+// re-checked here.
 //
 // The contracts are declared in the code itself with //async:
 // annotations (comment directives, in the style of //go:build):
@@ -27,23 +30,18 @@
 //	    point (it runs on, or establishes, the scheduling goroutine) and
 //	    may therefore call sched-only functions freely.
 //
-//	//async:atomic
-//	    Struct-field annotation: the field must be accessed exclusively
-//	    through sync/atomic — either a sync/atomic value type
-//	    (atomic.Uint64, atomic.Pointer[T], ...) used only via its
-//	    methods, or a plain word passed by address to the atomic.*
-//	    functions. Any mixed plain read or write is flagged.
+//	//async:measured
+//	    Function annotation: the function observes real elapsed time
+//	    (the live executor's tasks and timers, the trace recorder's wall
+//	    stamps), so the determinism analyzer's clock rule is waived
+//	    inside it, and its body may call sched-only code (serialized
+//	    under the engine mutex).
 //
 //	//async:pool
 //	    Statement annotation (same line or the line above a go
 //	    statement): waives the determinism analyzer's bare-go rule for
 //	    the executor's pool dispatch, the one place the runtime is
 //	    allowed to spawn goroutines.
-//
-//	//async:unordered-ok
-//	    Statement annotation on a range-over-map: asserts the loop body
-//	    is iteration-order-insensitive, waiving the determinism
-//	    analyzer's ordered-iteration rule.
 //
 // Run the suite with scripts/lint.sh, or directly:
 //
@@ -58,7 +56,5 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DeterminismAnalyzer,
 		SchedOnlyAnalyzer,
-		AtomicFieldAnalyzer,
-		PurePolicyAnalyzer,
 	}
 }

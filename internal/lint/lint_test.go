@@ -9,13 +9,11 @@ import (
 
 func TestDeterminism(t *testing.T) { linttest.Run(t, lint.DeterminismAnalyzer, "determinism") }
 func TestSchedOnly(t *testing.T)   { linttest.Run(t, lint.SchedOnlyAnalyzer, "schedonly") }
-func TestAtomicField(t *testing.T) { linttest.Run(t, lint.AtomicFieldAnalyzer, "atomicfield") }
-func TestPurePolicy(t *testing.T)  { linttest.Run(t, lint.PurePolicyAnalyzer, "purepolicy") }
 
-// TestSuite pins the driver's analyzer set: four analyzers, stable
-// names (scripts and CI grep for them).
+// TestSuite pins asynclint's analyzer set: two analyzers, stable names
+// (scripts and CI grep for them).
 func TestSuite(t *testing.T) {
-	want := []string{"determinism", "schedonly", "atomicfield", "purepolicy"}
+	want := []string{"determinism", "schedonly"}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

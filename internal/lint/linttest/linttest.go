@@ -5,14 +5,13 @@
 // analyzer over it, and compare its diagnostics against the
 // `// want "regexp"` comments seeded on the offending lines.
 //
-// Testdata packages may import the standard library (resolved through
-// the compiler's export data) and this module's own packages (resolved
-// by type-checking their sources), so a testdata policy can implement
-// the real adapt.Policy interface.
+// Testdata packages may import only the standard library, resolved
+// through the compiler's export data: the analyzers key on annotations
+// and standard-library calls, so no testdata needs this module's own
+// packages.
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -67,7 +66,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	conf := &types.Config{Importer: newImporter(t, fset)}
+	conf := &types.Config{Importer: importer.Default()}
 	pkg, err := conf.Check("lintexample/"+dir, fset, files, info)
 	if err != nil {
 		t.Fatalf("linttest: type-check %s: %v", root, err)
@@ -159,90 +158,5 @@ func compare(t *testing.T, fset *token.FileSet, files []*ast.File, names []strin
 		if !w.hit {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
-	}
-}
-
-// moduleImporter resolves standard-library imports through the
-// compiler's export data and this module's own packages ("repro/...")
-// by type-checking their sources on the fly.
-type moduleImporter struct {
-	t       *testing.T
-	fset    *token.FileSet
-	std     types.Importer
-	modRoot string
-	modPath string
-	cache   map[string]*types.Package
-}
-
-func newImporter(t *testing.T, fset *token.FileSet) *moduleImporter {
-	root, path, err := findModule()
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	return &moduleImporter{
-		t:       t,
-		fset:    fset,
-		std:     importer.Default(),
-		modRoot: root,
-		modPath: path,
-		cache:   map[string]*types.Package{},
-	}
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := m.cache[path]; ok {
-		return pkg, nil
-	}
-	rel, ok := strings.CutPrefix(path, m.modPath+"/")
-	if !ok {
-		return m.std.Import(path)
-	}
-	dir := filepath.Join(m.modRoot, filepath.FromSlash(rel))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("import %q: %v", path, err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	conf := &types.Config{Importer: m}
-	pkg, err := conf.Check(path, m.fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("import %q: %v", path, err)
-	}
-	m.cache[path] = pkg
-	return pkg, nil
-}
-
-// findModule locates the enclosing module's root directory and path by
-// walking up from the working directory to go.mod.
-func findModule() (root, path string, err error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("no module line in %s/go.mod", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod above working directory")
-		}
-		dir = parent
 	}
 }

@@ -11,9 +11,9 @@ import (
 // function or method annotated //async:sched-only (on its declaration,
 // or on its method in an interface) may only be referenced from other
 // sched-only functions, from declared //async:sched-root scheduling-
-// loop entry points, or from //async:measured executor contexts (the
-// live executor's pool tasks, which serialize their sched-only calls
-// under the engine mutex instead of on a single goroutine). The walk is
+// loop entry points, or from //async:measured contexts (the live
+// executor's pool tasks, which serialize their sched-only calls under
+// the engine mutex instead of on a single goroutine). The walk is
 // reference-based, not call-based, so a sched-only method escaping as a
 // function value from non-scheduling code is caught too. Function
 // literals are their own (non-sched) context: a closure can escape to
@@ -116,7 +116,7 @@ func runSchedOnly(pass *analysis.Pass) (any, error) {
 					if !c.cleared {
 						pass.Reportf(n.Pos(), "%s is //async:sched-only but is referenced from %s, "+
 							"which is neither sched-only, a declared //async:sched-root scheduling-loop entry point, "+
-							"nor an //async:measured executor context",
+							"nor an //async:measured context",
 							obj.Name(), c.name)
 					}
 				}

@@ -33,6 +33,7 @@ package recovery
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -160,7 +161,7 @@ func (p intervalPolicy) String() string {
 
 // ParsePolicy round-trips the CLI/figure spelling of a policy:
 // "none", "steps:K" (every K steps), or "interval:SECONDS" (virtual
-// time). A bare integer is shorthand for "steps:K".
+// time, finite and positive). A bare integer is shorthand for "steps:K".
 func ParsePolicy(s string) (Policy, error) {
 	s = strings.TrimSpace(s)
 	switch {
@@ -174,7 +175,7 @@ func ParsePolicy(s string) (Policy, error) {
 		return EverySteps(k), nil
 	case strings.HasPrefix(s, "interval:"):
 		sec, err := strconv.ParseFloat(s[len("interval:"):], 64)
-		if err != nil || sec <= 0 {
+		if err != nil || !(sec > 0) || math.IsInf(sec, 1) {
 			return nil, fmt.Errorf("recovery: bad checkpoint policy %q (want interval:SECONDS > 0)", s)
 		}
 		return Interval(simtime.Duration(sec)), nil

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/simtime"
@@ -101,7 +102,7 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) = %q, want %q", tc.in, p.String(), tc.want)
 		}
 	}
-	for _, bad := range []string{"steps:0", "steps:x", "interval:-1", "interval:", "weekly", "-3"} {
+	for _, bad := range []string{"steps:0", "steps:x", "interval:-1", "interval:", "interval:NaN", "interval:inf", "interval:-Inf", "weekly", "-3"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Fatalf("ParsePolicy(%q) accepted", bad)
 		}
@@ -126,4 +127,31 @@ func TestLogCommitAndReplay(t *testing.T) {
 	if l.Ckpt.Cursors[0] != 9 || l.Ckpt.Consumed[1] != 5 {
 		t.Fatalf("checkpoint bookkeeping not copied: %+v", l.Ckpt)
 	}
+}
+
+// FuzzParsePolicy: ParsePolicy never panics, every spelling it accepts
+// other than none checkpoints eventually, and every one prints through
+// String as one that re-parses to the same policy. Regressions are
+// committed under testdata/fuzz/FuzzParsePolicy.
+func FuzzParsePolicy(f *testing.F) {
+	for _, seed := range []string{"", "none", "steps:8", "8", "+8", "interval:2.5", "interval:1e-300",
+		"interval:0x1p-3", "steps:", "weekly"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePolicy(spec)
+		if err != nil {
+			return
+		}
+		if p != None() && !p.Due(math.MaxInt, simtime.Duration(math.MaxFloat64)) {
+			t.Fatalf("%q parses to %q, which never checkpoints", spec, p.String())
+		}
+		again, err := ParsePolicy(p.String())
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", spec, p.String(), err)
+		}
+		if again != p {
+			t.Fatalf("%q prints as %q, which re-parses to %q", spec, p.String(), again.String())
+		}
+	})
 }

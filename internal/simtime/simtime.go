@@ -62,9 +62,7 @@ func (d Duration) String() string {
 type Clock struct {
 	// bits holds the Duration as float64 bits; zero value = time zero.
 	// Read concurrently by progress reporting while the scheduling loop
-	// advances it, so every access must go through sync/atomic.
-	//
-	//async:atomic
+	// advances it; the atomic type admits no other access.
 	bits atomic.Uint64
 }
 

@@ -19,10 +19,9 @@
 // one predictable branch.
 //
 // The wall-clock reads that stamp Event.Wall live behind the
-// //async:traced annotation: like //async:measured it waives the
-// determinism analyzer's wall-clock rule for exactly one function,
-// but it promises the observed time is only ever *recorded*, never
-// consulted.
+// //async:measured annotation, which waives the determinism analyzer's
+// wall-clock rule for exactly one function; here the observed time is
+// only ever *recorded*, never consulted.
 //
 //async:deterministic
 package trace
@@ -163,7 +162,7 @@ func NewRecorder(capacity int) *Recorder {
 // monotonic time since this call in Event.Wall. The live executor
 // calls it at run start so its traces carry both time domains.
 //
-//async:traced
+//async:measured
 func (r *Recorder) StartWall() {
 	if r == nil {
 		return
@@ -178,7 +177,7 @@ func (r *Recorder) StartWall() {
 // branch, so hook sites call it unconditionally. The wall read (only
 // when armed) stamps the record and influences nothing.
 //
-//async:traced
+//async:measured
 func (r *Recorder) Emit(kind Kind, part, step int, vt simtime.Duration, arg1, arg2 int64, dur simtime.Duration) {
 	if r == nil {
 		return

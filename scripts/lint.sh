@@ -7,9 +7,10 @@
 #                //async:deterministic-marked engine packages
 #   schedonly    //async:sched-only functions reachable only from the
 #                scheduling loop (//async:sched-root entry points)
-#   atomicfield  //async:atomic struct fields accessed via sync/atomic
-#   purepolicy   adapt.Policy implementations are pure functions of
-#                their Signals
+#
+# Contracts the types already state are not re-checked: lock-free
+# fields are typed atomics (go vet's copylocks catches copies), and
+# adapt.Policy is sealed inside its package.
 #
 # The driver is a standard go/analysis unitchecker, so the go command
 # loads packages and caches results; annotations on exported symbols
