@@ -21,17 +21,27 @@ func testSuite() *harness.Suite {
 
 var runModes = []string{"general", "eager", "async", "live"}
 
+// ranByHarness are the wall-clock entries internal/harness already runs
+// through the same registry Run, each by the test named.
+var ranByHarness = map[string]bool{
+	"parallel":    true, // TestFigureParallelScaling
+	"parallelhpc": true, // TestFigureParallelScalingHPC
+	"livescaling": true, // TestFigureLiveScaling
+	"trace":       true, // TestTraceExperiment
+	"convergence": true, // TestFigureConvergence
+}
+
 // TestEveryExperimentRuns drives the dispatch for every experiment whose
-// output no golden can hold — the wall-clock entries, and the ones that
-// read -mode in each of its modes: no error, and a figure or a row out.
-// (The deterministic entries are held byte for byte by the harness's
-// TestExperimentOutputGoldens.)
+// output no golden can hold — the wall-clock entries the harness tests do
+// not run already, and run in each of its modes: no error, and a figure
+// or a row out. (The deterministic entries are held byte for byte by the
+// harness's TestExperimentOutputGoldens.)
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
 	for _, e := range harness.Experiments() {
-		if !e.WallClock {
+		if !e.WallClock || ranByHarness[e.Names[0]] {
 			continue
 		}
 		modes := []string{"general"}

@@ -1,7 +1,6 @@
 package async
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -200,14 +199,7 @@ func TestEngineDeterministic(t *testing.T) {
 		}
 		return stats
 	}
-	a, b := run(), run()
-	if a.Duration != b.Duration || a.Steps != b.Steps || a.Publishes != b.Publishes ||
-		a.GateWaits != b.GateWaits || a.MaxLead != b.MaxLead || a.Failures != b.Failures {
-		t.Fatalf("replay diverged:\n%+v\n%+v", a, b)
-	}
-	if !reflect.DeepEqual(a.PerWorkerSteps, b.PerWorkerSteps) {
-		t.Fatalf("per-worker steps diverged: %v vs %v", a.PerWorkerSteps, b.PerWorkerSteps)
-	}
+	statsEqual(t, "replay", run(), run())
 }
 
 // TestEngineIdleWakeup: partition 1 quiesces instantly but must track

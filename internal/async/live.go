@@ -38,7 +38,7 @@ package async
 // decisions depend on real scheduling. DES stays the correctness
 // oracle — monotone workloads (CC, SSSP) reach the identical fixed
 // point exactly, contractive ones (PageRank, K-Means) within the
-// convergence tolerance (asynctest.CheckLiveMatchesDES). The crash
+// convergence tolerance (asynctest's TestDifferential). The crash
 // fault model is virtual-time machinery (deterministic Poisson
 // schedules, priced recovery) and is rejected in live mode.
 //

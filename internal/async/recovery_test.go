@@ -1,6 +1,7 @@
 package async
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -158,11 +159,7 @@ func TestCrashSamplingDeterministic(t *testing.T) {
 	} {
 		_, a := runRecCounter(t, cfg, opt)
 		_, b := runRecCounter(t, cfg, opt)
-		if a.Crashes != b.Crashes || a.Recoveries != b.Recoveries || a.LostSteps != b.LostSteps ||
-			a.Checkpoints != b.Checkpoints || a.CheckpointTime != b.CheckpointTime ||
-			a.RecoveryTime != b.RecoveryTime || a.Duration != b.Duration || a.Steps != b.Steps {
-			t.Fatalf("crash replay diverged (policy %v):\n%+v\n%+v", opt.Checkpoint, a, b)
-		}
+		statsEqual(t, fmt.Sprintf("crash replay (policy %v)", opt.Checkpoint), a, b)
 	}
 }
 

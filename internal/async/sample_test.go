@@ -5,11 +5,11 @@ package async
 // capacity, forced stops, and crash recovery interleaved with sampler
 // ticks. The workload-level inertness contract (sampled vs unsampled
 // bit-identity, DES-vs-parallel series byte-equality) lives in
-// asynctest.CheckSeriesInert; this file drives the sampler itself with
+// asynctest's TestDifferential; this file drives the sampler itself with
 // toy workloads. The live executor's sampler is deliberately NOT under
 // determinism tests — a live series observes real interleaving and is
 // reproducible only in shape (setup + final samples, monotone grid),
-// which the live leg of CheckSeriesInert asserts.
+// which TestDifferential's live leg asserts.
 
 import (
 	"bytes"

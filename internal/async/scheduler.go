@@ -78,7 +78,7 @@ const (
 	// cluster model (publish visibility keeps the modeled network delay,
 	// in real time — see live.go). Not deterministic: DES is its
 	// correctness oracle, exact for monotone workloads and
-	// tolerance-bounded otherwise (asynctest.CheckLiveMatchesDES). It has
+	// tolerance-bounded otherwise (asynctest's TestDifferential). It has
 	// no phase loop: Run is its only entry point.
 	Live
 )
@@ -130,7 +130,7 @@ type Options struct {
 	// events stamped with virtual time (and wall time under Live).
 	// Tracing is inert — hook sites only read engine state and append
 	// to the recorder, so RunStats and converged state are
-	// bit-identical with Trace set or nil (asynctest.CheckTraceInert).
+	// bit-identical with Trace set or nil (asynctest's TestDifferential).
 	// nil disables all recording at the cost of one branch per hook.
 	Trace *trace.Recorder
 	// Series, when non-nil, records the run's fixed-interval
@@ -142,7 +142,7 @@ type Options struct {
 	// step-event accounting, so RunStats (apart from the
 	// SeriesTicks/SeriesSamples counters) and final workload state are
 	// bit-identical with Series set or nil
-	// (asynctest.CheckSeriesInert), and a DES and a parallel run of
+	// (asynctest's TestDifferential), and a DES and a parallel run of
 	// the same configuration record byte-identical series.
 	Series *metrics.Series
 }
@@ -379,8 +379,8 @@ type RunStats struct {
 	// run-start and run-end boundary samples. Both are zero when
 	// Options.Series is nil: they are the only RunStats fields a
 	// sampled run may differ from an unsampled one in
-	// (asynctest.SeriesStats), and they are deterministic across the
-	// virtual-time executors.
+	// (asynctest.SeriesStats, which TestDifferential exempts), and they
+	// are deterministic across the virtual-time executors.
 	SeriesTicks   int64
 	SeriesSamples int64
 }

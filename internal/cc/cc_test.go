@@ -159,20 +159,6 @@ func TestAsyncLocalIterCap(t *testing.T) {
 	}
 }
 
-// asyncParityRunner adapts cc to the shared executor-parity harness:
-// the converged state fingerprint is the full component vector.
-func asyncParityRunner(t *testing.T) asynctest.Runner {
-	g := multiComponentGraph()
-	subs := spreadSubgraphs(t, g, 8)
-	return func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), subs, Config{}, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		return res.Stats, res.Comp
-	}
-}
-
 // undoRig opens the adapter to asynctest.CheckUndo: next is each sweep's
 // own buffer and gets poisoned. The sweep cap leaves a frontier behind
 // for the stale steps to work on.
@@ -206,33 +192,6 @@ func TestUndoRestoresStep(t *testing.T) {
 func TestUndoLeavesCheckpointIntact(t *testing.T) {
 	fresh, poison := undoRig(t)
 	asynctest.CheckUndo(t, fresh, poison, true)
-}
-
-// TestAsyncParallelExecutorMatchesDES: the parity contract on every
-// cluster preset, via the shared asynctest harness.
-func TestAsyncParallelExecutorMatchesDES(t *testing.T) {
-	asynctest.CheckParallelMatchesDES(t, asynctest.Stalenesses(), asyncParityRunner(t))
-}
-
-// TestAsyncAdaptiveParity: same contract under the adaptive staleness
-// controller, including the twitchy bound-changing policy.
-func TestAsyncAdaptiveParity(t *testing.T) {
-	asynctest.CheckAdaptiveParity(t, asyncParityRunner(t))
-}
-
-// TestAsyncFixedPolicyIdentity: the explicit fixed policy must be
-// bit-identical to the static-bound engine on this workload.
-func TestAsyncFixedPolicyIdentity(t *testing.T) {
-	asynctest.CheckFixedPolicyIdentity(t, asynctest.Stalenesses(), asyncParityRunner(t))
-}
-
-// TestAsyncCrashParity: executor parity with worker crashes striking
-// mid-run, without and with a checkpoint policy (the Recoverable
-// hooks' contract).
-func TestAsyncCrashParity(t *testing.T) {
-	run := asyncParityRunner(t)
-	asynctest.CheckCrashParity(t, []int{0, 2}, nil, run)
-	asynctest.CheckCrashParity(t, []int{2}, recovery.EverySteps(4), run)
 }
 
 // TestAsyncCrashRecoveryExact: crashes forced into the stepping phase
@@ -308,28 +267,4 @@ func TestReferenceLabelsAreComponentMinima(t *testing.T) {
 			t.Fatalf("representative %d of node %d is not its own representative", c, u)
 		}
 	}
-}
-
-// TestAsyncLiveMatchesDES: the live (measured-cost) executor must reach
-// the DES oracle's component labels exactly — min-label propagation is
-// monotone, so the fixed point is independent of update order and
-// interleaving (shared harness: asynctest).
-func TestAsyncLiveMatchesDES(t *testing.T) {
-	asynctest.CheckLiveMatchesDES(t, asynctest.Stalenesses(), 0, nil, asyncParityRunner(t))
-}
-
-// TestAsyncTraceInert: attaching a trace.Recorder must not change the
-// run — bit-identical stats and components on DES and parallel, exact
-// DES-oracle parity under the live executor (CC is monotone; shared
-// harness: asynctest).
-func TestAsyncTraceInert(t *testing.T) {
-	asynctest.CheckTraceInert(t, []int{0, 2}, 0, nil, asyncParityRunner(t))
-}
-
-// TestAsyncSeriesInert: attaching a metrics.Series must not change the
-// run — bit-identical stats and components on DES and parallel with
-// byte-identical series files, exact DES-oracle parity under the live
-// executor (CC is monotone; shared harness: asynctest).
-func TestAsyncSeriesInert(t *testing.T) {
-	asynctest.CheckSeriesInert(t, []int{0, 2}, 0, nil, asyncParityRunner(t))
 }

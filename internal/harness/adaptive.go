@@ -58,14 +58,15 @@ func (s *Suite) AdaptiveSweep(preset *cluster.Config) ([]AdaptiveSweepRow, error
 	var baseline []float64 // the lockstep run's ranks
 	sweep := func(opt async.Options) error {
 		label := labels[len(rows)]
-		res, err := pagerankAsync(cluster.New(s.withCrashes(preset)), in, opt)
+		res, err := PageRank.Async(s.withCrashes(preset), in, opt)
 		if err != nil {
 			return fmt.Errorf("harness: adaptive sweep %s: %w", label, err)
 		}
+		ranks := res.State.([]float64)
 		if baseline == nil {
-			baseline = res.Ranks
+			baseline = ranks
 		}
-		rows = append(rows, AdaptiveSweepRow{Label: label, Stats: res.Stats, RankDrift: stats.InfNormDiff(res.Ranks, baseline)})
+		rows = append(rows, AdaptiveSweepRow{Label: label, Stats: res.Stats, RankDrift: stats.InfNormDiff(ranks, baseline)})
 		return nil
 	}
 	for _, sv := range StalenessValues {

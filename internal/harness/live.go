@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/async"
-	"repro/internal/cluster"
 	"repro/internal/stats"
 )
 
@@ -24,7 +23,8 @@ const liveNetScale = 1.0
 // liveScalingTol bounds the converged-rank drift between the live runs
 // and the DES oracle at each staleness bound. Live is not
 // deterministic, so this is a tolerance, not bit parity; the strict
-// per-adapter bound lives in the parity tests.
+// per-workload bound lives in internal/async/asynctest's differential
+// check (TestDifferential).
 const liveScalingTol = 1e-2
 
 // FigureLiveScaling measures the live executor: real partition compute
@@ -47,11 +47,11 @@ func (s *Suite) FigureLiveScaling() (*Figure, error) {
 	cfg.LiveNetScale = liveNetScale
 
 	oracle := func(staleness int) ([]float64, error) {
-		res, err := pagerankAsync(cluster.New(&cfg), in, async.Options{Staleness: staleness})
+		res, err := PageRank.Async(&cfg, in, async.Options{Staleness: staleness})
 		if err != nil {
 			return nil, err
 		}
-		return res.Ranks, nil
+		return res.State.([]float64), nil
 	}
 	desLock, err := oracle(0)
 	if err != nil {
@@ -67,14 +67,14 @@ func (s *Suite) FigureLiveScaling() (*Figure, error) {
 	// (graph setup, rank comparison) never leaks into the figure.
 	timedLive := func(staleness, workers int, want []float64) (best *async.RunStats, err error) {
 		for rep := 0; rep < parallelScalingReps; rep++ {
-			res, err := pagerankAsync(cluster.New(&cfg), in, async.Options{Staleness: staleness, Executor: async.Live, Workers: workers})
+			res, err := PageRank.Async(&cfg, in, async.Options{Staleness: staleness, Executor: async.Live, Workers: workers})
 			if err != nil {
 				return nil, err
 			}
 			if !res.Stats.Converged {
 				return nil, fmt.Errorf("harness: live run (S=%d workers=%d) did not converge", staleness, workers)
 			}
-			if drift := stats.InfNormDiff(want, res.Ranks); drift > liveScalingTol {
+			if drift := stats.InfNormDiff(want, res.State.([]float64)); drift > liveScalingTol {
 				return nil, fmt.Errorf("harness: live run (S=%d workers=%d) drifted %g from the DES oracle, tolerance %g",
 					staleness, workers, drift, liveScalingTol)
 			}

@@ -32,6 +32,10 @@ type Run struct {
 	// Stats carries the async runtime's full counters (nil for the
 	// MapReduce modes, whose engine reports a different set).
 	Stats *async.RunStats
+	// State is an async run's converged state: PageRank's ranks, SSSP's
+	// distances, CC's labels or K-Means' centroids (nil for the MapReduce
+	// modes).
+	State any
 }
 
 // Workload is one row of the workload table: how to build a workload's
@@ -46,7 +50,7 @@ type Workload struct {
 	// sync runs the general (eager false) or eager formulation; nil when
 	// the workload has no MapReduce formulation.
 	sync  func(e *mapreduce.Engine, in *Inputs, eager bool) (*core.RunStats, error)
-	async func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, error)
+	async func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, any, error)
 }
 
 // The workload table. CC exists only on the asynchronous runtime: label
@@ -62,12 +66,12 @@ var (
 			}
 			return r.Stats, nil
 		},
-		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, error) {
-			r, err := pagerankAsync(c, in, opt)
+		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, any, error) {
+			r, err := pagerank.RunAsync(c, in.Subs, pagerank.DefaultConfig(), opt)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return r.Stats, nil
+			return r.Stats, r.Ranks, nil
 		},
 	}
 	SSSP = &Workload{
@@ -80,23 +84,23 @@ var (
 			}
 			return r.Stats, nil
 		},
-		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, error) {
+		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, any, error) {
 			r, err := sssp.RunAsync(c, in.Subs, sssp.Config{Source: 0}, opt)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return r.Stats, nil
+			return r.Stats, r.Dist, nil
 		},
 	}
 	CC = &Workload{
 		Name:   "cc",
 		Inputs: (*Suite).midGraphA,
-		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, error) {
+		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, any, error) {
 			r, err := cc.RunAsync(c, in.Subs, cc.Config{}, opt)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return r.Stats, nil
+			return r.Stats, r.Comp, nil
 		},
 	}
 	KMeans = &Workload{
@@ -115,24 +119,18 @@ var (
 			}
 			return r.Stats, nil
 		},
-		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, error) {
+		async: func(c *cluster.Cluster, in *Inputs, opt async.Options) (*async.RunStats, any, error) {
 			r, err := kmeans.RunAsync(c, in.Points, in.Parts, kmeans.DefaultConfig(in.Threshold), opt)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return r.Stats, nil
+			return r.Stats, r.Centroids, nil
 		},
 	}
 
 	// Workloads lists the table in RunWorkloads' row order.
 	Workloads = []*Workload{PageRank, SSSP, CC, KMeans}
 )
-
-// pagerankAsync is the PageRank row's async run with the ranks kept, for
-// the experiments that check converged quality against another run.
-func pagerankAsync(c *cluster.Cluster, in *Inputs, opt async.Options) (*pagerank.AsyncResult, error) {
-	return pagerank.RunAsync(c, in.Subs, pagerank.DefaultConfig(), opt)
-}
 
 // HasSync reports whether the workload has the paper's general and
 // eager MapReduce formulations.
@@ -148,17 +146,17 @@ func (w *Workload) Sync(preset *cluster.Config, in *Inputs, eager bool) (Run, er
 	if err != nil {
 		return Run{}, err
 	}
-	return Run{float64(st.GlobalIterations), st.Duration.Seconds(), st.Converged, nil}, nil
+	return Run{Iterations: float64(st.GlobalIterations), SimSeconds: st.Duration.Seconds(), Converged: st.Converged}, nil
 }
 
 // Async runs the workload on the asynchronous runtime under opt, on a
 // fresh cluster of the given preset.
 func (w *Workload) Async(preset *cluster.Config, in *Inputs, opt async.Options) (Run, error) {
-	st, err := w.async(cluster.New(preset), in, opt)
+	st, state, err := w.async(cluster.New(preset), in, opt)
 	if err != nil {
 		return Run{}, err
 	}
-	return Run{st.MeanSteps, st.Duration.Seconds(), st.Converged, st}, nil
+	return Run{st.MeanSteps, st.Duration.Seconds(), st.Converged, st, state}, nil
 }
 
 // ModeSeries is one scheduling mode's results across a sweep: the

@@ -10,7 +10,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/async/asynctest"
 	"repro/internal/cluster"
-	"repro/internal/recovery"
 )
 
 func asyncCluster() *cluster.Cluster {
@@ -106,21 +105,6 @@ func TestAsyncFasterThanGeneral(t *testing.T) {
 	}
 }
 
-// asyncParityRunner adapts K-Means — the dense all-to-all exchange,
-// where any partition's publication makes every speculation stale — to
-// the shared executor-parity harness: the converged state fingerprint is
-// the full centroid matrix.
-func asyncParityRunner(t *testing.T) asynctest.Runner {
-	pts := smallCensus(t)
-	return func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), pts, 9, DefaultConfig(0.01), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		return res.Stats, res.Centroids
-	}
-}
-
 // undoRig opens the adapter to asynctest.CheckUndo: the swap twins and
 // the fold scratch get poisoned.
 func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
@@ -150,29 +134,6 @@ func TestUndoRestoresStep(t *testing.T) {
 func TestUndoLeavesCheckpointIntact(t *testing.T) {
 	fresh, poison := undoRig(t)
 	asynctest.CheckUndo(t, fresh, poison, true)
-}
-
-// TestAsyncParallelExecutorMatchesDES: the parallel executor must
-// reproduce the DES centroids and stats exactly, on every preset the
-// executor targets (shared harness: asynctest).
-func TestAsyncParallelExecutorMatchesDES(t *testing.T) {
-	asynctest.CheckParallelMatchesDES(t, asynctest.Stalenesses(), asyncParityRunner(t))
-}
-
-// TestAsyncAdaptiveParity: executor parity under the adaptive staleness
-// controller on the dense all-to-all exchange, where every worker reads
-// every other and the drift policy's lag signal is busiest.
-func TestAsyncAdaptiveParity(t *testing.T) {
-	asynctest.CheckAdaptiveParity(t, asyncParityRunner(t))
-}
-
-// TestAsyncCrashParity: executor parity under worker crashes on the
-// dense exchange, where a crashed worker's recovery replays parameter-
-// server folds whose inputs came from every other partition.
-func TestAsyncCrashParity(t *testing.T) {
-	run := asyncParityRunner(t)
-	asynctest.CheckCrashParity(t, asynctest.Stalenesses(), nil, run)
-	asynctest.CheckCrashParity(t, []int{2}, recovery.EverySteps(4), run)
 }
 
 // TestAsyncFlatAccumGoldens pins the flat-accumulator adapter bit for
@@ -291,66 +252,4 @@ func TestAsyncValidation(t *testing.T) {
 	if _, err := RunAsync(asyncCluster(), pts, 4, bad, async.Options{}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-}
-
-// TestAsyncLiveMatchesDES: the live (measured-cost) executor against
-// the DES oracle. K-Means is not a contraction — different stale reads
-// settle different Lloyd local optima, so coordinate-level parity is
-// the wrong contract. The drift bound is on clustering *quality*: the
-// live centroids' SSE over the input points must stay within 10% of
-// the DES optimum's (shared harness: asynctest).
-func TestAsyncLiveMatchesDES(t *testing.T) {
-	pts := smallCensus(t)
-	run := func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), pts, 9, DefaultConfig(0.01), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		return res.Stats, res.Centroids
-	}
-	dist := func(des, live any) float64 {
-		d, l := sse(pts, des.([][]float64)), sse(pts, live.([][]float64))
-		return math.Abs(l-d) / d
-	}
-	asynctest.CheckLiveMatchesDES(t, asynctest.Stalenesses(), 0.10, dist, run)
-}
-
-// TestAsyncTraceInert: attaching a trace.Recorder must not change the
-// run — bit-identical stats and centroids on DES and parallel, and
-// live clustering quality within the usual SSE drift bound of the DES
-// optimum (shared harness: asynctest).
-func TestAsyncTraceInert(t *testing.T) {
-	pts := smallCensus(t)
-	run := func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), pts, 9, DefaultConfig(0.01), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		return res.Stats, res.Centroids
-	}
-	dist := func(des, live any) float64 {
-		d, l := sse(pts, des.([][]float64)), sse(pts, live.([][]float64))
-		return math.Abs(l-d) / d
-	}
-	asynctest.CheckTraceInert(t, asynctest.Stalenesses(), 0.10, dist, run)
-}
-
-// TestAsyncSeriesInert: attaching a metrics.Series must not change the
-// run — bit-identical stats and centroids on DES and parallel with
-// byte-identical series files, and live clustering quality within the
-// usual SSE drift bound of the DES optimum (shared harness: asynctest).
-func TestAsyncSeriesInert(t *testing.T) {
-	pts := smallCensus(t)
-	run := func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), pts, 9, DefaultConfig(0.01), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		return res.Stats, res.Centroids
-	}
-	dist := func(des, live any) float64 {
-		d, l := sse(pts, des.([][]float64)), sse(pts, live.([][]float64))
-		return math.Abs(l-d) / d
-	}
-	asynctest.CheckSeriesInert(t, asynctest.Stalenesses(), 0.10, dist, run)
 }

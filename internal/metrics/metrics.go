@@ -8,8 +8,8 @@
 // The contract mirrors the trace layer's exactly:
 //
 //   - Inert: attaching a Series to a run must not change RunStats or
-//     final workload state on any executor (asynctest.CheckSeriesInert
-//     enforces bit-identity). Sampler ticks ride the event heap without
+//     final workload state on any executor (asynctest's
+//     TestDifferential enforces bit-identity). Sampler ticks ride the event heap without
 //     touching the step-event accounting, so they never reorder or
 //     retime engine events.
 //   - Deterministic: on the virtual-time executors (DES and parallel)

@@ -14,8 +14,8 @@ import (
 // encoding/csv so the output is byte-deterministic by construction:
 // fixed column/key order, floats via strconv.FormatFloat(v,'g',-1,64)
 // (the shortest exact representation — identical floats render to
-// identical bytes). CheckSeriesInert asserts DES and parallel runs
-// write byte-identical files through these.
+// identical bytes). asynctest's TestDifferential asserts DES and
+// parallel runs write byte-identical files through these.
 
 // csvHeader is the fixed CSV column order. ValidateSeries rejects
 // files whose header drifted from the writer's.

@@ -113,28 +113,6 @@ func TestAsyncFasterThanEager(t *testing.T) {
 	}
 }
 
-// asyncParityRunner adapts PageRank to the shared executor-parity
-// harness: the converged state fingerprint is the full rank vector.
-func asyncParityRunner(t *testing.T) asynctest.Runner {
-	g := smallGraph()
-	subs := subgraphs(t, g, 8)
-	return func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), subs, DefaultConfig(), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		return res.Stats, res.Ranks
-	}
-}
-
-// TestAsyncParallelExecutorMatchesDES: same staleness sweep on the
-// wall-clock-parallel executor; virtual-time stats and converged ranks
-// must be identical to the sequential DES, on every cluster preset the
-// parallel executor targets (shared harness: asynctest).
-func TestAsyncParallelExecutorMatchesDES(t *testing.T) {
-	asynctest.CheckParallelMatchesDES(t, asynctest.Stalenesses(), asyncParityRunner(t))
-}
-
 // undoRig opens the adapter to asynctest.CheckUndo: ghost and the
 // contribution buffers are rebuilt by every step and get poisoned.
 func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
@@ -173,22 +151,6 @@ func TestUndoLeavesCheckpointIntact(t *testing.T) {
 	asynctest.CheckUndo(t, fresh, poison, true)
 }
 
-// TestAsyncAdaptiveParity is the executor-parity contract under the
-// adaptive staleness controller (internal/adapt): identical
-// virtual-time stats — including the controller's trajectory counters —
-// and identical converged ranks across DES and parallel, for every
-// adaptive policy on every preset.
-func TestAsyncAdaptiveParity(t *testing.T) {
-	asynctest.CheckAdaptiveParity(t, asyncParityRunner(t))
-}
-
-// TestAsyncFixedPolicyIdentity pins that adapt.Fixed is the identity
-// controller on a real workload: bit-identical to the static-bound
-// engine.
-func TestAsyncFixedPolicyIdentity(t *testing.T) {
-	asynctest.CheckFixedPolicyIdentity(t, asynctest.Stalenesses(), asyncParityRunner(t))
-}
-
 // TestAsyncAdaptiveConverges: the adaptive policies must land on the
 // reference fixed point within the suite's usual tolerance — moving the
 // bound mid-run changes the schedule, not the answer.
@@ -214,16 +176,6 @@ func TestAsyncAdaptiveConverges(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestAsyncCrashParity is the same contract under the worker-crash
-// fault model: with crashes striking mid-run (and, in the second
-// sweep, an every-4-steps checkpoint policy), both executors must
-// report identical Crashes/Recoveries/LostSteps and identical ranks.
-func TestAsyncCrashParity(t *testing.T) {
-	run := asyncParityRunner(t)
-	asynctest.CheckCrashParity(t, asynctest.Stalenesses(), nil, run)
-	asynctest.CheckCrashParity(t, []int{2}, recovery.EverySteps(4), run)
 }
 
 // TestAsyncCrashRecoveryConverges forces crashes into the stepping
@@ -352,60 +304,4 @@ func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
 			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
 		}
 	}
-}
-
-// TestAsyncLiveMatchesDES: the live (measured-cost) executor must land
-// on the DES oracle's fixed point. PageRank's update is a contraction
-// with a unique fixed point, so real-time interleaving divergence stays
-// bounded by the convergence tolerance: parity-by-tolerance on the
-// maximum rank drift (shared harness: asynctest).
-func TestAsyncLiveMatchesDES(t *testing.T) {
-	dist := func(des, live any) float64 {
-		a, b := des.([]float64), live.([]float64)
-		var d float64
-		for i := range a {
-			if x := math.Abs(a[i] - b[i]); x > d {
-				d = x
-			}
-		}
-		return d
-	}
-	asynctest.CheckLiveMatchesDES(t, asynctest.Stalenesses(), 1e-3, dist, asyncParityRunner(t))
-}
-
-// TestAsyncTraceInert: attaching a trace.Recorder must not change the
-// run — bit-identical stats and ranks on DES and parallel (including
-// under crashes and adaptive staleness), and the DES-oracle tolerance
-// contract under the live executor (shared harness: asynctest).
-func TestAsyncTraceInert(t *testing.T) {
-	dist := func(des, live any) float64 {
-		a, b := des.([]float64), live.([]float64)
-		var d float64
-		for i := range a {
-			if x := math.Abs(a[i] - b[i]); x > d {
-				d = x
-			}
-		}
-		return d
-	}
-	asynctest.CheckTraceInert(t, asynctest.Stalenesses(), 1e-3, dist, asyncParityRunner(t))
-}
-
-// TestAsyncSeriesInert: attaching a metrics.Series must not change the
-// run — bit-identical stats and ranks on DES and parallel (including
-// under crashes) with byte-identical series files, and the DES-oracle
-// tolerance contract under the live executor with wall-stamped samples
-// (shared harness: asynctest).
-func TestAsyncSeriesInert(t *testing.T) {
-	dist := func(des, live any) float64 {
-		a, b := des.([]float64), live.([]float64)
-		var d float64
-		for i := range a {
-			if x := math.Abs(a[i] - b[i]); x > d {
-				d = x
-			}
-		}
-		return d
-	}
-	asynctest.CheckSeriesInert(t, asynctest.Stalenesses(), 1e-3, dist, asyncParityRunner(t))
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/async/asynctest"
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/recovery"
 )
 
 func asyncCluster() *cluster.Cluster {
@@ -89,24 +88,6 @@ func TestAsyncFasterThanEager(t *testing.T) {
 	}
 }
 
-// asyncParityRunner adapts SSSP to the shared executor-parity harness:
-// the converged state fingerprint is the full distance vector, and
-// every run is additionally checked against Dijkstra — monotone
-// relaxation must stay exact under any executor (and any crash
-// schedule: recovery replays lost relaxations from the durable store).
-func asyncParityRunner(t *testing.T) asynctest.Runner {
-	g := smallGraph()
-	subs := subgraphs(t, g, 8)
-	return func(t *testing.T, cfg *cluster.Config, opt async.Options) (*async.RunStats, any) {
-		res, err := RunAsync(cluster.New(cfg), subs, Config{Source: 0}, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		checkAgainstDijkstra(t, g, res.Dist, 0)
-		return res.Stats, res.Dist
-	}
-}
-
 // undoRig opens the adapter to asynctest.CheckUndo: next is each sweep's
 // own buffer and gets poisoned. The sweep cap leaves a frontier behind
 // for the stale steps to work on.
@@ -140,29 +121,6 @@ func TestUndoRestoresStep(t *testing.T) {
 func TestUndoLeavesCheckpointIntact(t *testing.T) {
 	fresh, poison := undoRig(t)
 	asynctest.CheckUndo(t, fresh, poison, true)
-}
-
-// TestAsyncParallelExecutorMatchesDES: the parallel executor must
-// produce the exact distances and virtual-time stats of the DES, on
-// every preset the executor targets (shared harness: asynctest).
-func TestAsyncParallelExecutorMatchesDES(t *testing.T) {
-	asynctest.CheckParallelMatchesDES(t, asynctest.Stalenesses(), asyncParityRunner(t))
-}
-
-// TestAsyncAdaptiveParity: executor parity under the adaptive staleness
-// controller; SSSP's monotone relaxation keeps the answer exact while
-// the controller moves each worker's bound.
-func TestAsyncAdaptiveParity(t *testing.T) {
-	asynctest.CheckAdaptiveParity(t, asyncParityRunner(t))
-}
-
-// TestAsyncCrashParity: executor parity under worker crashes — and,
-// via the runner's Dijkstra check, exactness of the recovered
-// distances on every crashy run.
-func TestAsyncCrashParity(t *testing.T) {
-	run := asyncParityRunner(t)
-	asynctest.CheckCrashParity(t, asynctest.Stalenesses(), nil, run)
-	asynctest.CheckCrashParity(t, []int{2}, recovery.EverySteps(4), run)
 }
 
 func TestAsyncValidation(t *testing.T) {
@@ -207,28 +165,4 @@ func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
 			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
 		}
 	}
-}
-
-// TestAsyncLiveMatchesDES: the live (measured-cost) executor must reach
-// the DES oracle's distances exactly — shortest-path relaxation is
-// monotone, so the fixed point is independent of update order and
-// interleaving (shared harness: asynctest).
-func TestAsyncLiveMatchesDES(t *testing.T) {
-	asynctest.CheckLiveMatchesDES(t, asynctest.Stalenesses(), 0, nil, asyncParityRunner(t))
-}
-
-// TestAsyncTraceInert: attaching a trace.Recorder must not change the
-// run — bit-identical stats and distances on DES and parallel, exact
-// DES-oracle parity under the live executor (SSSP is monotone; shared
-// harness: asynctest).
-func TestAsyncTraceInert(t *testing.T) {
-	asynctest.CheckTraceInert(t, asynctest.Stalenesses(), 0, nil, asyncParityRunner(t))
-}
-
-// TestAsyncSeriesInert: attaching a metrics.Series must not change the
-// run — bit-identical stats and distances on DES and parallel with
-// byte-identical series files, exact DES-oracle parity under the live
-// executor (SSSP is monotone; shared harness: asynctest).
-func TestAsyncSeriesInert(t *testing.T) {
-	asynctest.CheckSeriesInert(t, asynctest.Stalenesses(), 0, nil, asyncParityRunner(t))
 }

@@ -14,7 +14,7 @@
 // carved up front and wraps), and never feeds anything back into
 // scheduling decisions, so a run's RunStats and converged state are
 // bit-identical with the recorder on or off — a contract enforced by
-// asynctest.CheckTraceInert on every workload. A nil *Recorder is the
+// asynctest's TestDifferential on every workload. A nil *Recorder is the
 // off switch: every method is nil-safe, so instrumented hot paths pay
 // one predictable branch.
 //
