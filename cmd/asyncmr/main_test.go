@@ -22,7 +22,9 @@ func testSuite() *harness.Suite {
 var runModes = []string{"general", "eager", "async", "live"}
 
 // ranByHarness are the wall-clock entries internal/harness already runs
-// through the same registry Run, each by the test named.
+// through the same registry Run, each by the test named; livescaling's
+// test runs the figure at a fiftieth of its publish latency, and CI's
+// experiments job runs it in full (asyncmr -scale 32 all).
 var ranByHarness = map[string]bool{
 	"parallel":    true, // TestFigureParallelScaling
 	"parallelhpc": true, // TestFigureParallelScalingHPC

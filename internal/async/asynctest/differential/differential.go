@@ -12,7 +12,9 @@
 //     counters, and the DES and parallel series are the same bytes;
 //   - with crashes on, crashes struck and were recovered;
 //   - with crashes off, the live executor reaches the DES state: exactly
-//     on the monotone workloads, within a tolerance on the others.
+//     on the monotone workloads, within a tolerance on the others;
+//   - on the monotone workloads, every executor's series residual never
+//     rises and ends at the unreached share of the converged state.
 //
 // asynctest's TestDifferential runs the pinned seeds and checks that
 // together they cover every path above; FuzzDifferential runs any seed.
@@ -193,9 +195,10 @@ func multiComponent(r *stats.RNG) *graph.Graph {
 // "trace", "series", "kept" and "discarded" speculations, "fixed", "moved:" with
 // the policy that moved a bound, "crash" or "crash+checkpoint", the
 // "kind:" of every event traced on the DES or parallel executor and the
-// "live " kind of every one traced live, and "live:" with the workload
-// whose live leg ran. It also fails t unless the seed covered every key
-// in want.
+// "live " kind of every one traced live, "live:" with the workload
+// whose live leg ran, and "residual:" with the monotone workload whose
+// series residual was checked against its converged state. It also fails
+// t unless the seed covered every key in want.
 func Check(t *testing.T, seed uint64, want ...string) map[string]bool {
 	t.Helper()
 	covered := check(t, seed)
@@ -276,6 +279,7 @@ func check(t *testing.T, seed uint64) map[string]bool {
 		}
 		if c.series {
 			counted(t, ex.String(), o.Series, r.Stats, 3)
+			covered["residual:"+c.w.Name] = unreachedResidual(t, c, ex.String(), o.Series, r.State)
 		}
 		return o.Series
 	}
@@ -329,6 +333,7 @@ func check(t *testing.T, seed uint64) map[string]bool {
 	}
 	if c.series {
 		counted(t, "live", opt.Series, live, 2)
+		unreachedResidual(t, c, "live", opt.Series, liveRun.State)
 		if !slices.ContainsFunc(opt.Series.Samples(), func(s metrics.Sample) bool { return s.Wall > 0 }) {
 			t.Fatal("the live series carries no wall stamps")
 		}
@@ -370,6 +375,44 @@ func sse(points, centroids [][]float64) (sum float64) {
 		sum += best * best
 	}
 	return sum
+}
+
+// unreachedResidual checks a monotone workload's series and reports
+// whether it did: SSSP's and CC's residual is the share of a partition's
+// nodes still at their unreached value (+Inf, the node's own id), so the
+// series never rises and its final sample is the largest such share the
+// converged state leaves in any partition of c.in.Subs.
+func unreachedResidual(t *testing.T, c *config, what string, ser *metrics.Series, state any) bool {
+	t.Helper()
+	var unreached func(u graph.NodeID) bool
+	switch c.w {
+	case harness.SSSP:
+		unreached = func(u graph.NodeID) bool { return math.IsInf(state.([]float64)[u], 1) }
+	case harness.CC:
+		unreached = func(u graph.NodeID) bool { return state.([]graph.NodeID)[u] == u }
+	default:
+		return false
+	}
+	want := 0.0
+	for _, s := range c.in.Subs {
+		n := 0
+		for _, u := range s.Nodes {
+			if unreached(u) {
+				n++
+			}
+		}
+		want = max(want, float64(n)/float64(max(len(s.Nodes), 1)))
+	}
+	smp := ser.Samples()
+	for i := 1; i < len(smp); i++ {
+		if smp[i].Residual > smp[i-1].Residual {
+			t.Fatalf("%s: the residual rose from %g to %g at tick %d", what, smp[i-1].Residual, smp[i].Residual, smp[i].Tick)
+		}
+	}
+	if last := smp[len(smp)-1].Residual; last != want {
+		t.Fatalf("%s: the final residual is %g, the converged state's unreached share %g", what, last, want)
+	}
+	return true
 }
 
 // counted fails t unless the series holds least samples or more and the

@@ -29,9 +29,10 @@ var pinned = []uint64{
 // TestDifferential runs the differential check on every pinned seed and
 // fails unless the seeds together cover each workload's live leg, kept and
 // discarded speculations, the trace kinds (the step and publish ones on
-// the live executor too), crashes with and without checkpoints, every
-// adaptive policy moving a bound, the Fixed(S) identity, every preset and
-// two partition methods, one of them Hash on the multi-component graph.
+// the live executor too), SSSP's and CC's series residual, crashes with
+// and without checkpoints, every adaptive policy moving a bound, the
+// Fixed(S) identity, every preset and two partition methods, one of them
+// Hash on the multi-component graph.
 func TestDifferential(t *testing.T) {
 	covered := map[string]bool{}
 	for _, seed := range pinned {
@@ -41,7 +42,7 @@ func TestDifferential(t *testing.T) {
 			}
 		})
 	}
-	want := []string{"kept", "discarded", "crash", "crash+checkpoint", "fixed", "multi:hash"}
+	want := []string{"kept", "discarded", "crash", "crash+checkpoint", "fixed", "multi:hash", "residual:sssp", "residual:cc"}
 	for _, w := range harness.Workloads {
 		want = append(want, "live:"+w.Name)
 	}

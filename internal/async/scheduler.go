@@ -218,7 +218,7 @@ type Recoverable[D any] interface {
 	// not mutate what it captures. It has a single holder: the scheduler
 	// keeps only the latest checkpoint of a partition, so an
 	// implementation may recycle the snapshot handed out two calls ago
-	// (K-Means and CC do). A second caller would silently corrupt
+	// (K-Means, SSSP and CC do). A second caller would silently corrupt
 	// recovery — which is why Undoable saves into buffers of its own.
 	Checkpoint(p int) (state any, bytes int64)
 	// Restore resets partition p's local state to a snapshot previously
@@ -267,8 +267,8 @@ type Undoable[D any] interface {
 type Progressive interface {
 	// Residual reports partition p's current convergence residual:
 	// PageRank's last max rank delta, K-Means' last max centroid
-	// movement, SSSP's unreached-node fraction, CC's
-	// labels-lowered-last-step fraction.
+	// movement, SSSP's and CC's fraction of nodes still at their
+	// unreached value (+Inf, the node's own id).
 	Residual(p int) float64
 }
 

@@ -323,12 +323,17 @@ func TestFigureParallelScaling(t *testing.T) {
 // worker axis, and (by construction) checks every live run's converged
 // ranks against the DES oracle. The speedup magnitude is a property of
 // the hardware this runs on, so only positivity is pinned here; the
-// recorded sweep lives in EXPERIMENTS.md.
+// recorded sweep lives in EXPERIMENTS.md. It runs at the differential
+// check's latency scale, 0.02; the registry's full-latency figure runs in
+// CI's experiments job (asyncmr -scale 32 all).
 func TestFigureLiveScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	f := ran(t, "livescaling").figs[0]
+	f, err := testSuite().figureLiveScaling(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f.Series) != 4 || len(f.Series[0].Y) != len(LiveWorkerCounts) {
 		t.Fatalf("bad live scaling figure shape: %+v", f.Series)
 	}

@@ -11,12 +11,12 @@ import (
 var LiveWorkerCounts = []int{1, 2, 4}
 
 // liveNetScale scales the live executor's emulated publish-visibility
-// delay for the scaling figure. The figure runs at full model latency:
-// every publication takes the cluster preset's real push time (5.6 ms
-// on the EC2 testbed) to become visible, in real time. That is the
-// paper's regime — communication latency comparable to or above a
-// sweep of compute — and it is what bounded staleness exists to hide;
-// at much smaller scales compute takes over and the speedup shrinks
+// delay for the scaling figure the registry runs. The figure runs at full
+// model latency: every publication takes the cluster preset's real push
+// time (5.6 ms on the EC2 testbed) to become visible, in real time. That
+// is the paper's regime — communication latency comparable to or above a
+// sweep of compute — and it is what bounded staleness exists to hide; at
+// much smaller scales compute takes over and the speedup shrinks
 // (EXPERIMENTS.md, livescaling).
 const liveNetScale = 1.0
 
@@ -27,7 +27,8 @@ const liveNetScale = 1.0
 // check (TestDifferential).
 const liveScalingTol = 1e-2
 
-// FigureLiveScaling measures the live executor: real partition compute
+// figureLiveScaling measures the live executor, its publishes visible
+// after netScale times the preset's push latency: real partition compute
 // on the work-stealing pool, costs taken from monotonic wall-clock
 // deltas rather than the cluster cost model. For each worker count it
 // times one async PageRank run at S=0 (lockstep: every step waits for
@@ -38,13 +39,13 @@ const liveScalingTol = 1e-2
 // virtual time. Both runs are checked against the DES oracle's
 // converged ranks at the same bound, so the speedup is only reported
 // for runs that actually converged to the right answer.
-func (s *Suite) FigureLiveScaling() (*Figure, error) {
+func (s *Suite) figureLiveScaling(netScale float64) (*Figure, error) {
 	in, err := s.midGraphA()
 	if err != nil {
 		return nil, err
 	}
 	cfg := *s.preset()
-	cfg.LiveNetScale = liveNetScale
+	cfg.LiveNetScale = netScale
 
 	oracle := func(staleness int) ([]float64, error) {
 		res, err := PageRank.Async(&cfg, in, async.Options{Staleness: staleness})
@@ -105,7 +106,7 @@ func (s *Suite) FigureLiveScaling() (*Figure, error) {
 	}
 	return &Figure{
 		Title: fmt.Sprintf("Live executor: measured async speedup over lockstep vs cores (Graph A, %d partitions, netScale=%g, %s)",
-			len(in.Subs), liveNetScale, cfg.Name),
+			len(in.Subs), netScale, cfg.Name),
 		XLabel: "# Pool workers", YLabel: "Measured speedup of S=inf over S=0 (wall clock)",
 		X: intsToFloats(LiveWorkerCounts),
 		Series: []Series{

@@ -161,7 +161,9 @@ var experiments = []*Experiment{
 		}},
 	{Names: []string{"livescaling"}, Help: "live executor at 1/2/4 workers: measured speedup of free-running (S=inf) over lockstep (S=0), ranks checked against the DES oracle",
 		WallClock: true,
-		Run:       func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) { return one(s.FigureLiveScaling()) }},
+		Run: func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) {
+			return one(s.figureLiveScaling(liveNetScale))
+		}},
 	{Names: []string{"recovery"}, Help: "worker-crash fault model: time to converge across checkpoint intervals under three MTTFs, with the checkpoint-write vs replay decomposition",
 		Flags: []string{"staleness", "parallel", "workers"},
 		Run:   func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) { return one(s.FigureRecoverySweep()) }},

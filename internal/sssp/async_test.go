@@ -1,11 +1,9 @@
 package sssp
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/async"
-	"repro/internal/async/asynctest"
 	"repro/internal/cluster"
 	"repro/internal/graph"
 )
@@ -88,41 +86,6 @@ func TestAsyncFasterThanEager(t *testing.T) {
 	}
 }
 
-// undoRig opens the adapter to asynctest.CheckUndo: next is each sweep's
-// own buffer and gets poisoned. The sweep cap leaves a frontier behind
-// for the stale steps to work on.
-func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(asynctest.UndoWorkload[[]float64], int)) {
-	subs := subgraphs(t, smallGraph(), 8)
-	fresh := func() asynctest.UndoWorkload[[]float64] {
-		w, err := buildAsyncWorkload(subs, Config{Source: 0, MaxLocalIters: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	return fresh, func(w asynctest.UndoWorkload[[]float64], p int) {
-		st := w.(*asyncWorkload).states[p]
-		st.next = st.next[:cap(st.next)]
-		for i := range st.next {
-			st.next[i] = -1
-		}
-	}
-}
-
-// TestUndoRestoresStep: a step on stale snapshots, undone, leaves the
-// partition exactly where a lone canonical step finds it.
-func TestUndoRestoresStep(t *testing.T) {
-	fresh, poison := undoRig(t)
-	asynctest.CheckUndo(t, fresh, poison, false)
-}
-
-// TestUndoLeavesCheckpointIntact: undo keeps out of the checkpoint's
-// memory, which a second Checkpoint caller would overwrite.
-func TestUndoLeavesCheckpointIntact(t *testing.T) {
-	fresh, poison := undoRig(t)
-	asynctest.CheckUndo(t, fresh, poison, true)
-}
-
 func TestAsyncValidation(t *testing.T) {
 	if _, err := RunAsync(asyncCluster(), nil, Config{}, async.Options{}); err == nil {
 		t.Fatal("no partitions accepted")
@@ -135,34 +98,5 @@ func TestAsyncValidation(t *testing.T) {
 	unweighted := subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(1000)), 2)
 	if _, err := RunAsync(asyncCluster(), unweighted, Config{Source: 0}, async.Options{}); err == nil {
 		t.Fatal("unweighted graph accepted")
-	}
-}
-
-// TestAsyncRejectsMalformedSubGraphs: sub-graph sets that break the
-// exchange plan's three requirements (graph.BuildExchange) are errors
-// from this package, not panics.
-func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		mangle func(subs []*graph.SubGraph)
-	}{
-		{"node ids not dense", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 9 }},
-		{"cross in-edge source owned by nobody", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2; subs[0].InRemote[0][0] = 3 }},
-		{"cross in-edge source missing from its owner's border", func(subs []*graph.SubGraph) { subs[0].InRemote[0][0] = 3 }},
-	} {
-		// Nodes 0, 1 | 2, 3: edges 0->2, 1->2 and 2->0 cross; 3 is isolated.
-		g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2}, {0}, {}}}
-		g.AssignUniformWeights(1, 10, 3)
-		subs, err := graph.BuildSubGraphs(g, []int32{0, 0, 1, 1}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{}); err != nil {
-			t.Fatalf("well-formed sub-graphs rejected: %v", err)
-		}
-		c.mangle(subs)
-		if _, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{}); err == nil || !strings.HasPrefix(err.Error(), "sssp: graph: ") {
-			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
-		}
 	}
 }

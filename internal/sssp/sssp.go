@@ -25,9 +25,12 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/async"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
+	"repro/internal/minprop"
 )
 
 // Config parameterizes an SSSP run.
@@ -60,21 +63,31 @@ type Result struct {
 	Stats *core.RunStats
 }
 
-// Run executes SSSP over the given weighted sub-graphs. eager selects the
-// formulation.
-func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
+// validate checks that subs are weighted partitions holding cfg.Source,
+// and returns their node count.
+func validate(subs []*graph.SubGraph, cfg Config) (int, error) {
 	if len(subs) == 0 {
-		return nil, fmt.Errorf("sssp: no partitions")
+		return 0, fmt.Errorf("sssp: no partitions")
 	}
 	if subs[0].WLocal == nil {
-		return nil, fmt.Errorf("sssp: sub-graphs are unweighted; call Graph.AssignUniformWeights first")
+		return 0, fmt.Errorf("sssp: sub-graphs are unweighted; call Graph.AssignUniformWeights first")
 	}
 	n := 0
 	for _, s := range subs {
 		n += s.NumNodes()
 	}
 	if cfg.Source < 0 || int(cfg.Source) >= n {
-		return nil, fmt.Errorf("sssp: source %d outside [0,%d)", cfg.Source, n)
+		return 0, fmt.Errorf("sssp: source %d outside [0,%d)", cfg.Source, n)
+	}
+	return n, nil
+}
+
+// Run executes SSSP over the given weighted sub-graphs. eager selects the
+// formulation.
+func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
+	n, err := validate(subs, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	dist := make([]float64, n)
@@ -149,6 +162,39 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 		return nil, err
 	}
 	return &Result{Dist: dist, Stats: stats}, nil
+}
+
+// AsyncResult of a fully-asynchronous SSSP run.
+type AsyncResult struct {
+	// Dist[u] is the shortest distance from the source to u
+	// (+Inf if unreachable). Distance relaxation is monotone, so the
+	// asynchronous mode converges to the exact answer at any staleness.
+	Dist []float64
+	// Stats carries the asynchronous run's accounting.
+	Stats *async.RunStats
+}
+
+// RunAsync executes SSSP in the fully-asynchronous bounded-staleness
+// mode over the given weighted sub-graphs: the min-relaxation of
+// internal/minprop along edge direction, every node unreached at +Inf
+// but the source, seeded at 0. opt selects the staleness bound and the
+// executor; async.Parallel overlaps partition relaxation sweeps on real
+// goroutines with virtual-time results identical to the default
+// sequential DES.
+func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.Options) (*AsyncResult, error) {
+	if _, err := validate(subs, cfg); err != nil {
+		return nil, err
+	}
+	inf := math.Inf(1)
+	w, err := minprop.New(subs, cfg.MaxLocalIters, func(u graph.NodeID) (float64, float64, bool) { return inf, 0, u == cfg.Source })
+	if err != nil {
+		return nil, fmt.Errorf("sssp: %w", err)
+	}
+	stats, err := async.Run(c, w, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &AsyncResult{Dist: w.Values(), Stats: stats}, nil
 }
 
 // emitSorted mirrors pagerank's deterministic emission of accumulated
