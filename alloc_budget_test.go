@@ -54,7 +54,7 @@ func TestAllocBudgets(t *testing.T) {
 
 	ec2 := cluster.EC2LargeCluster()
 	spec := async.Options{Staleness: harness.DefaultStaleness, Executor: async.Parallel}
-	crashy := *harness.NewSuite(benchScale).RecoveryCluster()
+	crashy := *harness.NewSuite(benchScale).RecoveryCluster(small)
 	crashy.CrashMTTF = simtime.Second
 	live := *ec2
 	live.LiveNetScale = 0.02
@@ -82,7 +82,7 @@ func TestAllocBudgets(t *testing.T) {
 		// adaptive controller, the recorder and the sampler must stay
 		// inert on it.
 		{name: "pagerank/parallel", limit: 2500, w: harness.PageRank, preset: ec2, in: big, opt: spec},
-		// Crashes, checkpoints, restore + replay all active: ~1.7K. The
+		// Crashes, checkpoints, restore + replay all active: ~1.6K. The
 		// journal and checkpoint bookkeeping allocates nothing per step.
 		{name: "recovery/mttf=1s", limit: 3500, w: harness.PageRank, preset: &crashy, in: small,
 			opt: async.Options{Staleness: harness.DefaultStaleness, Checkpoint: recovery.EverySteps(8)}},

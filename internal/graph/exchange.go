@@ -32,6 +32,13 @@ type Exchange struct {
 // direction (rank contributions, distances) do not. Node ids must be
 // dense in [0, n) over all sub-graphs, every remote node must belong to
 // a sub-graph, and its owner must list it on its border.
+//
+// Construction is count, carve, fill, as in BuildSubGraphs: one pass
+// counts every partition's border nodes, reads and neighbours; Border,
+// Neighbors and the three read arrays then get one slab each, and every
+// plan's arrays are empty views capacity-limited to its own stretch, so
+// the fill appends without allocating and a caller's append reallocates
+// instead of running into the next plan.
 func BuildExchange(subs []*SubGraph, undirected bool) ([]Exchange, int, error) {
 	// Dense ids let flat arrays replace per-node maps — the plan is
 	// rebuilt on every run's critical path.
@@ -53,32 +60,82 @@ func BuildExchange(subs []*SubGraph, undirected bool) ([]Exchange, int, error) {
 			owner[u] = int32(p)
 		}
 	}
+	// A node is on the border when another partition reads it; remotes
+	// are the lists it reads through, in read order.
+	onBorder := func(s *SubGraph, li int) bool {
+		return len(s.OutRemote[li]) > 0 || undirected && len(s.InRemote[li]) > 0
+	}
+	remotes := func(s *SubGraph, li int) [2][]NodeID {
+		if undirected {
+			return [2][]NodeID{s.InRemote[li], s.OutRemote[li]}
+		}
+		return [2][]NodeID{s.InRemote[li]}
+	}
+
+	// Count. Here slotOf[q] is the last partition found reading q; in the
+	// fill it is q's slot in the plan being filled.
+	type sizes struct{ border, reads, neighbors int }
+	count := make([]sizes, len(subs))
+	var total sizes
+	slotOf := make([]int32, len(subs))
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
+	for p, s := range subs {
+		c := &count[p]
+		for li := range s.Nodes {
+			if onBorder(s, li) {
+				c.border++
+			}
+			for _, list := range remotes(s, li) {
+				for _, remote := range list {
+					if remote < 0 || int(remote) >= n || owner[remote] < 0 {
+						return nil, 0, fmt.Errorf("graph: remote node %d has no owner", remote)
+					}
+					if q := owner[remote]; slotOf[q] != int32(p) {
+						slotOf[q] = int32(p)
+						c.neighbors++
+					}
+				}
+				c.reads += len(list)
+			}
+		}
+		total.border += c.border
+		total.reads += c.reads
+		total.neighbors += c.neighbors
+	}
+
+	// Carve.
 	xs := make([]Exchange, len(subs))
+	border := make([]int32, total.border)
+	reads := make([]int32, 3*total.reads)
+	neighbors := make([]int, total.neighbors)
+	for p := range xs {
+		x, c := &xs[p], count[p]
+		x.Border, border = border[:0:c.border], border[c.border:]
+		x.Neighbors, neighbors = neighbors[:0:c.neighbors], neighbors[c.neighbors:]
+		x.Slot, x.Idx, x.Node = reads[:0:c.reads], reads[c.reads:c.reads:2*c.reads], reads[2*c.reads:2*c.reads:3*c.reads]
+		reads = reads[3*c.reads:]
+	}
+
+	// Fill.
 	for p, s := range subs {
 		x := &xs[p]
 		for li, u := range s.Nodes {
-			if len(s.OutRemote[li]) > 0 || undirected && len(s.InRemote[li]) > 0 {
+			if onBorder(s, li) {
 				borderIdx[u] = int32(len(x.Border))
 				x.Border = append(x.Border, int32(li))
 			}
 		}
 	}
-	slotOf := make([]int32, len(subs))
 	for p, s := range subs {
 		x := &xs[p]
 		for i := range slotOf {
 			slotOf[i] = -1
 		}
 		for li := range s.Nodes {
-			lists := [2][]NodeID{s.InRemote[li]}
-			if undirected {
-				lists[1] = s.OutRemote[li]
-			}
-			for _, list := range lists {
+			for _, list := range remotes(s, li) {
 				for _, remote := range list {
-					if remote < 0 || int(remote) >= n || owner[remote] < 0 {
-						return nil, 0, fmt.Errorf("graph: remote node %d has no owner", remote)
-					}
 					q := int(owner[remote])
 					slot := slotOf[q]
 					if slot < 0 {

@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/async"
+	"repro/internal/pagerank"
 	"repro/internal/trace"
 )
 
@@ -446,6 +448,23 @@ func TestAdaptiveSweepRuns(t *testing.T) {
 			t.Fatalf("%s mean steps %.1f not below free-running's %.1f",
 				name, r.Stats.MeanSteps, free.Stats.MeanSteps)
 		}
+	}
+}
+
+// TestFigureLocalSweeps: at the bound async PageRank steps with by
+// default, no cell of the grid converges later in virtual time than full
+// local convergence does.
+func TestFigureLocalSweeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep")
+	}
+	f := ran(t, "localsweeps").figs[0]
+	i := slices.Index(localSweepBounds, pagerank.AsyncLocalSweeps)
+	if i < 0 {
+		t.Fatalf("the grid does not try pagerank.AsyncLocalSweeps = %d", pagerank.AsyncLocalSweeps)
+	}
+	if worst := seriesY(t, f, "Worst")[i]; worst > 1 {
+		t.Fatalf("at q = %d a cell takes %.4f× full local convergence's sim_s", pagerank.AsyncLocalSweeps, worst)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/pagerank"
 	"repro/internal/recovery"
 	"repro/internal/simtime"
 )
@@ -20,22 +21,40 @@ var RecoveryCheckpointSteps = []int{0, 1, 2, 4, 8, 16}
 // fault tolerance is mostly overhead.
 var RecoveryMTTFFractions = []float64{0.25, 0.75, 2.5}
 
-// RecoveryCluster derives the recovery experiments' cost model from
-// the suite's: the crash fault model prices steady-state operation of
-// the long-lived asynchronous job, so the one-time launch — which at
-// test scales dwarfs the stepping phase and absorbs most of the crash
-// exposure with an empty journal — is shrunk out, and stochastic noise
-// is disabled so the curves isolate the checkpoint-cadence trade-off.
-// Checkpoint and restore overheads are scaled to the shortened run for
-// the same reason. Crashes stay off (CrashMTTF 0); callers set the
-// MTTF for their regime. The recovery row of TestAllocBudgets is tuned
-// against this exact configuration — keep it on it.
-func (s *Suite) RecoveryCluster() *cluster.Config {
+// Recovery overheads in bounded PageRank steps (pagerank.BoundedStepOps,
+// priced on the mean partition): a checkpoint's fixed overhead costs
+// recoveryCheckpointSteps of them, a restart's recoveryRestoreSteps. A
+// restart must cost less than replaying the few dozen steps a worker
+// runs between crashes in the harshest regime; otherwise the number of
+// restarts, not the replay they save, decides which checkpoint cadence
+// recovers the slowest.
+const (
+	recoveryCheckpointSteps = 4
+	recoveryRestoreSteps    = 8
+)
+
+// RecoveryCluster derives the recovery experiments' cost model for
+// async PageRank on in from the suite's: the crash fault model prices
+// steady-state operation of the long-lived asynchronous job, so the
+// one-time launch — which at test scales dwarfs the stepping phase and
+// absorbs most of the crash exposure with an empty journal — is shrunk
+// out, and stochastic noise is disabled so the curves isolate the
+// checkpoint-cadence trade-off. Checkpoint and restore overheads are
+// priced in bounded steps on in, the unit replay is paid in. Crashes
+// stay off (CrashMTTF 0); callers set the MTTF for their regime. The
+// recovery row of TestAllocBudgets is tuned against this configuration
+// — keep it on it.
+func (s *Suite) RecoveryCluster(in *Inputs) *cluster.Config {
 	cfg := *s.preset()
+	var ops int64
+	for _, sub := range in.Subs {
+		ops += pagerank.BoundedStepOps(sub)
+	}
+	step := simtime.Duration(float64(ops) / float64(len(in.Subs)) / cfg.ComputeRate)
 	cfg.JobOverhead = 200 * simtime.Millisecond
 	cfg.TaskOverhead = 20 * simtime.Millisecond
-	cfg.CheckpointCost = 20 * simtime.Millisecond
-	cfg.RestoreCost = 100 * simtime.Millisecond
+	cfg.CheckpointCost = recoveryCheckpointSteps * step
+	cfg.RestoreCost = recoveryRestoreSteps * step
 	cfg.FailureProb = 0
 	cfg.StragglerJitter = 0
 	return &cfg
@@ -56,7 +75,7 @@ func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.RecoveryCluster()
+	cfg := s.RecoveryCluster(in)
 
 	// Crash-free baseline: calibrates the MTTF fractions and anchors
 	// the "what does fault tolerance cost" comparison.

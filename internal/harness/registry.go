@@ -149,6 +149,9 @@ var experiments = []*Experiment{
 		Run: func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) {
 			return one(s.FigureAdaptive(cluster.CluECluster()))
 		}},
+	{Names: []string{"localsweeps"}, Help: "async PageRank's bound on local sweeps per step: sim_s at q = full, 10..1 on four presets x S = 0, 4, inf, and the bound the rule picks",
+		Flags: []string{"parallel", "workers"},
+		Run:   func(s *Suite, _ string, w io.Writer) ([]*Figure, error) { return one(s.FigureLocalSweeps(w)) }},
 	{Names: []string{"parallel"}, Help: "wall-clock speedup of the parallel executor at 1..8 goroutines over the sequential DES (identical virtual-time results, checked)",
 		WallClock: true, Flags: []string{"staleness", "mttf", "ckpt"},
 		Run: func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) {

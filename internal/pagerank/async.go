@@ -17,6 +17,18 @@ import (
 // point (see DESIGN.md).
 const publishFraction = 0.1
 
+// AsyncLocalSweeps is q, the most local sweeps one asynchronous step runs
+// when Config.MaxLocalIters is 0. Sweeping to local convergence against
+// ghosts the next publication replaces buys nothing without a barrier to
+// save; a step that stops at q publishes what it has and is not
+// quiescent, so the global stopping test is unchanged. Chosen by the
+// localsweeps experiment's rule (DESIGN.md, EXPERIMENTS.md): the lowest
+// geometric-mean sim_s among the bounds that slow no cell of a grid of
+// 4 375-node partitions, the benchmark's shape. On partitions of a few
+// hundred nodes a sweep costs less than a publish, and EC2 and CluE runs
+// there take up to about 2 % more sim_s than with full local sweeps.
+const AsyncLocalSweeps = 5
+
 // AsyncResult of a fully-asynchronous PageRank run.
 type AsyncResult struct {
 	// Ranks[u] is the converged PageRank of node u.
@@ -132,13 +144,15 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	}
 	ops += int64(len(x.Node))
 
-	// Local Jacobi sweeps to local convergence against frozen ghosts,
-	// the same inner loop the eager gmap runs between global barriers,
-	// pulled over sub.Pull: each sweep reads one contribution buffer and
-	// fills the other. Both are per-step scratch, rebuilt from rank here,
-	// so rank and lastPub remain the only cross-step state. A node without
-	// out-edges gets contribution +Inf; no edge and no border entry reads
-	// it.
+	// Local Jacobi sweeps against frozen ghosts, the same inner loop the
+	// eager gmap runs between global barriers, until local convergence or
+	// the sweep bound, pulled over sub.Pull: each sweep reads one
+	// contribution buffer and fills the other. Both are per-step scratch,
+	// rebuilt from rank here, so rank and lastPub remain the only
+	// cross-step state. A node without out-edges gets contribution +Inf;
+	// no edge and no border entry reads it. A step stopped at the bound
+	// has a largest delta of at least Epsilon, so it is not quiescent and
+	// the runtime steps the partition again.
 	sub := st.sub
 	pull := &sub.Pull
 	rank := st.rank
@@ -147,20 +161,15 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		cur[i] = r / pull.OutDeg[i]
 	}
 	cur[len(rank)], next[len(rank)] = 0, 0
-	// What a per-node walk counts: the nodes and the edges, not the plan's
-	// extra positions and pads.
-	sweepOps := int64(len(sub.LocalDst)) + 2*int64(sub.NumNodes())
+	perSweep := sweepOps(sub)
 	base := 1 - cfg.Damping
 	startDelta := 0.0
 	sweeps := 0
-	maxSweeps := cfg.MaxLocalIters
-	if maxSweeps <= 0 {
-		maxSweeps = async.DefaultMaxSteps
-	}
+	maxSweeps := cfg.sweepBound()
 	for sweeps < maxSweeps {
 		delta := sweepSlices(pull, next, rank, cur, st.ghost, base, cfg.Damping)
 		cur, next = next, cur
-		ops += sweepOps
+		ops += perSweep
 		sweeps++
 		if delta > startDelta {
 			startDelta = delta
@@ -202,6 +211,26 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	}
 	return out
 }
+
+// sweepBound is the most local sweeps one asynchronous step of c runs:
+// MaxLocalIters, or AsyncLocalSweeps when that is 0.
+func (c Config) sweepBound() int {
+	if c.MaxLocalIters > 0 {
+		return c.MaxLocalIters
+	}
+	return AsyncLocalSweeps
+}
+
+// sweepOps is what one local sweep of sub is priced at: what a per-node
+// walk counts, the edges and two operations a node, not the pull plan's
+// extra positions and pads.
+func sweepOps(sub *graph.SubGraph) int64 {
+	return int64(len(sub.LocalDst)) + 2*int64(sub.NumNodes())
+}
+
+// BoundedStepOps is the priced operation count of the local sweeps of one
+// asynchronous step of sub that runs all AsyncLocalSweeps of them.
+func BoundedStepOps(sub *graph.SubGraph) int64 { return AsyncLocalSweeps * sweepOps(sub) }
 
 // sweepSlices is one Jacobi sweep over a pull plan: per slice, the four
 // rows' in-contributions summed side by side from cur, then each row's new

@@ -117,8 +117,11 @@ type Config struct {
 	// Epsilon is the global convergence bound on the infinity norm of
 	// the per-node rank delta; the paper uses 1e-5.
 	Epsilon float64
-	// MaxLocalIters caps local iterations inside one gmap (0 = none).
-	// The ablation benches set 1 to degrade Eager into General.
+	// MaxLocalIters caps local iterations inside one gmap (0 = none),
+	// and the local sweeps of one asynchronous step, where 0 means
+	// AsyncLocalSweeps (async.DefaultMaxSteps restores sweeping to local
+	// convergence). The ablation benches set 1 to degrade Eager into
+	// General.
 	MaxLocalIters int
 }
 

@@ -72,11 +72,7 @@ func stepOracle(w *oracleWorkload, p int, inputs []async.Snapshot[[]float64]) as
 	base := 1 - cfg.Damping
 	startDelta := 0.0
 	sweeps := 0
-	maxSweeps := cfg.MaxLocalIters
-	if maxSweeps <= 0 {
-		maxSweeps = async.DefaultMaxSteps
-	}
-	for sweeps < maxSweeps {
+	for sweeps < cfg.sweepBound() {
 		for i := range st.acc {
 			st.acc[i] = 0
 		}
@@ -267,14 +263,17 @@ func poisonScratch(st *asyncState) {
 // stepTally is what a driven run exercised.
 type stepTally struct {
 	steps, published, quiescent int
-	// capped counts steps that ran as many sweeps as MaxLocalIters allows.
-	capped int
+	// resumed counts steps after one that ran as many sweeps as the bound
+	// allows without falling quiescent: steps that start from its ranks.
+	resumed int
 }
 
 // run drives every partition through steps [from, to), round robin.
 func (sp *stepPair) run(t testing.TB, from, to int) stepTally {
 	t.Helper()
 	var n stepTally
+	bound := int64(sp.oracle.cfg.sweepBound())
+	wasCapped := make([]bool, len(sp.kernel.states))
 	for s := from; s < to; s++ {
 		for p := range sp.kernel.states {
 			out, d := sp.step(p, s)
@@ -288,9 +287,10 @@ func (sp *stepPair) run(t testing.TB, from, to int) stepTally {
 			if out.Quiescent {
 				n.quiescent++
 			}
-			if out.LocalIters == int64(sp.oracle.cfg.MaxLocalIters) {
-				n.capped++
+			if wasCapped[p] {
+				n.resumed++
 			}
+			wasCapped[p] = out.LocalIters == bound && !out.Quiescent
 		}
 	}
 	return n
@@ -320,6 +320,21 @@ func handBuilt(t testing.TB) []*graph.SubGraph {
 	return subs
 }
 
+// star is a hub, node 0, with four leaves and an edge each way to every
+// one of them; partition 0 = {0,1,2,3}, partition 1 = {4}. Its local
+// solve alternates between hub and leaves and needs far more sweeps than
+// AsyncLocalSweeps, so a lockstep run stops steps at the bound and
+// resumes them from their ranks.
+func star(t testing.TB) []*graph.SubGraph {
+	t.Helper()
+	g := &graph.Graph{Out: [][]graph.NodeID{{1, 2, 3, 4}, {0}, {0}, {0}, {0}}}
+	subs, err := graph.BuildSubGraphs(g, []int32{0, 0, 0, 0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs
+}
+
 func graphASubs(scale int) func(testing.TB) []*graph.SubGraph {
 	return func(t testing.TB) []*graph.SubGraph {
 		return subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(scale)), 8)
@@ -330,18 +345,20 @@ func TestStepMatchesOracle(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		subs  func(testing.TB) []*graph.SubGraph
-		cap   int     // MaxLocalIters
+		cap   int     // MaxLocalIters; 0 is AsyncLocalSweeps
 		amp   float64 // snapshot disturbance; 0 is the lockstep run
 		steps int
 	}{
 		{"graphA_div35/lockstep", graphASubs(35), 0, 0, 25},
 		{"graphA_div35/disturbed", graphASubs(35), 0, 0.5, 5},
 		{"graphA_div140/lockstep", graphASubs(140), 0, 0, 25},
+		{"graphA_div140/lockstep_full_sweeps", graphASubs(140), async.DefaultMaxSteps, 0, 25},
 		{"graphA_div140/disturbed", graphASubs(140), 0, 0.5, 8},
 		{"graphA_div140/sweep_cap_2", graphASubs(140), 2, 0.5, 8},
 		{"hand_built/lockstep", handBuilt, 0, 0, 25},
 		{"hand_built/disturbed", handBuilt, 0, 0.5, 10},
 		{"hand_built/sweep_cap_1", handBuilt, 1, 0.5, 10},
+		{"star/lockstep", star, 0, 0, 30},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -354,8 +371,8 @@ func TestStepMatchesOracle(t *testing.T) {
 				t.Fatal("no step published")
 			case c.amp == 0 && (n.published == n.steps || n.quiescent == 0):
 				t.Fatal("the lockstep run never held a publication back or never fell quiescent")
-			case c.cap > 0 && n.capped == 0:
-				t.Fatal("no step reached the sweep cap")
+			case c.cap != async.DefaultMaxSteps && n.resumed == 0:
+				t.Fatal("no step stopped at the sweep bound and was resumed")
 			}
 		})
 	}
@@ -450,16 +467,18 @@ func TestAsyncRejectsMalformedPullPlan(t *testing.T) {
 // FuzzStepMatchesOracle decodes a small graph, an assignment and a
 // configuration and runs the oracle comparison over consecutive steps:
 // byte 0 the node count, byte 1 the partition count, byte 2 the
-// configuration (bits 0-1 the sweep cap: none, 1, 2, 5; bit 2 disturbed
-// snapshots; bits 3-5 the step count, 2 + 4x), byte 3 the disturbance
-// seed, then one assignment byte per node (partitions no node names are
-// closed up), then edges as (source, destination) byte pairs. The
-// committed corpus holds TestStepMatchesOracle's hand-built shapes one
-// by one and, as pull-*, the shapes the pull plan pads for: node counts one,
-// two and three past a multiple of four, a one-node partition, a partition
-// without a local edge, nodes without in-edges beside a hub wider than all
-// other rows together. stepPair poisons the contribution buffers, pad
-// position included, before every step.
+// configuration (bits 0-1 the sweep cap: AsyncLocalSweeps, 1, 2, local
+// convergence; bit 2 disturbed snapshots; bits 3-5 the step count,
+// 2 + 4x), byte 3 the disturbance seed, then one assignment byte per node
+// (partitions no node names are closed up), then edges as (source,
+// destination) byte pairs. The committed corpus holds
+// TestStepMatchesOracle's hand-built shapes one by one (the star as
+// bound-stops-step-next-resumes) and, as pull-*, the shapes the pull plan
+// pads for: node counts one, two and three past a multiple of four, a
+// one-node partition, a partition without a local edge, nodes without
+// in-edges beside a hub wider than all other rows together. stepPair
+// poisons the contribution buffers, pad position included, before every
+// step.
 func FuzzStepMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -468,7 +487,7 @@ func FuzzStepMatchesOracle(f *testing.F) {
 		n := 1 + int(data[0])%24
 		k := 1 + int(data[1])%n
 		cfg := DefaultConfig()
-		cfg.MaxLocalIters = []int{0, 1, 2, 5}[data[2]&3]
+		cfg.MaxLocalIters = []int{0, 1, 2, async.DefaultMaxSteps}[data[2]&3]
 		amp := 0.0
 		if data[2]&4 != 0 {
 			amp = 0.5
