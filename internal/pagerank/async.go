@@ -23,11 +23,19 @@ const publishFraction = 0.1
 // save; a step that stops at q publishes what it has and is not
 // quiescent, so the global stopping test is unchanged. Chosen by the
 // localsweeps experiment's rule (DESIGN.md, EXPERIMENTS.md): the lowest
-// geometric-mean sim_s among the bounds that slow no cell of a grid of
-// 4 375-node partitions, the benchmark's shape. On partitions of a few
-// hundred nodes a sweep costs less than a publish, and EC2 and CluE runs
-// there take up to about 2 % more sim_s than with full local sweeps.
-const AsyncLocalSweeps = 5
+// geometric-mean sim_s among the bounds that slow no cell of the grid.
+// The rule picks 3 on Graph A ÷2 in 32 parts and ÷4 in 16 (the
+// benchmark's 4 375-node shape); on ÷8 in 8 alone it picks 2, which slows
+// a cell of each of the other two. On partitions of a few hundred nodes
+// a sweep costs less than a publish, and runs there take up to about
+// 1.3 % more sim_s than with full local sweeps (CluE, S = 4, 350 nodes a
+// partition). Regenerate the evidence with
+//
+//	go run ./cmd/asyncmr -scale 4 localsweeps
+//
+// whose printed rule must name this value (CI checks it), and -scale 2
+// and 8 for the other two shapes.
+const AsyncLocalSweeps = 3
 
 // AsyncResult of a fully-asynchronous PageRank run.
 type AsyncResult struct {
@@ -37,10 +45,10 @@ type AsyncResult struct {
 	Stats *async.RunStats
 }
 
-// asyncState is one partition's worker payload: a dense local Jacobi
-// solver plus the plan (graph.Exchange) to publish its border nodes'
-// contributions (rank/outdeg) and add up the ones it reads from neighbor
-// snapshots. Every array is indexed by the position sub.Pull gives a node,
+// asyncState is one partition's worker payload: a dense local
+// Gauss-Seidel solver plus the plan (graph.Exchange) to publish its border
+// nodes' contributions (rank/outdeg) and add up the ones it reads from
+// neighbor snapshots. Every array is indexed by the position sub.Pull gives a node,
 // not by its local index, and so are x.Node and x.Border.
 type asyncState struct {
 	sub *graph.SubGraph
@@ -50,10 +58,11 @@ type asyncState struct {
 	// 1-Damping and 0 and stay there (no in-edge, no ghost).
 	rank  []float64
 	ghost []float64
-	// contrib is Step's per-step scratch: every position's contribution
-	// rank/outdeg as a sweep reads it and as it leaves it for the next
-	// one, each with the plan's pad position, a +0, at the end.
-	contrib [2][]float64
+	// contrib is every position's contribution rank/outdeg, the sweep's own
+	// quotient, so rank and contrib never disagree, then the plan's pad
+	// position, a +0. A sweep reads it and writes it in place; it lasts
+	// from step to step, and Restore rebuilds it from rank.
+	contrib []float64
 	// lastPub is the last published contribution vector itself (parallel
 	// to x.Border), for change detection. A published vector is immutable,
 	// so nothing writes through this slice: a publishing step, Restore and
@@ -84,10 +93,10 @@ func (w *asyncWorkload) Residual(p int) float64 { return w.states[p].lastDelta }
 
 // asyncCkpt is one partition's checkpoint for the crash fault model:
 // the mutable cross-step state is the rank vector and the last
-// published contributions. ghost and contrib are per-step scratch,
-// rebuilt from inputs before they are read, so they need no capture.
-// lastDelta is there for the undo buffer, which is the same record (a
-// recovery's replay rebuilds it anyway).
+// published contributions. ghost is per-step scratch, rebuilt from
+// inputs before it is read, and contrib is a function of rank, so
+// neither needs capture. lastDelta is there for the undo buffer, which
+// is the same record (a recovery's replay rebuilds it anyway).
 type asyncCkpt struct {
 	rank      []float64
 	lastPub   []float64
@@ -115,13 +124,25 @@ func (w *asyncWorkload) SaveUndo(p int, buf any) any {
 }
 
 // Restore implements async.Recoverable: rewind the partition to a
-// checkpoint; the runtime then replays the journaled steps, which
-// rebuilds the lost Jacobi iterations deterministically.
+// checkpoint, contributions rebuilt from the ranks bit for bit; the
+// runtime then replays the journaled steps, which rebuilds the lost
+// sweeps deterministically.
 func (w *asyncWorkload) Restore(p int, state any) {
 	c := state.(*asyncCkpt)
 	st := w.states[p]
 	copy(st.rank, c.rank)
+	st.fillContrib()
 	st.lastPub, st.lastDelta = c.lastPub, c.lastDelta
+}
+
+// fillContrib sets every position's contribution from its rank, as a
+// sweep computes it, and the pad's +0.
+func (st *asyncState) fillContrib() {
+	od := st.sub.Pull.OutDeg
+	for i, r := range st.rank {
+		st.contrib[i] = r / od[i]
+	}
+	st.contrib[len(st.rank)] = 0
 }
 
 func (w *asyncWorkload) Init(p int) ([]float64, int64) {
@@ -144,31 +165,21 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	}
 	ops += int64(len(x.Node))
 
-	// Local Jacobi sweeps against frozen ghosts, the same inner loop the
-	// eager gmap runs between global barriers, until local convergence or
-	// the sweep bound, pulled over sub.Pull: each sweep reads one
-	// contribution buffer and fills the other. Both are per-step scratch,
-	// rebuilt from rank here, so rank and lastPub remain the only
-	// cross-step state. A node without out-edges gets contribution +Inf;
-	// no edge and no border entry reads it. A step stopped at the bound
-	// has a largest delta of at least Epsilon, so it is not quiescent and
-	// the runtime steps the partition again.
+	// Local Gauss-Seidel sweeps against frozen ghosts, until local
+	// convergence or the sweep bound, pulled over sub.Pull in place: a
+	// slice reads the contributions the slices before it wrote in this
+	// sweep. A node without out-edges gets contribution +Inf; no edge and
+	// no border entry reads it. A step stopped at the bound has a largest
+	// delta of at least Epsilon, so it is not quiescent and the runtime
+	// steps the partition again.
 	sub := st.sub
-	pull := &sub.Pull
-	rank := st.rank
-	cur, next := st.contrib[0], st.contrib[1]
-	for i, r := range rank {
-		cur[i] = r / pull.OutDeg[i]
-	}
-	cur[len(rank)], next[len(rank)] = 0, 0
 	perSweep := sweepOps(sub)
 	base := 1 - cfg.Damping
 	startDelta := 0.0
 	sweeps := 0
 	maxSweeps := cfg.sweepBound()
 	for sweeps < maxSweeps {
-		delta := sweepSlices(pull, next, rank, cur, st.ghost, base, cfg.Damping)
-		cur, next = next, cur
+		delta := sweepSlices(&sub.Pull, st.rank, st.contrib, st.ghost, base, cfg.Damping)
 		ops += perSweep
 		sweeps++
 		if delta > startDelta {
@@ -185,7 +196,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	pubEps := cfg.Epsilon * publishFraction
 	changed := false
 	for bi, pos := range x.Border {
-		d := cur[pos] - st.lastPub[bi]
+		d := st.contrib[pos] - st.lastPub[bi]
 		if d < 0 {
 			d = -d
 		}
@@ -202,7 +213,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	if changed {
 		pub := make([]float64, len(x.Border))
 		for bi, pos := range x.Border {
-			pub[bi] = cur[pos]
+			pub[bi] = st.contrib[pos]
 		}
 		st.lastPub = pub
 		out.Publish = true
@@ -232,35 +243,36 @@ func sweepOps(sub *graph.SubGraph) int64 {
 // asynchronous step of sub that runs all AsyncLocalSweeps of them.
 func BoundedStepOps(sub *graph.SubGraph) int64 { return AsyncLocalSweeps * sweepOps(sub) }
 
-// sweepSlices is one Jacobi sweep over a pull plan: per slice, the four
-// rows' in-contributions summed side by side from cur, then each row's new
-// rank, its change and its next contribution (into next) straight from the
-// sums. It returns the largest rank change (math.Abs, not a sign branch: a
-// -0 or NaN difference passes d > delta either way).
+// sweepSlices is one Gauss-Seidel sweep over a pull plan, in place: per
+// slice, the four rows' in-contributions summed side by side from contrib,
+// then each row's new rank, its change and its new contribution (back into
+// contrib) straight from the sums. A slice reads what the slices before it
+// wrote in this sweep, while its own four rows read one another's values
+// from before it. It returns the largest rank change (math.Abs, not a sign
+// branch: a -0 or NaN difference passes d > delta either way).
 //
 // Every row adds its in-neighbours in push order, from +0, and pads add
-// cur's last entry, a +0, after them: the sum an accumulator array swept
-// over the flat edge list would hold, to the bit (DESIGN.md §5b). rank
-// and ghost have one entry per position, cur and next one more.
+// contrib's last entry, a +0, after them (DESIGN.md §5b). rank and ghost
+// have one entry per position, contrib one more.
 //
 // A leaf, kept so by go:noinline, and handed the plan rather than its
 // arrays, for the register allocator's sake: the edge loop keeps its four
-// sums, its cursor and cur in registers and touches no stack slot
+// sums, its cursor and contrib in registers and touches no stack slot
 // (TestSweepKernelsKeepNoStackTraffic); the plan's slice headers are
 // reloaded once a slice, not once an entry.
 //
 //go:noinline
-func sweepSlices(pl *graph.PullPlan, next, rank, cur, ghost []float64, base, damping float64) (delta float64) {
+func sweepSlices(pl *graph.PullPlan, rank, contrib, ghost []float64, base, damping float64) (delta float64) {
 	for s := 1; s < len(pl.Start); s++ {
 		var a0, a1, a2, a3 float64
 		for _, q := range pl.Src[pl.Start[s-1]:pl.Start[s]] {
-			a0 += cur[q.R0]
-			a1 += cur[q.R1]
-			a2 += cur[q.R2]
-			a3 += cur[q.R3]
+			a0 += contrib[q.R0]
+			a1 += contrib[q.R1]
+			a2 += contrib[q.R2]
+			a3 += contrib[q.R3]
 		}
 		i := 4 * (s - 1)
-		r, g, od, nx := rank[i:i+4], ghost[i:i+4], pl.OutDeg[i:i+4], next[i:i+4]
+		r, g, od, c := rank[i:i+4], ghost[i:i+4], pl.OutDeg[i:i+4], contrib[i:i+4]
 		n0 := base + damping*(a0+g[0])
 		n1 := base + damping*(a1+g[1])
 		n2 := base + damping*(a2+g[2])
@@ -278,7 +290,7 @@ func sweepSlices(pl *graph.PullPlan, next, rank, cur, ghost []float64, base, dam
 			delta = d
 		}
 		r[0], r[1], r[2], r[3] = n0, n1, n2, n3
-		nx[0], nx[1], nx[2], nx[3] = n0/od[0], n1/od[1], n2/od[2], n3/od[3]
+		c[0], c[1], c[2], c[3] = n0/od[0], n1/od[1], n2/od[2], n3/od[3]
 	}
 	return delta
 }
@@ -345,7 +357,7 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 			x:       xs[p],
 			rank:    make([]float64, m),
 			ghost:   make([]float64, m),
-			contrib: [2][]float64{make([]float64, m+1), make([]float64, m+1)},
+			contrib: make([]float64, m+1),
 		}
 		st.lastDelta = 1 // pre-step residual: the initial rank magnitude
 		for r := range st.rank {
@@ -354,6 +366,7 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 		for r := s.NumNodes(); r < m; r++ {
 			st.rank[r] = 1 - cfg.Damping // what a sweep computes there, so no change
 		}
+		st.fillContrib()
 		// The plan is this run's own copy.
 		for r, li := range st.x.Node {
 			st.x.Node[r] = pos[li]

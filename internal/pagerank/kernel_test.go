@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,9 +22,11 @@ import (
 // the last slice one, two and three nodes short, nodes without in-edges
 // beside a hub wider than all other rows together, a repeated edge. The
 // contributions are chosen so that any other order rounds differently, and
-// base and damping so that the new rank is the sum itself.
+// base and damping so that the new rank is the sum itself. The sweep is in
+// place, so the model is too: slice by slice in position order, a slice's
+// four sums read before any of its rows is written.
 func TestSweepSlicesSumsInPushOrder(t *testing.T) {
-	contrib := []float64{1e16, 1, -1e16, 3, 1e-3, 0.1, -2, 1e-17, 7}
+	contribs := []float64{1e16, 1, -1e16, 3, 1e-3, 0.1, -2, 1e-17, 7}
 	for _, c := range []struct {
 		name  string
 		nodes int
@@ -47,30 +50,72 @@ func TestSweepSlicesSumsInPushOrder(t *testing.T) {
 		s := subs[0]
 		pl := s.Pull
 		m := len(pl.OutDeg)
-		rank, ghost, ones := make([]float64, m), make([]float64, m), make([]float64, m)
-		cur, next := make([]float64, m+1), make([]float64, m+1)
-		want := make([]float64, c.nodes)
+		rank, ghost, ones, contrib := make([]float64, m), make([]float64, m), make([]float64, m), make([]float64, m+1)
 		for li, r := range pl.Pos {
-			cur[r] = contrib[li]
+			contrib[r] = contribs[li]
 		}
 		for i := range ones {
 			ones[i] = 1
 		}
+		// The model: in-neighbours by push order, nodes by position.
+		in := make([][]int, c.nodes)
+		at := make([]int, m)
+		for i := range at {
+			at[i] = -1
+		}
 		for i, adj := range s.OutLocal {
 			for _, d := range adj {
-				want[d] += contrib[i]
+				in[d] = append(in[d], i)
+			}
+			at[pl.Pos[i]] = i
+		}
+		want, wantDelta := slices.Clone(contribs[:c.nodes]), 0.0
+		for r := 0; r < m; r += graph.PullRows {
+			var sums [graph.PullRows]float64
+			for j := range sums {
+				if li := at[r+j]; li >= 0 {
+					for _, src := range in[li] {
+						sums[j] += want[src]
+					}
+				}
+			}
+			for j, sum := range sums {
+				if li := at[r+j]; li >= 0 {
+					want[li] = sum
+					wantDelta = max(wantDelta, math.Abs(sum))
+				}
 			}
 		}
 		pl.OutDeg = ones
-		delta := sweepSlices(&pl, next, rank, cur, ghost, 0, 1)
-		got, wantDelta := make([]float64, c.nodes), 0.0
+		delta := sweepSlices(&pl, rank, contrib, ghost, 0, 1)
+		got := make([]float64, c.nodes)
 		for li, r := range pl.Pos {
 			got[li] = rank[r]
-			wantDelta = max(wantDelta, math.Abs(want[li]))
 		}
-		if !sameBits(got, want) || !sameBits(next[:m], rank) || delta != wantDelta {
-			t.Errorf("%s: sums %v (next %v, delta %g), in-order sums %v (delta %g)", c.name, got, next, delta, want, wantDelta)
+		if !sameBits(got, want) || !sameBits(contrib[:m], rank) || contrib[m] != 0 || delta != wantDelta {
+			t.Errorf("%s: sums %v (contributions %v, delta %g), in-order sums %v (delta %g)", c.name, got, contrib, delta, want, wantDelta)
 		}
+	}
+}
+
+// TestSweepSlicesReadsEarlierSlicesNew pins what in place means for the
+// kernel: position 4, in the second slice, reads position 0's contribution
+// as the first slice wrote it in this sweep, while positions 0 and 1, in
+// one slice, read each other's from before it. A sweep into a separate
+// buffer (Jacobi) gives position 4 10, not 20.
+func TestSweepSlicesReadsEarlierSlicesNew(t *testing.T) {
+	const pad = 8
+	pl := &graph.PullPlan{
+		Start:  []int32{0, 1, 2},
+		Src:    []graph.PullQuad{{R0: 1, R1: 0, R2: pad, R3: pad}, {R0: 0, R1: pad, R2: pad, R3: pad}},
+		OutDeg: []float64{1, 1, 1, 1, 1, 1, 1, 1},
+	}
+	rank := []float64{10, 20, 0, 0, 0, 0, 0, 0}
+	contrib := append(slices.Clone(rank), 0)
+	delta := sweepSlices(pl, rank, contrib, make([]float64, pad), 0, 1)
+	want := []float64{20, 10, 0, 0, 20, 0, 0, 0}
+	if !sameBits(rank, want) || !sameBits(contrib, append(want, 0)) || delta != 20 {
+		t.Fatalf("ranks %v, contributions %v, delta %g; want ranks %v, delta 20", rank, contrib, delta, want)
 	}
 }
 
@@ -129,14 +174,14 @@ func TestSweepSlicesDeltaMatchesBranch(t *testing.T) {
 	clone := func(s []float64, extra ...float64) []float64 { return append(append([]float64(nil), s...), extra...) }
 	check := func(what string, rank, sum, ghost, outDeg []float64, start []int32, src []graph.PullQuad) {
 		t.Helper()
-		r1, n1 := clone(rank), make([]float64, len(rank)+1)
+		r1, c1 := clone(rank), clone(sum, 0)
 		r2, n2 := clone(rank), make([]float64, len(rank)+1)
-		got := sweepSlices(&graph.PullPlan{Start: start, Src: src, OutDeg: outDeg}, n1, r1, clone(sum, 0), ghost, base, damping)
+		got := sweepSlices(&graph.PullPlan{Start: start, Src: src, OutDeg: outDeg}, r1, c1, ghost, base, damping)
 		want := foldBranch(r2, sum, ghost, outDeg, n2, base, damping)
 		switch {
 		case math.Float64bits(got) != math.Float64bits(want):
 			t.Fatalf("%s: delta %g, with the branch %g", what, got, want)
-		case !sameBits(r1, r2) || !sameBits(n1, n2):
+		case !sameBits(r1, r2) || !sameBits(c1, n2):
 			t.Fatalf("%s: rank or contribution differ from the branch loop's", what)
 		}
 	}
@@ -152,10 +197,10 @@ func TestSweepSlicesDeltaMatchesBranch(t *testing.T) {
 
 	// A node without out-edges gets +Inf; the hand-built graph of
 	// TestStepMatchesOracle has one, and no edge or border entry reads it.
-	next := make([]float64, 5)
-	sweepSlices(&graph.PullPlan{Start: []int32{0, 0}, OutDeg: []float64{0, 1, 1, 1}}, next, []float64{1, 1, 1, 1}, make([]float64, 5), make([]float64, 4), base, damping)
-	if !math.IsInf(next[0], 1) {
-		t.Fatalf("contribution of a node without out-edges %g, want +Inf", next[0])
+	contrib := make([]float64, 5)
+	sweepSlices(&graph.PullPlan{Start: []int32{0, 0}, OutDeg: []float64{0, 1, 1, 1}}, []float64{1, 1, 1, 1}, contrib, make([]float64, 4), base, damping)
+	if !math.IsInf(contrib[0], 1) {
+		t.Fatalf("contribution of a node without out-edges %g, want +Inf", contrib[0])
 	}
 }
 

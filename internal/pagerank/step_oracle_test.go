@@ -13,14 +13,19 @@ import (
 )
 
 // oracleState is one partition as stepOracle keeps it: every array by
-// local index, the exchange plan as graph.BuildExchange returns it, and
-// nothing of the pull plan.
+// local index, the exchange plan as graph.BuildExchange returns it, and of
+// the pull plan only the order of its positions.
 type oracleState struct {
-	sub                       *graph.SubGraph
-	x                         graph.Exchange
-	rank, ghost, acc, scratch []float64
-	lastPub                   []float64
-	lastDelta                 float64
+	sub              *graph.SubGraph
+	x                graph.Exchange
+	rank, ghost      []float64
+	scratch, lastPub []float64
+	lastDelta        float64
+	// in lists every node's local in-neighbours in push order (source
+	// ascending, adjacency order), gathered from OutLocal; byPos lists the
+	// nodes in Pull.Pos order.
+	in    [][]int32
+	byPos []int32
 }
 
 type oracleWorkload struct {
@@ -37,9 +42,14 @@ func newOracleWorkload(t testing.TB, subs []*graph.SubGraph, cfg Config) *oracle
 	w := &oracleWorkload{cfg: cfg}
 	for p, s := range subs {
 		n := s.NumNodes()
-		st := &oracleState{sub: s, x: xs[p], rank: make([]float64, n), ghost: make([]float64, n), acc: make([]float64, n), scratch: make([]float64, n)}
-		for li := range st.rank {
+		st := &oracleState{sub: s, x: xs[p], rank: make([]float64, n), ghost: make([]float64, n), scratch: make([]float64, n),
+			in: make([][]int32, n), byPos: make([]int32, n)}
+		for li, adj := range s.OutLocal {
 			st.rank[li] = 1
+			st.byPos[s.Pull.Pos[li]] = int32(li)
+			for _, dst := range adj {
+				st.in[dst] = append(st.in[dst], int32(li))
+			}
 		}
 		for _, li := range st.x.Border {
 			st.lastPub = append(st.lastPub, 1/float64(s.OutDeg[li]))
@@ -50,9 +60,10 @@ func newOracleWorkload(t testing.TB, subs []*graph.SubGraph, cfg Config) *oracle
 	return w
 }
 
-// stepOracle is the naive model of asyncWorkload.Step: every node pushes
-// rank/outdeg down its own OutLocal list into a freshly cleared
-// accumulator, new ranks go to scratch and are copied back, and the
+// stepOracle is the naive model of asyncWorkload.Step: ranks updated in
+// place, PullRows nodes at a time in Pull.Pos order, each group's new ranks
+// all computed before any of them is written; every new rank sums its
+// in-neighbours' rank/outdeg, divided on the spot, in push order; the
 // publication scan divides again. Tests compare the production Step
 // against it; it is not a second production path.
 func stepOracle(w *oracleWorkload, p int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
@@ -73,34 +84,30 @@ func stepOracle(w *oracleWorkload, p int, inputs []async.Snapshot[[]float64]) as
 	startDelta := 0.0
 	sweeps := 0
 	for sweeps < cfg.sweepBound() {
-		for i := range st.acc {
-			st.acc[i] = 0
-		}
-		for li := range sub.Nodes {
-			deg := sub.OutDeg[li]
-			if deg == 0 {
-				continue
-			}
-			c := st.rank[li] / float64(deg)
-			for _, dst := range sub.OutLocal[li] {
-				st.acc[dst] += c
-			}
-			ops += int64(len(sub.OutLocal[li]))
-		}
 		delta := 0.0
-		for i := range sub.Nodes {
-			nr := base + cfg.Damping*(st.acc[i]+st.ghost[i])
-			d := nr - st.rank[i]
-			if d < 0 {
-				d = -d
+		for k := 0; k < len(st.byPos); k += graph.PullRows {
+			group := st.byPos[k:min(k+graph.PullRows, len(st.byPos))]
+			var next [graph.PullRows]float64
+			for j, li := range group {
+				sum := 0.0
+				for _, src := range st.in[li] {
+					sum += st.rank[src] / float64(sub.OutDeg[src])
+				}
+				next[j] = base + cfg.Damping*(sum+st.ghost[li])
+				ops += int64(len(st.in[li]))
 			}
-			if d > delta {
-				delta = d
+			for j, li := range group {
+				d := next[j] - st.rank[li]
+				if d < 0 {
+					d = -d
+				}
+				if d > delta {
+					delta = d
+				}
+				st.rank[li] = next[j]
 			}
-			st.scratch[i] = nr
 		}
 		ops += int64(len(sub.Nodes)) * 2
-		copy(st.rank, st.scratch)
 		sweeps++
 		if delta > startDelta {
 			startDelta = delta
@@ -249,14 +256,12 @@ func (sp *stepPair) step(p, step int) (async.StepOutcome[[]float64], string) {
 	return want, ""
 }
 
-// poisonScratch fills what a step must rebuild before it reads it — both
-// contribution buffers, pad position included — with NaN: a step that read
-// what the last one left there would carry it into its ranks.
+// poisonScratch fills what a step must rebuild before it reads it, the
+// ghost sums, with NaN: a step that read what the last one left there
+// would carry it into its ranks.
 func poisonScratch(st *asyncState) {
-	for _, c := range st.contrib {
-		for i := range c {
-			c[i] = math.NaN()
-		}
+	for i := range st.ghost {
+		st.ghost[i] = math.NaN()
 	}
 }
 
@@ -382,7 +387,8 @@ func TestStepMatchesOracle(t *testing.T) {
 // from one step to the next beyond what a checkpoint captures: partitions
 // checkpointed mid-run, stepped further on snapshots the oracle never
 // sees and then restored must go on exactly as the oracle does from the
-// checkpointed point.
+// checkpointed point. The contributions, which last from step to step, are
+// poisoned before Restore, which must rebuild them from the ranks.
 func TestStepAfterRestoreMatchesOracle(t *testing.T) {
 	for _, build := range []func(testing.TB) []*graph.SubGraph{handBuilt, graphASubs(140)} {
 		sp := newStepPair(t, build(t), DefaultConfig(), 0.5, 3)
@@ -397,6 +403,10 @@ func TestStepAfterRestoreMatchesOracle(t *testing.T) {
 			}
 		}
 		for p, c := range ckpts {
+			st := sp.kernel.states[p]
+			for i := range st.contrib {
+				st.contrib[i] = math.NaN()
+			}
 			sp.kernel.Restore(p, c)
 		}
 		sp.run(t, 3, 6)
@@ -476,8 +486,7 @@ func TestAsyncRejectsMalformedPullPlan(t *testing.T) {
 // the shapes the pull plan pads for: node counts one, two and three past a multiple of four, a
 // one-node partition, a partition without a local edge, nodes without
 // in-edges beside a hub wider than all other rows together. stepPair
-// poisons the contribution buffers, pad position included, before every
-// step.
+// poisons the ghost sums before every step.
 func FuzzStepMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
