@@ -93,7 +93,7 @@ func (d *Driver[P, K, V]) Run(splits []mapreduce.Split[P]) (*RunStats, error) {
 			Phases:          res.Phases,
 			ShuffleBytes:    res.ShuffleBytes,
 			ShuffleRecords:  res.ShuffleRecords,
-			LocalIterations: res.Counters["core.local_iterations"],
+			LocalIterations: res.Counters[LocalIterationsCounter],
 			Failures:        res.Failures,
 		}
 		stats.PerIteration = append(stats.PerIteration, it)

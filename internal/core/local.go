@@ -473,6 +473,10 @@ func (s *LocalSpec[P, E, K, V]) newContext(tc *mapreduce.TaskContext[K, V]) *Loc
 	return lc
 }
 
+// LocalIterationsCounter is the task counter a gmap adds its local
+// iteration count to; Driver sums it into IterationStats.LocalIterations.
+const LocalIterationsCounter = "core.local_iterations"
+
 // runTask is one gmap task on an armed context: local iterations to
 // local convergence, then the global emission.
 func runTask[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc *LocalContext[K, V], tc *mapreduce.TaskContext[K, V], part P) {
@@ -498,7 +502,7 @@ func runTask[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc 
 		}
 	}
 	tc.Charge(lc.ops)
-	tc.Counter("core.local_iterations", int64(lc.localIter))
+	tc.Counter(LocalIterationsCounter, int64(lc.localIter))
 	if spec.Output != nil {
 		spec.Output(tc, part, lc)
 	} else {

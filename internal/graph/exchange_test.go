@@ -149,8 +149,18 @@ func TestBuildExchangeMatchesNaive(t *testing.T) {
 // (1 476 undirected) on these partitions. Every array is filled to its
 // capacity. It counts runtime.MemStats.Mallocs deltas, as
 // TestAllocBudgets does.
+//
+// Mallocs counts the runtime's own heap objects too. Starting an OS
+// thread allocates five (its m, two goroutines and two profiling stacks,
+// go1.24), and the scheduler starts one whenever a goroutine wakes with a
+// P idle and no thread parked, as the collector's workers do: a thread
+// started during the build took the count over the budget now and then.
+// With one P, as testing.AllocsPerRun measures, a wake has no idle P to
+// start a thread for; the forced collection keeps the first cycle's
+// worker goroutines, which are allocated too, out of the count.
 func TestBuildExchangeAllocs(t *testing.T) {
 	const budget = 12
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := MustGenerate(GraphAConfig().Scaled(4))
 	subs, err := BuildSubGraphs(g, scatteredParts(g.NumNodes(), 16), 16)
 	if err != nil {
@@ -158,6 +168,7 @@ func TestBuildExchangeAllocs(t *testing.T) {
 	}
 	for _, undirected := range []bool{false, true} {
 		var before, after runtime.MemStats
+		runtime.GC()
 		runtime.ReadMemStats(&before)
 		xs, _, err := BuildExchange(subs, undirected)
 		runtime.ReadMemStats(&after)

@@ -1,9 +1,3 @@
-//go:build !race
-
-// The race detector makes sync.Pool drop a share of what it is handed,
-// so pooled contexts do not stay warm under -race and an allocation
-// count there measures the detector, not the runtime.
-
 package pagerank
 
 import (
@@ -22,11 +16,12 @@ const warmIterationBudget = 8
 // checkWarmIterationAllocs pins a formulation's allocation count per
 // global iteration once it is warm. From the second iteration on every
 // task finds the job's run scratch sized — map-output, shuffle and
-// reduce-output buffers, and its own grouper — and an eager map task a
-// pooled LocalContext with sized tables, so what is left is per-run and
-// per-task bookkeeping: task contexts, counters, stats, the caller's
-// Output copy. A reduce output that grew from nil again would add the
-// logarithm of its length to every reduce task.
+// reduce-output buffers, and its own grouper — and an eager map task
+// sweeps in its state's working arrays, which newStates allocates once,
+// so what is left is per-run and per-task bookkeeping: task contexts,
+// counters, stats, the caller's Output copy. A reduce output that grew
+// from nil again would add the logarithm of its length to every reduce
+// task.
 func checkWarmIterationAllocs(t *testing.T, eager bool) {
 	for _, scale := range []int{140, 35} { // 2000 and 8000 nodes
 		g := graph.MustGenerate(graph.GraphAConfig().Scaled(scale))

@@ -326,6 +326,26 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	return &AsyncResult{Ranks: ranks, Stats: stats}, nil
 }
 
+// checkPull rejects partition p's sub-graph unless its pull plan and flat
+// edge list match its adjacency lists. The local sweeps read the plan
+// only; a sub-graph built without it, or edited since, would lose local
+// edges without a sign or index out of range. The flat edge list is what
+// a sweep is priced at.
+func checkPull(p int, s *graph.SubGraph) error {
+	local := 0
+	for _, adj := range s.OutLocal {
+		local += len(adj)
+	}
+	if len(s.LocalDst) != local {
+		return fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d destinations",
+			p, local, len(s.LocalDst))
+	}
+	if err := s.Pull.Check(s.NumNodes(), local); err != nil {
+		return fmt.Errorf("pagerank: partition %d: %w", p, err)
+	}
+	return nil
+}
+
 // buildAsyncWorkload builds every partition's solver state around its
 // boundary exchange plan, moved from local indices to the pull plan's
 // positions; contributions follow edge direction.
@@ -336,19 +356,8 @@ func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int
 	}
 	states := make([]*asyncState, len(subs))
 	for p, s := range subs {
-		// Step sweeps the pull plan only; a sub-graph built without it, or
-		// edited since, would lose local edges without a sign or index out
-		// of range. The flat edge list is what Step prices.
-		local := 0
-		for _, adj := range s.OutLocal {
-			local += len(adj)
-		}
-		if len(s.LocalDst) != local {
-			return nil, 0, fmt.Errorf("pagerank: partition %d lists %d local edges but its flat edge list holds %d destinations",
-				p, local, len(s.LocalDst))
-		}
-		if err := s.Pull.Check(s.NumNodes(), local); err != nil {
-			return nil, 0, fmt.Errorf("pagerank: partition %d: %w", p, err)
+		if err := checkPull(p, s); err != nil {
+			return nil, 0, err
 		}
 		pos := s.Pull.Pos
 		m := len(s.Pull.OutDeg)

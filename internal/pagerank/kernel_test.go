@@ -204,15 +204,15 @@ func TestSweepSlicesDeltaMatchesBranch(t *testing.T) {
 	}
 }
 
-// TestSweepKernelsKeepNoStackTraffic holds what the kernel is a leaf for:
-// its compiled edge loop touches no stack slot. It builds the package's
-// test binary as go test -c does, disassembles it, takes the innermost loop
-// as the shortest span from the target of a backward conditional jump to
-// that jump, and fails on any SP-relative operand inside it. A kernel that
-// was inlined away has no symbol and fails too. (The same loop over
-// [4]int32 entries copies each entry through the stack; handed the plan's
-// three arrays instead of the plan, it reloads two spilled slice headers
-// every iteration — go1.24.0, amd64.)
+// TestSweepKernelsKeepNoStackTraffic holds what the kernels are leaves
+// for: each one's compiled edge loop touches no stack slot. It builds the
+// package's test binary as go test -c does, disassembles it, takes the
+// innermost loop as the shortest span from the target of a backward
+// conditional jump to that jump, and fails on any SP-relative operand
+// inside it. A kernel that was inlined away has no symbol and fails too.
+// (The same loop over [4]int32 entries copies each entry through the
+// stack; handed the plan's three arrays instead of the plan, it reloads
+// two spilled slice headers every iteration — go1.24.0, amd64.)
 func TestSweepKernelsKeepNoStackTraffic(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("reads amd64 disassembly")
@@ -234,7 +234,7 @@ func TestSweepKernelsKeepNoStackTraffic(t *testing.T) {
 	if out, err := exec.Command(goTool, "test", "-c", "-o", exe, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go test -c: %v\n%s", err, out)
 	}
-	for _, kernel := range []string{"sweepSlices"} {
+	for _, kernel := range []string{"sweepSlices", "sweepJacobi"} {
 		out, err := exec.Command(goTool, "tool", "objdump", "-s", `^repro/internal/pagerank\.`+kernel+`$`, exe).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go tool objdump: %v\n%s", err, out)

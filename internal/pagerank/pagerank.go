@@ -10,12 +10,14 @@
 //     synchronization per sweep over the graph.
 //
 //   - Eager: the partial-synchronization formulation. Each global map
-//     runs local MapReduce iterations (lmap/lreduce via internal/core) on
-//     its sub-graph until the sub-graph's ranks are self-consistent,
-//     treating cross-partition contributions as frozen "ghost" values;
-//     only then does a global synchronization disseminate ranks across
-//     sub-graphs. Serial operation count rises; global synchronizations
-//     fall; on a distributed platform time falls with them.
+//     runs local iterations on its sub-graph until the sub-graph's ranks
+//     are self-consistent, treating cross-partition contributions as
+//     frozen "ghost" values; only then does a global synchronization
+//     disseminate ranks across sub-graphs. Serial operation count rises;
+//     global synchronizations fall; on a distributed platform time falls
+//     with them. A local iteration is the paper's lmap/lreduce pair,
+//     computed as one Jacobi sweep over the partition's pull plan and
+//     priced as what internal/core's runtime would charge for the pair.
 //
 // Both use the paper's rank update (equation 1):
 //
@@ -27,6 +29,7 @@ package pagerank
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -145,22 +148,25 @@ type state struct {
 	sub *graph.SubGraph
 	// rank[i] is the current rank of sub.Nodes[i].
 	rank []float64
-	// ghost[i] is the frozen cross-partition contribution sum for
-	// sub.Nodes[i], recomputed at every global synchronization. Only the
-	// eager spec reads it, so only an eager run keeps it up to date.
-	ghost []float64
-	// localDelta is the last local iteration's max rank change (eager).
-	localDelta float64
-	// scratch receives new ranks during Apply.
-	scratch []float64
 	// dstKeys/edgeSlot are the push plan (buildPushPlan) and accVals
-	// pushContributions' accumulator over it; elems caches the
-	// (constant) lmap element list. One task owns a state at a time, so
-	// unsynchronized reuse is safe.
+	// pushContributions' accumulator over it. One task owns a state at a
+	// time, so unsynchronized reuse is safe.
 	dstKeys  []int64
 	edgeSlot []int32
 	accVals  []float64
-	elems    []int32
+	// local is the eager formulation's working arrays; a general run
+	// leaves it empty.
+	local localSweep
+}
+
+// localSweep is what the eager formulation's local iterations work on,
+// every array by sub.Pull position: rank is the ranks; ghost[r] is the
+// frozen cross-partition contribution sum of the node at position r,
+// recomputed at every global synchronization and 0 at the extra
+// positions; cur and next are the contributions a sweep reads and those
+// it writes, each with the plan's pad position, a +0, at the end.
+type localSweep struct {
+	rank, ghost, cur, next []float64
 }
 
 // Result of a PageRank run.
@@ -175,17 +181,28 @@ type Result struct {
 // Run executes PageRank over the given sub-graphs (from
 // graph.BuildSubGraphs) using engine. eager selects the formulation.
 func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
+	return run(engine, subs, cfg, eager, buildJob(cfg, eager))
+}
+
+// run is Run with the per-iteration job given.
+func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
+	if eager {
+		for p, s := range subs {
+			if err := checkPull(p, s); err != nil {
+				return nil, err
+			}
+		}
+	}
 	states, ranks, outDeg := newStates(subs, eager)
 	splits := newSplits(engine, states)
 	n := len(ranks)
 
-	job := buildJob(cfg, eager)
 	next := make([]float64, n) // Update scratch, reused every iteration
 	driver := &core.Driver[*state, int64, float64]{
 		Engine: engine,
@@ -237,9 +254,9 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 }
 
 // newStates builds every partition's state — initial ranks, push plan
-// and, for the eager formulation, ghost sums — and the global state the
-// driver holds (the simulated DFS contents): current rank and out-degree
-// of every node.
+// and, for the eager formulation, ghost sums and the local iterations'
+// working arrays — and the global state the driver holds (the simulated
+// DFS contents): current rank and out-degree of every node.
 func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []float64, outDeg []int32) {
 	n := 0
 	for _, s := range subs {
@@ -250,18 +267,22 @@ func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []flo
 	states = make([]*state, len(subs))
 	planScratch := make([]int32, n)
 	for i, s := range subs {
-		st := &state{
-			sub:     s,
-			rank:    make([]float64, s.NumNodes()),
-			ghost:   make([]float64, s.NumNodes()),
-			scratch: make([]float64, s.NumNodes()),
-		}
+		st := &state{sub: s, rank: make([]float64, s.NumNodes())}
 		for li, u := range s.Nodes {
 			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
 			ranks[u] = 1
 			outDeg[u] = s.OutDeg[li]
 		}
 		st.buildPushPlan(planScratch)
+		if eager {
+			m := len(s.Pull.OutDeg)
+			st.local = localSweep{
+				rank:  make([]float64, m),
+				ghost: make([]float64, m),
+				cur:   make([]float64, m+1),
+				next:  make([]float64, m+1),
+			}
+		}
 		states[i] = st
 	}
 	if eager {
@@ -287,15 +308,16 @@ func newSplits(engine *mapreduce.Engine, states []*state) []mapreduce.Split[*sta
 }
 
 // refreshGhosts recomputes every partition's frozen cross-partition
-// contribution sums from the current global ranks.
+// contribution sums from the current global ranks, by position.
 func refreshGhosts(states []*state, ranks []float64, outDeg []int32) {
 	for _, st := range states {
-		for li := range st.sub.Nodes {
+		pos := st.sub.Pull.Pos
+		for li, srcs := range st.sub.InRemote {
 			var sum float64
-			for _, s := range st.sub.InRemote[li] {
+			for _, s := range srcs {
 				sum += ranks[s] / float64(outDeg[s])
 			}
-			st.ghost[li] = sum
+			st.local.ghost[pos[li]] = sum
 		}
 	}
 }
@@ -321,7 +343,7 @@ func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
 		return job
 	}
 	job.Name = "pagerank-eager"
-	job.Map = core.BuildGMap(eagerSpec(cfg))
+	job.Map = eagerMap(cfg)
 	return job
 }
 
@@ -334,79 +356,95 @@ func generalMap(ctx *mapreduce.TaskContext[int64, float64], split mapreduce.Spli
 	pushContributions(ctx, split.Data)
 }
 
-// eagerSpec wires the paper's lmap/lreduce for PageRank into the partial
-// synchronization runtime.
-func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
-	return &core.LocalSpec[*state, int32, int64, float64]{
-		// xs: the partition's local node indices (constant, built once).
-		Elements: func(st *state) []int32 {
-			if st.elems == nil {
-				st.elems = make([]int32, len(st.sub.Nodes))
-				for i := range st.elems {
-					st.elems[i] = int32(i)
-				}
+// eagerMap is the eager gmap: local iterations to local convergence —
+// the largest rank change of a sweep below Epsilon, or MaxLocalIters
+// sweeps when that is above 0 — then the global emission. A local
+// iteration is the paper's lmap, every node pushing rank/outdeg along
+// its partition-internal edges, and lreduce, each node's frozen ghost sum
+// plus those contributions in push order, computed as one Jacobi sweep
+// (sweepJacobi) over sub.Pull: the sums and the order they are added in
+// are the ones lmap/lreduce through core.BuildGMap make, so ranks come
+// out bit for bit the same. So does the pricing: what runTask charges
+// for the pair, one partial synchronization and an lmap and an lreduce
+// operation per local edge a sweep, and the local iteration count.
+func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
+	base := 1 - cfg.Damping
+	return func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
+		st := split.Data
+		sub := st.sub
+		pl, w := &sub.Pull, &st.local
+		for li, r := range pl.Pos {
+			w.rank[r] = st.rank[li]
+			w.cur[r] = st.rank[li] / pl.OutDeg[r]
+		}
+		for r := sub.NumNodes(); r < len(w.rank); r++ {
+			w.rank[r] = base // what a sweep computes there, so no change
+		}
+		sweeps := 0
+		for {
+			delta := sweepJacobi(pl, w, base, cfg.Damping)
+			w.cur, w.next = w.next, w.cur
+			tc.LocalSync()
+			sweeps++
+			if cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters || delta < cfg.Epsilon {
+				break
 			}
-			return st.elems
-		},
-		// lmap: push rank along partition-internal edges only;
-		// cross-partition neighbors wait for the global synchronization.
-		LMap: func(lc *core.LocalContext[int64, float64], st *state, li int32) {
-			sub := st.sub
-			deg := sub.OutDeg[li]
-			if deg == 0 {
-				return
-			}
-			c := st.rank[li] / float64(deg)
-			for _, dst := range sub.OutLocal[li] {
-				lc.EmitLocalIntermediate(int64(dst), c)
-			}
-			lc.Charge(int64(len(sub.OutLocal[li])))
-		},
-		// lreduce: fold local contributions with the frozen ghost sum.
-		LReduce: func(lc *core.LocalContext[int64, float64], st *state, key int64, values []float64) {
-			sum := st.ghost[key]
-			for _, v := range values {
-				sum += v
-			}
-			lc.Charge(int64(len(values)))
-			lc.EmitLocal(key, (1-cfg.Damping)+cfg.Damping*sum)
-		},
-		// Partial synchronization barrier: integrate new local ranks,
-		// measure the local delta.
-		Apply: func(st *state, lc *core.LocalContext[int64, float64]) {
-			sub := st.sub
-			base := 1 - cfg.Damping
-			for li := range sub.Nodes {
-				nr := base + cfg.Damping*st.ghost[li]
-				if v, ok := lc.Value(int64(li)); ok {
-					nr = v
-				}
-				st.scratch[li] = nr
-			}
-			delta := 0.0
-			for li := range st.scratch {
-				d := st.scratch[li] - st.rank[li]
-				if d < 0 {
-					d = -d
-				}
-				if d > delta {
-					delta = d
-				}
-			}
-			copy(st.rank, st.scratch)
-			st.localDelta = delta
-		},
-		Converged: func(st *state, _ *core.LocalContext[int64, float64]) bool {
-			return st.localDelta < cfg.Epsilon
-		},
-		MaxLocalIters: cfg.MaxLocalIters,
-		// Global emission: after local convergence every node pushes its
-		// rank to all out-links — internal and cross — aggregated per
-		// destination; greduce recomputes every rank globally.
-		Output: func(tc *mapreduce.TaskContext[int64, float64], st *state, _ *core.LocalContext[int64, float64]) {
-			pushContributions(tc, st)
-		},
-		// Keys are local node indices, 0..len(sub.Nodes)-1.
-		KeyIndex: func(k int64) int { return int(k) },
+		}
+		for li, r := range pl.Pos {
+			st.rank[li] = w.rank[r]
+		}
+		tc.Charge(2 * int64(len(sub.LocalDst)) * int64(sweeps))
+		tc.Counter(core.LocalIterationsCounter, int64(sweeps))
+		pushContributions(tc, st)
 	}
+}
+
+// sweepJacobi is one Jacobi sweep of w over a pull plan: per slice, the
+// four rows' sums, each started from the row's ghost and adding its
+// in-neighbours' contributions from w.cur in push order (the pads after
+// them add cur's last entry, a +0), then each row's new rank, its change
+// and its new contribution into w.next. It returns the largest rank
+// change.
+//
+// A leaf like sweepSlices, and for the same reason: its edge loop keeps
+// the four sums, its cursor and cur in registers
+// (TestSweepKernelsKeepNoStackTraffic). It takes the four arrays behind
+// one pointer, as it takes the plan: passed as slices, with ghost read
+// before the edge loop, the loop reloads a spilled ghost header on every
+// entry (go1.24.0, amd64).
+//
+//go:noinline
+func sweepJacobi(pl *graph.PullPlan, w *localSweep, base, damping float64) (delta float64) {
+	cur := w.cur
+	for s := 1; s < len(pl.Start); s++ {
+		i := 4 * (s - 1)
+		g := w.ghost[i : i+4]
+		a0, a1, a2, a3 := g[0], g[1], g[2], g[3]
+		for _, q := range pl.Src[pl.Start[s-1]:pl.Start[s]] {
+			a0 += cur[q.R0]
+			a1 += cur[q.R1]
+			a2 += cur[q.R2]
+			a3 += cur[q.R3]
+		}
+		r, od, c := w.rank[i:i+4], pl.OutDeg[i:i+4], w.next[i:i+4]
+		n0 := base + damping*a0
+		n1 := base + damping*a1
+		n2 := base + damping*a2
+		n3 := base + damping*a3
+		if d := math.Abs(n0 - r[0]); d > delta {
+			delta = d
+		}
+		if d := math.Abs(n1 - r[1]); d > delta {
+			delta = d
+		}
+		if d := math.Abs(n2 - r[2]); d > delta {
+			delta = d
+		}
+		if d := math.Abs(n3 - r[3]); d > delta {
+			delta = d
+		}
+		r[0], r[1], r[2], r[3] = n0, n1, n2, n3
+		c[0], c[1], c[2], c[3] = n0/od[0], n1/od[1], n2/od[2], n3/od[3]
+	}
+	return delta
 }

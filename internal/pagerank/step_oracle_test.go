@@ -415,7 +415,8 @@ func TestStepAfterRestoreMatchesOracle(t *testing.T) {
 
 // TestAsyncRejectsMissingFlatEdgeList: Step prices the sweeps by LocalDst
 // and the pull plan is checked against it, so a sub-graph that lists local
-// edges in OutLocal but carries no (or a short) flat list must be refused.
+// edges in OutLocal but carries no (or a short) flat list must be refused,
+// by the eager formulation too, which sweeps and prices the same way.
 func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -433,16 +434,23 @@ func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flat edge list") {
 			t.Fatalf("%s: error %v, want the flat edge list named", c.name, err)
 		}
+		if _, err := Run(engine(), subs, DefaultConfig(), true); err == nil || !strings.Contains(err.Error(), "flat edge list") {
+			t.Fatalf("%s: eager: error %v, want the flat edge list named", c.name, err)
+		}
 	}
 	if _, err := RunAsync(asyncCluster(), handBuilt(t), DefaultConfig(), async.Options{}); err != nil {
 		t.Fatalf("intact sub-graphs rejected: %v", err)
+	}
+	if _, err := Run(engine(), handBuilt(t), DefaultConfig(), true); err != nil {
+		t.Fatalf("eager: intact sub-graphs rejected: %v", err)
 	}
 }
 
 // TestAsyncRejectsMalformedPullPlan: Step sweeps the pull plan only, so a
 // hand-built or edited sub-graph whose plan is missing, loses an edge or
 // would index out of range is an error naming the partition, not a panic
-// or a run without those edges.
+// or a run without those edges; the eager formulation's local iterations
+// sweep it too.
 func TestAsyncRejectsMalformedPullPlan(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -470,6 +478,9 @@ func TestAsyncRejectsMalformedPullPlan(t *testing.T) {
 		_, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{})
 		if err == nil || !strings.Contains(err.Error(), "partition 0: pull plan") {
 			t.Fatalf("%s: error %v, want partition 0's pull plan named", c.name, err)
+		}
+		if _, err := Run(engine(), subs, DefaultConfig(), true); err == nil || !strings.Contains(err.Error(), "partition 0: pull plan") {
+			t.Fatalf("%s: eager: error %v, want partition 0's pull plan named", c.name, err)
 		}
 	}
 }
