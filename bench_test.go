@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/kmeans"
@@ -418,15 +417,15 @@ func BenchmarkEventHeap(b *testing.B) {
 	})
 }
 
-// The legacy engines' rungs: the two groupings modes_pagerank's general
-// and eager legs spend their time in, sized like one of its partitions
+// The legacy engine's rung: the shuffle grouping modes_pagerank's
+// general leg spends its time in, sized like one of its partitions
 // (5 000 keys, 40 000 records per grouping) and driven through the public
-// API only, so the same file times any commit. Both groupings replay
-// their last plan while the key sequence repeats; "replay" repeats it
-// every time, "regroup" changes the first key of every grouping (the
-// plan is dropped at once and the grouping rebuilt — the path every
-// grouping took before there were plans), "regroup_late" changes the last
-// one (the whole plan is replayed in vain first: the worst case).
+// API only, so the same file times any commit. The grouping replays its
+// last plan while the key sequence repeats; "replay" repeats it every
+// time, "regroup" changes the first key of every grouping (the plan is
+// dropped at once and the grouping rebuilt — the path every grouping
+// took before there were plans), "regroup_late" changes the last one (the
+// whole plan is replayed in vain first: the worst case).
 const (
 	rungKeys    = 5000
 	rungRecords = 8 * rungKeys
@@ -467,61 +466,6 @@ func rungKeySeqs(b *testing.B, variant string, classes int) [2][]int64 {
 }
 
 var rungVariants = []string{"replay", "regroup", "regroup_late"}
-
-// rungPart is the partition payload of the LocalContext rung: the two key
-// sequences and the local iteration count that picks one.
-type rungPart struct {
-	seqs [2][]int64
-	iter int
-	elem []int32
-}
-
-// BenchmarkLocalContext times core's partial-synchronization barrier: one
-// gmap task running 32 local iterations, each emitting 40 000 records
-// over 5 000 keys from 5 000 lmap elements and folding every group once.
-// The custom metric is host nanoseconds per emission, lmap closure and
-// lreduce fold included.
-func BenchmarkLocalContext(b *testing.B) {
-	const localIters = 32
-	for _, variant := range rungVariants {
-		b.Run(variant, func(b *testing.B) {
-			part := &rungPart{seqs: rungKeySeqs(b, variant, 1), elem: make([]int32, rungKeys)}
-			for i := range part.elem {
-				part.elem[i] = int32(i)
-			}
-			spec := &core.LocalSpec[*rungPart, int32, int64, float64]{
-				Elements: func(p *rungPart) []int32 { return p.elem },
-				LMap: func(lc *core.LocalContext[int64, float64], p *rungPart, e int32) {
-					for _, k := range p.seqs[p.iter&1][8*e : 8*e+8] {
-						lc.EmitLocalIntermediate(k, float64(e))
-					}
-				},
-				LReduce: func(lc *core.LocalContext[int64, float64], _ *rungPart, key int64, values []float64) {
-					sum := 0.0
-					for _, v := range values {
-						sum += v
-					}
-					lc.EmitLocal(key, sum)
-				},
-				Apply:         func(p *rungPart, _ *core.LocalContext[int64, float64]) { p.iter++ },
-				MaxLocalIters: localIters,
-				Output:        func(*mapreduce.TaskContext[int64, float64], *rungPart, *core.LocalContext[int64, float64]) {},
-				KeyIndex:      func(k int64) int { return int(k) },
-			}
-			job := &mapreduce.Job[*rungPart, int64, float64]{Name: "rung", Map: core.BuildGMap(spec)}
-			engine := ec2Engine()
-			splits := []mapreduce.Split[*rungPart]{{Data: part}}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				part.iter = 0
-				if _, err := mapreduce.Run(engine, job, splits); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*localIters*rungRecords), "ns/emission")
-		})
-	}
-}
 
 // BenchmarkGrouper times the engine's shuffle-side grouping: one job of
 // eight map tasks emitting 5 000 records each into sixteen reduce tasks

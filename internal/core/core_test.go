@@ -185,8 +185,7 @@ func TestResetStatePerIteration(t *testing.T) {
 }
 
 func TestLocalContextStateAccessors(t *testing.T) {
-	tc := &mapreduce.TaskContext[int64, int]{}
-	lc := newLocalContext[int64, int](tc)
+	lc := newLocalContext[int64, int]()
 	if _, ok := lc.Value(1); ok {
 		t.Fatal("empty hashtable returned a value")
 	}

@@ -9,12 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
-// The differential test drives the real LocalContext and a naive model
-// of the semantics it replaced (a map[K][]V with a first-seen key list
-// for the intermediate buffer, a map[K]V with a first-emitted key list
-// for the hashtable) with the same emission script, and compares
-// everything user code can observe: the order lreduce sees key groups
-// in, the values of each group, State order, Len, and Value answers.
+// The differential test drives BuildGMap's local runtime and a model of
+// its semantics written out per iteration (a map[K][]V with a first-seen
+// key list for the intermediate buffer, a map[K]V with a first-emitted
+// key list for the hashtable) with the same emission script, and
+// compares everything user code can observe: the order lreduce sees key
+// groups in, the values of each group, State order, Len, Value answers
+// and the default Output. The eager workloads' oracles trust exactly
+// these semantics.
 
 // scriptRec is one EmitLocalIntermediate call.
 type scriptRec struct{ key, val int }
@@ -32,10 +34,10 @@ type script [][]scriptElem
 const scriptKeys = 24
 
 // How an iteration of a decoded script relates to the one before it: the
-// context replays an iteration's grouping into the next for as long as
-// the emitted keys repeat, so scripts must repeat them — exactly, up to
-// one changed key at the first, a middle or the last emission, with the
-// tail cut off, or with more emissions after the end.
+// context reuses its buffers from one iteration to the next, so scripts
+// repeat an iteration's keys — exactly, up to one changed key at the
+// first, a middle or the last emission, with the tail cut off, or with
+// more emissions after the end — as well as drawing fresh ones.
 const (
 	iterFresh = iota
 	iterRepeat
@@ -139,9 +141,12 @@ func reduceRule(values []int) (sum int, store bool) {
 	return sum, sum%4 != 0
 }
 
-// modelTrace runs sc on the naive model and returns what user code would
+// keyOf maps a script key to an emitted one: sparse and signed.
+func keyOf(k int) int64 { return int64(k)*1_000_003 - 7_000_000 }
+
+// modelTrace runs sc on the model and returns what user code would
 // observe, one line per observation.
-func modelTrace(sc script, keyOf func(int) int64, reset bool) []string {
+func modelTrace(sc script, reset bool) []string {
 	var (
 		trace     []string
 		stateKeys []int64
@@ -192,7 +197,7 @@ type scriptPart struct {
 	trace []string
 }
 
-func scriptSpec(keyOf func(int) int64, reset bool) *LocalSpec[*scriptPart, int, int64, int] {
+func scriptSpec(reset bool) *LocalSpec[*scriptPart, int, int64, int] {
 	return &LocalSpec[*scriptPart, int, int64, int]{
 		Elements: func(p *scriptPart) []int {
 			elems := make([]int, len(p.sc[p.iter]))
@@ -230,36 +235,14 @@ func scriptSpec(keyOf func(int) int64, reset bool) *LocalSpec[*scriptPart, int, 
 }
 
 // checkAgainstModel runs every script of scripts as one split of a
-// map-only job — all of them through ONE LocalContext, re-armed per
-// task, so each task but the first meets tables another script filled —
-// and compares each task's observations and default Output to the
-// model's. The job runs twice so the engine's pooled buffers are reused
-// as well.
-func checkAgainstModel(t *testing.T, scripts []script, indexed bool, reset bool) {
+// map-only job through BuildGMap and compares each task's observations
+// and default Output to the model's. The job runs twice so the engine's
+// pooled buffers are reused as well.
+func checkAgainstModel(t *testing.T, scripts []script, reset bool) {
 	t.Helper()
-	// Without KeyIndex the keys are sparse and signed, which only an
-	// interning resolver can take.
-	keyOf := func(k int) int64 { return int64(k)*1_000_003 - 7_000_000 }
-	spec := scriptSpec(keyOf, reset)
-	if indexed {
-		keyOf = func(k int) int64 { return int64(k) }
-		spec = scriptSpec(keyOf, reset)
-		spec.KeyIndex = func(k int64) int { return int(k) }
-	}
-	var lc *LocalContext[int64, int]
-	job := &mapreduce.Job[*scriptPart, int64, int]{
-		Name: "script",
-		Map: func(tc *mapreduce.TaskContext[int64, int], split mapreduce.Split[*scriptPart]) {
-			if lc == nil {
-				lc = spec.newContext(tc)
-			} else {
-				lc.arm(tc)
-			}
-			runTask(spec, lc, tc, split.Data)
-		},
-	}
+	job := &mapreduce.Job[*scriptPart, int64, int]{Name: "script", Map: BuildGMap(scriptSpec(reset))}
 	engine := testEngine()
-	engine.Parallelism = 1 // tasks in split order on one goroutine
+	engine.Parallelism = 1 // output in split order
 	for round := 0; round < 2; round++ {
 		splits := make([]mapreduce.Split[*scriptPart], len(scripts))
 		for i, sc := range scripts {
@@ -274,7 +257,7 @@ func checkAgainstModel(t *testing.T, scripts []script, indexed bool, reset bool)
 			// The model's trailing "out" lines are this task's share of
 			// the job's output.
 			got := splits[i].Data.trace
-			want := modelTrace(sc, keyOf, reset)
+			want := modelTrace(sc, reset)
 			for j := len(got); j < len(want); j++ {
 				if len(out) == 0 {
 					t.Fatalf("round %d task %d: Output ended before %q", round, i, want[j])
@@ -285,8 +268,8 @@ func checkAgainstModel(t *testing.T, scripts []script, indexed bool, reset bool)
 			if !slices.Equal(got, want) {
 				for j := range want {
 					if j >= len(got) || got[j] != want[j] {
-						t.Fatalf("round %d task %d (indexed %v, reset %v): observation %d differs\n got %q\nwant %q",
-							round, i, indexed, reset, j, got[min(j, len(got)-1):], want[j:])
+						t.Fatalf("round %d task %d (reset %v): observation %d differs\n got %q\nwant %q",
+							round, i, reset, j, got[min(j, len(got)-1):], want[j:])
 					}
 				}
 				t.Fatalf("round %d task %d: %d extra observations %q", round, i, len(got)-len(want), got[len(want):])
@@ -298,16 +281,14 @@ func checkAgainstModel(t *testing.T, scripts []script, indexed bool, reset bool)
 	}
 }
 
-// checkAllVariants splits data into three scripts and checks them under
-// every resolver × ResetStatePerIteration combination.
+// checkAllVariants splits data into three scripts and checks them with
+// and without ResetStatePerIteration.
 func checkAllVariants(t *testing.T, data []byte) {
 	t.Helper()
 	third := len(data) / 3
 	scripts := []script{decodeScript(data[:third]), decodeScript(data[third : 2*third]), decodeScript(data[2*third:])}
-	for _, indexed := range []bool{false, true} {
-		for _, reset := range []bool{false, true} {
-			checkAgainstModel(t, scripts, indexed, reset)
-		}
+	for _, reset := range []bool{false, true} {
+		checkAgainstModel(t, scripts, reset)
 	}
 }
 
@@ -349,11 +330,10 @@ func rekeyed(elems []scriptElem, i, key int) []scriptElem {
 	return out
 }
 
-// TestReplayedIterationsMatchModel walks one re-armed context through
-// every way an iteration can relate to the plan the one before it left:
-// the same keys, one key changed at the first, a middle and the last
-// emission, fewer emissions, none, more — each followed by an exact
-// repeat, so the plan recorded after a demotion is replayed too — and
+// TestReplayedIterationsMatchModel walks a task's context through every
+// way an iteration can relate to the one before it: the same keys, one
+// key changed at the first, a middle and the last emission, fewer
+// emissions, none, more — each followed by an exact repeat — and then
 // through splits over other key sets, including one whose first
 // iteration emits exactly what the previous split's last one did.
 func TestReplayedIterationsMatchModel(t *testing.T) {
@@ -376,12 +356,10 @@ func TestReplayedIterationsMatchModel(t *testing.T) {
 		walk(0, 7),          // the first split again
 		{sweep(0, 7, 99)},   // starts where that one ended: same keys, other values
 		{nil},               // nothing to group at all
-		{sweep(3, 12, 100)}, // overlapping keys after the empty plan
+		{sweep(3, 12, 100)}, // overlapping keys after the empty iteration
 	}
-	for _, indexed := range []bool{false, true} {
-		for _, reset := range []bool{false, true} {
-			checkAgainstModel(t, scripts, indexed, reset)
-		}
+	for _, reset := range []bool{false, true} {
+		checkAgainstModel(t, scripts, reset)
 	}
 }
 

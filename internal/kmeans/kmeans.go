@@ -82,8 +82,6 @@ type state struct {
 	// centroids is the partition's working copy of the input centroids,
 	// flat K×dims; local iterations refine it, global Update resets it.
 	centroids []float64
-	// localDelta is the last local iteration's max centroid movement.
-	localDelta float64
 }
 
 // Result of a K-Means run.
@@ -100,6 +98,14 @@ type Result struct {
 // Run clusters points into cfg.K clusters over numParts partitions
 // (the paper's Figure 8/9 uses 52). eager selects the formulation.
 func Run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config, eager bool) (*Result, error) {
+	return run(engine, points, numParts, cfg, eager, func(dims int) *mapreduce.Job[*state, int64, Accum] {
+		return buildJob(cfg, dims, eager)
+	})
+}
+
+// run is Run with the per-iteration job built by newJob for the points'
+// dimension.
+func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config, eager bool, newJob func(dims int) *mapreduce.Job[*state, int64, Accum]) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -152,7 +158,7 @@ func Run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 	}
 	refreshSplits()
 
-	job := buildJob(cfg, dims, eager)
+	job := newJob(dims)
 	res := &Result{}
 	var history []float64
 	driver := &core.Driver[*state, int64, Accum]{
@@ -331,7 +337,7 @@ func buildJob(cfg Config, dims int, eager bool) *mapreduce.Job[*state, int64, Ac
 		return job
 	}
 	job.Name = "kmeans-eager"
-	job.Map = core.BuildGMap(eagerSpec(cfg, dims))
+	job.Map = eagerMap(cfg, dims)
 	return job
 }
 
@@ -364,72 +370,59 @@ func generalAssign(ctx *mapreduce.TaskContext[int64, Accum], st *state, dims int
 	}
 }
 
-// eagerSpec wires lmap/lreduce for K-Means: local Lloyd iterations on the
-// partition's subset until the local centroids stop moving, then the
-// hashtable (input-centroid -> local accumulator) becomes the global
-// emission, exactly the paper's "the global map emits the input-centroids
-// and their associated updated-centroids".
-func eagerSpec(cfg Config, dims int) *core.LocalSpec[*state, int32, int64, Accum] {
-	return &core.LocalSpec[*state, int32, int64, Accum]{
-		// xs: the partition's point indices.
-		Elements: func(st *state) []int32 {
-			elems := make([]int32, len(st.points))
-			for i := range elems {
-				elems[i] = int32(i)
-			}
-			return elems
-		},
-		// lmap: assign one point to the nearest current local centroid.
-		// The emitted accumulator aliases the point row (read-only), so
-		// no per-point allocation happens.
-		LMap: func(lc *core.LocalContext[int64, Accum], st *state, pi int32) {
-			p := st.points[pi]
-			c := nearestFlat(st.centroids, dims, p)
-			lc.Charge(int64(len(st.centroids)))
-			lc.EmitLocalIntermediate(int64(c), Accum{Sum: p, Count: 1})
-		},
-		// lreduce: fold one cluster's members into an accumulator.
-		LReduce: func(lc *core.LocalContext[int64, Accum], st *state, key int64, values []Accum) {
-			total := Accum{Sum: make([]float64, dims)}
-			for _, a := range values {
-				for d, x := range a.Sum {
-					total.Sum[d] += x
+// eagerMap is the eager gmap: local Lloyd iterations on the partition's
+// subset until no local centroid moves Threshold or more, or
+// MaxLocalIters of them when that is above 0, then one accumulator per
+// cluster that has members — the paper's "the global map emits the
+// input-centroids and their associated updated-centroids". An iteration
+// is the paper's lmap, every point assigned to its nearest local
+// centroid, and lreduce, each cluster's members summed in point order,
+// followed by moving each centroid with members to their mean. Its
+// pricing is what the lmap/lreduce program costs through core.BuildGMap:
+// a partial synchronization an iteration, k·dims operations a point for
+// the assignment and dims for the sum, and the local iteration count.
+func eagerMap(cfg Config, dims int) mapreduce.MapFunc[*state, int64, Accum] {
+	return func(tc *mapreduce.TaskContext[int64, Accum], split mapreduce.Split[*state]) {
+		st := split.Data
+		sums, counts, mean := make([]float64, cfg.K*dims), make([]int64, cfg.K), make([]float64, dims)
+		sweeps := 0
+		for {
+			clear(sums)
+			clear(counts)
+			for _, p := range st.points {
+				c := nearestFlat(st.centroids, dims, p)
+				row := sums[c*dims : (c+1)*dims]
+				for d, x := range p {
+					row[d] += x
 				}
-				total.Count += a.Count
+				counts[c]++
 			}
-			lc.Charge(int64(len(values) * dims))
-			lc.EmitLocal(key, total)
-		},
-		// Partial synchronization: move the local centroids to the new
-		// local means and measure movement.
-		Apply: func(st *state, lc *core.LocalContext[int64, Accum]) {
-			st.localDelta = 0
-			lc.State(func(k int64, a Accum) {
-				if a.Count == 0 {
-					return
+			tc.LocalSync()
+			sweeps++
+			delta := 0.0
+			for c, n := range counts {
+				if n == 0 {
+					continue
 				}
-				mean := make([]float64, dims)
 				for d := range mean {
-					mean[d] = a.Sum[d] / float64(a.Count)
+					mean[d] = sums[c*dims+d] / float64(n)
 				}
-				row := st.centroids[int(k)*dims : int(k+1)*dims]
-				if m := centroidMovement(mean, row); m > st.localDelta {
-					st.localDelta = m
+				row := st.centroids[c*dims : (c+1)*dims]
+				if m := centroidMovement(mean, row); m > delta {
+					delta = m
 				}
 				copy(row, mean)
-			})
-		},
-		Converged: func(st *state, _ *core.LocalContext[int64, Accum]) bool {
-			return st.localDelta < cfg.Threshold
-		},
-		MaxLocalIters: cfg.MaxLocalIters,
-		// The hashtable must hold exactly the final local iteration's
-		// cluster accumulators — stale entries from clusters that later
-		// lost their members would double-count points globally.
-		ResetStatePerIteration: true,
-		// Default Output: the hashtable's final (input-centroid ->
-		// accumulated members) entries are emitted as-is to greduce.
-		// Keys are cluster ids, 0..K-1.
-		KeyIndex: func(k int64) int { return int(k) },
+			}
+			if cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters || delta < cfg.Threshold {
+				break
+			}
+		}
+		tc.Charge(int64(sweeps) * int64(len(st.points)) * int64(len(st.centroids)+dims))
+		tc.Counter(core.LocalIterationsCounter, int64(sweeps))
+		for c, n := range counts {
+			if n > 0 {
+				tc.Emit(int64(c), Accum{Sum: sums[c*dims : (c+1)*dims : (c+1)*dims], Count: n})
+			}
+		}
 	}
 }

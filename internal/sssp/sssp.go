@@ -48,10 +48,13 @@ type state struct {
 	// source.
 	dist []float64
 	// active[i] marks nodes whose distance improved since they last
-	// propagated — the frontier for the next local sweep.
+	// relaxed their local out-edges — the frontier for the next local
+	// sweep. It survives the global barrier: a sweep cap can end a task
+	// with the frontier unfinished.
 	active []bool
-	// anyActive tracks whether the last sweep changed anything.
-	anyActive bool
+	// cand[i] is the best candidate a sweep has found for sub.Nodes[i],
+	// +Inf between sweeps.
+	cand []float64
 }
 
 // Result of an SSSP run.
@@ -85,6 +88,11 @@ func validate(subs []*graph.SubGraph, cfg Config) (int, error) {
 // Run executes SSSP over the given weighted sub-graphs. eager selects the
 // formulation.
 func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
+	return run(engine, subs, cfg, buildJob(cfg, eager))
+}
+
+// run is Run with the per-iteration job given.
+func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
 	n, err := validate(subs, cfg)
 	if err != nil {
 		return nil, err
@@ -102,9 +110,11 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 			sub:    s,
 			dist:   make([]float64, s.NumNodes()),
 			active: make([]bool, s.NumNodes()),
+			cand:   make([]float64, s.NumNodes()),
 		}
 		for li, u := range s.Nodes {
 			st.dist[li] = dist[u]
+			st.cand[li] = math.Inf(1)
 			if u == cfg.Source {
 				st.active[li] = true
 			}
@@ -123,7 +133,6 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 		}
 	}
 
-	job := buildJob(cfg, eager)
 	driver := &core.Driver[*state, int64, float64]{
 		Engine: engine,
 		Job:    job,
@@ -141,16 +150,13 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 			}
 			// Disseminate new distances into partitions; activate nodes
 			// whose distance improved so the next global map's local
-			// iterations start from the right frontier.
+			// iterations start from the right frontier. A node a capped
+			// sweep left active stays so.
 			for _, st := range states {
-				st.anyActive = false
 				for li, u := range st.sub.Nodes {
 					if dist[u] < st.dist[li] {
 						st.dist[li] = dist[u]
 						st.active[li] = true
-						st.anyActive = true
-					} else {
-						st.active[li] = false
 					}
 				}
 			}
@@ -239,7 +245,7 @@ func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
 		return job
 	}
 	job.Name = "sssp-eager"
-	job.Map = core.BuildGMap(eagerSpec(cfg))
+	job.Map = eagerMap(cfg)
 	return job
 }
 
@@ -268,87 +274,93 @@ func generalMap(ctx *mapreduce.TaskContext[int64, float64], split mapreduce.Spli
 	emitSorted(ctx.Emit, acc)
 }
 
-// eagerSpec wires the paper's lmap/lreduce for SSSP: local Bellman-Ford
-// sweeps over the partition's active frontier until no local distance
-// improves.
-func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
-	return &core.LocalSpec[*state, int32, int64, float64]{
-		// xs: the current local frontier ("considering all the paths in
-		// the sub-graph" happens over successive shrinking frontiers).
-		Elements: func(st *state) []int32 {
-			var elems []int32
-			for li, a := range st.active {
-				if a {
-					elems = append(elems, int32(li))
-				}
+// eagerMap is the eager gmap: relaxation sweeps over the partition's
+// active frontier until no local distance improves, or MaxLocalIters
+// sweeps when that is above 0, then the global emission. A sweep is the
+// paper's lmap, every frontier node relaxing its partition-internal
+// out-edges, and lreduce, the best candidate per node, done as one Jacobi
+// sweep (relax, then settle): candidates collect in st.cand against dist
+// as the sweep found it, and only the settle that follows moves
+// improvements into dist and the next frontier. Its pricing is what the
+// lmap/lreduce program costs through core.BuildGMap: a partial
+// synchronization a sweep (a partition with no frontier pays one empty
+// sweep), an lmap and an lreduce operation per relaxed edge, and the
+// local iteration count.
+func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
+	return func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
+		st := split.Data
+		var edges int64
+		sweeps := 0
+		for {
+			edges += st.relax()
+			tc.LocalSync()
+			sweeps++
+			if !st.settle() || cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters {
+				break
 			}
-			return elems
-		},
-		// lmap: relax partition-internal out-edges of one frontier node.
-		LMap: func(lc *core.LocalContext[int64, float64], st *state, li int32) {
-			sub := st.sub
-			d := st.dist[li]
-			for ei, dst := range sub.OutLocal[li] {
-				lc.EmitLocalIntermediate(int64(dst), d+sub.WLocal[li][ei])
-			}
-			lc.Charge(int64(len(sub.OutLocal[li])))
-		},
-		// lreduce: keep the best candidate per local node.
-		LReduce: func(lc *core.LocalContext[int64, float64], st *state, key int64, values []float64) {
-			best := math.Inf(1)
-			for _, v := range values {
-				if v < best {
-					best = v
-				}
-			}
-			lc.Charge(int64(len(values)))
-			if best < st.dist[key] {
-				lc.EmitLocal(key, best)
-			}
-		},
-		// Partial synchronization: fold improvements into the partition
-		// state and form the next frontier.
-		Apply: func(st *state, lc *core.LocalContext[int64, float64]) {
-			for li := range st.active {
-				st.active[li] = false
-			}
-			st.anyActive = false
-			lc.State(func(k int64, v float64) {
-				if v < st.dist[k] {
-					st.dist[k] = v
-					st.active[k] = true
-					st.anyActive = true
-				}
-			})
-		},
-		Converged: func(st *state, _ *core.LocalContext[int64, float64]) bool {
-			return !st.anyActive
-		},
-		MaxLocalIters: cfg.MaxLocalIters,
-		// Global emission: every settled node publishes its own locally
-		// converged distance (so the global reduction learns what the
-		// local iterations discovered) and pushes candidates across its
-		// cross-partition out-edges (the inter-component information the
-		// local iterations could not use).
-		Output: func(tc *mapreduce.TaskContext[int64, float64], st *state, _ *core.LocalContext[int64, float64]) {
-			sub := st.sub
-			acc := make(map[int64]float64)
-			var ops int64
-			for li := range sub.Nodes {
-				d := st.dist[li]
-				if math.IsInf(d, 1) {
-					continue
-				}
-				minInto(acc, int64(sub.Nodes[li]), d)
-				for ei, dst := range sub.OutRemote[li] {
-					minInto(acc, int64(dst), d+sub.WRemote[li][ei])
-				}
-				ops += int64(len(sub.OutRemote[li])) + 1
-			}
-			tc.Charge(ops)
-			emitSorted(tc.Emit, acc)
-		},
-		// Keys are local node indices, 0..len(sub.Nodes)-1.
-		KeyIndex: func(k int64) int { return int(k) },
+		}
+		tc.Charge(2 * edges)
+		tc.Counter(core.LocalIterationsCounter, int64(sweeps))
+		emitSettled(tc, st)
 	}
+}
+
+// relax offers every frontier node's distance plus edge weight to each
+// partition-internal out-neighbour's candidate, keeping the smallest,
+// and returns the number of edges relaxed.
+func (st *state) relax() (edges int64) {
+	sub := st.sub
+	for li, a := range st.active {
+		if !a {
+			continue
+		}
+		d, w := st.dist[li], sub.WLocal[li]
+		for ei, dst := range sub.OutLocal[li] {
+			if c := d + w[ei]; c < st.cand[dst] {
+				st.cand[dst] = c
+			}
+		}
+		edges += int64(len(sub.OutLocal[li]))
+	}
+	return edges
+}
+
+// settle ends a sweep: the nodes whose candidate beats their distance
+// take it and form the next frontier, and every candidate goes back to
+// +Inf. It reports whether the frontier is non-empty.
+func (st *state) settle() (more bool) {
+	inf := math.Inf(1)
+	for li, c := range st.cand {
+		st.active[li] = c < st.dist[li]
+		if st.active[li] {
+			st.dist[li] = c
+			more = true
+		}
+		st.cand[li] = inf
+	}
+	return more
+}
+
+// emitSettled is the eager global emission: every node at a finite
+// distance publishes it (so the global reduction learns what the local
+// sweeps discovered) and pushes candidates across its cross-partition
+// out-edges (the inter-component information the local sweeps could not
+// use), aggregated (min) per destination.
+func emitSettled(tc *mapreduce.TaskContext[int64, float64], st *state) {
+	sub := st.sub
+	acc := make(map[int64]float64)
+	var ops int64
+	for li := range sub.Nodes {
+		d := st.dist[li]
+		if math.IsInf(d, 1) {
+			continue
+		}
+		minInto(acc, int64(sub.Nodes[li]), d)
+		for ei, dst := range sub.OutRemote[li] {
+			minInto(acc, int64(dst), d+sub.WRemote[li][ei])
+		}
+		ops += int64(len(sub.OutRemote[li])) + 1
+	}
+	tc.Charge(ops)
+	emitSorted(tc.Emit, acc)
 }

@@ -101,15 +101,19 @@ func TestGeneralMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// TestEagerMatchesDijkstra: eager SSSP is exact with local sweeps
+// uncapped and capped, where a task can end with its frontier unfinished.
 func TestEagerMatchesDijkstra(t *testing.T) {
 	g := smallGraph()
-	for _, k := range []int{1, 4, 16} {
+	for _, k := range []int{1, 4, 8, 16} {
 		subs := subgraphs(t, g, k)
-		res, err := Run(engine(), subs, Config{Source: 0}, true)
-		if err != nil {
-			t.Fatal(err)
+		for _, maxLocal := range []int{0, 1, 3} {
+			res, err := Run(engine(), subs, Config{Source: 0, MaxLocalIters: maxLocal}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstDijkstra(t, g, res.Dist, 0)
 		}
-		checkAgainstDijkstra(t, g, res.Dist, 0)
 	}
 }
 
