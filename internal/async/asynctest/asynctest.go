@@ -9,6 +9,13 @@
 // differential check, package differential: TestDifferential runs its
 // pinned seeds, FuzzDifferential any others, and each workload package
 // the seeds that cover each property for that workload.
+//
+// It also holds the delivery property, El-Baz's theorem as a test: Delayed
+// hands a workload's Step neighbor versions up to a bounded number of the
+// reader's steps late, reordered and repeated, and each workload's
+// TestAsyncFixedPointUnderAnyDelivery runs DeliveryRows through RunDelayed
+// and checks the answer against its reference. QuietCluster is the
+// cluster the workload packages' async tests run on.
 package asynctest
 
 import (

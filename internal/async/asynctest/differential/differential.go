@@ -18,10 +18,19 @@
 //
 // asynctest's TestDifferential runs the pinned seeds and checks that
 // together they cover every path above; FuzzDifferential runs any seed.
-// Each workload package's TestAsync*Parity, TestAsync*Inert,
-// TestAsyncLiveMatchesDES and TestAsyncParallelExecutorMatchesDES run
-// seeds of that workload that cover the property they name. A seed that
-// ever fails is pinned once the failure is fixed.
+// Each workload package pins seeds of its own workload, one test per
+// property:
+//   - TestAsyncParallelExecutorMatchesDES: the parallel executor keeps
+//     some speculations and discards others;
+//   - TestAsyncAdaptiveParity: a staleness policy moves a bound mid-run;
+//   - TestAsyncFixedPolicyIdentity: adapt.Fixed(S) is the static bound S;
+//   - TestAsyncCrashParity: crashes strike and are recovered, without and
+//     with a checkpoint policy;
+//   - TestAsyncLiveMatchesDES: the live executor reaches the DES state;
+//   - TestAsyncTraceInert, TestAsyncSeriesInert: the recorder, or the
+//     sampler, changes nothing and stamps wall time on the live leg.
+//
+// A seed that ever fails is pinned once the failure is fixed.
 package differential
 
 import (

@@ -38,6 +38,8 @@ func (t *toy) Restore(p int, buf any) {
 	}
 }
 
+// quietCluster is asynctest.QuietCluster, which this package cannot
+// import: asynctest imports async.
 func quietCluster() *cluster.Cluster {
 	cfg := cluster.EC2LargeCluster()
 	cfg.FailureProb = 0

@@ -8,6 +8,7 @@ import (
 	"repro/internal/async/asynctest"
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/minprop"
 	"repro/internal/partition"
 	"repro/internal/recovery"
 )
@@ -44,7 +45,7 @@ func multiComponentGraph() *graph.Graph {
 
 // spreadSubgraphs partitions g round-robin so every component straddles
 // partitions — the worst case for cross-partition label exchange.
-func spreadSubgraphs(t *testing.T, g *graph.Graph, k int) []*graph.SubGraph {
+func spreadSubgraphs(t testing.TB, g *graph.Graph, k int) []*graph.SubGraph {
 	t.Helper()
 	parts := make([]int32, g.NumNodes())
 	for u := range parts {
@@ -57,18 +58,11 @@ func spreadSubgraphs(t *testing.T, g *graph.Graph, k int) []*graph.SubGraph {
 	return subs
 }
 
-func quietCluster() *cluster.Cluster {
-	cfg := cluster.EC2LargeCluster()
-	cfg.FailureProb = 0
-	cfg.StragglerJitter = 0
-	return cluster.New(cfg)
-}
-
 func TestAsyncMatchesReference(t *testing.T) {
 	g := multiComponentGraph()
 	want := Reference(g)
 	subs := spreadSubgraphs(t, g, 8)
-	res, err := RunAsync(quietCluster(), subs, Config{}, async.Options{Staleness: 2})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, Config{}, async.Options{Staleness: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +99,7 @@ func TestAsyncExactAtAnyStaleness(t *testing.T) {
 		opts = append(opts, async.Options{Adapt: pol})
 	}
 	for _, opt := range opts {
-		res, err := RunAsync(quietCluster(), subs, Config{}, opt)
+		res, err := RunAsync(asynctest.QuietCluster(), subs, Config{}, opt)
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
@@ -132,7 +126,7 @@ func TestAsyncGeneratedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAsync(quietCluster(), subs, Config{}, async.Options{Staleness: 4})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, Config{}, async.Options{Staleness: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +143,71 @@ func TestAsyncGeneratedGraph(t *testing.T) {
 func TestAsyncLocalIterCap(t *testing.T) {
 	g := multiComponentGraph()
 	subs := spreadSubgraphs(t, g, 4)
-	res, err := RunAsync(quietCluster(), subs, Config{MaxLocalIters: 1}, async.Options{Staleness: 2})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, Config{MaxLocalIters: 1}, async.Options{Staleness: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Comp, Reference(g)) {
 		t.Fatal("sweep cap changed the fixed point")
 	}
+}
+
+// TestAsyncFixedPointUnderAnyDelivery pins the monotonicity argument:
+// like SSSP, min-label propagation reaches the exact components under
+// every bound and policy, sweep cap and delivery schedule. The
+// multi-component graph is spread over 4 parts, so every label crosses
+// partitions. (TestAsyncGeneratedGraph and TestMonotoneGoldens hold
+// Graph A in multilevel parts.)
+func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
+	g := multiComponentGraph()
+	want := Reference(g)
+	subs := spreadSubgraphs(t, g, 4)
+	for _, row := range asynctest.DeliveryRows(async.DefaultMaxSteps, 1, 3) {
+		t.Run(row.String(), func(t *testing.T) {
+			w := labels(t, subs, row.MaxLocalIters)
+			asynctest.RunDelayed[[]graph.NodeID](t, w, row)
+			if !reflect.DeepEqual(w.Values(), want) {
+				t.Fatal("components diverged from the union-find reference")
+			}
+		})
+	}
+}
+
+// FuzzDeliveryOrder runs CC free-running on the multi-component graph
+// spread over 8 parts, each read delayed by the next fuzz byte mod 9
+// reader steps, and requires the exact components.
+func FuzzDeliveryOrder(f *testing.F) {
+	g := multiComponentGraph()
+	want := Reference(g)
+	subs := spreadSubgraphs(f, g, 8)
+	f.Fuzz(func(t *testing.T, delays []byte) {
+		w := labels(t, subs, 0)
+		reads := 0
+		delay := func(int, int, int) int {
+			if len(delays) == 0 {
+				return 0
+			}
+			d := delays[reads%len(delays)]
+			reads++
+			return int(d % 9)
+		}
+		st, err := async.Run(asynctest.QuietCluster(), asynctest.Delay(w, delay), async.Options{Staleness: async.Unbounded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged || !reflect.DeepEqual(w.Values(), want) {
+			t.Fatalf("converged %v; components %v, want %v", st.Converged, w.Values(), want)
+		}
+	})
+}
+
+// labels builds the workload RunAsync runs.
+func labels(t *testing.T, subs []*graph.SubGraph, maxLocalIters int) *minprop.Workload[graph.NodeID] {
+	w, err := minprop.New(subs, maxLocalIters, func(u graph.NodeID) (graph.NodeID, graph.NodeID, bool) { return u, u, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // TestAsyncCrashRecoveryExact: crashes forced into the stepping phase
@@ -187,7 +239,7 @@ func TestAsyncCrashRecoveryExact(t *testing.T) {
 }
 
 func TestAsyncValidation(t *testing.T) {
-	if _, err := RunAsync(quietCluster(), nil, Config{}, async.Options{}); err == nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), nil, Config{}, async.Options{}); err == nil {
 		t.Fatal("no partitions accepted")
 	}
 }

@@ -318,12 +318,16 @@ func RunAsync(c *cluster.Cluster, points [][]float64, numParts int, cfg Config, 
 	if err != nil {
 		return nil, err
 	}
+	return w.result(runStats), nil
+}
 
-	// Final centers: fold every partition's final accumulators; empty
-	// clusters keep the first partition's last estimate.
-	countsOff := cfg.K * dims
-	final := make([][]float64, cfg.K)
-	for c := 0; c < cfg.K; c++ {
+// result reads the final centers: every partition's final accumulators
+// folded; empty clusters keep the first partition's last estimate.
+func (w *asyncWorkload) result(runStats *async.RunStats) *AsyncResult {
+	k, dims := w.cfg.K, w.dims
+	countsOff := k * dims
+	final := make([][]float64, k)
+	for c := 0; c < k; c++ {
 		base := c * dims
 		final[c] = append([]float64(nil), w.states[0].centroids[base:base+dims]...)
 		sum := make([]float64, dims)
@@ -346,7 +350,7 @@ func RunAsync(c *cluster.Cluster, points [][]float64, numParts int, cfg Config, 
 			res.OscillationStop = true
 		}
 	}
-	return res, nil
+	return res
 }
 
 // flatAccumsDiffer reports whether two flat accumulator sets represent

@@ -2,7 +2,11 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -151,6 +155,53 @@ func TestValidateSeriesRejects(t *testing.T) {
 			t.Errorf("ValidateSeries accepted %s", name)
 		}
 	}
+}
+
+// FuzzValidateSeries: the validator never panics, and a file it accepts
+// has finite, non-decreasing times and strictly increasing ticks.
+func FuzzValidateSeries(f *testing.F) {
+	s := buildSeries()
+	for _, write := range []func(*Series, io.Writer) error{(*Series).WriteCSV, (*Series).WriteJSON} {
+		var b bytes.Buffer
+		if err := write(s, &b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := ValidateSeries(data)
+		if err != nil {
+			return
+		}
+		type sample struct {
+			Tick int64
+			Time float64
+		}
+		var samples []sample
+		if data = bytes.TrimLeft(data, " \t\r\n"); data[0] == '{' {
+			var doc struct{ Samples []sample }
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			samples = doc.Samples
+		} else {
+			for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n")[1:] {
+				cols := strings.Split(line, ",")
+				tick, _ := strconv.ParseInt(cols[0], 10, 64)
+				tm, _ := strconv.ParseFloat(cols[1], 64)
+				samples = append(samples, sample{tick, tm})
+			}
+		}
+		if len(samples) != n {
+			t.Fatalf("accepted %d samples, the file holds %d", n, len(samples))
+		}
+		for i, smp := range samples {
+			if math.IsNaN(smp.Time) || math.IsInf(smp.Time, 0) ||
+				i > 0 && (smp.Tick <= samples[i-1].Tick || smp.Time < samples[i-1].Time) {
+				t.Fatalf("accepted sample %d at tick %v, time %v after %+v", i, smp.Tick, smp.Time, samples[:i])
+			}
+		}
+	})
 }
 
 func TestHandler(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -99,7 +100,8 @@ type jsonSample struct {
 // ValidateSeries checks a series file written by WriteCSV or WriteJSON
 // (autodetected) and returns the sample count: the header/keys must
 // match the writer's schema, ticks must be strictly increasing,
-// timestamps non-decreasing, and cumulative step counts non-decreasing.
+// timestamps finite and non-decreasing, and cumulative step counts
+// non-decreasing.
 // cmd/tracecheck -series drives this in CI after the smoke runs.
 func ValidateSeries(data []byte) (int, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
@@ -124,9 +126,7 @@ func validateJSON(data []byte) (int, error) {
 	if *doc.Interval <= 0 {
 		return 0, fmt.Errorf("metrics: series interval %v not positive", *doc.Interval)
 	}
-	lastTick := int64(-1)
-	lastTime := -1.0
-	lastSteps := int64(-1)
+	last := order{-1, -1, -1}
 	for i, smp := range doc.Samples {
 		if smp.Tick == nil || smp.Time == nil || smp.Residual == nil || smp.Steps == nil {
 			return 0, fmt.Errorf("metrics: sample %d missing required keys", i)
@@ -134,18 +134,38 @@ func validateJSON(data []byte) (int, error) {
 		if len(smp.LagHist) != LagBuckets {
 			return 0, fmt.Errorf("metrics: sample %d has %d lag buckets, want %d", i, len(smp.LagHist), LagBuckets)
 		}
-		if *smp.Tick <= lastTick {
-			return 0, fmt.Errorf("metrics: sample %d tick %d not increasing (prev %d)", i, *smp.Tick, lastTick)
+		if err := last.next("sample", i, order{*smp.Tick, *smp.Time, *smp.Steps}); err != nil {
+			return 0, err
 		}
-		if *smp.Time < lastTime {
-			return 0, fmt.Errorf("metrics: sample %d time %v decreases (prev %v)", i, *smp.Time, lastTime)
-		}
-		if *smp.Steps < lastSteps {
-			return 0, fmt.Errorf("metrics: sample %d cumulative steps %d decrease (prev %d)", i, *smp.Steps, lastSteps)
-		}
-		lastTick, lastTime, lastSteps = *smp.Tick, *smp.Time, *smp.Steps
 	}
 	return len(doc.Samples), nil
+}
+
+// order is what each sample of a series must advance: a strictly
+// increasing tick, a finite non-decreasing time and non-decreasing
+// cumulative steps.
+type order struct {
+	tick  int64
+	time  float64
+	steps int64
+}
+
+// next checks sample i against the one before it, then takes its place.
+// A NaN time must be refused here: every comparison with it is false, so
+// it would pass and disarm the time check of the sample after it.
+func (o *order) next(what string, i int, s order) error {
+	switch {
+	case math.IsNaN(s.time) || math.IsInf(s.time, 0):
+		return fmt.Errorf("metrics: %s %d time %v not finite", what, i, s.time)
+	case s.tick <= o.tick:
+		return fmt.Errorf("metrics: %s %d tick %d not increasing (prev %d)", what, i, s.tick, o.tick)
+	case s.time < o.time:
+		return fmt.Errorf("metrics: %s %d time %v decreases (prev %v)", what, i, s.time, o.time)
+	case s.steps < o.steps:
+		return fmt.Errorf("metrics: %s %d cumulative steps %d decrease (prev %d)", what, i, s.steps, o.steps)
+	}
+	*o = s
+	return nil
 }
 
 func validateCSV(data []byte) (int, error) {
@@ -153,9 +173,7 @@ func validateCSV(data []byte) (int, error) {
 	if lines[0] != csvHeader {
 		return 0, fmt.Errorf("metrics: series CSV header mismatch: %q", lines[0])
 	}
-	lastTick := int64(-1)
-	lastTime := -1.0
-	lastSteps := int64(-1)
+	last := order{-1, -1, -1}
 	for i, line := range lines[1:] {
 		cols := strings.Split(line, ",")
 		if len(cols) != csvFields {
@@ -173,16 +191,9 @@ func validateCSV(data []byte) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("metrics: row %d steps: %w", i, err)
 		}
-		if tick <= lastTick {
-			return 0, fmt.Errorf("metrics: row %d tick %d not increasing (prev %d)", i, tick, lastTick)
+		if err := last.next("row", i, order{tick, tm, steps}); err != nil {
+			return 0, err
 		}
-		if tm < lastTime {
-			return 0, fmt.Errorf("metrics: row %d time %v decreases (prev %v)", i, tm, lastTime)
-		}
-		if steps < lastSteps {
-			return 0, fmt.Errorf("metrics: row %d cumulative steps %d decrease (prev %d)", i, steps, lastSteps)
-		}
-		lastTick, lastTime, lastSteps = tick, tm, steps
 	}
 	return len(lines) - 1, nil
 }

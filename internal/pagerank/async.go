@@ -317,13 +317,18 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	if err != nil {
 		return nil, err
 	}
+	return w.result(n, stats), nil
+}
+
+// result reads the n ranks the partitions settled on.
+func (w *asyncWorkload) result(n int, stats *async.RunStats) *AsyncResult {
 	ranks := make([]float64, n)
 	for _, st := range w.states {
 		for li, u := range st.sub.Nodes {
 			ranks[u] = st.rank[st.sub.Pull.Pos[li]]
 		}
 	}
-	return &AsyncResult{Ranks: ranks, Stats: stats}, nil
+	return &AsyncResult{Ranks: ranks, Stats: stats}
 }
 
 // checkPull rejects partition p's sub-graph unless its pull plan and flat

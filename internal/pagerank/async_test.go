@@ -12,19 +12,13 @@ import (
 	"repro/internal/partition"
 	"repro/internal/recovery"
 	"repro/internal/simtime"
+	"repro/internal/stats"
 )
-
-func asyncCluster() *cluster.Cluster {
-	cfg := cluster.EC2LargeCluster()
-	cfg.FailureProb = 0
-	cfg.StragglerJitter = 0
-	return cluster.New(cfg)
-}
 
 func TestAsyncMatchesReference(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
-	res, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{Staleness: 4})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Staleness: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +30,30 @@ func TestAsyncMatchesReference(t *testing.T) {
 		if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
 			t.Fatalf("node %d rank %g vs reference %g", u, res.Ranks[u], want[u])
 		}
+	}
+}
+
+// TestAsyncFixedPointUnderAnyDelivery: PageRank's update is a
+// contraction, so the asynchronous mode lands within 1e-3 of the
+// reference ranks under every bound and policy, sweep cap and delivery
+// schedule.
+func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
+	g := smallGraph()
+	subs := subgraphs(t, g, 8)
+	want := referenceRanks(g, 0.85, 1e-5)
+	for _, row := range asynctest.DeliveryRows(AsyncLocalSweeps, 1, async.DefaultMaxSteps) {
+		t.Run(row.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MaxLocalIters = row.MaxLocalIters
+			w, n, err := buildAsyncWorkload(subs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := w.result(n, asynctest.RunDelayed[[]float64](t, w, row)).Ranks
+			if d := stats.InfNormDiff(got, want); d > 1e-3 {
+				t.Fatalf("largest rank error %g", d)
+			}
+		})
 	}
 }
 
@@ -85,7 +103,7 @@ func TestAsyncStalenessSweepConverges(t *testing.T) {
 	subs := subgraphs(t, g, 8)
 	want := referenceRanks(g, 0.85, 1e-5)
 	for _, s := range []int{0, 1, 8, async.Unbounded} {
-		res, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{Staleness: s})
+		res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Staleness: s})
 		if err != nil {
 			t.Fatalf("S=%d: %v", s, err)
 		}
@@ -103,13 +121,40 @@ func TestAsyncStalenessSweepConverges(t *testing.T) {
 	}
 }
 
+// TestAsyncAdaptiveConverges: the adaptive policies must land on the
+// reference fixed point within the suite's usual tolerance — moving the
+// bound mid-run changes the schedule, not the answer.
+func TestAsyncAdaptiveConverges(t *testing.T) {
+	g := smallGraph()
+	subs := subgraphs(t, g, 8)
+	want := referenceRanks(g, 0.85, 1e-5)
+	for _, pol := range asynctest.AdaptivePolicies() {
+		res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Adapt: pol})
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		if !res.Stats.Converged {
+			t.Fatalf("%s: not converged", pol)
+		}
+		if res.Stats.MaxLead > res.Stats.StalenessMax {
+			t.Fatalf("%s: lead %d exceeds the largest bound in force %d",
+				pol, res.Stats.MaxLead, res.Stats.StalenessMax)
+		}
+		for u := range want {
+			if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
+				t.Fatalf("%s: node %d rank %g vs reference %g", pol, u, res.Ranks[u], want[u])
+			}
+		}
+	}
+}
+
 // TestAsyncZeroStalenessDeterministic: S=0 is the lockstep degeneration;
 // replays must be bit-identical and agree with the eager fixed point.
 func TestAsyncZeroStalenessDeterministic(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
 	run := func() *AsyncResult {
-		res, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{Staleness: 0})
+		res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Staleness: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +191,7 @@ func TestAsyncFasterThanEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{Staleness: 4})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Staleness: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,33 +233,6 @@ func TestUndoRestoresStep(t *testing.T) {
 func TestUndoLeavesCheckpointIntact(t *testing.T) {
 	fresh, poison := undoRig(t)
 	asynctest.CheckUndo(t, fresh, poison, true)
-}
-
-// TestAsyncAdaptiveConverges: the adaptive policies must land on the
-// reference fixed point within the suite's usual tolerance — moving the
-// bound mid-run changes the schedule, not the answer.
-func TestAsyncAdaptiveConverges(t *testing.T) {
-	g := smallGraph()
-	subs := subgraphs(t, g, 8)
-	want := referenceRanks(g, 0.85, 1e-5)
-	for _, pol := range asynctest.AdaptivePolicies() {
-		res, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{Adapt: pol})
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
-		}
-		if !res.Stats.Converged {
-			t.Fatalf("%s: not converged", pol)
-		}
-		if res.Stats.MaxLead > res.Stats.StalenessMax {
-			t.Fatalf("%s: lead %d exceeds the largest bound in force %d",
-				pol, res.Stats.MaxLead, res.Stats.StalenessMax)
-		}
-		for u := range want {
-			if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
-				t.Fatalf("%s: node %d rank %g vs reference %g", pol, u, res.Ranks[u], want[u])
-			}
-		}
-	}
 }
 
 // TestAsyncCrashRecoveryConverges forces crashes into the stepping
@@ -305,14 +323,14 @@ func TestAsyncParallelSpeculationPresets(t *testing.T) {
 }
 
 func TestAsyncValidation(t *testing.T) {
-	if _, err := RunAsync(asyncCluster(), nil, DefaultConfig(), async.Options{}); err == nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), nil, DefaultConfig(), async.Options{}); err == nil {
 		t.Fatal("no partitions accepted")
 	}
 	bad := DefaultConfig()
 	bad.Damping = 2
 	g := smallGraph()
 	subs := subgraphs(t, g, 2)
-	if _, err := RunAsync(asyncCluster(), subs, bad, async.Options{}); err == nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), subs, bad, async.Options{}); err == nil {
 		t.Fatal("bad damping accepted")
 	}
 }
@@ -335,11 +353,11 @@ func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{}); err != nil {
+		if _, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{}); err != nil {
 			t.Fatalf("well-formed sub-graphs rejected: %v", err)
 		}
 		c.mangle(subs)
-		if _, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{}); err == nil || !strings.HasPrefix(err.Error(), "pagerank: graph: ") {
+		if _, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{}); err == nil || !strings.HasPrefix(err.Error(), "pagerank: graph: ") {
 			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
 		}
 	}

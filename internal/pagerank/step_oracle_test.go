@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/async"
+	"repro/internal/async/asynctest"
 	"repro/internal/graph"
 	"repro/internal/stats"
 )
@@ -430,7 +431,7 @@ func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 	} {
 		subs := handBuilt(t)
 		c.mangle(subs[0])
-		_, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{})
+		_, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{})
 		if err == nil || !strings.Contains(err.Error(), "flat edge list") {
 			t.Fatalf("%s: error %v, want the flat edge list named", c.name, err)
 		}
@@ -438,7 +439,7 @@ func TestAsyncRejectsMissingFlatEdgeList(t *testing.T) {
 			t.Fatalf("%s: eager: error %v, want the flat edge list named", c.name, err)
 		}
 	}
-	if _, err := RunAsync(asyncCluster(), handBuilt(t), DefaultConfig(), async.Options{}); err != nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), handBuilt(t), DefaultConfig(), async.Options{}); err != nil {
 		t.Fatalf("intact sub-graphs rejected: %v", err)
 	}
 	if _, err := Run(engine(), handBuilt(t), DefaultConfig(), true); err != nil {
@@ -475,7 +476,7 @@ func TestAsyncRejectsMalformedPullPlan(t *testing.T) {
 	} {
 		subs := handBuilt(t)
 		c.mangle(&subs[0].Pull)
-		_, err := RunAsync(asyncCluster(), subs, DefaultConfig(), async.Options{})
+		_, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{})
 		if err == nil || !strings.Contains(err.Error(), "partition 0: pull plan") {
 			t.Fatalf("%s: error %v, want partition 0's pull plan named", c.name, err)
 		}

@@ -1,37 +1,35 @@
 package sssp
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/async"
-	"repro/internal/cluster"
+	"repro/internal/async/asynctest"
 	"repro/internal/graph"
+	"repro/internal/minprop"
 )
 
-func asyncCluster() *cluster.Cluster {
-	cfg := cluster.EC2LargeCluster()
-	cfg.FailureProb = 0
-	cfg.StragglerJitter = 0
-	return cluster.New(cfg)
-}
-
-// Distance relaxation is monotone, so the asynchronous mode must land on
-// the exact shortest paths at every staleness bound.
-func TestAsyncMatchesDijkstraAtEveryStaleness(t *testing.T) {
+// TestAsyncFixedPointUnderAnyDelivery: distance relaxation is monotone,
+// so the asynchronous mode lands on the exact shortest paths under every
+// bound and policy, sweep cap and delivery schedule.
+func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
-	for _, s := range []int{0, 2, async.Unbounded} {
-		res, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{Staleness: s})
-		if err != nil {
-			t.Fatalf("S=%d: %v", s, err)
-		}
-		if !res.Stats.Converged {
-			t.Fatalf("S=%d: not converged", s)
-		}
-		if s >= 0 && res.Stats.MaxLead > s {
-			t.Fatalf("S=%d: staleness bound violated, lead %d", s, res.Stats.MaxLead)
-		}
-		checkAgainstDijkstra(t, g, res.Dist, 0)
+	want := dijkstra(g, 0)
+	inf := math.Inf(1)
+	for _, row := range asynctest.DeliveryRows(async.DefaultMaxSteps, 1, 3) {
+		t.Run(row.String(), func(t *testing.T) {
+			w, err := minprop.New(subs, row.MaxLocalIters, func(u graph.NodeID) (float64, float64, bool) { return inf, 0, u == 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			asynctest.RunDelayed[[]float64](t, w, row)
+			if got := w.Values(); !slices.Equal(got, want) {
+				t.Fatal("distances diverged from Dijkstra's")
+			}
+		})
 	}
 }
 
@@ -42,7 +40,7 @@ func TestAsyncMatchesGeneralExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAsync(asyncCluster(), subs, Config{Source: 3}, async.Options{Staleness: 1})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, Config{Source: 3}, async.Options{Staleness: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +55,7 @@ func TestAsyncDeterministicReplay(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
 	run := func() *AsyncResult {
-		res, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{Staleness: 0})
+		res, err := RunAsync(asynctest.QuietCluster(), subs, Config{Source: 0}, async.Options{Staleness: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +75,7 @@ func TestAsyncFasterThanEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAsync(asyncCluster(), subs, Config{Source: 0}, async.Options{Staleness: 4})
+	res, err := RunAsync(asynctest.QuietCluster(), subs, Config{Source: 0}, async.Options{Staleness: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +85,16 @@ func TestAsyncFasterThanEager(t *testing.T) {
 }
 
 func TestAsyncValidation(t *testing.T) {
-	if _, err := RunAsync(asyncCluster(), nil, Config{}, async.Options{}); err == nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), nil, Config{}, async.Options{}); err == nil {
 		t.Fatal("no partitions accepted")
 	}
 	g := smallGraph()
 	subs := subgraphs(t, g, 2)
-	if _, err := RunAsync(asyncCluster(), subs, Config{Source: -1}, async.Options{}); err == nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), subs, Config{Source: -1}, async.Options{}); err == nil {
 		t.Fatal("bad source accepted")
 	}
 	unweighted := subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(1000)), 2)
-	if _, err := RunAsync(asyncCluster(), unweighted, Config{Source: 0}, async.Options{}); err == nil {
+	if _, err := RunAsync(asynctest.QuietCluster(), unweighted, Config{Source: 0}, async.Options{}); err == nil {
 		t.Fatal("unweighted graph accepted")
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -125,6 +126,38 @@ func TestValidateChromeRejects(t *testing.T) {
 			t.Errorf("%s: ValidateChrome accepted a malformed document", name)
 		}
 	}
+}
+
+// FuzzValidateChrome: the validator never panics, and a document it
+// accepts holds that many events, each with a known phase and no negative
+// timestamp or duration.
+func FuzzValidateChrome(f *testing.F) {
+	for _, name := range []string{"chrome_virtual.golden", "chrome_wall.golden"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := ValidateChrome(data)
+		if err != nil {
+			return
+		}
+		var doc chromeDoc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.TraceEvents) != n || n == 0 {
+			t.Fatalf("accepted %d events, the document holds %d", n, len(doc.TraceEvents))
+		}
+		for i, e := range doc.TraceEvents {
+			if !strings.Contains("MXiC", e.Ph) || len(e.Ph) != 1 ||
+				e.Ts != nil && e.Ph != "M" && *e.Ts < 0 || e.Dur != nil && e.Ph == "X" && *e.Dur < 0 {
+				t.Fatalf("accepted event %d: %+v", i, e)
+			}
+		}
+	})
 }
 
 // TestProfileAggregation pins the aggregation pass over the synthetic
