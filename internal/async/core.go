@@ -246,7 +246,7 @@ func (k *core[D]) Gate(p int) bool {
 //async:sched-only
 func (k *core[D]) readInputs(p int) ([]Snapshot[D], error) {
 	st := k.workers[p]
-	lead, blind := readInputs(k.store, k.parts, st.part, st.clock, k.inbuf[p])
+	lead, blind := readInputs(k.store, k.parts, st.part, st.clock, k.inbuf[p], st.consumed)
 	if blind >= 0 {
 		return nil, fmt.Errorf("async: partition %d invisible to %d at %v", blind, p, st.clock)
 	}

@@ -59,7 +59,7 @@ func (k *core[D]) handleCrash(p int, at simtime.Duration) {
 	// original execution already counted these reads.
 	buf := k.inbuf[p]
 	for _, rec := range lg.Steps {
-		if _, q := readInputs(k.store, k.parts, st.part, rec.ReadAt, buf); q >= 0 {
+		if _, q := readInputs(k.store, k.parts, st.part, rec.ReadAt, buf, st.consumed); q >= 0 {
 			k.err = fmt.Errorf("async: replay of partition %d step %d cannot see neighbor %d at %v",
 				p, rec.Step, q, rec.ReadAt)
 			return

@@ -151,11 +151,7 @@ func runLive[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, 
 	for p := range s.lps {
 		s.lps[p].waitStart = -1
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.pool = workpool.New(min(workers, n), s.runPart)
+	s.pool = workpool.New(s.poolSize(), s.runPart)
 	if rec := s.rec; rec != nil {
 		// Steal attribution: the hook runs on the stealing worker's
 		// goroutine before the item does; the wall stamp the recorder
@@ -174,7 +170,7 @@ func runLive[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, 
 		s.timed.Push(s.smp.every, n)
 	}
 	s.timerWG.Add(1)
-	//async:pool — the executor's one goroutine besides the workpool: the timed-wake server.
+	//async:pool — the package's one go statement: the live executor's timed-wake server.
 	go s.timerLoop()
 	for p := range s.lps {
 		s.pool.Submit(p) // every partition starts runnable, the zero state
@@ -254,7 +250,7 @@ func (s *liveExecutor[D]) runPart(w, p int) {
 		return
 	}
 	buf := s.inbuf[p]
-	lead, blind := readInputs(s.store, s.parts, pt, t, buf)
+	lead, blind := readInputs(s.store, s.parts, pt, t, buf, pt.consumed)
 	if blind >= 0 {
 		s.failLocked(fmt.Errorf("async: partition %d invisible to %d at %v", blind, p, t))
 		s.mu.Unlock()

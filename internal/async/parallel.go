@@ -1,35 +1,35 @@
 package async
 
 import (
-	"runtime"
-	"slices"
 	"sync"
 
-	"repro/internal/simtime"
 	"repro/internal/trace"
+	"repro/internal/workpool"
 )
 
 // parallelScheduler is the wall-clock-parallel executor: it drives the
 // same sequential phase loop as the DES (so virtual-time ordering,
 // stochastic draws, and all bookkeeping stay identical), but runs
-// Workload.Step calls early on a pool of real goroutines and keeps the
-// ones that turn out to have read what the event-ordered read reads.
+// Workload.Step calls early on the shared goroutine pool (workpool) and
+// keeps the ones that turn out to have read what the event-ordered read
+// reads. Only an Undoable workload gets one: NewScheduler runs any other
+// on the DES core.
 //
 // Validate, don't prove. At every Admit the executor tops the
 // speculations in flight up to specWindow × pool-size, handing the
-// earliest pending step events that have none to the pool with the
-// neighbor versions visible at the event's time *now*. Nothing shows
+// earliest pending step events that have none to the pool (FIFO) with
+// the neighbor versions visible at the event's time *now*. Nothing shows
 // those versions final: a neighbor whose own event comes first may yet
 // publish one the step should have read. So when the event pops, Execute
 // makes the canonical event-ordered read exactly as the DES does and
 // compares version vectors. Equal: the pool's result is the result (Step
 // is a function of the step index, the inputs and the partition's state,
 // and a partition is single-flight, so the state was the same too).
-// Unequal: the speculation is discarded — taken back off the queue if no
-// pool goroutine had started it, otherwise waited for and undone
-// (Undoable.Restore) — and the step runs inline on the canonical inputs.
-// Correctness rests on that comparison alone: no property of the cost
-// model, the crash model or the staleness controller is assumed.
+// Unequal: the speculation is discarded — waited for, queued or running,
+// and undone (Undoable.Restore) — and the step runs inline on the
+// canonical inputs. Correctness rests on that comparison alone: no
+// property of the cost model, the crash model or the staleness
+// controller is assumed.
 //
 // Dispatch and verdict are decided on the scheduling goroutine from
 // virtual-time state only, so Speculated, SpecDiscarded and SpecDepth
@@ -38,10 +38,8 @@ import (
 // event order.
 type parallelScheduler[D any] struct {
 	*core[D]
-	// undo is the workload's Undoable view. Without one a discarded step
-	// could not be taken back, so nothing is speculated: there are no
-	// slots, no pool goroutine starts and every step runs inline.
 	undo Undoable[D]
+	pool *workpool.Pool[*spec[D]]
 	// spec[p] is partition p's speculation in flight, nil when it has none
 	// (a worker's steps run one at a time, in step order); idle holds the
 	// slots that are not in flight. There are specWindow × pool-size
@@ -50,9 +48,6 @@ type parallelScheduler[D any] struct {
 	// nothing once they have grown to the largest partition.
 	spec, idle []*spec[D]
 	early      []int // speculate's scratch: the next dispatches, earliest event first
-	queue      specQueue[D]
-	wg         sync.WaitGroup
-	closed     bool
 }
 
 // specWindow is how many speculations are kept in flight per pool
@@ -63,29 +58,19 @@ const specWindow = 3
 
 type spec[D any] struct {
 	p        int
-	at       simtime.Duration // the event's time at dispatch: pool priority
-	step     int              // the worker step index the speculation ran
-	inputs   []Snapshot[D]    // dispatch buffer, parallel to neighbors
-	versions []int            // input versions used, parallel to neighbors
-	undo     any              // the state before the step (Undoable.SaveUndo)
+	step     int           // the worker step index the speculation ran
+	inputs   []Snapshot[D] // dispatch buffer, parallel to neighbors
+	versions []int         // input versions used, parallel to neighbors
+	undo     any           // the state before the step (Undoable.SaveUndo)
 	out      StepOutcome[D]
 	err      error
 	done     sync.WaitGroup
 }
 
 //async:sched-root
-func newParallelScheduler[D any](k *core[D]) *parallelScheduler[D] {
-	s := &parallelScheduler[D]{core: k, spec: make([]*spec[D], len(k.workers))}
-	s.queue.ready.L = &s.queue.mu
-	s.undo, _ = k.w.(Undoable[D])
-	if s.undo == nil {
-		return s
-	}
-	n := k.opt.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	n = min(n, len(k.workers))
+func newParallelScheduler[D any](k *core[D], undo Undoable[D]) *parallelScheduler[D] {
+	n := k.poolSize()
+	s := &parallelScheduler[D]{core: k, undo: undo, spec: make([]*spec[D], len(k.workers))}
 	deg := 0
 	for _, st := range k.workers {
 		deg = max(deg, len(st.neighbors))
@@ -95,18 +80,11 @@ func newParallelScheduler[D any](k *core[D]) *parallelScheduler[D] {
 		s.idle = append(s.idle, &spec[D]{inputs: make([]Snapshot[D], deg), versions: make([]int, deg)})
 	}
 	k.onCrash = s.crashed
-	for i := 0; i < n; i++ {
-		s.wg.Add(1)
-		//async:pool — the executor's one sanctioned goroutine launch
-		go func() {
-			defer s.wg.Done()
-			for sp := s.queue.take(); sp != nil; sp = s.queue.take() {
-				sp.undo = s.undo.SaveUndo(sp.p, sp.undo)
-				sp.out, sp.err = runStep(s.w, sp.p, sp.step, sp.inputs)
-				sp.done.Done()
-			}
-		}()
-	}
+	s.pool = workpool.New(n, func(_ int, sp *spec[D]) {
+		sp.undo = undo.SaveUndo(sp.p, sp.undo)
+		sp.out, sp.err = runStep(k.w, sp.p, sp.step, sp.inputs)
+		sp.done.Done()
+	})
 	return s
 }
 
@@ -165,22 +143,16 @@ func (s *parallelScheduler[D]) dispatch(p int) {
 		}
 	}
 	sp.inputs, sp.versions = sp.inputs[:len(st.neighbors)], sp.versions[:len(st.neighbors)]
-	for j, q := range st.neighbors {
-		v, ok := s.store.VisibleFrom(q, t, st.cursors[j])
-		if !ok {
-			return // the canonical read will fail the run; nothing to run early
-		}
-		st.cursors[j] = v
-		s.store.fill(&sp.inputs[j], q, v)
-		sp.versions[j] = v
+	if _, blind := readInputs(s.store, s.parts, st.part, t, sp.inputs, sp.versions); blind >= 0 {
+		return // the canonical read will fail the run; nothing to run early
 	}
 	s.spec[p], s.idle = sp, s.idle[:len(s.idle)-1]
-	sp.p, sp.at, sp.step, sp.err = p, t, st.steps, nil
+	sp.p, sp.step, sp.err = p, st.steps, nil
 	sp.done.Add(1)
 	depth := cap(s.idle) - len(s.idle)
 	s.stats.SpecDepth = max(s.stats.SpecDepth, depth)
 	s.rec.Emit(trace.KindSpecDispatch, p, sp.step, t, int64(depth), 0, 0)
-	s.queue.push(sp)
+	s.pool.Submit(sp)
 }
 
 // Execute commits p's speculation iff the canonical input read — made here
@@ -217,12 +189,11 @@ func (s *parallelScheduler[D]) Execute(p int) (StepOutcome[D], error) {
 	return out, nil
 }
 
-// discard takes back partition p's in-flight speculation, if any: a step
-// no pool goroutine has started leaves the queue unrun; one that has is
-// waited for and undone. Its outcome — a recovered panic included — goes
-// with it. nb is the neighbor the canonical read found at version read
-// where the speculation had used version used; -1 when the discard has
-// another cause (p crashed, or the run ended).
+// discard takes back partition p's in-flight speculation, if any: it is
+// waited for, queued or running, and undone; its outcome — a recovered
+// panic included — goes with it. nb is the neighbor the canonical read
+// found at version read where the speculation had used version used; -1
+// when the discard has another cause (p crashed, or the run ended).
 //
 //async:sched-only
 func (s *parallelScheduler[D]) discard(p, nb, read, used int) {
@@ -230,12 +201,8 @@ func (s *parallelScheduler[D]) discard(p, nb, read, used int) {
 	if sp == nil {
 		return
 	}
-	if s.queue.remove(sp) {
-		sp.done.Done()
-	} else {
-		sp.done.Wait()
-		s.undo.Restore(p, sp.undo)
-	}
+	sp.done.Wait()
+	s.undo.Restore(p, sp.undo)
 	s.retire(sp)
 	s.stats.SpecDiscarded++
 	s.rec.Emit(trace.KindSpecInvalidate, p, sp.step, s.workers[p].clock, int64(nb), int64(read)<<32|int64(used), 0)
@@ -273,78 +240,12 @@ func (s *parallelScheduler[D]) Finish() (*RunStats, error) {
 	return s.core.Finish()
 }
 
-// Close drains the speculations and the goroutine pool: once it returns
-// no pool goroutine touches workload state and no discarded step has left
-// a mark on it.
+// Close drains the speculations and the goroutine pool, both idempotent:
+// once it returns no pool goroutine touches workload state and no
+// discarded step has left a mark on it.
 //
 //async:sched-root
 func (s *parallelScheduler[D]) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
 	s.drain()
-	s.queue.close()
-	s.wg.Wait()
-}
-
-// specQueue hands dispatched speculations to the pool, the earliest
-// virtual time first: the order the scheduling goroutine will come asking
-// in. It holds at most a window's worth, so the minimum is a scan away.
-type specQueue[D any] struct {
-	mu     sync.Mutex
-	ready  sync.Cond // signalled on push and close; L is &mu
-	items  []*spec[D]
-	closed bool
-}
-
-//async:sched-only
-func (q *specQueue[D]) push(sp *spec[D]) {
-	q.mu.Lock()
-	q.items = append(q.items, sp)
-	q.mu.Unlock()
-	q.ready.Signal()
-}
-
-// remove takes sp back off the queue and reports whether it was still
-// there; false means a pool goroutine has it.
-//
-//async:sched-only
-func (q *specQueue[D]) remove(sp *spec[D]) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	i := slices.Index(q.items, sp)
-	if i >= 0 {
-		q.items = slices.Delete(q.items, i, i+1)
-	}
-	return i >= 0
-}
-
-// take blocks until a speculation is queued and returns the earliest;
-// nil once the queue is closed. Pool goroutines call it.
-func (q *specQueue[D]) take() *spec[D] {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil
-		}
-		q.ready.Wait()
-	}
-	first := 0
-	for i, it := range q.items {
-		if it.at < q.items[first].at {
-			first = i
-		}
-	}
-	sp := q.items[first]
-	q.items = slices.Delete(q.items, first, first+1)
-	return sp
-}
-
-func (q *specQueue[D]) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.ready.Broadcast()
+	s.pool.Close()
 }

@@ -425,6 +425,54 @@ func TestParallelDiscards(t *testing.T) {
 		}
 	})
 
+	// A speculation discarded before the pool has started it. The one pool
+	// goroutine (Workers 1, a window of three) takes partition 1's step 0,
+	// 0's step 0 and 2's, which holds it for 50 ms; 1's step 1 is queued
+	// behind that on version 0 of partition 0. 0's event comes before it
+	// and publishes version 1, visible by then, so 1's event finds its
+	// speculation stale while it still waits in the queue. It must run,
+	// be undone and rerun inline on the canonical inputs.
+	t.Run("queued behind a busy pool goroutine", func(t *testing.T) {
+		c := quietCluster()
+		gap := c.DFSReadCost(late, true) - c.DFSReadCost(1<<10, true) // 2 starts this long after 1
+		rate := c.Config().ComputeRate
+		run := func(ex Executor) ([]int64, *RunStats, int32) {
+			state := []int64{3, 1, 0}
+			var stale atomic.Int32
+			w := chain([][]int{{}, {0}, {}}, []int64{1 << 20, 1 << 10, late}, state,
+				func(p, step int, in []Snapshot[int64]) StepOutcome[int64] {
+					switch {
+					case p == 0:
+						state[0] = 9
+						return StepOutcome[int64]{Publish: true, Data: 9, Bytes: 8, Ops: 10, LocalIters: 1, Quiescent: true}
+					case p == 2:
+						time.Sleep(50 * time.Millisecond)
+						return StepOutcome[int64]{Ops: 10, LocalIters: 1, Quiescent: true}
+					case step == 0: // busy until well after 0's publication is visible, long before 2 starts
+						return StepOutcome[int64]{Ops: int64(float64(gap) / 2 * rate), LocalIters: 1}
+					case in[0].Version == 0:
+						stale.Add(1)
+						state[1] = -1
+					}
+					return adopt(state, p, in, 10)
+				})
+			st, err := Run(quietCluster(), w, Options{Staleness: Unbounded, Executor: ex, Workers: 1})
+			if err != nil {
+				t.Fatalf("%v: %v", ex, err)
+			}
+			return state, st, stale.Load()
+		}
+		desState, des, desStale := run(DES)
+		parState, par, parStale := run(Parallel)
+		statsEqual(t, "queued", des, par)
+		if !reflect.DeepEqual(desState, parState) || !reflect.DeepEqual(parState, []int64{9, 9, 0}) {
+			t.Fatalf("state %v, DES %v", parState, desState)
+		}
+		if desStale != 0 || parStale != 1 || par.SpecDiscarded != 1 {
+			t.Fatalf("stale steps run: DES %d, parallel %d; %d discarded; want 0, 1 and 1: partition 1's step 1", desStale, parStale, par.SpecDiscarded)
+		}
+	})
+
 	// Partition 0's step 0 panics on the inputs it is meant to have: the
 	// speculation is committed, and the run fails as it does under DES.
 	// Partition 1's step was dispatched beside it and is still in flight;

@@ -19,6 +19,7 @@ package async
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/adapt"
 	"repro/internal/cluster"
@@ -144,6 +145,16 @@ type run[D any] struct {
 	// woken is the publish and settle points' scratch for the partitions
 	// to wake: all readers of one partition, so fewer than n.
 	woken []int
+}
+
+// poolSize is the goroutine pool the parallel and live executors start:
+// Options.Workers, else GOMAXPROCS, and never more than the partitions.
+func (r *run[D]) poolSize() int {
+	n := r.opt.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return min(n, len(r.parts))
 }
 
 // newRun validates the workload and builds the run record. Version 0 of
@@ -416,20 +427,21 @@ func gate[D any](store *Store[D], parts []part, pt *part, t simtime.Duration, ne
 	return -1, 0, false
 }
 
-// readInputs is the canonical input read: it fills buf, parallel to
+// readInputs is the one input read: it fills buf, parallel to
 // pt.neighbors, with the snapshots visible at t — the only copy a step's
-// input makes — advancing the read cursors and recording the consumed
-// versions. lead is the largest lead of pt's publication counter over a
-// version read from an unsettled neighbor (the quantity the staleness
-// bound caps). blind is the neighbor with nothing visible at t, -1 when
-// the read is complete; the read stops there.
-func readInputs[D any](store *Store[D], parts []part, pt *part, t simtime.Duration, buf []Snapshot[D]) (lead, blind int) {
+// input makes — advancing the read cursors and recording the versions
+// read in used (pt.consumed, or a speculation's own vector). lead is the
+// largest lead of pt's publication counter over a version read from an
+// unsettled neighbor (the quantity the staleness bound caps). blind is
+// the neighbor with nothing visible at t, -1 when the read is complete;
+// the read stops there.
+func readInputs[D any](store *Store[D], parts []part, pt *part, t simtime.Duration, buf []Snapshot[D], used []int) (lead, blind int) {
 	for j, q := range pt.neighbors {
 		v, ok := store.VisibleFrom(q, t, pt.cursors[j])
 		if !ok {
 			return lead, q
 		}
-		pt.cursors[j], pt.consumed[j] = v, v
+		pt.cursors[j], used[j] = v, v
 		if l := pt.version - v; l > lead && !parts[q].settled() {
 			lead = l
 		}

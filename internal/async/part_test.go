@@ -189,7 +189,7 @@ func TestReadInputsLeadAndConsumed(t *testing.T) {
 	parts[3].state = forced
 	pt := &parts[0]
 	buf := make([]Snapshot[int], 4)
-	lead, blind := readInputs(store, parts, pt, now, buf)
+	lead, blind := readInputs(store, parts, pt, now, buf, pt.consumed)
 	// Version 5 leads neighbor 1 by 3, neighbor 2 by 4, neighbor 5 by 1;
 	// the lead of 5 over settled neighbor 3 does not count.
 	if lead != 4 || blind != -1 {
@@ -205,7 +205,7 @@ func TestReadInputsLeadAndConsumed(t *testing.T) {
 		}
 	}
 	// Reading again later moves cursors and consumed versions together.
-	if lead, blind = readInputs(store, parts, pt, 12*simtime.Second, buf); lead != 3 || blind != -1 {
+	if lead, blind = readInputs(store, parts, pt, 12*simtime.Second, buf, pt.consumed); lead != 3 || blind != -1 {
 		t.Fatalf("second read: lead %d blind %d, want 3 and -1", lead, blind)
 	}
 	if pt.consumed[1] != 2 || pt.cursors[1] != 2 || buf[1].Version != 2 {
@@ -213,15 +213,22 @@ func TestReadInputsLeadAndConsumed(t *testing.T) {
 	}
 	// A lead never goes below zero, whoever is ahead.
 	pt.version = 0
-	if lead, _ = readInputs(store, parts, pt, now, buf); lead != 0 {
+	if lead, _ = readInputs(store, parts, pt, now, buf, pt.consumed); lead != 0 {
 		t.Fatalf("reader behind every neighbor has lead %d", lead)
+	}
+	// An early read — the parallel executor's dispatch — records what it
+	// read in a vector of its own and leaves consumed alone.
+	used := make([]int, 4)
+	readInputs(store, parts, pt, 12*simtime.Second, buf, used)
+	if !slices.Equal(used, []int{2, 2, 0, 4}) || !slices.Equal(pt.consumed, []int{2, 1, 0, 4}) {
+		t.Fatalf("early read used %v, consumed %v; want [2 2 0 4] and [2 1 0 4] untouched", used, pt.consumed)
 	}
 
 	// A neighbor with nothing visible stops the read and is named; what
 	// was read before it stays read.
 	parts = readerParts(6, 0, 1, 4, 2)
 	pt = &parts[0]
-	if _, blind = readInputs(store, parts, pt, now, buf); blind != 4 {
+	if _, blind = readInputs(store, parts, pt, now, buf, pt.consumed); blind != 4 {
 		t.Fatalf("blind neighbor %d, want 4", blind)
 	}
 	if pt.consumed[0] != 2 || pt.consumed[1] != -1 || pt.consumed[2] != -1 {

@@ -35,9 +35,9 @@
 // outside //async:measured live-executor code, no global randomness or
 // map-order iteration (this marker), scheduling bookkeeping confined to
 // the scheduling goroutine (//async:sched-only / //async:sched-root),
-// and goroutines launched only at the executor's annotated pool
-// dispatch (//async:pool). The store's lock-free fields are typed
-// atomics, which admit no plain access.
+// and no goroutine launched but the live executor's timer (//async:pool):
+// both executors' pools are internal/workpool's. The store's lock-free
+// fields are typed atomics, which admit no plain access.
 //
 //async:deterministic
 package async
@@ -464,8 +464,10 @@ func Run[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, erro
 }
 
 // NewScheduler builds the scheduler for opt.Executor over the workload:
-// DES or Parallel. The live executor has no phase loop to drive — its
-// partitions step concurrently — so Run is its only entry point.
+// DES or Parallel, and the DES core for a workload that is not Undoable:
+// the parallel executor could not take back its steps. The live executor
+// has no phase loop to drive — its partitions step concurrently — so Run
+// is its only entry point.
 //
 //async:sched-root
 func NewScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (Scheduler[D], error) {
@@ -480,8 +482,8 @@ func NewScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (Schedu
 	if err != nil {
 		return nil, err
 	}
-	if opt.Executor == Parallel {
-		return newParallelScheduler(k), nil
+	if undo, ok := w.(Undoable[D]); ok && opt.Executor == Parallel {
+		return newParallelScheduler(k, undo), nil
 	}
 	return k, nil
 }

@@ -11,8 +11,8 @@ import (
 // packages whose package doc carries //async:deterministic: engine code
 // replays bit-identically from a configuration, so it must never
 // consult the wall clock, draw from process-global randomness, iterate
-// a map in unspecified order, or spawn goroutines outside the
-// executor's annotated pool dispatch.
+// a map in unspecified order, or spawn goroutines but at an annotated
+// launch (//async:pool).
 //
 // Functions declared //async:measured are the waiver: their job is to
 // observe real elapsed time (the live executor's measured step costs,
@@ -68,7 +68,7 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 					// The waiver sits on the go statement's line or the one above.
 					if line := pass.Fset.Position(n.Pos()).Line; !pool[line] && !pool[line-1] {
 						pass.Reportf(n.Pos(), "bare go statement in deterministic engine code: "+
-							"goroutines may only be spawned by the executor pool dispatch (annotate with //async:pool)")
+							"goroutines may only be spawned at an annotated launch (//async:pool)")
 					}
 				case *ast.RangeStmt:
 					if t := pass.TypesInfo.TypeOf(n.X); t != nil {

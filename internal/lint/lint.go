@@ -39,9 +39,9 @@
 //
 //	//async:pool
 //	    Statement annotation (same line or the line above a go
-//	    statement): waives the determinism analyzer's bare-go rule for
-//	    the executor's pool dispatch, the one place the runtime is
-//	    allowed to spawn goroutines.
+//	    statement): waives the determinism analyzer's bare-go rule. The
+//	    runtime's one such launch is the live executor's timer; both
+//	    executors' pools are internal/workpool goroutines.
 //
 // Run the suite with scripts/lint.sh, or directly:
 //

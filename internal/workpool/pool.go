@@ -1,5 +1,6 @@
 // Package workpool provides the fixed work-stealing goroutine pool that
-// runs the async live executor's partition step tasks.
+// both goroutine-backed async executors run on: the live executor's
+// partition step tasks and the parallel executor's speculated steps.
 //
 // A Pool[T] owns a fixed set of worker goroutines and one run queue per
 // worker. Owners pop their own queue FIFO (head first), so partitions
@@ -10,16 +11,19 @@
 // step, on the worker whose scratch (flat buffers, CSR cursors) is
 // already warm — while Submit round-robins across queues: the live
 // executor's initial placement and every wake (a timer's, a
-// publication's, a gate release's) go through it.
+// publication's, a gate release's) and every speculation the parallel
+// executor dispatches go through it.
 //
 // All queue operations are arbitrated by a single pool mutex rather
 // than per-queue locks with lock-free deques. That is a deliberate
 // tradeoff: every item this pool runs is a whole partition step (tens
 // of microseconds and up), so the critical sections around a push/pop
 // are noise against the work itself, and a single lock makes the
-// park/wake and steal paths trivially free of lost-wakeup races. The
-// steady-state Submit/run cycle performs no allocation once the queues
-// have grown to their working capacity.
+// park/wake and steal paths trivially free of lost-wakeup races. A pop
+// is amortized O(1) and allocation-free even on a queue that never
+// drains (the parallel executor's never do), so the steady-state
+// Submit/run cycle performs no allocation once the queues have grown to
+// their working capacity.
 package workpool
 
 import "sync"
@@ -33,9 +37,10 @@ type Pool[T any] struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queues  [][]T // per-worker FIFO run queues
-	next    int   // round-robin cursor for Submit placement
-	idle    int   // workers parked in cond.Wait
+	queues  [][]T // per-worker FIFO run queues: queues[w][heads[w]:] wait
+	heads   []int
+	next    int // round-robin cursor for Submit placement
+	idle    int // workers parked in cond.Wait
 	steals  int64
 	onSteal func(worker int, item T)
 	closed  bool
@@ -52,6 +57,7 @@ func New[T any](workers int, run func(worker int, item T)) *Pool[T] {
 	p := &Pool[T]{
 		run:    run,
 		queues: make([][]T, workers),
+		heads:  make([]int, workers),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
@@ -61,10 +67,10 @@ func New[T any](workers int, run func(worker int, item T)) *Pool[T] {
 	return p
 }
 
-// Steals returns the number of items executed by a worker other than
-// the one whose queue they were submitted to. Safe to call only when no
-// worker is running (after Close) or when approximate values are
-// acceptable.
+// Steals returns the number of items executed so far by a worker other
+// than the one whose queue they were submitted to. Safe from any
+// goroutine; like Queued a point-in-time gauge (the live executor's
+// metrics sampler reads it mid-run), exact once Close has returned.
 func (p *Pool[T]) Steals() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -79,8 +85,8 @@ func (p *Pool[T]) Queued() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, q := range p.queues {
-		n += len(q)
+	for i, q := range p.queues {
+		n += len(q) - p.heads[i]
 	}
 	return n
 }
@@ -166,32 +172,34 @@ func (p *Pool[T]) worker(w int) {
 // grabLocked takes the next item for worker w: the head of its own
 // queue, else the tail of the longest other queue (stolen=true). Caller
 // holds p.mu.
+//
+// The owner pops by advancing its head index and moves what waits down
+// once the taken head is at least as long: amortized O(1), and a queue
+// that never drains reuses one backing array instead of creeping on.
 func (p *Pool[T]) grabLocked(w int) (item T, stolen, ok bool) {
-	if q := p.queues[w]; len(q) > 0 {
-		item = q[0]
-		var zero T
-		q[0] = zero // release the slot for GC'd element types
-		p.queues[w] = q[1:]
-		if len(p.queues[w]) == 0 {
-			// Reclaim the backing array once drained so the FIFO head
-			// slice does not creep through memory forever.
-			p.queues[w] = q[:0]
+	var zero T
+	if q, h := p.queues[w], p.heads[w]; h < len(q) {
+		item, q[h] = q[h], zero // release the slot for GC'd element types
+		if h++; h < len(q)-h {
+			p.heads[w] = h
+		} else {
+			n := copy(q, q[h:])
+			clear(q[n:])
+			p.queues[w], p.heads[w] = q[:n], 0
 		}
 		return item, false, true
 	}
 	victim, best := -1, 0
-	for i := range p.queues {
-		if i != w && len(p.queues[i]) > best {
-			victim, best = i, len(p.queues[i])
+	for i, q := range p.queues {
+		if n := len(q) - p.heads[i]; i != w && n > best {
+			victim, best = i, n
 		}
 	}
 	if victim < 0 {
 		return item, false, false
 	}
 	q := p.queues[victim]
-	item = q[len(q)-1]
-	var zero T
-	q[len(q)-1] = zero
+	item, q[len(q)-1] = q[len(q)-1], zero
 	p.queues[victim] = q[:len(q)-1]
 	p.steals++
 	return item, true, true

@@ -108,23 +108,155 @@ func TestPoolCloseIdempotent(t *testing.T) {
 
 // TestPoolSteadyStateAllocFree checks the Submit/run cycle allocates
 // nothing once the queues have reached working capacity — the property
-// the live executor's 0-alloc step path depends on.
+// the live executor's and the parallel executor's 0-alloc step paths
+// depend on — both when the worker's queue drains every cycle (the live
+// executor's usual case) and when it never does (the parallel
+// executor's: speculations queue up behind the running one).
 func TestPoolSteadyStateAllocFree(t *testing.T) {
-	var done sync.WaitGroup
-	p := New(1, func(_, _ int) { done.Done() })
-	defer p.Close()
-	// Warm the queue's backing array.
-	for i := 0; i < 100; i++ {
-		done.Add(1)
-		p.Submit(i)
-	}
-	done.Wait()
-	allocs := testing.AllocsPerRun(200, func() {
-		done.Add(1)
-		p.Submit(7)
+	t.Run("drains", func(t *testing.T) {
+		var done sync.WaitGroup
+		p := New(1, func(_, _ int) { done.Done() })
+		defer p.Close()
+		// Warm the queue's backing array.
+		for i := 0; i < 100; i++ {
+			done.Add(1)
+			p.Submit(i)
+		}
 		done.Wait()
+		steadyAllocFree(t, func() {
+			done.Add(1)
+			p.Submit(7)
+			done.Wait()
+		})
 	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Submit/run allocates %.1f allocs/op, want 0", allocs)
+	t.Run("never drains", func(t *testing.T) {
+		// Each item blocks its worker until released, and two are
+		// outstanding between cycles: at most one of them is running, so
+		// the other is always queued.
+		release, finished := make(chan struct{}), make(chan struct{})
+		p := New(1, func(_, _ int) {
+			<-release
+			finished <- struct{}{}
+		})
+		defer p.Close()
+		p.Submit(0)
+		p.Submit(1)
+		defer func() { // let the two outstanding items finish, on failure too
+			for range 2 {
+				release <- struct{}{}
+				<-finished
+			}
+		}()
+		cycle := func() {
+			p.Submit(7)
+			release <- struct{}{}
+			<-finished
+		}
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
+		steadyAllocFree(t, cycle)
+	})
+}
+
+// steadyAllocFree runs cycle a thousand times and fails if they allocate
+// more than 0.01 times a cycle: once in a hundred cycles is a queue that
+// reallocates as it goes, not a stray runtime allocation.
+// (testing.AllocsPerRun would round 0.5 allocations a cycle down to 0.)
+func steadyAllocFree(t *testing.T, cycle func()) {
+	t.Helper()
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		cycle()
 	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / runs; per > 0.01 {
+		t.Fatalf("steady-state Submit/run allocates %.3f times a cycle, want 0", per)
+	}
+}
+
+// TestQueueMatchesModel drives the run queues through Submit, SubmitLocal
+// and the workers' grab — the owner's head pop, else a steal of the
+// longest other queue's tail — on a pool with no goroutines, against
+// plain slices, over scripts long enough that queues cross their
+// compaction point many times: every grab must return the model's item
+// from the model's queue, and Queued must match.
+func TestQueueMatchesModel(t *testing.T) {
+	x := uint32(7)
+	compactions := 0
+	for i := 0; i < 200; i++ {
+		script := make([]byte, 2*(20+i))
+		for j := range script {
+			x = x*1664525 + 1013904223
+			script[j] = byte(x >> 24)
+		}
+		compactions += checkQueueScript(t, script)
+	}
+	if compactions == 0 {
+		t.Fatal("no queue ever moved its waiting items down: the compaction path was not exercised")
+	}
+}
+
+// checkQueueScript runs script, two bytes an operation — op%4 and a
+// worker — and returns how many head pops moved waiting items down.
+//
+//	0 Submit of the next item (round-robin placement)
+//	1 SubmitLocal of the next item on the worker's queue
+//	2, 3 the worker grabs its next item
+func checkQueueScript(t *testing.T, script []byte) (compactions int) {
+	t.Helper()
+	const workers = 3
+	p := &Pool[int]{queues: make([][]int, workers), heads: make([]int, workers)}
+	p.cond = sync.NewCond(&p.mu)
+	model, next, item := make([][]int, workers), 0, 0
+	for ; len(script) >= 2; script = script[2:] {
+		op, w := script[0]%4, int(script[1])%workers
+		switch op {
+		case 0:
+			p.Submit(item)
+			model[next] = append(model[next], item)
+			next = (next + 1) % workers
+			item++
+		case 1:
+			p.SubmitLocal(w, item)
+			model[w] = append(model[w], item)
+			item++
+		default:
+			var want int
+			wantOK, wantStolen := true, false
+			if len(model[w]) > 0 {
+				want, model[w] = model[w][0], model[w][1:]
+			} else {
+				victim := -1
+				for i := range model {
+					if i != w && len(model[i]) > 0 && (victim < 0 || len(model[i]) > len(model[victim])) {
+						victim = i
+					}
+				}
+				if wantOK, wantStolen = victim >= 0, victim >= 0; wantOK {
+					q := model[victim]
+					want, model[victim] = q[len(q)-1], q[:len(q)-1]
+				}
+			}
+			p.mu.Lock()
+			got, stolen, ok := p.grabLocked(w)
+			if !stolen && ok && p.heads[w] == 0 && len(p.queues[w]) > 0 {
+				compactions++
+			}
+			p.mu.Unlock()
+			if got != want || stolen != wantStolen || ok != wantOK {
+				t.Fatalf("worker %d grabbed (%d, stolen %v, ok %v), model (%d, %v, %v); model queues %v", w, got, stolen, ok, want, wantStolen, wantOK, model)
+			}
+		}
+		queued := 0
+		for _, q := range model {
+			queued += len(q)
+		}
+		if got := p.Queued(); got != queued {
+			t.Fatalf("Queued %d, model %d: %v", got, queued, model)
+		}
+	}
+	return compactions
 }
