@@ -128,14 +128,15 @@ func main() {
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := cmp.Or(refuseIgnored(flag.Arg(0), *mode, set), refuseBadValues(*scale, *workers)); err != nil {
+	if err := cmp.Or(refuseIgnored(flag.Arg(0), *mode, set), refuseBadValues(*scale, *workers, *mttf)); err != nil {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 		os.Exit(2)
 	}
 
 	s := harness.NewSuite(*scale)
-	s.Quiet = !*verbose
-	s.Out = os.Stderr
+	if *verbose {
+		s.Out = os.Stderr
+	}
 	sv, spol, serr := adapt.ParseStaleness(*staleness)
 	if serr != nil {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", serr)
@@ -292,14 +293,17 @@ func refuseIgnored(what, mode string, set []string) error {
 
 // refuseBadValues names a flag whose value would be replaced without a
 // word: harness.NewSuite reads a -scale below 1 as 1, paper-size inputs
-// that take minutes where -scale 8 takes seconds, and the executors read
-// a negative -workers as GOMAXPROCS.
-func refuseBadValues(scale, workers int) error {
+// that take minutes where -scale 8 takes seconds, the executors read
+// a negative -workers as GOMAXPROCS, and the harness reads a negative
+// -mttf as no crashes; a NaN -mttf is no mean at all.
+func refuseBadValues(scale, workers int, mttf float64) error {
 	switch {
 	case scale < 1:
 		return fmt.Errorf("-scale %d: the divisor is 1 (paper-size inputs) or more", scale)
 	case workers < 0:
 		return fmt.Errorf("-workers %d: the cap is 0 (GOMAXPROCS) or more", workers)
+	case !(mttf >= 0):
+		return fmt.Errorf("-mttf %g: the mean is 0 (no crashes) or more", mttf)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -173,28 +174,32 @@ func TestIgnoredFlagsRefused(t *testing.T) {
 	}
 }
 
-// TestBadFlagValuesRefused: a -scale or -workers value the harness would
-// silently read as another one is an error naming the flag and what it
-// accepts.
+// TestBadFlagValuesRefused: a -scale, -workers or -mttf value the
+// harness would silently read as another one is an error naming the flag
+// and what it accepts.
 func TestBadFlagValuesRefused(t *testing.T) {
 	for _, c := range []struct {
 		scale, workers int
+		mttf           float64
 		refused        string // "" = accepted
 	}{
-		{0, 0, "-scale 0"},
-		{-3, 0, "-scale -3"},
-		{8, -2, "-workers -2"},
-		{0, -2, "-scale 0"},
-		{1, 0, ""},
-		{8, 0, ""},
-		{32, 4, ""},
+		{0, 0, 0, "-scale 0"},
+		{-3, 0, 0, "-scale -3"},
+		{8, -2, 0, "-workers -2"},
+		{0, -2, 0, "-scale 0"},
+		{8, 0, -5, "-mttf -5"},
+		{8, 0, math.NaN(), "-mttf NaN"},
+		{1, 0, 0, ""},
+		{8, 0, 0, ""},
+		{32, 4, 0, ""},
+		{8, 0, 30, ""},
 	} {
-		err := refuseBadValues(c.scale, c.workers)
+		err := refuseBadValues(c.scale, c.workers, c.mttf)
 		switch {
 		case c.refused == "" && err != nil:
-			t.Errorf("-scale %d -workers %d: refused: %v", c.scale, c.workers, err)
+			t.Errorf("-scale %d -workers %d -mttf %g: refused: %v", c.scale, c.workers, c.mttf, err)
 		case c.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refused+":") || !strings.Contains(err.Error(), "or more")):
-			t.Errorf("-scale %d -workers %d: got %v, want %q refused with the accepted range", c.scale, c.workers, err, c.refused)
+			t.Errorf("-scale %d -workers %d -mttf %g: got %v, want %q refused with the accepted range", c.scale, c.workers, c.mttf, err, c.refused)
 		}
 	}
 }

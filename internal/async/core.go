@@ -339,9 +339,9 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 	}
 }
 
-// Finish folds the run into the cluster at the latest worker clock; see
-// Scheduler. The final sample there is monotone by construction: the last
-// popped tick precedes the last step event, which bounds it from below.
+// Finish ends the run at the latest worker clock; see Scheduler. The
+// final sample there is monotone by construction: the last popped tick
+// precedes the last step event, which bounds it from below.
 //
 //async:sched-only
 func (k *core[D]) Finish() (*RunStats, error) {

@@ -277,17 +277,17 @@ func TestEngineRejectsBadWorkloads(t *testing.T) {
 	}
 }
 
+// TestEngineAccountsClusterMetrics: each executor adds the run's compute
+// operations, maxProp's 10 a step, to the cluster's one counter.
 func TestEngineAccountsClusterMetrics(t *testing.T) {
-	c := quietCluster()
-	vals := []int64{5, 1, 9, 3}
-	if _, err := Run(c, maxProp(vals), Options{Staleness: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m := c.Metrics()
-	if m.AsyncSteps == 0 || m.AsyncPublishes == 0 || m.AsyncPushedBytes == 0 {
-		t.Fatalf("async metrics not accounted: %+v", m)
-	}
-	if c.Now() <= 0 {
-		t.Fatal("cluster clock not advanced")
+	for _, ex := range []Executor{DES, Parallel, Live} {
+		c := liveCluster()
+		stats, err := Run(c, maxProp([]int64{5, 1, 9, 3}), Options{Staleness: 1, Executor: ex})
+		if err != nil {
+			t.Fatalf("%v: %v", ex, err)
+		}
+		if got, want := c.Metrics().ComputeOps, 10*stats.Steps; got != want || want == 0 {
+			t.Fatalf("%v: ComputeOps %d, want 10 x %d steps", ex, got, stats.Steps)
+		}
 	}
 }

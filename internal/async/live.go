@@ -182,19 +182,10 @@ func runLive[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, 
 	if s.runErr != nil {
 		return nil, s.runErr
 	}
-	// The pool and timer are stopped: nothing else touches the run. In
-	// measured-cost mode the cluster clock advances by the measured
-	// makespan.
+	// The pool and timer are stopped: nothing else touches the run. Its
+	// duration is the measured makespan.
 	s.stats.LiveSteals = s.pool.Steals()
-	stats, err := s.finish(s.endAt, s.gauges())
-	if err != nil {
-		return nil, err
-	}
-	s.c.Account(func(m *cluster.Metrics) {
-		m.AsyncLiveSteps += stats.Steps
-		m.AsyncLiveSteals += stats.LiveSteals
-	})
-	return stats, nil
+	return s.finish(s.endAt, s.gauges())
 }
 
 // now returns the real time elapsed since the run started, in the same

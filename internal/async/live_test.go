@@ -70,13 +70,6 @@ func TestLiveMaxPropagation(t *testing.T) {
 			if stats.Steps < int64(len(vals)) || stats.Publishes == 0 || stats.Duration <= 0 {
 				t.Fatalf("S=%d w=%d: implausible stats %+v", s, workers, stats)
 			}
-			m := c.Metrics()
-			if m.AsyncLiveSteps != stats.Steps {
-				t.Fatalf("S=%d w=%d: metrics AsyncLiveSteps %d != run steps %d", s, workers, m.AsyncLiveSteps, stats.Steps)
-			}
-			if got := c.Now(); got != stats.Duration {
-				t.Fatalf("S=%d w=%d: cluster clock %v != measured duration %v", s, workers, got, stats.Duration)
-			}
 		}
 	}
 }

@@ -138,7 +138,7 @@ type run[D any] struct {
 	rec      *trace.Recorder
 	smp      *sampler[D] // Options.Series; nil = sampling off
 	stats    *RunStats
-	totalOps int64 // the run's user compute, priced into the cluster at finish
+	totalOps int64 // the run's user compute, added to the cluster's counter at finish
 	// adaptCost is what a bound change costs on the partition's critical
 	// path: the cluster's AdaptCost in virtual time, nothing under live.
 	adaptCost simtime.Duration
@@ -206,8 +206,8 @@ func newRun[D any](c *cluster.Cluster, w Workload[D], opt Options) (r run[D], in
 // at end whether or not it lands on the tick grid, so the convergence
 // curve always ends at the final state (last carries what only the
 // executor knows: see sampler.record); the stats are completed from the
-// partition model and the controller; and the run is folded into the
-// cluster's metrics and clock.
+// partition model and the controller; and the run's compute operations
+// are added to the cluster's counter.
 //
 //async:sched-only
 func (r *run[D]) finish(end simtime.Duration, last metrics.Sample) (*RunStats, error) {
@@ -234,19 +234,7 @@ func (r *run[D]) finish(end simtime.Duration, last metrics.Sample) (*RunStats, e
 	stats.AdaptCuts = r.ctrl.Cuts()
 	stats.StalenessMean = r.ctrl.StalenessMean()
 	stats.StalenessMax = r.ctrl.StalenessMax()
-	r.c.Account(func(m *cluster.Metrics) {
-		m.AsyncSteps += stats.Steps
-		m.AsyncPublishes += stats.Publishes
-		m.AsyncPushedBytes += stats.PushedBytes
-		m.AsyncGateWaits += stats.GateWaits
-		m.AsyncCrashes += stats.Crashes
-		m.AsyncRecoveries += stats.Recoveries
-		m.AsyncCheckpoints += stats.Checkpoints
-		m.AsyncAdaptRaises += stats.AdaptRaises
-		m.AsyncAdaptCuts += stats.AdaptCuts
-		m.ComputeOps += r.totalOps
-	})
-	r.c.Clock().Advance(end)
+	r.c.AddComputeOps(r.totalOps)
 	return stats, nil
 }
 

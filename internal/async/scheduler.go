@@ -432,8 +432,8 @@ type Scheduler[D any] interface {
 	//
 	//async:sched-only
 	Advance(p int, out StepOutcome[D])
-	// Finish validates drain invariants, folds per-run counters into the
-	// cluster's metrics and clock, and returns the run's stats.
+	// Finish validates drain invariants, adds the run's compute
+	// operations to the cluster's counter, and returns the run's stats.
 	//
 	//async:sched-only
 	Finish() (*RunStats, error)
@@ -445,7 +445,7 @@ type Scheduler[D any] interface {
 }
 
 // Run executes the workload to global quiescence on the given simulated
-// cluster, advancing its clock by the run's duration. The executor in
+// cluster and reports the run's duration in its stats. The executor in
 // opt chooses between the sequential DES and the wall-clock-parallel
 // strategy, which produce identical virtual-time results, and the live
 // executor, which measures instead (live.go).

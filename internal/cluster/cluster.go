@@ -1,77 +1,33 @@
 package cluster
 
 import (
-	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
-// Cluster is a simulated set of hosts with a shared virtual clock and a
-// cost model. It tracks aggregate metrics (bytes shuffled, tasks run,
-// failures) so experiments can report the same quantities a Hadoop
-// JobTracker UI exposed.
+// Cluster is a simulated set of hosts: a cost model plus the RNG its
+// stochastic draws consume. Each run reports its own time and counters
+// (mapreduce.Result, core.RunStats, async.RunStats); the cluster keeps
+// only the compute operations of the async runs it priced.
 //
-// Methods that only price an action (Transfer, DFSWrite, ...) are pure
-// with respect to the clock: they return durations that the caller
-// schedules.
-//
-// Concurrency contract: pricing methods are pure and safe from any
-// goroutine; Account and Metrics serialize on an internal mutex; the
-// clock is advanced only by the engine's scheduling loop but may be read
-// (Now) from any goroutine. The stochastic draws (TaskAttempts,
-// StragglerFactor) consume the cluster RNG and are reserved to the
-// scheduling loop — drawing them out of event order would break
-// deterministic replay. Engines that fan work out to goroutines (the
-// parallel async executor) shard their counters per worker and merge
-// them through one Account call at the end of the run.
+// Concurrency contract: pricing methods (ComputeCost, TransferCost, ...)
+// are pure and safe from any goroutine, as are AddComputeOps and
+// Metrics. The stochastic draws (TaskAttempts, StragglerFactor) consume
+// the cluster RNG and are reserved to the scheduling loop — drawing them
+// out of event order would break deterministic replay.
 type Cluster struct {
-	cfg   *Config
-	clock simtime.Clock
-	rng   *stats.RNG
-
-	metrics Metrics
+	cfg        *Config
+	rng        *stats.RNG
+	computeOps atomic.Int64
 }
 
-// Metrics aggregates observable simulation counters.
+// Metrics is a snapshot of the cluster's counter.
 type Metrics struct {
-	mu sync.Mutex
-
-	MapTasks        int64
-	ReduceTasks     int64
-	TaskFailures    int64
-	ShuffleBytes    int64
-	ShuffleRecords  int64
-	DFSBytesRead    int64
-	DFSBytesWritten int64
-	Jobs            int64
-	LocalSyncs      int64
-	GlobalSyncs     int64
-	ComputeOps      int64
-
-	// Fully-asynchronous runtime counters (internal/async).
-	AsyncSteps       int64
-	AsyncPublishes   int64
-	AsyncPushedBytes int64
-	AsyncGateWaits   int64
-
-	// Worker-crash fault model counters (internal/recovery).
-	AsyncCrashes     int64
-	AsyncRecoveries  int64
-	AsyncCheckpoints int64
-
-	// Adaptive staleness-control counters (internal/adapt): bound
-	// raises and cuts across all async runs.
-	AsyncAdaptRaises int64
-	AsyncAdaptCuts   int64
-
-	// Live (measured-cost) executor counters: steps executed on the real
-	// work-stealing pool and the pool's work-stealing migrations. Live
-	// steps also count into AsyncSteps; these break out the measured
-	// share.
-	AsyncLiveSteps  int64
-	AsyncLiveSteals int64
+	// ComputeOps sums the user compute operations of every async run
+	// executed on the cluster.
+	ComputeOps int64
 }
 
 // New constructs a cluster from cfg. The configuration is validated; an
@@ -86,87 +42,11 @@ func New(cfg *Config) *Cluster {
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() *Config { return c.cfg }
 
-// Clock returns the cluster's virtual clock.
-func (c *Cluster) Clock() *simtime.Clock { return &c.clock }
+// AddComputeOps adds a finished run's compute operations to the counter.
+func (c *Cluster) AddComputeOps(ops int64) { c.computeOps.Add(ops) }
 
-// Now returns the current virtual time.
-func (c *Cluster) Now() simtime.Duration { return c.clock.Now() }
-
-// Reset rewinds the clock and zeroes metrics for a fresh experiment run
-// on the same configuration. The RNG is reseeded so runs are identical.
-// A scheduling-loop root: callers reset between runs, never while a
-// scheduling loop is live.
-//
-//async:sched-root
-func (c *Cluster) Reset() {
-	c.clock.Reset()
-	c.rng = stats.NewRNG(c.cfg.Seed)
-	c.metrics = Metrics{}
-}
-
-// Metrics returns a snapshot of the aggregate counters.
-func (c *Cluster) Metrics() MetricsSnapshot {
-	c.metrics.mu.Lock()
-	defer c.metrics.mu.Unlock()
-	return MetricsSnapshot{
-		MapTasks:         c.metrics.MapTasks,
-		ReduceTasks:      c.metrics.ReduceTasks,
-		TaskFailures:     c.metrics.TaskFailures,
-		ShuffleBytes:     c.metrics.ShuffleBytes,
-		ShuffleRecords:   c.metrics.ShuffleRecords,
-		DFSBytesRead:     c.metrics.DFSBytesRead,
-		DFSBytesWritten:  c.metrics.DFSBytesWritten,
-		Jobs:             c.metrics.Jobs,
-		LocalSyncs:       c.metrics.LocalSyncs,
-		GlobalSyncs:      c.metrics.GlobalSyncs,
-		ComputeOps:       c.metrics.ComputeOps,
-		AsyncSteps:       c.metrics.AsyncSteps,
-		AsyncPublishes:   c.metrics.AsyncPublishes,
-		AsyncPushedBytes: c.metrics.AsyncPushedBytes,
-		AsyncGateWaits:   c.metrics.AsyncGateWaits,
-		AsyncCrashes:     c.metrics.AsyncCrashes,
-		AsyncRecoveries:  c.metrics.AsyncRecoveries,
-		AsyncCheckpoints: c.metrics.AsyncCheckpoints,
-		AsyncAdaptRaises: c.metrics.AsyncAdaptRaises,
-		AsyncAdaptCuts:   c.metrics.AsyncAdaptCuts,
-		AsyncLiveSteps:   c.metrics.AsyncLiveSteps,
-		AsyncLiveSteals:  c.metrics.AsyncLiveSteals,
-	}
-}
-
-// MetricsSnapshot is an immutable copy of Metrics.
-type MetricsSnapshot struct {
-	MapTasks         int64
-	ReduceTasks      int64
-	TaskFailures     int64
-	ShuffleBytes     int64
-	ShuffleRecords   int64
-	DFSBytesRead     int64
-	DFSBytesWritten  int64
-	Jobs             int64
-	LocalSyncs       int64
-	GlobalSyncs      int64
-	ComputeOps       int64
-	AsyncSteps       int64
-	AsyncPublishes   int64
-	AsyncPushedBytes int64
-	AsyncGateWaits   int64
-	AsyncCrashes     int64
-	AsyncRecoveries  int64
-	AsyncCheckpoints int64
-	AsyncAdaptRaises int64
-	AsyncAdaptCuts   int64
-	AsyncLiveSteps   int64
-	AsyncLiveSteals  int64
-}
-
-func (m MetricsSnapshot) String() string {
-	return fmt.Sprintf(
-		"jobs=%d maps=%d reduces=%d failures=%d shuffleMB=%.1f dfsWriteMB=%.1f localSyncs=%d globalSyncs=%d",
-		m.Jobs, m.MapTasks, m.ReduceTasks, m.TaskFailures,
-		float64(m.ShuffleBytes)/1e6, float64(m.DFSBytesWritten)/1e6,
-		m.LocalSyncs, m.GlobalSyncs)
-}
+// Metrics returns a snapshot of the counter.
+func (c *Cluster) Metrics() Metrics { return Metrics{ComputeOps: c.computeOps.Load()} }
 
 // --- cost model -----------------------------------------------------------
 
@@ -286,13 +166,4 @@ func (c *Cluster) StragglerFactor() float64 {
 		f = minStragglerFactor
 	}
 	return f
-}
-
-// --- metric mutation helpers (concurrency-safe) ---------------------------
-
-// Account applies fn to the metrics under lock.
-func (c *Cluster) Account(fn func(*Metrics)) {
-	c.metrics.mu.Lock()
-	defer c.metrics.mu.Unlock()
-	fn(&c.metrics)
 }

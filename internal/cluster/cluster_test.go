@@ -28,6 +28,15 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.FailureProb = 1.5 },
 		func(c *Config) { c.CrossRackFraction = 2 },
 		func(c *Config) { c.AdaptCost = -simtime.Microsecond },
+		func(c *Config) { c.JobOverhead = -simtime.Second },
+		func(c *Config) { c.TaskOverhead = simtime.Duration(math.NaN()) },
+		func(c *Config) { c.MapRecordCost = -simtime.Microsecond },
+		func(c *Config) { c.ReduceRecordCost = simtime.Duration(math.NaN()) },
+		func(c *Config) { c.EmitCost = -simtime.Microsecond },
+		func(c *Config) { c.SortCostPerRecord = -1e-9 },
+		func(c *Config) { c.NetLatency = simtime.Duration(math.NaN()) },
+		func(c *Config) { c.LocalSyncOverhead = -simtime.Microsecond },
+		func(c *Config) { c.CrashMTTF = simtime.Duration(math.NaN()) },
 	}
 	for i, mutate := range mutations {
 		cfg := EC2LargeCluster()
@@ -190,45 +199,17 @@ func TestStragglerFactorBounds(t *testing.T) {
 	}
 }
 
-func TestResetRestoresDeterminism(t *testing.T) {
-	c := New(EC2LargeCluster())
-	c.Clock().Advance(5)
-	first := make([]float64, 50)
-	for i := range first {
-		first[i] = c.StragglerFactor()
-	}
-	c.Account(func(m *Metrics) { m.Jobs += 3 })
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("Reset did not rewind clock")
-	}
-	if c.Metrics().Jobs != 0 {
-		t.Fatal("Reset did not clear metrics")
-	}
-	for i := range first {
-		if got := c.StragglerFactor(); got != first[i] {
-			t.Fatalf("RNG not reseeded at %d", i)
-		}
-	}
-}
-
 func TestMetricsAccounting(t *testing.T) {
 	c := New(EC2LargeCluster())
-	c.Account(func(m *Metrics) {
-		m.MapTasks += 7
-		m.ShuffleBytes += 1024
-	})
+	c.AddComputeOps(7)
 	snap := c.Metrics()
-	if snap.MapTasks != 7 || snap.ShuffleBytes != 1024 {
+	if snap.ComputeOps != 7 {
 		t.Fatalf("metrics snapshot %+v", snap)
 	}
-	// Snapshot is a copy: mutating the cluster later is invisible.
-	c.Account(func(m *Metrics) { m.MapTasks++ })
-	if snap.MapTasks != 7 {
-		t.Fatal("snapshot aliased live metrics")
-	}
-	if s := snap.String(); s == "" {
-		t.Fatal("empty String()")
+	// Snapshot is a copy: adding to the cluster later is invisible.
+	c.AddComputeOps(1)
+	if snap.ComputeOps != 7 || c.Metrics().ComputeOps != 8 {
+		t.Fatalf("snapshot %+v, cluster %+v after a second add", snap, c.Metrics())
 	}
 }
 

@@ -6,8 +6,9 @@
 // per-job scheduling overhead, task launch, record processing, the shuffle
 // (network latency + bandwidth + sort), and DFS reads/writes with
 // replication — using constants calibrated to Hadoop-0.20-era published
-// measurements. The MapReduce engine (internal/mapreduce) executes real
-// user code over real data and consults this package only for time.
+// measurements. The engines (internal/mapreduce, internal/async) execute
+// real user code over real data, consult this package only for prices,
+// and report each run's own simulated time.
 package cluster
 
 import (
@@ -157,18 +158,25 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: FailureProb must be in [0,1), got %g", c.FailureProb)
 	case c.CrossRackFraction < 0 || c.CrossRackFraction > 1:
 		return fmt.Errorf("cluster: CrossRackFraction must be in [0,1], got %g", c.CrossRackFraction)
-	case c.AsyncSyncOverhead < 0:
-		return fmt.Errorf("cluster: AsyncSyncOverhead must be non-negative, got %v", c.AsyncSyncOverhead)
-	case c.AdaptCost < 0:
-		return fmt.Errorf("cluster: AdaptCost must be non-negative, got %v", c.AdaptCost)
-	case c.CrashMTTF < 0:
-		return fmt.Errorf("cluster: CrashMTTF must be non-negative, got %v", c.CrashMTTF)
-	case c.CheckpointCost < 0:
-		return fmt.Errorf("cluster: CheckpointCost must be non-negative, got %v", c.CheckpointCost)
-	case c.RestoreCost < 0:
-		return fmt.Errorf("cluster: RestoreCost must be non-negative, got %v", c.RestoreCost)
 	case c.LiveNetScale < 0:
 		return fmt.Errorf("cluster: LiveNetScale must be non-negative, got %g", c.LiveNetScale)
+	}
+	// !(d >= 0) refuses NaN as well as negative durations.
+	for _, d := range []struct {
+		name string
+		d    simtime.Duration
+	}{
+		{"MapRecordCost", c.MapRecordCost}, {"ReduceRecordCost", c.ReduceRecordCost},
+		{"EmitCost", c.EmitCost}, {"SortCostPerRecord", c.SortCostPerRecord},
+		{"NetLatency", c.NetLatency}, {"JobOverhead", c.JobOverhead},
+		{"TaskOverhead", c.TaskOverhead}, {"LocalSyncOverhead", c.LocalSyncOverhead},
+		{"AsyncSyncOverhead", c.AsyncSyncOverhead}, {"CrashMTTF", c.CrashMTTF},
+		{"AdaptCost", c.AdaptCost}, {"CheckpointCost", c.CheckpointCost},
+		{"RestoreCost", c.RestoreCost},
+	} {
+		if !(d.d >= 0) {
+			return fmt.Errorf("cluster: %s must be non-negative, got %v", d.name, d.d)
+		}
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/mapreduce"
+	"repro/internal/simtime"
 )
 
 // testEngine runs on one EC2 node without failures or stragglers, so
@@ -114,20 +116,28 @@ func TestMaxLocalItersDegradesToGeneral(t *testing.T) {
 	}
 }
 
+// TestLocalSyncsCharged: each of a gmap task's seven local
+// synchronizations is priced at the cluster's LocalSyncOverhead.
 func TestLocalSyncsCharged(t *testing.T) {
-	part := &counterPart{cells: []int{0}, target: 7}
-	e := testEngine()
-	job := &mapreduce.Job[*counterPart, int64, int]{
-		Name:      "syncs",
-		Map:       BuildGMap(countingSpec(0)),
-		Partition: mapreduce.Int64Partition,
-		Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
+	run := func(overhead simtime.Duration) simtime.Duration {
+		cfg := cluster.EC2LargeCluster()
+		cfg.Nodes, cfg.FailureProb, cfg.StragglerJitter = 1, 0, 0
+		cfg.LocalSyncOverhead = overhead
+		job := &mapreduce.Job[*counterPart, int64, int]{
+			Name:      "syncs",
+			Map:       BuildGMap(countingSpec(0)),
+			Partition: mapreduce.Int64Partition,
+			Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
+		}
+		part := &counterPart{cells: []int{0}, target: 7}
+		res, err := mapreduce.Run(mapreduce.NewEngine(cluster.New(cfg)), job, []mapreduce.Split[*counterPart]{{ID: 0, Data: part, Records: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Duration
 	}
-	if _, err := mapreduce.Run(e, job, []mapreduce.Split[*counterPart]{{ID: 0, Data: part, Records: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Cluster().Metrics().LocalSyncs; got != 7 {
-		t.Fatalf("cluster recorded %d local syncs, want 7", got)
+	if got := run(simtime.Second) - run(0); math.Abs(float64(got-7*simtime.Second)) > 1e-9 {
+		t.Fatalf("1s local syncs added %v to the job, want 7s", got)
 	}
 }
 

@@ -14,8 +14,6 @@ type IterationStats struct {
 	// Duration is the simulated duration of this global iteration's
 	// MapReduce job (including the global synchronization).
 	Duration simtime.Duration
-	// Phases decomposes Duration.
-	Phases mapreduce.PhaseBreakdown
 	// ShuffleBytes / ShuffleRecords measure the global synchronization's
 	// data volume.
 	ShuffleBytes   int64
@@ -90,7 +88,6 @@ func (d *Driver[P, K, V]) Run(splits []mapreduce.Split[P]) (*RunStats, error) {
 		it := IterationStats{
 			Iteration:       iter,
 			Duration:        res.Duration,
-			Phases:          res.Phases,
 			ShuffleBytes:    res.ShuffleBytes,
 			ShuffleRecords:  res.ShuffleRecords,
 			LocalIterations: res.Counters[LocalIterationsCounter],

@@ -25,9 +25,7 @@ type Suite struct {
 	// Cluster is the simulated platform; nil means the paper's Table I
 	// EC2 cluster.
 	Cluster *cluster.Config
-	// Quiet suppresses progress output.
-	Quiet bool
-	// Out receives progress lines (default: discarded when Quiet).
+	// Out receives progress lines; nil discards them.
 	Out io.Writer
 	// AsyncStaleness is the staleness bound for the async-mode figures
 	// and workload runs: 0 is lockstep, negative is unbounded
@@ -94,13 +92,12 @@ func NewSuite(scale int) *Suite {
 	return &Suite{
 		Scale:          scale,
 		Cluster:        cluster.EC2LargeCluster(),
-		Quiet:          true,
 		AsyncStaleness: DefaultStaleness,
 	}
 }
 
 func (s *Suite) logf(format string, args ...any) {
-	if s.Quiet || s.Out == nil {
+	if s.Out == nil {
 		return
 	}
 	fmt.Fprintf(s.Out, format, args...)

@@ -13,7 +13,8 @@ import (
 
 // Engine runs jobs against a simulated cluster. It is safe to run jobs
 // sequentially from one goroutine; concurrent Run calls on the same
-// engine would interleave clock advances and are not supported.
+// engine would interleave the cluster's stochastic draws and are not
+// supported.
 type Engine struct {
 	cluster *cluster.Cluster
 	// Parallelism bounds the real goroutines used to execute user code;
@@ -29,26 +30,13 @@ func NewEngine(c *cluster.Cluster) *Engine {
 // Cluster returns the engine's simulated cluster.
 func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 
-// PhaseBreakdown decomposes a job's simulated duration.
-type PhaseBreakdown struct {
-	Overhead simtime.Duration // job scheduling/setup/teardown
-	MapWave  simtime.Duration // map task makespan (incl. input IO)
-	Shuffle  simtime.Duration // cross-node intermediate transfer
-	Reduce   simtime.Duration // reduce makespan (incl. sort + DFS write)
-}
-
-// Total returns the job's full simulated duration.
-func (p PhaseBreakdown) Total() simtime.Duration {
-	return p.Overhead + p.MapWave + p.Shuffle + p.Reduce
-}
-
 // Result carries a finished job's output and accounting.
 type Result[K comparable, V any] struct {
 	// Output holds the final records in deterministic order (reduce
 	// partition order, first-seen key order within a partition).
 	Output []KV[K, V]
-	// Phases is the simulated duration breakdown; Duration its total.
-	Phases   PhaseBreakdown
+	// Duration is the job's simulated time: job overhead, map wave,
+	// shuffle and reduce wave, one after the other.
 	Duration simtime.Duration
 	// MapTasks and ReduceTasks count executed tasks (successful
 	// attempts); Failures counts failed attempts that were replayed.
@@ -63,10 +51,10 @@ type Result[K comparable, V any] struct {
 	Counters map[string]int64
 }
 
-// Run executes one job over the given splits and advances the cluster
-// clock by the job's simulated duration. User code runs concurrently on
-// real goroutines; any panic in user code is recovered and returned as an
-// error tagged with the task.
+// Run executes one job over the given splits and reports its simulated
+// time, priced by the cluster, in Result.Duration. User code runs
+// concurrently on real goroutines; any panic in user code is recovered
+// and returned as an error tagged with the task.
 func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Split[P]) (*Result[K, V], error) {
 	c := e.cluster
 	cfg := c.Config()
@@ -78,7 +66,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	}
 
 	res := &Result[K, V]{}
-	res.Phases.Overhead = cfg.JobOverhead
+	res.Duration = cfg.JobOverhead
 	counters := &counterSet{}
 
 	// --- map phase: real execution -----------------------------------
@@ -121,7 +109,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	// --- map phase: pricing (deterministic order) --------------------
 	mapOnly := job.Reduce == nil
 	mapDurations := make([]simtime.Duration, len(splits))
-	var localSyncs int64
 	for i := range mapStats {
 		st := &mapStats[i]
 		d := cfg.TaskOverhead
@@ -140,24 +127,12 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			d += simtime.Duration(wasted * float64(d))
 		}
 		mapDurations[i] = d
-		localSyncs += st.localSyncs
 	}
-	res.Phases.MapWave = simtime.MakespanLPT(mapDurations, cfg.MapSlots())
-
-	c.Account(func(m *cluster.Metrics) {
-		m.Jobs++
-		m.MapTasks += int64(len(splits))
-		m.TaskFailures += int64(res.Failures)
-		m.LocalSyncs += localSyncs
-		for i := range mapStats {
-			m.DFSBytesRead += mapStats[i].inBytes
-			m.ComputeOps += mapStats[i].ops
-		}
-	})
+	res.Duration += simtime.MakespanLPT(mapDurations, cfg.MapSlots())
 
 	if mapOnly {
 		res.Output = sc.takeOutput(mapOuts)
-		finish(e, res, counters)
+		res.Counters = counters.snapshot()
 		return res, nil
 	}
 
@@ -178,12 +153,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	}
 	res.ShuffleRecords = shuffleRecords
 	res.ShuffleBytes = shuffleBytes
-	res.Phases.Shuffle = shuffleCost(c, len(splits), nReduce, shuffleBytes)
-	c.Account(func(m *cluster.Metrics) {
-		m.ShuffleBytes += shuffleBytes
-		m.ShuffleRecords += shuffleRecords
-		m.GlobalSyncs++
-	})
+	res.Duration += shuffleCost(c, len(splits), nReduce, shuffleBytes)
 
 	// --- reduce phase: real execution ---------------------------------
 	redOuts := sc.redOuts
@@ -217,7 +187,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 
 	// --- reduce phase: pricing ----------------------------------------
 	redDurations := make([]simtime.Duration, nReduce)
-	var dfsWritten int64
 	for i := range redStats {
 		st := &redStats[i]
 		d := cfg.TaskOverhead
@@ -233,31 +202,12 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			d += simtime.Duration(wasted * float64(d))
 		}
 		redDurations[i] = d
-		dfsWritten += st.outBytes * int64(cfg.DFSReplication)
 	}
-	res.Phases.Reduce = simtime.MakespanLPT(redDurations, cfg.ReduceSlots())
-	c.Account(func(m *cluster.Metrics) {
-		m.ReduceTasks += int64(nReduce)
-		m.DFSBytesWritten += dfsWritten
-		for i := range redStats {
-			m.ComputeOps += redStats[i].ops
-		}
-	})
+	res.Duration += simtime.MakespanLPT(redDurations, cfg.ReduceSlots())
 
 	res.Output = sc.takeOutput(redOuts)
-	finish(e, res, counters)
-	return res, nil
-}
-
-// finish stamps totals and advances the clock. It is a scheduling-loop
-// root: the engine drives whole jobs from one goroutine, so the clock
-// advance here is the single-writer the simtime.Clock contract wants.
-//
-//async:sched-root
-func finish[K comparable, V any](e *Engine, res *Result[K, V], counters *counterSet) {
-	res.Duration = res.Phases.Total()
 	res.Counters = counters.snapshot()
-	e.cluster.Clock().Advance(res.Duration)
+	return res, nil
 }
 
 // shuffleCost prices the all-to-all intermediate transfer. The aggregate

@@ -1,6 +1,6 @@
 // Package simtime provides the virtual-time vocabulary for the simulated
 // cluster. The reproduction executes real computation (actual PageRank /
-// SSSP / K-Means arithmetic) but charges time to a virtual clock so that
+// SSSP / K-Means arithmetic) but prices it in virtual time so that
 // "time to converge" figures have the magnitude and shape of the paper's
 // 8-node EC2 Hadoop testbed rather than of this process's wall clock.
 //
@@ -16,9 +16,7 @@ package simtime
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // Duration is a span of simulated time in seconds.
@@ -48,50 +46,6 @@ func (d Duration) String() string {
 		return fmt.Sprintf("%.1fm", float64(d/Minute))
 	}
 }
-
-// Clock is a monotonically advancing virtual clock. A single scheduling
-// goroutine owns advancement (Advance/Reset are not mutually
-// safe), but Now is safe to call from any goroutine at any time: the
-// parallel async executor runs worker steps on real goroutines while the
-// scheduling loop advances virtual time, and progress reporting must be
-// able to observe the clock without synchronizing with that loop.
-//
-// Per-worker local clocks (each asynchronous worker's own virtual time)
-// are plain Durations owned by the scheduling loop; this type is the
-// shared, concurrently-readable cluster clock they merge into.
-type Clock struct {
-	// bits holds the Duration as float64 bits; zero value = time zero.
-	// Read concurrently by progress reporting while the scheduling loop
-	// advances it; the atomic type admits no other access.
-	bits atomic.Uint64
-}
-
-// Now returns the current virtual time since the clock's epoch. Safe for
-// concurrent use with a single advancing goroutine.
-func (c *Clock) Now() Duration {
-	return Duration(math.Float64frombits(c.bits.Load()))
-}
-
-//async:sched-only
-func (c *Clock) store(t Duration) {
-	c.bits.Store(math.Float64bits(float64(t)))
-}
-
-// Advance moves the clock forward by d. Negative advances panic: virtual
-// time never flows backwards, and a negative d means a cost model bug.
-//
-//async:sched-only
-func (c *Clock) Advance(d Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative advance %v", d))
-	}
-	c.store(c.Now() + d)
-}
-
-// Reset rewinds the clock to zero for reuse across experiment runs.
-//
-//async:sched-only
-func (c *Clock) Reset() { c.store(0) }
 
 // MaxOver returns the maximum of ds, the virtual time at which a barrier
 // over parallel spans completes. An empty slice yields zero.

@@ -10,32 +10,6 @@ import (
 	"testing/quick"
 )
 
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatal("fresh clock not at zero")
-	}
-	c.Advance(3 * Second)
-	c.Advance(500 * Millisecond)
-	if got := c.Now(); got != 3.5 {
-		t.Fatalf("Now = %v, want 3.5s", got)
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("Reset did not rewind")
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative advance did not panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-1)
-}
-
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration
@@ -200,47 +174,6 @@ func TestEventHeapPopEmptyPanics(t *testing.T) {
 	}()
 	var h EventHeap
 	h.Pop()
-}
-
-// TestClockConcurrentReads: one goroutine advances while others read —
-// must be race-free (run under -race) and every observed value monotone.
-func TestClockConcurrentReads(t *testing.T) {
-	var c Clock
-	done := make(chan struct{})
-	errs := make(chan string, 4)
-	for r := 0; r < 4; r++ {
-		go func() {
-			var last Duration
-			for {
-				select {
-				case <-done:
-					errs <- ""
-					return
-				default:
-				}
-				now := c.Now()
-				if now < last {
-					errs <- "clock read went backwards"
-					return
-				}
-				last = now
-			}
-		}()
-	}
-	// A binary-exact increment keeps the expected total exact.
-	step := Second / 1024
-	for i := 0; i < 10*1024; i++ {
-		c.Advance(step)
-	}
-	close(done)
-	for r := 0; r < 4; r++ {
-		if msg := <-errs; msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if c.Now() != 10*Second {
-		t.Fatalf("Now = %v, want 10s", c.Now())
-	}
 }
 
 func TestEventHeapPeek(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# lint.sh — static-analysis gate: go vet plus the asynclint suite
-# (internal/lint via cmd/asynclint), which mechanically enforces the
-# async runtime's determinism and concurrency contracts:
+# lint.sh — static-analysis gate: gofmt over every Go file outside
+# vendor/, go vet, and the asynclint suite (internal/lint via
+# cmd/asynclint), which mechanically enforces the async runtime's
+# determinism and concurrency contracts:
 #
 #   determinism  no wall clock / global rand / map-order iteration in
 #                //async:deterministic-marked engine packages
@@ -21,6 +22,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 pkgs=${*:-./...}
+
+echo "lint: gofmt -l"
+unformatted=$(find . -name '*.go' -not -path './vendor/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+	echo "lint: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "lint: go vet $pkgs"
 go vet $pkgs
