@@ -37,6 +37,13 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.NetLatency = simtime.Duration(math.NaN()) },
 		func(c *Config) { c.LocalSyncOverhead = -simtime.Microsecond },
 		func(c *Config) { c.CrashMTTF = simtime.Duration(math.NaN()) },
+		func(c *Config) { c.ComputeRate = math.NaN() },
+		func(c *Config) { c.NetBandwidth = math.NaN() },
+		func(c *Config) { c.DFSBandwidth = math.NaN() },
+		func(c *Config) { c.FailureProb = math.NaN() },
+		func(c *Config) { c.CrossRackFraction = math.NaN() },
+		func(c *Config) { c.LiveNetScale = math.NaN() },
+		func(c *Config) { c.StragglerJitter = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		cfg := EC2LargeCluster()

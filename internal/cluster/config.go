@@ -139,6 +139,7 @@ type Config struct {
 
 // Validate reports the first problem with the configuration, or nil.
 func (c *Config) Validate() error {
+	// The float checks are negated so that NaN fails them too.
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("cluster: Nodes must be positive, got %d", c.Nodes)
@@ -146,20 +147,22 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: MapSlotsPerNode must be positive, got %d", c.MapSlotsPerNode)
 	case c.ReduceSlotsPerNode <= 0:
 		return fmt.Errorf("cluster: ReduceSlotsPerNode must be positive, got %d", c.ReduceSlotsPerNode)
-	case c.ComputeRate <= 0:
+	case !(c.ComputeRate > 0):
 		return fmt.Errorf("cluster: ComputeRate must be positive, got %g", c.ComputeRate)
-	case c.NetBandwidth <= 0:
+	case !(c.NetBandwidth > 0):
 		return fmt.Errorf("cluster: NetBandwidth must be positive, got %g", c.NetBandwidth)
-	case c.DFSBandwidth <= 0:
+	case !(c.DFSBandwidth > 0):
 		return fmt.Errorf("cluster: DFSBandwidth must be positive, got %g", c.DFSBandwidth)
 	case c.DFSReplication <= 0:
 		return fmt.Errorf("cluster: DFSReplication must be positive, got %d", c.DFSReplication)
-	case c.FailureProb < 0 || c.FailureProb >= 1:
+	case !(c.FailureProb >= 0 && c.FailureProb < 1):
 		return fmt.Errorf("cluster: FailureProb must be in [0,1), got %g", c.FailureProb)
-	case c.CrossRackFraction < 0 || c.CrossRackFraction > 1:
+	case !(c.CrossRackFraction >= 0 && c.CrossRackFraction <= 1):
 		return fmt.Errorf("cluster: CrossRackFraction must be in [0,1], got %g", c.CrossRackFraction)
-	case c.LiveNetScale < 0:
+	case !(c.LiveNetScale >= 0):
 		return fmt.Errorf("cluster: LiveNetScale must be non-negative, got %g", c.LiveNetScale)
+	case !(c.StragglerJitter >= 0):
+		return fmt.Errorf("cluster: StragglerJitter must be non-negative, got %g", c.StragglerJitter)
 	}
 	// !(d >= 0) refuses NaN as well as negative durations.
 	for _, d := range []struct {

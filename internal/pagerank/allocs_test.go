@@ -52,3 +52,21 @@ func checkWarmIterationAllocs(t *testing.T, eager bool) {
 
 func TestEagerSteadyStateAllocs(t *testing.T)   { checkWarmIterationAllocs(t, true) }
 func TestGeneralSteadyStateAllocs(t *testing.T) { checkWarmIterationAllocs(t, false) }
+
+// TestNewStatesAllocsPerPartition: newStates sizes every array from
+// counts, so it makes as many allocations per partition at 8 000 nodes as
+// at 2 000, in either formulation. A key list grown by append would add
+// about the logarithm of its length to every partition.
+func TestNewStatesAllocsPerPartition(t *testing.T) {
+	for _, eager := range []bool{false, true} {
+		var per [2]float64
+		for i, scale := range []int{140, 35} { // 2000 and 8000 nodes
+			subs := subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(scale)), 8)
+			per[i] = testing.AllocsPerRun(3, func() { newStates(subs, eager) }) / float64(len(subs))
+		}
+		t.Logf("eager %v: %.3f allocations per partition at 2000 and %.3f at 8000 nodes", eager, per[0], per[1])
+		if per[0] != per[1] {
+			t.Errorf("eager %v: %.3f allocations per partition at 2000 nodes, %.3f at 8000", eager, per[0], per[1])
+		}
+	}
+}

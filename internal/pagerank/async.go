@@ -332,10 +332,10 @@ func (w *asyncWorkload) result(n int, stats *async.RunStats) *AsyncResult {
 }
 
 // checkPull rejects partition p's sub-graph unless its pull plan and flat
-// edge list match its adjacency lists. The local sweeps read the plan
-// only; a sub-graph built without it, or edited since, would lose local
-// edges without a sign or index out of range. The flat edge list is what
-// a sweep is priced at.
+// edge list match its adjacency lists. The local sweeps and the global
+// emission read the plan only; a sub-graph built without it, or edited
+// since, would lose local edges without a sign or index out of range.
+// The flat edge list is what a sweep is priced at.
 func checkPull(p int, s *graph.SubGraph) error {
 	local := 0
 	for _, adj := range s.OutLocal {

@@ -25,7 +25,7 @@ func TestAsyncMatchesReference(t *testing.T) {
 	if !res.Stats.Converged {
 		t.Fatal("async did not converge")
 	}
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for u := range want {
 		if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
 			t.Fatalf("node %d rank %g vs reference %g", u, res.Ranks[u], want[u])
@@ -40,7 +40,7 @@ func TestAsyncMatchesReference(t *testing.T) {
 func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for _, row := range asynctest.DeliveryRows(AsyncLocalSweeps, 1, async.DefaultMaxSteps) {
 		t.Run(row.String(), func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -68,7 +68,7 @@ func TestAsyncQualityOnBenchmarkInputs(t *testing.T) {
 		t.Skip("partitions and solves a 70 000-node graph")
 	}
 	g := graph.MustGenerate(graph.GraphAConfig().Scaled(4))
-	want := referenceRanks(g, 0.85, 1e-12)
+	want := Reference(g, 0.85, 1e-12)
 	for _, c := range []struct {
 		seed  uint64
 		bound float64
@@ -101,7 +101,7 @@ func TestAsyncQualityOnBenchmarkInputs(t *testing.T) {
 func TestAsyncStalenessSweepConverges(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for _, s := range []int{0, 1, 8, async.Unbounded} {
 		res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Staleness: s})
 		if err != nil {
@@ -127,7 +127,7 @@ func TestAsyncStalenessSweepConverges(t *testing.T) {
 func TestAsyncAdaptiveConverges(t *testing.T) {
 	g := smallGraph()
 	subs := subgraphs(t, g, 8)
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for _, pol := range asynctest.AdaptivePolicies() {
 		res, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{Adapt: pol})
 		if err != nil {
@@ -272,7 +272,7 @@ func TestAsyncCrashRecoveryConverges(t *testing.T) {
 	if res.Stats.Duration <= clean.Stats.Duration {
 		t.Fatalf("crashy run (%v) not slower than crash-free (%v)", res.Stats.Duration, clean.Stats.Duration)
 	}
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for u := range want {
 		if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
 			t.Fatalf("node %d rank %g vs reference %g after recovery", u, res.Ranks[u], want[u])

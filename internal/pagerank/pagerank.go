@@ -5,9 +5,10 @@
 //     complete partition (the paper's baseline "for which maps operate on
 //     complete partitions, as opposed to single node adjacency lists",
 //     chosen because it is the more competitive baseline) and emits each
-//     node's rank contribution to its out-links; the reduce accumulates
-//     contributions and applies the PageRank formula. One global
-//     synchronization per sweep over the graph.
+//     node's rank contribution to its out-links, summed per destination
+//     over the partition's pull plan (pushContributions); the reduce
+//     accumulates contributions and applies the PageRank formula. One
+//     global synchronization per sweep over the graph.
 //
 //   - Eager: the partial-synchronization formulation. Each global map
 //     runs local iterations on its sub-graph until the sub-graph's ranks
@@ -25,6 +26,8 @@
 //
 // with damping χ = 0.85, all ranks initialized to 1, and convergence
 // declared when the infinity norm of the rank delta drops below 1e-5.
+// Reference and CertifiedError measure how far a run stopped from the
+// fixed point.
 package pagerank
 
 import (
@@ -38,79 +41,140 @@ import (
 )
 
 // pushContributions is the shared global emission of both formulations:
-// every node pushes rank/outdeg to all of its out-links, pre-aggregated
-// per destination within the partition, emitted in ascending key order.
-// Each destination's contributions are summed in edge traversal order
-// (node ascending, OutLocal then OutRemote) and the emission order is
-// fixed, so shuffle grouping — and therefore floating-point summation
-// order — is identical across runs, which keeps iteration counts
-// bit-reproducible. Which destinations a partition pushes to never
-// changes, so the accumulator is an array addressed through the push
-// plan (buildPushPlan).
+// every node's rank/outdeg to each of its out-links, pre-aggregated per
+// destination within the partition, emitted in ascending key order.
+// Each destination's sum starts at 0 and adds its in-neighbours'
+// contributions in edge traversal order (node ascending, OutLocal then
+// OutRemote), and the emission order is fixed, so shuffle grouping — and
+// therefore floating-point summation order — is identical across runs,
+// which keeps iteration counts bit-reproducible. The sums are pulled, not
+// scattered: the local destinations' over the partition's pull plan,
+// whose rows hold the in-neighbours in that order (pullLocal), the remote
+// ones' over the emission plan's remote lists (buildEmitPlan).
 func pushContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
-	sub := st.sub
-	acc := st.accVals
-	clear(acc)
-	var ops int64
-	e := 0
-	for li := range sub.Nodes {
-		deg := sub.OutDeg[li]
-		if deg == 0 {
-			continue
-		}
-		c := st.rank[li] / float64(deg)
-		n := len(sub.OutLocal[li]) + len(sub.OutRemote[li])
-		for _, slot := range st.edgeSlot[e : e+n] {
-			acc[slot] += c
-		}
-		e += n
-		ops += int64(deg)
+	pl, cur, acc := &st.sub.Pull, st.cur, st.acc
+	for li, r := range pl.Pos {
+		cur[r] = st.rank[li] / pl.OutDeg[r]
 	}
-	tc.Charge(ops)
+	pullLocal(pl, cur, acc, st.outSlot)
+	for j, slot := range st.remSlot {
+		sum := 0.0
+		for _, r := range st.remSrc[st.remStart[j]:st.remStart[j+1]] {
+			sum += cur[r]
+		}
+		acc[slot] = sum
+	}
+	tc.Charge(st.pushOps)
 	for i, k := range st.dstKeys {
 		tc.Emit(k, acc[i])
 	}
 }
 
-// buildPushPlan fixes the partition's push layout: dstKeys, the distinct
-// destinations in ascending order, and edgeSlot, the index into dstKeys
-// of every edge pushContributions pushes along, in its traversal order.
-// slotOf is scratch with one entry per node of the whole graph, all zero
-// on entry and on return.
-func (st *state) buildPushPlan(slotOf []int32) {
+// pullLocal sums, slice by slice of the pull plan, the contributions from
+// cur (by position, the pad's +0 last) of each row's in-neighbours, each
+// sum starting at 0, and stores row r's at acc[outSlot[r]]. The pads a
+// row ends in add +0, which changes no sum. A leaf like sweepJacobi, for
+// the same reason (TestSweepKernelsKeepNoStackTraffic).
+//
+//go:noinline
+func pullLocal(pl *graph.PullPlan, cur, acc []float64, outSlot []int32) {
+	for s := 1; s < len(pl.Start); s++ {
+		var a0, a1, a2, a3 float64
+		for _, q := range pl.Src[pl.Start[s-1]:pl.Start[s]] {
+			a0 += cur[q.R0]
+			a1 += cur[q.R1]
+			a2 += cur[q.R2]
+			a3 += cur[q.R3]
+		}
+		o := outSlot[4*(s-1) : 4*s]
+		acc[o[0]], acc[o[1]], acc[o[2]], acc[o[3]] = a0, a1, a2, a3
+	}
+}
+
+// buildEmitPlan fixes the partition's emission plan (see state) from
+// counted sizes. slotOf is scratch with one entry per node of the whole
+// graph, all zero on entry and on return; in between it holds each
+// destination's in-edge count from the partition, a remote one's negated
+// once it is listed, then a remote one's index among the remote keys.
+func (st *state) buildEmitPlan(slotOf []int32) {
 	sub := st.sub
-	edges := 0
-	for _, deg := range sub.OutDeg {
-		edges += int(deg)
-	}
-	// edgeSlot first holds each edge's destination id, then its slot.
-	st.edgeSlot = make([]int32, 0, edges)
-	for li := range sub.Nodes {
-		if sub.OutDeg[li] == 0 {
-			continue
+	pl := &sub.Pull
+	keys, remKeys, remEdges := 0, 0, 0
+	for li, adj := range sub.OutLocal {
+		st.pushOps += int64(sub.OutDeg[li])
+		for _, d := range adj {
+			u := sub.Nodes[d]
+			if slotOf[u] == 0 {
+				keys++
+			}
+			slotOf[u]++
 		}
-		for _, dst := range sub.OutLocal[li] {
-			st.edgeSlot = append(st.edgeSlot, sub.Nodes[dst])
+		for _, v := range sub.OutRemote[li] {
+			if slotOf[v] == 0 {
+				keys++
+				remKeys++
+			}
+			slotOf[v]++
 		}
-		st.edgeSlot = append(st.edgeSlot, sub.OutRemote[li]...)
+		remEdges += len(sub.OutRemote[li])
 	}
-	for _, dst := range st.edgeSlot {
-		if slotOf[dst] == 0 {
-			slotOf[dst] = 1
-			st.dstKeys = append(st.dstKeys, int64(dst))
+	st.dstKeys = make([]int64, 0, keys)
+	for _, u := range sub.Nodes {
+		if slotOf[u] > 0 {
+			st.dstKeys = append(st.dstKeys, int64(u))
+		}
+	}
+	for _, adj := range sub.OutRemote {
+		for _, v := range adj {
+			if slotOf[v] > 0 {
+				st.dstKeys = append(st.dstKeys, int64(v))
+				slotOf[v] = -slotOf[v]
+			}
 		}
 	}
 	slices.Sort(st.dstKeys)
+
+	m := len(pl.OutDeg)
+	slab := make([]int32, m+2*remKeys+1+remEdges)
+	st.outSlot, slab = slab[:m:m], slab[m:]
+	st.remStart, slab = slab[:remKeys+1:remKeys+1], slab[remKeys+1:]
+	st.remSlot, st.remSrc = slab[:remKeys:remKeys], slab[remKeys:]
+	spare := int32(len(st.dstKeys))
+	for r := range st.outSlot {
+		st.outSlot[r] = spare
+	}
+	// Local keys are a subsequence of sub.Nodes, both ascending. A remote
+	// key's start is its end for now; the fill below moves it back.
+	li, j, end := 0, 0, int32(0)
 	for i, k := range st.dstKeys {
-		slotOf[k] = int32(i)
+		c := slotOf[k]
+		if c > 0 {
+			for int64(sub.Nodes[li]) != k {
+				li++
+			}
+			st.outSlot[pl.Pos[li]] = int32(i)
+			slotOf[k] = 0
+			continue
+		}
+		end -= c
+		st.remStart[j], st.remSlot[j] = end, int32(i)
+		slotOf[k] = int32(j)
+		j++
 	}
-	for e, dst := range st.edgeSlot {
-		st.edgeSlot[e] = slotOf[dst]
+	st.remStart[remKeys] = end
+	for li := len(sub.Nodes) - 1; li >= 0; li-- {
+		adj := sub.OutRemote[li]
+		for e := len(adj) - 1; e >= 0; e-- {
+			j := slotOf[adj[e]]
+			st.remStart[j]--
+			st.remSrc[st.remStart[j]] = pl.Pos[li]
+		}
 	}
-	for _, k := range st.dstKeys {
-		slotOf[k] = 0
+	for _, i := range st.remSlot {
+		slotOf[st.dstKeys[i]] = 0
 	}
-	st.accVals = make([]float64, len(st.dstKeys))
+	st.acc = make([]float64, len(st.dstKeys)+1)
+	st.cur = make([]float64, m+1)
 }
 
 // Config parameterizes a PageRank run.
@@ -148,12 +212,21 @@ type state struct {
 	sub *graph.SubGraph
 	// rank[i] is the current rank of sub.Nodes[i].
 	rank []float64
-	// dstKeys/edgeSlot are the push plan (buildPushPlan) and accVals
-	// pushContributions' accumulator over it. One task owns a state at a
-	// time, so unsynchronized reuse is safe.
-	dstKeys  []int64
-	edgeSlot []int32
-	accVals  []float64
+	// The emission plan (buildEmitPlan) and pushContributions' arrays
+	// over it. dstKeys is the partition's distinct destinations
+	// ascending, and acc one sum per key plus a spare. outSlot[r] is
+	// where pullLocal stores the sum of pull position r: its key's index
+	// in dstKeys, or the spare for a row with no local in-edge. Remote
+	// key j sums the contributions at positions
+	// remSrc[remStart[j]:remStart[j+1]], in traversal order, into
+	// acc[remSlot[j]]. cur is the contributions by position, with the pad
+	// position's +0 last. pushOps is what an emission charges, one
+	// operation per out-edge. One task owns a state at a time, so
+	// unsynchronized reuse is safe.
+	dstKeys                            []int64
+	acc, cur                           []float64
+	outSlot, remStart, remSlot, remSrc []int32
+	pushOps                            int64
 	// local is the eager formulation's working arrays; a general run
 	// leaves it empty.
 	local localSweep
@@ -162,8 +235,8 @@ type state struct {
 // localSweep is what the eager formulation's local iterations work on,
 // every array by sub.Pull position: rank is the ranks; ghost[r] is the
 // frozen cross-partition contribution sum of the node at position r,
-// recomputed at every global synchronization and 0 at the extra
-// positions; cur and next are the contributions a sweep reads and those
+// recomputed from the global ranks at the start of every map task and 0
+// at the extra positions; cur and next are the contributions a sweep reads and those
 // it writes, each with the plan's pad position, a +0, at the end.
 type localSweep struct {
 	rank, ghost, cur, next []float64
@@ -184,7 +257,11 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	return run(engine, subs, cfg, eager, buildJob(cfg, eager))
 }
 
-// run is Run with the per-iteration job given.
+// run is Run with the per-iteration job given. It wraps the job's map so
+// that every map task first loads its partition's ranks, and in the eager
+// formulation its ghost sums, from the driver's ranks, as a task reads its
+// split from the DFS (the paper's cross-sub-graph propagation after a
+// global synchronization).
 func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -192,56 +269,52 @@ func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
-	if eager {
-		for p, s := range subs {
-			if err := checkPull(p, s); err != nil {
-				return nil, err
-			}
+	for p, s := range subs {
+		if err := checkPull(p, s); err != nil {
+			return nil, err
 		}
 	}
 	states, ranks, outDeg := newStates(subs, eager)
+	noIn := noInEdge(states)
 	splits := newSplits(engine, states)
 	n := len(ranks)
+	base := 1 - cfg.Damping
 
-	next := make([]float64, n) // Update scratch, reused every iteration
+	gmap := job.Map
+	job.Map = func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
+		st := split.Data
+		for li, u := range st.sub.Nodes {
+			st.rank[li] = ranks[u]
+		}
+		if eager {
+			st.refreshGhosts(ranks, outDeg)
+		}
+		gmap(tc, split)
+	}
 	driver := &core.Driver[*state, int64, float64]{
 		Engine: engine,
 		Job:    job,
 		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
-			// The global reduce emitted the new rank of every node that
-			// received contributions; nodes with no in-edges settle at
-			// (1 - damping).
-			base := 1 - cfg.Damping
-			for i := range next {
-				next[i] = base
+			// The global reduce emitted the new rank of every node with an
+			// in-edge; the others settle at (1 - damping).
+			if len(out)+len(noIn) != n {
+				return false, fmt.Errorf("pagerank: reduce emitted %d ranks, want %d", len(out), n-len(noIn))
 			}
+			delta := 0.0
 			for _, kv := range out {
 				if kv.Key < 0 || kv.Key >= int64(n) {
 					return false, fmt.Errorf("pagerank: reduce emitted node %d outside [0,%d)", kv.Key, n)
 				}
-				next[kv.Key] = kv.Value
-			}
-			delta := 0.0
-			for u := range next {
-				d := next[u] - ranks[u]
-				if d < 0 {
-					d = -d
-				}
-				if d > delta {
+				if d := math.Abs(kv.Value - ranks[kv.Key]); d > delta {
 					delta = d
 				}
+				ranks[kv.Key] = kv.Value
 			}
-			copy(ranks, next)
-			// Disseminate: write new ranks and ghost contributions back
-			// into every partition (the paper's cross-sub-graph
-			// propagation after a global synchronization).
-			for _, st := range states {
-				for li, u := range st.sub.Nodes {
-					st.rank[li] = ranks[u]
+			for _, u := range noIn {
+				if d := math.Abs(base - ranks[u]); d > delta {
+					delta = d
 				}
-			}
-			if eager {
-				refreshGhosts(states, ranks, outDeg)
+				ranks[u] = base
 			}
 			return delta < cfg.Epsilon, nil
 		},
@@ -253,10 +326,13 @@ func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	return &Result{Ranks: ranks, Stats: stats}, nil
 }
 
-// newStates builds every partition's state — initial ranks, push plan
-// and, for the eager formulation, ghost sums and the local iterations'
-// working arrays — and the global state the driver holds (the simulated
-// DFS contents): current rank and out-degree of every node.
+// newStates builds every partition's state — initial ranks, emission
+// plan and, for the eager formulation, the local iterations' working
+// arrays — and the global state the driver holds
+// (the simulated DFS contents): current rank and out-degree of every
+// node. Every array is allocated at its counted size, so the allocation
+// count depends on the partition count only
+// (TestNewStatesAllocsPerPartition).
 func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []float64, outDeg []int32) {
 	n := 0
 	for _, s := range subs {
@@ -273,7 +349,7 @@ func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []flo
 			ranks[u] = 1
 			outDeg[u] = s.OutDeg[li]
 		}
-		st.buildPushPlan(planScratch)
+		st.buildEmitPlan(planScratch)
 		if eager {
 			m := len(s.Pull.OutDeg)
 			st.local = localSweep{
@@ -285,10 +361,32 @@ func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []flo
 		}
 		states[i] = st
 	}
-	if eager {
-		refreshGhosts(states, ranks, outDeg)
-	}
 	return states, ranks, outDeg
+}
+
+// noInEdge lists the nodes with no in-edge, local or remote: those no
+// reduce emits a rank for.
+func noInEdge(states []*state) []graph.NodeID {
+	none := func(st *state, li int) bool {
+		return st.outSlot[st.sub.Pull.Pos[li]] == int32(len(st.dstKeys)) && len(st.sub.InRemote[li]) == 0
+	}
+	k := 0
+	for _, st := range states {
+		for li := range st.sub.Nodes {
+			if none(st, li) {
+				k++
+			}
+		}
+	}
+	list := make([]graph.NodeID, 0, k)
+	for _, st := range states {
+		for li, u := range st.sub.Nodes {
+			if none(st, li) {
+				list = append(list, u)
+			}
+		}
+	}
+	return list
 }
 
 // newSplits wraps each partition's state as one input split of the
@@ -307,18 +405,16 @@ func newSplits(engine *mapreduce.Engine, states []*state) []mapreduce.Split[*sta
 	return splits
 }
 
-// refreshGhosts recomputes every partition's frozen cross-partition
-// contribution sums from the current global ranks, by position.
-func refreshGhosts(states []*state, ranks []float64, outDeg []int32) {
-	for _, st := range states {
-		pos := st.sub.Pull.Pos
-		for li, srcs := range st.sub.InRemote {
-			var sum float64
-			for _, s := range srcs {
-				sum += ranks[s] / float64(outDeg[s])
-			}
-			st.local.ghost[pos[li]] = sum
+// refreshGhosts recomputes the partition's frozen cross-partition
+// contribution sums from the global ranks, by position.
+func (st *state) refreshGhosts(ranks []float64, outDeg []int32) {
+	pos := st.sub.Pull.Pos
+	for li, srcs := range st.sub.InRemote {
+		var sum float64
+		for _, s := range srcs {
+			sum += ranks[s] / float64(outDeg[s])
 		}
+		st.local.ghost[pos[li]] = sum
 	}
 }
 

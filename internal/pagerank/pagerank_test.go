@@ -27,40 +27,6 @@ func subgraphs(t testing.TB, g *graph.Graph, k int) []*graph.SubGraph {
 	return subs
 }
 
-// referenceRanks computes PageRank serially with the paper's update rule
-// until the same convergence bound, as ground truth.
-func referenceRanks(g *graph.Graph, damping, eps float64) []float64 {
-	n := g.NumNodes()
-	ranks := make([]float64, n)
-	for i := range ranks {
-		ranks[i] = 1
-	}
-	for iter := 0; iter < 10000; iter++ {
-		contrib := make([]float64, n)
-		for u, adj := range g.Out {
-			if len(adj) == 0 {
-				continue
-			}
-			c := ranks[u] / float64(len(adj))
-			for _, v := range adj {
-				contrib[v] += c
-			}
-		}
-		delta := 0.0
-		for v := 0; v < n; v++ {
-			nr := (1 - damping) + damping*contrib[v]
-			if d := math.Abs(nr - ranks[v]); d > delta {
-				delta = d
-			}
-			ranks[v] = nr
-		}
-		if delta < eps {
-			break
-		}
-	}
-	return ranks
-}
-
 func smallGraph() *graph.Graph {
 	return graph.MustGenerate(graph.GraphAConfig().Scaled(140)) // 2000 nodes
 }
@@ -72,7 +38,7 @@ func TestGeneralMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for u := range want {
 		if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
 			t.Fatalf("node %d rank %g vs reference %g", u, res.Ranks[u], want[u])
@@ -167,7 +133,7 @@ func TestSinglePartitionConvergesInTwoIterations(t *testing.T) {
 	if res.Stats.GlobalIterations > 2 {
 		t.Fatalf("k=1 eager took %d global iterations", res.Stats.GlobalIterations)
 	}
-	want := referenceRanks(g, 0.85, 1e-5)
+	want := Reference(g, 0.85, 1e-5)
 	for u := range want {
 		if d := math.Abs(res.Ranks[u] - want[u]); d > 1e-3 {
 			t.Fatalf("node %d rank %g vs reference %g", u, res.Ranks[u], want[u])
