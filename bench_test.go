@@ -217,11 +217,7 @@ func BenchmarkAblationFaults(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var failures float64
-				for _, it := range res.Stats.PerIteration {
-					failures += float64(it.Failures)
-				}
-				b.ReportMetric(failures, "task-failures")
+				b.ReportMetric(float64(res.Stats.Failures), "task-failures")
 				b.ReportMetric(res.Stats.Duration.Seconds(), "sim-seconds-eager")
 			}
 		})
@@ -234,7 +230,7 @@ func BenchmarkEngineWordCount(b *testing.B) {
 	splits := make([]mapreduce.Split[string], 64)
 	for i := range splits {
 		splits[i] = mapreduce.Split[string]{
-			ID: i, Data: "a b c d e f g h i j", Records: 10, Bytes: 20,
+			Data: "a b c d e f g h i j", Records: 10, Bytes: 20,
 		}
 	}
 	job := &mapreduce.Job[string, string, int]{
@@ -481,7 +477,7 @@ func BenchmarkGrouper(b *testing.B) {
 			for s := range splits {
 				for m := 0; m < maps; m++ {
 					keys := seqs[s][m*rungRecords/maps : (m+1)*rungRecords/maps]
-					splits[s] = append(splits[s], mapreduce.Split[[]int64]{ID: m, Data: keys, Records: int64(len(keys))})
+					splits[s] = append(splits[s], mapreduce.Split[[]int64]{Data: keys, Records: int64(len(keys))})
 				}
 			}
 			job := &mapreduce.Job[[]int64, int64, float64]{

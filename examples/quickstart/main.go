@@ -40,7 +40,7 @@ func wordCount() {
 	splits := make([]mapreduce.Split[string], len(lines))
 	for i, l := range lines {
 		splits[i] = mapreduce.Split[string]{
-			ID: i, Data: l, Records: int64(len(strings.Fields(l))), Bytes: int64(len(l)),
+			Data: l, Records: int64(len(strings.Fields(l))), Bytes: int64(len(l)),
 		}
 	}
 
@@ -99,7 +99,7 @@ func partialSync() {
 		splits := make([]mapreduce.Split[*cells], 4)
 		for i := range splits {
 			splits[i] = mapreduce.Split[*cells]{
-				ID: i, Data: &cells{v: make([]int, 8), target: 10}, Records: 8,
+				Data: &cells{v: make([]int, 8), target: 10}, Records: 8,
 			}
 		}
 

@@ -76,7 +76,7 @@ func runCounting(t *testing.T, spec *LocalSpec[*counterPart, int, int64, int], p
 		},
 	}
 	res, err := mapreduce.Run(testEngine(), job, []mapreduce.Split[*counterPart]{
-		{ID: 0, Data: part, Records: int64(len(part.cells))},
+		{Data: part, Records: int64(len(part.cells))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +92,9 @@ func TestGMapRunsLocalIterationsToConvergence(t *testing.T) {
 			t.Fatalf("cell %d = %d, want 5", i, c)
 		}
 	}
-	// Local iterations counter: the slowest cell needs 5 increments.
-	if li := res.Counters["core.local_iterations"]; li != 5 {
+	// One local sync per local iteration: the slowest cell needs 5
+	// increments.
+	if li := res.LocalSyncs; li != 5 {
 		t.Fatalf("local iterations = %d, want 5", li)
 	}
 	// Output is the hashtable (last EmitLocal values).
@@ -111,7 +112,7 @@ func TestMaxLocalItersDegradesToGeneral(t *testing.T) {
 			t.Fatalf("cell %d = %d, want 1 after capped iteration", i, c)
 		}
 	}
-	if li := res.Counters["core.local_iterations"]; li != 1 {
+	if li := res.LocalSyncs; li != 1 {
 		t.Fatalf("local iterations = %d, want 1", li)
 	}
 }
@@ -130,7 +131,7 @@ func TestLocalSyncsCharged(t *testing.T) {
 			Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
 		}
 		part := &counterPart{cells: []int{0}, target: 7}
-		res, err := mapreduce.Run(mapreduce.NewEngine(cluster.New(cfg)), job, []mapreduce.Split[*counterPart]{{ID: 0, Data: part, Records: 1}})
+		res, err := mapreduce.Run(mapreduce.NewEngine(cluster.New(cfg)), job, []mapreduce.Split[*counterPart]{{Data: part, Records: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +176,7 @@ func TestEmitLocalFromLMapPanics(t *testing.T) {
 		Partition: mapreduce.Int64Partition,
 		Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
 	}
-	_, err := mapreduce.Run(testEngine(), job, []mapreduce.Split[*counterPart]{{ID: 0, Data: part, Records: 1}})
+	_, err := mapreduce.Run(testEngine(), job, []mapreduce.Split[*counterPart]{{Data: part, Records: 1}})
 	if err == nil || !strings.Contains(err.Error(), "EmitLocal") {
 		t.Fatalf("EmitLocal from lmap not rejected: %v", err)
 	}
@@ -240,7 +241,7 @@ func TestDriverRunsToConvergence(t *testing.T) {
 			return p.x >= 64, nil
 		},
 	}
-	stats, err := d.Run([]mapreduce.Split[*part]{{ID: 0, Data: p, Records: 1}})
+	stats, err := d.Run([]mapreduce.Split[*part]{{Data: p, Records: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +257,15 @@ func TestDriverRunsToConvergence(t *testing.T) {
 	if stats.Duration <= 0 {
 		t.Fatal("no simulated time accumulated")
 	}
-	if len(stats.PerIteration) != 6 {
-		t.Fatalf("per-iteration records = %d", len(stats.PerIteration))
-	}
-	if stats.LocalIterations < 0 {
-		t.Fatal("total syncs below global count")
+	// One record crosses each global synchronization; a plain map
+	// function makes no local sync, and the engine no failures.
+	if stats.ShuffleRecords != 6 || stats.LocalIterations != 0 || stats.Failures != 0 {
+		t.Fatalf("stats = %+v, want 6 shuffled records, no local syncs, no failures", stats)
 	}
 }
 
+// TestDriverMaxIterations: a run that never converges stops after
+// DefaultMaxIterations global iterations and reports Converged false.
 func TestDriverMaxIterations(t *testing.T) {
 	type part struct{}
 	job := &mapreduce.Job[*part, int64, int]{
@@ -273,19 +275,18 @@ func TestDriverMaxIterations(t *testing.T) {
 		Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
 	}
 	d := &Driver[*part, int64, int]{
-		Engine:        testEngine(),
-		Job:           job,
-		MaxIterations: 3,
+		Engine: testEngine(),
+		Job:    job,
 		Update: func(int, []mapreduce.KV[int64, int], []mapreduce.Split[*part]) (bool, error) {
 			return false, nil
 		},
 	}
-	stats, err := d.Run([]mapreduce.Split[*part]{{ID: 0, Data: &part{}, Records: 1}})
+	stats, err := d.Run([]mapreduce.Split[*part]{{Data: &part{}, Records: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Converged || stats.GlobalIterations != 3 {
-		t.Fatalf("stats = %+v, want 3 non-converged iterations", stats)
+	if stats.Converged || stats.GlobalIterations != DefaultMaxIterations {
+		t.Fatalf("stats = %+v, want %d non-converged iterations", stats, DefaultMaxIterations)
 	}
 }
 
@@ -331,7 +332,7 @@ func TestDriverRecyclesOutput(t *testing.T) {
 	}
 	engine := testEngine()
 	p := &part{sizes: []int{40, 40, 25, 40}}
-	splits := []mapreduce.Split[*part]{{ID: 0, Data: p, Records: 1}}
+	splits := []mapreduce.Split[*part]{{Data: p, Records: 1}}
 	var arrays []*mapreduce.KV[int64, int]
 	d := &Driver[*part, int64, int]{
 		Engine: engine,

@@ -38,7 +38,8 @@
 //
 // The Driver type runs the resulting job to global convergence,
 // re-feeding each global reduction's output into the next iteration's
-// partitions and recording per-iteration statistics (simulated duration,
-// shuffle volume, local/global synchronization counts) that the
-// experiment harness turns into the paper's figures.
+// partitions and summing the run's totals into RunStats (simulated
+// duration, global iterations, local synchronizations — one per local
+// iteration, counted by the engine — shuffled records and replayed task
+// attempts) that the experiment harness turns into the paper's figures.
 package core

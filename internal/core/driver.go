@@ -7,25 +7,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// IterationStats records one global iteration of an iterative job.
-type IterationStats struct {
-	// Iteration is 1-based.
-	Iteration int
-	// Duration is the simulated duration of this global iteration's
-	// MapReduce job (including the global synchronization).
-	Duration simtime.Duration
-	// ShuffleBytes / ShuffleRecords measure the global synchronization's
-	// data volume.
-	ShuffleBytes   int64
-	ShuffleRecords int64
-	// LocalIterations sums the local (partial-sync) iterations executed
-	// inside all gmap tasks this global iteration; 0 for jobs that do
-	// not use the partial synchronization runtime.
-	LocalIterations int64
-	// Failures counts replayed task attempts.
-	Failures int
-}
-
 // RunStats summarizes an iterative run to convergence.
 type RunStats struct {
 	// GlobalIterations is the number of global MapReduce iterations
@@ -35,12 +16,15 @@ type RunStats struct {
 	// 9 y-axis).
 	Duration simtime.Duration
 	// LocalIterations is the total count of partial synchronizations
-	// across all tasks and iterations.
+	// across all tasks and iterations (mapreduce.Result.LocalSyncs).
 	LocalIterations int64
-	// Converged is false if MaxIterations stopped the run first.
+	// ShuffleRecords is the total count of records that crossed the
+	// global synchronizations.
+	ShuffleRecords int64
+	// Failures counts replayed task attempts.
+	Failures int
+	// Converged is false if the run stopped at DefaultMaxIterations.
 	Converged bool
-	// PerIteration holds per-global-iteration details.
-	PerIteration []IterationStats
 }
 
 // Driver runs a MapReduce job iteratively until the application reports
@@ -61,13 +45,11 @@ type Driver[P any, K comparable, V any] struct {
 	// chained jobs). output is valid only during the call: the next
 	// iteration's job writes its output over it (mapreduce.Job.Recycle).
 	Update func(iter int, output []mapreduce.KV[K, V], splits []mapreduce.Split[P]) (converged bool, err error)
-	// MaxIterations bounds the run; 0 means DefaultMaxIterations.
-	MaxIterations int
 }
 
-// DefaultMaxIterations bounds iterative runs whose Driver.MaxIterations
-// is zero. Runaway non-convergence is a bug in the application, and the
-// bound converts it into a diagnosable error.
+// DefaultMaxIterations bounds every iterative run. Runaway
+// non-convergence is a bug in the application; a run that reaches the
+// bound returns with RunStats.Converged false.
 const DefaultMaxIterations = 10000
 
 // Run executes the iterative computation on the given splits.
@@ -75,28 +57,17 @@ func (d *Driver[P, K, V]) Run(splits []mapreduce.Split[P]) (*RunStats, error) {
 	if d.Engine == nil || d.Job == nil || d.Update == nil {
 		return nil, fmt.Errorf("core: Driver requires Engine, Job and Update")
 	}
-	maxIter := d.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
 	stats := &RunStats{}
-	for iter := 1; iter <= maxIter; iter++ {
+	for iter := 1; iter <= DefaultMaxIterations; iter++ {
 		res, err := mapreduce.Run(d.Engine, d.Job, splits)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 		}
-		it := IterationStats{
-			Iteration:       iter,
-			Duration:        res.Duration,
-			ShuffleBytes:    res.ShuffleBytes,
-			ShuffleRecords:  res.ShuffleRecords,
-			LocalIterations: res.Counters[LocalIterationsCounter],
-			Failures:        res.Failures,
-		}
-		stats.PerIteration = append(stats.PerIteration, it)
 		stats.GlobalIterations = iter
 		stats.Duration += res.Duration
-		stats.LocalIterations += it.LocalIterations
+		stats.LocalIterations += res.LocalSyncs
+		stats.ShuffleRecords += res.ShuffleRecords
+		stats.Failures += res.Failures
 
 		converged, err := d.Update(iter, res.Output, splits)
 		d.Job.Recycle(res.Output)

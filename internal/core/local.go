@@ -184,10 +184,6 @@ func BuildGMap[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]) m
 	}
 }
 
-// LocalIterationsCounter is the task counter a gmap adds its local
-// iteration count to; Driver sums it into IterationStats.LocalIterations.
-const LocalIterationsCounter = "core.local_iterations"
-
 // runTask is one gmap task: local iterations to local convergence, then
 // the global emission.
 func runTask[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc *LocalContext[K, V], tc *mapreduce.TaskContext[K, V], part P) {
@@ -221,7 +217,6 @@ func runTask[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc 
 		}
 	}
 	tc.Charge(lc.ops)
-	tc.Counter(LocalIterationsCounter, int64(iters))
 	if spec.Output != nil {
 		spec.Output(tc, part, lc)
 		return

@@ -246,7 +246,7 @@ func checkAgainstModel(t *testing.T, scripts []script, reset bool) {
 	for round := 0; round < 2; round++ {
 		splits := make([]mapreduce.Split[*scriptPart], len(scripts))
 		for i, sc := range scripts {
-			splits[i] = mapreduce.Split[*scriptPart]{ID: i, Data: &scriptPart{sc: sc}}
+			splits[i] = mapreduce.Split[*scriptPart]{Data: &scriptPart{sc: sc}}
 		}
 		res, err := mapreduce.Run(engine, job, splits)
 		if err != nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -210,6 +211,8 @@ func TestGenerateValidation(t *testing.T) {
 		{Nodes: 10, NumConn: 1, LocalityBias: 1.5},
 		{Nodes: 10, NumConn: 1, LocalityWindow: -2},
 		{Nodes: 10, NumConn: 1, LocalityAlpha: -1},
+		{Nodes: 10, NumConn: 1, LocalityBias: math.NaN()},
+		{Nodes: 10, NumConn: 1, LocalityAlpha: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {

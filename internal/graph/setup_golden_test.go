@@ -69,8 +69,8 @@ func hashGraph(g *Graph) uint64 {
 func hashSubGraphs(subs []*SubGraph) uint64 {
 	h := newGoldenHash()
 	h.u64(uint64(len(subs)))
-	for _, s := range subs {
-		h.u64(uint64(s.PartID))
+	for p, s := range subs {
+		h.u64(uint64(p))
 		h.ints(s.Nodes)
 		h.intLists(s.OutLocal)
 		h.intLists(s.OutRemote)

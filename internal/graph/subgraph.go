@@ -12,8 +12,6 @@ import (
 // treat them differently: local iterations relax only internal edges;
 // global synchronizations reconcile across the cut.
 type SubGraph struct {
-	// PartID is the partition index.
-	PartID int
 	// Nodes lists the partition's global node ids in ascending order.
 	Nodes []NodeID
 
@@ -160,7 +158,7 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	weighted := g.Weights != nil
 	subs := make([]*SubGraph, k)
 	for p := range subs {
-		subs[p] = &SubGraph{PartID: p}
+		subs[p] = &SubGraph{}
 	}
 	// Assign nodes in ascending id; local[u] is u's position in its
 	// partition's Nodes.

@@ -21,7 +21,7 @@ func buildSubGraphsOracle(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	subs := make([]*SubGraph, k)
 	index := make([]map[NodeID]int32, k)
 	for p := range subs {
-		subs[p] = &SubGraph{PartID: p}
+		subs[p] = &SubGraph{}
 		index[p] = make(map[NodeID]int32)
 	}
 	for u := 0; u < n; u++ {
@@ -33,9 +33,9 @@ func buildSubGraphsOracle(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 		index[p][NodeID(u)] = int32(len(s.Nodes))
 		s.Nodes = append(s.Nodes, NodeID(u))
 	}
-	for _, s := range subs {
+	for p, s := range subs {
 		if len(s.Nodes) == 0 {
-			return nil, fmt.Errorf("graph: partition %d is empty", s.PartID)
+			return nil, fmt.Errorf("graph: partition %d is empty", p)
 		}
 		m := len(s.Nodes)
 		s.OutLocal = make([][]int32, m)
@@ -110,8 +110,6 @@ func diffSubGraphs(got, want []*SubGraph) string {
 		s := got[p]
 		var d string
 		switch {
-		case s.PartID != w.PartID:
-			d = fmt.Sprintf("PartID = %d, want %d", s.PartID, w.PartID)
 		case !slices.Equal(s.Nodes, w.Nodes):
 			d = fmt.Sprintf("Nodes = %v, want %v", s.Nodes, w.Nodes)
 		case !slices.Equal(s.OutDeg, w.OutDeg):
@@ -152,10 +150,10 @@ func checkAgainstOracle(t *testing.T, g *Graph, parts []int32, k int) []*SubGrap
 	if d := diffSubGraphs(got, want); d != "" {
 		t.Fatalf("n=%d k=%d parts=%v out=%v: %s", g.NumNodes(), k, parts, g.Out, d)
 	}
-	for _, s := range got {
+	for p, s := range got {
 		for _, check := range []func(*SubGraph) string{checkFlatEdgeList, checkPullPlan} {
 			if d := check(s); d != "" {
-				t.Fatalf("n=%d k=%d parts=%v out=%v: partition %d: %s", g.NumNodes(), k, parts, g.Out, s.PartID, d)
+				t.Fatalf("n=%d k=%d parts=%v out=%v: partition %d: %s", g.NumNodes(), k, parts, g.Out, p, d)
 			}
 		}
 	}
@@ -364,23 +362,23 @@ func TestSubGraphViewsAreCapLimited(t *testing.T) {
 	}
 	sums := func() [2]uint64 { return [2]uint64{hashSubGraphs(subs), hashFlatEdgeLists(subs)} }
 	before := sums()
-	for _, s := range subs {
+	for p, s := range subs {
 		for i := range s.Nodes {
 			for _, l := range [][]int32{s.OutLocal[i], s.OutRemote[i], s.InRemote[i]} {
 				if len(l) != cap(l) {
-					t.Fatalf("partition %d node %d: list len %d cap %d", s.PartID, i, len(l), cap(l))
+					t.Fatalf("partition %d node %d: list len %d cap %d", p, i, len(l), cap(l))
 				}
 				_ = append(l, -7)
 			}
 			for _, l := range [][]float64{s.WLocal[i], s.WRemote[i], s.InRemoteW[i]} {
 				if len(l) != cap(l) {
-					t.Fatalf("partition %d node %d: weight list len %d cap %d", s.PartID, i, len(l), cap(l))
+					t.Fatalf("partition %d node %d: weight list len %d cap %d", p, i, len(l), cap(l))
 				}
 				_ = append(l, -7)
 			}
 		}
 		if l := s.LocalDst; len(l) != cap(l) {
-			t.Fatalf("partition %d: flat edge list len %d cap %d", s.PartID, len(l), cap(l))
+			t.Fatalf("partition %d: flat edge list len %d cap %d", p, len(l), cap(l))
 		}
 		_ = append(s.LocalDst, -7)
 	}

@@ -98,15 +98,15 @@ func (c *CensusConfig) Validate() error {
 		return fmt.Errorf("kmeans: Segments must be in [1,Points], got %d", c.Segments)
 	case c.MaxCode < 1:
 		return fmt.Errorf("kmeans: MaxCode must be >= 1, got %d", c.MaxCode)
-	case c.MutationProb < 0 || c.MutationProb > 1:
+	case !(c.MutationProb >= 0 && c.MutationProb <= 1):
 		return fmt.Errorf("kmeans: MutationProb must be in [0,1], got %g", c.MutationProb)
-	case c.ContinuousNoise < 0:
+	case !(c.ContinuousNoise >= 0):
 		return fmt.Errorf("kmeans: ContinuousNoise must be >= 0, got %g", c.ContinuousNoise)
 	case c.SubBranch < 0 || c.SubLevels < 0:
 		return fmt.Errorf("kmeans: SubBranch/SubLevels must be >= 0, got %d/%d", c.SubBranch, c.SubLevels)
 	case c.SubLevels > 0 && c.SubBranch < 2:
 		return fmt.Errorf("kmeans: SubBranch must be >= 2 when SubLevels > 0, got %d", c.SubBranch)
-	case c.SubScale < 0 || c.SubScale >= 1:
+	case !(c.SubScale >= 0 && c.SubScale < 1):
 		return fmt.Errorf("kmeans: SubScale must be in [0,1), got %g", c.SubScale)
 	}
 	return nil

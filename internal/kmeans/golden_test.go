@@ -33,10 +33,6 @@ func TestLegacyModesGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := res.Stats
-			var recs int64
-			for _, it := range s.PerIteration {
-				recs += it.ShuffleRecords
-			}
 			dur := math.Float64bits(float64(s.Duration))
 			h := fnv.New64a()
 			var b [8]byte
@@ -48,10 +44,10 @@ func TestLegacyModesGoldens(t *testing.T) {
 			}
 			hash := h.Sum64()
 			if s.GlobalIterations != tc.global || s.LocalIterations != tc.local ||
-				dur != tc.durBits || hash != tc.centroidHash || recs != tc.shuffleRecs ||
+				dur != tc.durBits || hash != tc.centroidHash || s.ShuffleRecords != tc.shuffleRecs ||
 				res.OscillationStop != tc.osc {
 				t.Fatalf("got {%d, %d, %#x, %#x, %d, %v}, want {%d, %d, %#x, %#x, %d, %v}",
-					s.GlobalIterations, s.LocalIterations, dur, hash, recs, res.OscillationStop,
+					s.GlobalIterations, s.LocalIterations, dur, hash, s.ShuffleRecords, res.OscillationStop,
 					tc.global, tc.local, tc.durBits, tc.centroidHash, tc.shuffleRecs, tc.osc)
 			}
 		})

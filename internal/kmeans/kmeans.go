@@ -66,7 +66,7 @@ func (c *Config) validate() error {
 	switch {
 	case c.K < 1:
 		return fmt.Errorf("kmeans: K must be >= 1, got %d", c.K)
-	case c.Threshold <= 0:
+	case !(c.Threshold > 0):
 		return fmt.Errorf("kmeans: Threshold must be positive, got %g", c.Threshold)
 	}
 	return nil
@@ -148,11 +148,9 @@ func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 	refreshSplits := func() {
 		for i, st := range states {
 			splits[i] = mapreduce.Split[*state]{
-				ID:      i,
 				Data:    st,
 				Records: int64(len(st.points)),
 				Bytes:   int64(len(st.points) * dims * 8),
-				Home:    i % engine.Cluster().Config().Nodes,
 			}
 		}
 	}
@@ -418,7 +416,6 @@ func eagerMap(cfg Config, dims int) mapreduce.MapFunc[*state, int64, Accum] {
 			}
 		}
 		tc.Charge(int64(sweeps) * int64(len(st.points)) * int64(len(st.centroids)+dims))
-		tc.Counter(core.LocalIterationsCounter, int64(sweeps))
 		for c, n := range counts {
 			if n > 0 {
 				tc.Emit(int64(c), Accum{Sum: sums[c*dims : (c+1)*dims : (c+1)*dims], Count: n})

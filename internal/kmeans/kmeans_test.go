@@ -84,6 +84,9 @@ func TestGenerateCensusValidation(t *testing.T) {
 		{Points: 10, Dims: 2, Segments: 1, MaxCode: 1, ContinuousNoise: -1},
 		{Points: 10, Dims: 2, Segments: 1, MaxCode: 1, SubLevels: 1, SubBranch: 1},
 		{Points: 10, Dims: 2, Segments: 1, MaxCode: 1, SubScale: 1.5},
+		{Points: 10, Dims: 2, Segments: 1, MaxCode: 1, MutationProb: math.NaN()},
+		{Points: 10, Dims: 2, Segments: 1, MaxCode: 1, ContinuousNoise: math.NaN()},
+		{Points: 10, Dims: 2, Segments: 1, MaxCode: 1, SubScale: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateCensus(cfg); err == nil {
@@ -192,6 +195,9 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(engine(), pts, 4, Config{K: 4, Threshold: 0}, false); err == nil {
 		t.Error("zero threshold accepted")
+	}
+	if _, err := Run(engine(), pts, 4, DefaultConfig(math.NaN()), false); err == nil {
+		t.Error("NaN threshold accepted")
 	}
 	if _, err := Run(engine(), nil, 4, DefaultConfig(0.1), false); err == nil {
 		t.Error("no points accepted")

@@ -1,7 +1,5 @@
 package mapreduce
 
-import "sync"
-
 // TaskContext is the interface a map or reduce function uses to emit
 // records and to charge simulated compute. One context belongs to exactly
 // one task attempt and is not safe for concurrent use by multiple
@@ -15,8 +13,6 @@ type TaskContext[K comparable, V any] struct {
 	// localSyncs counts partial synchronizations performed inside this
 	// task by the partial-synchronization runtime.
 	localSyncs int64
-
-	counters map[string]int64
 }
 
 // Emit appends one record to the task output: intermediate records for a
@@ -33,18 +29,10 @@ func (c *TaskContext[K, V]) Charge(ops int64) {
 
 // LocalSync records one local (in-memory, intra-task) synchronization
 // barrier. The partial-synchronization runtime calls this once per local
-// reduce; it costs LocalSyncOverhead rather than a global job barrier.
+// reduce, from a map task; it costs LocalSyncOverhead rather than a
+// global job barrier, and Result.LocalSyncs sums it over the map tasks.
 func (c *TaskContext[K, V]) LocalSync() {
 	c.localSyncs++
-}
-
-// Counter increments a named user counter, mirroring Hadoop counters.
-// Counters from all tasks are summed into the job result.
-func (c *TaskContext[K, V]) Counter(name string, delta int64) {
-	if c.counters == nil {
-		c.counters = make(map[string]int64)
-	}
-	c.counters[name] += delta
 }
 
 // taskStats is the accounting record a finished task attempt hands back
@@ -52,40 +40,8 @@ func (c *TaskContext[K, V]) Counter(name string, delta int64) {
 type taskStats struct {
 	inRecords  int64
 	inBytes    int64
-	homeLocal  bool
 	outRecords int64
 	outBytes   int64
 	ops        int64
 	localSyncs int64
-}
-
-// counterSet aggregates user counters across tasks; safe for concurrent
-// merging.
-type counterSet struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-func (s *counterSet) merge(m map[string]int64) {
-	if len(m) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]int64)
-	}
-	for k, v := range m {
-		s.m[k] += v
-	}
-}
-
-func (s *counterSet) snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
 }

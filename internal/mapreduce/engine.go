@@ -27,9 +27,6 @@ func NewEngine(c *cluster.Cluster) *Engine {
 	return &Engine{cluster: c, Parallelism: runtime.GOMAXPROCS(0)}
 }
 
-// Cluster returns the engine's simulated cluster.
-func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
-
 // Result carries a finished job's output and accounting.
 type Result[K comparable, V any] struct {
 	// Output holds the final records in deterministic order (reduce
@@ -47,8 +44,9 @@ type Result[K comparable, V any] struct {
 	// that crossed the map→reduce barrier.
 	ShuffleRecords int64
 	ShuffleBytes   int64
-	// Counters aggregates user counters across all tasks.
-	Counters map[string]int64
+	// LocalSyncs sums the partial synchronizations (TaskContext.LocalSync)
+	// of all map tasks.
+	LocalSyncs int64
 }
 
 // Run executes one job over the given splits and reports its simulated
@@ -67,7 +65,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 
 	res := &Result[K, V]{}
 	res.Duration = cfg.JobOverhead
-	counters := &counterSet{}
 
 	// --- map phase: real execution -----------------------------------
 	// Map tasks emit into, and the shuffle routes through, buffers the
@@ -92,13 +89,11 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		mapStats[i] = taskStats{
 			inRecords:  sp.Records,
 			inBytes:    sp.Bytes,
-			homeLocal:  sp.Home >= 0,
 			outRecords: int64(len(ctx.out)),
 			outBytes:   outBytes,
 			ops:        ctx.ops,
 			localSyncs: ctx.localSyncs,
 		}
-		counters.merge(ctx.counters)
 		return nil
 	})
 	if err != nil {
@@ -112,11 +107,12 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	for i := range mapStats {
 		st := &mapStats[i]
 		d := cfg.TaskOverhead
-		d += c.DFSReadCost(st.inBytes, st.homeLocal)
+		d += c.DFSReadCost(st.inBytes, true)
 		d += simtime.Duration(float64(st.inRecords)) * cfg.MapRecordCost
 		d += simtime.Duration(float64(st.outRecords)) * cfg.EmitCost
 		d += c.ComputeCost(st.ops)
 		d += simtime.Duration(float64(st.localSyncs)) * cfg.LocalSyncOverhead
+		res.LocalSyncs += st.localSyncs
 		if mapOnly {
 			d += c.DFSWriteCost(st.outBytes)
 		}
@@ -132,7 +128,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 
 	if mapOnly {
 		res.Output = sc.takeOutput(mapOuts)
-		res.Counters = counters.snapshot()
 		return res, nil
 	}
 
@@ -175,9 +170,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			outRecords: int64(len(ctx.out)),
 			outBytes:   outBytes,
 			ops:        ctx.ops,
-			localSyncs: ctx.localSyncs,
 		}
-		counters.merge(ctx.counters)
 		return nil
 	})
 	if err != nil {
@@ -206,7 +199,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	res.Duration += simtime.MakespanLPT(redDurations, cfg.ReduceSlots())
 
 	res.Output = sc.takeOutput(redOuts)
-	res.Counters = counters.snapshot()
 	return res, nil
 }
 

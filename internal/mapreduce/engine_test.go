@@ -45,7 +45,7 @@ func wordCountJob() *Job[string, string, int] {
 func textSplits(lines ...string) []Split[string] {
 	splits := make([]Split[string], len(lines))
 	for i, l := range lines {
-		splits[i] = Split[string]{ID: i, Data: l, Records: 1, Bytes: int64(len(l))}
+		splits[i] = Split[string]{Data: l, Records: 1, Bytes: int64(len(l))}
 	}
 	return splits
 }
@@ -83,7 +83,7 @@ func TestDurationPositiveAndClockAdvances(t *testing.T) {
 		t.Fatal("job took no simulated time")
 	}
 	// Job overhead is part of the total.
-	if res.Duration < e.Cluster().Config().JobOverhead {
+	if res.Duration < cluster.EC2LargeCluster().JobOverhead {
 		t.Fatal("duration less than job overhead")
 	}
 }
@@ -132,7 +132,7 @@ func TestMapOnlyJob(t *testing.T) {
 			ctx.Emit(int64(split.Data), split.Data*10)
 		},
 	}
-	splits := []Split[int]{{ID: 0, Data: 1, Records: 1}, {ID: 1, Data: 2, Records: 1}}
+	splits := []Split[int]{{Data: 1, Records: 1}, {Data: 2, Records: 1}}
 	res, err := Run(testEngine(), job, splits)
 	if err != nil {
 		t.Fatal(err)
@@ -213,29 +213,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestCountersAggregate(t *testing.T) {
-	job := &Job[string, string, int]{
-		Name: "counting",
-		Map: func(ctx *TaskContext[string, int], split Split[string]) {
-			ctx.Counter("records", 1)
-			ctx.Emit(split.Data, 1)
-		},
-		Reduce: func(ctx *TaskContext[string, int], key string, values []int) {
-			ctx.Counter("groups", 1)
-		},
-	}
-	res, err := Run(testEngine(), job, textSplits("a", "b", "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters["records"] != 3 {
-		t.Fatalf("records counter = %d", res.Counters["records"])
-	}
-	if res.Counters["groups"] != 2 {
-		t.Fatalf("groups counter = %d", res.Counters["groups"])
-	}
-}
-
 func TestFailureInjectionExtendsRuntime(t *testing.T) {
 	reliable := cluster.EC2LargeCluster()
 	reliable.FailureProb = 0
@@ -246,7 +223,7 @@ func TestFailureInjectionExtendsRuntime(t *testing.T) {
 
 	splits := make([]Split[string], 64)
 	for i := range splits {
-		splits[i] = Split[string]{ID: i, Data: "a b c d e f", Records: 6, Bytes: 64}
+		splits[i] = Split[string]{Data: "a b c d e f", Records: 6, Bytes: 64}
 	}
 	r1, err := Run(NewEngine(cluster.New(reliable)), wordCountJob(), splits)
 	if err != nil {
@@ -332,7 +309,7 @@ func TestEngineMatchesDirectFold(t *testing.T) {
 			if end > len(data) {
 				end = len(data)
 			}
-			splits = append(splits, Split[[]uint8]{ID: len(splits), Data: data[i:end], Records: int64(end - i)})
+			splits = append(splits, Split[[]uint8]{Data: data[i:end], Records: int64(end - i)})
 		}
 		job := &Job[[]uint8, int64, int]{
 			Name:      "fold",
@@ -404,14 +381,15 @@ func TestSingleWorkerFallback(t *testing.T) {
 // with more records, with fewer, with different ones — for map-only and
 // map-reduce jobs, with and without a combiner.
 func TestResultOutputNotAliasedByLaterRuns(t *testing.T) {
-	// Split i of iteration it emits n records (i*1000+j, it*100+j).
-	emit := func(ctx *TaskContext[int64, int], split Split[[2]int]) {
-		it, n := split.Data[0], split.Data[1]
+	// Split i of iteration it, Data {it, n, i}, emits n records
+	// (i*1000+j, it*100+j).
+	emit := func(ctx *TaskContext[int64, int], split Split[[3]int]) {
+		it, n, i := split.Data[0], split.Data[1], split.Data[2]
 		for j := 0; j < n; j++ {
-			ctx.Emit(int64(split.ID*1000+j), it*100+j)
+			ctx.Emit(int64(i*1000+j), it*100+j)
 		}
 	}
-	jobs := map[string]*Job[[2]int, int64, int]{
+	jobs := map[string]*Job[[3]int, int64, int]{
 		"map-only": {Name: "maponly", Map: emit},
 		"map-reduce": {Name: "mapreduce", Map: emit, Partition: Int64Partition,
 			Reduce: func(ctx *TaskContext[int64, int], key int64, values []int) { ctx.Emit(key, values[0]) }},
@@ -425,9 +403,9 @@ func TestResultOutputNotAliasedByLaterRuns(t *testing.T) {
 			engine := ec2Engine()
 			var outs [][]KV[int64, int]
 			for it, n := range sizes {
-				splits := make([]Split[[2]int], 6)
+				splits := make([]Split[[3]int], 6)
 				for i := range splits {
-					splits[i] = Split[[2]int]{ID: i, Data: [2]int{it, n}, Records: int64(n)}
+					splits[i] = Split[[3]int]{Data: [3]int{it, n, i}, Records: int64(n)}
 				}
 				res, err := Run(engine, job, splits)
 				if err != nil {
@@ -493,7 +471,7 @@ func TestOverlappingRunsShareNoGrouperOrOutput(t *testing.T) {
 	var job *Job[[2]int, int64, int]
 	var inner *Result[int64, int]
 	splitsOver := func(base, n int) []Split[[2]int] {
-		return []Split[[2]int]{{ID: 0, Data: [2]int{base, n}}, {ID: 1, Data: [2]int{base + n, n}}}
+		return []Split[[2]int]{{Data: [2]int{base, n}}, {Data: [2]int{base + n, n}}}
 	}
 	job = &Job[[2]int, int64, int]{
 		Name:       "nested",
@@ -561,7 +539,7 @@ func TestPanickingTaskIsNamedWhileOthersRun(t *testing.T) {
 		job := &Job[int, int64, int]{
 			Name: "one-bad-task",
 			Map: func(ctx *TaskContext[int64, int], split Split[int]) {
-				if split.ID == 5 {
+				if split.Data == 5 {
 					panic("split five is cursed")
 				}
 				ran.Add(1)
@@ -569,7 +547,7 @@ func TestPanickingTaskIsNamedWhileOthersRun(t *testing.T) {
 		}
 		splits := make([]Split[int], 12)
 		for i := range splits {
-			splits[i].ID = i
+			splits[i].Data = i
 		}
 		engine := testEngine()
 		engine.Parallelism = parallelism

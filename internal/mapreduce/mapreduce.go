@@ -1,8 +1,8 @@
 // Package mapreduce implements a MapReduce engine in the style of Hadoop
 // 0.20 (the paper's platform): jobs composed of map and reduce tasks over
 // input splits, a hash-partitioned sort/shuffle between the phases,
-// optional combiners, locality-aware split scheduling, and fault tolerance
-// by deterministic replay of failed task attempts.
+// optional combiners, data-local map input reads, and fault tolerance by
+// deterministic replay of failed task attempts.
 //
 // The engine executes user map/reduce functions for real — over real data,
 // concurrently on the host's cores — while charging virtual time to a
@@ -26,24 +26,20 @@ type KV[K comparable, V any] struct {
 	Value V
 }
 
-// Split is one unit of map input: an opaque payload plus the metadata the
-// scheduler and cost model need. In the paper's formulations a split is a
-// graph partition (general baseline and eager variants both map over
-// complete partitions, §V-B1).
+// Split is one unit of map input: an opaque payload plus the sizes the
+// cost model prices. Map task i reads splits[i]; a map function that
+// needs to know which split it has carries that in Data. In the paper's
+// formulations a split is a graph partition (general baseline and eager
+// variants both map over complete partitions, §V-B1).
 type Split[P any] struct {
-	// ID identifies the split; task attempt ordering and deterministic
-	// replay key off it.
-	ID int
 	// Data is the split payload handed to the map function.
 	Data P
 	// Records is the number of logical input records, charged at the
 	// per-record framework cost.
 	Records int64
-	// Bytes is the serialized size, charged as DFS read.
+	// Bytes is the serialized size, charged as a DFS read from the map
+	// task's own node (every split is scheduled where its replica is).
 	Bytes int64
-	// Home is the node index holding the local replica; -1 means no
-	// locality information (read is remote with probability 1-1/Nodes).
-	Home int
 }
 
 // MapFunc consumes one split and emits intermediate records through ctx.

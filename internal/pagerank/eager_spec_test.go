@@ -25,10 +25,10 @@ type specPart struct {
 
 // eagerSpec is the eager gmap as the paper writes it, lmap and lreduce
 // through core.BuildGMap, and the reference eagerMap is held to.
-// parts[p] is partition p's scratch.
-func eagerSpec(cfg Config, parts []*specPart) *core.LocalSpec[*state, int32, int64, float64] {
+// parts[s] is sub-graph s's scratch.
+func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[*state, int32, int64, float64] {
 	return &core.LocalSpec[*state, int32, int64, float64]{
-		Elements: func(st *state) []int32 { return parts[st.sub.PartID].elems },
+		Elements: func(st *state) []int32 { return parts[st.sub].elems },
 		// lmap: push rank along partition-internal edges only;
 		// cross-partition neighbors wait for the global synchronization.
 		LMap: func(lc *core.LocalContext[int64, float64], st *state, li int32) {
@@ -55,7 +55,7 @@ func eagerSpec(cfg Config, parts []*specPart) *core.LocalSpec[*state, int32, int
 		// Partial synchronization barrier: integrate new local ranks,
 		// measure the local delta.
 		Apply: func(st *state, lc *core.LocalContext[int64, float64]) {
-			sp := parts[st.sub.PartID]
+			sp := parts[st.sub]
 			base := 1 - cfg.Damping
 			for li, r := range st.sub.Pull.Pos {
 				nr := base + cfg.Damping*st.local.ghost[r]
@@ -77,7 +77,7 @@ func eagerSpec(cfg Config, parts []*specPart) *core.LocalSpec[*state, int32, int
 			copy(st.rank, sp.next)
 		},
 		Converged: func(st *state, _ *core.LocalContext[int64, float64]) bool {
-			return parts[st.sub.PartID].delta < cfg.Epsilon
+			return parts[st.sub].delta < cfg.Epsilon
 		},
 		MaxLocalIters: cfg.MaxLocalIters,
 		// Global emission: every node pushes its rank to all out-links,
@@ -90,13 +90,13 @@ func eagerSpec(cfg Config, parts []*specPart) *core.LocalSpec[*state, int32, int
 
 // runSpec runs the eager formulation with eagerSpec as its gmap.
 func runSpec(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config) (*Result, error) {
-	parts := make([]*specPart, len(subs))
-	for p, s := range subs {
+	parts := make(map[*graph.SubGraph]*specPart, len(subs))
+	for _, s := range subs {
 		sp := &specPart{elems: make([]int32, s.NumNodes()), next: make([]float64, s.NumNodes())}
 		for i := range sp.elems {
 			sp.elems[i] = int32(i)
 		}
-		parts[p] = sp
+		parts[s] = sp
 	}
 	job := buildJob(cfg, true)
 	job.Map = core.BuildGMap(eagerSpec(cfg, parts))

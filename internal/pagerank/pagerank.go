@@ -198,10 +198,10 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.Damping <= 0 || c.Damping >= 1 {
+	if !(c.Damping > 0 && c.Damping < 1) {
 		return fmt.Errorf("pagerank: damping must be in (0,1), got %g", c.Damping)
 	}
-	if c.Epsilon <= 0 {
+	if !(c.Epsilon > 0) {
 		return fmt.Errorf("pagerank: epsilon must be positive, got %g", c.Epsilon)
 	}
 	return nil
@@ -276,7 +276,7 @@ func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	}
 	states, ranks, outDeg := newStates(subs, eager)
 	noIn := noInEdge(states)
-	splits := newSplits(engine, states)
+	splits := newSplits(states)
 	n := len(ranks)
 	base := 1 - cfg.Damping
 
@@ -391,15 +391,13 @@ func noInEdge(states []*state) []graph.NodeID {
 
 // newSplits wraps each partition's state as one input split of the
 // per-iteration job.
-func newSplits(engine *mapreduce.Engine, states []*state) []mapreduce.Split[*state] {
+func newSplits(states []*state) []mapreduce.Split[*state] {
 	splits := make([]mapreduce.Split[*state], len(states))
 	for i, st := range states {
 		splits[i] = mapreduce.Split[*state]{
-			ID:      i,
 			Data:    st,
 			Records: int64(st.sub.NumNodes()),
 			Bytes:   st.sub.Bytes,
-			Home:    i % engine.Cluster().Config().Nodes,
 		}
 	}
 	return splits
@@ -490,7 +488,6 @@ func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
 			st.rank[li] = w.rank[r]
 		}
 		tc.Charge(2 * int64(len(sub.LocalDst)) * int64(sweeps))
-		tc.Counter(core.LocalIterationsCounter, int64(sweeps))
 		pushContributions(tc, st)
 	}
 }

@@ -170,10 +170,14 @@ func TestConfigValidation(t *testing.T) {
 		{Damping: 0, Epsilon: 1e-5},
 		{Damping: 1, Epsilon: 1e-5},
 		{Damping: 0.85, Epsilon: 0},
+		{Damping: math.NaN(), Epsilon: 1e-5},
+		{Damping: 0.85, Epsilon: math.NaN()},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(engine(), subs, cfg, false); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		for _, eager := range []bool{false, true} {
+			if _, err := Run(engine(), subs, cfg, eager); err == nil {
+				t.Errorf("bad config %d accepted (eager %v)", i, eager)
+			}
 		}
 	}
 	if _, err := Run(engine(), nil, DefaultConfig(), false); err == nil {

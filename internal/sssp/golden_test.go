@@ -32,10 +32,6 @@ func TestLegacyModesGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := res.Stats
-			var recs int64
-			for _, it := range s.PerIteration {
-				recs += it.ShuffleRecords
-			}
 			dur := math.Float64bits(float64(s.Duration))
 			h := fnv.New64a()
 			var b [8]byte
@@ -45,9 +41,9 @@ func TestLegacyModesGoldens(t *testing.T) {
 			}
 			hash := h.Sum64()
 			if s.GlobalIterations != tc.global || s.LocalIterations != tc.local ||
-				dur != tc.durBits || hash != tc.distHash || recs != tc.shuffleRecs {
+				dur != tc.durBits || hash != tc.distHash || s.ShuffleRecords != tc.shuffleRecs {
 				t.Fatalf("got {%d, %d, %#x, %#x, %d}, want {%d, %d, %#x, %#x, %d}",
-					s.GlobalIterations, s.LocalIterations, dur, hash, recs,
+					s.GlobalIterations, s.LocalIterations, dur, hash, s.ShuffleRecords,
 					tc.global, tc.local, tc.durBits, tc.distHash, tc.shuffleRecs)
 			}
 		})

@@ -125,11 +125,9 @@ func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, job *mapr
 	splits := make([]mapreduce.Split[*state], len(states))
 	for i, st := range states {
 		splits[i] = mapreduce.Split[*state]{
-			ID:      i,
 			Data:    st,
 			Records: int64(st.sub.NumNodes()),
 			Bytes:   st.sub.Bytes,
-			Home:    i % engine.Cluster().Config().Nodes,
 		}
 	}
 
@@ -300,7 +298,6 @@ func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
 			}
 		}
 		tc.Charge(2 * edges)
-		tc.Counter(core.LocalIterationsCounter, int64(sweeps))
 		emitSettled(tc, st)
 	}
 }
