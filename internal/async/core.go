@@ -226,7 +226,7 @@ func (k *core[D]) Admit() (int, bool) {
 func (k *core[D]) Gate(p int) bool {
 	st := k.workers[p]
 	from := st.clock
-	nb, at, exists := k.held(p, &st.clock)
+	nb, at, exists := k.held(p, &st.clock, false)
 	if nb < 0 {
 		return true
 	}

@@ -208,13 +208,14 @@ func (s *liveExecutor[D]) pushDelay(bytes int64) simtime.Duration {
 }
 
 // runPart executes one step attempt for partition p on pool worker w,
-// through the canonical points: under the engine mutex the gate wait's
-// measured end, the gate hold and the input read; with the clock running
-// and no lock the step itself; then its publication with emulated network
-// visibility; and under the mutex again the completed step, the publish,
-// the controller's signal and the settle point. Non-quiescent partitions
-// re-enqueue on the same worker's queue so its warm scratch is reused;
-// work stealing migrates them only when the worker backs up.
+// through the canonical points: under the engine mutex the gate hold,
+// the gate wait's measured end once the gate admits the step, and the
+// input read; with the clock running and no lock the step itself; then
+// its publication with emulated network visibility; and under the mutex
+// again the completed step, the publish, the controller's signal and the
+// settle point. Non-quiescent partitions re-enqueue on the same worker's
+// queue so its warm scratch is reused; work stealing migrates them only
+// when the worker backs up.
 //
 //async:measured — measures step compute by wall clock; the engine mutex serializes the sched-only points.
 func (s *liveExecutor[D]) runPart(w, p int) {
@@ -225,20 +226,26 @@ func (s *liveExecutor[D]) runPart(w, p int) {
 		return
 	}
 	t := s.now()
-	if lp.waitStart >= 0 {
-		s.stats.GateWaitTime += t - lp.waitStart
-		s.rec.Emit(trace.KindGateRelease, p, pt.steps, t, -1, 0, 0)
-		lp.waitStart = -1
-	}
-	if nb, at, exists := s.held(p, &t); nb >= 0 {
+	waiting := lp.waitStart >= 0
+	if nb, at, exists := s.held(p, &t, waiting); nb >= 0 {
 		// Parked timed, or blocked by the hold itself; a wake re-runs the
-		// gate, and the task it runs measures the wait.
-		lp.waitStart = t
+		// gate, and the task it admits measures the wait. A wake the gate
+		// does not pass — the version waited on is not visible yet, say
+		// because its writer settled, released its waiters and stepped
+		// again — continues the wait.
+		if !waiting {
+			lp.waitStart = t
+		}
 		if exists {
 			s.parkTimedLocked(p, at)
 		}
 		s.mu.Unlock()
 		return
+	}
+	if waiting {
+		s.stats.GateWaitTime += t - lp.waitStart
+		s.rec.Emit(trace.KindGateRelease, p, pt.steps, t, -1, 0, 0)
+		lp.waitStart = -1
 	}
 	buf := s.inbuf[p]
 	lead, blind := readInputs(s.store, s.parts, pt, t, buf, pt.consumed)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/simtime"
 	"repro/internal/trace"
+	"repro/internal/workpool"
 )
 
 // liveCluster is quietCluster with the emulated publish-visibility
@@ -256,5 +257,67 @@ func TestLiveRejectsCrashModel(t *testing.T) {
 	_, err = Run(liveCluster(), maxProp(vals), Options{Executor: Live, Checkpoint: recovery.EverySteps(4)})
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("want checkpoint-policy rejection, got %v", err)
+	}
+}
+
+// TestLiveWakeBeforeVisibleIsOneWait: a partition woken while the
+// version it waits on is still in flight — its writer settled, released
+// its waiters and stepped again — re-runs the gate, which holds it, and
+// that is still the one wait: no release and no second hold. The wait is
+// booked once, when the gate admits the step, no earlier than the
+// version becomes visible.
+func TestLiveWakeBeforeVisibleIsOneWait(t *testing.T) {
+	rec := trace.NewRecorder(1 << 10)
+	r, _, err := newRun(liveCluster(), counter(2, 10, func(int) int64 { return 1 }),
+		Options{Staleness: 0, Executor: Live, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &liveExecutor[int64]{run: r, lps: make([]livePart, 2), timerKick: make(chan struct{}, 1)}
+	s.pool = workpool.New(1, func(int, int) {}) // takes the admitted step's re-enqueue
+	defer s.pool.Close()
+	s.lps[0].waitStart, s.lps[1].waitStart = -1, -1
+	s.start = time.Now()
+	// Partition 0 has published version 1 and needs its neighbor's
+	// version 1, which exists but is in flight for another 30 ms.
+	s.parts[0].version, s.parts[0].steps = 1, 1
+	visibleAt := s.now() + 0.03
+	if err := s.store.Publish(0, 1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.Publish(1, 1, visibleAt, 1); err != nil {
+		t.Fatal(err)
+	}
+	count := func(kind trace.Kind) (n int) {
+		for _, ev := range rec.Events() {
+			if ev.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
+
+	s.runPart(0, 0) // the hold
+	began := s.lps[0].waitStart
+	if s.stats.GateWaits != 1 || began < 0 || s.parts[0].state != timed {
+		t.Fatalf("the first gate: %d waits, wait start %v, state %d; want one wait, parked timed", s.stats.GateWaits, began, s.parts[0].state)
+	}
+	s.parts[0].state = runnable // an early wake
+	s.runPart(0, 0)
+	if s.stats.GateWaits != 1 || count(trace.KindGateBegin) != 1 || count(trace.KindGateRelease) != 0 ||
+		s.stats.GateWaitTime != 0 || s.lps[0].waitStart != began || s.parts[0].state != timed {
+		t.Fatalf("a wake before the version is visible: %d waits, %d holds and %d releases traced, %v waited, wait start %v (was %v), state %d; want the one wait still open, parked timed",
+			s.stats.GateWaits, count(trace.KindGateBegin), count(trace.KindGateRelease), s.stats.GateWaitTime, s.lps[0].waitStart, began, s.parts[0].state)
+	}
+	for s.now() < visibleAt {
+		time.Sleep(time.Millisecond)
+	}
+	s.parts[0].state = runnable // the wake on time
+	s.runPart(0, 0)
+	checkNoEarlyWake(t, rec.Events())
+	if s.stats.GateWaits != 1 || count(trace.KindGateRelease) != 1 || s.parts[0].steps != 2 ||
+		s.stats.GateWaitTime < visibleAt-began || s.lps[0].waitStart != -1 {
+		t.Fatalf("the wake on time: %d waits, %d releases, %d steps, %v waited of the %v in flight; want one wait released and booked, the step run",
+			s.stats.GateWaits, count(trace.KindGateRelease), s.parts[0].steps, s.stats.GateWaitTime, visibleAt-began)
 	}
 }

@@ -241,11 +241,14 @@ func (r *run[D]) finish(end simtime.Duration, last metrics.Sample) (*RunStats, e
 // held is the canonical gate hold: the staleness gate (see gate) for p at
 // its time *t under the bound in force, nb < 0 admitting the step. A hold
 // is counted, traced and fed to the controller, whose bound change is
-// charged to *t. A needed version that does not exist yet blocks p on nb
-// here; one that exists is visible from at, a wait the executor books.
+// charged to *t — unless waiting, when p re-runs the gate during a wait
+// already counted (a live wake the gate does not pass), and the hold
+// continues that wait. A needed version that does not exist yet blocks p
+// on nb here; one that exists is visible from at, a wait the executor
+// books.
 //
 //async:sched-only
-func (r *run[D]) held(p int, t *simtime.Duration) (nb int, at simtime.Duration, exists bool) {
+func (r *run[D]) held(p int, t *simtime.Duration, waiting bool) (nb int, at simtime.Duration, exists bool) {
 	pt := &r.parts[p]
 	bound := r.ctrl.Bound(p)
 	if bound < 0 {
@@ -255,10 +258,12 @@ func (r *run[D]) held(p int, t *simtime.Duration) (nb int, at simtime.Duration, 
 	if nb, at, exists = gate(r.store, r.parts, pt, *t, need); nb < 0 {
 		return nb, at, exists
 	}
-	r.stats.GateWaits++
-	r.rec.Emit(trace.KindGateBegin, p, pt.steps, *t, int64(nb), int64(need), 0)
-	if r.ctrl.GateWait(p) {
-		r.boundMoved(p, t)
+	if !waiting {
+		r.stats.GateWaits++
+		r.rec.Emit(trace.KindGateBegin, p, pt.steps, *t, int64(nb), int64(need), 0)
+		if r.ctrl.GateWait(p) {
+			r.boundMoved(p, t)
+		}
 	}
 	if !exists {
 		pt.state = blocked

@@ -56,7 +56,8 @@ type Result[K comparable, V any] struct {
 func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Split[P]) (*Result[K, V], error) {
 	c := e.cluster
 	cfg := c.Config()
-	if err := job.validate(cfg.ReduceSlots()); err != nil {
+	nReduce, err := job.validate(cfg.ReduceSlots())
+	if err != nil {
 		return nil, err
 	}
 	if len(splits) == 0 {
@@ -67,42 +68,48 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	res.Duration = cfg.JobOverhead
 
 	// --- map phase: real execution -----------------------------------
-	// Map tasks emit into, and the shuffle routes through, buffers the
-	// job keeps from its previous run; nothing in them outlives this call
-	// (Result.Output is a copy no buffer of the job's aliases).
-	sc := job.takeScratch(len(splits), job.NumReduces)
+	// Map tasks emit and spill into, and reduce tasks fetch into, buffers
+	// the job keeps from its previous run; nothing in them outlives this
+	// call (Result.Output is a copy no buffer of the job's aliases). A map
+	// task of a job with a reduce phase partitions its own output (spill),
+	// so nothing per record runs between the waves.
+	mapOnly := job.Reduce == nil
+	sc := job.takeScratch(len(splits), nReduce)
 	defer job.scratch.Store(sc)
-	mapOuts := sc.mapOuts
+	mapOuts, spills := sc.mapOuts, sc.spills
 	mapStats := make([]taskStats, len(splits))
-	err := e.forEachTask(len(splits), func(i int) error {
+	err = e.forEachTask(len(splits), func(i int) error {
 		sp := &splits[i]
 		ctx := &TaskContext[K, V]{out: mapOuts[i][:0]}
 		job.Map(ctx, *sp)
 		if job.Combine != nil {
 			combineTaskOutput(job, &sc.combiners[i], ctx)
 		}
-		var outBytes int64
-		for _, kv := range ctx.out {
-			outBytes += job.RecordSize(kv.Key, kv.Value)
-		}
 		mapOuts[i] = ctx.out
+		if !mapOnly {
+			if err := spills[i].fill(ctx.out, nReduce, job.Partition); err != nil {
+				return err
+			}
+		}
 		mapStats[i] = taskStats{
 			inRecords:  sp.Records,
 			inBytes:    sp.Bytes,
 			outRecords: int64(len(ctx.out)),
-			outBytes:   outBytes,
+			outBytes:   recordBytes(job.RecordSize, ctx.out),
 			ops:        ctx.ops,
 			localSyncs: ctx.localSyncs,
 		}
 		return nil
 	})
+	if pe, ok := err.(partitionError); ok {
+		return nil, fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, pe.p, pe.n)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q map phase: %w", job.Name, err)
 	}
 	res.MapTasks = len(splits)
 
 	// --- map phase: pricing (deterministic order) --------------------
-	mapOnly := job.Reduce == nil
 	mapDurations := make([]simtime.Duration, len(splits))
 	for i := range mapStats {
 		st := &mapStats[i]
@@ -131,44 +138,41 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		return res, nil
 	}
 
-	// --- shuffle ------------------------------------------------------
-	nReduce := job.NumReduces
-	parts := sc.parts
-	var shuffleRecords, shuffleBytes int64
-	for i, out := range mapOuts {
-		for _, kv := range out {
-			p := job.Partition(kv.Key, nReduce)
-			if p < 0 || p >= nReduce {
-				return nil, fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, p, nReduce)
-			}
-			parts[p] = append(parts[p], kv)
-		}
-		shuffleRecords += mapStats[i].outRecords
-		shuffleBytes += mapStats[i].outBytes
+	// --- shuffle: pricing ---------------------------------------------
+	for i := range mapStats {
+		res.ShuffleRecords += mapStats[i].outRecords
+		res.ShuffleBytes += mapStats[i].outBytes
 	}
-	res.ShuffleRecords = shuffleRecords
-	res.ShuffleBytes = shuffleBytes
-	res.Duration += shuffleCost(c, len(splits), nReduce, shuffleBytes)
+	res.Duration += shuffleCost(c, len(splits), nReduce, res.ShuffleBytes)
 
 	// --- reduce phase: real execution ---------------------------------
-	redOuts := sc.redOuts
+	// Reduce task p fetches region p of every spill in map-task order. A
+	// spill's regions keep emission order, so parts[p] is the sequence a
+	// serial shuffle appending each map task's records in turn would have
+	// built, and the grouping and every sum over it come out the same.
+	parts, redOuts := sc.parts, sc.redOuts
 	redStats := make([]taskStats, nReduce)
 	err = e.forEachTask(nReduce, func(p int) error {
+		n := 0
+		for i := range spills {
+			n += len(spills[i].region(p))
+		}
+		in := slices.Grow(parts[p][:0], n)
+		for i := range spills {
+			in = append(in, spills[i].region(p)...)
+		}
+		parts[p] = in
 		ctx := &TaskContext[K, V]{out: redOuts[p][:0]}
 		g := &sc.reducers[p]
-		g.group(parts[p])
+		g.group(in)
 		for i, k := range g.keys {
 			job.Reduce(ctx, k, g.values(i))
 		}
-		var outBytes int64
-		for _, kv := range ctx.out {
-			outBytes += job.RecordSize(kv.Key, kv.Value)
-		}
 		redOuts[p] = ctx.out
 		redStats[p] = taskStats{
-			inRecords:  int64(len(parts[p])),
+			inRecords:  int64(len(in)),
 			outRecords: int64(len(ctx.out)),
-			outBytes:   outBytes,
+			outBytes:   recordBytes(job.RecordSize, ctx.out),
 			ops:        ctx.ops,
 		}
 		return nil

@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -206,10 +208,15 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Run(testEngine(), bad, textSplits("a")); err == nil {
 		t.Fatal("negative NumReduces accepted")
 	}
-	evil := wordCountJob()
-	evil.Partition = func(k string, n int) int { return n + 3 }
-	if _, err := Run(testEngine(), evil, textSplits("a")); err == nil {
-		t.Fatal("out-of-range partitioner accepted")
+	// A partitioner's answer off either end of [0, n) fails the run.
+	for _, p := range []int{-1, 3, 6} {
+		evil := wordCountJob()
+		evil.NumReduces = 3
+		evil.Partition = func(string, int) int { return p }
+		want := fmt.Sprintf("mapreduce: job \"wordcount\" partitioner returned %d for 3 partitions", p)
+		if _, err := Run(testEngine(), evil, textSplits("a b", "", "c")); err == nil || err.Error() != want {
+			t.Fatalf("partitioner returning %d: error %v, want %q", p, err, want)
+		}
 	}
 }
 
@@ -361,6 +368,21 @@ func TestInt64Partition(t *testing.T) {
 			t.Fatalf("Int64Partition(%d,7) = %d", k, p)
 		}
 	}
+	// The extremes: |math.MinInt64| is 1<<63, which int64 cannot hold.
+	for _, tc := range []struct {
+		key     int64
+		n, want int
+	}{
+		{math.MinInt64, 3, 2},
+		{math.MinInt64, 16, 0},
+		{math.MaxInt64, 3, 1},
+		{math.MaxInt64, 16, 15},
+		{-7, 3, 1},
+	} {
+		if got := Int64Partition(tc.key, tc.n); got != tc.want {
+			t.Errorf("Int64Partition(%d, %d) = %d, want %d", tc.key, tc.n, got, tc.want)
+		}
+	}
 }
 
 func TestSingleWorkerFallback(t *testing.T) {
@@ -428,13 +450,10 @@ func TestResultOutputNotAliasedByLaterRuns(t *testing.T) {
 }
 
 // Two runs of one Job at once must not share buffers either: the second
-// finds the scratch taken and works in its own. (The first, serial run
-// fills in the job's defaults, which Run does in place.)
+// finds the scratch taken and works in its own. The job starts cold, with
+// its defaults unset, which every run resolves for itself.
 func TestConcurrentRunsOfOneJob(t *testing.T) {
 	job := wordCountJob()
-	if _, err := Run(testEngine(), job, textSplits("warm up")); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

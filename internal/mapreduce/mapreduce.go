@@ -1,7 +1,9 @@
 // Package mapreduce implements a MapReduce engine in the style of Hadoop
 // 0.20 (the paper's platform): jobs composed of map and reduce tasks over
-// input splits, a hash-partitioned sort/shuffle between the phases,
-// optional combiners, data-local map input reads, and fault tolerance by
+// input splits, a hash-partitioned shuffle between the phases (each map
+// task partitions its own output into one region per reduce task, and
+// each reduce task fetches its region from every map task), optional
+// combiners, data-local map input reads, and fault tolerance by
 // deterministic replay of failed task attempts.
 //
 // The engine executes user map/reduce functions for real — over real data,
@@ -96,21 +98,86 @@ type Job[P any, K comparable, V any] struct {
 }
 
 // runScratch is what a Job recycles from run to run: mapOuts[i] is map
-// task i's output, parts[p] reduce partition p's shuffled input,
-// redOuts[p] reduce task p's output, and combiners[i] / reducers[p] the
-// grouper of map task i's combine step and of reduce task p. A task
-// keeps its grouper from run to run because an iterative job tends to
-// hand it the key sequence it handed it last time, which the grouper
-// replays (grouper.group). output is a Result.Output handed back by its
-// holder (Recycle), else nil. For a V that holds pointers the buffers
-// keep the previous run's records reachable until overwritten.
+// task i's output, spills[i] the same records partitioned for the reduce
+// tasks, parts[p] reduce partition p's fetched input, redOuts[p] reduce
+// task p's output, and combiners[i] / reducers[p] the grouper of map task
+// i's combine step and of reduce task p. A task keeps its grouper from
+// run to run because an iterative job tends to hand it the key sequence
+// it handed it last time, which the grouper replays (grouper.group).
+// output is a Result.Output handed back by its holder (Recycle), else
+// nil. For a V that holds pointers the buffers keep the previous run's
+// records reachable until overwritten.
 type runScratch[K comparable, V any] struct {
 	mapOuts   [][]KV[K, V]
+	spills    []spill[K, V]
 	parts     [][]KV[K, V]
 	redOuts   [][]KV[K, V]
 	combiners []grouper[K, V]
 	reducers  []grouper[K, V]
 	output    []KV[K, V]
+}
+
+// spill is one map task's output partitioned for the reduce tasks, as a
+// Hadoop map task spills it: slab holds the records grouped by reduce
+// task, region p ending at ends[p], each region in emission order. route
+// is the reduce task of each emitted record, kept between the pass that
+// counts the regions and the one that fills them.
+type spill[K comparable, V any] struct {
+	slab  []KV[K, V]
+	ends  []int32
+	route []int32
+}
+
+// fill partitions out, a map task's output, into nReduces regions by
+// part (nil: the Job default) with a stable counting sort. A key that
+// part routes outside [0, nReduces) leaves the spill unfilled and is
+// reported as a partitionError.
+func (s *spill[K, V]) fill(out []KV[K, V], nReduces int, part PartitionFunc[K]) error {
+	if part == nil {
+		part = genericPartition[K]
+	}
+	n := len(out)
+	s.route = slices.Grow(s.route[:0], n)[:n]
+	s.ends = slices.Grow(s.ends[:0], nReduces)[:nReduces]
+	clear(s.ends)
+	for j, kv := range out {
+		p := part(kv.Key, nReduces)
+		if p < 0 || p >= nReduces {
+			return partitionError{p, nReduces}
+		}
+		s.route[j] = int32(p)
+		s.ends[p]++
+	}
+	// ends[p] becomes region p's start, then a cursor that stops at its
+	// end.
+	var sum int32
+	for p, c := range s.ends {
+		s.ends[p] = sum
+		sum += c
+	}
+	s.slab = slices.Grow(s.slab[:0], n)[:n]
+	for j, p := range s.route {
+		s.slab[s.ends[p]] = out[j]
+		s.ends[p]++
+	}
+	return nil
+}
+
+// region returns the records the spill holds for reduce task p.
+func (s *spill[K, V]) region(p int) []KV[K, V] {
+	lo := int32(0)
+	if p > 0 {
+		lo = s.ends[p-1]
+	}
+	return s.slab[lo:s.ends[p]]
+}
+
+// partitionError is a map task's report that its job's partitioner
+// routed a key to partition p of n.
+type partitionError struct{ p, n int }
+
+func (e partitionError) Error() string {
+	return fmt.Sprintf("partitioner returned %d for %d partitions", e.p, e.n)
 }
 
 // takeOutput concatenates the tasks' outputs into the array handed back
@@ -141,21 +208,19 @@ func (j *Job[P, K, V]) Recycle(output []KV[K, V]) {
 }
 
 // takeScratch claims the job's run scratch, sized for nMaps map tasks
-// and nReduces partitions, with every parts buffer empty. Map- and
-// reduce-output buffers are truncated by the tasks that fill them.
+// and nReduces partitions. Every buffer is truncated by the task that
+// fills it.
 func (j *Job[P, K, V]) takeScratch(nMaps, nReduces int) *runScratch[K, V] {
 	sc := j.scratch.Swap(nil)
 	if sc == nil {
 		sc = &runScratch[K, V]{}
 	}
 	sc.mapOuts = resize(sc.mapOuts, nMaps)
+	sc.spills = resize(sc.spills, nMaps)
 	sc.parts = resize(sc.parts, nReduces)
 	sc.redOuts = resize(sc.redOuts, nReduces)
 	sc.combiners = resize(sc.combiners, nMaps)
 	sc.reducers = resize(sc.reducers, nReduces)
-	for p := range sc.parts {
-		sc.parts[p] = sc.parts[p][:0]
-	}
 	return sc
 }
 
@@ -169,24 +234,37 @@ func resize[T any](bufs []T, n int) []T {
 	return bufs[:n]
 }
 
-// validate normalizes defaults and reports configuration errors.
-func (j *Job[P, K, V]) validate(reduceSlots int) error {
+// validate reports configuration errors and returns the run's reduce
+// task count on a cluster with reduceSlots reduce slots. Each run
+// resolves the defaults of NumReduces, Partition and RecordSize for
+// itself: the Job is left as its caller wrote it.
+func (j *Job[P, K, V]) validate(reduceSlots int) (nReduces int, err error) {
 	if j.Map == nil {
-		return fmt.Errorf("mapreduce: job %q has nil Map", j.Name)
+		return 0, fmt.Errorf("mapreduce: job %q has nil Map", j.Name)
 	}
 	if j.NumReduces < 0 {
-		return fmt.Errorf("mapreduce: job %q has negative NumReduces", j.Name)
+		return 0, fmt.Errorf("mapreduce: job %q has negative NumReduces", j.Name)
 	}
 	if j.NumReduces == 0 {
-		j.NumReduces = reduceSlots
+		return reduceSlots, nil
 	}
-	if j.Partition == nil {
-		j.Partition = genericPartition[K]
+	return j.NumReduces, nil
+}
+
+// defaultRecordSize is what a record costs a job with no RecordSize.
+const defaultRecordSize = 16
+
+// recordBytes is the size of records by size, or at the default when
+// size is nil.
+func recordBytes[K comparable, V any](size SizeFunc[K, V], records []KV[K, V]) int64 {
+	if size == nil {
+		return defaultRecordSize * int64(len(records))
 	}
-	if j.RecordSize == nil {
-		j.RecordSize = func(K, V) int64 { return 16 }
+	var bytes int64
+	for _, kv := range records {
+		bytes += size(kv.Key, kv.Value)
 	}
-	return nil
+	return bytes
 }
 
 // genericPartition hashes the fmt representation of the key. Type-aware
@@ -200,9 +278,11 @@ func genericPartition[K comparable](key K, n int) int {
 // Int64Partition partitions int64-like keys by value, matching Hadoop's
 // HashPartitioner on IntWritable. Exposed for the common case of node-id
 // keys in all three paper applications.
+// -math.MinInt64 overflows back to math.MinInt64, whose uint64 value is
+// its magnitude, 1<<63.
 func Int64Partition(key int64, n int) int {
 	if key < 0 {
 		key = -key
 	}
-	return int(key % int64(n))
+	return int(uint64(key) % uint64(n))
 }

@@ -51,13 +51,16 @@ func warmIterationAllocs(t *testing.T, subs []*graph.SubGraph, eager bool) (allo
 	states, _, _ := newStates(subs, eager)
 	splits := newSplits(states)
 	job := buildJob(cfg, eager)
+	var res *mapreduce.Result[int64, float64]
 	iterate := func() {
-		if _, err := mapreduce.Run(eng, job, splits); err != nil {
+		var err error
+		if res, err = mapreduce.Run(eng, job, splits); err != nil {
 			t.Fatal(err)
 		}
 	}
 	iterate() // the first global iteration sizes everything
-	return testing.AllocsPerRun(5, iterate), len(splits) + job.NumReduces
+	allocs = testing.AllocsPerRun(5, iterate)
+	return allocs, res.MapTasks + res.ReduceTasks
 }
 
 func TestEagerSteadyStateAllocs(t *testing.T)   { checkWarmIterationAllocs(t, true) }
