@@ -31,6 +31,11 @@ func main() {
 	out := flag.String("o", "", "output file (binary graph format); omit to only print properties")
 	flag.Parse()
 
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "graphgen: %v\n", err)
+		os.Exit(2)
+	}
+
 	var cfg graph.GenerateConfig
 	switch *preset {
 	case "a":
@@ -61,14 +66,33 @@ func main() {
 	fmt.Printf("heavy-tailed:        %v\n", fit.IsHeavyTailed())
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := graph.Write(f, g); err != nil {
+		if err := writeGraph(*out, g); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
+}
+
+// checkScale refuses a -scale below 1, which the presets' Scaled reads
+// as paper-size inputs.
+func checkScale(scale int) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: the divisor is 1 (paper-size inputs) or more", scale)
+	}
+	return nil
+}
+
+// writeGraph writes g to path in the binary graph format. It returns
+// Close's error too: a failed close can mean the data never reached the
+// file.
+func writeGraph(path string, g *graph.Graph) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := graph.Write(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -31,6 +31,15 @@ func main() {
 	seed := flag.Uint64("seed", 7, "partitioner seed")
 	flag.Parse()
 
+	counts, err := parseKs(*ks)
+	if err == nil {
+		err = checkScale(*scale)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "partitioner: %v\n", err)
+		os.Exit(2)
+	}
+
 	g := loadGraph(*in, *preset, *scale)
 	fmt.Printf("graph: %d nodes, %d edges\n\n", g.NumNodes(), g.NumEdges())
 
@@ -44,11 +53,7 @@ func main() {
 	}
 
 	fmt.Printf("%-8s %-12s %12s %10s %10s %12s\n", "k", "method", "edge cut", "cut %", "imbalance", "wall time")
-	for _, kstr := range strings.Split(*ks, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(kstr))
-		if err != nil {
-			log.Fatalf("partitioner: bad k %q: %v", kstr, err)
-		}
+	for _, k := range counts {
 		for _, m := range methods {
 			t0 := time.Now()
 			a, err := partition.Partition(g, k, partition.Options{Method: m, Seed: *seed})
@@ -64,6 +69,33 @@ func main() {
 				a.Imbalance(), time.Since(t0).Round(time.Millisecond))
 		}
 	}
+}
+
+// parseKs reads -k's comma-separated partition counts. A count below 1
+// is refused: partition.Partition reads it as one partition, and the
+// table would print rows for a k it did not use.
+func parseKs(s string) ([]int, error) {
+	var ks []int
+	for _, field := range strings.Split(s, ",") {
+		k, err := strconv.Atoi(strings.TrimSpace(field))
+		if err != nil {
+			return nil, fmt.Errorf("-k: bad count %q: %v", field, err)
+		}
+		if k < 1 {
+			return nil, fmt.Errorf("-k: count %d: a partition count is 1 or more", k)
+		}
+		ks = append(ks, k)
+	}
+	return ks, nil
+}
+
+// checkScale refuses a -scale below 1, which the presets' Scaled reads
+// as paper-size inputs.
+func checkScale(scale int) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: the divisor is 1 (paper-size inputs) or more", scale)
+	}
+	return nil
 }
 
 func loadGraph(in, preset string, scale int) *graph.Graph {

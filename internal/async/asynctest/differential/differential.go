@@ -364,26 +364,13 @@ func liveDrift(c *config, des, live any) (drift, tol float64) {
 	case harness.PageRank:
 		return stats.InfNormDiff(des.([]float64), live.([]float64)), 1e-3
 	case harness.KMeans:
-		d, l := sse(c.in.Points, des.([][]float64)), sse(c.in.Points, live.([][]float64))
+		d, l := kmeans.SSE(c.in.Points, des.([][]float64)), kmeans.SSE(c.in.Points, live.([][]float64))
 		return math.Abs(l-d) / d, 0.10
 	}
 	if !reflect.DeepEqual(des, live) {
 		return math.Inf(1), 0
 	}
 	return 0, 0
-}
-
-// sse is the K-Means objective: every point's squared distance to its
-// nearest centroid, summed.
-func sse(points, centroids [][]float64) (sum float64) {
-	for _, p := range points {
-		best := math.Inf(1)
-		for _, c := range centroids {
-			best = min(best, stats.EuclideanDistance(p, c))
-		}
-		sum += best * best
-	}
-	return sum
 }
 
 // unreachedResidual checks a monotone workload's series and reports

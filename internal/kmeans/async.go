@@ -1,12 +1,10 @@
 package kmeans
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/async"
 	"repro/internal/cluster"
-	"repro/internal/stats"
 )
 
 // AsyncResult of a fully-asynchronous K-Means run.
@@ -21,8 +19,8 @@ type AsyncResult struct {
 	OscillationStop bool
 }
 
-// The async adapter keeps accumulators and centroids in flat buffers
-// rather than the sync path's []Accum / [][]float64:
+// The async adapter keeps accumulators and centroids in flat buffers, the
+// layout assign fills for all three formulations:
 //
 //   - an accumulator set is one []float64 of length K*(dims+1), cluster
 //     c's per-dimension sums at [c*dims : (c+1)*dims] and its member
@@ -195,15 +193,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 
 	// Assign this partition's points under the new estimate.
 	newAccum := st.stepAccum
-	clear(newAccum)
-	for _, pt := range st.points {
-		c := nearestFlat(st.centroids, dims, pt)
-		base := c * dims
-		for d, x := range pt {
-			newAccum[base+d] += x
-		}
-		newAccum[countsOff+c]++
-	}
+	assign(newAccum, st.centroids, dims, st.points)
 	ops += int64(len(st.points) * cfg.K * dims)
 
 	changed := flatAccumsDiffer(st.accum, newAccum)
@@ -237,17 +227,11 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	return out
 }
 
-// newAsyncWorkload builds the flat per-partition states. Initial
-// centroids and partitioning match the synchronous modes: random
-// distinct points, contiguous chunks of a permutation. Split out of
-// RunAsync so tests can drive Step directly.
+// newAsyncWorkload builds the flat per-partition states from the same
+// seeding and chunking as the synchronous modes. Split out of RunAsync so
+// tests can drive Step directly.
 func newAsyncWorkload(points [][]float64, numParts int, cfg Config, dims int) *asyncWorkload {
-	rng := stats.NewRNG(cfg.Seed)
-	centroids := make([]float64, cfg.K*dims)
-	for c := 0; c < cfg.K; c++ {
-		copy(centroids[c*dims:(c+1)*dims], points[rng.Intn(len(points))])
-	}
-	perm := rng.Perm(len(points))
+	centroids, perm, _ := seed(points, cfg, dims)
 	// Pre-step residual: the spread (max pairwise distance) of the
 	// initial centroids — a finite stand-in for "nothing has converged
 	// yet" on the same scale as later movements.
@@ -263,8 +247,8 @@ func newAsyncWorkload(points [][]float64, numParts int, cfg Config, dims int) *a
 	states := make([]*asyncState, numParts)
 	allOthers := make([][]int, numParts)
 	for i := range states {
-		lo, hi := i*len(points)/numParts, (i+1)*len(points)/numParts
-		st := &asyncState{
+		states[i] = &asyncState{
+			points:        chunk(nil, points, perm, i, numParts),
 			accum:         make([]float64, flatLen),
 			stepAccum:     make([]float64, flatLen),
 			centroids:     append([]float64(nil), centroids...),
@@ -272,10 +256,6 @@ func newAsyncWorkload(points [][]float64, numParts int, cfg Config, dims int) *a
 			foldSum:       make([]float64, dims),
 			lastMovement:  spread,
 		}
-		for _, pi := range perm[lo:hi] {
-			st.points = append(st.points, points[pi])
-		}
-		states[i] = st
 		for q := 0; q < numParts; q++ {
 			if q != i {
 				allOthers[i] = append(allOthers[i], q)
@@ -294,25 +274,10 @@ func newAsyncWorkload(points [][]float64, numParts int, cfg Config, dims int) *a
 // (the dominant compute) on real goroutines with virtual-time results
 // identical to the default sequential DES.
 func RunAsync(c *cluster.Cluster, points [][]float64, numParts int, cfg Config, opt async.Options) (*AsyncResult, error) {
-	if err := cfg.validate(); err != nil {
+	numParts, dims, err := prepare(points, numParts, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("kmeans: no points")
-	}
-	if numParts < 1 {
-		return nil, fmt.Errorf("kmeans: numParts must be >= 1, got %d", numParts)
-	}
-	if numParts > len(points) {
-		numParts = len(points)
-	}
-	dims := len(points[0])
-	for i, p := range points {
-		if len(p) != dims {
-			return nil, fmt.Errorf("kmeans: point %d has %d dims, want %d", i, len(p), dims)
-		}
-	}
-
 	w := newAsyncWorkload(points, numParts, cfg, dims)
 	runStats, err := async.Run(c, w, opt)
 	if err != nil {
@@ -367,8 +332,8 @@ func flatAccumsDiffer(a, b []float64) bool {
 
 // nearestFlat returns the index of the centroid closest to p in a flat
 // K×dims centroid buffer (squared distance, leaving a centroid as soon as
-// its partial sum reaches the best so far; ties to the lower index). All
-// three formulations assign with it.
+// its partial sum reaches the best so far; ties to the lower index).
+// Every formulation reaches it through assign.
 func nearestFlat(centroids []float64, dims int, p []float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c, base := 0, 0; base < len(centroids); c, base = c+1, base+dims {

@@ -41,7 +41,7 @@ func TestAsyncConvergesAndClusters(t *testing.T) {
 	for d := range mean {
 		mean[d] /= float64(len(pts))
 	}
-	if got, trivial := sse(pts, res.Centroids), sse(pts, [][]float64{mean}); got > trivial*0.6 {
+	if got, trivial := SSE(pts, res.Centroids), SSE(pts, [][]float64{mean}); got > trivial*0.6 {
 		t.Fatalf("clustering quality poor: sse %g vs trivial %g", got, trivial)
 	}
 }
@@ -63,7 +63,7 @@ func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := sse(pts, lockstep.Centroids)
+	base := SSE(pts, lockstep.Centroids)
 	for _, row := range asynctest.DeliveryRows(0) {
 		if row.Opt.Adapt != nil {
 			continue
@@ -71,7 +71,7 @@ func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
 		t.Run(row.String(), func(t *testing.T) {
 			w := newAsyncWorkload(pts, parts, cfg, len(pts[0]))
 			res := w.result(asynctest.RunDelayed[[]float64](t, w, row))
-			if got := sse(pts, res.Centroids); got > 1.10*base {
+			if got := SSE(pts, res.Centroids); got > 1.10*base {
 				t.Fatalf("SSE %g, %.3f of the lockstep run's", got, got/base)
 			}
 		})
@@ -251,16 +251,11 @@ func TestAsyncFlatStepAllocFree(t *testing.T) {
 }
 
 func TestAsyncValidation(t *testing.T) {
-	if _, err := RunAsync(asynctest.QuietCluster(), nil, 4, DefaultConfig(0.01), async.Options{}); err == nil {
-		t.Fatal("no points accepted")
-	}
-	pts := smallCensus(t)
-	if _, err := RunAsync(asynctest.QuietCluster(), pts, 0, DefaultConfig(0.01), async.Options{}); err == nil {
-		t.Fatal("zero partitions accepted")
-	}
-	bad := DefaultConfig(0.01)
-	bad.K = 0
-	if _, err := RunAsync(asynctest.QuietCluster(), pts, 4, bad, async.Options{}); err == nil {
-		t.Fatal("K=0 accepted")
+	for _, tc := range badInputs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := RunAsync(asynctest.QuietCluster(), tc.points, tc.parts, tc.cfg, async.Options{}); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }

@@ -75,9 +75,7 @@ func (c *Config) validate() error {
 // state is one partition's payload: its current slice of the input
 // points plus the centroids it iterates against.
 type state struct {
-	// idx lists the global indices of this partition's points; points
-	// holds the matching rows (views into the dataset).
-	idx    []int32
+	// points holds this partition's rows (views into the dataset).
 	points [][]float64
 	// centroids is the partition's working copy of the input centroids,
 	// flat K×dims; local iterations refine it, global Update resets it.
@@ -106,43 +104,16 @@ func Run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 // run is Run with the per-iteration job built by newJob for the points'
 // dimension.
 func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config, eager bool, newJob func(dims int) *mapreduce.Job[*state, int64, Accum]) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	numParts, dims, err := prepare(points, numParts, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("kmeans: no points")
-	}
-	if numParts < 1 {
-		return nil, fmt.Errorf("kmeans: numParts must be >= 1, got %d", numParts)
-	}
-	if numParts > len(points) {
-		numParts = len(points)
-	}
-	dims := len(points[0])
-	for i, p := range points {
-		if len(p) != dims {
-			return nil, fmt.Errorf("kmeans: point %d has %d dims, want %d", i, len(p), dims)
-		}
-	}
-	rng := stats.NewRNG(cfg.Seed)
-
-	// Initial centroids: random distinct points (paper: "initial
-	// centroids are chosen at random for the sake of generality").
-	centroids := make([][]float64, cfg.K)
-	for c := range centroids {
-		centroids[c] = append([]float64(nil), points[rng.Intn(len(points))]...)
-	}
-
-	// Partition the points into contiguous chunks of a permutation;
-	// reshuffling later redraws the permutation.
+	centroids, perm, rng := seed(points, cfg, dims)
 	states := make([]*state, numParts)
 	for i := range states {
-		states[i] = &state{}
+		states[i] = &state{centroids: append([]float64(nil), centroids...)}
 	}
-	assignPoints(states, points, rng.Perm(len(points)))
-	for _, st := range states {
-		st.centroids = flatten(st.centroids, centroids)
-	}
+	assignPoints(states, points, perm)
 
 	splits := make([]mapreduce.Split[*state], numParts)
 	refreshSplits := func() {
@@ -159,13 +130,14 @@ func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 	job := newJob(dims)
 	res := &Result{}
 	var history []float64
+	next := make([]float64, len(centroids))
 	driver := &core.Driver[*state, int64, Accum]{
 		Engine: engine,
 		Job:    job,
 		Update: func(iter int, out []mapreduce.KV[int64, Accum], _ []mapreduce.Split[*state]) (bool, error) {
 			// Fold the global reduction into new centroids; empty
 			// clusters keep their previous center.
-			next := cloneCentroids(centroids)
+			copy(next, centroids)
 			for _, kv := range out {
 				c := int(kv.Key)
 				if c < 0 || c >= cfg.K {
@@ -175,19 +147,19 @@ func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 					continue
 				}
 				for d := 0; d < dims; d++ {
-					next[c][d] = kv.Value.Sum[d] / float64(kv.Value.Count)
+					next[c*dims+d] = kv.Value.Sum[d] / float64(kv.Value.Count)
 				}
 			}
 			movement := 0.0
-			for c := range next {
-				if m := centroidMovement(next[c], centroids[c]); m > movement {
+			for base := 0; base < len(next); base += dims {
+				if m := centroidMovement(next[base:base+dims], centroids[base:base+dims]); m > movement {
 					movement = m
 				}
 			}
-			centroids = next
+			centroids, next = next, centroids
 			// Input-centroids for the next round are the final-centroids.
 			for _, st := range states {
-				st.centroids = flatten(st.centroids, centroids)
+				copy(st.centroids, centroids)
 			}
 			if movement < cfg.Threshold {
 				return true, nil
@@ -216,42 +188,78 @@ func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	res.Centroids = centroids
+	res.Centroids = make([][]float64, cfg.K)
+	for c := range res.Centroids {
+		res.Centroids[c] = centroids[c*dims : (c+1)*dims : (c+1)*dims]
+	}
 	res.Stats = stats_
 	return res, nil
+}
+
+// prepare checks the inputs every formulation shares and returns the
+// partition count, clamped to the number of points, and the points'
+// dimension. A point without coordinates, or with a NaN or infinite
+// one, is refused: the first gives nothing to measure, and the second
+// makes a centroid NaN, whose movement never counts against the
+// threshold, so the run would report convergence.
+func prepare(points [][]float64, numParts int, cfg Config) (parts, dims int, err error) {
+	if err := cfg.validate(); err != nil {
+		return 0, 0, err
+	}
+	if len(points) == 0 {
+		return 0, 0, fmt.Errorf("kmeans: no points")
+	}
+	if numParts < 1 {
+		return 0, 0, fmt.Errorf("kmeans: numParts must be >= 1, got %d", numParts)
+	}
+	dims = len(points[0])
+	if dims == 0 {
+		return 0, 0, fmt.Errorf("kmeans: points have no coordinates")
+	}
+	for i, p := range points {
+		if len(p) != dims {
+			return 0, 0, fmt.Errorf("kmeans: point %d has %d dims, want %d", i, len(p), dims)
+		}
+		for d, x := range p {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return 0, 0, fmt.Errorf("kmeans: point %d dim %d is %g", i, d, x)
+			}
+		}
+	}
+	return min(numParts, len(points)), dims, nil
+}
+
+// seed draws, from one RNG seeded with cfg.Seed, the K initial centroids
+// (paper: "initial centroids are chosen at random for the sake of
+// generality") and then the first permutation of the points. Each
+// centroid copies a point drawn uniformly with replacement, so two
+// centroids may coincide. The synchronous driver keeps drawing its
+// reshuffles from the returned RNG.
+func seed(points [][]float64, cfg Config, dims int) (centroids []float64, perm []int, rng *stats.RNG) {
+	rng = stats.NewRNG(cfg.Seed)
+	centroids = make([]float64, cfg.K*dims)
+	for base := 0; base < len(centroids); base += dims {
+		copy(centroids[base:base+dims], points[rng.Intn(len(points))])
+	}
+	return centroids, rng.Perm(len(points)), rng
 }
 
 // assignPoints distributes points to partitions as contiguous chunks of
 // the given permutation.
 func assignPoints(states []*state, points [][]float64, perm []int) {
-	n := len(points)
-	k := len(states)
 	for i, st := range states {
-		lo, hi := i*n/k, (i+1)*n/k
-		st.idx = st.idx[:0]
-		st.points = st.points[:0]
-		for _, pi := range perm[lo:hi] {
-			st.idx = append(st.idx, int32(pi))
-			st.points = append(st.points, points[pi])
-		}
+		st.points = chunk(st.points[:0], points, perm, i, len(states))
 	}
 }
 
-// flatten copies cs row after row into dst's memory.
-func flatten(dst []float64, cs [][]float64) []float64 {
-	dst = dst[:0]
-	for _, c := range cs {
-		dst = append(dst, c...)
+// chunk appends to dst the rows of partition i of parts: the contiguous
+// slice [i*n/parts, (i+1)*n/parts) of the permutation of the n points.
+func chunk(dst, points [][]float64, perm []int, i, parts int) [][]float64 {
+	n := len(points)
+	for _, pi := range perm[i*n/parts : (i+1)*n/parts] {
+		dst = append(dst, points[pi])
 	}
 	return dst
-}
-
-func cloneCentroids(cs [][]float64) [][]float64 {
-	out := make([][]float64, len(cs))
-	for i, c := range cs {
-		out[i] = append([]float64(nil), c...)
-	}
-	return out
 }
 
 // oscillating reports whether the movement series has stopped making
@@ -330,7 +338,7 @@ func buildJob(cfg Config, dims int, eager bool) *mapreduce.Job[*state, int64, Ac
 	}
 	if !eager {
 		job.Map = func(ctx *mapreduce.TaskContext[int64, Accum], split mapreduce.Split[*state]) {
-			generalAssign(ctx, split.Data, dims)
+			generalAssign(ctx, split.Data, cfg.K, dims)
 		}
 		return job
 	}
@@ -343,29 +351,11 @@ func buildJob(cfg Config, dims int, eager bool) *mapreduce.Job[*state, int64, Ac
 // picks its nearest input centroid; the task emits one partial
 // accumulator per centroid (the in-mapper aggregation Mahout's
 // implementation achieves with combiners).
-func generalAssign(ctx *mapreduce.TaskContext[int64, Accum], st *state, dims int) {
-	k := len(st.centroids) / dims
-	if k == 0 {
-		return
-	}
-	sums := make([][]float64, k)
-	counts := make([]int64, k)
-	for _, p := range st.points {
-		c := nearestFlat(st.centroids, dims, p)
-		if sums[c] == nil {
-			sums[c] = make([]float64, dims)
-		}
-		for d, x := range p {
-			sums[c][d] += x
-		}
-		counts[c]++
-	}
+func generalAssign(ctx *mapreduce.TaskContext[int64, Accum], st *state, k, dims int) {
+	acc := make([]float64, k*(dims+1))
+	assign(acc, st.centroids, dims, st.points)
 	ctx.Charge(int64(len(st.points) * k * dims))
-	for c := 0; c < k; c++ {
-		if counts[c] > 0 {
-			ctx.Emit(int64(c), Accum{Sum: sums[c], Count: counts[c]})
-		}
-	}
+	emit(ctx, acc, k, dims)
 }
 
 // eagerMap is the eager gmap: local Lloyd iterations on the partition's
@@ -382,19 +372,11 @@ func generalAssign(ctx *mapreduce.TaskContext[int64, Accum], st *state, dims int
 func eagerMap(cfg Config, dims int) mapreduce.MapFunc[*state, int64, Accum] {
 	return func(tc *mapreduce.TaskContext[int64, Accum], split mapreduce.Split[*state]) {
 		st := split.Data
-		sums, counts, mean := make([]float64, cfg.K*dims), make([]int64, cfg.K), make([]float64, dims)
+		acc, mean := make([]float64, cfg.K*(dims+1)), make([]float64, dims)
+		counts := acc[cfg.K*dims:]
 		sweeps := 0
 		for {
-			clear(sums)
-			clear(counts)
-			for _, p := range st.points {
-				c := nearestFlat(st.centroids, dims, p)
-				row := sums[c*dims : (c+1)*dims]
-				for d, x := range p {
-					row[d] += x
-				}
-				counts[c]++
-			}
+			assign(acc, st.centroids, dims, st.points)
 			tc.LocalSync()
 			sweeps++
 			delta := 0.0
@@ -403,7 +385,7 @@ func eagerMap(cfg Config, dims int) mapreduce.MapFunc[*state, int64, Accum] {
 					continue
 				}
 				for d := range mean {
-					mean[d] = sums[c*dims+d] / float64(n)
+					mean[d] = acc[c*dims+d] / n
 				}
 				row := st.centroids[c*dims : (c+1)*dims]
 				if m := centroidMovement(mean, row); m > delta {
@@ -416,10 +398,48 @@ func eagerMap(cfg Config, dims int) mapreduce.MapFunc[*state, int64, Accum] {
 			}
 		}
 		tc.Charge(int64(sweeps) * int64(len(st.points)) * int64(len(st.centroids)+dims))
-		for c, n := range counts {
-			if n > 0 {
-				tc.Emit(int64(c), Accum{Sum: sums[c*dims : (c+1)*dims : (c+1)*dims], Count: n})
-			}
+		emit(tc, acc, cfg.K, dims)
+	}
+}
+
+// assign is the Lloyd assignment pass all three formulations share:
+// every point, in order, joins its nearest centroid in the flat K×dims
+// buffer, and acc — flat K×(dims+1), cleared first — gathers cluster c's
+// per-dimension sums at [c*dims : (c+1)*dims] and its member count, an
+// exact small integer, at [K*dims + c].
+func assign(acc, centroids []float64, dims int, points [][]float64) {
+	clear(acc)
+	counts := acc[len(centroids):]
+	for _, p := range points {
+		c := nearestFlat(centroids, dims, p)
+		row := acc[c*dims : (c+1)*dims]
+		for d, x := range p {
+			row[d] += x
+		}
+		counts[c]++
+	}
+}
+
+// emit sends, in cluster order, one accumulator per cluster of acc (laid
+// out as assign fills it) that has members; each Sum is a view into acc.
+func emit(ctx *mapreduce.TaskContext[int64, Accum], acc []float64, k, dims int) {
+	for c, n := range acc[k*dims:] {
+		if n > 0 {
+			ctx.Emit(int64(c), Accum{Sum: acc[c*dims : (c+1)*dims : (c+1)*dims], Count: int64(n)})
 		}
 	}
+}
+
+// SSE is the K-Means objective, the quality reference every formulation
+// is judged by: each point's squared Euclidean distance to its nearest
+// centroid, summed in point order.
+func SSE(points, centroids [][]float64) (sum float64) {
+	for _, p := range points {
+		best := math.Inf(1)
+		for _, c := range centroids {
+			best = min(best, stats.EuclideanDistance(p, c))
+		}
+		sum += best * best
+	}
+	return sum
 }

@@ -1,7 +1,9 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,22 +97,6 @@ func TestGenerateCensusValidation(t *testing.T) {
 	}
 }
 
-// sse computes the clustering objective for quality comparisons.
-func sse(points [][]float64, centroids [][]float64) float64 {
-	total := 0.0
-	for _, p := range points {
-		best := math.Inf(1)
-		for _, c := range centroids {
-			d := stats.EuclideanDistance(p, c)
-			if d*d < best {
-				best = d * d
-			}
-		}
-		total += best
-	}
-	return total
-}
-
 func TestGeneralConvergesAndClusters(t *testing.T) {
 	pts := smallCensus(t)
 	cfg := DefaultConfig(0.01)
@@ -134,7 +120,7 @@ func TestGeneralConvergesAndClusters(t *testing.T) {
 	for d := range mean {
 		mean[d] /= float64(len(pts))
 	}
-	if got, trivial := sse(pts, res.Centroids), sse(pts, [][]float64{mean}); got > trivial*0.6 {
+	if got, trivial := SSE(pts, res.Centroids), SSE(pts, [][]float64{mean}); got > trivial*0.6 {
 		t.Fatalf("clustering quality poor: sse %g vs trivial %g", got, trivial)
 	}
 }
@@ -153,7 +139,7 @@ func TestEagerComparableQualityFewerIterations(t *testing.T) {
 	if !eag.Stats.Converged {
 		t.Fatal("eager did not converge")
 	}
-	genSSE, eagSSE := sse(pts, gen.Centroids), sse(pts, eag.Centroids)
+	genSSE, eagSSE := SSE(pts, gen.Centroids), SSE(pts, eag.Centroids)
 	if eagSSE > genSSE*1.25 {
 		t.Fatalf("eager quality much worse: %g vs %g", eagSSE, genSSE)
 	}
@@ -188,26 +174,45 @@ func TestThresholdMonotonicity(t *testing.T) {
 	}
 }
 
-func TestValidation(t *testing.T) {
+type badInput struct {
+	name   string
+	points [][]float64
+	parts  int
+	cfg    Config
+}
+
+// badInputs are inputs every formulation refuses with an error of its
+// own, not a recovered task panic.
+func badInputs(t *testing.T) []badInput {
 	pts := smallCensus(t)
-	if _, err := Run(engine(), pts, 4, Config{K: 0, Threshold: 0.1}, false); err == nil {
-		t.Error("K=0 accepted")
+	withNaN := append([][]float64(nil), pts...)
+	withNaN[17] = append([]float64(nil), pts[17]...)
+	withNaN[17][3] = math.NaN()
+	return []badInput{
+		{"K=0", pts, 4, Config{K: 0, Threshold: 0.1}},
+		{"zero threshold", pts, 4, Config{K: 4, Threshold: 0}},
+		{"NaN threshold", pts, 4, DefaultConfig(math.NaN())},
+		{"no points", nil, 4, DefaultConfig(0.1)},
+		{"zero partitions", pts, 0, DefaultConfig(0.1)},
+		{"ragged dimensions", [][]float64{{1, 2}, {1}}, 1, DefaultConfig(0.1)},
+		{"zero dimensions", [][]float64{{}, {}, {}}, 2, DefaultConfig(0.1)},
+		{"NaN coordinate", withNaN, 13, DefaultConfig(0.01)},
 	}
-	if _, err := Run(engine(), pts, 4, Config{K: 4, Threshold: 0}, false); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := Run(engine(), pts, 4, DefaultConfig(math.NaN()), false); err == nil {
-		t.Error("NaN threshold accepted")
-	}
-	if _, err := Run(engine(), nil, 4, DefaultConfig(0.1), false); err == nil {
-		t.Error("no points accepted")
-	}
-	if _, err := Run(engine(), pts, 0, DefaultConfig(0.1), false); err == nil {
-		t.Error("zero partitions accepted")
-	}
-	ragged := [][]float64{{1, 2}, {1}}
-	if _, err := Run(engine(), ragged, 1, DefaultConfig(0.1), false); err == nil {
-		t.Error("ragged dimensions accepted")
+}
+
+func TestValidation(t *testing.T) {
+	for _, tc := range badInputs(t) {
+		for _, eager := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/eager=%v", tc.name, eager), func(t *testing.T) {
+				_, err := Run(engine(), tc.points, tc.parts, tc.cfg, eager)
+				if err == nil {
+					t.Fatal("accepted")
+				}
+				if strings.Contains(err.Error(), "panicked") {
+					t.Fatalf("refused by a recovered panic: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -318,6 +323,10 @@ func TestCentroidMovementNormalization(t *testing.T) {
 
 func TestAssignPointsPartitionsAll(t *testing.T) {
 	pts := smallCensus(t)
+	row := make(map[*float64]int, len(pts))
+	for i, p := range pts {
+		row[&p[0]] = i
+	}
 	states := make([]*state, 7)
 	for i := range states {
 		states[i] = &state{}
@@ -327,18 +336,107 @@ func TestAssignPointsPartitionsAll(t *testing.T) {
 	seen := make([]bool, len(pts))
 	total := 0
 	for _, st := range states {
-		total += len(st.idx)
-		for _, pi := range st.idx {
+		total += len(st.points)
+		for _, p := range st.points {
+			pi, ok := row[&p[0]]
+			if !ok {
+				t.Fatal("partition holds a row not in the dataset")
+			}
 			if seen[pi] {
 				t.Fatalf("point %d assigned twice", pi)
 			}
 			seen[pi] = true
 		}
-		if len(st.idx) != len(st.points) {
-			t.Fatal("idx/points length mismatch")
-		}
 	}
 	if total != len(pts) {
 		t.Fatalf("assigned %d of %d points", total, len(pts))
 	}
+}
+
+// nestedAssign is the assignment pass in the layout the general
+// formulation used before assign: per-cluster sums allocated on first
+// use, integer counts, and a full squared distance per centroid, the
+// lowest index winning a tie.
+func nestedAssign(centroids [][]float64, points [][]float64) (sums [][]float64, counts []int64) {
+	sums, counts = make([][]float64, len(centroids)), make([]int64, len(centroids))
+	for _, p := range points {
+		best, bestD := 0, math.Inf(1)
+		for c, cen := range centroids {
+			d := 0.0
+			for i := range p {
+				diff := p[i] - cen[i]
+				d += diff * diff
+			}
+			if d < bestD {
+				best, bestD = c, d
+			}
+		}
+		if sums[best] == nil {
+			sums[best] = make([]float64, len(p))
+		}
+		for d, x := range p {
+			sums[best][d] += x
+		}
+		counts[best]++
+	}
+	return sums, counts
+}
+
+// FuzzAssignMatchesNested: assign's flat sums and counts equal, bit for
+// bit, those of the nested model, on generated points and centroids.
+// With grid set every coordinate is an integer in [-2, 2], so exact
+// distance ties and coinciding centroids are common; otherwise the
+// coordinates spread over [-100, 100). A dirty accumulator checks that
+// assign clears what it fills.
+func FuzzAssignMatchesNested(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(2), uint16(50), true)
+	f.Add(uint64(2), uint8(7), uint8(5), uint16(199), false)
+	f.Add(uint64(3), uint8(1), uint8(0), uint16(0), true)
+	f.Add(uint64(4), uint8(15), uint8(1), uint16(300), true)
+	f.Fuzz(func(t *testing.T, seed uint64, k, dims uint8, n uint16, grid bool) {
+		rng := stats.NewRNG(seed)
+		K, D, N := 1+int(k%16), 1+int(dims%8), int(n%400)
+		coord := func() float64 {
+			if grid {
+				return float64(rng.Intn(5) - 2)
+			}
+			return rng.Float64()*200 - 100
+		}
+		points := make([][]float64, N)
+		for i := range points {
+			points[i] = make([]float64, D)
+			for d := range points[i] {
+				points[i][d] = coord()
+			}
+		}
+		nested := make([][]float64, K)
+		flat := make([]float64, 0, K*D)
+		for c := range nested {
+			nested[c] = make([]float64, D)
+			for d := range nested[c] {
+				nested[c][d] = coord()
+			}
+			flat = append(flat, nested[c]...)
+		}
+		acc := make([]float64, K*(D+1))
+		for i := range acc {
+			acc[i] = math.NaN()
+		}
+		assign(acc, flat, D, points)
+		sums, counts := nestedAssign(nested, points)
+		for c := 0; c < K; c++ {
+			if got := acc[K*D+c]; got != float64(counts[c]) {
+				t.Fatalf("cluster %d: count %v, nested %d", c, got, counts[c])
+			}
+			for d := 0; d < D; d++ {
+				want := 0.0
+				if sums[c] != nil {
+					want = sums[c][d]
+				}
+				if got := acc[c*D+d]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("cluster %d dim %d: sum %v, nested %v", c, d, got, want)
+				}
+			}
+		}
+	})
 }
