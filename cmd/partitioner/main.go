@@ -41,6 +41,10 @@ func main() {
 	}
 
 	g := loadGraph(*in, *preset, *scale)
+	if err := checkKs(counts, g.NumNodes()); err != nil {
+		fmt.Fprintf(os.Stderr, "partitioner: %v\n", err)
+		os.Exit(2)
+	}
 	fmt.Printf("graph: %d nodes, %d edges\n\n", g.NumNodes(), g.NumEdges())
 
 	methods := []partition.Method{partition.Multilevel, partition.BFS, partition.Range, partition.Hash}
@@ -87,6 +91,18 @@ func parseKs(s string) ([]int, error) {
 		ks = append(ks, k)
 	}
 	return ks, nil
+}
+
+// checkKs refuses a count above the graph's node count:
+// partition.Partition gives such a graph one partition a node, and the
+// table would print rows for a k it did not use.
+func checkKs(ks []int, nodes int) error {
+	for _, k := range ks {
+		if k > nodes {
+			return fmt.Errorf("-k: count %d is above the graph's %d nodes", k, nodes)
+		}
+	}
+	return nil
 }
 
 // checkScale refuses a -scale below 1, which the presets' Scaled reads

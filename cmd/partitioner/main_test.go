@@ -32,6 +32,25 @@ func TestParseKs(t *testing.T) {
 	}
 }
 
+func TestCheckKs(t *testing.T) {
+	for _, tc := range []struct {
+		ks    []int
+		nodes int
+		ok    bool
+	}{
+		{[]int{8, 16}, 16, true},
+		{[]int{1}, 1, true},
+		{[]int{17}, 16, false},
+		{[]int{8, 17, 4}, 16, false},
+		{[]int{100, 400, 1600}, 1000, false},
+	} {
+		err := checkKs(tc.ks, tc.nodes)
+		if (err == nil) != tc.ok {
+			t.Errorf("-k %v on %d nodes: error %v, want accepted %v", tc.ks, tc.nodes, err, tc.ok)
+		}
+	}
+}
+
 func TestCheckScale(t *testing.T) {
 	for _, tc := range []struct {
 		scale int

@@ -89,13 +89,12 @@ func TestGrowPartitionRejectsGainOverflow(t *testing.T) {
 		xadj:   []int32{0, 2, 3, 4},
 		adjncy: []int32{1, 2, 0, 0},
 		adjwgt: []int32{half, half, half, half},
-		vwgt:   []int32{1, 1, 1},
 	}
-	if _, err := growPartition(w, 2, Options{}.normalized(), nil); err == nil {
+	if _, err := growPartition(w, 2); err == nil {
 		t.Fatal("weighted degree above MaxInt32 accepted")
 	}
 	w.adjwgt = []int32{half - 1, half, half - 1, half}
-	if _, err := growPartition(w, 2, Options{}.normalized(), nil); err != nil {
+	if _, err := growPartition(w, 2); err != nil {
 		t.Fatalf("weighted degree of exactly MaxInt32: %v", err)
 	}
 }

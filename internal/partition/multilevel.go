@@ -8,116 +8,47 @@ import (
 	"repro/internal/stats"
 )
 
-// directGrowLimit is the vertex count up to which the Multilevel method
-// partitions the fine graph directly (greedy graph growing + refinement)
-// instead of coarsening first. Measured on the paper's
-// preferential-attachment graphs, direct growing beats
-// coarsen-grow-refine whenever it is affordable — our single-move FM
-// refinement cannot repair contraction mistakes across hub vertices — so
-// the hierarchy is reserved for graphs too large to grow directly.
-const directGrowLimit = 400000
+// maxImbalance caps a part at maxImbalance × the mean part size while
+// refining: Metis's default tolerance.
+const maxImbalance = 1.05
 
-// multilevel runs the Metis-style pipeline: coarsen with heavy-edge
-// matching until the graph is small relative to k, partition the coarsest
-// graph by greedy graph growing, then project back level by level with
-// boundary refinement at each step. Graphs of up to directLimit vertices
-// skip the hierarchy; Partition passes directGrowLimit, the tests a limit
-// small enough for their graphs to cross it.
-func multilevel(g *graph.Graph, k int, opts Options, directLimit int) (*Assignment, error) {
-	rng := stats.NewRNG(opts.Seed ^ 0x9e3779b9)
-	fine, err := buildWGraph(g)
+// multilevel is the Multilevel method: bestInitial on g's symmetrized
+// graph, then fixEmptyParts.
+func multilevel(g *graph.Graph, k int, seed uint64) (*Assignment, error) {
+	w, err := buildWGraph(g)
 	if err != nil {
 		return nil, err
 	}
-
-	if fine.n() <= directLimit {
-		parts, err := bestInitial(fine, k, opts, rng)
-		if err != nil {
-			return nil, err
-		}
-		a := &Assignment{Parts: parts, K: k}
-		fixEmptyParts(fine, a, rng)
-		return a, nil
-	}
-
-	// Coarsening phase. Stop when further contraction would leave too
-	// few vertices per partition for growing to work with (
-	// 4 vertices/part) or matching stalls.
-	type level struct {
-		w    *wgraph
-		cmap []int32 // fine->coarse map built when coarsening THIS level
-	}
-	// Contraction is deliberately mild compared to Metis (which coarsens
-	// to ~15k vertices): our boundary refinement is a single-move FM
-	// variant without hill climbing, so quality is preserved by keeping
-	// more structure per level instead of relying on repair.
-	levels := []level{{w: fine}}
-	target := 16 * k
-	if floor := fine.n() / 8; target < floor {
-		target = floor
-	}
-	if target < 4096 {
-		target = 4096
-	}
-	for levels[len(levels)-1].w.n() > target {
-		cur := levels[len(levels)-1].w
-		coarse, cmap := coarsen(cur, rng)
-		if coarse == nil {
-			break
-		}
-		levels[len(levels)-1].cmap = cmap
-		levels = append(levels, level{w: coarse})
-	}
-
-	// Initial k-way partition on the coarsest graph.
-	coarsest := levels[len(levels)-1].w
-	parts, err := bestInitial(coarsest, k, opts, rng)
+	parts, err := bestInitial(w, k)
 	if err != nil {
 		return nil, err
 	}
-
-	// Uncoarsening: project and refine at every finer level.
-	for li := len(levels) - 2; li >= 0; li-- {
-		cmap := levels[li].cmap
-		finer := levels[li].w
-		fparts := make([]int32, finer.n())
-		for u := range fparts {
-			fparts[u] = parts[cmap[u]]
-		}
-		parts = fparts
-		refine(finer, parts, k, opts)
-	}
-
 	a := &Assignment{Parts: parts, K: k}
-	fixEmptyParts(fine, a, rng)
+	fixEmptyParts(a, stats.NewRNG(seed^0x9e3779b9))
 	return a, nil
 }
 
-// bestInitial computes two candidate initial partitions — greedy graph
-// growing, and contiguous id-ranges (which exploit any generation-order
-// locality the vertex ids carry) — refines both, and keeps the lower cut.
-// Metis similarly derives its initial partition from several attempts;
-// on the paper's crawl-ordered web graphs the range candidate often wins
-// at coarse granularity while growing wins on structureless ids.
-func bestInitial(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, error) {
-	// The candidates only read w and only the grown one is handed rng, so
-	// the range candidate runs beside it on a second core; the result is
-	// the sequential one.
-	ranged := make([]int32, w.n())
+// bestInitial computes two candidate partitions — greedy graph growing,
+// and contiguous id-ranges (which exploit any generation-order locality
+// the vertex ids carry) — refines both, and keeps the lower cut. Metis
+// similarly derives its initial partition from several attempts; on the
+// paper's crawl-ordered web graphs the range candidate often wins at
+// coarse granularity while growing wins on structureless ids.
+func bestInitial(w *wgraph, k int) ([]int32, error) {
+	// The candidates only read w, so the range candidate runs beside the
+	// grown one on a second core; the result is the sequential one.
+	ranged := rangeParts(w.n(), k).Parts
 	rangedCut := make(chan int64, 1)
 	go func() {
-		for i := range ranged {
-			ranged[i] = int32(i * k / w.n())
-		}
-		refine(w, ranged, k, opts)
+		refine(w, ranged, k)
 		rangedCut <- cutOf(w, ranged)
 	}()
-	grown, err := growPartition(w, k, opts, rng)
+	grown, err := growPartition(w, k)
 	if err != nil {
 		<-rangedCut
 		return nil, err
 	}
-	refine(w, grown, k, opts)
+	refine(w, grown, k)
 	grownCut := cutOf(w, grown)
 	if <-rangedCut < grownCut {
 		return ranged, nil
@@ -141,15 +72,12 @@ func cutOf(w *wgraph, parts []int32) int64 {
 	return cut
 }
 
-// growPartition produces an initial k-way assignment of w by greedy graph
-// growing (Metis's GGGP): k regions grown one at a time, each repeatedly
-// absorbing the frontier vertex with the strongest connection to the
-// region, until the region reaches its vertex-weight budget.
-func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, error) {
+// growPartition produces a k-way assignment of w, 1 < k < w.n(), by
+// greedy graph growing (Metis's GGGP): k regions grown one at a time,
+// each repeatedly absorbing the frontier vertex with the strongest
+// connection to the region, until the region reaches the mean size.
+func growPartition(w *wgraph, k int) ([]int32, error) {
 	n := w.n()
-	if k > n {
-		return nil, fmt.Errorf("partition: k=%d exceeds coarse vertices %d", k, n)
-	}
 	// A frontier gain is at most its vertex's weighted degree, and is
 	// kept in 32 bits.
 	for u := int32(0); u < int32(n); u++ {
@@ -165,14 +93,13 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 	for i := range parts {
 		parts[i] = -1
 	}
-	// Grow to the mean size; MaxImbalance slack is left for refinement.
-	budget := float64(w.totalVWgt()) / float64(k)
-	load := make([]int64, k)
+	// Grow to the mean size; maxImbalance slack is left for refinement.
+	budget := float64(n) / float64(k)
+	load := make([]int, k)
 
 	// Seeds: stride across the vertex-id space so regions align with
-	// whatever generation/crawl-order locality the ids carry (vertex ids
-	// are meaningful on both fine graphs and our id-preserving coarse
-	// graphs); fall back to scanning for any unassigned vertex.
+	// whatever generation/crawl-order locality the ids carry; fall back
+	// to scanning for any unassigned vertex.
 	nextSeed := func(p int) int32 {
 		start := p * n / k
 		for i := 0; i < n; i++ {
@@ -203,7 +130,7 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 
 		absorb := func(u int32) {
 			parts[u] = int32(p)
-			load[p] += int64(w.vwgt[u])
+			load[p]++
 			adj, wgt := w.neighbors(u)
 			for i, v := range adj {
 				if parts[v] >= 0 {
@@ -217,7 +144,9 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 			}
 		}
 		absorb(s)
-		for float64(load[p]) < budget {
+		// A region stops short of the mean when one more vertex would
+		// overshoot it by over 2 %.
+		for float64(load[p]) < budget && float64(load[p]+1) <= budget*1.02 {
 			var u int32 = -1
 			// Pop until a fresh (non-stale, unassigned) entry surfaces.
 			for h.len() > 0 {
@@ -229,9 +158,6 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 			}
 			if u < 0 {
 				break // region's component exhausted
-			}
-			if float64(load[p])+float64(w.vwgt[u]) > budget*1.02 {
-				continue // too big for the remaining budget; try next
 			}
 			absorb(u)
 		}
@@ -245,7 +171,7 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 		}
 		adj, _ := w.neighbors(u)
 		best := int32(-1)
-		var bestLoad int64
+		var bestLoad int
 		for _, v := range adj {
 			if p := parts[v]; p >= 0 {
 				if best < 0 || load[p] < bestLoad {
@@ -261,12 +187,12 @@ func growPartition(w *wgraph, k int, opts Options, rng *stats.RNG) ([]int32, err
 			}
 		}
 		parts[u] = best
-		load[best] += int64(w.vwgt[u])
+		load[best]++
 	}
 	return parts, nil
 }
 
-// refinePasses bounds FM passes per uncoarsening level.
+// refinePasses bounds the FM passes refine makes.
 const refinePasses = 4
 
 // refine runs FM-flavored boundary passes: scan boundary vertices, move
@@ -276,12 +202,12 @@ const refinePasses = 4
 // most of KL/FM's benefit at a fraction of the complexity — adequate for
 // a locality-enhancing pre-pass, per the paper's observation that
 // partitioning quality only needs to beat naive splits.
-func refine(w *wgraph, parts []int32, k int, opts Options) {
+func refine(w *wgraph, parts []int32, k int) {
 	n := w.n()
-	budget := float64(w.totalVWgt()) / float64(k) * opts.MaxImbalance
-	load := make([]int64, k)
-	for u := 0; u < n; u++ {
-		load[parts[u]] += int64(w.vwgt[u])
+	budget := float64(n) / float64(k) * maxImbalance
+	load := make([]int, k)
+	for _, p := range parts {
+		load[p]++
 	}
 	// conn[p] accumulates edge weight from the current vertex to
 	// partition p; touched tracks which entries to reset.
@@ -319,7 +245,7 @@ func refine(w *wgraph, parts []int32, k int, opts Options) {
 					continue
 				}
 				gain := conn[p] - conn[pu]
-				if gain > bestGain && float64(load[p])+float64(w.vwgt[u]) <= budget {
+				if gain > bestGain && float64(load[p]+1) <= budget {
 					best, bestGain = p, gain
 				}
 			}
@@ -328,8 +254,8 @@ func refine(w *wgraph, parts []int32, k int, opts Options) {
 			}
 			if best != pu {
 				parts[u] = best
-				load[pu] -= int64(w.vwgt[u])
-				load[best] += int64(w.vwgt[u])
+				load[pu]--
+				load[best]++
 				moved++
 			}
 		}
@@ -339,11 +265,10 @@ func refine(w *wgraph, parts []int32, k int, opts Options) {
 	}
 }
 
-// fixEmptyParts guarantees no empty partition by stealing a boundary
-// vertex from the largest partition for each empty one. Empty partitions
-// arise rarely (tiny coarse graphs with aggressive growing) but would
+// fixEmptyParts guarantees no empty partition by stealing a vertex from
+// the largest partition for each empty one: an empty partition would
 // break the engine's split construction.
-func fixEmptyParts(w *wgraph, a *Assignment, rng *stats.RNG) {
+func fixEmptyParts(a *Assignment, rng *stats.RNG) {
 	sizes := a.Sizes()
 	for p := 0; p < a.K; p++ {
 		if sizes[p] > 0 {
@@ -377,17 +302,16 @@ func fixEmptyParts(w *wgraph, a *Assignment, rng *stats.RNG) {
 
 // bfsGrow is the single-level BFS baseline: graph growing directly on the
 // input graph with no refinement.
-func bfsGrow(g *graph.Graph, k int, opts Options) (*Assignment, error) {
+func bfsGrow(g *graph.Graph, k int, seed uint64) (*Assignment, error) {
 	w, err := buildWGraph(g)
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(opts.Seed ^ 0x51ed2701)
-	parts, err := growPartition(w, k, opts.normalized(), rng)
+	parts, err := growPartition(w, k)
 	if err != nil {
 		return nil, err
 	}
 	a := &Assignment{Parts: parts, K: k}
-	fixEmptyParts(w, a, rng)
+	fixEmptyParts(a, stats.NewRNG(seed^0x51ed2701))
 	return a, nil
 }

@@ -3,13 +3,13 @@
 // partitioning algorithm that minimizes edge-cuts has the desired effect
 // of reducing global synchronizations", §V-B3).
 //
-// The primary implementation is a from-scratch multilevel k-way
-// partitioner in the Metis style: coarsening by heavy-edge matching,
-// initial partitioning by greedy graph growing on the coarsest graph, and
-// Fiduccia–Mattheyses-flavored boundary refinement during uncoarsening.
-// Hash, range and single-level BFS partitioners are included as baselines
-// for the ablation benches (partitioner quality → edge-cut → eager
-// iteration count and shuffle volume).
+// The primary method, Multilevel, is a from-scratch single-level
+// substitute built from Metis's parts: greedy graph growing and
+// contiguous id-ranges each give a candidate, Fiduccia–Mattheyses-flavored
+// boundary refinement improves both, and the lower cut is kept. Hash,
+// range and BFS (growing without refinement) partitioners are included
+// as baselines for the ablation benches (partitioner quality → edge-cut
+// → eager iteration count and shuffle volume).
 package partition
 
 import (
@@ -22,7 +22,9 @@ import (
 type Method int
 
 const (
-	// Multilevel is the Metis-style partitioner (default).
+	// Multilevel (the default) grows a candidate and takes an id-range
+	// one, FM-refines each, and keeps the one with the lower edge cut.
+	// The name is kept for callers; the method does not coarsen.
 	Multilevel Method = iota
 	// BFS grows k regions breadth-first on the original graph — cheap,
 	// locality-aware, lower quality than Multilevel.
@@ -131,18 +133,9 @@ func (a *Assignment) Validate(n int) error {
 type Options struct {
 	// Method selects the algorithm; zero value is Multilevel.
 	Method Method
-	// Seed drives randomized choices (matching order, growth seeds).
+	// Seed drives the one randomized choice: which vertex an empty
+	// part takes from the largest (Multilevel and BFS).
 	Seed uint64
-	// MaxImbalance caps partition size at MaxImbalance × mean; values
-	// < 1.01 are raised to 1.05 (Metis's default tolerance).
-	MaxImbalance float64
-}
-
-func (o Options) normalized() Options {
-	if o.MaxImbalance < 1.01 {
-		o.MaxImbalance = 1.05
-	}
-	return o
 }
 
 // Partition splits g into k parts with the configured method.
@@ -156,7 +149,6 @@ func Partition(g *graph.Graph, k int, opts Options) (*Assignment, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("partition: empty graph")
 	}
-	opts = opts.normalized()
 	if k <= 1 {
 		return &Assignment{Parts: make([]int32, n), K: 1}, nil
 	}
@@ -169,9 +161,9 @@ func Partition(g *graph.Graph, k int, opts Options) (*Assignment, error) {
 	}
 	switch opts.Method {
 	case Multilevel:
-		return multilevel(g, k, opts, directGrowLimit)
+		return multilevel(g, k, opts.Seed)
 	case BFS:
-		return bfsGrow(g, k, opts)
+		return bfsGrow(g, k, opts.Seed)
 	case Range:
 		return rangeParts(n, k), nil
 	case Hash:

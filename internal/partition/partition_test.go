@@ -2,13 +2,11 @@ package partition
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 func testGraph(t *testing.T, scale int) *graph.Graph {
@@ -112,7 +110,7 @@ func TestMultilevelBeatsHash(t *testing.T) {
 func TestMultilevelBalance(t *testing.T) {
 	g := testGraph(t, 28)
 	for _, k := range []int{4, 32} {
-		a, err := Partition(g, k, Options{Seed: 1, MaxImbalance: 1.1})
+		a, err := Partition(g, k, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,68 +167,15 @@ func TestValidateCatchesProblems(t *testing.T) {
 func TestRefineNeverWorsensCut(t *testing.T) {
 	g := testGraph(t, 56)
 	w := mustWGraph(t, g)
-	rng := stats.NewRNG(11)
-	opts := Options{}.normalized()
-	parts, err := growPartition(w, 8, opts, rng)
+	parts, err := growPartition(w, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := cutOf(w, parts)
-	refine(w, parts, 8, opts)
+	refine(w, parts, 8)
 	after := cutOf(w, parts)
 	if after > before {
 		t.Fatalf("refinement worsened cut: %d -> %d", before, after)
-	}
-}
-
-func TestCoarsenPreservesStructure(t *testing.T) {
-	g := testGraph(t, 56)
-	w := mustWGraph(t, g)
-	coarse, cmap := coarsen(w, stats.NewRNG(3))
-	if coarse == nil {
-		t.Fatal("coarsening stalled on a healthy graph")
-	}
-	if coarse.n() >= w.n() {
-		t.Fatalf("coarse graph not smaller: %d vs %d", coarse.n(), w.n())
-	}
-	// Vertex weight is conserved.
-	if coarse.totalVWgt() != w.totalVWgt() {
-		t.Fatalf("vertex weight changed: %d vs %d", coarse.totalVWgt(), w.totalVWgt())
-	}
-	// cmap is a valid surjection onto [0, coarse.n()).
-	seen := make([]bool, coarse.n())
-	for _, c := range cmap {
-		if c < 0 || int(c) >= coarse.n() {
-			t.Fatalf("cmap value %d out of range", c)
-		}
-		seen[c] = true
-	}
-	for c, ok := range seen {
-		if !ok {
-			t.Fatalf("coarse vertex %d has no fine members", c)
-		}
-	}
-	// Each coarse vertex merges at most 2 fine vertices (matching).
-	counts := make([]int, coarse.n())
-	for _, c := range cmap {
-		counts[c]++
-		if counts[c] > 2 {
-			t.Fatalf("coarse vertex %d has %d members", c, counts[c])
-		}
-	}
-	// A partition of the coarse graph projects to the same cut on the
-	// fine graph (cut preservation under contraction).
-	parts := make([]int32, coarse.n())
-	for i := range parts {
-		parts[i] = int32(i % 2)
-	}
-	fineParts := make([]int32, w.n())
-	for u := range fineParts {
-		fineParts[u] = parts[cmap[u]]
-	}
-	if cutOf(coarse, parts) != cutOf(w, fineParts) {
-		t.Fatalf("projected cut mismatch: coarse %d fine %d",
-			cutOf(coarse, parts), cutOf(w, fineParts))
 	}
 }
 
@@ -282,54 +227,6 @@ func TestMethodString(t *testing.T) {
 	for m, want := range names {
 		if got := m.String(); got != want {
 			t.Errorf("String(%d) = %q, want %q", int(m), got, want)
-		}
-	}
-}
-
-// TestMultilevelHierarchy drives the coarsen → bestInitial → project →
-// refine loop, which Partition reaches only above directGrowLimit (400 000
-// vertices: no graph this repository generates, Graph A at full scale is
-// 280 000), by handing multilevel a limit Graph A ÷ 35 (8 000 vertices)
-// crosses. Recorded cuts, seeds 1-4, beside the direct path's on the same
-// graph: k = 8 hierarchy 7566, 7505, 7433, 7511 against 7472 direct;
-// k = 25 hierarchy 20557, 20606, 20799, 20704 against 20663 — within 1.3 %
-// either way, so a projection that scrambled the coarse assignment (a
-// random 8-way cut of this graph is ~69 000) fails the 2× bound at once.
-func TestMultilevelHierarchy(t *testing.T) {
-	g := testGraph(t, 35)
-	for _, k := range []int{8, 25} {
-		run := func(seed uint64, limit int) *Assignment {
-			a, err := multilevel(g, k, Options{Seed: seed}.normalized(), limit)
-			if err != nil {
-				t.Fatalf("k=%d seed %d: %v", k, seed, err)
-			}
-			return a
-		}
-		direct := run(1, directGrowLimit).EdgeCut(g)
-		var first *Assignment
-		differs := false
-		for seed := uint64(1); seed <= 4; seed++ {
-			a := run(seed, 1000)
-			if err := a.Validate(g.NumNodes()); err != nil { // also: no part is empty
-				t.Fatalf("k=%d seed %d: %v", k, seed, err)
-			}
-			if imb, max := a.Imbalance(), (Options{}).normalized().MaxImbalance; imb > max+1e-9 {
-				t.Errorf("k=%d seed %d: imbalance %.4f above MaxImbalance %.2f", k, seed, imb, max)
-			}
-			if cut := a.EdgeCut(g); cut > 2*direct {
-				t.Errorf("k=%d seed %d: hierarchy cuts %d edges, the direct path %d", k, seed, cut, direct)
-			}
-			if !slices.Equal(a.Parts, run(seed, 1000).Parts) {
-				t.Errorf("k=%d seed %d: the assignment does not repeat", k, seed)
-			}
-			if first == nil {
-				first = a
-			} else if !slices.Equal(a.Parts, first.Parts) {
-				differs = true
-			}
-		}
-		if !differs {
-			t.Errorf("k=%d: four seeds gave one assignment; coarsening's visiting order is seeded", k)
 		}
 	}
 }

@@ -5,28 +5,18 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
-// wgraph is a weighted undirected graph in CSR form, the working
-// representation inside the multilevel partitioner (vertex weights are
-// merged-node counts, edge weights merged-multiplicity).
+// wgraph is an edge-weighted undirected graph in CSR form, the working
+// representation of the Multilevel and BFS methods (edge weights are
+// directed-edge multiplicities).
 type wgraph struct {
 	xadj   []int32 // index into adjncy per vertex, len n+1
 	adjncy []int32 // concatenated neighbor lists
 	adjwgt []int32 // parallel edge weights
-	vwgt   []int32 // vertex weights
 }
 
 func (w *wgraph) n() int { return len(w.xadj) - 1 }
-
-func (w *wgraph) totalVWgt() int64 {
-	var t int64
-	for _, x := range w.vwgt {
-		t += int64(x)
-	}
-	return t
-}
 
 // neighbors returns the CSR slice views for vertex u.
 func (w *wgraph) neighbors(u int32) ([]int32, []int32) {
@@ -42,10 +32,10 @@ func (w *wgraph) neighbors(u int32) ([]int32, []int32) {
 // their assignments.
 const exactWeightLimit = 200000
 
-// buildWGraph converts the directed input graph into the undirected
-// unit-weight CSR used at the finest level. Parallel directed edges
-// (u->v plus v->u) merge into one undirected edge of weight 2, matching
-// how Metis consumes symmetrized web graphs.
+// buildWGraph converts the directed input graph into the undirected CSR
+// the partitioner works on. Parallel directed edges (u->v plus v->u)
+// merge into one undirected edge of weight 2, matching how Metis
+// consumes symmetrized web graphs.
 func buildWGraph(g *graph.Graph) (*wgraph, error) {
 	xadj, adjncy, err := symmetrize(g)
 	if err != nil {
@@ -83,11 +73,7 @@ func buildWGraph(g *graph.Graph) (*wgraph, error) {
 			adjwgt[i] = 1
 		}
 	}
-	vwgt := make([]int32, n)
-	for i := range vwgt {
-		vwgt[i] = 1
-	}
-	return &wgraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt}, nil
+	return &wgraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt}, nil
 }
 
 // symmetrize returns g's undirected adjacency in CSR form, the way Metis
@@ -153,147 +139,4 @@ func symmetrize(g *graph.Graph) (xadj, adjncy []int32, err error) {
 	}
 	xadj[n] = w
 	return xadj, adjncy[:w], nil
-}
-
-// bucketSortByDegree stably reorders the given vertex order into
-// ascending-degree buckets (degree capped at 64 for bucketing purposes),
-// preserving the randomized order within each bucket.
-func bucketSortByDegree(order []int, w *wgraph) {
-	const maxBucket = 64
-	buckets := make([][]int, maxBucket+1)
-	for _, u := range order {
-		d := int(w.xadj[u+1] - w.xadj[u])
-		if d > maxBucket {
-			d = maxBucket
-		}
-		buckets[d] = append(buckets[d], u)
-	}
-	i := 0
-	for _, b := range buckets {
-		i += copy(order[i:], b)
-	}
-}
-
-// coarsen contracts w by heavy-edge matching: vertices are visited in
-// ascending-degree order and matched to the unmatched neighbor with the
-// heaviest connecting edge. Returns the coarse graph and the fine→coarse vertex
-// map, or (nil, nil) if matching failed to shrink the graph enough to be
-// worth another level (Metis's stall criterion).
-func coarsen(w *wgraph, rng *stats.RNG) (*wgraph, []int32) {
-	n := w.n()
-	match := make([]int32, n)
-	for i := range match {
-		match[i] = -1
-	}
-	// Visit vertices in ascending-degree order (randomized within a
-	// degree bucket): matching spokes before hubs keeps hub vertices
-	// from being contracted across community boundaries, which matters
-	// on the paper's hubs-and-spokes graphs.
-	order := rng.Perm(n)
-	bucketSortByDegree(order, w)
-	matched := 0
-	for _, ui := range order {
-		u := int32(ui)
-		if match[u] >= 0 {
-			continue
-		}
-		adj, wgt := w.neighbors(u)
-		var best int32 = -1
-		var bestW int32 = -1
-		bestDeg := int32(1 << 30)
-		for i, v := range adj {
-			if v == u || match[v] >= 0 {
-				continue
-			}
-			deg := w.xadj[v+1] - w.xadj[v]
-			// Heavy-edge first; break weight ties toward the lower-degree
-			// neighbor (prefer spoke-spoke and spoke-hub merges).
-			if wgt[i] > bestW || (wgt[i] == bestW && deg < bestDeg) {
-				best, bestW, bestDeg = v, wgt[i], deg
-			}
-		}
-		if best >= 0 {
-			match[u] = best
-			match[best] = u
-			matched += 2
-		} else {
-			match[u] = u // self-matched
-		}
-	}
-	coarseN := n - matched/2
-	if float64(coarseN) > 0.95*float64(n) {
-		return nil, nil // stalled
-	}
-
-	// Number coarse vertices: matched pair gets one id at the lower
-	// endpoint's visit; preserve a deterministic order by scanning ids.
-	cmap := make([]int32, n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
-	var next int32
-	for u := 0; u < n; u++ {
-		if cmap[u] >= 0 {
-			continue
-		}
-		cmap[u] = next
-		m := match[u]
-		if m >= 0 && m != int32(u) {
-			cmap[m] = next
-		}
-		next++
-	}
-
-	// Gather each coarse vertex's (≤2) fine members, then build the
-	// coarse CSR by accumulating edges through a scatter array.
-	cvwgt := make([]int32, next)
-	for u := 0; u < n; u++ {
-		cvwgt[cmap[u]] += w.vwgt[u]
-	}
-	members := make([][2]int32, next)
-	for i := range members {
-		members[i] = [2]int32{-1, -1}
-	}
-	for u := 0; u < n; u++ {
-		m := &members[cmap[u]]
-		if m[0] < 0 {
-			m[0] = int32(u)
-		} else {
-			m[1] = int32(u)
-		}
-	}
-	var (
-		cxadj   = make([]int32, next+1)
-		cadjncy []int32
-		cadjwgt []int32
-		scatter = make([]int32, next) // coarse neighbor -> position+1, 0 = unset
-	)
-	for cu := int32(0); cu < next; cu++ {
-		start := len(cadjncy)
-		for _, u := range members[cu] {
-			if u < 0 {
-				continue
-			}
-			adj, wgt := w.neighbors(u)
-			for i, v := range adj {
-				cv := cmap[v]
-				if cv == cu {
-					continue // internal edge disappears at this level
-				}
-				if p := scatter[cv]; p > int32(start) {
-					cadjwgt[p-1] += wgt[i]
-				} else {
-					cadjncy = append(cadjncy, cv)
-					cadjwgt = append(cadjwgt, wgt[i])
-					scatter[cv] = int32(len(cadjncy))
-				}
-			}
-		}
-		// Clear only the scatter entries this vertex touched.
-		for i := start; i < len(cadjncy); i++ {
-			scatter[cadjncy[i]] = 0
-		}
-		cxadj[cu+1] = int32(len(cadjncy))
-	}
-	return &wgraph{xadj: cxadj, adjncy: cadjncy, adjwgt: cadjwgt, vwgt: cvwgt}, cmap
 }

@@ -26,12 +26,11 @@ func buildWGraphOracle(g *graph.Graph) *wgraph {
 			adj[v] = append(adj[v], int32(u))
 		}
 	}
-	w := &wgraph{xadj: make([]int32, n+1), vwgt: make([]int32, n)}
+	w := &wgraph{xadj: make([]int32, n+1)}
 	for u := range adj {
 		slices.Sort(adj[u])
 		w.adjncy = append(w.adjncy, slices.Compact(adj[u])...)
 		w.xadj[u+1] = int32(len(w.adjncy))
-		w.vwgt[u] = 1
 	}
 	w.adjwgt = make([]int32, len(w.adjncy))
 	for u := 0; u < n; u++ {
@@ -58,7 +57,7 @@ func count(a []int32, x int32) int {
 
 func sameWGraph(a, b *wgraph) bool {
 	return slices.Equal(a.xadj, b.xadj) && slices.Equal(a.adjncy, b.adjncy) &&
-		slices.Equal(a.adjwgt, b.adjwgt) && slices.Equal(a.vwgt, b.vwgt)
+		slices.Equal(a.adjwgt, b.adjwgt)
 }
 
 // messyGraph draws a small graph with everything the generator never
