@@ -36,7 +36,7 @@
 // Purity comes from the types: Policy is sealed (its decision methods
 // are unexported, so only this package can implement it) and those
 // methods take Signals by value, so no policy can write the
-// controller's state. Determinism is machine-checked by cmd/asynclint:
+// controller's state. Determinism is machine-checked by internal/lint:
 // the package carries the deterministic marker (no wall clock, no
 // global randomness, no map-order iteration).
 //

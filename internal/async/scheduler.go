@@ -31,7 +31,7 @@
 // results identical to DES.
 //
 // The package is the heart of the deterministic engine core, and its
-// contracts are machine-checked by cmd/asynclint: no wall-clock reads
+// contracts are machine-checked by internal/lint: no wall-clock reads
 // outside //async:measured live-executor code, no global randomness or
 // map-order iteration (this marker), scheduling bookkeeping confined to
 // the scheduling goroutine (//async:sched-only / //async:sched-root),

@@ -60,16 +60,15 @@ func BuildExchange(subs []*SubGraph, undirected bool) ([]Exchange, int, error) {
 			owner[u] = int32(p)
 		}
 	}
-	// A node is on the border when another partition reads it; remotes
-	// are the lists it reads through, in read order.
+	// A node is on the border when another partition reads it. It reads
+	// through its InRemote list and then, undirected, its OutRemote list:
+	// the first sides entries of its partition's remotes.
 	onBorder := func(s *SubGraph, li int) bool {
 		return len(s.OutRemote[li]) > 0 || undirected && len(s.InRemote[li]) > 0
 	}
-	remotes := func(s *SubGraph, li int) [2][]NodeID {
-		if undirected {
-			return [2][]NodeID{s.InRemote[li], s.OutRemote[li]}
-		}
-		return [2][]NodeID{s.InRemote[li]}
+	sides := 1
+	if undirected {
+		sides = 2
 	}
 
 	// Count. Here slotOf[q] is the last partition found reading q; in the
@@ -83,11 +82,13 @@ func BuildExchange(subs []*SubGraph, undirected bool) ([]Exchange, int, error) {
 	}
 	for p, s := range subs {
 		c := &count[p]
+		remotes := [2][][]NodeID{s.InRemote, s.OutRemote}
 		for li := range s.Nodes {
 			if onBorder(s, li) {
 				c.border++
 			}
-			for _, list := range remotes(s, li) {
+			for _, side := range remotes[:sides] {
+				list := side[li]
 				for _, remote := range list {
 					if remote < 0 || int(remote) >= n || owner[remote] < 0 {
 						return nil, 0, fmt.Errorf("graph: remote node %d has no owner", remote)
@@ -133,9 +134,10 @@ func BuildExchange(subs []*SubGraph, undirected bool) ([]Exchange, int, error) {
 		for i := range slotOf {
 			slotOf[i] = -1
 		}
+		remotes := [2][][]NodeID{s.InRemote, s.OutRemote}
 		for li := range s.Nodes {
-			for _, list := range remotes(s, li) {
-				for _, remote := range list {
+			for _, side := range remotes[:sides] {
+				for _, remote := range side[li] {
 					q := int(owner[remote])
 					slot := slotOf[q]
 					if slot < 0 {

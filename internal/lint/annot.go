@@ -4,11 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// Annotation directives recognized by the suite. An annotation is a
+// Annotation directives recognized by the rules. An annotation is a
 // comment line of the form "//async:NAME" or "//async:NAME rationale".
 const (
 	annotDeterministic = "deterministic"
@@ -19,6 +17,11 @@ const (
 )
 
 const annotPrefix = "//async:"
+
+var knownAnnots = map[string]bool{
+	annotDeterministic: true, annotSchedOnly: true, annotSchedRoot: true,
+	annotPool: true, annotMeasured: true,
+}
 
 // parseAnnotation returns the directive name of one comment line, or ""
 // when the line is not an //async: annotation. Trailing prose after the
@@ -48,14 +51,6 @@ func groupHas(cg *ast.CommentGroup, name string) bool {
 	return false
 }
 
-// isTestFile reports whether the file position sits in a _test.go file.
-// The contracts bind production code: tests deliberately drive
-// sched-only machinery from a single test goroutine and measure wall
-// time, so analyzer checks skip them.
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
-}
-
 // annotLines returns the file lines carrying the annotation — the
 // lookup for the statement-level //async:pool, which Go's AST does not
 // attach to statements.
@@ -73,11 +68,27 @@ func annotLines(fset *token.FileSet, f *ast.File, name string) map[int]bool {
 
 // packageMarked reports whether any file's package doc comment carries
 // the annotation (e.g. //async:deterministic).
-func packageMarked(pass *analysis.Pass, name string) bool {
-	for _, f := range pass.Files {
+func packageMarked(p *Package, name string) bool {
+	for _, f := range p.Files {
 		if groupHas(f.Doc, name) {
 			return true
 		}
 	}
 	return false
+}
+
+// annotations reports every //async: line whose directive is not one of
+// the five: only an exact name binds, so a misspelt directive would
+// drop its contract without a word.
+func (c *checker) annotations(p *Package) {
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, cm := range cg.List {
+				if name := parseAnnotation(cm.Text); strings.HasPrefix(cm.Text, annotPrefix) && !knownAnnots[name] {
+					c.reportf(cm.Pos(), "unknown %s directive %q: the directives are deterministic, "+
+						"sched-only, sched-root, measured and pool", annotPrefix, name)
+				}
+			}
+		}
+	}
 }

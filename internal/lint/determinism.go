@@ -3,12 +3,10 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// DeterminismAnalyzer enforces the virtual-time determinism contract in
-// packages whose package doc carries //async:deterministic: engine code
+// determinism enforces the virtual-time determinism contract in a
+// package whose package doc carries //async:deterministic: engine code
 // replays bit-identically from a configuration, so it must never
 // consult the wall clock, draw from process-global randomness, iterate
 // a map in unspecified order, or spawn goroutines but at an annotated
@@ -21,12 +19,37 @@ import (
 // scoped to the clock — measured code is still bound by the randomness,
 // map-order, and goroutine-spawn rules. The map-order rule has no
 // waiver: iterate a sorted key slice.
-var DeterminismAnalyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc: "forbid wall-clock time, global math/rand, unordered map iteration, " +
-		"and bare go statements in //async:deterministic packages " +
-		"(//async:measured waives the clock rule per function)",
-	Run: runDeterminism,
+func (c *checker) determinism(p *Package) {
+	if !packageMarked(p, annotDeterministic) {
+		return
+	}
+	for _, f := range p.Files {
+		pool := annotLines(c.fset, f, annotPool)
+		for _, decl := range f.Decls {
+			fd, isFunc := decl.(*ast.FuncDecl)
+			measured := isFunc && groupHas(fd.Doc, annotMeasured)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					c.forbiddenRef(p, n, measured)
+				case *ast.GoStmt:
+					// The waiver sits on the go statement's line or the one above.
+					if line := c.fset.Position(n.Pos()).Line; !pool[line] && !pool[line-1] {
+						c.reportf(n.Pos(), "bare go statement in deterministic engine code: "+
+							"goroutines may only be spawned at an annotated launch (//async:pool)")
+					}
+				case *ast.RangeStmt:
+					if t := p.Info.TypeOf(n.X); t != nil {
+						if _, isMap := t.Underlying().(*types.Map); isMap {
+							c.reportf(n.Pos(), "map iteration order is unspecified and feeds engine state: "+
+								"iterate a sorted key slice")
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // wallClockFuncs are the package time functions that read or depend on
@@ -48,49 +71,12 @@ var globalRandAllowed = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func runDeterminism(pass *analysis.Pass) (any, error) {
-	if !packageMarked(pass, annotDeterministic) {
-		return nil, nil
-	}
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		pool := annotLines(pass.Fset, f, annotPool)
-		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			measured := isFunc && groupHas(fd.Doc, annotMeasured)
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					checkForbiddenRef(pass, n, measured)
-				case *ast.GoStmt:
-					// The waiver sits on the go statement's line or the one above.
-					if line := pass.Fset.Position(n.Pos()).Line; !pool[line] && !pool[line-1] {
-						pass.Reportf(n.Pos(), "bare go statement in deterministic engine code: "+
-							"goroutines may only be spawned at an annotated launch (//async:pool)")
-					}
-				case *ast.RangeStmt:
-					if t := pass.TypesInfo.TypeOf(n.X); t != nil {
-						if _, isMap := t.Underlying().(*types.Map); isMap {
-							pass.Reportf(n.Pos(), "map iteration order is unspecified and feeds engine state: "+
-								"iterate a sorted key slice")
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return nil, nil
-}
-
-// checkForbiddenRef flags references to wall-clock time functions and
-// global math/rand state. measured suppresses the wall-clock check only:
+// forbiddenRef flags an identifier that resolves to a wall-clock time
+// function or to global math/rand state, whether qualified (time.Now)
+// or dot-imported (Now). measured suppresses the wall-clock check only:
 // inside an //async:measured function, observing real time is the point.
-func checkForbiddenRef(pass *analysis.Pass, sel *ast.SelectorExpr, measured bool) {
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	fn, ok := obj.(*types.Func)
+func (c *checker) forbiddenRef(p *Package, id *ast.Ident, measured bool) {
+	fn, ok := p.Info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return
 	}
@@ -103,12 +89,12 @@ func checkForbiddenRef(pass *analysis.Pass, sel *ast.SelectorExpr, measured bool
 	switch fn.Pkg().Path() {
 	case "time":
 		if wallClockFuncs[fn.Name()] && !measured {
-			pass.Reportf(sel.Pos(), "time.%s reads the wall clock: engine code runs on virtual time "+
+			c.reportf(id.Pos(), "time.%s reads the wall clock: engine code runs on virtual time "+
 				"(simtime) and must stay replayable", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !globalRandAllowed[fn.Name()] {
-			pass.Reportf(sel.Pos(), "%s.%s draws from process-global randomness: "+
+			c.reportf(id.Pos(), "%s.%s draws from process-global randomness: "+
 				"use the run's seeded RNG (internal/stats) so draws replay", fn.Pkg().Name(), fn.Name())
 		}
 	}

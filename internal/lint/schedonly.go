@@ -3,78 +3,63 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// SchedOnlyAnalyzer enforces the scheduling-goroutine contract: a
-// function or method annotated //async:sched-only (on its declaration,
-// or on its method in an interface) may only be referenced from other
-// sched-only functions, from declared //async:sched-root scheduling-
-// loop entry points, or from //async:measured contexts (the live
-// executor's pool tasks, which serialize their sched-only calls under
-// the engine mutex instead of on a single goroutine). The walk is
-// reference-based, not call-based, so a sched-only method escaping as a
-// function value from non-scheduling code is caught too. Function
-// literals are their own (non-sched) context: a closure can escape to
-// another goroutine, so it never inherits its enclosing function's
-// clearance — measured or otherwise.
-var SchedOnlyAnalyzer = &analysis.Analyzer{
-	Name:      "schedonly",
-	Doc:       "check that //async:sched-only functions are reached only from the scheduling goroutine's call tree",
-	Run:       runSchedOnly,
-	FactTypes: []analysis.Fact{(*schedOnlyFact)(nil)},
-}
-
-// schedOnlyFact marks an exported function as sched-only across package
-// boundaries (the unitchecker serializes facts along the import graph).
-type schedOnlyFact struct{}
-
-func (*schedOnlyFact) AFact()         {}
-func (*schedOnlyFact) String() string { return "schedOnly" }
-
-func runSchedOnly(pass *analysis.Pass) (any, error) {
+// schedOnly enforces the scheduling-goroutine contract: a function or
+// method annotated //async:sched-only (on its declaration, or on its
+// method in an interface) may only be referenced from other sched-only
+// functions, from declared //async:sched-root scheduling-loop entry
+// points, or from //async:measured contexts (the live executor's pool
+// tasks, which serialize their sched-only calls under the engine mutex
+// instead of on a single goroutine). The walk is reference-based, not
+// call-based, so a sched-only method escaping as a function value from
+// non-scheduling code is caught too. Function literals are their own
+// (non-sched) context: a closure can escape to another goroutine, so it
+// never inherits its enclosing function's clearance — measured or
+// otherwise.
+//
+// The packages share one importer, so a function is one types.Object
+// wherever it is referenced, and the annotations of every package form
+// one sched-only set.
+func (c *checker) schedOnly(pkgs []*Package) {
 	schedOnly := map[types.Object]bool{}
 	roots := map[types.Object]bool{}
 
 	// Pass 1: collect annotations from function declarations and
 	// interface method declarations.
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				obj := pass.TypesInfo.Defs[d.Name]
-				if obj == nil {
-					continue
-				}
-				if groupHas(d.Doc, annotSchedOnly) {
-					schedOnly[obj] = true
-					pass.ExportObjectFact(obj, &schedOnlyFact{})
-				}
-				if groupHas(d.Doc, annotSchedRoot) || groupHas(d.Doc, annotMeasured) {
-					roots[obj] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj := p.Info.Defs[d.Name]
+					if obj == nil {
 						continue
 					}
-					it, ok := ts.Type.(*ast.InterfaceType)
-					if !ok {
-						continue
+					if groupHas(d.Doc, annotSchedOnly) {
+						schedOnly[obj] = true
 					}
-					for _, m := range it.Methods.List {
-						if !groupHas(m.Doc, annotSchedOnly) && !groupHas(m.Comment, annotSchedOnly) {
+					if groupHas(d.Doc, annotSchedRoot) || groupHas(d.Doc, annotMeasured) {
+						roots[obj] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
 							continue
 						}
-						for _, name := range m.Names {
-							if obj := pass.TypesInfo.Defs[name]; obj != nil {
-								schedOnly[obj] = true
-								pass.ExportObjectFact(obj, &schedOnlyFact{})
+						it, ok := ts.Type.(*ast.InterfaceType)
+						if !ok {
+							continue
+						}
+						for _, m := range it.Methods.List {
+							if !groupHas(m.Doc, annotSchedOnly) && !groupHas(m.Comment, annotSchedOnly) {
+								continue
+							}
+							for _, name := range m.Names {
+								if obj := p.Info.Defs[name]; obj != nil {
+									schedOnly[obj] = true
+								}
 							}
 						}
 					}
@@ -87,7 +72,7 @@ func runSchedOnly(pass *analysis.Pass) (any, error) {
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin() // normalize generic instantiations
 		}
-		return schedOnly[obj] || pass.ImportObjectFact(obj, &schedOnlyFact{})
+		return schedOnly[obj]
 	}
 
 	// Pass 2: verify every reference. walk carries the context a
@@ -97,41 +82,38 @@ func runSchedOnly(pass *analysis.Pass) (any, error) {
 		cleared bool   // sched-only or sched-root: may reference sched-only code
 		name    string // for diagnostics
 	}
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		var walk func(n ast.Node, c ctx)
-		walk = func(n ast.Node, c ctx) {
+	for _, p := range pkgs {
+		var walk func(n ast.Node, x ctx)
+		walk = func(n ast.Node, x ctx) {
 			ast.Inspect(n, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncLit:
-					walk(n.Body, ctx{cleared: false, name: c.name + " (func literal)"})
+					walk(n.Body, ctx{cleared: false, name: x.name + " (func literal)"})
 					return false
 				case *ast.Ident:
-					obj := pass.TypesInfo.Uses[n]
+					obj := p.Info.Uses[n]
 					if obj == nil || !isSchedOnly(obj) {
 						return true
 					}
-					if !c.cleared {
-						pass.Reportf(n.Pos(), "%s is //async:sched-only but is referenced from %s, "+
+					if !x.cleared {
+						c.reportf(n.Pos(), "%s is //async:sched-only but is referenced from %s, "+
 							"which is neither sched-only, a declared //async:sched-root scheduling-loop entry point, "+
 							"nor an //async:measured context",
-							obj.Name(), c.name)
+							obj.Name(), x.name)
 					}
 				}
 				return true
 			})
 		}
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || d.Body == nil {
-				continue
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Body == nil {
+					continue
+				}
+				obj := p.Info.Defs[d.Name]
+				walk(d.Body, ctx{cleared: schedOnly[obj] || roots[obj], name: d.Name.Name})
 			}
-			obj := pass.TypesInfo.Defs[d.Name]
-			c := ctx{cleared: schedOnly[obj] || roots[obj], name: d.Name.Name}
-			walk(d.Body, c)
 		}
 	}
-	return nil, nil
 }

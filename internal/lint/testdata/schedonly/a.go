@@ -92,4 +92,13 @@ func measuredSettle(e *engine) int {
 	return behind(e, 10)
 }
 
-var _ = []any{drive, offGoroutine, escape, poolDispatch, measuredTask, measuredEscape, measuredSettle}
+// A misspelt directive binds nothing, so it is reported rather than
+// silently dropping its contract.
+//
+//async:sched_only // want `unknown //async: directive "sched_only"`
+func (e *engine) rewind() { e.clock = 0 }
+
+//async:schedroot // want `unknown //async: directive "schedroot"`
+func misspeltRoot(e *engine) { e.rewind() }
+
+var _ = []any{drive, offGoroutine, escape, poolDispatch, measuredTask, measuredEscape, measuredSettle, misspeltRoot}

@@ -26,7 +26,7 @@
 // The package is part of the deterministic engine core (crash schedules
 // must be pure functions of the seed), so wall-clock reads, global
 // randomness, and map-order iteration are forbidden here (enforced by
-// cmd/asynclint).
+// internal/lint).
 //
 //async:deterministic
 package recovery

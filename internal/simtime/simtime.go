@@ -9,7 +9,7 @@
 //
 // The package is part of the deterministic engine core: replays must be
 // bit-identical, so wall-clock reads, global randomness, and map-order
-// iteration are forbidden here (enforced by cmd/asynclint).
+// iteration are forbidden here (enforced by internal/lint).
 //
 //async:deterministic
 package simtime
