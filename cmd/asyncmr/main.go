@@ -18,13 +18,9 @@
 // and each registry entry says which of -staleness, -parallel,
 // -workers, -mttf and -ckpt it reads.
 //
-// -staleness takes a fixed bound ("4"; "inf" or any negative value =
-// unbounded free-running) or an adaptive staleness-control policy:
-// "adaptive:aimd[:START[:MAX[:STALL]]]" (additive raise on gate waits,
-// multiplicative cut on progress stalls) or "adaptive:drift[:CAP]"
-// (ASAP-style accumulated-drift budget). Policies re-schedule each
-// worker's bound during the run; results stay deterministic and
-// executor-independent.
+// -staleness takes the one global bound S the paper fixes up front: an
+// integer ("4"), or "inf" or any negative value for unbounded
+// free-running.
 //
 // -parallel runs async-mode experiments on the wall-clock-parallel
 // executor; simulated results are identical to the default sequential
@@ -88,7 +84,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/async"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -100,7 +95,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-run progress")
 	mode := flag.String("mode", "general", "scheduling mode for 'run': general, eager, async or live")
 	staleness := flag.String("staleness", strconv.Itoa(harness.DefaultStaleness),
-		"staleness for async mode: a fixed bound S (negative or inf = unbounded), or adaptive:aimd[:START[:MAX[:STALL]]] / adaptive:drift[:CAP] for per-worker adaptive control")
+		"staleness bound S for async mode: an integer, or inf or any negative value for unbounded")
 	parallel := flag.Bool("parallel", false,
 		"execute async runs on the wall-clock-parallel executor (identical simulated results)")
 	workers := flag.Int("workers", 0,
@@ -137,13 +132,12 @@ func main() {
 	if *verbose {
 		s.Out = os.Stderr
 	}
-	sv, spol, serr := adapt.ParseStaleness(*staleness)
+	sv, serr := parseStaleness(*staleness)
 	if serr != nil {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", serr)
 		os.Exit(2)
 	}
 	s.AsyncStaleness = sv
-	s.AdaptPolicy = spol
 	if *parallel {
 		s.AsyncExecutor = async.Parallel
 	}
@@ -306,6 +300,20 @@ func refuseBadValues(scale, workers int, mttf float64) error {
 		return fmt.Errorf("-mttf %g: the mean is 0 (no crashes) or more", mttf)
 	}
 	return nil
+}
+
+// parseStaleness reads -staleness: an integer bound, or "inf" or any
+// negative value for unbounded (async.Unbounded).
+func parseStaleness(v string) (int, error) {
+	v = strings.TrimSpace(v)
+	if v == "inf" {
+		return async.Unbounded, nil
+	}
+	s, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("-staleness %q: the bound is an integer S, or inf or a negative value for unbounded", v)
+	}
+	return max(s, async.Unbounded), nil
 }
 
 // run executes the selected experiments in registry order: each prints

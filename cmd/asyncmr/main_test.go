@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/async"
 	"repro/internal/harness"
 )
 
@@ -170,6 +171,23 @@ func TestIgnoredFlagsRefused(t *testing.T) {
 			t.Errorf("%s -mode %s %v: refused: %v", c.what, c.mode, c.set, err)
 		case c.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refused+" ") || !strings.Contains(err.Error(), c.what)):
 			t.Errorf("%s -mode %s %v: got %v, want %s refused naming the experiment", c.what, c.mode, c.set, err, c.refused)
+		}
+	}
+}
+
+// TestStalenessSpellings: -staleness is one global bound, an integer or
+// inf; anything else, such as a controller policy, is refused with the
+// spellings it accepts.
+func TestStalenessSpellings(t *testing.T) {
+	for in, want := range map[string]int{"4": 4, "0": 0, " 8 ": 8, "-1": async.Unbounded, "-5": async.Unbounded, "inf": async.Unbounded} {
+		if got, err := parseStaleness(in); err != nil || got != want {
+			t.Errorf("-staleness %q: got %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"adaptive:aimd", "adaptive:drift", "fixed:4", "", "fast", "4.5"} {
+		_, err := parseStaleness(in)
+		if err == nil || !strings.Contains(err.Error(), "an integer S, or inf or a negative value") {
+			t.Errorf("-staleness %q: got %v, want a refusal naming the accepted spellings", in, err)
 		}
 	}
 }

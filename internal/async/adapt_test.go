@@ -103,49 +103,21 @@ func TestAdaptiveAIMDRelievesGateWaits(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDriftRespectsBudget: the drift policy's bound can never
-// exceed its cap, so neither can any observed staleness lead.
-func TestAdaptiveDriftRespectsBudget(t *testing.T) {
-	const cap = 3
-	pol, err := adapt.Drift(cap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := Run(quietCluster(), counter(4, 40, heteroOps), Options{Adapt: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged {
-		t.Fatal("not converged")
-	}
-	if stats.StalenessMax > cap {
-		t.Fatalf("StalenessMax %d exceeds the drift cap %d", stats.StalenessMax, cap)
-	}
-	if stats.MaxLead > cap {
-		t.Fatalf("MaxLead %d exceeds the drift cap %d", stats.MaxLead, cap)
-	}
-	if stats.AdaptCuts == 0 {
-		t.Fatalf("drift never cut a bound on a straggler workload: %+v", stats)
-	}
-}
-
 // TestAdaptiveDeterministic: adaptive runs replay exactly — the
 // controller's decisions ride the deterministic event order, so the
 // whole trajectory (raises, cuts, mean, durations) is a pure function
 // of the configuration even with stragglers and transient failures on.
 func TestAdaptiveDeterministic(t *testing.T) {
-	cfg := noisyCluster()
-	for _, pol := range []adapt.Policy{adapt.AIMDDefault(), adapt.DriftDefault()} {
-		run := func() *RunStats {
-			stats, err := Run(cluster.New(cfg), counter(5, 30, heteroOps), Options{Adapt: pol})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return stats
+	cfg, pol := noisyCluster(), adapt.AIMDDefault()
+	run := func() *RunStats {
+		stats, err := Run(cluster.New(cfg), counter(5, 30, heteroOps), Options{Adapt: pol})
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := run(), run()
-		statsEqual(t, pol.String()+"/replay", a, b)
+		return stats
 	}
+	a, b := run(), run()
+	statsEqual(t, pol.String()+"/replay", a, b)
 }
 
 // TestAdaptiveParallelParity is the engine-level determinism contract
@@ -154,7 +126,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // parallel executor must reproduce the DES bit for bit while actually
 // speculating. CI runs this under -race -cpu 1,4.
 func TestAdaptiveParallelParity(t *testing.T) {
-	policies := []adapt.Policy{adapt.AIMDDefault(), adapt.DriftDefault()}
+	policies := []adapt.Policy{adapt.AIMDDefault()}
 	if twitchy, err := adapt.AIMD(0, 3, 1); err != nil {
 		t.Fatal(err)
 	} else {
@@ -191,21 +163,20 @@ func TestAdaptiveParallelParity(t *testing.T) {
 // both executors must agree on every counter and on the converged
 // state.
 func TestAdaptiveCrashParity(t *testing.T) {
+	pol := adapt.AIMDDefault()
 	for _, base := range parityClusters() {
 		cfg := crashyCluster(base, 3*simtime.Second)
-		for _, pol := range []adapt.Policy{adapt.AIMDDefault(), adapt.DriftDefault()} {
-			run := func(ex Executor) ([]int64, *RunStats) {
-				return runRecCounter(t, cfg, Options{Adapt: pol, Executor: ex})
-			}
-			desVals, desStats := run(DES)
-			parVals, parStats := run(Parallel)
-			statsEqual(t, cfg.Name+"/"+pol.String()+"/crash", desStats, parStats)
-			if desStats.Crashes == 0 {
-				t.Fatalf("%s/%s: no crashes struck", cfg.Name, pol)
-			}
-			if !reflect.DeepEqual(desVals, parVals) {
-				t.Fatalf("%s/%s: converged state diverged: %v vs %v", cfg.Name, pol, desVals, parVals)
-			}
+		run := func(ex Executor) ([]int64, *RunStats) {
+			return runRecCounter(t, cfg, Options{Adapt: pol, Executor: ex})
+		}
+		desVals, desStats := run(DES)
+		parVals, parStats := run(Parallel)
+		statsEqual(t, cfg.Name+"/"+pol.String()+"/crash", desStats, parStats)
+		if desStats.Crashes == 0 {
+			t.Fatalf("%s/%s: no crashes struck", cfg.Name, pol)
+		}
+		if !reflect.DeepEqual(desVals, parVals) {
+			t.Fatalf("%s/%s: converged state diverged: %v vs %v", cfg.Name, pol, desVals, parVals)
 		}
 	}
 }

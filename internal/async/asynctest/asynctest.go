@@ -76,17 +76,16 @@ var SeriesStats = map[string]bool{
 	"SeriesSamples": true,
 }
 
-// AdaptivePolicies is the policy axis of the differential check: both
-// dynamic controllers at their default parameters, plus a
-// deliberately twitchy aimd (lockstep start, tiny cap, cut after every
-// stalled step) that maximizes mid-run bound changes — the hard case
-// for speculation under dynamic S.
+// AdaptivePolicies is the policy axis of the differential check: aimd
+// at its default parameters, plus a deliberately twitchy aimd (lockstep
+// start, tiny cap, cut after every stalled step) that maximizes mid-run
+// bound changes — the hard case for speculation under dynamic S.
 func AdaptivePolicies() []adapt.Policy {
 	twitchy, err := adapt.AIMD(0, 3, 1)
 	if err != nil {
 		panic(err)
 	}
-	return []adapt.Policy{adapt.AIMDDefault(), adapt.DriftDefault(), twitchy}
+	return []adapt.Policy{adapt.AIMDDefault(), twitchy}
 }
 
 // UndoWorkload is what an adapter hands CheckUndo.

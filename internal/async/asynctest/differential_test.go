@@ -17,7 +17,7 @@ var pinned = []uint64{
 	0x2d,  // cc, Graph A ÷140 by bfs, EC2, the twitchy aimd moving bounds, trace and series, live
 	0x4e,  // pagerank, Graph A ÷280 by bfs, HPC, Fixed(inf) against S=inf, trace, live
 	0xa5,  // kmeans, 4 000 points, cross-rack, lockstep, crashes without checkpoints, trace and series
-	0x90,  // pagerank, multi-component graph by hash, HPC, drift moving bounds, crashes with checkpoints, trace and series
+	0x90,  // pagerank, multi-component graph by hash, HPC, the twitchy aimd moving bounds, crashes with checkpoints, trace and series
 	0xd4,  // sssp, Graph A ÷280 by range, EC2, S=inf, series, live
 	0x65,  // kmeans, 2 000 points, HPC, the twitchy aimd, trace, live
 	0x3e,  // cc, multi-component graph by hash, EC2, S=2, crashes without checkpoints

@@ -7,8 +7,8 @@ package async
 // workload's Step functions on a fixed goroutine pool
 // (internal/workpool: per-worker sharded run queues + work stealing)
 // and *measures* costs as monotonic wall-clock deltas. The versioned
-// store, the partition model with its gate, input read, unseen-input,
-// publish-lag and sampling rules (part.go), and the adaptive controllers
+// store, the partition model with its gate, input read, unseen-input
+// and sampling rules (part.go), and the adaptive controller
 // are reused unchanged — they only ever see simtime.Duration timestamps,
 // which here hold real elapsed seconds since the run started instead of
 // virtual time. So are the canonical points of a partition's loop (gate

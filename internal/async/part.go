@@ -339,17 +339,10 @@ func (r *run[D]) released(p int, woken []int) []int {
 
 // signal is the controller's canonical step signal, once p's step is
 // priced, published and checkpointed; a bound change is charged to *t.
-// Only policies that want the publish lag pay its neighbor scan. The lag
-// is read with p's publication in the store, so in virtual time every
-// decision is executor-independent.
 //
 //async:sched-only
 func (r *run[D]) signal(p int, published bool, t *simtime.Duration) {
-	lag := 0
-	if r.ctrl.NeedsLag() {
-		lag = publishLag(r.store, &r.parts[p])
-	}
-	if r.ctrl.StepDone(p, published, lag) {
+	if r.ctrl.StepDone(p, published) {
 		r.boundMoved(p, t)
 	}
 }
@@ -453,18 +446,6 @@ func firstUnseen[D any](store *Store[D], pt *part) (at simtime.Duration, unseen 
 		}
 	}
 	return at, unseen
-}
-
-// publishLag is the largest number of published-but-unconsumed versions
-// across the partitions pt reads: the drift policy's signal.
-func publishLag[D any](store *Store[D], pt *part) int {
-	lag := 0
-	for j, q := range pt.neighbors {
-		if l := store.Latest(q) - pt.consumed[j]; l > lag {
-			lag = l
-		}
-	}
-	return lag
 }
 
 // sampler records the run's time-series (Options.Series) from the

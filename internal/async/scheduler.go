@@ -119,11 +119,11 @@ type Options struct {
 	// Adapt selects the adaptive staleness-control policy
 	// (internal/adapt): the per-worker feedback controller that
 	// re-schedules each worker's effective bound from observed gate
-	// waits, progress stalls, and publish lag. nil keeps the static
+	// waits and progress stalls. nil keeps the static
 	// bound Staleness for the whole run (equivalent to
 	// adapt.Fixed(Staleness), bit for bit); with a non-nil policy,
-	// Staleness is ignored — the policy's Init defines every worker's
-	// starting bound.
+	// Staleness is ignored — the policy sets every worker's starting
+	// bound.
 	Adapt adapt.Policy
 	// Trace, when non-nil, records the run's structured event stream
 	// (internal/trace): step/gate/publish/speculation/fault/adapt

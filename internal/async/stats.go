@@ -1,22 +1,18 @@
 package async
 
-// RunStats rendering: the one full-fidelity textual and JSON view of a
-// run, used by `asyncmr run` instead of hand-formatted subsets. Every
-// exported field appears in both renderings — pinned by a
-// field-coverage test mirroring the asynctest parity harness's
-// field-drift test, so a counter added to RunStats cannot silently
-// stay invisible.
+// RunStats rendering: the one full-fidelity textual view of a run, used
+// by `asyncmr run` instead of hand-formatted subsets. Every exported
+// field appears in it — pinned by a field-coverage test mirroring the
+// asynctest parity harness's field-drift test, so a counter added to
+// RunStats cannot silently stay invisible.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
 // String renders every RunStats field as a compact multi-line block.
-// PerWorkerSteps is summarized (count/min/mean/max) — the full vector
-// is available via WriteJSON.
+// PerWorkerSteps is summarized (count/min/max).
 func (s *RunStats) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "RunStats{\n")
@@ -53,14 +49,4 @@ func (s *RunStats) String() string {
 		s.SeriesTicks, s.SeriesSamples)
 	fmt.Fprintf(&sb, "}")
 	return sb.String()
-}
-
-// WriteJSON writes the stats as one indented JSON object. Every
-// exported field marshals under its Go name (RunStats carries no json
-// tags by design: the reflection-based parity and coverage tests key
-// on field names, and so does the emitted JSON).
-func (s *RunStats) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -1,7 +1,6 @@
 package async
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,38 +45,5 @@ func TestStatsStringCoversEveryField(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("RunStats.String() does not mention field %s:\n%s", name, out)
 		}
-	}
-}
-
-// TestStatsJSONCoversEveryField pins the JSON rendering the same way:
-// every exported field must round-trip under its Go name.
-func TestStatsJSONCoversEveryField(t *testing.T) {
-	s := nonzeroStats(t)
-	var sb strings.Builder
-	if err := s.WriteJSON(&sb); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &m); err != nil {
-		t.Fatalf("WriteJSON emitted invalid JSON: %v\n%s", err, sb.String())
-	}
-	rt := reflect.TypeOf(*s)
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if _, ok := m[name]; !ok {
-			t.Errorf("WriteJSON output has no key %q:\n%s", name, sb.String())
-		}
-	}
-	if len(m) != rt.NumField() {
-		t.Errorf("WriteJSON emitted %d keys, RunStats has %d exported fields", len(m), rt.NumField())
-	}
-
-	// Round-trip: the JSON view must decode back to the same stats.
-	var back RunStats
-	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
-		t.Fatalf("decoding WriteJSON output: %v", err)
-	}
-	if !reflect.DeepEqual(*s, back) {
-		t.Errorf("JSON round-trip diverged:\nin:  %+v\nout: %+v", *s, back)
 	}
 }

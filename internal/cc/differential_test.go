@@ -21,7 +21,7 @@ func TestAsyncFixedPolicyIdentity(t *testing.T)        { check(t, 0x6a, "fixed")
 
 func TestAsyncCrashParity(t *testing.T) {
 	check(t, 0x44, "crash")             // multi-component graph by multilevel, cross-rack, Fixed(0)
-	check(t, 0x2bb, "crash+checkpoint") // Graph A ÷140 by multilevel, HPC, aimd, every 3 steps
+	check(t, 0x2bb, "crash+checkpoint") // Graph A ÷140 by multilevel, HPC, twitchy aimd, every 3 steps
 }
 
 func TestAsyncLiveMatchesDES(t *testing.T) { check(t, 0x189, "live:cc") }          // Graph A ÷280 by hash, EC2, S=1, 4 workers

@@ -178,15 +178,11 @@ func Generate(cfg GenerateConfig) (*Graph, error) {
 				for f == 0 {
 					f = rng.Float64()
 				}
-				d := int(float64(window) * math.Pow(f, -1/alpha))
-				if d < 1 {
-					d = 1
-				}
-				if d >= v {
-					d = v - 1 // clamp reach to the oldest vertex
-				}
-				if d < 1 {
-					d = 1
+				// Clamp before converting: a heavy tail's draw can exceed
+				// every int, and the conversion would wrap it negative.
+				d := v - 1 // reach back to the oldest vertex
+				if x := float64(window) * math.Pow(f, -1/alpha); x < float64(v) {
+					d = max(int(x), 1)
 				}
 				u = NodeID(v - 1 - rng.Intn(d)) // uniform within the drawn reach
 			} else {

@@ -203,6 +203,25 @@ func TestGenerateHeavyTailed(t *testing.T) {
 	}
 }
 
+// TestGenerateHeavyTailReachesBack: a locality draw too far back for an
+// int clamps to the oldest vertex. A tail exponent this small makes about
+// one draw in seven exceed every int; converting such a draw before the
+// clamp wrapped it negative, and the edge landed on the nearest vertex.
+func TestGenerateHeavyTailReachesBack(t *testing.T) {
+	g := MustGenerate(GenerateConfig{Nodes: 20000, NumConn: 1, LocalityBias: 1, LocalityWindow: 50, LocalityAlpha: 0.05, Seed: 7})
+	near := 0
+	for v := 3; v < g.NumNodes(); v++ {
+		for _, u := range g.Out[v] {
+			if int(u) == v-1 {
+				near++
+			}
+		}
+	}
+	if limit := g.NumNodes() / 50; near >= limit {
+		t.Fatalf("%d of %d edges land on the joining vertex's predecessor, want under %d", near, g.NumEdges(), limit)
+	}
+}
+
 func TestGenerateValidation(t *testing.T) {
 	bad := []GenerateConfig{
 		{Nodes: 1, NumConn: 1},

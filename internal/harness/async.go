@@ -29,37 +29,28 @@ func (s *Suite) withCrashes(preset *cluster.Config) *cluster.Config {
 	return &c
 }
 
-// asyncOptions assembles the suite's async run options: staleness bound
-// (or the adaptive staleness-control policy, when one is set), executor
-// and pool size (-parallel, -workers) and the checkpoint policy of the
-// crash fault model (-ckpt).
+// asyncOptions assembles the suite's async run options: staleness bound,
+// executor and pool size (-parallel, -workers) and the checkpoint policy
+// of the crash fault model (-ckpt).
 func (s *Suite) asyncOptions() async.Options {
 	return async.Options{
 		Staleness:  s.AsyncStaleness,
 		Executor:   s.AsyncExecutor,
 		Workers:    s.AsyncWorkers,
 		Checkpoint: s.CheckpointPolicy,
-		Adapt:      s.AdaptPolicy,
 	}
 }
 
 // fixedBound is asyncOptions at the static bound sv, for the sweeps whose
-// axis is the bound: a suite-level adaptive policy would override sv and
-// flatten every point into the same run.
+// axis is the bound.
 func (s *Suite) fixedBound(sv int) async.Options {
 	opt := s.asyncOptions()
-	opt.Staleness, opt.Adapt = sv, nil
+	opt.Staleness = sv
 	return opt
 }
 
-// asyncLabel names the suite's async configuration for figure series:
-// the static bound, or the adaptive policy when one is set.
-func (s *Suite) asyncLabel() string {
-	if s.AdaptPolicy != nil {
-		return fmt.Sprintf("Async(%s)", s.AdaptPolicy)
-	}
-	return "Async(S=" + boundName(s.AsyncStaleness) + ")"
-}
+// asyncLabel names the suite's async configuration for figure series.
+func (s *Suite) asyncLabel() string { return "Async(S=" + boundName(s.AsyncStaleness) + ")" }
 
 // boundName spells a staleness bound; negative is unbounded.
 func boundName(sv int) string {
@@ -277,21 +268,17 @@ func (s *Suite) recorded(w *Workload, in *Inputs, opt async.Options, live bool) 
 }
 
 // stalenessSpelling is the human spelling of the suite's async staleness
-// configuration: a bound like "4" or "unbounded", or the adaptive policy.
+// bound: "4" or "unbounded".
 func (s *Suite) stalenessSpelling() string {
-	switch {
-	case s.AdaptPolicy != nil:
-		return s.AdaptPolicy.String()
-	case s.AsyncStaleness < 0:
+	if s.AsyncStaleness < 0 {
 		return "unbounded"
 	}
 	return strconv.Itoa(s.AsyncStaleness)
 }
 
 // RenderWorkloadRows writes the RunWorkloads result as an aligned
-// table. staleness is the human spelling of the async staleness
-// configuration (a bound like "4" or "unbounded", or an adaptive
-// policy like "adaptive:aimd"); it only decorates async-mode titles.
+// table. staleness is the human spelling of the async staleness bound
+// ("4" or "unbounded"); it only decorates async-mode titles.
 func RenderWorkloadRows(w io.Writer, rows []WorkloadRow, staleness string) {
 	if len(rows) == 0 {
 		return

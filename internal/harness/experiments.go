@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/adapt"
 	"repro/internal/async"
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -31,10 +30,6 @@ type Suite struct {
 	// and workload runs: 0 is lockstep, negative is unbounded
 	// free-running. NewSuite initializes it to DefaultStaleness.
 	AsyncStaleness int
-	// AdaptPolicy is the adaptive staleness-control policy for async
-	// runs (internal/adapt; nil = the static AsyncStaleness bound). The
-	// CLI's -staleness adaptive:POLICY syntax sets it.
-	AdaptPolicy adapt.Policy
 	// AsyncExecutor selects how async runs execute worker steps:
 	// async.DES (default) is the sequential deterministic simulation;
 	// async.Parallel overlaps steps on real goroutines with identical

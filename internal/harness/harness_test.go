@@ -398,61 +398,6 @@ func TestStalenessSweepCluE(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSweepRuns drives the fixed-vs-adaptive staleness sweep on
-// the cross-rack cluster: both controller families must actually move
-// bounds, stay exact to the sweep's lockstep fixed point within the
-// suite's tolerance, and spend less gate-wait time than fixed lockstep
-// while spending fewer stale steps than free-running.
-func TestAdaptiveSweepRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep")
-	}
-	r := ran(t, "adaptive")
-	s, f := r.suite, r.figs[0]
-	labels := AdaptiveSweepLabels()
-	if len(f.Series) != 4 || len(f.Series[0].Y) != len(labels) {
-		t.Fatalf("bad adaptive sweep shape: %+v", f.Series)
-	}
-	if !strings.Contains(f.Title, "xrack") {
-		t.Fatalf("adaptive sweep not labelled with its cluster: %q", f.Title)
-	}
-	if s.Cluster.Name != "ec2-8-xlarge" {
-		t.Fatalf("suite cluster not restored: %s", s.Cluster.Name)
-	}
-	rows, err := s.AdaptiveSweep(s.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string]AdaptiveSweepRow{}
-	for _, r := range rows {
-		byLabel[r.Label] = r
-	}
-	lockstep, free := byLabel["S=0"], byLabel["S=inf"]
-	for _, name := range []string{"aimd", "drift"} {
-		r, ok := byLabel[name]
-		if !ok {
-			t.Fatalf("sweep missing the %s row", name)
-		}
-		if !r.Stats.Converged {
-			t.Fatalf("%s did not converge", name)
-		}
-		if r.Stats.AdaptRaises+r.Stats.AdaptCuts == 0 {
-			t.Fatalf("%s never moved a bound: %+v", name, r.Stats)
-		}
-		if r.RankDrift > 2e-3 {
-			t.Fatalf("%s drifted %g from the lockstep fixed point", name, r.RankDrift)
-		}
-		if r.Stats.GateWaitTime >= lockstep.Stats.GateWaitTime {
-			t.Fatalf("%s gate-wait time %v not below fixed lockstep's %v",
-				name, r.Stats.GateWaitTime, lockstep.Stats.GateWaitTime)
-		}
-		if r.Stats.MeanSteps >= free.Stats.MeanSteps {
-			t.Fatalf("%s mean steps %.1f not below free-running's %.1f",
-				name, r.Stats.MeanSteps, free.Stats.MeanSteps)
-		}
-	}
-}
-
 // TestFigureLocalSweeps: at the bound async PageRank steps with by
 // default, no cell of the grid converges later in virtual time than full
 // local convergence does.

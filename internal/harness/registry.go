@@ -139,16 +139,6 @@ var experiments = []*Experiment{
 		Run: func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) {
 			return one(s.StalenessSweep(cluster.CluECluster()))
 		}},
-	{Names: []string{"adaptive"}, Help: "every fixed bound against the aimd and drift per-worker controllers, on the cross-rack cluster",
-		Flags: sweptBoundFlags,
-		Run: func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) {
-			return one(s.FigureAdaptive(cluster.EC2CrossRackCluster()))
-		}},
-	{Names: []string{"adaptiveclue"}, Help: "the fixed-vs-adaptive sweep on the 460-node CluE model",
-		Flags: sweptBoundFlags,
-		Run: func(s *Suite, _ string, _ io.Writer) ([]*Figure, error) {
-			return one(s.FigureAdaptive(cluster.CluECluster()))
-		}},
 	{Names: []string{"localsweeps"}, Help: "async PageRank's bound on local sweeps per step: sim_s at q = full, 10..1 on four presets x S = 0, 4, inf, and the bound the rule picks",
 		Flags: []string{"parallel", "workers"},
 		Run:   func(s *Suite, _ string, w io.Writer) ([]*Figure, error) { return one(s.FigureLocalSweeps(w)) }},

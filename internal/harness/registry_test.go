@@ -31,8 +31,6 @@ var experimentGoldens = map[string]uint64{
 	"staleness":     0xe6d51ba85838b87a,
 	"stalenessx":    0x9cf19907f1eff11e,
 	"stalenessclue": 0xfd48ffb87cf22f46,
-	"adaptive":      0x99d31dc1fcee2ed3,
-	"adaptiveclue":  0x7d52d860668afa03,
 	"localsweeps":   0x750b3d5b8b56e045,
 	"recovery":      0x6b23f6641fda9f87,
 }

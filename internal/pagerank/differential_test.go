@@ -20,10 +20,10 @@ func TestAsyncAdaptiveParity(t *testing.T)             { check(t, 0x96, "moved:a
 func TestAsyncFixedPolicyIdentity(t *testing.T)        { check(t, 0x28d, "fixed") }             // Fixed(4) on the multi-component graph by hash, EC2, live
 
 func TestAsyncCrashParity(t *testing.T) {
-	check(t, 0x221, "crash")            // Graph A ÷140 by hash, noisy EC2, drift
+	check(t, 0x221, "crash")            // Graph A ÷140 by hash, noisy EC2, aimd
 	check(t, 0x23a, "crash+checkpoint") // multi-component graph by range, HPC, every 3 steps
 }
 
 func TestAsyncLiveMatchesDES(t *testing.T) { check(t, 0xa0, "live:pagerank") }           // Graph A ÷140 by hash, noisy EC2, S=4
-func TestAsyncTraceInert(t *testing.T)     { check(t, 0xf8, "trace", "live:pagerank") }  // multi-component graph by range, HPC, drift
+func TestAsyncTraceInert(t *testing.T)     { check(t, 0xf8, "trace", "live:pagerank") }  // multi-component graph by range, HPC, aimd
 func TestAsyncSeriesInert(t *testing.T)    { check(t, 0x71, "series", "live:pagerank") } // multi-component graph by range, EC2, twitchy aimd

@@ -59,15 +59,6 @@ func MaxOver(ds []Duration) Duration {
 	return m
 }
 
-// SumOver returns the total of ds, the virtual time of a serial schedule.
-func SumOver(ds []Duration) Duration {
-	var s Duration
-	for _, d := range ds {
-		s += d
-	}
-	return s
-}
-
 // MakespanLPT computes the completion time of scheduling the given task
 // durations onto `slots` identical parallel servers using longest
 // processing time first — the classic 4/3-approximation. The MapReduce
@@ -79,7 +70,11 @@ func MakespanLPT(tasks []Duration, slots int) Duration {
 		return 0
 	}
 	if slots <= 1 {
-		return SumOver(tasks)
+		var s Duration
+		for _, t := range tasks {
+			s += t
+		}
+		return s
 	}
 	sorted := append([]Duration(nil), tasks...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })

@@ -27,15 +27,17 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
+// TestMaxSumOver: MaxOver is the makespan of tasks in parallel, and
+// MakespanLPT on one slot their sum, the serial schedule.
 func TestMaxSumOver(t *testing.T) {
 	ds := []Duration{3, 1, 2}
 	if MaxOver(ds) != 3 {
 		t.Fatalf("MaxOver = %v", MaxOver(ds))
 	}
-	if SumOver(ds) != 6 {
-		t.Fatalf("SumOver = %v", SumOver(ds))
+	if got := MakespanLPT(ds, 1); got != 6 {
+		t.Fatalf("MakespanLPT(1 slot) = %v", got)
 	}
-	if MaxOver(nil) != 0 || SumOver(nil) != 0 {
+	if MaxOver(nil) != 0 || MakespanLPT(nil, 1) != 0 {
 		t.Fatal("empty aggregates should be zero")
 	}
 }

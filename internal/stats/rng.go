@@ -80,14 +80,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomly reorders the n elements addressed by swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Split derives an independent child generator. Deriving children lets
 // concurrent workloads draw reproducible streams without sharing a
 // generator (RNG is not safe for concurrent use).

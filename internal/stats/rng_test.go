@@ -115,25 +115,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := NewRNG(5)
-	a := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	orig := append([]int(nil), a...)
-	r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-	counts := map[int]int{}
-	for _, v := range a {
-		counts[v]++
-	}
-	for _, v := range orig {
-		counts[v]--
-	}
-	for k, c := range counts {
-		if c != 0 {
-			t.Fatalf("element %d count off by %d after shuffle", k, c)
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(3)
 	child := parent.Split()
