@@ -31,9 +31,9 @@
 // worker crashes as a Poisson process with the given mean time to
 // failure in simulated seconds, losing its in-memory state and
 // recovering by checkpoint restore + deterministic replay. -ckpt picks
-// the checkpoint policy: none (default), steps:K (every K steps) or
-// interval:SECONDS (virtual time). Both apply to `run` and the async
-// figures; the `recovery` experiment sweeps them itself.
+// the checkpoint policy: none (default) or steps:K (every K steps; a
+// bare K means the same). Both apply to `run` and the async figures;
+// the `recovery` experiment sweeps them itself.
 //
 // -trace records a structured event trace of each async/live workload
 // in `run` (internal/trace; tracing is inert — results are
@@ -46,15 +46,15 @@
 //
 // -series records a deterministic time series of each async/live
 // workload in `run` (internal/metrics; sampling is inert — results are
-// bit-identical with it on) and writes one series file per workload,
+// bit-identical with it on) and writes one CSV file per workload,
 // splicing the workload name before the extension ("out.csv" ->
-// "out.pagerank.csv"; a .csv extension selects the CSV writer, anything
-// else JSON). Each workload first runs an unsampled probe to size the
-// sampling grid from its duration.
+// "out.pagerank.csv"); a path without the .csv extension is refused.
+// Each workload first runs an unsampled probe to size the sampling grid
+// from its duration.
 //
 // -metrics-addr serves the sampled series over HTTP while `run`
 // executes: GET /metrics is a Prometheus text-format snapshot of the
-// latest sample, GET /series.json the full series so far (the workload
+// latest sample, GET /series.csv the full series so far (the workload
 // currently running; each workload swaps its sampler in as it starts).
 // After the experiment the process lingers and keeps serving until
 // interrupted, so the final series stays scrapeable. Implies sampling
@@ -77,6 +77,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -103,13 +104,13 @@ func main() {
 	mttf := flag.Float64("mttf", 0,
 		"worker-crash mean time to failure in simulated seconds for async runs; 0 disables crashes")
 	ckpt := flag.String("ckpt", "none",
-		"worker checkpoint policy for async runs: none, steps:K or interval:SECONDS")
+		"worker checkpoint policy for async runs: none or steps:K")
 	traceOut := flag.String("trace", "",
 		"record an event trace of each async/live workload in 'run' and write Chrome trace-event files at this path (workload name spliced before the extension)")
 	seriesOut := flag.String("series", "",
-		"record a deterministic time series of each async/live workload in 'run' and write one series file per workload at this path (workload name spliced before the extension; .csv = CSV, else JSON)")
+		"record a deterministic time series of each async/live workload in 'run' and write one series file per workload at this path (a .csv path; workload name spliced before the extension)")
 	metricsAddr := flag.String("metrics-addr", "",
-		"serve the sampled series over HTTP at this address during 'run' (/metrics Prometheus text, /series.json full series) and linger after the experiment; implies sampling")
+		"serve the sampled series over HTTP at this address during 'run' (/metrics Prometheus text, /series.csv full series) and linger after the experiment; implies sampling")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	flag.Usage = func() {
@@ -123,7 +124,7 @@ func main() {
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := cmp.Or(refuseIgnored(flag.Arg(0), *mode, set), refuseBadValues(*scale, *workers, *mttf)); err != nil {
+	if err := cmp.Or(refuseIgnored(flag.Arg(0), *mode, set), refuseBadValues(*scale, *workers, *mttf, *seriesOut)); err != nil {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 		os.Exit(2)
 	}
@@ -182,22 +183,28 @@ func main() {
 		}()
 	}
 
+	var cpuFile *os.File
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 			os.Exit(1)
 		}
+		cpuFile = f
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	err := run(s, flag.Arg(0), *mode, os.Stdout)
-	if *cpuprofile != "" {
+	var profErr error
+	if cpuFile != nil {
 		pprof.StopCPUProfile()
+		if cerr := cpuFile.Close(); cerr != nil {
+			profErr = cerr
+			fmt.Fprintf(os.Stderr, "asyncmr: cpuprofile: %v\n", cerr)
+		}
 	}
-	var memErr error
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
 		if merr == nil {
@@ -208,14 +215,14 @@ func main() {
 			}
 		}
 		if merr != nil {
-			memErr = merr
+			profErr = merr
 			fmt.Fprintf(os.Stderr, "asyncmr: memprofile: %v\n", merr)
 		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asyncmr: %v\n", err)
 	}
-	if err != nil || memErr != nil {
+	if err != nil || profErr != nil {
 		os.Exit(1)
 	}
 	if *metricsAddr != "" {
@@ -289,8 +296,10 @@ func refuseIgnored(what, mode string, set []string) error {
 // word: harness.NewSuite reads a -scale below 1 as 1, paper-size inputs
 // that take minutes where -scale 8 takes seconds, the executors read
 // a negative -workers as GOMAXPROCS, and the harness reads a negative
-// -mttf as no crashes; a NaN -mttf is no mean at all.
-func refuseBadValues(scale, workers int, mttf float64) error {
+// -mttf as no crashes; a NaN -mttf is no mean at all. A -series path
+// must end in .csv, the one format the series is written in, so no run
+// starts only to write CSV under another name.
+func refuseBadValues(scale, workers int, mttf float64, series string) error {
 	switch {
 	case scale < 1:
 		return fmt.Errorf("-scale %d: the divisor is 1 (paper-size inputs) or more", scale)
@@ -298,6 +307,8 @@ func refuseBadValues(scale, workers int, mttf float64) error {
 		return fmt.Errorf("-workers %d: the cap is 0 (GOMAXPROCS) or more", workers)
 	case !(mttf >= 0):
 		return fmt.Errorf("-mttf %g: the mean is 0 (no crashes) or more", mttf)
+	case series != "" && filepath.Ext(series) != ".csv":
+		return fmt.Errorf("-series %s: the series is written as CSV; name a .csv file", series)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/harness"
+	"repro/internal/recovery"
 )
 
 // testSuite is the harness tests' heavy scale reduction: the dispatch is
@@ -212,12 +213,39 @@ func TestBadFlagValuesRefused(t *testing.T) {
 		{32, 4, 0, ""},
 		{8, 0, 30, ""},
 	} {
-		err := refuseBadValues(c.scale, c.workers, c.mttf)
+		err := refuseBadValues(c.scale, c.workers, c.mttf, "")
 		switch {
 		case c.refused == "" && err != nil:
 			t.Errorf("-scale %d -workers %d -mttf %g: refused: %v", c.scale, c.workers, c.mttf, err)
 		case c.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refused+":") || !strings.Contains(err.Error(), "or more")):
 			t.Errorf("-scale %d -workers %d -mttf %g: got %v, want %q refused with the accepted range", c.scale, c.workers, c.mttf, err, c.refused)
+		}
+	}
+}
+
+// TestCheckpointAndSeriesSpellings: -ckpt checkpoints every K steps or
+// never, so a virtual-time interval is refused with the spellings it
+// accepts; -series writes CSV only, so a path of another extension is
+// refused before any run starts.
+func TestCheckpointAndSeriesSpellings(t *testing.T) {
+	for _, in := range []string{"none", "steps:8", "8"} {
+		if _, err := recovery.ParsePolicy(in); err != nil {
+			t.Errorf("-ckpt %s: %v", in, err)
+		}
+	}
+	_, err := recovery.ParsePolicy("interval:5")
+	if err == nil || !strings.Contains(err.Error(), "none") || !strings.Contains(err.Error(), "steps:K") {
+		t.Errorf("-ckpt interval:5: got %v, want a refusal naming none and steps:K", err)
+	}
+	for _, path := range []string{"out.csv", "dir/run.csv", ""} {
+		if err := refuseBadValues(8, 0, 0, path); err != nil {
+			t.Errorf("-series %q: refused: %v", path, err)
+		}
+	}
+	for _, path := range []string{"out.json", "out", "out.csv.gz"} {
+		err := refuseBadValues(8, 0, 0, path)
+		if err == nil || !strings.HasPrefix(err.Error(), "-series "+path+":") || !strings.Contains(err.Error(), ".csv") {
+			t.Errorf("-series %s: got %v, want a refusal naming the .csv requirement", path, err)
 		}
 	}
 }

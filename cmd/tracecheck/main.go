@@ -5,10 +5,9 @@
 // must satisfy the per-phase schema — metadata records carry no
 // timestamp, spans have non-negative ts/dur, instants a known scope.
 //
-// With -series it instead validates time-series files emitted by
-// `asyncmr -series` (internal/metrics, CSV or JSON; the format is
-// sniffed from the content): header/field shape, monotone ticks and
-// times, and per-sample invariants.
+// With -series it instead validates the CSV time-series files emitted
+// by `asyncmr -series` (internal/metrics): header/field shape, monotone
+// ticks and times, and per-sample invariants.
 //
 // Usage:
 //

@@ -102,9 +102,6 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 	// schedules crashes or a checkpoint policy is set; either requires
 	// the workload to expose Checkpoint/Restore.
 	k.policy = opt.Checkpoint
-	if k.policy == nil {
-		k.policy = recovery.None()
-	}
 	k.plan = recovery.NewPlan(k.cfg.Seed, n, k.cfg.CrashMTTF)
 	if k.plan.Enabled() || k.policy != recovery.None() {
 		rw, ok := w.(Recoverable[D])
@@ -127,7 +124,7 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 			// step 0.
 			state, ckptBytes := k.rw.Checkpoint(p)
 			st.log = &recovery.Log{}
-			st.log.Commit(state, ckptBytes, 0, st.clock, st.cursors, st.consumed)
+			st.log.Commit(state, ckptBytes, 0, st.cursors, st.consumed)
 		}
 		if at, ok := k.plan.Next(p); ok {
 			k.heap.Push(at, n+p) // crash events: IDs offset by n

@@ -125,7 +125,7 @@ func (k *core[D]) maybeCheckpoint(p int) {
 	if st.log == nil || st.log.Lost() == 0 {
 		return
 	}
-	if !k.policy.Due(st.steps-st.log.Ckpt.Step, st.clock-st.log.Ckpt.At) {
+	if !k.policy.Due(st.steps - st.log.Ckpt.Step) {
 		return
 	}
 	state, bytes := k.rw.Checkpoint(p)
@@ -134,5 +134,5 @@ func (k *core[D]) maybeCheckpoint(p int) {
 	k.stats.Checkpoints++
 	k.stats.CheckpointTime += d
 	k.rec.Emit(trace.KindCheckpoint, p, st.steps, st.clock, bytes, 0, d)
-	st.log.Commit(state, bytes, st.steps, st.clock, st.cursors, st.consumed)
+	st.log.Commit(state, bytes, st.steps, st.cursors, st.consumed)
 }

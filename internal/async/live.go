@@ -133,7 +133,7 @@ func runLive[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, 
 	if mttf := c.Config().CrashMTTF; mttf > 0 {
 		return nil, fmt.Errorf("async: the live executor does not support the crash fault model (CrashMTTF %v); crash schedules and recovery pricing are virtual-time machinery — run DES or parallel", mttf)
 	}
-	if opt.Checkpoint != nil && opt.Checkpoint != recovery.None() {
+	if opt.Checkpoint != recovery.None() {
 		return nil, fmt.Errorf("async: the live executor does not support checkpoint policies (%v); run DES or parallel", opt.Checkpoint)
 	}
 	r, _, err := newRun(c, w, opt)

@@ -174,7 +174,7 @@ func TestCrashParityAcrossExecutors(t *testing.T) {
 	for _, base := range parityClusters() {
 		cfg := crashyCluster(base, 3*simtime.Second)
 		for _, s := range []int{0, 2, Unbounded} {
-			for _, pol := range []recovery.Policy{nil, recovery.EverySteps(3)} {
+			for _, pol := range []recovery.Policy{recovery.None(), recovery.EverySteps(3)} {
 				opt := Options{Staleness: s, Checkpoint: pol}
 				run := func(ex Executor) ([]int64, *RunStats) {
 					o := opt
@@ -236,11 +236,6 @@ func TestCheckpointPolicyTradeoff(t *testing.T) {
 	if lostPer(dense) >= lostPer(none) {
 		t.Fatalf("dense checkpoints did not reduce replay: %.1f lost/recovery vs %.1f without checkpoints",
 			lostPer(dense), lostPer(none))
-	}
-	// Interval policy engages too.
-	_, iv := runRecCounter(t, cfg, Options{Staleness: 2, Checkpoint: recovery.Interval(100 * simtime.Millisecond)})
-	if iv.Checkpoints == 0 {
-		t.Fatalf("interval policy never checkpointed: %+v", iv)
 	}
 }
 

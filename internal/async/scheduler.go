@@ -110,8 +110,8 @@ type Options struct {
 	// GOMAXPROCS). The DES executor ignores it.
 	Workers int
 	// Checkpoint is the worker checkpoint policy of the crash fault
-	// model (nil = recovery.None()). With a non-none policy or a
-	// positive cluster CrashMTTF, the workload must implement
+	// model (the zero value is recovery.None()). With a non-none policy
+	// or a positive cluster CrashMTTF, the workload must implement
 	// Recoverable. With crashes disabled and no policy, the recovery
 	// machinery is fully inert: no journaling, no extra RNG draws, and
 	// results bit-identical to a build without the fault model.

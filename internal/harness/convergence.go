@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/async"
 	"repro/internal/metrics"
@@ -21,8 +20,7 @@ const seriesPoints = 48
 // as a table.
 const convergencePoints = 32
 
-// flushSeries writes one workload's recorded series; the SeriesPath
-// extension picks the format (.csv -> CSV, anything else JSON). A nil
+// flushSeries writes one workload's recorded series as CSV. A nil
 // series (recording off) or empty SeriesPath (hook-only sampling, no
 // files) is a no-op.
 func (s *Suite) flushSeries(ser *metrics.Series, workload string) error {
@@ -34,12 +32,7 @@ func (s *Suite) flushSeries(ser *metrics.Series, workload string) error {
 	if err != nil {
 		return fmt.Errorf("harness: series: %w", err)
 	}
-	var werr error
-	if filepath.Ext(s.SeriesPath) == ".csv" {
-		werr = ser.WriteCSV(f)
-	} else {
-		werr = ser.WriteJSON(f)
-	}
+	werr := ser.WriteCSV(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -12,11 +12,10 @@ import (
 )
 
 // TestRunWorkloadsSeries pins the suite's series plumbing: with
-// SeriesPath set, every async workload writes a valid series file
-// (workload spliced before the extension, format picked by it), and
-// the same sweep re-run unsampled reports identical stats apart from
-// the sampler's own counters — the inertness contract at harness
-// granularity.
+// SeriesPath set, every async workload writes a valid CSV series file
+// (workload spliced before the extension), and the same sweep re-run
+// unsampled reports identical stats apart from the sampler's own
+// counters — the inertness contract at harness granularity.
 func TestRunWorkloadsSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
@@ -55,18 +54,6 @@ func TestRunWorkloadsSeries(t *testing.T) {
 		if n, err := metrics.ValidateSeries(data); err != nil || n == 0 {
 			t.Fatalf("%s: invalid series file (%d samples): %v", r.Workload, n, err)
 		}
-	}
-	// The JSON spelling writes through the other encoder and validates too.
-	s.SeriesPath = filepath.Join(dir, "run.json")
-	if _, err := s.RunWorkloads("async", 2); err != nil {
-		t.Fatalf("json-series run: %v", err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "run.pagerank.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := metrics.ValidateSeries(data); err != nil || n == 0 {
-		t.Fatalf("invalid JSON series (%d samples): %v", n, err)
 	}
 }
 

@@ -43,8 +43,8 @@ type Suite struct {
 	// -mttf flag sets it.
 	CrashMTTF float64
 	// CheckpointPolicy is the worker checkpoint policy for async runs
-	// (nil = none). The CLI's -ckpt flag sets it
-	// (none | steps:K | interval:SECONDS).
+	// (the zero value is none). The CLI's -ckpt flag sets it
+	// (none | steps:K).
 	CheckpointPolicy recovery.Policy
 	// TracePath, when non-empty, attaches an event recorder
 	// (internal/trace) to each async/live workload run and writes one
@@ -55,10 +55,9 @@ type Suite struct {
 	TracePath string
 	// SeriesPath, when non-empty, attaches a time-series sampler
 	// (internal/metrics) to each async/live workload run and writes one
-	// series file per workload, splicing the workload name before the
-	// extension ("out.csv" -> "out.pagerank.csv"; a .csv extension picks
-	// the CSV writer, anything else the JSON one). Each workload first
-	// runs an unsampled probe to size the sampling grid, then reruns
+	// CSV series file per workload, splicing the workload name before
+	// the extension ("out.csv" -> "out.pagerank.csv"). Each workload
+	// first runs an unsampled probe to size the sampling grid, then reruns
 	// sampled — sampling is inert, so the sampled run's stats are the
 	// ones reported. The CLI's -series flag sets it.
 	SeriesPath string

@@ -80,7 +80,7 @@ func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 	// Crash-free baseline: calibrates the MTTF fractions and anchors
 	// the "what does fault tolerance cost" comparison.
 	baseOpt := s.asyncOptions()
-	baseOpt.Checkpoint = nil
+	baseOpt.Checkpoint = recovery.None()
 	clean, err := PageRank.Async(cfg, in, baseOpt)
 	if err != nil {
 		return nil, err
@@ -95,9 +95,7 @@ func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 		var times, ckptT, recT []float64
 		for _, steps := range RecoveryCheckpointSteps {
 			opt := baseOpt
-			if steps > 0 {
-				opt.Checkpoint = recovery.EverySteps(steps)
-			}
+			opt.Checkpoint = recovery.EverySteps(steps)
 			res, err := PageRank.Async(&crashy, in, opt)
 			if err != nil {
 				return nil, err

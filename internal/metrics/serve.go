@@ -12,8 +12,8 @@ import (
 //
 //	GET /metrics      Prometheus text format: the latest sample as
 //	                  gauges plus the run's cumulative counters
-//	GET /series.json  the full retained series, byte-identical to
-//	                  Series.WriteJSON
+//	GET /series.csv   the full retained series, byte-identical to
+//	                  Series.WriteCSV
 //
 // The handler only reads through the Series mutex; it spawns no
 // goroutines and reads no clocks (the caller owns the http.Server and
@@ -24,9 +24,9 @@ func Handler(s *Series) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writeProm(w, s)
 	})
-	mux.HandleFunc("/series.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.WriteJSON(w)
+	mux.HandleFunc("/series.csv", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+		s.WriteCSV(w)
 	})
 	return mux
 }

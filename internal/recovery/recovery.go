@@ -1,6 +1,6 @@
 // Package recovery is the worker-crash fault model of the asynchronous
-// runtime: deterministic per-worker crash sampling, pluggable checkpoint
-// policies, and the per-worker journal that makes a crashed worker
+// runtime: deterministic per-worker crash sampling, a checkpoint every
+// K steps, and the per-worker journal that makes a crashed worker
 // recoverable by deterministic replay.
 //
 // MapReduce's fault tolerance rests on deterministic re-execution of
@@ -33,7 +33,6 @@ package recovery
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -112,56 +111,36 @@ func (p *Plan) draw(w int, from simtime.Duration) simtime.Duration {
 	return from + p.mttf*simtime.Duration(p.rngs[w].ExpFloat64())
 }
 
-// Policy decides when a worker checkpoints its partition state. Due is
-// consulted on the scheduling goroutine after every completed step, with
-// the number of steps and the virtual time elapsed since the last
-// checkpoint; returning true makes the worker pay the checkpoint cost
-// and reset both counters.
-type Policy interface {
-	// Due reports whether a checkpoint should be taken now.
-	Due(stepsSince int, since simtime.Duration) bool
-	// String names the policy for figures and CLI round-trips.
-	String() string
-}
+// Policy decides when a worker checkpoints its partition state: every
+// K completed steps, or never. The zero value is None. Due is consulted
+// on the scheduling goroutine after every completed step with the
+// number of steps since the last checkpoint; returning true makes the
+// worker pay the checkpoint cost and reset the count.
+type Policy struct{ k int }
 
 // None never checkpoints: recovery restores the initial state (the job
 // input, already durable on the DFS) and replays the worker's entire
 // history. The zero-overhead, maximum-recovery-cost end of the trade.
-func None() Policy { return nonePolicy{} }
-
-type nonePolicy struct{}
-
-func (nonePolicy) Due(int, simtime.Duration) bool { return false }
-func (nonePolicy) String() string                 { return "none" }
+func None() Policy { return Policy{} }
 
 // EverySteps checkpoints after every k completed steps. k <= 0 is
-// rejected at parse time; a direct construction with k <= 0 never fires.
-func EverySteps(k int) Policy { return stepsPolicy{k} }
+// rejected at parse time; a direct construction with k <= 0 is None.
+func EverySteps(k int) Policy { return Policy{max(k, 0)} }
 
-type stepsPolicy struct{ k int }
+// Due reports whether a checkpoint should be taken now.
+func (p Policy) Due(stepsSince int) bool { return p.k > 0 && stepsSince >= p.k }
 
-func (p stepsPolicy) Due(steps int, _ simtime.Duration) bool {
-	return p.k > 0 && steps >= p.k
-}
-func (p stepsPolicy) String() string { return fmt.Sprintf("steps:%d", p.k) }
-
-// Interval checkpoints once at least d of virtual time has passed since
-// the last checkpoint (evaluated at step boundaries — workers cannot
-// checkpoint mid-step). d <= 0 never fires.
-func Interval(d simtime.Duration) Policy { return intervalPolicy{d} }
-
-type intervalPolicy struct{ d simtime.Duration }
-
-func (p intervalPolicy) Due(_ int, since simtime.Duration) bool {
-	return p.d > 0 && since >= p.d
-}
-func (p intervalPolicy) String() string {
-	return fmt.Sprintf("interval:%g", float64(p.d))
+// String names the policy for figures and CLI round-trips.
+func (p Policy) String() string {
+	if p.k == 0 {
+		return "none"
+	}
+	return fmt.Sprintf("steps:%d", p.k)
 }
 
-// ParsePolicy round-trips the CLI/figure spelling of a policy:
-// "none", "steps:K" (every K steps), or "interval:SECONDS" (virtual
-// time, finite and positive). A bare integer is shorthand for "steps:K".
+// ParsePolicy round-trips the CLI/figure spelling of a policy: "none"
+// or "steps:K" (every K steps). A bare integer is shorthand for
+// "steps:K".
 func ParsePolicy(s string) (Policy, error) {
 	s = strings.TrimSpace(s)
 	switch {
@@ -170,20 +149,14 @@ func ParsePolicy(s string) (Policy, error) {
 	case strings.HasPrefix(s, "steps:"):
 		k, err := strconv.Atoi(s[len("steps:"):])
 		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("recovery: bad checkpoint policy %q (want steps:K with K >= 1)", s)
+			return None(), fmt.Errorf("recovery: bad checkpoint policy %q (want steps:K with K >= 1)", s)
 		}
 		return EverySteps(k), nil
-	case strings.HasPrefix(s, "interval:"):
-		sec, err := strconv.ParseFloat(s[len("interval:"):], 64)
-		if err != nil || !(sec > 0) || math.IsInf(sec, 1) {
-			return nil, fmt.Errorf("recovery: bad checkpoint policy %q (want interval:SECONDS > 0)", s)
-		}
-		return Interval(simtime.Duration(sec)), nil
 	default:
 		if k, err := strconv.Atoi(s); err == nil && k > 0 {
 			return EverySteps(k), nil
 		}
-		return nil, fmt.Errorf("recovery: unknown checkpoint policy %q (want none, steps:K or interval:SECONDS)", s)
+		return None(), fmt.Errorf("recovery: unknown checkpoint policy %q (want none, steps:K or K)", s)
 	}
 }
 
@@ -215,8 +188,6 @@ type Checkpoint struct {
 	Bytes int64
 	// Step is the worker's step count at the checkpoint.
 	Step int
-	// At is the worker's clock when the checkpoint was taken.
-	At simtime.Duration
 	// Cursors and Consumed are copies of the worker's per-neighbor read
 	// cursors and consumed-version vector at the checkpoint.
 	Cursors  []int
@@ -258,11 +229,10 @@ func (l *Log) ReplayCost() simtime.Duration {
 // after the first.
 //
 //async:sched-only
-func (l *Log) Commit(state any, bytes int64, step int, at simtime.Duration, cursors, consumed []int) {
+func (l *Log) Commit(state any, bytes int64, step int, cursors, consumed []int) {
 	l.Ckpt.State = state
 	l.Ckpt.Bytes = bytes
 	l.Ckpt.Step = step
-	l.Ckpt.At = at
 	l.Ckpt.Cursors = append(l.Ckpt.Cursors[:0], cursors...)
 	l.Ckpt.Consumed = append(l.Ckpt.Consumed[:0], consumed...)
 	l.Steps = l.Steps[:0]

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/simtime"
@@ -75,16 +76,16 @@ func TestPlanMTTFScales(t *testing.T) {
 }
 
 func TestPolicies(t *testing.T) {
-	if None().Due(1000, 1e9) {
+	if None().Due(1000) {
 		t.Fatal("None fired")
 	}
 	p := EverySteps(4)
-	if p.Due(3, 0) || !p.Due(4, 0) || !p.Due(9, 0) {
+	if p.Due(3) || !p.Due(4) || !p.Due(9) {
 		t.Fatal("EverySteps(4) misfired")
 	}
-	q := Interval(10 * simtime.Second)
-	if q.Due(100, 9*simtime.Second) || !q.Due(0, 10*simtime.Second) {
-		t.Fatal("Interval(10s) misfired")
+	var zero Policy
+	if zero != None() || EverySteps(0) != None() || EverySteps(-2) != None() {
+		t.Fatal("the zero policy and EverySteps(k <= 0) must be None")
 	}
 }
 
@@ -92,7 +93,6 @@ func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"", "none"}, {"none", "none"},
 		{"steps:8", "steps:8"}, {"8", "steps:8"},
-		{"interval:2.5", "interval:2.5"},
 	} {
 		p, err := ParsePolicy(tc.in)
 		if err != nil {
@@ -102,7 +102,7 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) = %q, want %q", tc.in, p.String(), tc.want)
 		}
 	}
-	for _, bad := range []string{"steps:0", "steps:x", "interval:-1", "interval:", "interval:NaN", "interval:inf", "interval:-Inf", "weekly", "-3"} {
+	for _, bad := range []string{"steps:0", "steps:x", "interval:5", "interval:2.5", "weekly", "-3"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Fatalf("ParsePolicy(%q) accepted", bad)
 		}
@@ -111,7 +111,7 @@ func TestParsePolicy(t *testing.T) {
 
 func TestLogCommitAndReplay(t *testing.T) {
 	var l Log
-	l.Commit("v0", 64, 0, 0, []int{1, 2}, []int{0, 3})
+	l.Commit("v0", 64, 0, []int{1, 2}, []int{0, 3})
 	l.Record(0, 1*simtime.Second, 2*simtime.Second)
 	l.Record(1, 3*simtime.Second, 4*simtime.Second)
 	if l.Lost() != 2 {
@@ -120,7 +120,7 @@ func TestLogCommitAndReplay(t *testing.T) {
 	if got := l.ReplayCost(); got != 6*simtime.Second {
 		t.Fatalf("ReplayCost = %v", got)
 	}
-	l.Commit("v1", 128, 2, 5*simtime.Second, []int{9, 9}, []int{5, 5})
+	l.Commit("v1", 128, 2, []int{9, 9}, []int{5, 5})
 	if l.Lost() != 0 || l.Ckpt.State != "v1" || l.Ckpt.Step != 2 {
 		t.Fatalf("commit did not truncate: %+v", l)
 	}
@@ -132,7 +132,9 @@ func TestLogCommitAndReplay(t *testing.T) {
 // FuzzParsePolicy: ParsePolicy never panics, every spelling it accepts
 // other than none checkpoints eventually, and every one prints through
 // String as one that re-parses to the same policy. Regressions are
-// committed under testdata/fuzz/FuzzParsePolicy.
+// committed under testdata/fuzz/FuzzParsePolicy; the interval:SECONDS
+// spellings among the inputs must be refused: every K steps is the one
+// cadence.
 func FuzzParsePolicy(f *testing.F) {
 	for _, seed := range []string{"", "none", "steps:8", "8", "+8", "interval:2.5", "interval:1e-300",
 		"interval:0x1p-3", "steps:", "weekly"} {
@@ -143,7 +145,10 @@ func FuzzParsePolicy(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if p != None() && !p.Due(math.MaxInt, simtime.Duration(math.MaxFloat64)) {
+		if strings.HasPrefix(strings.TrimSpace(spec), "interval:") {
+			t.Fatalf("%q accepted as %q; there is no interval cadence", spec, p.String())
+		}
+		if p != None() && !p.Due(math.MaxInt) {
 			t.Fatalf("%q parses to %q, which never checkpoints", spec, p.String())
 		}
 		again, err := ParsePolicy(p.String())
