@@ -73,7 +73,7 @@ func wordCount() {
 		log.Fatal(err)
 	}
 	fmt.Printf("job %q: %d map tasks, %d reduce tasks, %d shuffle records, simulated %v\n",
-		job.Name, res.MapTasks, res.ReduceTasks, res.ShuffleRecords, res.Duration)
+		job.Name, len(res.Maps), len(res.Reduces), res.ShuffleRecords, res.Duration)
 	for _, kv := range res.Output {
 		if kv.Value > 1 {
 			fmt.Printf("  %-16s %d\n", kv.Key, kv.Value)

@@ -67,8 +67,7 @@ func (s *Suite) RecoveryCluster(in *Inputs) *cluster.Config {
 // trade-off: with no checkpoints, recovery replays a worker's whole
 // history and the harsh-MTTF curve blows up; with a checkpoint every
 // step, replay is minimal but the run pays maximal checkpoint
-// overhead; the sweet spot moves toward denser checkpoints as the MTTF
-// shrinks. All runs use the suite's executor — DES and parallel report
+// overhead. All runs use the suite's executor — DES and parallel report
 // identical virtual-time results, crashes included.
 func (s *Suite) FigureRecoverySweep() (*Figure, error) {
 	in, err := s.midGraphA()

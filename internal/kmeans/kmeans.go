@@ -28,6 +28,7 @@ type Config struct {
 	// (Figure 8 sweeps δ over {0.1, 0.01, 0.001, 0.0001}).
 	Threshold float64
 	// MaxLocalIters caps local iterations inside one gmap (0 = none).
+	// It may not be negative.
 	MaxLocalIters int
 	// ReshuffleEvery repartitions the points across global maps every
 	// this many global iterations in the eager formulation, following
@@ -68,6 +69,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("kmeans: K must be >= 1, got %d", c.K)
 	case !(c.Threshold > 0):
 		return fmt.Errorf("kmeans: Threshold must be positive, got %g", c.Threshold)
+	case c.MaxLocalIters < 0:
+		return fmt.Errorf("kmeans: MaxLocalIters must not be negative, got %d", c.MaxLocalIters)
 	}
 	return nil
 }

@@ -192,6 +192,7 @@ func badInputs(t *testing.T) []badInput {
 		{"K=0", pts, 4, Config{K: 0, Threshold: 0.1}},
 		{"zero threshold", pts, 4, Config{K: 4, Threshold: 0}},
 		{"NaN threshold", pts, 4, DefaultConfig(math.NaN())},
+		{"negative MaxLocalIters", pts, 4, Config{K: 4, Threshold: 0.1, MaxLocalIters: -1}},
 		{"no points", nil, 4, DefaultConfig(0.1)},
 		{"zero partitions", pts, 0, DefaultConfig(0.1)},
 		{"ragged dimensions", [][]float64{{1, 2}, {1}}, 1, DefaultConfig(0.1)},

@@ -35,13 +35,16 @@ func (c *TaskContext[K, V]) LocalSync() {
 	c.localSyncs++
 }
 
-// taskStats is the accounting record a finished task attempt hands back
-// to the scheduler.
-type taskStats struct {
-	inRecords  int64
-	inBytes    int64
-	outRecords int64
-	outBytes   int64
-	ops        int64
-	localSyncs int64
+// TaskStats is what one finished task recorded: the counts the cost
+// model prices (Engine.Price). A map task's input is its split; a reduce
+// task's is the records it fetched, whose bytes are not priced.
+type TaskStats struct {
+	InRecords  int64
+	InBytes    int64
+	OutRecords int64
+	OutBytes   int64
+	// Ops is the compute charged (TaskContext.Charge), LocalSyncs the
+	// partial synchronizations (TaskContext.LocalSync).
+	Ops        int64
+	LocalSyncs int64
 }

@@ -27,19 +27,13 @@ func NewEngine(c *cluster.Cluster) *Engine {
 	return &Engine{cluster: c, Parallelism: runtime.GOMAXPROCS(0)}
 }
 
-// Result carries a finished job's output and accounting.
-type Result[K comparable, V any] struct {
-	// Output holds the final records in deterministic order (reduce
-	// partition order, first-seen key order within a partition).
-	Output []KV[K, V]
+// Cost is a job's simulated price (Engine.Price).
+type Cost struct {
 	// Duration is the job's simulated time: job overhead, map wave,
 	// shuffle and reduce wave, one after the other.
 	Duration simtime.Duration
-	// MapTasks and ReduceTasks count executed tasks (successful
-	// attempts); Failures counts failed attempts that were replayed.
-	MapTasks    int
-	ReduceTasks int
-	Failures    int
+	// Failures counts failed attempts that were replayed.
+	Failures int
 	// ShuffleRecords/ShuffleBytes measure the intermediate data volume
 	// that crossed the map→reduce barrier.
 	ShuffleRecords int64
@@ -49,25 +43,33 @@ type Result[K comparable, V any] struct {
 	LocalSyncs int64
 }
 
+// Result carries a finished job's output, what each of its tasks
+// recorded, and their price.
+type Result[K comparable, V any] struct {
+	// Output holds the final records in deterministic order (reduce
+	// partition order, first-seen key order within a partition).
+	Output []KV[K, V]
+	// Maps[i] is map task i's record, Reduces[p] reduce task p's; a
+	// map-only job has no Reduces.
+	Maps, Reduces []TaskStats
+	Cost
+}
+
 // Run executes one job over the given splits and reports its simulated
 // time, priced by the cluster, in Result.Duration. User code runs
 // concurrently on real goroutines; any panic in user code is recovered
 // and returned as an error tagged with the task.
 func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Split[P]) (*Result[K, V], error) {
-	c := e.cluster
-	cfg := c.Config()
-	nReduce, err := job.validate(cfg.ReduceSlots())
+	nReduce, err := job.validate(e.ReduceSlots())
 	if err != nil {
 		return nil, err
 	}
 	if len(splits) == 0 {
 		return nil, fmt.Errorf("mapreduce: job %q has no input splits", job.Name)
 	}
-
 	res := &Result[K, V]{}
-	res.Duration = cfg.JobOverhead
 
-	// --- map phase: real execution -----------------------------------
+	// --- map phase ------------------------------------------------------
 	// Map tasks emit and spill into, and reduce tasks fetch into, buffers
 	// the job keeps from its previous run; nothing in them outlives this
 	// call (Result.Output is a copy no buffer of the job's aliases). A map
@@ -77,8 +79,8 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	sc := job.takeScratch(len(splits), nReduce)
 	defer job.scratch.Store(sc)
 	mapOuts, spills := sc.mapOuts, sc.spills
-	mapStats := make([]taskStats, len(splits))
-	err = e.forEachTask(len(splits), func(i int) error {
+	res.Maps = make([]TaskStats, len(splits))
+	err = e.ForEachTask(len(splits), func(i int) error {
 		sp := &splits[i]
 		ctx := &TaskContext[K, V]{out: mapOuts[i][:0]}
 		job.Map(ctx, *sp)
@@ -91,13 +93,13 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 				return err
 			}
 		}
-		mapStats[i] = taskStats{
-			inRecords:  sp.Records,
-			inBytes:    sp.Bytes,
-			outRecords: int64(len(ctx.out)),
-			outBytes:   recordBytes(job.RecordSize, ctx.out),
-			ops:        ctx.ops,
-			localSyncs: ctx.localSyncs,
+		res.Maps[i] = TaskStats{
+			InRecords:  sp.Records,
+			InBytes:    sp.Bytes,
+			OutRecords: int64(len(ctx.out)),
+			OutBytes:   recordBytes(job.RecordSize, ctx.out),
+			Ops:        ctx.ops,
+			LocalSyncs: ctx.localSyncs,
 		}
 		return nil
 	})
@@ -107,52 +109,20 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q map phase: %w", job.Name, err)
 	}
-	res.MapTasks = len(splits)
-
-	// --- map phase: pricing (deterministic order) --------------------
-	mapDurations := make([]simtime.Duration, len(splits))
-	for i := range mapStats {
-		st := &mapStats[i]
-		d := cfg.TaskOverhead
-		d += c.DFSReadCost(st.inBytes, true)
-		d += simtime.Duration(float64(st.inRecords)) * cfg.MapRecordCost
-		d += simtime.Duration(float64(st.outRecords)) * cfg.EmitCost
-		d += c.ComputeCost(st.ops)
-		d += simtime.Duration(float64(st.localSyncs)) * cfg.LocalSyncOverhead
-		res.LocalSyncs += st.localSyncs
-		if mapOnly {
-			d += c.DFSWriteCost(st.outBytes)
-		}
-		d = simtime.Duration(float64(d) * c.StragglerFactor())
-		attempts, wasted := c.TaskAttempts()
-		if attempts > 1 {
-			res.Failures += attempts - 1
-			d += simtime.Duration(wasted * float64(d))
-		}
-		mapDurations[i] = d
-	}
-	res.Duration += simtime.MakespanLPT(mapDurations, cfg.MapSlots())
-
 	if mapOnly {
+		res.Cost = e.Price(res.Maps, nil)
 		res.Output = sc.takeOutput(mapOuts)
 		return res, nil
 	}
 
-	// --- shuffle: pricing ---------------------------------------------
-	for i := range mapStats {
-		res.ShuffleRecords += mapStats[i].outRecords
-		res.ShuffleBytes += mapStats[i].outBytes
-	}
-	res.Duration += shuffleCost(c, len(splits), nReduce, res.ShuffleBytes)
-
-	// --- reduce phase: real execution ---------------------------------
+	// --- reduce phase ---------------------------------------------------
 	// Reduce task p fetches region p of every spill in map-task order. A
 	// spill's regions keep emission order, so parts[p] is the sequence a
 	// serial shuffle appending each map task's records in turn would have
 	// built, and the grouping and every sum over it come out the same.
 	parts, redOuts := sc.parts, sc.redOuts
-	redStats := make([]taskStats, nReduce)
-	err = e.forEachTask(nReduce, func(p int) error {
+	res.Reduces = make([]TaskStats, nReduce)
+	err = e.ForEachTask(nReduce, func(p int) error {
 		n := 0
 		for i := range spills {
 			n += len(spills[i].region(p))
@@ -169,42 +139,87 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			job.Reduce(ctx, k, g.values(i))
 		}
 		redOuts[p] = ctx.out
-		redStats[p] = taskStats{
-			inRecords:  int64(len(in)),
-			outRecords: int64(len(ctx.out)),
-			outBytes:   recordBytes(job.RecordSize, ctx.out),
-			ops:        ctx.ops,
+		res.Reduces[p] = TaskStats{
+			InRecords:  int64(len(in)),
+			OutRecords: int64(len(ctx.out)),
+			OutBytes:   recordBytes(job.RecordSize, ctx.out),
+			Ops:        ctx.ops,
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q reduce phase: %w", job.Name, err)
 	}
-	res.ReduceTasks = nReduce
-
-	// --- reduce phase: pricing ----------------------------------------
-	redDurations := make([]simtime.Duration, nReduce)
-	for i := range redStats {
-		st := &redStats[i]
-		d := cfg.TaskOverhead
-		d += sortCost(cfg, st.inRecords)
-		d += simtime.Duration(float64(st.inRecords)) * cfg.ReduceRecordCost
-		d += simtime.Duration(float64(st.outRecords)) * cfg.EmitCost
-		d += c.ComputeCost(st.ops)
-		d += c.DFSWriteCost(st.outBytes)
-		d = simtime.Duration(float64(d) * c.StragglerFactor())
-		attempts, wasted := c.TaskAttempts()
-		if attempts > 1 {
-			res.Failures += attempts - 1
-			d += simtime.Duration(wasted * float64(d))
-		}
-		redDurations[i] = d
-	}
-	res.Duration += simtime.MakespanLPT(redDurations, cfg.ReduceSlots())
-
+	res.Cost = e.Price(res.Maps, res.Reduces)
 	res.Output = sc.takeOutput(redOuts)
 	return res, nil
 }
+
+// Price is the cost model of one job whose map tasks recorded maps and
+// whose reduce tasks recorded reduces (none: a map-only job, whose map
+// tasks write their output to the DFS). Each task's price is drawn a
+// straggler factor and an attempt count from the cluster, map tasks
+// first, each in index order, so pricing the same records on an
+// identically seeded cluster gives the same Cost. Run prices every job
+// through it; a caller that computes a job's records without running it
+// prices them here.
+func (e *Engine) Price(maps, reduces []TaskStats) Cost {
+	c := e.cluster
+	cfg := c.Config()
+	mapOnly := len(reduces) == 0
+	cost := Cost{Duration: cfg.JobOverhead}
+	durs := make([]simtime.Duration, max(len(maps), len(reduces)))
+	attempt := func(d simtime.Duration) simtime.Duration {
+		d = simtime.Duration(float64(d) * c.StragglerFactor())
+		attempts, wasted := c.TaskAttempts()
+		if attempts > 1 {
+			cost.Failures += attempts - 1
+			d += simtime.Duration(wasted * float64(d))
+		}
+		return d
+	}
+	for i := range maps {
+		st := &maps[i]
+		d := cfg.TaskOverhead
+		d += c.DFSReadCost(st.InBytes, true)
+		d += simtime.Duration(float64(st.InRecords)) * cfg.MapRecordCost
+		d += simtime.Duration(float64(st.OutRecords)) * cfg.EmitCost
+		d += c.ComputeCost(st.Ops)
+		d += simtime.Duration(float64(st.LocalSyncs)) * cfg.LocalSyncOverhead
+		cost.LocalSyncs += st.LocalSyncs
+		if mapOnly {
+			d += c.DFSWriteCost(st.OutBytes)
+		}
+		durs[i] = attempt(d)
+	}
+	cost.Duration += simtime.MakespanLPT(durs[:len(maps)], cfg.MapSlots())
+	if mapOnly {
+		return cost
+	}
+
+	for i := range maps {
+		cost.ShuffleRecords += maps[i].OutRecords
+		cost.ShuffleBytes += maps[i].OutBytes
+	}
+	cost.Duration += shuffleCost(c, len(maps), len(reduces), cost.ShuffleBytes)
+
+	for i := range reduces {
+		st := &reduces[i]
+		d := cfg.TaskOverhead
+		d += sortCost(cfg, st.InRecords)
+		d += simtime.Duration(float64(st.InRecords)) * cfg.ReduceRecordCost
+		d += simtime.Duration(float64(st.OutRecords)) * cfg.EmitCost
+		d += c.ComputeCost(st.Ops)
+		d += c.DFSWriteCost(st.OutBytes)
+		durs[i] = attempt(d)
+	}
+	cost.Duration += simtime.MakespanLPT(durs[:len(reduces)], cfg.ReduceSlots())
+	return cost
+}
+
+// ReduceSlots is the cluster's reduce slot count: the reduce tasks of a
+// job that leaves NumReduces 0.
+func (e *Engine) ReduceSlots() int { return e.cluster.Config().ReduceSlots() }
 
 // shuffleCost prices the all-to-all intermediate transfer. The aggregate
 // fabric moves totalBytes with per-node NICs as the bottleneck; a
@@ -339,11 +354,12 @@ func combineTaskOutput[P any, K comparable, V any](job *Job[P, K, V], g *grouper
 	ctx.out = out
 }
 
-// forEachTask runs fn(i) for every i in [0,n) on up to Parallelism real
+// ForEachTask runs fn(i) for every i in [0,n) on up to Parallelism real
 // goroutines, the calling one among them, each claiming the next index
-// from a shared counter. A panic in user code becomes that task's error;
-// the other tasks still run, and the first error reported is returned.
-func (e *Engine) forEachTask(n int, fn func(i int) error) error {
+// from a shared counter: the loop every job's tasks run on. A panic in fn
+// becomes that task's error; the other tasks still run, and the first
+// error reported is returned.
+func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

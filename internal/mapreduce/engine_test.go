@@ -139,7 +139,7 @@ func TestMapOnlyJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReduceTasks != 0 || res.ShuffleRecords != 0 {
+	if len(res.Reduces) != 0 || res.ShuffleRecords != 0 {
 		t.Fatalf("map-only job ran reduces: %+v", res)
 	}
 	if len(res.Output) != 2 {
@@ -576,6 +576,42 @@ func TestPanickingTaskIsNamedWhileOthersRun(t *testing.T) {
 		}
 		if ran.Load() != 11 {
 			t.Fatalf("parallelism %d: %d of the 11 healthy tasks ran", parallelism, ran.Load())
+		}
+	}
+}
+
+// TestPriceMatchesRun: pricing the task records a Run reports, on a
+// cluster seeded as the run's was, gives the run's Duration, Failures
+// and the rest of its Cost, for a job with a reduce phase and a map-only
+// one, on a cluster that fails one attempt in five and jitters every
+// task.
+func TestPriceMatchesRun(t *testing.T) {
+	noisy := func() *Engine {
+		cfg := cluster.EC2LargeCluster()
+		cfg.FailureProb, cfg.Seed = 0.2, 7
+		return NewEngine(cluster.New(cfg))
+	}
+	mapOnly := wordCountJob()
+	mapOnly.Reduce = nil
+	splits := textSplits("the quick brown fox", "jumps over", "the lazy dog and the quick cat", "", "a b c d e f g")
+	for _, job := range []*Job[string, string, int]{wordCountJob(), mapOnly} {
+		e, failures := noisy(), 0
+		for run := range 3 { // the draws of each run follow the last's
+			res, err := Run(e, job, splits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := noisy()
+			for range run {
+				p.Price(res.Maps, res.Reduces)
+			}
+			if got := p.Price(res.Maps, res.Reduces); got != res.Cost {
+				t.Fatalf("map-only %v, run %d: priced %+v, Run reported %+v", job.Reduce == nil, run, got, res.Cost)
+			}
+			failures += res.Failures
+		}
+		if failures == 0 {
+			t.Fatalf("map-only %v: no failed attempt in three runs, so the test checks none", job.Reduce == nil)
 		}
 	}
 }

@@ -251,14 +251,14 @@ func (j *Job[P, K, V]) validate(reduceSlots int) (nReduces int, err error) {
 	return j.NumReduces, nil
 }
 
-// defaultRecordSize is what a record costs a job with no RecordSize.
-const defaultRecordSize = 16
+// DefaultRecordSize is what a record costs a job with no RecordSize.
+const DefaultRecordSize = 16
 
 // recordBytes is the size of records by size, or at the default when
 // size is nil.
 func recordBytes[K comparable, V any](size SizeFunc[K, V], records []KV[K, V]) int64 {
 	if size == nil {
-		return defaultRecordSize * int64(len(records))
+		return DefaultRecordSize * int64(len(records))
 	}
 	var bytes int64
 	for _, kv := range records {

@@ -173,8 +173,8 @@ func checkSpillMatchesSerialShuffle(t *testing.T, data []byte) {
 				c, run, res.ShuffleRecords, res.ShuffleBytes, wantRecords, wantBytes)
 		}
 		got := job.scratch.Load().parts
-		if len(got) != c.nReduces || res.ReduceTasks != c.nReduces {
-			t.Fatalf("case %+v, run %d: %d reduce inputs for %d reduce tasks, want %d", c, run, len(got), res.ReduceTasks, c.nReduces)
+		if len(got) != c.nReduces || len(res.Reduces) != c.nReduces {
+			t.Fatalf("case %+v, run %d: %d reduce inputs for %d reduce tasks, want %d", c, run, len(got), len(res.Reduces), c.nReduces)
 		}
 		for p := range want {
 			if !slices.EqualFunc(got[p], want[p], sameRecord) {

@@ -2,15 +2,11 @@ package pagerank
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
-	"repro/internal/partition"
 )
 
 // specPart is the lmap/lreduce reference's own per-partition scratch.
@@ -24,7 +20,8 @@ type specPart struct {
 }
 
 // eagerSpec is the eager gmap as the paper writes it, lmap and lreduce
-// through core.BuildGMap, and the reference eagerMap is held to.
+// through core.BuildGMap, and the reference the native eager run is held
+// to.
 // parts[s] is sub-graph s's scratch.
 func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[*state, int32, int64, float64] {
 	return &core.LocalSpec[*state, int32, int64, float64]{
@@ -83,12 +80,13 @@ func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[
 		// Global emission: every node pushes its rank to all out-links,
 		// internal and cross, aggregated per destination.
 		Output: func(tc *mapreduce.TaskContext[int64, float64], st *state, _ *core.LocalContext[int64, float64]) {
-			pushContributions(tc, st)
+			emitContributions(tc, st)
 		},
 	}
 }
 
-// runSpec runs the eager formulation with eagerSpec as its gmap.
+// runSpec runs the eager formulation as MapReduce jobs through the
+// engine, with eagerSpec as their gmap.
 func runSpec(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config) (*Result, error) {
 	parts := make(map[*graph.SubGraph]*specPart, len(subs))
 	for _, s := range subs {
@@ -98,57 +96,37 @@ func runSpec(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config) (*Res
 		}
 		parts[s] = sp
 	}
-	job := buildJob(cfg, true)
-	job.Map = core.BuildGMap(eagerSpec(cfg, parts))
-	return run(engine, subs, cfg, true, job)
+	return runEngine(engine, subs, cfg, true, buildJob(cfg, core.BuildGMap(eagerSpec(cfg, parts))))
 }
 
-// TestEagerMatchesSpec: eager PageRank's pull-plan sweeps give the ranks
-// and the run statistics (iteration counts, local synchronizations,
-// shuffle volume, simulated time to the bit) that lmap/lreduce through
-// core.LocalContext give, on Graph A ÷96 multilevel partitioned into 3 to
-// 40 parts, with the partitioner's and the cluster's seed, and with local
-// iterations capped.
+// TestEagerMatchesSpec: eager PageRank's native global iterations, whose
+// local iterations sweep the pull plan, give the ranks and the run
+// statistics (iteration counts, local synchronizations, shuffle volume,
+// replayed attempts, simulated time to the bit) that lmap/lreduce through
+// core.LocalContext, in jobs through the engine, give: across
+// oracleCases, and with local iterations capped.
 func TestEagerMatchesSpec(t *testing.T) {
-	g := graph.MustGenerate(graph.GraphAConfig().Scaled(96))
-	for _, c := range []struct {
-		parts, maxLocal int
-		seed            uint64
-	}{
-		{8, 0, 1}, {8, 0, 2}, {16, 0, 1}, {3, 0, 1}, {40, 0, 1}, {8, 1, 1}, {8, 3, 1},
-	} {
-		name := fmt.Sprintf("A÷96/%d parts/seed %d/MaxLocalIters %d", c.parts, c.seed, c.maxLocal)
-		t.Run(name, func(t *testing.T) {
-			a, err := partition.Partition(g, c.parts, partition.Options{Method: partition.Multilevel, Seed: c.seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs, err := graph.BuildSubGraphs(g, a.Parts, a.K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ec2 := *cluster.EC2LargeCluster()
-			ec2.Seed = c.seed
-			cfg := DefaultConfig()
-			cfg.MaxLocalIters = c.maxLocal
-			got, err := Run(mapreduce.NewEngine(cluster.New(&ec2)), subs, cfg, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := runSpec(mapreduce.NewEngine(cluster.New(&ec2)), subs, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for u := range want.Ranks {
-				if math.Float64bits(got.Ranks[u]) != math.Float64bits(want.Ranks[u]) {
-					t.Fatalf("node %d: rank %v, lmap/lreduce %v", u, got.Ranks[u], want.Ranks[u])
-				}
-			}
-			if !reflect.DeepEqual(got.Stats, want.Stats) {
-				t.Fatalf("run statistics differ: %d global and %d local iterations in %v, lmap/lreduce %d and %d in %v",
-					got.Stats.GlobalIterations, got.Stats.LocalIterations, got.Stats.Duration,
-					want.Stats.GlobalIterations, want.Stats.LocalIterations, want.Stats.Duration)
-			}
-		})
+	cases := oracleCases(t)
+	for _, c := range cases {
+		checkEagerSpec(t, c, 0)
 	}
+	checkEagerSpec(t, cases[0], 1)
+	checkEagerSpec(t, cases[0], 3)
+}
+
+// checkEagerSpec is one row of TestEagerMatchesSpec.
+func checkEagerSpec(t *testing.T, c oracleCase, maxLocal int) {
+	t.Run(fmt.Sprintf("%s/MaxLocalIters %d", c.name, maxLocal), func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.MaxLocalIters = maxLocal
+		got, err := Run(c.engine(), c.subs, cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runSpec(c.engine(), c.subs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, got, want, "lmap/lreduce")
+	})
 }

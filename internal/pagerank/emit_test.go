@@ -12,7 +12,7 @@ import (
 	"repro/internal/stats"
 )
 
-// pushScatter is the global emission as pushContributions computed it
+// pushScatter is the global emission as emitContributions computed it
 // before it pulled, and the model it is held to: every edge in traversal
 // order (node ascending, OutLocal then OutRemote) scatters rank/outdeg
 // into its destination's sum, every sum starting at 0; the sums go out in
@@ -130,13 +130,12 @@ func TestPullEmissionMatchesPush(t *testing.T) {
 	}
 	rng := stats.NewRNG(41)
 	for _, c := range cases {
-		states, _, _ := newStates(c.subs, false)
-		for p, st := range states {
+		for p, st := range newStates(engine(), c.subs, DefaultConfig(), false).states {
 			for li := range st.rank {
 				st.rank[li] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(33)-16))
 			}
 			st.rank[0] = math.Copysign(0, -1)
-			got, gotOps := emitted(t, st, pushContributions)
+			got, gotOps := emitted(t, st, emitContributions)
 			want, wantOps := emitted(t, st, func(tc *mapreduce.TaskContext[int64, float64], st *state) {
 				pushScatter(tc, st.sub, st.rank)
 			})

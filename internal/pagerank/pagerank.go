@@ -4,11 +4,11 @@
 //   - General: the synchronous MapReduce baseline. Each map task takes a
 //     complete partition (the paper's baseline "for which maps operate on
 //     complete partitions, as opposed to single node adjacency lists",
-//     chosen because it is the more competitive baseline) and emits each
-//     node's rank contribution to its out-links, summed per destination
-//     over the partition's pull plan (pushContributions); the reduce
-//     accumulates contributions and applies the PageRank formula. One
-//     global synchronization per sweep over the graph.
+//     chosen because it is the more competitive baseline) and sums each
+//     node's rank contribution per out-link destination over the
+//     partition's pull plan (contribute); the reduce accumulates the
+//     partitions' sums and applies the PageRank formula. One global
+//     synchronization per sweep over the graph.
 //
 //   - Eager: the partial-synchronization formulation. Each global map
 //     runs local iterations on its sub-graph until the sub-graph's ranks
@@ -19,6 +19,13 @@
 //     with them. A local iteration is the paper's lmap/lreduce pair,
 //     computed as one Jacobi sweep over the partition's pull plan and
 //     priced as what internal/core's runtime would charge for the pair.
+//
+// A global iteration of either is the MapReduce job it models, run
+// without records: the map tasks leave their sums in place, a gather over
+// a reduce plan fixed once per run adds them in the order the engine's
+// shuffle would hand a reduce its values, and the job is priced from the
+// per-task counts the engine would record (mapreduce.Engine.Price). The
+// job through internal/mapreduce and internal/core is the tests' oracle.
 //
 // Both use the paper's rank update (equation 1):
 //
@@ -40,18 +47,17 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// pushContributions is the shared global emission of both formulations:
-// every node's rank/outdeg to each of its out-links, pre-aggregated per
-// destination within the partition, emitted in ascending key order.
-// Each destination's sum starts at 0 and adds its in-neighbours'
+// contribute is the shared global map output of both formulations:
+// every node's rank/outdeg to each of its out-links, summed per
+// destination within the partition into acc, in dstKeys order. Each
+// destination's sum starts at 0 and adds its in-neighbours'
 // contributions in edge traversal order (node ascending, OutLocal then
-// OutRemote), and the emission order is fixed, so shuffle grouping — and
-// therefore floating-point summation order — is identical across runs,
-// which keeps iteration counts bit-reproducible. The sums are pulled, not
-// scattered: the local destinations' over the partition's pull plan,
-// whose rows hold the in-neighbours in that order (pullLocal), the remote
-// ones' over the emission plan's remote lists (buildEmitPlan).
-func pushContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
+// OutRemote), so floating-point summation order is fixed, which keeps
+// iteration counts bit-reproducible. The sums are pulled, not scattered:
+// the local destinations' over the partition's pull plan, whose rows hold
+// the in-neighbours in that order (pullLocal), the remote ones' over the
+// emission plan's remote lists (buildEmitPlan).
+func (st *state) contribute() {
 	pl, cur, acc := &st.sub.Pull, st.cur, st.acc
 	for li, r := range pl.Pos {
 		cur[r] = st.rank[li] / pl.OutDeg[r]
@@ -63,10 +69,6 @@ func pushContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
 			sum += cur[r]
 		}
 		acc[slot] = sum
-	}
-	tc.Charge(st.pushOps)
-	for i, k := range st.dstKeys {
-		tc.Emit(k, acc[i])
 	}
 }
 
@@ -92,10 +94,11 @@ func pullLocal(pl *graph.PullPlan, cur, acc []float64, outSlot []int32) {
 }
 
 // buildEmitPlan fixes the partition's emission plan (see state) from
-// counted sizes. slotOf is scratch with one entry per node of the whole
-// graph, all zero on entry and on return; in between it holds each
-// destination's in-edge count from the partition, a remote one's negated
-// once it is listed, then a remote one's index among the remote keys.
+// counted sizes, all but acc, which newStates places. slotOf is scratch
+// with one entry per node of the whole graph, all zero on entry and on
+// return; in between it holds each destination's in-edge count from the
+// partition, a remote one's negated once it is listed, then a remote
+// one's index among the remote keys.
 func (st *state) buildEmitPlan(slotOf []int32) {
 	sub := st.sub
 	pl := &sub.Pull
@@ -173,7 +176,6 @@ func (st *state) buildEmitPlan(slotOf []int32) {
 	for _, i := range st.remSlot {
 		slotOf[st.dstKeys[i]] = 0
 	}
-	st.acc = make([]float64, len(st.dstKeys)+1)
 	st.cur = make([]float64, m+1)
 }
 
@@ -188,7 +190,7 @@ type Config struct {
 	// and the local sweeps of one asynchronous step, where 0 means
 	// AsyncLocalSweeps (async.DefaultMaxSteps restores sweeping to local
 	// convergence). The ablation benches set 1 to degrade Eager into
-	// General.
+	// General. It may not be negative.
 	MaxLocalIters int
 }
 
@@ -204,6 +206,9 @@ func (c Config) validate() error {
 	if !(c.Epsilon > 0) {
 		return fmt.Errorf("pagerank: epsilon must be positive, got %g", c.Epsilon)
 	}
+	if c.MaxLocalIters < 0 {
+		return fmt.Errorf("pagerank: MaxLocalIters must not be negative, got %d", c.MaxLocalIters)
+	}
 	return nil
 }
 
@@ -212,15 +217,15 @@ type state struct {
 	sub *graph.SubGraph
 	// rank[i] is the current rank of sub.Nodes[i].
 	rank []float64
-	// The emission plan (buildEmitPlan) and pushContributions' arrays
-	// over it. dstKeys is the partition's distinct destinations
-	// ascending, and acc one sum per key plus a spare. outSlot[r] is
+	// The emission plan (buildEmitPlan) and contribute's arrays over it.
+	// dstKeys is the partition's distinct destinations ascending, and acc
+	// one sum per key plus a spare, a window of driver.acc. outSlot[r] is
 	// where pullLocal stores the sum of pull position r: its key's index
 	// in dstKeys, or the spare for a row with no local in-edge. Remote
 	// key j sums the contributions at positions
 	// remSrc[remStart[j]:remStart[j+1]], in traversal order, into
 	// acc[remSlot[j]]. cur is the contributions by position, with the pad
-	// position's +0 last. pushOps is what an emission charges, one
+	// position's +0 last. pushOps is what contribute costs, one
 	// operation per out-edge. One task owns a state at a time, so
 	// unsynchronized reuse is safe.
 	dstKeys                            []int64
@@ -252,17 +257,10 @@ type Result struct {
 }
 
 // Run executes PageRank over the given sub-graphs (from
-// graph.BuildSubGraphs) using engine. eager selects the formulation.
+// graph.BuildSubGraphs) on engine's cluster, one global iteration at a
+// time until the largest rank change is below Epsilon. eager selects the
+// formulation.
 func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
-	return run(engine, subs, cfg, eager, buildJob(cfg, eager))
-}
-
-// run is Run with the per-iteration job given. It wraps the job's map so
-// that every map task first loads its partition's ranks, and in the eager
-// formulation its ghost sums, from the driver's ranks, as a task reads its
-// split from the DFS (the paper's cross-sub-graph propagation after a
-// global synchronization).
-func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -274,82 +272,147 @@ func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 			return nil, err
 		}
 	}
-	states, ranks, outDeg := newStates(subs, eager)
-	noIn := noInEdge(states)
-	splits := newSplits(states)
-	n := len(ranks)
-	base := 1 - cfg.Damping
-
-	gmap := job.Map
-	job.Map = func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
-		st := split.Data
-		for li, u := range st.sub.Nodes {
-			st.rank[li] = ranks[u]
+	d := newStates(engine, subs, cfg, eager)
+	stats := &core.RunStats{}
+	for iter := 1; iter <= core.DefaultMaxIterations; iter++ {
+		delta, cost, err := d.iterate()
+		if err != nil {
+			return nil, fmt.Errorf("pagerank: iteration %d: %w", iter, err)
 		}
-		if eager {
-			st.refreshGhosts(ranks, outDeg)
+		stats.GlobalIterations = iter
+		stats.Duration += cost.Duration
+		stats.LocalIterations += cost.LocalSyncs
+		stats.ShuffleRecords += cost.ShuffleRecords
+		stats.Failures += cost.Failures
+		if delta < cfg.Epsilon {
+			stats.Converged = true
+			break
 		}
-		gmap(tc, split)
 	}
-	driver := &core.Driver[*state, int64, float64]{
-		Engine: engine,
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
-			// The global reduce emitted the new rank of every node with an
-			// in-edge; the others settle at (1 - damping).
-			if len(out)+len(noIn) != n {
-				return false, fmt.Errorf("pagerank: reduce emitted %d ranks, want %d", len(out), n-len(noIn))
-			}
-			delta := 0.0
-			for _, kv := range out {
-				if kv.Key < 0 || kv.Key >= int64(n) {
-					return false, fmt.Errorf("pagerank: reduce emitted node %d outside [0,%d)", kv.Key, n)
-				}
-				if d := math.Abs(kv.Value - ranks[kv.Key]); d > delta {
-					delta = d
-				}
-				ranks[kv.Key] = kv.Value
-			}
-			for _, u := range noIn {
-				if d := math.Abs(base - ranks[u]); d > delta {
-					delta = d
-				}
-				ranks[u] = base
-			}
-			return delta < cfg.Epsilon, nil
-		},
-	}
-	stats, err := driver.Run(splits)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Ranks: ranks, Stats: stats}, nil
+	return &Result{Ranks: d.ranks, Stats: stats}, nil
 }
 
-// newStates builds every partition's state — initial ranks, emission
-// plan and, for the eager formulation, the local iterations' working
-// arrays — and the global state the driver holds
-// (the simulated DFS contents): current rank and out-degree of every
-// node. Every array is allocated at its counted size, so the allocation
-// count depends on the partition count only
+// driver is a general or eager run between global iterations: the
+// partitions' states, what a Hadoop job driver keeps on the DFS (every
+// node's rank and out-degree), the reduce plan, and what the engine would
+// record for each task of one iteration's job.
+type driver struct {
+	engine *mapreduce.Engine
+	cfg    Config
+	eager  bool
+	states []*state
+	ranks  []float64
+	outDeg []int32
+	// The reduce plan, by node: node u's reduce adds
+	// acc[src[start[u]:start[u+1]]], the sums of the partitions that
+	// emit u in ascending partition order, which is map-task order, the
+	// order in which the engine's shuffle hands a reduce its values. acc
+	// holds every partition's state.acc, partition by partition.
+	start, src []int32
+	acc        []float64
+	// maps[i] and reduces[p] are what map task i and reduce task p of the
+	// iteration's job record. Only a map task's Ops and LocalSyncs change
+	// from iteration to iteration; iterate rewrites them.
+	maps, reduces []mapreduce.TaskStats
+	// deltas[c] is the largest rank change of gather chunk c.
+	deltas []float64
+}
+
+// iterate runs one global iteration: every partition's map task, then
+// the gather, then the pricing of the job that the engine would have run
+// for them. It returns the largest rank change.
+func (d *driver) iterate() (delta float64, cost mapreduce.Cost, err error) {
+	if err = d.engine.ForEachTask(len(d.states), d.mapTask); err != nil {
+		return 0, cost, fmt.Errorf("map phase: %w", err)
+	}
+	if err = d.engine.ForEachTask(len(d.deltas), d.gather); err != nil {
+		return 0, cost, fmt.Errorf("gather: %w", err)
+	}
+	for _, x := range d.deltas {
+		delta = max(delta, x)
+	}
+	return delta, d.engine.Price(d.maps, d.reduces), nil
+}
+
+// mapTask is the gmap of partition i: it loads the partition's ranks
+// from the driver's, as a task reads its split from the DFS, and in the
+// eager formulation its ghost sums and local iterations to local
+// convergence, then sums the partition's contributions into its acc.
+func (d *driver) mapTask(i int) error {
+	st := d.states[i]
+	for li, u := range st.sub.Nodes {
+		st.rank[li] = d.ranks[u]
+	}
+	ops, sweeps := st.pushOps, int64(0)
+	if d.eager {
+		st.refreshGhosts(d.ranks, d.outDeg)
+		sweeps = st.iterateLocally(d.cfg)
+		ops += 2 * int64(len(st.sub.LocalDst)) * sweeps
+	}
+	st.contribute()
+	d.maps[i].Ops, d.maps[i].LocalSyncs = ops, sweeps
+	return nil
+}
+
+// gather is the greduce over chunk c of the nodes, len(deltas) chunks
+// in all: each node's sum starts at 0 and adds its plan's values in order,
+// and its new rank is (1-χ)+χ·sum, which is 1-χ for a node no partition
+// emits. The local reduce and global reduce are functionally identical,
+// as the paper observes; this one is the global.
+func (d *driver) gather(c int) error {
+	n, chunks := len(d.ranks), len(d.deltas)
+	base, damping := 1-d.cfg.Damping, d.cfg.Damping
+	delta := 0.0
+	for u := c * n / chunks; u < (c+1)*n/chunks; u++ {
+		sum := 0.0
+		for _, j := range d.src[d.start[u]:d.start[u+1]] {
+			sum += d.acc[j]
+		}
+		r := base + damping*sum
+		if x := math.Abs(r - d.ranks[u]); x > delta {
+			delta = x
+		}
+		d.ranks[u] = r
+	}
+	d.deltas[c] = delta
+	return nil
+}
+
+// newStates builds a run on engine's cluster: every partition's state —
+// initial ranks, emission plan and, for the eager formulation, the local
+// iterations' working arrays — the driver's ranks and out-degrees, the
+// reduce plan, and the task counts the engine would record. A map task's
+// are its split's (NumNodes records of Bytes) and one 16-byte record
+// per destination key; reduce task p's are the records and keys that
+// mapreduce.Int64Partition routes to p of the cluster's reduce slots, one
+// operation a record. Every array is allocated at its counted size, so
+// the allocation count depends on the partition count only
 // (TestNewStatesAllocsPerPartition).
-func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []float64, outDeg []int32) {
+func newStates(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) *driver {
 	n := 0
 	for _, s := range subs {
 		n += s.NumNodes()
 	}
-	ranks = make([]float64, n)
-	outDeg = make([]int32, n)
-	states = make([]*state, len(subs))
-	planScratch := make([]int32, n)
+	d := &driver{
+		engine: engine,
+		cfg:    cfg,
+		eager:  eager,
+		states: make([]*state, len(subs)),
+		ranks:  make([]float64, n),
+		outDeg: make([]int32, n),
+		start:  make([]int32, n+1),
+		maps:   make([]mapreduce.TaskStats, len(subs)),
+	}
+	scratch := make([]int32, n)
+	slots := 0
 	for i, s := range subs {
 		st := &state{sub: s, rank: make([]float64, s.NumNodes())}
 		for li, u := range s.Nodes {
 			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
-			ranks[u] = 1
-			outDeg[u] = s.OutDeg[li]
+			d.ranks[u] = 1
+			d.outDeg[u] = s.OutDeg[li]
 		}
-		st.buildEmitPlan(planScratch)
+		st.buildEmitPlan(scratch)
 		if eager {
 			m := len(s.Pull.OutDeg)
 			st.local = localSweep{
@@ -359,48 +422,47 @@ func newStates(subs []*graph.SubGraph, eager bool) (states []*state, ranks []flo
 				next:  make([]float64, m+1),
 			}
 		}
-		states[i] = st
+		for _, k := range st.dstKeys {
+			d.start[k+1]++
+		}
+		keys := int64(len(st.dstKeys))
+		d.maps[i] = mapreduce.TaskStats{
+			InRecords:  int64(s.NumNodes()),
+			InBytes:    s.Bytes,
+			OutRecords: keys,
+			OutBytes:   mapreduce.DefaultRecordSize * keys,
+			Ops:        st.pushOps,
+		}
+		slots += len(st.dstKeys) + 1
+		d.states[i] = st
 	}
-	return states, ranks, outDeg
-}
-
-// noInEdge lists the nodes with no in-edge, local or remote: those no
-// reduce emits a rank for.
-func noInEdge(states []*state) []graph.NodeID {
-	none := func(st *state, li int) bool {
-		return st.outSlot[st.sub.Pull.Pos[li]] == int32(len(st.dstKeys)) && len(st.sub.InRemote[li]) == 0
+	for u := range n {
+		d.start[u+1] += d.start[u]
 	}
-	k := 0
-	for _, st := range states {
-		for li := range st.sub.Nodes {
-			if none(st, li) {
-				k++
-			}
+	d.src = make([]int32, d.start[n])
+	d.acc = make([]float64, slots)
+	slots = 0
+	for _, st := range d.states {
+		st.acc = d.acc[slots : slots+len(st.dstKeys)+1]
+		for i, k := range st.dstKeys {
+			d.src[d.start[k]+scratch[k]] = int32(slots + i)
+			scratch[k]++
+		}
+		slots += len(st.acc)
+	}
+	nReduces := engine.ReduceSlots()
+	d.reduces = make([]mapreduce.TaskStats, nReduces)
+	for u := range n {
+		if in := int64(d.start[u+1] - d.start[u]); in > 0 {
+			r := &d.reduces[mapreduce.Int64Partition(int64(u), nReduces)]
+			r.InRecords += in
+			r.OutRecords++
+			r.OutBytes += mapreduce.DefaultRecordSize
+			r.Ops += in
 		}
 	}
-	list := make([]graph.NodeID, 0, k)
-	for _, st := range states {
-		for li, u := range st.sub.Nodes {
-			if none(st, li) {
-				list = append(list, u)
-			}
-		}
-	}
-	return list
-}
-
-// newSplits wraps each partition's state as one input split of the
-// per-iteration job.
-func newSplits(states []*state) []mapreduce.Split[*state] {
-	splits := make([]mapreduce.Split[*state], len(states))
-	for i, st := range states {
-		splits[i] = mapreduce.Split[*state]{
-			Data:    st,
-			Records: int64(st.sub.NumNodes()),
-			Bytes:   st.sub.Bytes,
-		}
-	}
-	return splits
+	d.deltas = make([]float64, nReduces)
+	return d
 }
 
 // refreshGhosts recomputes the partition's frozen cross-partition
@@ -416,80 +478,39 @@ func (st *state) refreshGhosts(ranks []float64, outDeg []int32) {
 	}
 }
 
-// buildJob assembles the per-iteration MapReduce job for the chosen
-// formulation. The greduce is shared — as the paper observes, "the local
-// reduce and global reduce functions are functionally identical".
-func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
-	job := &mapreduce.Job[*state, int64, float64]{
-		Name:      "pagerank-general",
-		Partition: mapreduce.Int64Partition,
-		Reduce: func(ctx *mapreduce.TaskContext[int64, float64], key int64, values []float64) {
-			sum := 0.0
-			for _, v := range values {
-				sum += v
-			}
-			ctx.Charge(int64(len(values)))
-			ctx.Emit(key, (1-cfg.Damping)+cfg.Damping*sum)
-		},
-	}
-	if !eager {
-		job.Map = generalMap
-		return job
-	}
-	job.Name = "pagerank-eager"
-	job.Map = eagerMap(cfg)
-	return job
-}
-
-// generalMap is the baseline gmap: one synchronous sweep — every node
-// pushes rank/outdeg to all of its out-links, pre-aggregated per
-// destination within the partition (the partition-input baseline the
-// paper uses because it is "on par or better than the adjacency-list
-// formulation").
-func generalMap(ctx *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
-	pushContributions(ctx, split.Data)
-}
-
-// eagerMap is the eager gmap: local iterations to local convergence —
-// the largest rank change of a sweep below Epsilon, or MaxLocalIters
-// sweeps when that is above 0 — then the global emission. A local
-// iteration is the paper's lmap, every node pushing rank/outdeg along
-// its partition-internal edges, and lreduce, each node's frozen ghost sum
-// plus those contributions in push order, computed as one Jacobi sweep
-// (sweepJacobi) over sub.Pull: the sums and the order they are added in
-// are the ones lmap/lreduce through core.BuildGMap make, so ranks come
-// out bit for bit the same. So does the pricing: what runTask charges
-// for the pair, one partial synchronization and an lmap and an lreduce
-// operation per local edge a sweep, and the local iteration count.
-func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
+// iterateLocally runs the eager formulation's local iterations on the
+// partition and returns how many: sweeps until the largest rank change
+// of one is below Epsilon, or MaxLocalIters sweeps when that is above 0.
+// A local iteration is the paper's lmap, every node pushing rank/outdeg
+// along its partition-internal edges, and lreduce, each node's frozen
+// ghost sum plus those contributions in push order, computed as one
+// Jacobi sweep (sweepJacobi) over sub.Pull: the sums and the order they
+// are added in are the ones lmap/lreduce through core.BuildGMap make, so
+// ranks come out bit for bit the same. So does the pricing the caller
+// makes of it: one partial synchronization and an lmap and an lreduce
+// operation per local edge a sweep.
+func (st *state) iterateLocally(cfg Config) (sweeps int64) {
 	base := 1 - cfg.Damping
-	return func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
-		st := split.Data
-		sub := st.sub
-		pl, w := &sub.Pull, &st.local
-		for li, r := range pl.Pos {
-			w.rank[r] = st.rank[li]
-			w.cur[r] = st.rank[li] / pl.OutDeg[r]
-		}
-		for r := sub.NumNodes(); r < len(w.rank); r++ {
-			w.rank[r] = base // what a sweep computes there, so no change
-		}
-		sweeps := 0
-		for {
-			delta := sweepJacobi(pl, w, base, cfg.Damping)
-			w.cur, w.next = w.next, w.cur
-			tc.LocalSync()
-			sweeps++
-			if cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters || delta < cfg.Epsilon {
-				break
-			}
-		}
-		for li, r := range pl.Pos {
-			st.rank[li] = w.rank[r]
-		}
-		tc.Charge(2 * int64(len(sub.LocalDst)) * int64(sweeps))
-		pushContributions(tc, st)
+	pl, w := &st.sub.Pull, &st.local
+	for li, r := range pl.Pos {
+		w.rank[r] = st.rank[li]
+		w.cur[r] = st.rank[li] / pl.OutDeg[r]
 	}
+	for r := st.sub.NumNodes(); r < len(w.rank); r++ {
+		w.rank[r] = base // what a sweep computes there, so no change
+	}
+	for {
+		delta := sweepJacobi(pl, w, base, cfg.Damping)
+		w.cur, w.next = w.next, w.cur
+		sweeps++
+		if cfg.MaxLocalIters > 0 && sweeps >= int64(cfg.MaxLocalIters) || delta < cfg.Epsilon {
+			break
+		}
+	}
+	for li, r := range pl.Pos {
+		st.rank[li] = w.rank[r]
+	}
+	return sweeps
 }
 
 // sweepJacobi is one Jacobi sweep of w over a pull plan: per slice, the

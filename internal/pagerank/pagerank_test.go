@@ -172,6 +172,7 @@ func TestConfigValidation(t *testing.T) {
 		{Damping: 0.85, Epsilon: 0},
 		{Damping: math.NaN(), Epsilon: 1e-5},
 		{Damping: 0.85, Epsilon: math.NaN()},
+		{Damping: 0.85, Epsilon: 1e-5, MaxLocalIters: -1},
 	}
 	for i, cfg := range bad {
 		for _, eager := range []bool{false, true} {

@@ -38,6 +38,7 @@ type Config struct {
 	// Source is the source node (global id).
 	Source graph.NodeID
 	// MaxLocalIters caps local iterations inside one gmap (0 = none).
+	// It may not be negative.
 	MaxLocalIters int
 }
 
@@ -74,6 +75,9 @@ func validate(subs []*graph.SubGraph, cfg Config) (int, error) {
 	}
 	if subs[0].WLocal == nil {
 		return 0, fmt.Errorf("sssp: sub-graphs are unweighted; call Graph.AssignUniformWeights first")
+	}
+	if cfg.MaxLocalIters < 0 {
+		return 0, fmt.Errorf("sssp: MaxLocalIters must not be negative, got %d", cfg.MaxLocalIters)
 	}
 	n := 0
 	for _, s := range subs {

@@ -3,6 +3,7 @@ package sssp
 import (
 	"container/heap"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -174,6 +175,11 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(engine(), subs, Config{Source: graph.NodeID(g.NumNodes())}, false); err == nil {
 		t.Error("out-of-range source accepted")
+	}
+	for _, eager := range []bool{false, true} {
+		if _, err := Run(engine(), subs, Config{Source: 0, MaxLocalIters: -1}, eager); err == nil || !strings.Contains(err.Error(), "-1") {
+			t.Errorf("negative MaxLocalIters (eager %v): got %v, want an error naming -1", eager, err)
+		}
 	}
 	unweighted := graph.MustGenerate(graph.GraphAConfig().Scaled(1000))
 	a, _ := partition.Partition(unweighted, 2, partition.Options{})
