@@ -23,7 +23,7 @@ import (
 const budgetOps = 3
 
 // TestAllocBudgets holds the allocation budgets of the async runtime's
-// hot paths and of the legacy engines: heap allocations per run, each
+// hot paths and of the paper's three modes: heap allocations per run, each
 // row on the inputs and against the threshold scripts/alloc_guard.sh
 // held it to before the budgets moved here. Every row but the live one
 // is deterministic, so the count is stable across machines; the
@@ -96,11 +96,12 @@ func TestAllocBudgets(t *testing.T) {
 		// CC's CSR reverse adjacency and arena-carved publishes: ~1.5K
 		// (240K before them).
 		{name: "cc/parallel", limit: 2500, w: harness.CC, preset: ec2, in: big, opt: spec},
-		// The three modes on Graph A ÷16 in 8 parts, general and eager on
-		// the legacy engines: a third of the fixture's ~122K allocations
-		// is in the ~48.5K the threshold was set on, the three runs are
-		// ~7.8K (62K before the engines kept their buffers in run
-		// scratch, 14.7M before slots).
+		// The three modes on Graph A ÷16 in 8 parts: general and eager as
+		// pagerank.Run's global iterations, which emit no records, and
+		// async on the DES. ~3.8K a run with a third of the fixture built
+		// once per measurement; the threshold was set at ~48.5K, when
+		// general and eager ran as jobs through the engine (14.7M before
+		// slots).
 		{name: "modes/pagerank", limit: 55000, w: harness.PageRank, preset: ec2, modes: true,
 			opt: async.Options{Staleness: harness.DefaultStaleness}},
 		// The live executor's lockstep path, gate/park/wake maximally

@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"testing"
 
@@ -411,102 +410,6 @@ func BenchmarkEventHeap(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/pop-push")
 	})
-}
-
-// The legacy engine's rung: the shuffle grouping modes_pagerank's
-// general leg spends its time in, sized like one of its partitions
-// (5 000 keys, 40 000 records per grouping) and driven through the public
-// API only, so the same file times any commit. The grouping replays its
-// last plan while the key sequence repeats; "replay" repeats it every
-// time, "regroup" changes the first key of every grouping (the plan is
-// dropped at once and the grouping rebuilt — the path every grouping
-// took before there were plans), "regroup_late" changes the last one (the
-// whole plan is replayed in vain first: the worst case).
-const (
-	rungKeys    = 5000
-	rungRecords = 8 * rungKeys
-)
-
-// rungKeySeqs returns the two key sequences a rung alternates between:
-// the same one twice for "replay", otherwise two that differ in one
-// record of each of the groupings the sequence is dealt to — grouping c
-// of classes receiving the records whose key is c modulo classes.
-func rungKeySeqs(b *testing.B, variant string, classes int) [2][]int64 {
-	a := make([]int64, rungRecords)
-	for i := range a {
-		a[i] = int64((i/8*7 + i%8*611) % rungKeys)
-	}
-	other := slices.Clone(a)
-	changed := make([]bool, classes)
-	n := int64(classes)
-	change := func(i int) {
-		if c := a[i] % n; !changed[c] {
-			changed[c] = true
-			other[i] = (a[i] + n) % (rungKeys / n * n) // same class, another key
-		}
-	}
-	switch variant {
-	case "replay":
-	case "regroup":
-		for i := range a {
-			change(i)
-		}
-	case "regroup_late":
-		for i := len(a) - 1; i >= 0; i-- {
-			change(i)
-		}
-	default:
-		b.Fatalf("unknown rung variant %q", variant)
-	}
-	return [2][]int64{a, other}
-}
-
-var rungVariants = []string{"replay", "regroup", "regroup_late"}
-
-// BenchmarkGrouper times the engine's shuffle-side grouping: one job of
-// eight map tasks emitting 5 000 records each into sixteen reduce tasks
-// that fold every group once, run again and again on one Job as an
-// iterative driver does. The custom metric is host nanoseconds per
-// shuffled record, map emission and shuffle included.
-func BenchmarkGrouper(b *testing.B) {
-	const maps, reduces = 8, 16
-	for _, variant := range rungVariants {
-		b.Run(variant, func(b *testing.B) {
-			seqs := rungKeySeqs(b, variant, reduces)
-			var splits [2][]mapreduce.Split[[]int64]
-			for s := range splits {
-				for m := 0; m < maps; m++ {
-					keys := seqs[s][m*rungRecords/maps : (m+1)*rungRecords/maps]
-					splits[s] = append(splits[s], mapreduce.Split[[]int64]{Data: keys, Records: int64(len(keys))})
-				}
-			}
-			job := &mapreduce.Job[[]int64, int64, float64]{
-				Name:       "rung",
-				NumReduces: reduces,
-				Partition:  mapreduce.Int64Partition,
-				Map: func(ctx *mapreduce.TaskContext[int64, float64], split mapreduce.Split[[]int64]) {
-					for i, k := range split.Data {
-						ctx.Emit(k, float64(i))
-					}
-				},
-				Reduce: func(ctx *mapreduce.TaskContext[int64, float64], key int64, values []float64) {
-					sum := 0.0
-					for _, v := range values {
-						sum += v
-					}
-					ctx.Emit(key, sum)
-				},
-			}
-			engine := ec2Engine()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mapreduce.Run(engine, job, splits[i&1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rungRecords), "ns/record")
-		})
-	}
 }
 
 func BenchmarkCensusGeneration(b *testing.B) {

@@ -297,19 +297,17 @@ func TestDriverValidation(t *testing.T) {
 	}
 }
 
-// TestDriverRecyclesOutput: the driver hands each iteration's output back
-// to the job once Update has returned, so the next iteration fills the
-// same backing array — with its own records only, also when it emits
-// fewer — while a run of the same job made inside Update, when the driver's
-// output is still in use, gets an array of its own and leaves Update's
-// alone.
-func TestDriverRecyclesOutput(t *testing.T) {
+// TestDriverUpdateOwnsOutput: each iteration's Update is handed that
+// iteration's records only, also when it emits fewer than the last, and a
+// run of the same job made inside Update gets an array of its own and
+// leaves Update's alone.
+func TestDriverUpdateOwnsOutput(t *testing.T) {
 	type part struct {
 		it    int
 		sizes []int // records emitted, by iteration
 	}
 	job := &mapreduce.Job[*part, int64, int]{
-		Name:      "recycling",
+		Name:      "owning",
 		Partition: mapreduce.Int64Partition,
 		Map: func(ctx *mapreduce.TaskContext[int64, int], split mapreduce.Split[*part]) {
 			p := split.Data
@@ -333,13 +331,11 @@ func TestDriverRecyclesOutput(t *testing.T) {
 	engine := testEngine()
 	p := &part{sizes: []int{40, 40, 25, 40}}
 	splits := []mapreduce.Split[*part]{{Data: p, Records: 1}}
-	var arrays []*mapreduce.KV[int64, int]
 	d := &Driver[*part, int64, int]{
 		Engine: engine,
 		Job:    job,
 		Update: func(iter int, out []mapreduce.KV[int64, int], _ []mapreduce.Split[*part]) (bool, error) {
 			holdsOnly(out, p.it, p.sizes[p.it])
-			arrays = append(arrays, &out[0])
 			if iter == 2 {
 				nested, err := mapreduce.Run(engine, job, splits)
 				if err != nil {
@@ -356,10 +352,5 @@ func TestDriverRecyclesOutput(t *testing.T) {
 	}
 	if _, err := d.Run(splits); err != nil {
 		t.Fatal(err)
-	}
-	for it := 1; it < len(arrays); it++ {
-		if arrays[it] != arrays[0] {
-			t.Fatalf("iteration %d's output is not in iteration 0's backing array", it)
-		}
 	}
 }

@@ -42,8 +42,7 @@ type Driver[P any, K comparable, V any] struct {
 	// for the next iteration and reports whether the computation has
 	// globally converged. It runs between iterations (driver side, like
 	// the convergence check a Hadoop job driver performs between
-	// chained jobs). output is valid only during the call: the next
-	// iteration's job writes its output over it (mapreduce.Job.Recycle).
+	// chained jobs).
 	Update func(iter int, output []mapreduce.KV[K, V], splits []mapreduce.Split[P]) (converged bool, err error)
 }
 
@@ -57,26 +56,38 @@ func (d *Driver[P, K, V]) Run(splits []mapreduce.Split[P]) (*RunStats, error) {
 	if d.Engine == nil || d.Job == nil || d.Update == nil {
 		return nil, fmt.Errorf("core: Driver requires Engine, Job and Update")
 	}
-	stats := &RunStats{}
-	for iter := 1; iter <= DefaultMaxIterations; iter++ {
+	return Iterate(func(iter int) (mapreduce.Cost, bool, error) {
 		res, err := mapreduce.Run(d.Engine, d.Job, splits)
 		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
+			return mapreduce.Cost{}, false, fmt.Errorf("core: iteration %d: %w", iter, err)
+		}
+		converged, err := d.Update(iter, res.Output, splits)
+		if err != nil {
+			return mapreduce.Cost{}, false, fmt.Errorf("core: iteration %d update: %w", iter, err)
+		}
+		return res.Cost, converged, nil
+	})
+}
+
+// Iterate is the loop of every synchronous iterative run: it runs global
+// iterations step(1), step(2), ... until one reports convergence or
+// DefaultMaxIterations have run, summing the price of each one's job into
+// the run's statistics. A step's error ends the run as the step wrote it.
+func Iterate(step func(iter int) (cost mapreduce.Cost, converged bool, err error)) (*RunStats, error) {
+	stats := &RunStats{}
+	for iter := 1; iter <= DefaultMaxIterations; iter++ {
+		cost, converged, err := step(iter)
+		if err != nil {
+			return nil, err
 		}
 		stats.GlobalIterations = iter
-		stats.Duration += res.Duration
-		stats.LocalIterations += res.LocalSyncs
-		stats.ShuffleRecords += res.ShuffleRecords
-		stats.Failures += res.Failures
-
-		converged, err := d.Update(iter, res.Output, splits)
-		d.Job.Recycle(res.Output)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d update: %w", iter, err)
-		}
+		stats.Duration += cost.Duration
+		stats.LocalIterations += cost.LocalSyncs
+		stats.ShuffleRecords += cost.ShuffleRecords
+		stats.Failures += cost.Failures
 		if converged {
 			stats.Converged = true
-			return stats, nil
+			break
 		}
 	}
 	return stats, nil

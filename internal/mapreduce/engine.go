@@ -58,7 +58,8 @@ type Result[K comparable, V any] struct {
 // Run executes one job over the given splits and reports its simulated
 // time, priced by the cluster, in Result.Duration. User code runs
 // concurrently on real goroutines; any panic in user code is recovered
-// and returned as an error tagged with the task.
+// and returned as an error tagged with the task. Every buffer is the
+// run's own.
 func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Split[P]) (*Result[K, V], error) {
 	nReduce, err := job.validate(e.ReduceSlots())
 	if err != nil {
@@ -67,32 +68,34 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	if len(splits) == 0 {
 		return nil, fmt.Errorf("mapreduce: job %q has no input splits", job.Name)
 	}
-	res := &Result[K, V]{}
+	part := job.Partition
+	if part == nil {
+		part = genericPartition[K]
+	}
+	mapOnly := job.Reduce == nil
+	res := &Result[K, V]{Maps: make([]TaskStats, len(splits))}
 
 	// --- map phase ------------------------------------------------------
-	// Map tasks emit and spill into, and reduce tasks fetch into, buffers
-	// the job keeps from its previous run; nothing in them outlives this
-	// call (Result.Output is a copy no buffer of the job's aliases). A map
-	// task of a job with a reduce phase partitions its own output (spill),
-	// so nothing per record runs between the waves.
-	mapOnly := job.Reduce == nil
-	sc := job.takeScratch(len(splits), nReduce)
-	defer job.scratch.Store(sc)
-	mapOuts, spills := sc.mapOuts, sc.spills
-	res.Maps = make([]TaskStats, len(splits))
+	// mapOuts[i] is map task i's output, routed[i][p] the part of it for
+	// reduce task p. A map task whose partitioner routes a key outside
+	// [0, nReduce) stops routing and leaves its error in misrouted[i].
+	mapOuts := make([][]KV[K, V], len(splits))
+	routed := make([][][]KV[K, V], len(splits))
+	misrouted := make([]error, len(splits))
 	err = e.ForEachTask(len(splits), func(i int) error {
 		sp := &splits[i]
-		ctx := &TaskContext[K, V]{out: mapOuts[i][:0]}
+		ctx := &TaskContext[K, V]{}
 		job.Map(ctx, *sp)
 		if job.Combine != nil {
-			combineTaskOutput(job, &sc.combiners[i], ctx)
-		}
-		mapOuts[i] = ctx.out
-		if !mapOnly {
-			if err := spills[i].fill(ctx.out, nReduce, job.Partition); err != nil {
-				return err
+			keys, groups := group(ctx.out)
+			ctx.out = ctx.out[:0]
+			for g, k := range keys {
+				for _, v := range job.Combine(k, groups[g]) {
+					ctx.Emit(k, v)
+				}
 			}
 		}
+		mapOuts[i] = ctx.out
 		res.Maps[i] = TaskStats{
 			InRecords:  sp.Records,
 			InBytes:    sp.Bytes,
@@ -101,42 +104,49 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			Ops:        ctx.ops,
 			LocalSyncs: ctx.localSyncs,
 		}
+		if mapOnly {
+			return nil
+		}
+		routed[i] = make([][]KV[K, V], nReduce)
+		for _, kv := range ctx.out {
+			p := part(kv.Key, nReduce)
+			if p < 0 || p >= nReduce {
+				misrouted[i] = fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, p, nReduce)
+				return nil
+			}
+			routed[i][p] = append(routed[i][p], kv)
+		}
 		return nil
 	})
-	if pe, ok := err.(partitionError); ok {
-		return nil, fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, pe.p, pe.n)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q map phase: %w", job.Name, err)
 	}
+	for _, err := range misrouted {
+		if err != nil {
+			return nil, err
+		}
+	}
 	if mapOnly {
 		res.Cost = e.Price(res.Maps, nil)
-		res.Output = sc.takeOutput(mapOuts)
+		res.Output = slices.Concat(mapOuts...)
 		return res, nil
 	}
 
 	// --- reduce phase ---------------------------------------------------
-	// Reduce task p fetches region p of every spill in map-task order. A
-	// spill's regions keep emission order, so parts[p] is the sequence a
-	// serial shuffle appending each map task's records in turn would have
-	// built, and the grouping and every sum over it come out the same.
-	parts, redOuts := sc.parts, sc.redOuts
+	// Reduce task p concatenates routed[i][p] in map-task order: the
+	// sequence a serial shuffle appending each map task's records in turn
+	// would build.
+	redOuts := make([][]KV[K, V], nReduce)
 	res.Reduces = make([]TaskStats, nReduce)
 	err = e.ForEachTask(nReduce, func(p int) error {
-		n := 0
-		for i := range spills {
-			n += len(spills[i].region(p))
+		var in []KV[K, V]
+		for i := range routed {
+			in = append(in, routed[i][p]...)
 		}
-		in := slices.Grow(parts[p][:0], n)
-		for i := range spills {
-			in = append(in, spills[i].region(p)...)
-		}
-		parts[p] = in
-		ctx := &TaskContext[K, V]{out: redOuts[p][:0]}
-		g := &sc.reducers[p]
-		g.group(in)
-		for i, k := range g.keys {
-			job.Reduce(ctx, k, g.values(i))
+		keys, groups := group(in)
+		ctx := &TaskContext[K, V]{out: make([]KV[K, V], 0, len(keys))}
+		for g, k := range keys {
+			job.Reduce(ctx, k, groups[g])
 		}
 		redOuts[p] = ctx.out
 		res.Reduces[p] = TaskStats{
@@ -151,7 +161,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		return nil, fmt.Errorf("mapreduce: job %q reduce phase: %w", job.Name, err)
 	}
 	res.Cost = e.Price(res.Maps, res.Reduces)
-	res.Output = sc.takeOutput(redOuts)
+	res.Output = slices.Concat(redOuts...)
 	return res, nil
 }
 
@@ -258,100 +268,42 @@ func sortCost(cfg *cluster.Config, n int64) simtime.Duration {
 	return simtime.Duration(float64(n*int64(log2))) * cfg.SortCostPerRecord
 }
 
-// grouper groups records by key into a reusable CSR-style layout:
-// keys in first-seen order (deterministic without an ordering on K),
-// all values in one slab, offs[i] marking the end of group i. It also
-// remembers the grouping as a plan — seq, the key of every record it
-// grouped, and pos, the slab position that record's value went to — and
-// replays the plan when the next records carry the same key sequence.
-// One grouper serves one task of a job from run to run, so the steady
-// state allocates nothing and, for an iterative job, hashes nothing.
-type grouper[K comparable, V any] struct {
-	keys []K
-	idx  map[K]int32
-	offs []int32
-	slab []V
-	seq  []K
-	pos  []int32
-}
-
-// group builds the grouping of records. While each record's key is the
-// one the last call saw at that position, its value goes straight to the
-// position it went to then; if that holds to the end of both sequences,
-// keys and offs already describe this grouping. Otherwise the grouping is
-// rebuilt in two passes: the first assigns group ids in first-seen order
-// and counts group sizes, the second scatters values through offs used as
-// moving cursors, leaving offs[i] = end of group i. Value order within a
-// group is record order either way, matching a map[K][]V filled in record
-// order.
-func (g *grouper[K, V]) group(records []KV[K, V]) {
-	if len(records) == len(g.seq) {
-		i := 0
-		for ; i < len(records) && records[i].Key == g.seq[i]; i++ {
-			g.slab[g.pos[i]] = records[i].Value
-		}
-		if i == len(records) {
-			return
-		}
-	}
-	if g.idx == nil {
-		g.idx = make(map[K]int32, len(records)/2+1)
-	} else {
-		clear(g.idx)
-	}
-	n := len(records)
-	g.keys = g.keys[:0]
-	g.offs = g.offs[:0]
-	g.seq = slices.Grow(g.seq[:0], n)[:n]
-	g.pos = slices.Grow(g.pos[:0], n)[:n]
+// group groups records by key, with one map lookup per record: keys in
+// first-seen order (deterministic without an ordering on K), groups[g]
+// key g's values in record order, all of them windows of one slab.
+func group[K comparable, V any](records []KV[K, V]) (keys []K, groups [][]V) {
+	idx := make(map[K]int, len(records)/2)
+	gid := make([]int, len(records))
+	var ends []int
 	for i, kv := range records {
-		gi, ok := g.idx[kv.Key]
+		g, ok := idx[kv.Key]
 		if !ok {
-			gi = int32(len(g.keys))
-			g.idx[kv.Key] = gi
-			g.keys = append(g.keys, kv.Key)
-			g.offs = append(g.offs, 0)
+			g = len(keys)
+			idx[kv.Key] = g
+			keys = append(keys, kv.Key)
+			ends = append(ends, 0)
 		}
-		g.offs[gi]++
-		g.seq[i] = kv.Key
-		g.pos[i] = gi // until pass two
+		ends[g]++
+		gid[i] = g
 	}
-	var sum int32
-	for i, c := range g.offs {
-		g.offs[i] = sum
+	// ends[g] becomes group g's start, then a cursor that stops at its
+	// end.
+	sum := 0
+	for g, c := range ends {
+		ends[g] = sum
 		sum += c
 	}
-	g.slab = slices.Grow(g.slab[:0], n)[:n]
-	for i, gi := range g.pos {
-		p := g.offs[gi]
-		g.slab[p] = records[i].Value
-		g.pos[i] = p
-		g.offs[gi] = p + 1
+	values := make([]V, len(records))
+	for i, g := range gid {
+		values[ends[g]] = records[i].Value
+		ends[g]++
 	}
-}
-
-// values returns group i's value slice. The slice aliases the grouper's
-// slab: it is valid until the next group call, so callers must not
-// retain it past the current key group.
-func (g *grouper[K, V]) values(i int) []V {
-	lo := int32(0)
-	if i > 0 {
-		lo = g.offs[i-1]
+	groups = make([][]V, len(keys))
+	lo := 0
+	for g, end := range ends {
+		groups[g], lo = values[lo:end:end], end
 	}
-	return g.slab[lo:g.offs[i]]
-}
-
-// combineTaskOutput applies the job's combiner to one map task's buffered
-// output in place, grouping with the task's grouper g.
-func combineTaskOutput[P any, K comparable, V any](job *Job[P, K, V], g *grouper[K, V], ctx *TaskContext[K, V]) {
-	out := ctx.out[:0]
-	g.group(ctx.out)
-	for i, k := range g.keys {
-		for _, v := range job.Combine(k, g.values(i)) {
-			out = append(out, KV[K, V]{Key: k, Value: v})
-		}
-	}
-	ctx.out = out
+	return keys, groups
 }
 
 // ForEachTask runs fn(i) for every i in [0,n) on up to Parallelism real

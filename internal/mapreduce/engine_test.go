@@ -269,36 +269,9 @@ func TestGroupByKeyPreservesFirstSeenOrder(t *testing.T) {
 	records := []KV[string, int]{
 		{"b", 1}, {"a", 2}, {"b", 3}, {"c", 4}, {"a", 5},
 	}
-	var g grouper[string, int]
-	g.group(records)
-	if len(g.keys) != 3 || g.keys[0] != "b" || g.keys[1] != "a" || g.keys[2] != "c" {
-		t.Fatalf("key order %v", g.keys)
-	}
-	if got := g.values(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("group b = %v", got)
-	}
-	if got := g.values(1); len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Fatalf("group a = %v", got)
-	}
-	if got := g.values(2); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("group c = %v", got)
-	}
-}
-
-// The reduce-side grouper must be allocation-free once its slabs are
-// warm: regrouping same-shape input reuses keys/offs/slab and clears the
-// id map in place (PR 7 alloc budget for the modes bench depends on it).
-func TestGrouperSteadyStateAllocFree(t *testing.T) {
-	records := []KV[string, int]{
-		{"b", 1}, {"a", 2}, {"b", 3}, {"c", 4}, {"a", 5},
-	}
-	var g grouper[string, int]
-	g.group(records) // warm the slabs
-	allocs := testing.AllocsPerRun(100, func() {
-		g.group(records)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state grouper allocates %v allocs/run, want 0", allocs)
+	keys, groups := group(records)
+	if got := fmt.Sprint(keys, groups); got != "[b a c] [[1 3] [2 5] [4]]" {
+		t.Fatalf("grouped into %s, want [b a c] [[1 3] [2 5] [4]]", got)
 	}
 }
 
@@ -397,11 +370,10 @@ func TestSingleWorkerFallback(t *testing.T) {
 	}
 }
 
-// A job's map-output and shuffle buffers are recycled from run to run;
-// Result.Output must be the caller's own copy. Each iteration's output is
-// checked after later iterations on the same Job refilled the buffers —
-// with more records, with fewer, with different ones — for map-only and
-// map-reduce jobs, with and without a combiner.
+// Result.Output is the caller's own: each iteration's output is checked
+// after later runs of the same Job — with more records, with fewer, with
+// different ones — for map-only and map-reduce jobs, with and without a
+// combiner.
 func TestResultOutputNotAliasedByLaterRuns(t *testing.T) {
 	// Split i of iteration it, Data {it, n, i}, emits n records
 	// (i*1000+j, it*100+j).
@@ -449,9 +421,8 @@ func TestResultOutputNotAliasedByLaterRuns(t *testing.T) {
 	}
 }
 
-// Two runs of one Job at once must not share buffers either: the second
-// finds the scratch taken and works in its own. The job starts cold, with
-// its defaults unset, which every run resolves for itself.
+// Two runs of one Job at once share no buffer either. The job has its
+// defaults unset, which every run resolves for itself.
 func TestConcurrentRunsOfOneJob(t *testing.T) {
 	job := wordCountJob()
 	var wg sync.WaitGroup
@@ -479,11 +450,10 @@ func TestConcurrentRunsOfOneJob(t *testing.T) {
 	wg.Wait()
 }
 
-// Groupers and reduce-output buffers live in the run scratch, so two runs
-// of one Job that overlap must each hold their own. The overlap here is
-// exact: the outer run's first reduce call starts an inner run of the
-// same job, over other records, in the middle of walking its grouper and
-// filling its output buffer.
+// Two runs of one Job that overlap each hold their own grouping and
+// output. The overlap here is exact: the outer run's first reduce call
+// starts an inner run of the same job, over other records, in the middle
+// of walking its grouping and filling its output buffer.
 func TestOverlappingRunsShareNoGrouperOrOutput(t *testing.T) {
 	// Split data is {base, n}: the split emits keys base..base+n-1, each
 	// three times, so every reduce group has three values key*10+{0,1,2}.
@@ -532,22 +502,12 @@ func TestOverlappingRunsShareNoGrouperOrOutput(t *testing.T) {
 	}
 	engine := testEngine()
 	engine.Parallelism = 1
-	for round := 0; round < 2; round++ { // cold scratch, then a recycled one
-		inner = nil
-		outer, err := Run(engine, job, splitsOver(0, 50))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("outer", outer, 0, 50)
-		check("inner", inner, 1000, 37)
+	outer, err := Run(engine, job, splitsOver(0, 50))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// And at the source: scratch taken twice without being returned is
-	// two scratches.
-	a, b := job.takeScratch(2, 2), job.takeScratch(2, 2)
-	if a == b || &a.reducers[0] == &b.reducers[0] || &a.combiners[0] == &b.combiners[0] {
-		t.Fatal("two overlapping runs were handed the same scratch")
-	}
+	check("outer", outer, 0, 50)
+	check("inner", inner, 1000, 37)
 }
 
 // A panicking task fails the job with an error naming it; the tasks

@@ -18,8 +18,6 @@ package mapreduce
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
-	"sync/atomic"
 )
 
 // KV is one key-value record flowing between phases.
@@ -47,9 +45,8 @@ type Split[P any] struct {
 // MapFunc consumes one split and emits intermediate records through ctx.
 type MapFunc[P any, K comparable, V any] func(ctx *TaskContext[K, V], split Split[P])
 
-// ReduceFunc consumes one key group and emits final records through ctx.
-// The values slice is engine-owned scratch, valid only for the duration
-// of the call; implementations must copy it to retain it.
+// ReduceFunc consumes one key group, its values in shuffle order, and
+// emits final records through ctx.
 type ReduceFunc[K comparable, V any] func(ctx *TaskContext[K, V], key K, values []V)
 
 // CombineFunc locally folds a key group emitted by a single map task
@@ -88,150 +85,6 @@ type Job[P any, K comparable, V any] struct {
 	// (8-byte key + 8-byte value), which matches the integer-keyed
 	// records of all three paper applications.
 	RecordSize SizeFunc[K, V]
-
-	// scratch holds the buffers and groupers of the job's previous run
-	// for the next one to refill; a run takes it (leaving nil, so an
-	// overlapping run of the same job makes its own) and stores it back
-	// when done. Jobs are always used by pointer (the atomic makes Job
-	// no-copy; go vet enforces this).
-	scratch atomic.Pointer[runScratch[K, V]]
-}
-
-// runScratch is what a Job recycles from run to run: mapOuts[i] is map
-// task i's output, spills[i] the same records partitioned for the reduce
-// tasks, parts[p] reduce partition p's fetched input, redOuts[p] reduce
-// task p's output, and combiners[i] / reducers[p] the grouper of map task
-// i's combine step and of reduce task p. A task keeps its grouper from
-// run to run because an iterative job tends to hand it the key sequence
-// it handed it last time, which the grouper replays (grouper.group).
-// output is a Result.Output handed back by its holder (Recycle), else
-// nil. For a V that holds pointers the buffers keep the previous run's
-// records reachable until overwritten.
-type runScratch[K comparable, V any] struct {
-	mapOuts   [][]KV[K, V]
-	spills    []spill[K, V]
-	parts     [][]KV[K, V]
-	redOuts   [][]KV[K, V]
-	combiners []grouper[K, V]
-	reducers  []grouper[K, V]
-	output    []KV[K, V]
-}
-
-// spill is one map task's output partitioned for the reduce tasks, as a
-// Hadoop map task spills it: slab holds the records grouped by reduce
-// task, region p ending at ends[p], each region in emission order. route
-// is the reduce task of each emitted record, kept between the pass that
-// counts the regions and the one that fills them.
-type spill[K comparable, V any] struct {
-	slab  []KV[K, V]
-	ends  []int32
-	route []int32
-}
-
-// fill partitions out, a map task's output, into nReduces regions by
-// part (nil: the Job default) with a stable counting sort. A key that
-// part routes outside [0, nReduces) leaves the spill unfilled and is
-// reported as a partitionError.
-func (s *spill[K, V]) fill(out []KV[K, V], nReduces int, part PartitionFunc[K]) error {
-	if part == nil {
-		part = genericPartition[K]
-	}
-	n := len(out)
-	s.route = slices.Grow(s.route[:0], n)[:n]
-	s.ends = slices.Grow(s.ends[:0], nReduces)[:nReduces]
-	clear(s.ends)
-	for j, kv := range out {
-		p := part(kv.Key, nReduces)
-		if p < 0 || p >= nReduces {
-			return partitionError{p, nReduces}
-		}
-		s.route[j] = int32(p)
-		s.ends[p]++
-	}
-	// ends[p] becomes region p's start, then a cursor that stops at its
-	// end.
-	var sum int32
-	for p, c := range s.ends {
-		s.ends[p] = sum
-		sum += c
-	}
-	s.slab = slices.Grow(s.slab[:0], n)[:n]
-	for j, p := range s.route {
-		s.slab[s.ends[p]] = out[j]
-		s.ends[p]++
-	}
-	return nil
-}
-
-// region returns the records the spill holds for reduce task p.
-func (s *spill[K, V]) region(p int) []KV[K, V] {
-	lo := int32(0)
-	if p > 0 {
-		lo = s.ends[p-1]
-	}
-	return s.slab[lo:s.ends[p]]
-}
-
-// partitionError is a map task's report that its job's partitioner
-// routed a key to partition p of n.
-type partitionError struct{ p, n int }
-
-func (e partitionError) Error() string {
-	return fmt.Sprintf("partitioner returned %d for %d partitions", e.p, e.n)
-}
-
-// takeOutput concatenates the tasks' outputs into the array handed back
-// to the job (Recycle), or a fresh one, and takes it out of the scratch:
-// what a run returns is held by its caller alone.
-func (sc *runScratch[K, V]) takeOutput(outs [][]KV[K, V]) []KV[K, V] {
-	n := 0
-	for _, out := range outs {
-		n += len(out)
-	}
-	output := slices.Grow(sc.output[:0], n)
-	sc.output = nil
-	for _, out := range outs {
-		output = append(output, out...)
-	}
-	return output
-}
-
-// Recycle hands a Result.Output the caller is done with back to the job,
-// whose next run fills it instead of allocating. It is there for
-// core.Driver, which would otherwise drop one output-sized slice per
-// global iteration. A job that is running, or has not run, ignores it.
-func (j *Job[P, K, V]) Recycle(output []KV[K, V]) {
-	if sc := j.scratch.Swap(nil); sc != nil {
-		sc.output = output
-		j.scratch.Store(sc)
-	}
-}
-
-// takeScratch claims the job's run scratch, sized for nMaps map tasks
-// and nReduces partitions. Every buffer is truncated by the task that
-// fills it.
-func (j *Job[P, K, V]) takeScratch(nMaps, nReduces int) *runScratch[K, V] {
-	sc := j.scratch.Swap(nil)
-	if sc == nil {
-		sc = &runScratch[K, V]{}
-	}
-	sc.mapOuts = resize(sc.mapOuts, nMaps)
-	sc.spills = resize(sc.spills, nMaps)
-	sc.parts = resize(sc.parts, nReduces)
-	sc.redOuts = resize(sc.redOuts, nReduces)
-	sc.combiners = resize(sc.combiners, nMaps)
-	sc.reducers = resize(sc.reducers, nReduces)
-	return sc
-}
-
-// resize returns bufs with length n, keeping every element it already
-// holds (including those beyond its current length) for reuse.
-func resize[T any](bufs []T, n int) []T {
-	bufs = bufs[:cap(bufs)]
-	if n > len(bufs) {
-		bufs = append(bufs, make([]T, n-len(bufs))...)
-	}
-	return bufs[:n]
 }
 
 // validate reports configuration errors and returns the run's reduce

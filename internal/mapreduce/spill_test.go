@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// The shuffle is done by the tasks: each map task spills its output into
-// one region per reduce task, and each reduce task concatenates its
-// region of every spill in map-task order. The model below is a serial
+// The shuffle is done by the tasks: each map task partitions its output
+// into one list per reduce task, and each reduce task concatenates its
+// list of every map task in map-task order. The model below is a serial
 // shuffle — every map output in map-task order, each record appended to
 // its partition's input — run over map outputs the model computes on its
-// own, the combine step folded through a map[K][]V in
-// first-seen key order. Every generated job's reduce inputs must come out
-// record for record and bit for bit as the model's, and so must its
-// shuffle counts.
+// own, the combine step folded through a map[K][]V in first-seen key
+// order. Every generated job's reduce inputs, as a reduce that emits
+// every value it is handed in order reads them, must come out record for
+// record and bit for bit as the model's, and so must its shuffle counts.
 
 // serialShuffle is the model: the reduce inputs, shuffled records and
 // shuffled bytes of job over splits with nReduces reduce tasks.
@@ -153,33 +153,80 @@ func (c shuffleCase) inputs() []Split[[]KV[int64, float64]] {
 	return splits
 }
 
-// checkSpillMatchesSerialShuffle runs the case decoded from data twice on
-// one job — cold, then on the recycled scratch — and compares each run's
-// reduce inputs and shuffle counts with the model's.
+// checkSpillMatchesSerialShuffle runs the case decoded from data with a
+// reduce that emits every value in order, and compares what each reduce
+// task was handed, and the shuffle counts, with the model's: reduce task
+// p must emit the model's input p grouped by key in first-seen order.
 func checkSpillMatchesSerialShuffle(t *testing.T, data []byte) {
 	t.Helper()
 	c := decodeShuffleCase(data)
 	job, splits := c.job(), c.inputs()
 	want, wantRecords, wantBytes := serialShuffle(t, job, splits, c.nReduces)
+	job.Reduce = func(ctx *TaskContext[int64, float64], key int64, values []float64) {
+		for _, v := range values {
+			ctx.Emit(key, v)
+		}
+	}
 	engine := testEngine()
 	engine.Parallelism = c.parallelism
-	for run := 0; run < 2; run++ {
-		res, err := Run(engine, job, splits)
-		if err != nil {
-			t.Fatalf("case %+v: %v", c, err)
+	res, err := Run(engine, job, splits)
+	if err != nil {
+		t.Fatalf("case %+v: %v", c, err)
+	}
+	if res.ShuffleRecords != wantRecords || res.ShuffleBytes != wantBytes {
+		t.Fatalf("case %+v: shuffled %d records, %d bytes; the serial shuffle %d, %d",
+			c, res.ShuffleRecords, res.ShuffleBytes, wantRecords, wantBytes)
+	}
+	if len(res.Reduces) != c.nReduces {
+		t.Fatalf("case %+v: %d reduce tasks, want %d", c, len(res.Reduces), c.nReduces)
+	}
+	out := res.Output
+	for p := range want {
+		n := res.Reduces[p].OutRecords
+		if res.Reduces[p].InRecords != int64(len(want[p])) || n != int64(len(want[p])) || n > int64(len(out)) {
+			t.Fatalf("case %+v: reduce task %d read %d records and emitted %d of %d left, want %d",
+				c, p, res.Reduces[p].InRecords, n, len(out), len(want[p]))
 		}
-		if res.ShuffleRecords != wantRecords || res.ShuffleBytes != wantBytes {
-			t.Fatalf("case %+v, run %d: shuffled %d records, %d bytes; the serial shuffle %d, %d",
-				c, run, res.ShuffleRecords, res.ShuffleBytes, wantRecords, wantBytes)
+		if got, want := out[:n], groupedInOrder(want[p]); !slices.EqualFunc(got, want, sameRecord) {
+			t.Fatalf("case %+v: reduce task %d was handed\n got %v\nwant %v", c, p, got, want)
 		}
-		got := job.scratch.Load().parts
-		if len(got) != c.nReduces || len(res.Reduces) != c.nReduces {
-			t.Fatalf("case %+v, run %d: %d reduce inputs for %d reduce tasks, want %d", c, run, len(got), len(res.Reduces), c.nReduces)
+		out = out[n:]
+	}
+}
+
+// groupedInOrder is the model of a grouping: records with each key's
+// records moved up behind its first, keys in first-seen order and values
+// in record order.
+func groupedInOrder[K comparable, V any](records []KV[K, V]) []KV[K, V] {
+	var keys []K
+	groups := map[K][]KV[K, V]{}
+	for _, kv := range records {
+		if _, seen := groups[kv.Key]; !seen {
+			keys = append(keys, kv.Key)
 		}
-		for p := range want {
-			if !slices.EqualFunc(got[p], want[p], sameRecord) {
-				t.Fatalf("case %+v, run %d: reduce task %d's input\n got %v\nwant %v", c, run, p, got[p], want[p])
+		groups[kv.Key] = append(groups[kv.Key], kv)
+	}
+	var out []KV[K, V]
+	for _, k := range keys {
+		out = append(out, groups[k]...)
+	}
+	return out
+}
+
+// checkGrouping compares group's grouping of each map task's records of
+// the case decoded from data with the model's.
+func checkGrouping(t *testing.T, data []byte) {
+	t.Helper()
+	for _, records := range decodeShuffleCase(data).splits {
+		var got []KV[int64, float64]
+		keys, groups := group(records)
+		for g, k := range keys {
+			for _, v := range groups[g] {
+				got = append(got, KV[int64, float64]{Key: k, Value: v})
 			}
+		}
+		if want := groupedInOrder(records); !slices.EqualFunc(got, want, sameRecord) {
+			t.Fatalf("records %v grouped\n got %v\nwant %v", records, got, want)
 		}
 	}
 }
@@ -188,57 +235,44 @@ func sameRecord(a, b KV[int64, float64]) bool {
 	return a.Key == b.Key && math.Float64bits(a.Value) == math.Float64bits(b.Value)
 }
 
-func FuzzSpillMatchesSerialShuffle(f *testing.F) {
-	f.Add([]byte{})
-	// Combiner and Int64Partition, 7 reduce tasks, 2 workers, 3 map
-	// tasks: 4 records, none, 2 records.
-	f.Add([]byte{3, 6, 1, 2, 4, 1, 10, 2, 20, 1, 30, 13, 40, 0, 2, 5, 50, 6, 60})
-	f.Fuzz(checkSpillMatchesSerialShuffle)
-}
-
-func TestSpillMatchesSerialShuffle(t *testing.T) {
-	// Deterministic cases beside the fuzz corpus: every byte string is
-	// one, so walk a simple generator; every flag combination comes up.
-	x := uint32(7)
-	for i := 0; i < 400; i++ {
+// generated calls check on n byte strings walked from a simple generator
+// seeded with x: cases beside the fuzz corpus, where every byte string is
+// one, and every flag combination comes up.
+func generated(t *testing.T, n int, x uint32, check func(*testing.T, []byte)) {
+	for i := 0; i < n; i++ {
 		data := make([]byte, 4+i%97)
 		for j := range data {
 			x = x*1664525 + 1013904223
 			data[j] = byte(x >> 24)
 		}
 		data[0] = byte(i)
-		checkSpillMatchesSerialShuffle(t, data)
+		check(t, data)
 	}
 }
 
-// Once warm, a run allocates per task and per run, never per record: the
-// spill, fetch and grouping buffers are all sized by counting and kept.
-func TestWarmRunAllocsIndependentOfRecords(t *testing.T) {
-	var allocs [2]float64
-	for i, n := range []int{500, 2000} {
-		splits := make([]Split[[]KV[int64, float64]], 6)
-		for s := range splits {
-			recs := make([]KV[int64, float64], n)
-			for j := range recs {
-				recs[j] = KV[int64, float64]{Key: int64(j % (n / 4)), Value: float64(j)}
-			}
-			splits[s] = Split[[]KV[int64, float64]]{Data: recs, Records: int64(n)}
-		}
-		job := shuffleCase{nReduces: 5, partitioner: 1}.job()
-		engine := testEngine()
-		engine.Parallelism = 2
-		run := func() {
-			if _, err := Run(engine, job, splits); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		allocs[i] = testing.AllocsPerRun(20, run)
-	}
-	if allocs[0] != allocs[1] {
-		t.Fatalf("a warm run allocates %v times over 500 records a split, %v times over 2000", allocs[0], allocs[1])
-	}
+// fuzzSeeds adds the shuffle fuzzers' corpus: nothing, and a combiner
+// and Int64Partition with 7 reduce tasks, 2 workers and 3 map tasks of
+// 4 records, none and 2 records.
+func fuzzSeeds(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 6, 1, 2, 4, 1, 10, 2, 20, 1, 30, 13, 40, 0, 2, 5, 50, 6, 60})
 }
+
+func FuzzSpillMatchesSerialShuffle(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(checkSpillMatchesSerialShuffle)
+}
+
+func TestSpillMatchesSerialShuffle(t *testing.T) {
+	generated(t, 400, 7, checkSpillMatchesSerialShuffle)
+}
+
+func FuzzGrouperMatchesModel(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(checkGrouping)
+}
+
+func TestGrouperMatchesModel(t *testing.T) { generated(t, 300, 15, checkGrouping) }
 
 // Run resolves a job's defaults for itself: the Job is left as written,
 // so a job that ran on a one-node cluster runs on an eight-node one as a

@@ -273,21 +273,15 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 		}
 	}
 	d := newStates(engine, subs, cfg, eager)
-	stats := &core.RunStats{}
-	for iter := 1; iter <= core.DefaultMaxIterations; iter++ {
+	stats, err := core.Iterate(func(iter int) (mapreduce.Cost, bool, error) {
 		delta, cost, err := d.iterate()
 		if err != nil {
-			return nil, fmt.Errorf("pagerank: iteration %d: %w", iter, err)
+			return cost, false, fmt.Errorf("pagerank: iteration %d: %w", iter, err)
 		}
-		stats.GlobalIterations = iter
-		stats.Duration += cost.Duration
-		stats.LocalIterations += cost.LocalSyncs
-		stats.ShuffleRecords += cost.ShuffleRecords
-		stats.Failures += cost.Failures
-		if delta < cfg.Epsilon {
-			stats.Converged = true
-			break
-		}
+		return cost, delta < cfg.Epsilon, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Ranks: d.ranks, Stats: stats}, nil
 }

@@ -1,16 +1,12 @@
 package sssp
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/mapreduce"
-	"repro/internal/partition"
 )
 
 // eagerSpec is the eager gmap as the paper writes it, lmap and lreduce
@@ -75,55 +71,21 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 // TestEagerMatchesSpec: eager SSSP's native sweeps give the distances and
 // the run statistics (iteration counts, local synchronizations, shuffle
 // volume, simulated time to the bit) that lmap/lreduce through
-// core.LocalContext give, over partition counts from 3 to 40, multilevel
-// and hash partitioning, several sources, and local iterations capped.
+// core.LocalContext give, across specCases.
 func TestEagerMatchesSpec(t *testing.T) {
-	for _, c := range []struct {
-		shrink, parts, maxLocal int
-		method                  partition.Method
-		source                  graph.NodeID
-	}{
-		{140, 8, 0, partition.Multilevel, 0},
-		{140, 8, 1, partition.Multilevel, 5},
-		{140, 8, 3, partition.Multilevel, 17},
-		{140, 3, 0, partition.Multilevel, 5},
-		{140, 40, 3, partition.Multilevel, 0},
-		{140, 8, 0, partition.Hash, 17},
-		{60, 16, 0, partition.Multilevel, 0},
-	} {
-		name := fmt.Sprintf("A÷%d/%d %v parts/source %d/MaxLocalIters %d", c.shrink, c.parts, c.method, c.source, c.maxLocal)
-		t.Run(name, func(t *testing.T) {
-			g := graph.MustGenerate(graph.GraphAConfig().Scaled(c.shrink))
-			g.AssignUniformWeights(1, 100, 42)
-			a, err := partition.Partition(g, c.parts, partition.Options{Method: c.method, Seed: 7})
+	for _, c := range specCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Run(c.engine(), c.subs, c.cfg, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			subs, err := graph.BuildSubGraphs(g, a.Parts, a.K)
+			job := buildJob(c.cfg, true)
+			job.Map = core.BuildGMap(eagerSpec(c.cfg))
+			want, err := runEngine(c.engine(), c.subs, c.cfg, job)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Source: c.source, MaxLocalIters: c.maxLocal}
-			got, err := Run(engine(), subs, cfg, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			job := buildJob(cfg, true)
-			job.Map = core.BuildGMap(eagerSpec(cfg))
-			want, err := run(engine(), subs, cfg, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for u := range want.Dist {
-				if math.Float64bits(got.Dist[u]) != math.Float64bits(want.Dist[u]) {
-					t.Fatalf("node %d: distance %v, lmap/lreduce %v", u, got.Dist[u], want.Dist[u])
-				}
-			}
-			if !reflect.DeepEqual(got.Stats, want.Stats) {
-				t.Fatalf("run statistics differ: %d global and %d local iterations in %v, lmap/lreduce %d and %d in %v",
-					got.Stats.GlobalIterations, got.Stats.LocalIterations, got.Stats.Duration,
-					want.Stats.GlobalIterations, want.Stats.LocalIterations, want.Stats.Duration)
-			}
+			sameRun(t, got, want, "lmap/lreduce")
 		})
 	}
 }

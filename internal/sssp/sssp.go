@@ -16,6 +16,15 @@
 // decrease in the number of global iterations, with bulk of the work
 // performed in the local iterations."
 //
+// A global iteration of either is the MapReduce job it models, run
+// without records: each map task leaves its candidates in slots fixed
+// once per run, one per own node and one per distinct remote
+// destination, a gather takes the minimum over each node's slots, and the
+// job is priced from the per-task counts the engine would record
+// (mapreduce.Engine.Price), a finite slot being one record. The minimum
+// is order-free, so no value order needs keeping. The job through
+// internal/mapreduce and internal/core is the tests' oracle.
+//
 // Distances start at 0 for the source and +Inf elsewhere; convergence is
 // declared when a global iteration improves no distance.
 package sssp
@@ -23,7 +32,7 @@ package sssp
 import (
 	"fmt"
 	"math"
-	"slices"
+	"sync/atomic"
 
 	"repro/internal/async"
 	"repro/internal/cluster"
@@ -56,6 +65,12 @@ type state struct {
 	// cand[i] is the best candidate a sweep has found for sub.Nodes[i],
 	// +Inf between sweeps.
 	cand []float64
+	// slots is the partition's window of the run's slots, +Inf between
+	// iterations: slot li is own node li's, then one per distinct remote
+	// destination. remSlot[e] is the slot of the partition's e-th remote
+	// edge in traversal order (node ascending, OutRemote order).
+	slots   []float64
+	remSlot []int32
 }
 
 // Result of an SSSP run.
@@ -89,87 +104,228 @@ func validate(subs []*graph.SubGraph, cfg Config) (int, error) {
 	return n, nil
 }
 
-// Run executes SSSP over the given weighted sub-graphs. eager selects the
+// Run executes SSSP over the given weighted sub-graphs, one global
+// iteration at a time until one improves no distance. eager selects the
 // formulation.
 func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*Result, error) {
-	return run(engine, subs, cfg, buildJob(cfg, eager))
-}
-
-// run is Run with the per-iteration job given.
-func run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
 	n, err := validate(subs, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[cfg.Source] = 0
-
-	states := make([]*state, len(subs))
-	for i, s := range subs {
-		st := &state{
-			sub:    s,
-			dist:   make([]float64, s.NumNodes()),
-			active: make([]bool, s.NumNodes()),
-			cand:   make([]float64, s.NumNodes()),
+	// A global iteration is every partition's map task, then the gather,
+	// then the pricing of the job the engine would have run for them.
+	d := newRun(engine, subs, cfg, eager, n)
+	stats, err := core.Iterate(func(iter int) (mapreduce.Cost, bool, error) {
+		d.improved.Store(false)
+		if err := engine.ForEachTask(len(d.states), d.mapTask); err != nil {
+			return mapreduce.Cost{}, false, fmt.Errorf("sssp: iteration %d: map phase: %w", iter, err)
 		}
-		for li, u := range s.Nodes {
-			st.dist[li] = dist[u]
-			st.cand[li] = math.Inf(1)
-			if u == cfg.Source {
-				st.active[li] = true
-			}
+		if err := engine.ForEachTask(len(d.reduces), d.gather); err != nil {
+			return mapreduce.Cost{}, false, fmt.Errorf("sssp: iteration %d: gather: %w", iter, err)
 		}
-		states[i] = st
-	}
-
-	splits := make([]mapreduce.Split[*state], len(states))
-	for i, st := range states {
-		splits[i] = mapreduce.Split[*state]{
-			Data:    st,
-			Records: int64(st.sub.NumNodes()),
-			Bytes:   st.sub.Bytes,
-		}
-	}
-
-	driver := &core.Driver[*state, int64, float64]{
-		Engine: engine,
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
-			improved := false
-			for _, kv := range out {
-				u := kv.Key
-				if u < 0 || u >= int64(n) {
-					return false, fmt.Errorf("sssp: reduce emitted node %d outside [0,%d)", u, n)
-				}
-				if kv.Value < dist[u] {
-					dist[u] = kv.Value
-					improved = true
-				}
-			}
-			// Disseminate new distances into partitions; activate nodes
-			// whose distance improved so the next global map's local
-			// iterations start from the right frontier. A node a capped
-			// sweep left active stays so.
-			for _, st := range states {
-				for li, u := range st.sub.Nodes {
-					if dist[u] < st.dist[li] {
-						st.dist[li] = dist[u]
-						st.active[li] = true
-					}
-				}
-			}
-			return !improved, nil
-		},
-	}
-	stats, err := driver.Run(splits)
+		return engine.Price(d.maps, d.reduces), !d.improved.Load(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Dist: dist, Stats: stats}, nil
+	return &Result{Dist: d.dist, Stats: stats}, nil
+}
+
+// driver is a general or eager run between global iterations: the
+// partitions' states, every node's best known distance, the reduce plan
+// over the partitions' slots, and what the engine would record for each
+// task of one iteration's job.
+type driver struct {
+	cfg    Config
+	eager  bool
+	states []*state
+	dist   []float64
+	// slots holds every partition's state.slots, partition by partition;
+	// node u's reduce takes the minimum over slots[src[start[u]:start[u+1]]].
+	slots      []float64
+	start, src []int32
+	// maps[i] and reduces[p] are what map task i and reduce task p of the
+	// iteration's job record; improved is whether a reduce task improved
+	// a distance.
+	maps, reduces []mapreduce.TaskStats
+	improved      atomic.Bool
+}
+
+// newRun builds a run on engine's cluster over subs, which hold n nodes:
+// the initial distances, every partition's state and slot plan, and the
+// reduce plan. A map task's input counts are its split's (NumNodes
+// records of Bytes).
+func newRun(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool, n int) *driver {
+	inf := math.Inf(1)
+	d := &driver{
+		cfg:     cfg,
+		eager:   eager,
+		states:  make([]*state, len(subs)),
+		dist:    make([]float64, n),
+		start:   make([]int32, n+1),
+		maps:    make([]mapreduce.TaskStats, len(subs)),
+		reduces: make([]mapreduce.TaskStats, engine.ReduceSlots()),
+	}
+	for u := range d.dist {
+		d.dist[u] = inf
+	}
+	d.dist[cfg.Source] = 0
+	// keys[j] is slot j's node and ends[i] the end of partition i's
+	// slots. slotOf[v] is 1 + the last slot made for remote destination
+	// v: the current partition's if it is past the partition's first.
+	var keys []graph.NodeID
+	ends := make([]int, len(subs))
+	slotOf := make([]int32, n)
+	for i, s := range subs {
+		base, m := len(keys), s.NumNodes()
+		st := &state{sub: s, dist: make([]float64, m), active: make([]bool, m), cand: make([]float64, m)}
+		for li, u := range s.Nodes {
+			st.dist[li], st.cand[li], st.active[li] = d.dist[u], inf, u == cfg.Source
+		}
+		keys = append(keys, s.Nodes...)
+		for _, adj := range s.OutRemote {
+			for _, v := range adj {
+				if int(slotOf[v]) <= base {
+					keys = append(keys, v)
+					slotOf[v] = int32(len(keys))
+				}
+				st.remSlot = append(st.remSlot, slotOf[v]-1-int32(base))
+			}
+		}
+		d.maps[i] = mapreduce.TaskStats{InRecords: int64(m), InBytes: s.Bytes}
+		d.states[i], ends[i] = st, len(keys)
+	}
+	d.slots = make([]float64, len(keys))
+	for j := range d.slots {
+		d.slots[j] = inf
+	}
+	base := 0
+	for i, st := range d.states {
+		st.slots, base = d.slots[base:ends[i]], ends[i]
+	}
+	// A counting sort of the slots by node: start[u] counts, then ends,
+	// then (each slot placed by decrementing it) starts node u's slots.
+	for _, k := range keys {
+		d.start[k]++
+	}
+	for u := 1; u <= n; u++ {
+		d.start[u] += d.start[u-1]
+	}
+	d.src = make([]int32, len(keys))
+	for j := len(keys) - 1; j >= 0; j-- {
+		d.start[keys[j]]--
+		d.src[d.start[keys[j]]] = int32(j)
+	}
+	return d
+}
+
+// mapTask is the gmap of partition i. It loads the distances the last
+// gather improved, activating their nodes, then fills the own-node slots
+// from the local edges (general) or, after the local sweeps, with the
+// settled distances (eager), and the remote slots from the remote edges,
+// each with the best candidate. It records a record per finite slot, and
+// an op per out-edge of a node at a finite distance (general), or per
+// such node and its remote out-edges, plus 2 per relaxed edge (eager).
+func (d *driver) mapTask(i int) error {
+	st := d.states[i]
+	sub := st.sub
+	for li, u := range sub.Nodes {
+		if d.dist[u] < st.dist[li] {
+			st.dist[li] = d.dist[u]
+			st.active[li] = true
+		}
+	}
+	var ops, sweeps int64
+	if d.eager {
+		for {
+			ops += 2 * st.relax()
+			sweeps++
+			if !st.settle() || d.cfg.MaxLocalIters > 0 && sweeps >= int64(d.cfg.MaxLocalIters) {
+				break
+			}
+		}
+		copy(st.slots, st.dist)
+	} else {
+		for li, dl := range st.dist {
+			if !math.IsInf(dl, 1) {
+				offer(st.slots, dl, sub.OutLocal[li], sub.WLocal[li])
+				ops += int64(sub.OutDeg[li])
+			}
+		}
+	}
+	rem := st.remSlot
+	for li, adj := range sub.OutRemote {
+		dl, slots := st.dist[li], rem[:len(adj)]
+		rem = rem[len(adj):]
+		if !math.IsInf(dl, 1) {
+			offer(st.slots, dl, slots, sub.WRemote[li])
+			if d.eager {
+				ops += int64(len(adj)) + 1
+			}
+		}
+	}
+	var records int64
+	for _, c := range st.slots {
+		if !math.IsInf(c, 1) {
+			records++
+		}
+	}
+	m := &d.maps[i]
+	m.OutRecords, m.OutBytes = records, mapreduce.DefaultRecordSize*records
+	m.Ops, m.LocalSyncs = ops, sweeps
+	return nil
+}
+
+// offer lowers each slots[at[e]] to d + w[e] where that is smaller.
+func offer(slots []float64, d float64, at []int32, w []float64) {
+	for e, s := range at {
+		if c := d + w[e]; c < slots[s] {
+			slots[s] = c
+		}
+	}
+}
+
+// gather is reduce task p: the nodes that mapreduce.Int64Partition routes
+// to p of len(reduces), u ≡ p mod len(reduces), each taking the minimum
+// over its finite slots, one record and one operation each, and keeping
+// it if it beats the node's distance. Every slot it reads goes back to
+// +Inf. The local reduce and global reduce are functionally identical, as
+// the paper observes; this one is the global.
+func (d *driver) gather(p int) error {
+	inf := math.Inf(1)
+	var in, out int64
+	improved := false
+	for u := p; u < len(d.dist); u += len(d.reduces) {
+		best, k := inf, int64(0)
+		for _, s := range d.src[d.start[u]:d.start[u+1]] {
+			if c := d.slots[s]; !math.IsInf(c, 1) {
+				k++
+				if c < best {
+					best = c
+				}
+				d.slots[s] = inf
+			}
+		}
+		if k == 0 {
+			continue
+		}
+		in += k
+		out++
+		if best < d.dist[u] {
+			d.dist[u] = best
+			improved = true
+		}
+	}
+	if improved {
+		d.improved.Store(true)
+	}
+	d.reduces[p] = mapreduce.TaskStats{
+		InRecords:  in,
+		OutRecords: out,
+		OutBytes:   mapreduce.DefaultRecordSize * out,
+		Ops:        in,
+	}
+	return nil
 }
 
 // AsyncResult of a fully-asynchronous SSSP run.
@@ -203,107 +359,6 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 		return nil, err
 	}
 	return &AsyncResult{Dist: w.Values(), Stats: stats}, nil
-}
-
-// emitSorted mirrors pagerank's deterministic emission of accumulated
-// candidates.
-func emitSorted(emit func(int64, float64), acc map[int64]float64) {
-	keys := make([]int64, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		emit(k, acc[k])
-	}
-}
-
-// minInto keeps the smaller candidate per destination.
-func minInto(acc map[int64]float64, key int64, d float64) {
-	if old, ok := acc[key]; !ok || d < old {
-		acc[key] = d
-	}
-}
-
-// buildJob assembles the per-iteration job; the reduce (min per node) is
-// shared between formulations.
-func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
-	job := &mapreduce.Job[*state, int64, float64]{
-		Name:      "sssp-general",
-		Partition: mapreduce.Int64Partition,
-		Reduce: func(ctx *mapreduce.TaskContext[int64, float64], key int64, values []float64) {
-			best := math.Inf(1)
-			for _, v := range values {
-				if v < best {
-					best = v
-				}
-			}
-			ctx.Charge(int64(len(values)))
-			ctx.Emit(key, best)
-		},
-	}
-	if !eager {
-		job.Map = generalMap
-		return job
-	}
-	job.Name = "sssp-eager"
-	job.Map = eagerMap(cfg)
-	return job
-}
-
-// generalMap performs one synchronous relaxation sweep: every node with a
-// finite distance emits a candidate for each out-edge, aggregated (min)
-// per destination within the partition.
-func generalMap(ctx *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
-	st := split.Data
-	sub := st.sub
-	acc := make(map[int64]float64)
-	var ops int64
-	for li := range sub.Nodes {
-		d := st.dist[li]
-		if math.IsInf(d, 1) {
-			continue
-		}
-		for ei, dst := range sub.OutLocal[li] {
-			minInto(acc, int64(sub.Nodes[dst]), d+sub.WLocal[li][ei])
-		}
-		for ei, dst := range sub.OutRemote[li] {
-			minInto(acc, int64(dst), d+sub.WRemote[li][ei])
-		}
-		ops += int64(sub.OutDeg[li])
-	}
-	ctx.Charge(ops)
-	emitSorted(ctx.Emit, acc)
-}
-
-// eagerMap is the eager gmap: relaxation sweeps over the partition's
-// active frontier until no local distance improves, or MaxLocalIters
-// sweeps when that is above 0, then the global emission. A sweep is the
-// paper's lmap, every frontier node relaxing its partition-internal
-// out-edges, and lreduce, the best candidate per node, done as one Jacobi
-// sweep (relax, then settle): candidates collect in st.cand against dist
-// as the sweep found it, and only the settle that follows moves
-// improvements into dist and the next frontier. Its pricing is what the
-// lmap/lreduce program costs through core.BuildGMap: a partial
-// synchronization a sweep (a partition with no frontier pays one empty
-// sweep), an lmap and an lreduce operation per relaxed edge, and the
-// local iteration count.
-func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
-	return func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
-		st := split.Data
-		var edges int64
-		sweeps := 0
-		for {
-			edges += st.relax()
-			tc.LocalSync()
-			sweeps++
-			if !st.settle() || cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters {
-				break
-			}
-		}
-		tc.Charge(2 * edges)
-		emitSettled(tc, st)
-	}
 }
 
 // relax offers every frontier node's distance plus edge weight to each
@@ -340,28 +395,4 @@ func (st *state) settle() (more bool) {
 		st.cand[li] = inf
 	}
 	return more
-}
-
-// emitSettled is the eager global emission: every node at a finite
-// distance publishes it (so the global reduction learns what the local
-// sweeps discovered) and pushes candidates across its cross-partition
-// out-edges (the inter-component information the local sweeps could not
-// use), aggregated (min) per destination.
-func emitSettled(tc *mapreduce.TaskContext[int64, float64], st *state) {
-	sub := st.sub
-	acc := make(map[int64]float64)
-	var ops int64
-	for li := range sub.Nodes {
-		d := st.dist[li]
-		if math.IsInf(d, 1) {
-			continue
-		}
-		minInto(acc, int64(sub.Nodes[li]), d)
-		for ei, dst := range sub.OutRemote[li] {
-			minInto(acc, int64(dst), d+sub.WRemote[li][ei])
-		}
-		ops += int64(len(sub.OutRemote[li])) + 1
-	}
-	tc.Charge(ops)
-	emitSorted(tc.Emit, acc)
 }
