@@ -68,7 +68,9 @@ func buildExchangeOracle(subs []*SubGraph, undirected bool) ([]Exchange, error) 
 }
 
 // checkExchangeAgainstOracle builds the plans of well-formed sub-graphs
-// both ways, directed and undirected, and reports any difference.
+// both ways, directed and undirected, and reports any difference, then
+// holds the plans BuildSubGraphs stored to the directed ones, field by
+// field, and has ExchangeCheck pass them.
 func checkExchangeAgainstOracle(t *testing.T, subs []*SubGraph) {
 	t.Helper()
 	nodes := 0
@@ -97,6 +99,38 @@ func checkExchangeAgainstOracle(t *testing.T, subs []*SubGraph) {
 			if !slices.Equal(g.Neighbors, w.Neighbors) {
 				t.Fatalf("undirected=%v partition %d: Neighbors = %v, want %v", undirected, p, g.Neighbors, w.Neighbors)
 			}
+		}
+	}
+	checkStoredExchange(t, subs)
+}
+
+func checkStoredExchange(t *testing.T, subs []*SubGraph) {
+	t.Helper()
+	xs, _, err := BuildExchange(subs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, x := range xs {
+		s := subs[p].Exchange
+		for _, f := range []struct {
+			name      string
+			got, want []int32
+		}{{"Border", s.Border, x.Border}, {"Slot", s.Slot, x.Slot}, {"Idx", s.Idx, x.Idx}, {"Node", s.Node, x.Node}} {
+			if !slices.Equal(f.got, f.want) {
+				t.Fatalf("partition %d: stored %s = %v, BuildExchange says %v", p, f.name, f.got, f.want)
+			}
+		}
+		if !slices.Equal(s.Neighbors, x.Neighbors) {
+			t.Fatalf("partition %d: stored Neighbors = %v, BuildExchange says %v", p, s.Neighbors, x.Neighbors)
+		}
+	}
+	c := NewExchangeCheck(subs)
+	if err := c.CheckSet(); err != nil {
+		t.Fatalf("stored plans rejected: %v", err)
+	}
+	for p := range subs {
+		if err := c.Check(p); err != nil {
+			t.Fatalf("stored plan rejected: %v", err)
 		}
 	}
 }

@@ -47,6 +47,12 @@ type SubGraph struct {
 	InRemote  [][]NodeID
 	InRemoteW [][]float64
 
+	// Exchange is the partition's directed exchange plan, as
+	// BuildExchange(subs, false) returns it: the partition is fixed
+	// before a job starts, and so is who publishes what to whom. Runs
+	// share it read-only, after an ExchangeCheck.
+	Exchange Exchange
+
 	// Bytes is the simulated serialized size of the partition, used to
 	// price the DFS read of the split.
 	Bytes int64
@@ -245,6 +251,13 @@ func BuildSubGraphs(g *Graph, parts []int32, k int) ([]*SubGraph, error) {
 	var scratch []int32
 	for _, s := range subs {
 		scratch = s.buildPull(scratch)
+	}
+	xs, _, err := BuildExchange(subs, false)
+	if err != nil {
+		return nil, err
+	}
+	for p, s := range subs {
+		s.Exchange = xs[p]
 	}
 	return subs, nil
 }

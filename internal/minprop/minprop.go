@@ -75,15 +75,17 @@ type Workload[T Label] struct {
 // graph's undirected closure (CC). start(u) gives node u's unreached value
 // and, when u is seeded, the value it starts at instead; only seeded nodes
 // start on the frontier. maxLocalIters caps a step's local sweeps (0 =
-// sweep until the frontier drains). Sub-graphs the exchange plan rejects
-// are graph.BuildExchange's errors, returned as they are.
+// sweep until the frontier drains). A directed relaxation shares the
+// exchange plans the sub-graphs carry, read-only, once graph.ExchangeCheck
+// passes them; an undirected one builds its own with
+// graph.BuildExchange. Either's errors are returned as they are.
 func New[T Label](subs []*graph.SubGraph, maxLocalIters int, start func(u graph.NodeID) (unreached, seed T, seeded bool)) (*Workload[T], error) {
 	weighted := false
 	if len(subs) > 0 {
 		wl, _ := any(subs[0].WLocal).([][]T) // nil unless T is float64 and the edges weighted
 		weighted = wl != nil
 	}
-	xs, n, err := graph.BuildExchange(subs, !weighted)
+	xs, n, err := exchanges(subs, weighted)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +129,28 @@ func New[T Label](subs []*graph.SubGraph, maxLocalIters int, start func(u graph.
 		w.parts[p] = st
 	}
 	return w, nil
+}
+
+// exchanges returns every partition's exchange plan and the node count:
+// the directed plans subs carry, checked, or undirected ones built anew.
+func exchanges(subs []*graph.SubGraph, directed bool) ([]graph.Exchange, int, error) {
+	if !directed {
+		return graph.BuildExchange(subs, true)
+	}
+	check := graph.NewExchangeCheck(subs)
+	if err := check.CheckSet(); err != nil {
+		return nil, 0, err
+	}
+	xs := make([]graph.Exchange, len(subs))
+	n := 0
+	for p, s := range subs {
+		if err := check.Check(p); err != nil {
+			return nil, 0, err
+		}
+		xs[p] = s.Exchange
+		n += s.NumNodes()
+	}
+	return xs, n, nil
 }
 
 // reverse is s's local reverse adjacency in CSR form: count in-degrees,

@@ -69,13 +69,24 @@ func TestUndoLeavesCheckpointIntact(t *testing.T) {
 }
 
 // checkRejectsMalformed: sub-graph sets that break the exchange plan's
-// three requirements (graph.BuildExchange) are errors, not panics.
-func checkRejectsMalformed[T Label](t *testing.T, build func([]*graph.SubGraph, int) (*Workload[T], error)) {
-	for name, mangle := range map[string]func(subs []*graph.SubGraph){
+// three requirements (graph.BuildExchange) are errors, not panics or
+// runs; so, when storedPlan says the relaxation reads the plans the
+// sub-graphs carry, are plans edited after the build.
+func checkRejectsMalformed[T Label](t *testing.T, build func([]*graph.SubGraph, int) (*Workload[T], error), storedPlan bool) {
+	rows := map[string]func(subs []*graph.SubGraph){
 		"node ids not dense":                                   func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 9 },
 		"cross in-edge source owned by nobody":                 func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2; subs[0].InRemote[0][0] = 3 },
 		"cross in-edge source missing from its owner's border": func(subs []*graph.SubGraph) { subs[0].InRemote[0][0] = 3 },
-	} {
+		"node id repeated":                                     func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2 },
+	}
+	if storedPlan {
+		rows["stored read's slot out of range"] = func(subs []*graph.SubGraph) { subs[1].Exchange.Slot[0] = 5 }
+		rows["stored read's border index out of range"] = func(subs []*graph.SubGraph) { subs[1].Exchange.Idx[1] = 7 }
+		rows["stored read's node out of range"] = func(subs []*graph.SubGraph) { subs[1].Exchange.Node[0] = 9 }
+		rows["stored border entry out of range"] = func(subs []*graph.SubGraph) { subs[0].Exchange.Border[1] = 5 }
+		rows["stored read of the wrong border node"] = func(subs []*graph.SubGraph) { subs[1].Exchange.Idx[0] = 1 }
+	}
+	for name, mangle := range rows {
 		// Nodes 0, 1 | 2, 3: edges 0->2, 1->2 and 2->0 cross; 3 is isolated.
 		g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2}, {0}, {}}}
 		g.AssignUniformWeights(1, 10, 3)
@@ -94,6 +105,6 @@ func checkRejectsMalformed[T Label](t *testing.T, build func([]*graph.SubGraph, 
 }
 
 func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
-	t.Run("sssp", func(t *testing.T) { checkRejectsMalformed(t, distances) })
-	t.Run("cc", func(t *testing.T) { checkRejectsMalformed(t, labels) })
+	t.Run("sssp", func(t *testing.T) { checkRejectsMalformed(t, distances, true) })
+	t.Run("cc", func(t *testing.T) { checkRejectsMalformed(t, labels, false) })
 }

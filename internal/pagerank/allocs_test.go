@@ -3,7 +3,11 @@ package pagerank
 import (
 	"testing"
 
+	"repro/internal/async/asynctest"
+	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/mapreduce"
+	"repro/internal/partition"
 )
 
 // warmIterationBudget is the allocations a warm global iteration may
@@ -73,6 +77,54 @@ func TestNewStatesAllocsPerPartition(t *testing.T) {
 		t.Logf("eager %v: %.3f allocations per partition at 2000 and %.3f at 8000 nodes", eager, per[0], per[1])
 		if per[0] != per[1] {
 			t.Errorf("eager %v: %.3f allocations per partition at 2000 nodes, %.3f at 8000", eager, per[0], per[1])
+		}
+	}
+}
+
+// TestAsyncSetupAllocsFlat: buildAsyncWorkload carves every partition's
+// arrays from one slab per element type, so a run's set-up allocates as
+// often on Graph A ÷8 in 4, 16 and 64 parts.
+func TestAsyncSetupAllocsFlat(t *testing.T) {
+	g := graph.MustGenerate(graph.GraphAConfig().Scaled(8))
+	var want float64
+	for i, k := range []int{4, 16, 64} {
+		subs := subgraphs(t, g, k)
+		c := asynctest.QuietCluster()
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, _, err := buildAsyncWorkload(mapreduce.NewEngine(c), subs, DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d parts: %.0f allocations", k, allocs)
+		if i == 0 {
+			want = allocs
+		} else if allocs != want {
+			t.Errorf("%d parts: %.0f allocations, 4 parts %.0f", k, allocs, want)
+		}
+	}
+}
+
+// BenchmarkAsyncSetup times an asynchronous run's set-up alone, the
+// plan checks and the state buildAsyncWorkload builds, on the inputs of
+// the benchmark's pagerank_* workloads: Graph A ÷4 in 16 parts.
+//
+//	go test -run xxx -bench AsyncSetup -count 10 ./internal/pagerank/
+func BenchmarkAsyncSetup(b *testing.B) {
+	g := graph.MustGenerate(graph.GraphAConfig().Scaled(4))
+	a, err := partition.Partition(g, 16, partition.Options{Method: partition.Multilevel, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	subs, err := graph.BuildSubGraphs(g, a.Parts, a.K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := cluster.New(cluster.EC2LargeCluster())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := buildAsyncWorkload(mapreduce.NewEngine(c), subs, DefaultConfig()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/mapreduce"
 )
 
 // publishFraction scales the publication threshold relative to Epsilon:
@@ -52,7 +53,9 @@ type AsyncResult struct {
 // not by its local index, and so are x.Node and x.Border.
 type asyncState struct {
 	sub *graph.SubGraph
-	x   graph.Exchange
+	// x is sub.Exchange with Node and Border this run's copies by
+	// position; Slot, Idx and Neighbors are the stored ones, shared.
+	x graph.Exchange
 	// rank and ghost mirror the eager formulation's arrays, one entry per
 	// position: the nodes, then the plan's extra positions, which hold
 	// 1-Damping and 0 and stay there (no in-edge, no ghost).
@@ -309,7 +312,7 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
-	w, n, err := buildAsyncWorkload(subs, cfg)
+	w, n, err := buildAsyncWorkload(mapreduce.NewEngine(c), subs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -351,46 +354,88 @@ func checkPull(p int, s *graph.SubGraph) error {
 	return nil
 }
 
-// buildAsyncWorkload builds every partition's solver state around its
-// boundary exchange plan, moved from local indices to the pull plan's
-// positions; contributions follow edge direction.
-func buildAsyncWorkload(subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
-	xs, n, err := graph.BuildExchange(subs, false)
-	if err != nil {
-		return nil, 0, fmt.Errorf("pagerank: %w", err)
+// buildAsyncWorkload builds every partition's solver state around the
+// exchange plan its sub-graph carries, which it shares read-only. It
+// runs on engine's tasks: one checks what spans the set of plans, the
+// others one partition each, its plan and pull plan checked and its
+// state filled. Its copies of the plan's Node and Border are moved from
+// local indices to the pull plan's positions; contributions follow edge
+// direction. Every array is carved from one slab per element type, so
+// the allocations do not grow with the partition count. The set's error
+// comes first, then the lowest failing partition's.
+func buildAsyncWorkload(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
+	check := graph.NewExchangeCheck(subs)
+	n, floats, ints := 0, 0, 0
+	for _, s := range subs {
+		n += s.NumNodes()
+		floats += 3*len(s.Pull.OutDeg) + 1 + len(s.Exchange.Border)
+		ints += len(s.Exchange.Node) + len(s.Exchange.Border)
 	}
+	fs, is := make([]float64, floats), make([]int32, ints)
+	slab := make([]asyncState, len(subs))
 	states := make([]*asyncState, len(subs))
 	for p, s := range subs {
-		if err := checkPull(p, s); err != nil {
-			return nil, 0, err
-		}
-		pos := s.Pull.Pos
-		m := len(s.Pull.OutDeg)
-		st := &asyncState{
-			sub:     s,
-			x:       xs[p],
-			rank:    make([]float64, m),
-			ghost:   make([]float64, m),
-			contrib: make([]float64, m+1),
-		}
-		st.lastDelta = 1 // pre-step residual: the initial rank magnitude
-		for r := range st.rank {
-			st.rank[r] = 1 // all nodes start with rank 1 (§V-B)
-		}
-		for r := s.NumNodes(); r < m; r++ {
-			st.rank[r] = 1 - cfg.Damping // what a sweep computes there, so no change
-		}
-		st.fillContrib()
-		// The plan is this run's own copy.
-		for r, li := range st.x.Node {
-			st.x.Node[r] = pos[li]
-		}
-		st.lastPub = make([]float64, len(st.x.Border))
-		for bi, li := range st.x.Border {
-			st.lastPub[bi] = 1 / float64(s.OutDeg[li])
-			st.x.Border[bi] = pos[li]
-		}
+		st, x, m := &slab[p], s.Exchange, len(s.Pull.OutDeg)
+		st.sub, st.x = s, x
+		st.rank, st.ghost, st.contrib, st.lastPub = take(&fs, m), take(&fs, m), take(&fs, m+1), take(&fs, len(x.Border))
+		st.x.Node, st.x.Border = take(&is, len(x.Node)), take(&is, len(x.Border))
 		states[p] = st
 	}
+	errs := make([]error, 1+len(subs))
+	panicked := engine.ForEachTask(len(errs), func(i int) error {
+		if i > 0 {
+			errs[i] = states[i-1].init(i-1, check, cfg)
+		} else if err := check.CheckSet(); err != nil {
+			errs[0] = fmt.Errorf("pagerank: %w", err)
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	if panicked != nil {
+		return nil, 0, fmt.Errorf("pagerank: %w", panicked)
+	}
 	return &asyncWorkload{cfg: cfg, states: states}, n, nil
+}
+
+// take cuts the next n entries off *slab, capacity-limited.
+func take[T any](slab *[]T, n int) []T {
+	v := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return v
+}
+
+// init checks partition p's reads and pull plan, then fills its state:
+// every node at rank 1 (§V-B), the extra positions at 1-Damping, what a
+// sweep computes there, so they never change; the residual before the
+// first step, the initial rank magnitude; the contributions, the last
+// published ones among them; the plan's nodes and border by position.
+func (st *asyncState) init(p int, check *graph.ExchangeCheck, cfg Config) error {
+	if err := check.Check(p); err != nil {
+		return fmt.Errorf("pagerank: %w", err)
+	}
+	s := st.sub
+	if err := checkPull(p, s); err != nil {
+		return err
+	}
+	for r := range st.rank {
+		st.rank[r] = 1
+	}
+	for r := s.NumNodes(); r < len(st.rank); r++ {
+		st.rank[r] = 1 - cfg.Damping
+	}
+	st.fillContrib()
+	st.lastDelta = 1
+	pos, x := s.Pull.Pos, &s.Exchange
+	for r, li := range x.Node {
+		st.x.Node[r] = pos[li]
+	}
+	for bi, li := range x.Border {
+		st.lastPub[bi] = 1 / float64(s.OutDeg[li])
+		st.x.Border[bi] = pos[li]
+	}
+	return nil
 }

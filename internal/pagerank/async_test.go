@@ -3,6 +3,7 @@ package pagerank
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/async"
@@ -45,7 +46,7 @@ func TestAsyncFixedPointUnderAnyDelivery(t *testing.T) {
 		t.Run(row.String(), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MaxLocalIters = row.MaxLocalIters
-			w, n, err := buildAsyncWorkload(subs, cfg)
+			w, n, err := buildAsyncWorkload(engine(), subs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +211,7 @@ func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(async
 		t.Fatal(err)
 	}
 	fresh := func() asynctest.UndoWorkload[[]float64] {
-		w, _, err := buildAsyncWorkload(subs, cfg)
+		w, _, err := buildAsyncWorkload(engine(), subs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,8 +337,9 @@ func TestAsyncValidation(t *testing.T) {
 }
 
 // TestAsyncRejectsMalformedSubGraphs: sub-graph sets that break the
-// exchange plan's three requirements (graph.BuildExchange) are errors
-// from this package, not panics.
+// exchange plan's three requirements (graph.BuildExchange), or whose
+// stored plan was edited after the build, are errors from this package,
+// not panics or runs.
 func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -346,6 +348,12 @@ func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
 		{"node ids not dense", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 9 }},
 		{"cross in-edge source owned by nobody", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2; subs[0].InRemote[0][0] = 3 }},
 		{"cross in-edge source missing from its owner's border", func(subs []*graph.SubGraph) { subs[0].InRemote[0][0] = 3 }},
+		{"node id repeated", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2 }},
+		{"stored read's slot out of range", func(subs []*graph.SubGraph) { subs[1].Exchange.Slot[0] = 5 }},
+		{"stored read's border index out of range", func(subs []*graph.SubGraph) { subs[1].Exchange.Idx[1] = 7 }},
+		{"stored read's node out of range", func(subs []*graph.SubGraph) { subs[1].Exchange.Node[0] = 9 }},
+		{"stored border entry out of range", func(subs []*graph.SubGraph) { subs[0].Exchange.Border[1] = 5 }},
+		{"stored read of the wrong border node", func(subs []*graph.SubGraph) { subs[1].Exchange.Idx[0] = 1 }},
 	} {
 		// Nodes 0, 1 | 2, 3: edges 0->2, 1->2 and 2->0 cross; 3 is isolated.
 		g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2}, {0}, {}}}
@@ -360,5 +368,47 @@ func TestAsyncRejectsMalformedSubGraphs(t *testing.T) {
 		if _, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{}); err == nil || !strings.HasPrefix(err.Error(), "pagerank: graph: ") {
 			t.Errorf("%s: error %v, want one from the exchange plan", c.name, err)
 		}
+	}
+}
+
+// TestAsyncRunsShareSubGraphs: a run shares the exchange plans its
+// sub-graphs carry and writes nothing of them, so a DES and a Parallel
+// run on one sub-graph set at the same time each reproduce the ranks and
+// RunStats of the same run made alone, bit for bit.
+func TestAsyncRunsShareSubGraphs(t *testing.T) {
+	subs := subgraphs(t, smallGraph(), 8)
+	opts := []async.Options{{Staleness: 4}, {Staleness: 4, Executor: async.Parallel, Workers: 2}}
+	run := func(opt async.Options) (*AsyncResult, error) {
+		return RunAsync(cluster.New(cluster.EC2LargeCluster()), subs, DefaultConfig(), opt)
+	}
+	alone := make([]*AsyncResult, len(opts))
+	for i, opt := range opts {
+		res, err := run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = res
+	}
+	together := make([]*AsyncResult, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i, opt := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = run(opt)
+		}()
+	}
+	wg.Wait()
+	for i, opt := range opts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for u, r := range alone[i].Ranks {
+			if math.Float64bits(together[i].Ranks[u]) != math.Float64bits(r) {
+				t.Fatalf("executor %v: node %d ranks %v beside another run, %v alone", opt.Executor, u, together[i].Ranks[u], r)
+			}
+		}
+		asynctest.StatsEqual(t, "beside another run", alone[i].Stats, together[i].Stats)
 	}
 }

@@ -267,6 +267,9 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
+	if _, err := graph.CheckIDs(subs); err != nil {
+		return nil, fmt.Errorf("pagerank: %w", err)
+	}
 	for p, s := range subs {
 		if err := checkPull(p, s); err != nil {
 			return nil, err

@@ -2,8 +2,11 @@ package pagerank
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/async"
+	"repro/internal/async/asynctest"
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -204,6 +207,42 @@ func TestDeterministicRuns(t *testing.T) {
 	for u := range a.Ranks {
 		if a.Ranks[u] != b.Ranks[u] {
 			t.Fatal("ranks not bit-identical across runs")
+		}
+	}
+}
+
+// TestRejectsMalformedNodeIDs: every entry point checks that node ids are
+// dense, each listed by one partition (graph.CheckIDs), and returns an
+// error, not a panic or ranks for a node no partition lists.
+func TestRejectsMalformedNodeIDs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func(subs []*graph.SubGraph)
+	}{
+		{"node id out of range", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 9 }},
+		{"node id repeated", func(subs []*graph.SubGraph) { subs[1].Nodes[1] = 2 }},
+	} {
+		for _, entry := range []struct {
+			name string
+			run  func(subs []*graph.SubGraph) error
+		}{
+			{"general", func(subs []*graph.SubGraph) error { _, err := Run(engine(), subs, DefaultConfig(), false); return err }},
+			{"eager", func(subs []*graph.SubGraph) error { _, err := Run(engine(), subs, DefaultConfig(), true); return err }},
+			{"async", func(subs []*graph.SubGraph) error {
+				_, err := RunAsync(asynctest.QuietCluster(), subs, DefaultConfig(), async.Options{})
+				return err
+			}},
+		} {
+			// Nodes 0, 1 | 2, 3: edges 0->2, 1->2 and 2->0 cross; 3 is isolated.
+			g := &graph.Graph{Out: [][]graph.NodeID{{1, 2}, {2}, {0}, {}}}
+			subs, err := graph.BuildSubGraphs(g, []int32{0, 0, 1, 1}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mangle(subs)
+			if err := entry.run(subs); err == nil || !strings.HasPrefix(err.Error(), "pagerank: graph: node") {
+				t.Errorf("%s, %s: error %v, want one naming a node", c.name, entry.name, err)
+			}
 		}
 	}
 }

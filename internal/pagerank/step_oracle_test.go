@@ -177,7 +177,7 @@ func newStepPair(t testing.TB, subs []*graph.SubGraph, cfg Config, amp float64, 
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	kernel, _, err := buildAsyncWorkload(subs, cfg)
+	kernel, _, err := buildAsyncWorkload(engine(), subs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ type Result struct {
 	Stats *core.RunStats
 }
 
-// validate checks that subs are weighted partitions holding cfg.Source,
-// and returns their node count.
+// validate checks that subs are weighted partitions with dense node ids
+// (graph.CheckIDs) holding cfg.Source, and returns their node count.
 func validate(subs []*graph.SubGraph, cfg Config) (int, error) {
 	if len(subs) == 0 {
 		return 0, fmt.Errorf("sssp: no partitions")
@@ -94,9 +94,9 @@ func validate(subs []*graph.SubGraph, cfg Config) (int, error) {
 	if cfg.MaxLocalIters < 0 {
 		return 0, fmt.Errorf("sssp: MaxLocalIters must not be negative, got %d", cfg.MaxLocalIters)
 	}
-	n := 0
-	for _, s := range subs {
-		n += s.NumNodes()
+	n, err := graph.CheckIDs(subs)
+	if err != nil {
+		return 0, fmt.Errorf("sssp: %w", err)
 	}
 	if cfg.Source < 0 || int(cfg.Source) >= n {
 		return 0, fmt.Errorf("sssp: source %d outside [0,%d)", cfg.Source, n)
