@@ -18,7 +18,7 @@ const warmIterationBudget = 8
 // checkWarmIterationAllocs pins a formulation's allocation count per
 // warm global iteration and holds it equal to the other formulation's on
 // the same sub-graphs, at two graph sizes. Every array an iteration
-// touches, the eager local iterations' too, is newStates', so what is
+// touches, the eager local iterations' too, is newDriver's, so what is
 // left is the task runner's goroutines and closures and the pricing's
 // scratch, which depend on neither the formulation nor the graph.
 func checkWarmIterationAllocs(t *testing.T, eager bool) {
@@ -47,7 +47,10 @@ func checkWarmIterationAllocs(t *testing.T, eager bool) {
 // global iteration over subs, and the map and reduce tasks of the job it
 // models.
 func warmIterationAllocs(t *testing.T, subs []*graph.SubGraph, eager bool) (allocs float64, tasks int) {
-	d := newStates(engine(), subs, DefaultConfig(), eager)
+	d, err := newDriver(engine(), subs, DefaultConfig(), eager)
+	if err != nil {
+		t.Fatal(err)
+	}
 	iterate := func() {
 		if _, _, err := d.iterate(); err != nil {
 			t.Fatal(err)
@@ -61,22 +64,28 @@ func warmIterationAllocs(t *testing.T, subs []*graph.SubGraph, eager bool) (allo
 func TestEagerSteadyStateAllocs(t *testing.T)   { checkWarmIterationAllocs(t, true) }
 func TestGeneralSteadyStateAllocs(t *testing.T) { checkWarmIterationAllocs(t, false) }
 
-// TestNewStatesAllocsPerPartition: newStates sizes every array from
-// counts, the reduce plan's too, so it makes as many allocations per
-// partition at 8 000 nodes as at 2 000, in either formulation. A key list
-// grown by append would add about the logarithm of its length to every
-// partition.
-func TestNewStatesAllocsPerPartition(t *testing.T) {
-	for _, eager := range []bool{false, true} {
-		var per [2]float64
-		for i, scale := range []int{140, 35} { // 2000 and 8000 nodes
-			subs := subgraphs(t, graph.MustGenerate(graph.GraphAConfig().Scaled(scale)), 8)
+// TestGlobalSetupAllocsEqual: newDriver carves every partition's arrays
+// from one slab per element type, so a general or eager run's set-up
+// allocates as often on Graph A ÷8 in 4, 8 and 64 parts, and the two
+// formulations alike.
+func TestGlobalSetupAllocsEqual(t *testing.T) {
+	g := graph.MustGenerate(graph.GraphAConfig().Scaled(8))
+	var want float64
+	for i, k := range []int{4, 8, 64} {
+		subs := subgraphs(t, g, k)
+		for j, eager := range []bool{false, true} {
 			e := engine()
-			per[i] = testing.AllocsPerRun(3, func() { newStates(e, subs, DefaultConfig(), eager) }) / float64(len(subs))
-		}
-		t.Logf("eager %v: %.3f allocations per partition at 2000 and %.3f at 8000 nodes", eager, per[0], per[1])
-		if per[0] != per[1] {
-			t.Errorf("eager %v: %.3f allocations per partition at 2000 nodes, %.3f at 8000", eager, per[0], per[1])
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := newDriver(e, subs, DefaultConfig(), eager); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d parts, eager %v: %.0f allocations", k, eager, allocs)
+			if i == 0 && j == 0 {
+				want = allocs
+			} else if allocs != want {
+				t.Errorf("%d parts, eager %v: %.0f allocations, 4 parts general %.0f", k, eager, allocs, want)
+			}
 		}
 	}
 }
@@ -126,5 +135,51 @@ func BenchmarkAsyncSetup(b *testing.B) {
 		if _, _, err := buildAsyncWorkload(mapreduce.NewEngine(c), subs, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGlobalIteration times each formulation's set-up (newDriver)
+// and one warm global iteration, a run's second, on the inputs of the
+// benchmark's modes_pagerank workload: Graph A ÷8 in 8 parts.
+//
+//	go test -run xxx -bench GlobalIteration -count 10 ./internal/pagerank/
+func BenchmarkGlobalIteration(b *testing.B) {
+	g := graph.MustGenerate(graph.GraphAConfig().Scaled(8))
+	a, err := partition.Partition(g, 8, partition.Options{Method: partition.Multilevel, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	subs, err := graph.BuildSubGraphs(g, a.Parts, a.K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := mapreduce.NewEngine(cluster.New(cluster.EC2LargeCluster()))
+	for _, eager := range []bool{false, true} {
+		name := map[bool]string{false: "general", true: "eager"}[eager]
+		b.Run(name+"/setup", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := newDriver(e, subs, DefaultConfig(), eager); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/iteration", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d, err := newDriver(e, subs, DefaultConfig(), eager)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := d.iterate(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, err := d.iterate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

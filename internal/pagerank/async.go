@@ -355,16 +355,14 @@ func checkPull(p int, s *graph.SubGraph) error {
 }
 
 // buildAsyncWorkload builds every partition's solver state around the
-// exchange plan its sub-graph carries, which it shares read-only. It
-// runs on engine's tasks: one checks what spans the set of plans, the
-// others one partition each, its plan and pull plan checked and its
-// state filled. Its copies of the plan's Node and Border are moved from
-// local indices to the pull plan's positions; contributions follow edge
-// direction. Every array is carved from one slab per element type, so
-// the allocations do not grow with the partition count. The set's error
-// comes first, then the lowest failing partition's.
+// exchange plan its sub-graph carries, which it shares read-only, on
+// engine's tasks (checkEach): a partition's state is filled once its
+// plan and pull plan pass their checks. Its copies of the plan's Node
+// and Border are moved from local indices to the pull plan's positions;
+// contributions follow edge direction. Every array is carved from one
+// slab per element type, so the allocations do not grow with the
+// partition count.
 func buildAsyncWorkload(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
-	check := graph.NewExchangeCheck(subs)
 	n, floats, ints := 0, 0, 0
 	for _, s := range subs {
 		n += s.NumNodes()
@@ -381,24 +379,43 @@ func buildAsyncWorkload(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Co
 		st.x.Node, st.x.Border = take(&is, len(x.Node)), take(&is, len(x.Border))
 		states[p] = st
 	}
+	if err := checkEach(engine, subs, func(p int) { states[p].init(cfg) }); err != nil {
+		return nil, 0, err
+	}
+	return &asyncWorkload{cfg: cfg, states: states}, n, nil
+}
+
+// checkEach runs, on engine's tasks, the check of what spans the set of
+// exchange plans subs carry and, for every partition, the checks of its
+// exchange plan and pull plan followed by fill(p). The set's error comes
+// first, then the lowest failing partition's.
+func checkEach(engine *mapreduce.Engine, subs []*graph.SubGraph, fill func(p int)) error {
+	check := graph.NewExchangeCheck(subs)
 	errs := make([]error, 1+len(subs))
 	panicked := engine.ForEachTask(len(errs), func(i int) error {
-		if i > 0 {
-			errs[i] = states[i-1].init(i-1, check, cfg)
-		} else if err := check.CheckSet(); err != nil {
-			errs[0] = fmt.Errorf("pagerank: %w", err)
+		if i == 0 {
+			if err := check.CheckSet(); err != nil {
+				errs[0] = fmt.Errorf("pagerank: %w", err)
+			}
+			return nil
+		}
+		p := i - 1
+		if err := check.Check(p); err != nil {
+			errs[i] = fmt.Errorf("pagerank: %w", err)
+		} else if errs[i] = checkPull(p, subs[p]); errs[i] == nil {
+			fill(p)
 		}
 		return nil
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
 	if panicked != nil {
-		return nil, 0, fmt.Errorf("pagerank: %w", panicked)
+		return fmt.Errorf("pagerank: %w", panicked)
 	}
-	return &asyncWorkload{cfg: cfg, states: states}, n, nil
+	return nil
 }
 
 // take cuts the next n entries off *slab, capacity-limited.
@@ -408,19 +425,13 @@ func take[T any](slab *[]T, n int) []T {
 	return v
 }
 
-// init checks partition p's reads and pull plan, then fills its state:
-// every node at rank 1 (§V-B), the extra positions at 1-Damping, what a
-// sweep computes there, so they never change; the residual before the
-// first step, the initial rank magnitude; the contributions, the last
-// published ones among them; the plan's nodes and border by position.
-func (st *asyncState) init(p int, check *graph.ExchangeCheck, cfg Config) error {
-	if err := check.Check(p); err != nil {
-		return fmt.Errorf("pagerank: %w", err)
-	}
+// init fills the partition's state: every node at rank 1 (§V-B), the
+// extra positions at 1-Damping, what a sweep computes there, so they
+// never change; the residual before the first step, the initial rank
+// magnitude; the contributions, the last published ones among them; the
+// plan's nodes and border by position.
+func (st *asyncState) init(cfg Config) {
 	s := st.sub
-	if err := checkPull(p, s); err != nil {
-		return err
-	}
 	for r := range st.rank {
 		st.rank[r] = 1
 	}
@@ -437,5 +448,4 @@ func (st *asyncState) init(p int, check *graph.ExchangeCheck, cfg Config) error 
 		st.lastPub[bi] = 1 / float64(s.OutDeg[li])
 		st.x.Border[bi] = pos[li]
 	}
-	return nil
 }

@@ -23,12 +23,12 @@ type specPart struct {
 // through core.BuildGMap, and the reference the native eager run is held
 // to.
 // parts[s] is sub-graph s's scratch.
-func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[*state, int32, int64, float64] {
-	return &core.LocalSpec[*state, int32, int64, float64]{
-		Elements: func(st *state) []int32 { return parts[st.sub].elems },
+func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[*jobState, int32, int64, float64] {
+	return &core.LocalSpec[*jobState, int32, int64, float64]{
+		Elements: func(st *jobState) []int32 { return parts[st.sub].elems },
 		// lmap: push rank along partition-internal edges only;
 		// cross-partition neighbors wait for the global synchronization.
-		LMap: func(lc *core.LocalContext[int64, float64], st *state, li int32) {
+		LMap: func(lc *core.LocalContext[int64, float64], st *jobState, li int32) {
 			sub := st.sub
 			deg := sub.OutDeg[li]
 			if deg == 0 {
@@ -41,8 +41,8 @@ func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[
 			lc.Charge(int64(len(sub.OutLocal[li])))
 		},
 		// lreduce: fold local contributions with the frozen ghost sum.
-		LReduce: func(lc *core.LocalContext[int64, float64], st *state, key int64, values []float64) {
-			sum := st.local.ghost[st.sub.Pull.Pos[key]]
+		LReduce: func(lc *core.LocalContext[int64, float64], st *jobState, key int64, values []float64) {
+			sum := st.ghost[key]
 			for _, v := range values {
 				sum += v
 			}
@@ -51,11 +51,11 @@ func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[
 		},
 		// Partial synchronization barrier: integrate new local ranks,
 		// measure the local delta.
-		Apply: func(st *state, lc *core.LocalContext[int64, float64]) {
+		Apply: func(st *jobState, lc *core.LocalContext[int64, float64]) {
 			sp := parts[st.sub]
 			base := 1 - cfg.Damping
-			for li, r := range st.sub.Pull.Pos {
-				nr := base + cfg.Damping*st.local.ghost[r]
+			for li, g := range st.ghost {
+				nr := base + cfg.Damping*g
 				if v, ok := lc.Value(int64(li)); ok {
 					nr = v
 				}
@@ -73,13 +73,13 @@ func eagerSpec(cfg Config, parts map[*graph.SubGraph]*specPart) *core.LocalSpec[
 			}
 			copy(st.rank, sp.next)
 		},
-		Converged: func(st *state, _ *core.LocalContext[int64, float64]) bool {
+		Converged: func(st *jobState, _ *core.LocalContext[int64, float64]) bool {
 			return parts[st.sub].delta < cfg.Epsilon
 		},
 		MaxLocalIters: cfg.MaxLocalIters,
 		// Global emission: every node pushes its rank to all out-links,
 		// internal and cross, aggregated per destination.
-		Output: func(tc *mapreduce.TaskContext[int64, float64], st *state, _ *core.LocalContext[int64, float64]) {
+		Output: func(tc *mapreduce.TaskContext[int64, float64], st *jobState, _ *core.LocalContext[int64, float64]) {
 			emitContributions(tc, st)
 		},
 	}

@@ -6,25 +6,20 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
 	"repro/internal/stats"
 )
 
-// pushScatter is the global emission as emitContributions computed it
-// before it pulled, and the model it is held to: every edge in traversal
-// order (node ascending, OutLocal then OutRemote) scatters rank/outdeg
-// into its destination's sum, every sum starting at 0; the sums go out in
+// pushSums is the global emission as a push computes it, and the model
+// the owner-computes iteration is held to: every edge in traversal order
+// (node ascending, OutLocal then OutRemote) scatters rank/outdeg into its
+// destination's sum, every sum starting at 0; the sums come out in
 // ascending key order, and the task is charged one operation per
-// out-edge.
-func pushScatter(tc *mapreduce.TaskContext[int64, float64], sub *graph.SubGraph, rank []float64) {
+// out-edge. rank is by local index.
+func pushSums(sub *graph.SubGraph, rank []float64) (keys []int64, sums []float64, ops int64) {
 	var dsts []graph.NodeID // every edge's destination, in traversal order
-	var ops int64
 	for li := range sub.Nodes {
-		if sub.OutDeg[li] == 0 {
-			continue
-		}
 		for _, d := range sub.OutLocal[li] {
 			dsts = append(dsts, sub.Nodes[d])
 		}
@@ -32,7 +27,6 @@ func pushScatter(tc *mapreduce.TaskContext[int64, float64], sub *graph.SubGraph,
 		ops += int64(sub.OutDeg[li])
 	}
 	slot := map[graph.NodeID]int{}
-	var keys []int64
 	for _, v := range dsts {
 		if _, ok := slot[v]; !ok {
 			slot[v] = 0
@@ -43,56 +37,32 @@ func pushScatter(tc *mapreduce.TaskContext[int64, float64], sub *graph.SubGraph,
 	for i, k := range keys {
 		slot[graph.NodeID(k)] = i
 	}
-	acc := make([]float64, len(keys))
+	sums = make([]float64, len(keys))
 	e := 0
 	for li := range sub.Nodes {
-		deg := sub.OutDeg[li]
-		if deg == 0 {
-			continue
-		}
-		c := rank[li] / float64(deg)
+		c := rank[li] / float64(sub.OutDeg[li])
 		n := len(sub.OutLocal[li]) + len(sub.OutRemote[li])
 		for _, v := range dsts[e : e+n] {
-			acc[slot[v]] += c
+			sums[slot[v]] += c
 		}
 		e += n
 	}
-	tc.Charge(ops)
-	for i, k := range keys {
-		tc.Emit(k, acc[i])
-	}
+	return keys, sums, ops
 }
 
-// emitted runs emit on st as the one task of a map-only job, on a cluster
-// that prices nothing but compute, at one operation a second, and reports
-// the records it emitted and the operations it charged: the job's
-// duration.
-func emitted(t *testing.T, st *state, emit func(*mapreduce.TaskContext[int64, float64], *state)) ([]mapreduce.KV[int64, float64], int64) {
-	t.Helper()
-	cfg := cluster.EC2LargeCluster()
-	cfg.ComputeRate = 1
-	cfg.JobOverhead, cfg.TaskOverhead, cfg.MapRecordCost, cfg.EmitCost = 0, 0, 0, 0
-	cfg.FailureProb, cfg.StragglerJitter = 0, 0
-	job := &mapreduce.Job[*state, int64, float64]{
-		Name:       "emit",
-		Map:        func(tc *mapreduce.TaskContext[int64, float64], sp mapreduce.Split[*state]) { emit(tc, sp.Data) },
-		RecordSize: func(int64, float64) int64 { return 0 },
-	}
-	res, err := mapreduce.Run(mapreduce.NewEngine(cluster.New(cfg)), job, []mapreduce.Split[*state]{{Data: st}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Output, int64(res.Duration)
-}
-
-// TestPullEmissionMatchesPush: the pulled emission gives the scatter's
-// records — keys, order and value bits — and charge, partition by
-// partition, on generated graphs in 1 to 40 parts and on hand-built ones
-// with dangling nodes, nodes with no local in-edge and with no in-edge at
-// all, repeated local and remote edges, self-loops, a partition with no
-// remote edge and one with no local edge. The ranks are random with signs
-// and magnitudes from 1e-16 to 1e16, and -0, so that any other summation
-// order rounds differently.
+// TestPullEmissionMatchesPush: one owner-computes global iteration — the
+// fold over each pull plan, then the reduce of the deferred rows over
+// the sums pulled through the exchange plans — gives every node the rank
+// that the reduce of the pushed sums gives (each node's sums added from
+// 0 in partition order), bit for bit, and the largest change; and the
+// task counts it prices are the push's: a map task's records and
+// operations, a reduce task's records, keys and operations. On generated
+// graphs in 1 to 40 parts and on hand-built ones with dangling nodes,
+// nodes with no local in-edge and with no in-edge at all, repeated local
+// and remote edges, self-loops, a node fed from partitions below and
+// above its owner, a partition with no remote edge and one with no local
+// edge. The ranks are random with signs and magnitudes from 1e-16 to
+// 1e16, and -0, so that any other summation order rounds differently.
 func TestPullEmissionMatchesPush(t *testing.T) {
 	type edge [2]graph.NodeID
 	handBuilt := func(nodes int, parts []int32, edges []edge) []*graph.SubGraph {
@@ -108,9 +78,10 @@ func TestPullEmissionMatchesPush(t *testing.T) {
 		return subs
 	}
 	// Node 3 dangles and has only a remote in-edge; 6 has no in-edge; 0→1
-	// and 0→4 repeat; 9 loops on itself.
+	// and 0→4 repeat; 9 loops on itself; 4 is fed from partitions 0
+	// (below its owner) and 2 (above), and locally.
 	ten := []edge{{0, 1}, {0, 1}, {0, 4}, {0, 4}, {1, 2}, {1, 7}, {2, 0}, {2, 5}, {4, 5}, {4, 0},
-		{5, 4}, {5, 4}, {6, 1}, {7, 8}, {8, 7}, {9, 9}, {9, 3}}
+		{5, 4}, {5, 4}, {6, 1}, {7, 8}, {8, 7}, {9, 9}, {9, 3}, {8, 4}}
 	cases := []struct {
 		name string
 		subs []*graph.SubGraph
@@ -129,26 +100,70 @@ func TestPullEmissionMatchesPush(t *testing.T) {
 		}{fmt.Sprintf("Graph A ÷140 in %d parts", k), subgraphs(t, g, k)})
 	}
 	rng := stats.NewRNG(41)
+	cfg := DefaultConfig()
+	base := 1 - cfg.Damping
 	for _, c := range cases {
-		for p, st := range newStates(engine(), c.subs, DefaultConfig(), false).states {
-			for li := range st.rank {
-				st.rank[li] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(33)-16))
-			}
-			st.rank[0] = math.Copysign(0, -1)
-			got, gotOps := emitted(t, st, emitContributions)
-			want, wantOps := emitted(t, st, func(tc *mapreduce.TaskContext[int64, float64], st *state) {
-				pushScatter(tc, st.sub, st.rank)
-			})
-			if gotOps != wantOps || len(got) != len(want) {
-				t.Fatalf("%s, part %d: %d records for %d operations, the scatter %d for %d",
-					c.name, p, len(got), gotOps, len(want), wantOps)
-			}
-			for i := range want {
-				if got[i].Key != want[i].Key || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-					t.Fatalf("%s, part %d: record %d is (%d, %v), the scatter's (%d, %v)",
-						c.name, p, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+		d, err := newDriver(engine(), c.subs, cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range c.subs {
+			n += s.NumNodes()
+		}
+		old, sums := make([]float64, n), make([]float64, n)
+		fed := make([]int64, n) // the partitions that emit each node
+		for p, s := range c.subs {
+			st := &d.parts[p]
+			rank := make([]float64, s.NumNodes())
+			for li, u := range s.Nodes {
+				rank[li] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(33)-16))
+				if li == 0 {
+					rank[li] = math.Copysign(0, -1)
 				}
+				r := s.Pull.Pos[li]
+				st.rank[r], st.contrib[0][r], old[u] = rank[li], rank[li]/s.Pull.OutDeg[r], rank[li]
 			}
+			keys, ps, ops := pushSums(s, rank)
+			if m := d.maps[p]; m.Ops != ops || m.OutRecords != int64(len(keys)) || m.OutBytes != 16*m.OutRecords {
+				t.Fatalf("%s, part %d: the map task records %d records of %d bytes for %d operations, the push %d for %d",
+					c.name, p, m.OutRecords, m.OutBytes, m.Ops, len(keys), ops)
+			}
+			for i, k := range keys {
+				sums[k] += ps[i]
+				fed[k]++
+			}
+		}
+		want, wantDelta := make([]float64, n), 0.0
+		reduces := make([]mapreduce.TaskStats, len(d.reduces))
+		for u := range want {
+			want[u] = base + cfg.Damping*sums[u]
+			if fed[u] > 0 {
+				r := &reduces[mapreduce.Int64Partition(int64(u), len(reduces))]
+				r.InRecords += fed[u]
+				r.OutRecords++
+				r.OutBytes += 16
+				r.Ops += fed[u]
+			}
+			if x := math.Abs(want[u] - old[u]); x > wantDelta {
+				wantDelta = x
+			}
+		}
+		if !slices.Equal(d.reduces, reduces) {
+			t.Fatalf("%s: reduce tasks record %+v, the push's %+v", c.name, d.reduces, reduces)
+		}
+		delta, _, err := d.iterate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := d.ranks()
+		for u := range want {
+			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+				t.Fatalf("%s: node %d's rank %v, the push's %v", c.name, u, got[u], want[u])
+			}
+		}
+		if delta != wantDelta {
+			t.Fatalf("%s: largest change %v, the push's %v", c.name, delta, wantDelta)
 		}
 	}
 }

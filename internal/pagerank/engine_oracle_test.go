@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,14 +14,22 @@ import (
 	"repro/internal/partition"
 )
 
+// jobState is one partition as the job oracles keep it: ranks and the
+// eager gmap's frozen ghost sums, both by local index, loaded from the
+// driver's ranks before every map task.
+type jobState struct {
+	sub         *graph.SubGraph
+	rank, ghost []float64
+}
+
 // emitContributions is the global map output as records: the
-// partition's sums (contribute) emitted in ascending key order, charged
+// partition's sums (pushSums) emitted in ascending key order, charged
 // one operation per out-edge.
-func emitContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
-	st.contribute()
-	tc.Charge(st.pushOps)
-	for i, k := range st.dstKeys {
-		tc.Emit(k, st.acc[i])
+func emitContributions(tc *mapreduce.TaskContext[int64, float64], st *jobState) {
+	keys, sums, ops := pushSums(st.sub, st.rank)
+	tc.Charge(ops)
+	for i, k := range keys {
+		tc.Emit(k, sums[i])
 	}
 }
 
@@ -28,8 +37,8 @@ func emitContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
 // models, with gmap as its map: the general formulation's is
 // emitContributions. The greduce is shared — as the paper observes, "the
 // local reduce and global reduce functions are functionally identical".
-func buildJob(cfg Config, gmap mapreduce.MapFunc[*state, int64, float64]) *mapreduce.Job[*state, int64, float64] {
-	return &mapreduce.Job[*state, int64, float64]{
+func buildJob(cfg Config, gmap mapreduce.MapFunc[*jobState, int64, float64]) *mapreduce.Job[*jobState, int64, float64] {
+	return &mapreduce.Job[*jobState, int64, float64]{
 		Name:      "pagerank",
 		Map:       gmap,
 		Partition: mapreduce.Int64Partition,
@@ -45,42 +54,64 @@ func buildJob(cfg Config, gmap mapreduce.MapFunc[*state, int64, float64]) *mapre
 }
 
 // generalMap is the general formulation's gmap through the engine.
-func generalMap(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
+func generalMap(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*jobState]) {
 	emitContributions(tc, split.Data)
 }
 
 // runEngine is Run as the MapReduce jobs it models, driven by
-// core.Driver: job is one iteration's. It wraps the job's map so that
-// every map task first loads its partition's ranks, and in the eager
-// formulation its ghost sums, from the driver's ranks.
-func runEngine(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
+// core.Driver: job is one iteration's. It keeps every node's rank, from
+// 1, by node as a job driver does, and wraps the job's map so that every
+// map task first loads its partition's ranks, and in the eager
+// formulation its ghost sums, from them.
+func runEngine(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool, job *mapreduce.Job[*jobState, int64, float64]) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := newStates(engine, subs, cfg, eager)
-	ranks, n := d.ranks, len(d.ranks)
+	n := 0
+	for _, s := range subs {
+		n += s.NumNodes()
+	}
+	ranks, outDeg, fed := make([]float64, n), make([]int32, n), make([]bool, n)
+	splits := make([]mapreduce.Split[*jobState], len(subs))
+	for i, s := range subs {
+		for li, u := range s.Nodes {
+			ranks[u], outDeg[u] = 1, s.OutDeg[li]
+			for _, d := range s.OutLocal[li] {
+				fed[s.Nodes[d]] = true
+			}
+			for _, v := range s.OutRemote[li] {
+				fed[v] = true
+			}
+		}
+		st := &jobState{sub: s, rank: make([]float64, s.NumNodes()), ghost: make([]float64, s.NumNodes())}
+		splits[i] = mapreduce.Split[*jobState]{Data: st, Records: int64(s.NumNodes()), Bytes: s.Bytes}
+	}
 	var noIn []int // the nodes no reduce emits a rank for
-	for u := range n {
-		if d.start[u] == d.start[u+1] {
+	for u, f := range fed {
+		if !f {
 			noIn = append(noIn, u)
 		}
 	}
 	base := 1 - cfg.Damping
 	gmap := job.Map
-	job.Map = func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
+	job.Map = func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*jobState]) {
 		st := split.Data
 		for li, u := range st.sub.Nodes {
 			st.rank[li] = ranks[u]
-		}
-		if eager {
-			st.refreshGhosts(ranks, d.outDeg)
+			if eager {
+				sum := 0.0
+				for _, s := range st.sub.InRemote[li] {
+					sum += ranks[s] / float64(outDeg[s])
+				}
+				st.ghost[li] = sum
+			}
 		}
 		gmap(tc, split)
 	}
-	driver := &core.Driver[*state, int64, float64]{
+	driver := &core.Driver[*jobState, int64, float64]{
 		Engine: engine,
 		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
+		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*jobState]) (bool, error) {
 			if len(out)+len(noIn) != n {
 				return false, fmt.Errorf("reduce emitted %d ranks, want %d", len(out), n-len(noIn))
 			}
@@ -95,10 +126,6 @@ func runEngine(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 			}
 			return delta < cfg.Epsilon, nil
 		},
-	}
-	splits := make([]mapreduce.Split[*state], len(d.states))
-	for i, st := range d.states {
-		splits[i] = mapreduce.Split[*state]{Data: st, Records: int64(st.sub.NumNodes()), Bytes: st.sub.Bytes}
 	}
 	stats, err := driver.Run(splits)
 	if err != nil {
@@ -195,5 +222,77 @@ func TestGeneralMatchesEngine(t *testing.T) {
 			}
 			sameRun(t, got, want, "the engine")
 		})
+	}
+}
+
+// FuzzGlobalIterationsMatchOracle holds both formulations to their jobs
+// through the engine on graphs and partitions decoded from the fuzz
+// input, bit for bit in ranks and run statistics: the general run to
+// runEngine with generalMap, the eager run to lmap/lreduce (runSpec).
+// Byte 0 gives the node count, byte 1 the partition count, byte 2 the
+// eager formulation's MaxLocalIters (bits 0-1: 0, 1, 3, 0) and byte 3
+// the cluster seed; the rest is fuzzSubGraphs' assignment and edges.
+// The committed corpus holds a graph whose every edge crosses the cut,
+// one in a single partition, and one with a node fed from partitions
+// below and above its owner as well as from its own.
+func FuzzGlobalIterationsMatchOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		subs := fuzzSubGraphs(t, data[0], data[1], data[4:])
+		c := oracleCase{subs: subs, seed: uint64(data[3])}
+		cfg := DefaultConfig()
+		got, err := Run(c.engine(), subs, cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runEngine(c.engine(), subs, cfg, false, buildJob(cfg, generalMap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, got, want, "the engine")
+		cfg.MaxLocalIters = []int{0, 1, 3, 0}[data[2]&3]
+		if got, err = Run(c.engine(), subs, cfg, true); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = runSpec(c.engine(), subs, cfg); err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, got, want, "lmap/lreduce")
+	})
+}
+
+// TestGlobalIterationsShareSubGraphs: a general or eager run shares the
+// plans its sub-graphs carry and writes nothing of them, so two runs of
+// each formulation on one sub-graph set at the same time each reproduce
+// the ranks and run statistics of the same run made alone, bit for bit.
+func TestGlobalIterationsShareSubGraphs(t *testing.T) {
+	subs := subgraphs(t, smallGraph(), 8)
+	alone := make(map[bool]*Result)
+	for _, eager := range []bool{false, true} {
+		res, err := Run(engine(), subs, DefaultConfig(), eager)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[eager] = res
+	}
+	eagers := []bool{false, true, false, true}
+	together := make([]*Result, len(eagers))
+	errs := make([]error, len(eagers))
+	var wg sync.WaitGroup
+	for i, eager := range eagers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = Run(engine(), subs, DefaultConfig(), eager)
+		}()
+	}
+	wg.Wait()
+	for i, eager := range eagers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		sameRun(t, together[i], alone[eager], fmt.Sprintf("eager %v alone", eager))
 	}
 }

@@ -234,7 +234,7 @@ func TestSweepKernelsKeepNoStackTraffic(t *testing.T) {
 	if out, err := exec.Command(goTool, "test", "-c", "-o", exe, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go test -c: %v\n%s", err, out)
 	}
-	for _, kernel := range []string{"sweepSlices", "sweepJacobi", "pullLocal"} {
+	for _, kernel := range []string{"sweepSlices", "sweepJacobi", "foldJacobi"} {
 		out, err := exec.Command(goTool, "tool", "objdump", "-s", `^repro/internal/pagerank\.`+kernel+`$`, exe).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go tool objdump: %v\n%s", err, out)

@@ -6,7 +6,7 @@
 //     complete partitions, as opposed to single node adjacency lists",
 //     chosen because it is the more competitive baseline) and sums each
 //     node's rank contribution per out-link destination over the
-//     partition's pull plan (contribute); the reduce accumulates the
+//     partition's pull plan; the reduce accumulates the
 //     partitions' sums and applies the PageRank formula. One global
 //     synchronization per sweep over the graph.
 //
@@ -21,11 +21,16 @@
 //     priced as what internal/core's runtime would charge for the pair.
 //
 // A global iteration of either is the MapReduce job it models, run
-// without records: the map tasks leave their sums in place, a gather over
-// a reduce plan fixed once per run adds them in the order the engine's
-// shuffle would hand a reduce its values, and the job is priced from the
-// per-task counts the engine would record (mapreduce.Engine.Price). The
-// job through internal/mapreduce and internal/core is the tests' oracle.
+// without records and owner-computes: each partition keeps its nodes'
+// ranks and contributions by pull position, its map task folds every
+// node's in-partition sum, and a node that only its own partition feeds
+// takes its new rank there and then, since its reduce would add that one
+// sum. Only a node fed across the cut is deferred to a second pass on its
+// owner, which adds the emitting partitions' sums in partition order, the
+// order the engine's shuffle hands a reduce its values. The job is priced
+// from the per-task counts the engine would record
+// (mapreduce.Engine.Price). The job through internal/mapreduce and
+// internal/core is the tests' oracle.
 //
 // Both use the paper's rank update (equation 1):
 //
@@ -40,144 +45,11 @@ package pagerank
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
 )
-
-// contribute is the shared global map output of both formulations:
-// every node's rank/outdeg to each of its out-links, summed per
-// destination within the partition into acc, in dstKeys order. Each
-// destination's sum starts at 0 and adds its in-neighbours'
-// contributions in edge traversal order (node ascending, OutLocal then
-// OutRemote), so floating-point summation order is fixed, which keeps
-// iteration counts bit-reproducible. The sums are pulled, not scattered:
-// the local destinations' over the partition's pull plan, whose rows hold
-// the in-neighbours in that order (pullLocal), the remote ones' over the
-// emission plan's remote lists (buildEmitPlan).
-func (st *state) contribute() {
-	pl, cur, acc := &st.sub.Pull, st.cur, st.acc
-	for li, r := range pl.Pos {
-		cur[r] = st.rank[li] / pl.OutDeg[r]
-	}
-	pullLocal(pl, cur, acc, st.outSlot)
-	for j, slot := range st.remSlot {
-		sum := 0.0
-		for _, r := range st.remSrc[st.remStart[j]:st.remStart[j+1]] {
-			sum += cur[r]
-		}
-		acc[slot] = sum
-	}
-}
-
-// pullLocal sums, slice by slice of the pull plan, the contributions from
-// cur (by position, the pad's +0 last) of each row's in-neighbours, each
-// sum starting at 0, and stores row r's at acc[outSlot[r]]. The pads a
-// row ends in add +0, which changes no sum. A leaf like sweepJacobi, for
-// the same reason (TestSweepKernelsKeepNoStackTraffic).
-//
-//go:noinline
-func pullLocal(pl *graph.PullPlan, cur, acc []float64, outSlot []int32) {
-	for s := 1; s < len(pl.Start); s++ {
-		var a0, a1, a2, a3 float64
-		for _, q := range pl.Src[pl.Start[s-1]:pl.Start[s]] {
-			a0 += cur[q.R0]
-			a1 += cur[q.R1]
-			a2 += cur[q.R2]
-			a3 += cur[q.R3]
-		}
-		o := outSlot[4*(s-1) : 4*s]
-		acc[o[0]], acc[o[1]], acc[o[2]], acc[o[3]] = a0, a1, a2, a3
-	}
-}
-
-// buildEmitPlan fixes the partition's emission plan (see state) from
-// counted sizes, all but acc, which newStates places. slotOf is scratch
-// with one entry per node of the whole graph, all zero on entry and on
-// return; in between it holds each destination's in-edge count from the
-// partition, a remote one's negated once it is listed, then a remote
-// one's index among the remote keys.
-func (st *state) buildEmitPlan(slotOf []int32) {
-	sub := st.sub
-	pl := &sub.Pull
-	keys, remKeys, remEdges := 0, 0, 0
-	for li, adj := range sub.OutLocal {
-		st.pushOps += int64(sub.OutDeg[li])
-		for _, d := range adj {
-			u := sub.Nodes[d]
-			if slotOf[u] == 0 {
-				keys++
-			}
-			slotOf[u]++
-		}
-		for _, v := range sub.OutRemote[li] {
-			if slotOf[v] == 0 {
-				keys++
-				remKeys++
-			}
-			slotOf[v]++
-		}
-		remEdges += len(sub.OutRemote[li])
-	}
-	st.dstKeys = make([]int64, 0, keys)
-	for _, u := range sub.Nodes {
-		if slotOf[u] > 0 {
-			st.dstKeys = append(st.dstKeys, int64(u))
-		}
-	}
-	for _, adj := range sub.OutRemote {
-		for _, v := range adj {
-			if slotOf[v] > 0 {
-				st.dstKeys = append(st.dstKeys, int64(v))
-				slotOf[v] = -slotOf[v]
-			}
-		}
-	}
-	slices.Sort(st.dstKeys)
-
-	m := len(pl.OutDeg)
-	slab := make([]int32, m+2*remKeys+1+remEdges)
-	st.outSlot, slab = slab[:m:m], slab[m:]
-	st.remStart, slab = slab[:remKeys+1:remKeys+1], slab[remKeys+1:]
-	st.remSlot, st.remSrc = slab[:remKeys:remKeys], slab[remKeys:]
-	spare := int32(len(st.dstKeys))
-	for r := range st.outSlot {
-		st.outSlot[r] = spare
-	}
-	// Local keys are a subsequence of sub.Nodes, both ascending. A remote
-	// key's start is its end for now; the fill below moves it back.
-	li, j, end := 0, 0, int32(0)
-	for i, k := range st.dstKeys {
-		c := slotOf[k]
-		if c > 0 {
-			for int64(sub.Nodes[li]) != k {
-				li++
-			}
-			st.outSlot[pl.Pos[li]] = int32(i)
-			slotOf[k] = 0
-			continue
-		}
-		end -= c
-		st.remStart[j], st.remSlot[j] = end, int32(i)
-		slotOf[k] = int32(j)
-		j++
-	}
-	st.remStart[remKeys] = end
-	for li := len(sub.Nodes) - 1; li >= 0; li-- {
-		adj := sub.OutRemote[li]
-		for e := len(adj) - 1; e >= 0; e-- {
-			j := slotOf[adj[e]]
-			st.remStart[j]--
-			st.remSrc[st.remStart[j]] = pl.Pos[li]
-		}
-	}
-	for _, i := range st.remSlot {
-		slotOf[st.dstKeys[i]] = 0
-	}
-	st.cur = make([]float64, m+1)
-}
 
 // Config parameterizes a PageRank run.
 type Config struct {
@@ -212,41 +84,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// state is the per-partition mutable payload shared by both formulations.
-type state struct {
-	sub *graph.SubGraph
-	// rank[i] is the current rank of sub.Nodes[i].
-	rank []float64
-	// The emission plan (buildEmitPlan) and contribute's arrays over it.
-	// dstKeys is the partition's distinct destinations ascending, and acc
-	// one sum per key plus a spare, a window of driver.acc. outSlot[r] is
-	// where pullLocal stores the sum of pull position r: its key's index
-	// in dstKeys, or the spare for a row with no local in-edge. Remote
-	// key j sums the contributions at positions
-	// remSrc[remStart[j]:remStart[j+1]], in traversal order, into
-	// acc[remSlot[j]]. cur is the contributions by position, with the pad
-	// position's +0 last. pushOps is what contribute costs, one
-	// operation per out-edge. One task owns a state at a time, so
-	// unsynchronized reuse is safe.
-	dstKeys                            []int64
-	acc, cur                           []float64
-	outSlot, remStart, remSlot, remSrc []int32
-	pushOps                            int64
-	// local is the eager formulation's working arrays; a general run
-	// leaves it empty.
-	local localSweep
-}
-
-// localSweep is what the eager formulation's local iterations work on,
-// every array by sub.Pull position: rank is the ranks; ghost[r] is the
-// frozen cross-partition contribution sum of the node at position r,
-// recomputed from the global ranks at the start of every map task and 0
-// at the extra positions; cur and next are the contributions a sweep reads and those
-// it writes, each with the plan's pad position, a +0, at the end.
-type localSweep struct {
-	rank, ghost, cur, next []float64
-}
-
 // Result of a PageRank run.
 type Result struct {
 	// Ranks[u] is the converged PageRank of node u.
@@ -267,15 +104,10 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("pagerank: no partitions")
 	}
-	if _, err := graph.CheckIDs(subs); err != nil {
-		return nil, fmt.Errorf("pagerank: %w", err)
+	d, err := newDriver(engine, subs, cfg, eager)
+	if err != nil {
+		return nil, err
 	}
-	for p, s := range subs {
-		if err := checkPull(p, s); err != nil {
-			return nil, err
-		}
-	}
-	d := newStates(engine, subs, cfg, eager)
 	stats, err := core.Iterate(func(iter int) (mapreduce.Cost, bool, error) {
 		delta, cost, err := d.iterate()
 		if err != nil {
@@ -286,193 +118,424 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Ranks: d.ranks, Stats: stats}, nil
+	return &Result{Ranks: d.ranks(), Stats: stats}, nil
 }
 
 // driver is a general or eager run between global iterations: the
-// partitions' states, what a Hadoop job driver keeps on the DFS (every
-// node's rank and out-degree), the reduce plan, and what the engine would
-// record for each task of one iteration's job.
+// partitions' states, the sums their map tasks leave for the reduce, and
+// what the engine would record for each task of one iteration's job.
 type driver struct {
 	engine *mapreduce.Engine
 	cfg    Config
 	eager  bool
-	states []*state
-	ranks  []float64
-	outDeg []int32
-	// The reduce plan, by node: node u's reduce adds
-	// acc[src[start[u]:start[u+1]]], the sums of the partitions that
-	// emit u in ascending partition order, which is map-task order, the
-	// order in which the engine's shuffle hands a reduce its values. acc
-	// holds every partition's state.acc, partition by partition.
-	start, src []int32
-	acc        []float64
-	// maps[i] and reduces[p] are what map task i and reduce task p of the
+	parts  []part
+	// sums holds every partition's part.sum and part.out, partition by
+	// partition.
+	sums []float64
+	// maps[p] and reduces[r] are what map task p and reduce task r of the
 	// iteration's job record. Only a map task's Ops and LocalSyncs change
-	// from iteration to iteration; iterate rewrites them.
+	// from iteration to iteration; mapTask rewrites them.
 	maps, reduces []mapreduce.TaskStats
-	// deltas[c] is the largest rank change of gather chunk c.
-	deltas []float64
+}
+
+// part is one partition of a general or eager run. Every float array but
+// out is indexed by sub.Pull position: the nodes, then the plan's extra
+// positions, which have no in-edge and hold 1-χ, what a pass computes
+// there; a contribution array has the pad position's +0 after them. A
+// row is deferred when its node is fed across the cut, that is, has a
+// cross-partition in-edge; the map task finishes every other row.
+type part struct {
+	sub *graph.SubGraph
+	// rank is the ranks the iteration starts from, next the ones it
+	// computes; the reduce task swaps them.
+	rank, next []float64
+	// contrib[0] is rank's contributions, rank/outdeg, which the
+	// neighbours' ghosts read during the map phase; the map task writes
+	// next's into contrib[1], and the eager local sweeps alternate
+	// contrib[1] and contrib[2]. The map task emits contrib[0], or the
+	// last local sweep's contributions.
+	contrib [3][]float64
+	// keep[r] is 0 for a deferred row, whose change the map task must not
+	// count, and 1 for every other.
+	keep []float64
+	// What the map task leaves for the reduce, in its windows of
+	// driver.sums: sum[r] is row r's sum as the fold makes it, from 0;
+	// out[e] is the sum, from 0, of the emitted contributions at
+	// positions emSrc[emStart[e]:emStart[e+1]], the partition's
+	// in-neighbours of one node of another partition in traversal order
+	// (source ascending, adjacency order). The entries are ordered by
+	// that node's partition, then as the node's reduce plan reads them.
+	sum, out       []float64
+	emStart, emSrc []int32
+	// The reduce plan: deferred row def[k] adds, from 0,
+	// driver.sums[slot[defStart[k]:defStart[k+1]]], the sums of the
+	// partitions that emit it in ascending partition order.
+	def, defStart, slot []int32
+	// ghost[r] is the eager formulation's frozen cross-partition
+	// contribution sum of row r, 0 for a row no read feeds. Exchange read
+	// i adds to position node[i] what it finds at position at[i] of its
+	// neighbour's arrays, the border node it names; in[s] is neighbour
+	// slot s's contrib[0]. A general run fills none of them.
+	ghost    []float64
+	node, at []int32
+	in       [][]float64
+	// pushOps is the map task's operations, one an out-edge; delta the
+	// iteration's largest rank change on this partition so far.
+	pushOps int64
+	delta   float64
+}
+
+// newDriver builds a run on engine's cluster. Its first round of tasks
+// checks the sub-graph set and each partition's exchange and pull plans
+// (checkEach), then fills the partition's state — every node at rank 1
+// (§V-B) — and counts its plans and its share of the job's task counts.
+// The partitions' emission plans and sums are then laid out, and a
+// second round fills each partition's reduce plan and its part of the
+// emission plans of the partitions that feed it. Every array is carved
+// from one slab per element type, so the allocations do not grow with
+// the partition count. Map task p records its split (NumNodes records
+// of Bytes) and one 16-byte record per destination it emits to; reduce
+// task r the records and keys that mapreduce.Int64Partition routes to r
+// of the cluster's reduce slots, one operation a record.
+func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) (*driver, error) {
+	k, nReduces := len(subs), engine.ReduceSlots()
+	d := &driver{engine: engine, cfg: cfg, eager: eager, parts: make([]part, k),
+		maps: make([]mapreduce.TaskStats, k), reduces: make([]mapreduce.TaskStats, nReduces)}
+	floats, slots := 0, 0
+	for _, s := range subs {
+		m := len(s.Pull.OutDeg)
+		floats += 5*m + 2
+		if eager {
+			floats += 2*m + 1
+		}
+		slots += len(s.Exchange.Neighbors)
+	}
+	fs, ins, perSlot := make([]float64, floats), make([][]float64, slots), make([]int32, 4*slots+k)
+	red := make([]mapreduce.TaskStats, k*nReduces)
+	sizes := make([]planSize, k)
+	for p, s := range subs {
+		st, z, m, nb := &d.parts[p], &sizes[p], len(s.Pull.OutDeg), len(s.Exchange.Neighbors)
+		st.sub = s
+		st.rank, st.next, st.keep = take(&fs, m), take(&fs, m), take(&fs, m)
+		st.contrib[0], st.contrib[1], st.in = take(&fs, m+1), take(&fs, m+1), take(&ins, nb)
+		if eager {
+			st.contrib[2], st.ghost = take(&fs, m+1), take(&fs, m)
+		}
+		z.mark, z.entry, z.src, z.order = take(&perSlot, nb), take(&perSlot, nb), take(&perSlot, nb), take(&perSlot, nb+1)
+	}
+	err := checkEach(engine, subs, func(p int) {
+		d.parts[p].init(cfg, &sizes[p], &d.maps[p], red[p*nReduces:(p+1)*nReduces])
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Lay out each partition's emission plan, the entries for its
+	// neighbours in partition order, and the sums, partition by
+	// partition.
+	for p, s := range subs {
+		z := &sizes[p]
+		for sl, q := range s.Exchange.Neighbors {
+			zq := &sizes[q]
+			d.maps[q].OutRecords += int64(z.entry[sl])
+			z.entry[sl], zq.entries = int32(zq.entries), zq.entries+int(z.entry[sl])
+			z.src[sl], zq.srcs = int32(zq.srcs), zq.srcs+int(z.src[sl])
+		}
+	}
+	sums, ints := 0, 0
+	for p, s := range subs {
+		z := &sizes[p]
+		z.base = sums
+		sums += len(s.Pull.OutDeg) + z.entries
+		ints += 2*z.deferred + 1 + z.groups + z.entries + 1 + z.srcs
+		if eager {
+			ints += 2 * z.reads
+		}
+	}
+	d.sums = make([]float64, sums)
+	is := make([]int32, ints)
+	for p := range subs {
+		st, z, m := &d.parts[p], &sizes[p], len(d.parts[p].rank)
+		st.sum, st.out = d.sums[z.base:z.base+m:z.base+m], d.sums[z.base+m:z.base+m+z.entries:z.base+m+z.entries]
+		st.def, st.defStart, st.slot = take(&is, z.deferred)[:0], take(&is, z.deferred+1)[:0], take(&is, z.groups)[:0]
+		st.emStart, st.emSrc = take(&is, z.entries+1), take(&is, z.srcs)
+		st.emStart[z.entries] = int32(z.srcs)
+		if eager {
+			st.node, st.at = take(&is, z.reads), take(&is, z.reads)
+		}
+	}
+	if err := engine.ForEachTask(k, func(p int) error {
+		d.fillPlans(p, sizes)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("pagerank: %w", err)
+	}
+
+	for p := range d.maps {
+		d.maps[p].OutBytes = mapreduce.DefaultRecordSize * d.maps[p].OutRecords
+	}
+	for i, r := range red {
+		t := &d.reduces[i%nReduces]
+		t.InRecords += r.InRecords
+		t.OutRecords += r.OutRecords
+		t.OutBytes += r.OutBytes
+		t.Ops += r.Ops
+	}
+	return d, nil
+}
+
+// planSize is what set-up counts of a partition's plans and where it
+// places them: its exchange reads, its deferred rows and the sums they
+// add; the entries of its emission plan and their sources; where its
+// sums start in driver.sums. Per neighbour slot s, entry[s] and src[s] count
+// the entries and sources of what that neighbour emits to the
+// partition, then, once newDriver has laid out the neighbour's emission
+// plan, where they start in it. mark and order are scratch: mark one
+// entry a neighbour slot, zero between uses, order one more.
+type planSize struct {
+	reads, deferred, groups, entries, srcs, base int
+	mark, entry, src, order                      []int32
+}
+
+// init fills the partition's state — every node at rank 1 (§V-B), the
+// extra positions at 1-χ, the contributions of both, and keep — and
+// counts its plans into z, its map task's records and operations into ms
+// (all but the records of what it emits to other partitions), and the
+// records that reach each reduce task into red. A deferred row has a
+// slot for every partition that emits it: those its exchange reads name,
+// and its own when it has a local in-edge.
+func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []mapreduce.TaskStats) {
+	s := st.sub
+	pl, x := &s.Pull, &s.Exchange
+	for r := range st.rank {
+		st.rank[r], st.keep[r] = 1, 1
+	}
+	for r := s.NumNodes(); r < len(st.rank); r++ {
+		st.rank[r] = 1 - cfg.Damping
+	}
+	for r, v := range st.rank {
+		st.contrib[0][r] = v / pl.OutDeg[r]
+	}
+	*ms = mapreduce.TaskStats{InRecords: int64(s.NumNodes()), InBytes: s.Bytes}
+	z.reads = len(x.Node)
+	i := 0 // the next exchange read; reads run node by node
+	for li := range s.Nodes {
+		r, node := pl.Pos[li], int32(li)
+		in := int64(0)
+		if fedLocally(pl, r) {
+			in = 1
+			ms.OutRecords++
+		}
+		if i < len(x.Node) && x.Node[i] == node {
+			z.deferred++
+			st.keep[r] = 0
+			for ; i < len(x.Node) && x.Node[i] == node; i++ {
+				sl := x.Slot[i]
+				z.src[sl]++
+				if z.mark[sl] != node+1 {
+					z.mark[sl] = node + 1
+					z.entry[sl]++
+					in++
+				}
+			}
+			z.groups += int(in)
+		}
+		if in > 0 {
+			t := &red[mapreduce.Int64Partition(int64(s.Nodes[li]), len(red))]
+			t.InRecords += in
+			t.OutRecords++
+			t.OutBytes += mapreduce.DefaultRecordSize
+			t.Ops += in
+		}
+		ms.Ops += int64(s.OutDeg[li])
+	}
+	clear(z.mark)
+	st.pushOps = ms.Ops
+}
+
+// fillPlans fills partition p's reduce plan, the entries of its
+// neighbours' emission plans that feed it, and the eager formulation's
+// read positions, into the arrays newDriver carved at the sizes init
+// counted. A deferred row's sums follow the partitions that emit it in
+// ascending order: its own fold's, or a neighbour's entry, which lists
+// the positions the row's reads name in read order, the neighbour's own
+// traversal order.
+func (d *driver) fillPlans(p int, sizes []planSize) {
+	st, z := &d.parts[p], &sizes[p]
+	pl, x := &st.sub.Pull, &st.sub.Exchange
+	src := func(i int) int32 {
+		t := d.parts[x.Neighbors[x.Slot[i]]].sub
+		return t.Pull.Pos[t.Exchange.Border[x.Idx[i]]]
+	}
+	own := int32(len(x.Neighbors))
+	owner := func(sl int32) int {
+		if sl == own {
+			return p
+		}
+		return x.Neighbors[sl]
+	}
+	for i := range st.at {
+		st.node[i], st.at[i] = pl.Pos[x.Node[i]], src(i)
+	}
+	st.defStart = append(st.defStart, 0)
+	for i := 0; i < len(x.Node); {
+		node, start := x.Node[i], i
+		for i < len(x.Node) && x.Node[i] == node {
+			i++
+		}
+		r := pl.Pos[node]
+		order := z.order[:0]
+		for _, sl := range x.Slot[start:i] {
+			if z.mark[sl] != node+1 {
+				z.mark[sl] = node + 1
+				order = append(order, sl)
+			}
+		}
+		if fedLocally(pl, r) {
+			order = append(order, own)
+		}
+		for a := 1; a < len(order); a++ {
+			for b := a; b > 0 && owner(order[b]) < owner(order[b-1]); b-- {
+				order[b], order[b-1] = order[b-1], order[b]
+			}
+		}
+		for _, sl := range order {
+			if sl == own {
+				st.slot = append(st.slot, int32(z.base)+r)
+				continue
+			}
+			q, e := x.Neighbors[sl], z.entry[sl]
+			z.entry[sl]++
+			t := &d.parts[q]
+			st.slot = append(st.slot, int32(sizes[q].base+len(t.sum))+e)
+			t.emStart[e] = z.src[sl]
+			for j := start; j < i; j++ {
+				if x.Slot[j] == sl {
+					t.emSrc[z.src[sl]] = src(j)
+					z.src[sl]++
+				}
+			}
+		}
+		st.def = append(st.def, r)
+		st.defStart = append(st.defStart, int32(len(st.slot)))
+	}
+}
+
+// fedLocally reports whether row r of pl names an in-neighbour, that is,
+// whether the partition emits to the row's node.
+func fedLocally(pl *graph.PullPlan, r int32) bool {
+	pad, lane := int32(len(pl.OutDeg)), r%graph.PullRows
+	for _, q := range pl.Src[pl.Start[r/graph.PullRows]:pl.Start[r/graph.PullRows+1]] {
+		v := q.R0
+		switch lane {
+		case 1:
+			v = q.R1
+		case 2:
+			v = q.R2
+		case 3:
+			v = q.R3
+		}
+		if v != pad {
+			return true
+		}
+	}
+	return false
 }
 
 // iterate runs one global iteration: every partition's map task, then
-// the gather, then the pricing of the job that the engine would have run
-// for them. It returns the largest rank change.
+// every partition's reduce of its deferred rows, then the pricing of the
+// job that the engine would have run for them. It returns the largest
+// rank change.
 func (d *driver) iterate() (delta float64, cost mapreduce.Cost, err error) {
-	if err = d.engine.ForEachTask(len(d.states), d.mapTask); err != nil {
+	if err = d.engine.ForEachTask(len(d.parts), d.mapTask); err != nil {
 		return 0, cost, fmt.Errorf("map phase: %w", err)
 	}
-	if err = d.engine.ForEachTask(len(d.deltas), d.gather); err != nil {
-		return 0, cost, fmt.Errorf("gather: %w", err)
+	if err = d.engine.ForEachTask(len(d.parts), d.reduceTask); err != nil {
+		return 0, cost, fmt.Errorf("reduce phase: %w", err)
 	}
-	for _, x := range d.deltas {
-		delta = max(delta, x)
+	for i := range d.parts {
+		delta = max(delta, d.parts[i].delta)
 	}
 	return delta, d.engine.Price(d.maps, d.reduces), nil
 }
 
-// mapTask is the gmap of partition i: it loads the partition's ranks
-// from the driver's, as a task reads its split from the DFS, and in the
-// eager formulation its ghost sums and local iterations to local
-// convergence, then sums the partition's contributions into its acc.
-func (d *driver) mapTask(i int) error {
-	st := d.states[i]
-	for li, u := range st.sub.Nodes {
-		st.rank[li] = d.ranks[u]
-	}
-	ops, sweeps := st.pushOps, int64(0)
+// mapTask is the gmap of partition p: in the eager formulation its ghost
+// sums and local iterations to local convergence; then the fold of its
+// emitted contributions over its pull plan, which finishes every row no
+// other partition feeds, and its sums for the nodes of other partitions.
+func (d *driver) mapTask(p int) error {
+	st := &d.parts[p]
+	ops, sweeps, emit := st.pushOps, int64(0), st.contrib[0]
 	if d.eager {
-		st.refreshGhosts(d.ranks, d.outDeg)
+		x := &st.sub.Exchange
+		for s, q := range x.Neighbors {
+			st.in[s] = d.parts[q].contrib[0]
+		}
+		clear(st.ghost)
+		for i, r := range st.node {
+			st.ghost[r] += st.in[x.Slot[i]][st.at[i]]
+		}
 		sweeps = st.iterateLocally(d.cfg)
 		ops += 2 * int64(len(st.sub.LocalDst)) * sweeps
+		emit = st.contrib[2]
 	}
-	st.contribute()
-	d.maps[i].Ops, d.maps[i].LocalSyncs = ops, sweeps
+	f := jacobi{cur: emit, old: st.rank, rank: st.next, next: st.contrib[1], sum: st.sum, keep: st.keep}
+	st.delta = foldJacobi(&st.sub.Pull, &f, 1-d.cfg.Damping, d.cfg.Damping)
+	emStart, emSrc := st.emStart, st.emSrc
+	for e := range st.out {
+		sum := 0.0
+		for _, r := range emSrc[emStart[e]:emStart[e+1]] {
+			sum += emit[r]
+		}
+		st.out[e] = sum
+	}
+	d.maps[p].Ops, d.maps[p].LocalSyncs = ops, sweeps
 	return nil
 }
 
-// gather is the greduce over chunk c of the nodes, len(deltas) chunks
-// in all: each node's sum starts at 0 and adds its plan's values in order,
-// and its new rank is (1-χ)+χ·sum, which is 1-χ for a node no partition
-// emits. The local reduce and global reduce are functionally identical,
-// as the paper observes; this one is the global.
-func (d *driver) gather(c int) error {
-	n, chunks := len(d.ranks), len(d.deltas)
+// reduceTask is the greduce of partition p's deferred rows: each one's
+// sum starts at 0 and adds its plan's sums in order, and its new rank is
+// (1-χ)+χ·sum. The local reduce and global reduce are functionally
+// identical, as the paper observes; this one is the global. The
+// partition then takes the iteration's ranks and contributions as its
+// own.
+func (d *driver) reduceTask(p int) error {
+	st := &d.parts[p]
 	base, damping := 1-d.cfg.Damping, d.cfg.Damping
-	delta := 0.0
-	for u := c * n / chunks; u < (c+1)*n/chunks; u++ {
+	rank, next, c, od := st.rank, st.next, st.contrib[1], st.sub.Pull.OutDeg
+	sums, defStart, slot := d.sums, st.defStart, st.slot
+	delta := st.delta
+	for k, r := range st.def {
 		sum := 0.0
-		for _, j := range d.src[d.start[u]:d.start[u+1]] {
-			sum += d.acc[j]
+		for _, j := range slot[defStart[k]:defStart[k+1]] {
+			sum += sums[j]
 		}
-		r := base + damping*sum
-		if x := math.Abs(r - d.ranks[u]); x > delta {
+		n := base + damping*sum
+		if x := math.Abs(n - rank[r]); x > delta {
 			delta = x
 		}
-		d.ranks[u] = r
+		next[r], c[r] = n, n/od[r]
 	}
-	d.deltas[c] = delta
+	st.delta = delta
+	st.rank, st.next = st.next, st.rank
+	st.contrib[0], st.contrib[1] = st.contrib[1], st.contrib[0]
 	return nil
 }
 
-// newStates builds a run on engine's cluster: every partition's state —
-// initial ranks, emission plan and, for the eager formulation, the local
-// iterations' working arrays — the driver's ranks and out-degrees, the
-// reduce plan, and the task counts the engine would record. A map task's
-// are its split's (NumNodes records of Bytes) and one 16-byte record
-// per destination key; reduce task p's are the records and keys that
-// mapreduce.Int64Partition routes to p of the cluster's reduce slots, one
-// operation a record. Every array is allocated at its counted size, so
-// the allocation count depends on the partition count only
-// (TestNewStatesAllocsPerPartition).
-func newStates(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager bool) *driver {
+// ranks reads every node's rank off its partition.
+func (d *driver) ranks() []float64 {
 	n := 0
-	for _, s := range subs {
-		n += s.NumNodes()
+	for i := range d.parts {
+		n += d.parts[i].sub.NumNodes()
 	}
-	d := &driver{
-		engine: engine,
-		cfg:    cfg,
-		eager:  eager,
-		states: make([]*state, len(subs)),
-		ranks:  make([]float64, n),
-		outDeg: make([]int32, n),
-		start:  make([]int32, n+1),
-		maps:   make([]mapreduce.TaskStats, len(subs)),
-	}
-	scratch := make([]int32, n)
-	slots := 0
-	for i, s := range subs {
-		st := &state{sub: s, rank: make([]float64, s.NumNodes())}
-		for li, u := range s.Nodes {
-			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
-			d.ranks[u] = 1
-			d.outDeg[u] = s.OutDeg[li]
-		}
-		st.buildEmitPlan(scratch)
-		if eager {
-			m := len(s.Pull.OutDeg)
-			st.local = localSweep{
-				rank:  make([]float64, m),
-				ghost: make([]float64, m),
-				cur:   make([]float64, m+1),
-				next:  make([]float64, m+1),
-			}
-		}
-		for _, k := range st.dstKeys {
-			d.start[k+1]++
-		}
-		keys := int64(len(st.dstKeys))
-		d.maps[i] = mapreduce.TaskStats{
-			InRecords:  int64(s.NumNodes()),
-			InBytes:    s.Bytes,
-			OutRecords: keys,
-			OutBytes:   mapreduce.DefaultRecordSize * keys,
-			Ops:        st.pushOps,
-		}
-		slots += len(st.dstKeys) + 1
-		d.states[i] = st
-	}
-	for u := range n {
-		d.start[u+1] += d.start[u]
-	}
-	d.src = make([]int32, d.start[n])
-	d.acc = make([]float64, slots)
-	slots = 0
-	for _, st := range d.states {
-		st.acc = d.acc[slots : slots+len(st.dstKeys)+1]
-		for i, k := range st.dstKeys {
-			d.src[d.start[k]+scratch[k]] = int32(slots + i)
-			scratch[k]++
-		}
-		slots += len(st.acc)
-	}
-	nReduces := engine.ReduceSlots()
-	d.reduces = make([]mapreduce.TaskStats, nReduces)
-	for u := range n {
-		if in := int64(d.start[u+1] - d.start[u]); in > 0 {
-			r := &d.reduces[mapreduce.Int64Partition(int64(u), nReduces)]
-			r.InRecords += in
-			r.OutRecords++
-			r.OutBytes += mapreduce.DefaultRecordSize
-			r.Ops += in
+	ranks := make([]float64, n)
+	for i := range d.parts {
+		st := &d.parts[i]
+		for li, u := range st.sub.Nodes {
+			ranks[u] = st.rank[st.sub.Pull.Pos[li]]
 		}
 	}
-	d.deltas = make([]float64, nReduces)
-	return d
-}
-
-// refreshGhosts recomputes the partition's frozen cross-partition
-// contribution sums from the global ranks, by position.
-func (st *state) refreshGhosts(ranks []float64, outDeg []int32) {
-	pos := st.sub.Pull.Pos
-	for li, srcs := range st.sub.InRemote {
-		var sum float64
-		for _, s := range srcs {
-			sum += ranks[s] / float64(outDeg[s])
-		}
-		st.local.ghost[pos[li]] = sum
-	}
+	return ranks
 }
 
 // iterateLocally runs the eager formulation's local iterations on the
@@ -481,51 +544,55 @@ func (st *state) refreshGhosts(ranks []float64, outDeg []int32) {
 // A local iteration is the paper's lmap, every node pushing rank/outdeg
 // along its partition-internal edges, and lreduce, each node's frozen
 // ghost sum plus those contributions in push order, computed as one
-// Jacobi sweep (sweepJacobi) over sub.Pull: the sums and the order they
-// are added in are the ones lmap/lreduce through core.BuildGMap make, so
-// ranks come out bit for bit the same. So does the pricing the caller
-// makes of it: one partial synchronization and an lmap and an lreduce
-// operation per local edge a sweep.
-func (st *state) iterateLocally(cfg Config) (sweeps int64) {
-	base := 1 - cfg.Damping
-	pl, w := &st.sub.Pull, &st.local
-	for li, r := range pl.Pos {
-		w.rank[r] = st.rank[li]
-		w.cur[r] = st.rank[li] / pl.OutDeg[r]
-	}
-	for r := st.sub.NumNodes(); r < len(w.rank); r++ {
-		w.rank[r] = base // what a sweep computes there, so no change
-	}
+// Jacobi sweep (sweepJacobi) over sub.Pull into next: the sums and the
+// order they are added in are the ones lmap/lreduce through
+// core.BuildGMap make, so ranks come out bit for bit the same. So does
+// the pricing the caller makes of it: one partial synchronization and an
+// lmap and an lreduce operation per local edge a sweep. The first sweep
+// reads contrib[0] and measures its change from rank; the last one's
+// contributions end in contrib[2].
+func (st *part) iterateLocally(cfg Config) (sweeps int64) {
+	c := &st.contrib
+	w := jacobi{cur: c[0], ghost: st.ghost, old: st.rank, rank: st.next}
 	for {
-		delta := sweepJacobi(pl, w, base, cfg.Damping)
-		w.cur, w.next = w.next, w.cur
+		w.next = c[1]
+		delta := sweepJacobi(&st.sub.Pull, &w, 1-cfg.Damping, cfg.Damping)
+		c[1], c[2] = c[2], c[1]
+		w.cur, w.old = c[2], st.next
 		sweeps++
 		if cfg.MaxLocalIters > 0 && sweeps >= int64(cfg.MaxLocalIters) || delta < cfg.Epsilon {
 			break
 		}
 	}
-	for li, r := range pl.Pos {
-		st.rank[li] = w.rank[r]
-	}
 	return sweeps
 }
 
-// sweepJacobi is one Jacobi sweep of w over a pull plan: per slice, the
-// four rows' sums, each started from the row's ghost and adding its
-// in-neighbours' contributions from w.cur in push order (the pads after
-// them add cur's last entry, a +0), then each row's new rank, its change
-// and its new contribution into w.next. It returns the largest rank
-// change.
+// jacobi is what a Jacobi pass over a pull plan reads and writes, every
+// array by position. cur is the contributions it reads, the pad's +0
+// last; old the ranks it measures each row's change from; rank and next
+// the new ranks and contributions it writes. A local sweep starts each
+// row's sum from ghost; the fold starts it from 0, stores it in sum and
+// counts a row's change only where keep is 1.
+type jacobi struct {
+	cur, ghost, old, rank, next, sum, keep []float64
+}
+
+// sweepJacobi is one local Jacobi sweep of w over a pull plan: per
+// slice, the four rows' sums, each started from the row's ghost and
+// adding its in-neighbours' contributions from w.cur in push order (the
+// pads after them add cur's last entry, a +0), then each row's new rank,
+// its change from w.old and its new contribution. It returns the largest
+// rank change.
 //
 // A leaf like sweepSlices, and for the same reason: its edge loop keeps
 // the four sums, its cursor and cur in registers
-// (TestSweepKernelsKeepNoStackTraffic). It takes the four arrays behind
-// one pointer, as it takes the plan: passed as slices, with ghost read
+// (TestSweepKernelsKeepNoStackTraffic). It takes its arrays behind one
+// pointer, as it takes the plan: passed as slices, with ghost read
 // before the edge loop, the loop reloads a spilled ghost header on every
 // entry (go1.24.0, amd64).
 //
 //go:noinline
-func sweepJacobi(pl *graph.PullPlan, w *localSweep, base, damping float64) (delta float64) {
+func sweepJacobi(pl *graph.PullPlan, w *jacobi, base, damping float64) (delta float64) {
 	cur := w.cur
 	for s := 1; s < len(pl.Start); s++ {
 		i := 4 * (s - 1)
@@ -537,21 +604,71 @@ func sweepJacobi(pl *graph.PullPlan, w *localSweep, base, damping float64) (delt
 			a2 += cur[q.R2]
 			a3 += cur[q.R3]
 		}
-		r, od, c := w.rank[i:i+4], pl.OutDeg[i:i+4], w.next[i:i+4]
+		o, r, od, c := w.old[i:i+4], w.rank[i:i+4], pl.OutDeg[i:i+4], w.next[i:i+4]
 		n0 := base + damping*a0
 		n1 := base + damping*a1
 		n2 := base + damping*a2
 		n3 := base + damping*a3
-		if d := math.Abs(n0 - r[0]); d > delta {
+		if d := math.Abs(n0 - o[0]); d > delta {
 			delta = d
 		}
-		if d := math.Abs(n1 - r[1]); d > delta {
+		if d := math.Abs(n1 - o[1]); d > delta {
 			delta = d
 		}
-		if d := math.Abs(n2 - r[2]); d > delta {
+		if d := math.Abs(n2 - o[2]); d > delta {
 			delta = d
 		}
-		if d := math.Abs(n3 - r[3]); d > delta {
+		if d := math.Abs(n3 - o[3]); d > delta {
+			delta = d
+		}
+		r[0], r[1], r[2], r[3] = n0, n1, n2, n3
+		c[0], c[1], c[2], c[3] = n0/od[0], n1/od[1], n2/od[2], n3/od[3]
+	}
+	return delta
+}
+
+// foldJacobi is the map task's fold of f over a pull plan: per slice, the
+// four rows' sums from 0 of their in-neighbours' contributions from
+// f.cur in push order, each stored in f.sum, then each row's new rank,
+// its change from f.old and its new contribution, as a sweep without
+// ghosts makes them. That is the reduce's result for a row no other
+// partition feeds, which adds nothing to the one sum. A deferred row's
+// rank and contribution are overwritten by the reduce, and its change
+// counts as 0 (keep 0; a NaN change, which keep cannot zero, never passes
+// d > delta). It returns the largest change it counts.
+//
+// A leaf like sweepJacobi, and for the same reason
+// (TestSweepKernelsKeepNoStackTraffic).
+//
+//go:noinline
+func foldJacobi(pl *graph.PullPlan, f *jacobi, base, damping float64) (delta float64) {
+	cur := f.cur
+	for s := 1; s < len(pl.Start); s++ {
+		var a0, a1, a2, a3 float64
+		for _, q := range pl.Src[pl.Start[s-1]:pl.Start[s]] {
+			a0 += cur[q.R0]
+			a1 += cur[q.R1]
+			a2 += cur[q.R2]
+			a3 += cur[q.R3]
+		}
+		i := 4 * (s - 1)
+		sm, k := f.sum[i:i+4], f.keep[i:i+4]
+		sm[0], sm[1], sm[2], sm[3] = a0, a1, a2, a3
+		o, r, od, c := f.old[i:i+4], f.rank[i:i+4], pl.OutDeg[i:i+4], f.next[i:i+4]
+		n0 := base + damping*a0
+		n1 := base + damping*a1
+		n2 := base + damping*a2
+		n3 := base + damping*a3
+		if d := math.Abs(n0-o[0]) * k[0]; d > delta {
+			delta = d
+		}
+		if d := math.Abs(n1-o[1]) * k[1]; d > delta {
+			delta = d
+		}
+		if d := math.Abs(n2-o[2]) * k[2]; d > delta {
+			delta = d
+		}
+		if d := math.Abs(n3-o[3]) * k[3]; d > delta {
 			delta = d
 		}
 		r[0], r[1], r[2], r[3] = n0, n1, n2, n3

@@ -213,8 +213,18 @@ func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
 		ranks[li] = k.rank[r]
 	}
 	for r := len(ranks); r < len(k.rank); r++ {
-		if k.rank[r] != 1-sp.kernel.cfg.Damping || k.ghost[r] != 0 {
-			return fmt.Sprintf("extra position %d holds rank %g and ghost %g", r, k.rank[r], k.ghost[r])
+		if k.rank[r] != 1-sp.kernel.cfg.Damping {
+			return fmt.Sprintf("extra position %d holds rank %g", r, k.rank[r])
+		}
+	}
+	// A position no read feeds has a ghost sum of 0 after every step.
+	read := make([]bool, len(k.ghost))
+	for _, r := range k.x.Node {
+		read[r] = true
+	}
+	for r, g := range k.ghost {
+		if !read[r] && math.Float64bits(g) != 0 {
+			return fmt.Sprintf("position %d, which no read feeds, holds ghost %g", r, g)
 		}
 	}
 	switch {
@@ -504,8 +514,6 @@ func FuzzStepMatchesOracle(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		n := 1 + int(data[0])%24
-		k := 1 + int(data[1])%n
 		cfg := DefaultConfig()
 		cfg.MaxLocalIters = []int{0, 1, 2, async.DefaultMaxSteps}[data[2]&3]
 		amp := 0.0
@@ -514,38 +522,48 @@ func FuzzStepMatchesOracle(f *testing.F) {
 		}
 		steps := 2 + 4*int(data[2]>>3&7)
 		seed := uint64(data[3])
-		data = data[4:]
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		parts := make([]int32, n)
-		used := make([]int32, k)
-		for u := range parts {
-			parts[u] = int32(next() % k)
-			used[parts[u]] = 1
-		}
-		k = 0
-		for p, u := range used { // used[p] becomes p's rank among the named partitions
-			used[p] = int32(k)
-			k += int(u)
-		}
-		for u, p := range parts {
-			parts[u] = used[p]
-		}
-		g := &graph.Graph{Out: make([][]graph.NodeID, n)}
-		for len(data) >= 2 {
-			u := next() % n
-			g.Out[u] = append(g.Out[u], graph.NodeID(next()%n))
-		}
-		subs, err := graph.BuildSubGraphs(g, parts, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		subs := fuzzSubGraphs(t, data[0], data[1], data[4:])
 		newStepPair(t, subs, cfg, amp, seed).run(t, 0, steps)
 	})
+}
+
+// fuzzSubGraphs decodes a fuzz input's graph: nb gives the node count,
+// 1 to 24, kb the partition count, 1 to the node count; then one
+// assignment byte per node (partitions no node names are closed up),
+// then edges as (source, destination) byte pairs.
+func fuzzSubGraphs(t *testing.T, nb, kb byte, data []byte) []*graph.SubGraph {
+	n := 1 + int(nb)%24
+	k := 1 + int(kb)%n
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	parts := make([]int32, n)
+	used := make([]int32, k)
+	for u := range parts {
+		parts[u] = int32(next() % k)
+		used[parts[u]] = 1
+	}
+	k = 0
+	for p, u := range used { // used[p] becomes p's rank among the named partitions
+		used[p] = int32(k)
+		k += int(u)
+	}
+	for u, p := range parts {
+		parts[u] = used[p]
+	}
+	g := &graph.Graph{Out: make([][]graph.NodeID, n)}
+	for len(data) >= 2 {
+		u := next() % n
+		g.Out[u] = append(g.Out[u], graph.NodeID(next()%n))
+	}
+	subs, err := graph.BuildSubGraphs(g, parts, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs
 }
