@@ -8,15 +8,15 @@
 // Usage:
 //
 //	asyncmr [-scale N] [-v] [-mode M] [-staleness S] [-parallel] [-workers W]
-//	        [-mttf T] [-ckpt P] [-trace F] [-series F] [-metrics-addr A]
+//	        [-mttf T] [-ckpt P] [-trace F] [-series F]
 //	        [-cpuprofile F] [-memprofile F] <experiment>
 //
 // asyncmr -h lists the experiments, one line each, from the registry in
 // internal/harness; `all` runs every one of them except `run`. A flag
 // the chosen experiment would ignore is refused (exit 2) rather than
-// accepted: -mode, -trace, -series and -metrics-addr belong to `run`,
-// and each registry entry says which of -staleness, -parallel,
-// -workers, -mttf and -ckpt it reads.
+// accepted: -mode, -trace and -series belong to `run`, and each
+// registry entry says which of -staleness, -parallel, -workers, -mttf
+// and -ckpt it reads.
 //
 // -staleness takes the one global bound S the paper fixes up front: an
 // integer ("4"), or "inf" or any negative value for unbounded
@@ -52,14 +52,6 @@
 // Each workload first runs an unsampled probe to size the sampling grid
 // from its duration.
 //
-// -metrics-addr serves the sampled series over HTTP while `run`
-// executes: GET /metrics is a Prometheus text-format snapshot of the
-// latest sample, GET /series.csv the full series so far (the workload
-// currently running; each workload swaps its sampler in as it starts).
-// After the experiment the process lingers and keeps serving until
-// interrupted, so the final series stays scrapeable. Implies sampling
-// even without -series (no files are written then).
-//
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiment, so the runtime's hot paths can be profiled on full-size
 // workloads outside `go test -bench`.
@@ -74,8 +66,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -83,11 +73,9 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/async"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/recovery"
 )
 
@@ -109,8 +97,6 @@ func main() {
 		"record an event trace of each async/live workload in 'run' and write Chrome trace-event files at this path (workload name spliced before the extension)")
 	seriesOut := flag.String("series", "",
 		"record a deterministic time series of each async/live workload in 'run' and write one series file per workload at this path (a .csv path; workload name spliced before the extension)")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve the sampled series over HTTP at this address during 'run' (/metrics Prometheus text, /series.csv full series) and linger after the experiment; implies sampling")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	flag.Usage = func() {
@@ -152,36 +138,6 @@ func main() {
 	s.CheckpointPolicy = pol
 	s.TracePath = *traceOut
 	s.SeriesPath = *seriesOut
-
-	// -metrics-addr serves whichever workload is currently sampling:
-	// each sampler is swapped in as its run starts, and metrics.Series
-	// is safe for concurrent reads, so scrapes observe the live run.
-	var liveSeries atomic.Pointer[metrics.Series]
-	if *metricsAddr != "" {
-		s.SeriesHook = func(workload string, ser *metrics.Series) {
-			liveSeries.Store(ser)
-		}
-		ln, lerr := net.Listen("tcp", *metricsAddr)
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "asyncmr: metrics-addr: %v\n", lerr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "asyncmr: serving metrics on http://%s/metrics\n", ln.Addr())
-		go func() {
-			mux := http.NewServeMux()
-			mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-				ser := liveSeries.Load()
-				if ser == nil {
-					http.Error(w, "no series sampled yet", http.StatusServiceUnavailable)
-					return
-				}
-				metrics.Handler(ser).ServeHTTP(w, r)
-			})
-			if serr := http.Serve(ln, mux); serr != nil {
-				fmt.Fprintf(os.Stderr, "asyncmr: metrics server: %v\n", serr)
-			}
-		}()
-	}
 
 	var cpuFile *os.File
 	if *cpuprofile != "" {
@@ -225,19 +181,13 @@ func main() {
 	if err != nil || profErr != nil {
 		os.Exit(1)
 	}
-	if *metricsAddr != "" {
-		// Keep the final series scrapeable until the user interrupts —
-		// a short-lived experiment would otherwise race its scraper.
-		fmt.Fprintf(os.Stderr, "asyncmr: experiment done; metrics endpoint stays up (interrupt to exit)\n")
-		select {}
-	}
 }
 
 // usage is the help text's head: the synopsis and the registry, one
 // line per experiment.
 func usage() string {
 	var b strings.Builder
-	b.WriteString("usage: asyncmr [-scale N] [-v] [-mode M] [-staleness S] [-parallel] [-workers W] [-mttf T] [-ckpt P] [-trace F] [-series F] [-metrics-addr A] [-cpuprofile F] [-memprofile F] <experiment>\nexperiments:\n")
+	b.WriteString("usage: asyncmr [-scale N] [-v] [-mode M] [-staleness S] [-parallel] [-workers W] [-mttf T] [-ckpt P] [-trace F] [-series F] [-cpuprofile F] [-memprofile F] <experiment>\nexperiments:\n")
 	var standalone []string
 	for _, e := range harness.Experiments() {
 		fmt.Fprintf(&b, "  %-16s %s", strings.Join(e.Names, " "), e.Help)

@@ -146,7 +146,6 @@ func TestIgnoredFlagsRefused(t *testing.T) {
 		{"convergence", "general", []string{"series"}, "-series"},
 		{"parallelhpc", "general", []string{"parallel"}, "-parallel"},
 		{"livescaling", "general", []string{"workers"}, "-workers"},
-		{"table1", "general", []string{"metrics-addr"}, "-metrics-addr"},
 		{"all", "general", []string{"mode"}, "-mode"},
 		{"all", "general", []string{"trace"}, "-trace"},
 
@@ -157,7 +156,6 @@ func TestIgnoredFlagsRefused(t *testing.T) {
 		{"run", "async", []string{"mode", "parallel", "trace"}, ""},
 		{"run", "async", []string{"mode", "series"}, ""},
 		{"run", "live", []string{"mode", "staleness", "workers"}, ""},
-		{"run", "live", []string{"mode", "metrics-addr"}, ""},
 		{"run", "live", []string{"mode", "trace"}, ""},
 		{"run", "bogus", []string{"mode"}, ""}, // RunWorkloads names the bad mode
 		{"asyncA", "general", []string{"staleness", "parallel", "workers", "mttf", "ckpt"}, ""},

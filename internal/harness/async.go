@@ -235,8 +235,8 @@ func (s *Suite) RunWorkloads(mode string, staleness int) ([]WorkloadRow, error) 
 // recorded runs one workload on the async runtime with a fresh per-run
 // recorder when the suite traces (Suite.TracePath), flushes the Chrome
 // export, and returns the run with its profile. When the suite records
-// time series (Suite.SeriesPath or SeriesHook), an unsampled probe first
-// sizes the sampling grid from the run's duration — sampling is inert,
+// time series (Suite.SeriesPath), an unsampled probe first sizes the
+// sampling grid from the run's duration — sampling is inert,
 // so the sampled rerun's stats are the ones reported (in live mode the
 // two runs measure different wall clocks; the sampled run is the one on
 // record).
@@ -246,15 +246,12 @@ func (s *Suite) recorded(w *Workload, in *Inputs, opt async.Options, live bool) 
 	if s.TracePath != "" { // nil keeps the runtime's one-branch fast path
 		o.Trace = trace.NewRecorder(trace.DefaultCapacity)
 	}
-	if s.SeriesPath != "" || s.SeriesHook != nil {
+	if s.SeriesPath != "" {
 		probe, err := w.Async(preset, in, opt)
 		if err != nil {
 			return Run{}, nil, err
 		}
 		o.Series = metrics.NewSeries(probe.Stats.Duration/seriesPoints, 0)
-		if s.SeriesHook != nil {
-			s.SeriesHook(w.Name, o.Series)
-		}
 	}
 	r, err := w.Async(preset, in, o)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/recovery"
 	"repro/internal/stats"
@@ -61,13 +60,6 @@ type Suite struct {
 	// sampled — sampling is inert, so the sampled run's stats are the
 	// ones reported. The CLI's -series flag sets it.
 	SeriesPath string
-	// SeriesHook, when set, is called with each workload's freshly
-	// sized sampler just before its sampled run starts. Series is safe
-	// for concurrent reads, so the hook can hand the sampler to an HTTP
-	// exporter that serves the run as it happens (the CLI's
-	// -metrics-addr flag). Setting the hook enables sampling even with
-	// SeriesPath empty (no files are written then).
-	SeriesHook func(workload string, ser *metrics.Series)
 	// MaxSweepPoints caps how many partition counts a sweep visits
 	// (0 = all). Tests trim the sweep so the full-pipeline assertions
 	// run in seconds; benches and the CLI keep the complete axis.

@@ -37,7 +37,7 @@ type Experiment struct {
 
 // ExperimentFlags are the asyncmr flags an experiment may or may not
 // honour (Experiment.Flags draws from this list).
-var ExperimentFlags = []string{"mode", "staleness", "parallel", "workers", "mttf", "ckpt", "trace", "series", "metrics-addr"}
+var ExperimentFlags = []string{"mode", "staleness", "parallel", "workers", "mttf", "ckpt", "trace", "series"}
 
 // runModeFlags is what the `run` experiment honours in each -mode: the
 // MapReduce modes have no async runtime to configure, and the live
@@ -47,7 +47,7 @@ var runModeFlags = map[string][]string{
 	"general": {"mode"},
 	"eager":   {"mode"},
 	"async":   ExperimentFlags,
-	"live":    {"mode", "staleness", "workers", "trace", "series", "metrics-addr"},
+	"live":    {"mode", "staleness", "workers", "trace", "series"},
 }
 
 // Ignored returns which of the given flags (names as flag.Visit reports

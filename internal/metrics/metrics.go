@@ -23,7 +23,8 @@
 //     the convergence tail is the interesting part.
 //
 // Series methods take an internal mutex: the live executor records from
-// its timer goroutine while an HTTP handler may be reading.
+// its timer goroutine, not from the goroutine that started the run and
+// reads the series.
 //
 //async:deterministic
 package metrics
@@ -59,10 +60,6 @@ func LagBucket(lag int) int {
 		return 7
 	}
 }
-
-// lagBucketLabels are the Prometheus/CSV labels for the occupancy
-// buckets, index-aligned with LagBucket.
-var lagBucketLabels = [LagBuckets]string{"0", "1", "2", "3", "4-7", "8-15", "16-31", "32+"}
 
 // Sample is one fixed-interval observation of a running engine. The
 // struct is flat and pointer-free so the ring is one allocation.

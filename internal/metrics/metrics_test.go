@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"math"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,39 +170,6 @@ func FuzzValidateSeries(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestHandler(t *testing.T) {
-	s := buildSeries()
-	h := Handler(s)
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	for _, want := range []string{
-		"asyncmr_samples_total 5",
-		"asyncmr_residual 0.2",
-		"asyncmr_steps_total 8",
-		`asyncmr_lag_occupancy{bucket="0"} 1`,
-		`asyncmr_lag_occupancy{bucket="32+"} 0`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q in:\n%s", want, body)
-		}
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/series.csv", nil))
-	var direct bytes.Buffer
-	if err := s.WriteCSV(&direct); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Body.String() != direct.String() {
-		t.Fatal("/series.csv differs from WriteCSV output")
-	}
-	if n, err := ValidateSeries(rec.Body.Bytes()); err != nil || n != 5 {
-		t.Fatalf("served series invalid: %d, %v", n, err)
-	}
 }
 
 func TestEmptySeriesWriters(t *testing.T) {
