@@ -1,6 +1,6 @@
 // Benchmarks over the experiment registry and the workload table, the
 // ablations for the design choices DESIGN.md calls out, and the
-// per-layer rungs that wait to be folded into bench/ (ROADMAP item 1a).
+// per-layer rungs that wait to be folded into bench/ (ROADMAP item 10(a)).
 // bench/ is the instrument of record for performance claims
 // (BENCHMARK.json); these exist to regenerate every experiment at a
 // reduced scale under `go test -bench` (the shapes survive scaling; see

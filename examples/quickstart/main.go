@@ -6,8 +6,8 @@
 //
 // Part 2 converts an iterative computation to the paper's partial
 // synchronization API (internal/core): lmap/lreduce compose into a gmap
-// that iterates locally between global synchronizations, and the Driver
-// runs global iterations to convergence. The same computation is run
+// that iterates locally between global synchronizations, and
+// core.Iterate runs global iterations to convergence. The same computation is run
 // with and without eager local iterations to show the global
 // synchronization count drop.
 package main
@@ -150,25 +150,23 @@ func partialSync() {
 			},
 		}
 
-		parts := make([]*cells, len(splits))
-		for i := range splits {
-			parts[i] = splits[i].Data
-		}
-		driver := &core.Driver[*cells, int64, int]{
-			Engine: engine,
-			Job:    job,
-			Update: func(iter int, out []mapreduce.KV[int64, int], _ []mapreduce.Split[*cells]) (bool, error) {
-				for _, p := range parts {
-					for _, c := range p.v {
-						if c < p.target {
-							return false, nil
-						}
+		// core.Iterate runs global iterations, each one job, until the
+		// convergence check a Hadoop job driver makes between chained jobs
+		// holds: every cell of every partition at its target.
+		stats, err := core.Iterate(func(int) (mapreduce.Cost, bool, error) {
+			res, err := mapreduce.Run(engine, job, splits)
+			if err != nil {
+				return mapreduce.Cost{}, false, err
+			}
+			for _, sp := range splits {
+				for _, c := range sp.Data.v {
+					if c < sp.Data.target {
+						return res.Cost, false, nil
 					}
 				}
-				return true, nil
-			},
-		}
-		stats, err := driver.Run(splits)
+			}
+			return res.Cost, true, nil
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -216,14 +216,20 @@ func TestLocalContextStateAccessors(t *testing.T) {
 	}
 }
 
-func TestDriverRunsToConvergence(t *testing.T) {
-	// Iterative doubling: global state x doubles per iteration until
-	// >= 64; Update reports convergence.
+// TestIterateSumsRunCosts: a run of iterative doubling, each iteration
+// a job through mapreduce.Run, stops at the iteration that reports
+// convergence, and its statistics are the sums of the iterations' Cost
+// fields. The cluster replays failed attempts and every map task makes a
+// partial synchronization per doubling, so no sum is trivially zero.
+func TestIterateSumsRunCosts(t *testing.T) {
 	type part struct{ x int }
 	job := &mapreduce.Job[*part, int64, int]{
 		Name:      "doubling",
 		Partition: mapreduce.Int64Partition,
 		Map: func(ctx *mapreduce.TaskContext[int64, int], split mapreduce.Split[*part]) {
+			for range split.Data.x {
+				ctx.LocalSync()
+			}
 			ctx.Emit(0, split.Data.x*2)
 		},
 		Reduce: func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {
@@ -232,125 +238,59 @@ func TestDriverRunsToConvergence(t *testing.T) {
 			}
 		},
 	}
+	cfg := cluster.EC2LargeCluster()
+	cfg.FailureProb = 0.3
+	engine := mapreduce.NewEngine(cluster.New(cfg))
 	p := &part{x: 1}
-	d := &Driver[*part, int64, int]{
-		Engine: testEngine(),
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, int], splits []mapreduce.Split[*part]) (bool, error) {
-			p.x = out[0].Value
-			return p.x >= 64, nil
-		},
-	}
-	stats, err := d.Run([]mapreduce.Split[*part]{{Data: p, Records: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged {
-		t.Fatal("did not converge")
-	}
-	if stats.GlobalIterations != 6 { // 1->2->4->8->16->32->64
-		t.Fatalf("iterations = %d, want 6", stats.GlobalIterations)
-	}
-	if p.x != 64 {
-		t.Fatalf("x = %d, want 64", p.x)
-	}
-	if stats.Duration <= 0 {
-		t.Fatal("no simulated time accumulated")
-	}
-	// One record crosses each global synchronization; a plain map
-	// function makes no local sync, and the engine no failures.
-	if stats.ShuffleRecords != 6 || stats.LocalIterations != 0 || stats.Failures != 0 {
-		t.Fatalf("stats = %+v, want 6 shuffled records, no local syncs, no failures", stats)
-	}
-}
-
-// TestDriverMaxIterations: a run that never converges stops after
-// DefaultMaxIterations global iterations and reports Converged false.
-func TestDriverMaxIterations(t *testing.T) {
-	type part struct{}
-	job := &mapreduce.Job[*part, int64, int]{
-		Name:      "forever",
-		Partition: mapreduce.Int64Partition,
-		Map:       func(ctx *mapreduce.TaskContext[int64, int], split mapreduce.Split[*part]) { ctx.Emit(0, 1) },
-		Reduce:    func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) {},
-	}
-	d := &Driver[*part, int64, int]{
-		Engine: testEngine(),
-		Job:    job,
-		Update: func(int, []mapreduce.KV[int64, int], []mapreduce.Split[*part]) (bool, error) {
-			return false, nil
-		},
-	}
-	stats, err := d.Run([]mapreduce.Split[*part]{{Data: &part{}, Records: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Converged || stats.GlobalIterations != DefaultMaxIterations {
-		t.Fatalf("stats = %+v, want %d non-converged iterations", stats, DefaultMaxIterations)
-	}
-}
-
-func TestDriverValidation(t *testing.T) {
-	d := &Driver[*counterPart, int64, int]{}
-	if _, err := d.Run(nil); err == nil {
-		t.Fatal("empty driver accepted")
-	}
-}
-
-// TestDriverUpdateOwnsOutput: each iteration's Update is handed that
-// iteration's records only, also when it emits fewer than the last, and a
-// run of the same job made inside Update gets an array of its own and
-// leaves Update's alone.
-func TestDriverUpdateOwnsOutput(t *testing.T) {
-	type part struct {
-		it    int
-		sizes []int // records emitted, by iteration
-	}
-	job := &mapreduce.Job[*part, int64, int]{
-		Name:      "owning",
-		Partition: mapreduce.Int64Partition,
-		Map: func(ctx *mapreduce.TaskContext[int64, int], split mapreduce.Split[*part]) {
-			p := split.Data
-			for j := 0; j < p.sizes[p.it]; j++ {
-				ctx.Emit(int64(j), p.it*1000+j)
-			}
-		},
-		Reduce: func(ctx *mapreduce.TaskContext[int64, int], key int64, values []int) { ctx.Emit(key, values[0]) },
-	}
-	holdsOnly := func(out []mapreduce.KV[int64, int], it, n int) {
-		t.Helper()
-		if len(out) != n {
-			t.Fatalf("iteration %d: %d output records, want %d", it, len(out), n)
-		}
-		for _, kv := range out {
-			if kv.Value != it*1000+int(kv.Key) {
-				t.Fatalf("iteration %d's output holds record %v of another run", it, kv)
-			}
-		}
-	}
-	engine := testEngine()
-	p := &part{sizes: []int{40, 40, 25, 40}}
 	splits := []mapreduce.Split[*part]{{Data: p, Records: 1}}
-	d := &Driver[*part, int64, int]{
-		Engine: engine,
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, int], _ []mapreduce.Split[*part]) (bool, error) {
-			holdsOnly(out, p.it, p.sizes[p.it])
-			if iter == 2 {
-				nested, err := mapreduce.Run(engine, job, splits)
-				if err != nil {
-					return false, err
-				}
-				if &nested.Output[0] == &out[0] {
-					t.Fatal("a run inside Update was given the array Update is reading")
-				}
-				holdsOnly(out, p.it, p.sizes[p.it])
-			}
-			p.it++
-			return p.it == len(p.sizes), nil
-		},
-	}
-	if _, err := d.Run(splits); err != nil {
+	var sum mapreduce.Cost
+	stats, err := Iterate(func(iter int) (mapreduce.Cost, bool, error) {
+		res, err := mapreduce.Run(engine, job, splits)
+		if err != nil {
+			return mapreduce.Cost{}, false, err
+		}
+		p.x = res.Output[0].Value
+		sum.Duration += res.Duration
+		sum.LocalSyncs += res.LocalSyncs
+		sum.ShuffleRecords += res.ShuffleRecords
+		sum.Failures += res.Failures
+		return res.Cost, p.x >= 64, nil
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	want := RunStats{
+		GlobalIterations: 6, // 1->2->4->8->16->32->64
+		Duration:         sum.Duration,
+		LocalIterations:  63,
+		ShuffleRecords:   6,
+		Failures:         sum.Failures,
+		Converged:        true,
+	}
+	if *stats != want || sum.LocalSyncs != 63 || sum.ShuffleRecords != 6 {
+		t.Fatalf("stats = %+v, want %+v", *stats, want)
+	}
+	if sum.Duration <= 0 || sum.Failures == 0 {
+		t.Fatalf("iterations cost %+v, want simulated time and replayed attempts", sum)
+	}
+}
+
+// TestIterateMaxIterations: a run that never converges stops after
+// DefaultMaxIterations global iterations, numbered from 1, and reports
+// Converged false.
+func TestIterateMaxIterations(t *testing.T) {
+	calls := 0
+	stats, err := Iterate(func(iter int) (mapreduce.Cost, bool, error) {
+		if calls++; iter != calls {
+			t.Fatalf("call %d is iteration %d", calls, iter)
+		}
+		return mapreduce.Cost{Duration: simtime.Second}, false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Converged || stats.GlobalIterations != DefaultMaxIterations || calls != DefaultMaxIterations ||
+		stats.Duration != DefaultMaxIterations*simtime.Second {
+		t.Fatalf("stats = %+v after %d calls, want %d non-converged iterations", stats, calls, DefaultMaxIterations)
 	}
 }

@@ -36,10 +36,13 @@
 //	    for each value in lreduce-output { EmitIntermediate(key, value) }
 //	}
 //
-// The Driver type runs the resulting job to global convergence,
-// re-feeding each global reduction's output into the next iteration's
-// partitions and summing the run's totals into RunStats (simulated
-// duration, global iterations, local synchronizations — one per local
-// iteration, counted by the engine — shuffled records and replayed task
-// attempts) that the experiment harness turns into the paper's figures.
+// Iterate is the loop every synchronous run goes round: global
+// iterations until one reports global convergence, each iteration's job
+// price (mapreduce.Cost) summed into RunStats (simulated duration, global
+// iterations, local synchronizations — one per local iteration —
+// shuffled records and replayed task attempts) that the experiment
+// harness turns into the paper's figures. The paper's workloads compute
+// what their jobs' tasks would record and price it with
+// mapreduce.Engine.Price; examples/quickstart and the tests' oracles run
+// the job through mapreduce.Run.
 package core

@@ -9,14 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Accum is the key-value payload: a running vector sum of points assigned
-// to one centroid plus their count. Map tasks emit partial accumulators;
-// the global reduce folds them; the driver divides to obtain centroids.
-type Accum struct {
-	Sum   []float64
-	Count int64
-}
-
 // Config parameterizes a K-Means run.
 type Config struct {
 	// K is the number of clusters (the paper does not state its k;
@@ -76,12 +68,18 @@ func (c *Config) validate() error {
 }
 
 // state is one partition's payload: its current slice of the input
-// points plus the centroids it iterates against.
+// points, its map task's accumulators, and the eager map task's
+// centroids.
 type state struct {
 	// points holds this partition's rows (views into the dataset).
 	points [][]float64
-	// centroids is the partition's working copy of the input centroids,
-	// flat K×dims; local iterations refine it, global Update resets it.
+	// acc is the map task's flat K×(dims+1) accumulator set as assign
+	// lays it out: what the task's job emits, one record per cluster
+	// with members.
+	acc []float64
+	// centroids is the eager map task's working copy of the global
+	// centroids, flat K×dims: loaded at the start of every task, refined
+	// by its local iterations.
 	centroids []float64
 }
 
@@ -98,105 +96,210 @@ type Result struct {
 
 // Run clusters points into cfg.K clusters over numParts partitions
 // (the paper's Figure 8/9 uses 52). eager selects the formulation.
+//
+// A global iteration of either formulation is the MapReduce job it
+// models, run without records: each partition's map task leaves its
+// per-cluster accumulators in its state, a gather sums each cluster's
+// over the map tasks in task order into its new centroid, and the job is
+// priced from the per-task counts the engine would record
+// (mapreduce.Engine.Price), a cluster with members being one record of
+// 16+8·dims bytes. The job through internal/mapreduce is the tests'
+// oracle.
 func Run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config, eager bool) (*Result, error) {
-	return run(engine, points, numParts, cfg, eager, func(dims int) *mapreduce.Job[*state, int64, Accum] {
-		return buildJob(cfg, dims, eager)
-	})
-}
-
-// run is Run with the per-iteration job built by newJob for the points'
-// dimension.
-func run(engine *mapreduce.Engine, points [][]float64, numParts int, cfg Config, eager bool, newJob func(dims int) *mapreduce.Job[*state, int64, Accum]) (*Result, error) {
 	numParts, dims, err := prepare(points, numParts, cfg)
 	if err != nil {
 		return nil, err
 	}
 	centroids, perm, rng := seed(points, cfg, dims)
-	states := make([]*state, numParts)
-	for i := range states {
-		states[i] = &state{centroids: append([]float64(nil), centroids...)}
-	}
-	assignPoints(states, points, perm)
-
-	splits := make([]mapreduce.Split[*state], numParts)
-	refreshSplits := func() {
-		for i, st := range states {
-			splits[i] = mapreduce.Split[*state]{
-				Data:    st,
-				Records: int64(len(st.points)),
-				Bytes:   int64(len(st.points) * dims * 8),
-			}
-		}
-	}
-	refreshSplits()
-
-	job := newJob(dims)
+	d := newRun(engine, points, perm, numParts, cfg, eager, centroids)
 	res := &Result{}
 	var history []float64
-	next := make([]float64, len(centroids))
-	driver := &core.Driver[*state, int64, Accum]{
-		Engine: engine,
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, Accum], _ []mapreduce.Split[*state]) (bool, error) {
-			// Fold the global reduction into new centroids; empty
-			// clusters keep their previous center.
-			copy(next, centroids)
-			for _, kv := range out {
-				c := int(kv.Key)
-				if c < 0 || c >= cfg.K {
-					return false, fmt.Errorf("kmeans: reduce emitted centroid %d outside [0,%d)", c, cfg.K)
-				}
-				if kv.Value.Count == 0 {
-					continue
-				}
-				for d := 0; d < dims; d++ {
-					next[c*dims+d] = kv.Value.Sum[d] / float64(kv.Value.Count)
-				}
+	runStats, err := core.Iterate(func(iter int) (mapreduce.Cost, bool, error) {
+		if err := engine.ForEachTask(len(d.states), d.mapTask); err != nil {
+			return mapreduce.Cost{}, false, fmt.Errorf("kmeans: iteration %d: map phase: %w", iter, err)
+		}
+		if err := engine.ForEachTask(len(d.reduces), d.gather); err != nil {
+			return mapreduce.Cost{}, false, fmt.Errorf("kmeans: iteration %d: gather: %w", iter, err)
+		}
+		cost := engine.Price(d.maps, d.reduces)
+		movement := 0.0
+		for base := 0; base < len(d.next); base += dims {
+			if m := centroidMovement(d.next[base:base+dims], d.centroids[base:base+dims]); m > movement {
+				movement = m
 			}
-			movement := 0.0
-			for base := 0; base < len(next); base += dims {
-				if m := centroidMovement(next[base:base+dims], centroids[base:base+dims]); m > movement {
-					movement = m
-				}
-			}
-			centroids, next = next, centroids
-			// Input-centroids for the next round are the final-centroids.
-			for _, st := range states {
-				copy(st.centroids, centroids)
-			}
-			if movement < cfg.Threshold {
-				return true, nil
-			}
-			history = append(history, movement)
-			if cfg.OscillationWindow > 1 && oscillating(history, cfg.OscillationWindow) {
-				res.OscillationStop = true
-				return true, nil
-			}
-			// Periodic repartitioning (eager only; the general
-			// formulation is partition-agnostic: every partition does
-			// identical per-point work regardless of membership). Only
-			// while the centroids are still moving coarsely — once
-			// movement nears the threshold, reshuffling would inject
-			// partition noise above the remaining signal and stall
-			// convergence.
-			if eager && cfg.ReshuffleEvery > 0 && iter%cfg.ReshuffleEvery == 0 &&
-				movement > 10*cfg.Threshold {
-				assignPoints(states, points, rng.Perm(len(points)))
-				refreshSplits()
-			}
-			return false, nil
-		},
-	}
-	stats_, err := driver.Run(splits)
+		}
+		d.centroids, d.next = d.next, d.centroids
+		if movement < cfg.Threshold {
+			return cost, true, nil
+		}
+		history = append(history, movement)
+		if cfg.OscillationWindow > 1 && oscillating(history, cfg.OscillationWindow) {
+			res.OscillationStop = true
+			return cost, true, nil
+		}
+		// Periodic repartitioning (eager only; the general formulation
+		// is partition-agnostic: every partition does identical
+		// per-point work regardless of membership). Only while the
+		// centroids are still moving coarsely — once movement nears the
+		// threshold, reshuffling would inject partition noise above the
+		// remaining signal and stall convergence. A reshuffle keeps
+		// every chunk's size, so the map tasks' input counts hold.
+		if eager && cfg.ReshuffleEvery > 0 && iter%cfg.ReshuffleEvery == 0 &&
+			movement > 10*cfg.Threshold {
+			assignPoints(d.states, points, rng.Perm(len(points)))
+		}
+		return cost, false, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Centroids = make([][]float64, cfg.K)
+	res.Centroids, res.Stats = make([][]float64, cfg.K), runStats
 	for c := range res.Centroids {
-		res.Centroids[c] = centroids[c*dims : (c+1)*dims : (c+1)*dims]
+		res.Centroids[c] = d.centroids[c*dims : (c+1)*dims : (c+1)*dims]
 	}
-	res.Stats = stats_
 	return res, nil
+}
+
+// driver is a general or eager run between global iterations: the
+// partitions' states, the global centroids, flat K×dims, which the
+// gather replaces with next, and what the engine would record for each
+// task of one iteration's job.
+type driver struct {
+	cfg             Config
+	eager           bool
+	dims            int
+	states          []*state
+	centroids, next []float64
+	// maps[i] and reduces[p] are what map task i and reduce task p of the
+	// iteration's job record.
+	maps, reduces []mapreduce.TaskStats
+}
+
+// newRun builds a run on engine's cluster from the seeded centroids:
+// every partition's state over its chunk of perm, and each map task's
+// input counts, a point being one record of 8 bytes a dimension.
+func newRun(engine *mapreduce.Engine, points [][]float64, perm []int, numParts int, cfg Config, eager bool, centroids []float64) *driver {
+	dims := len(centroids) / cfg.K
+	d := &driver{
+		cfg:       cfg,
+		eager:     eager,
+		dims:      dims,
+		states:    make([]*state, numParts),
+		centroids: centroids,
+		next:      make([]float64, len(centroids)),
+		maps:      make([]mapreduce.TaskStats, numParts),
+		reduces:   make([]mapreduce.TaskStats, engine.ReduceSlots()),
+	}
+	for i := range d.states {
+		d.states[i] = &state{acc: make([]float64, cfg.K*(dims+1))}
+		if eager {
+			d.states[i].centroids = make([]float64, len(centroids))
+		}
+	}
+	assignPoints(d.states, points, perm)
+	for i, st := range d.states {
+		d.maps[i] = mapreduce.TaskStats{InRecords: int64(len(st.points)), InBytes: int64(len(st.points) * dims * 8)}
+	}
+	return d
+}
+
+// mapTask is the gmap of partition i. General: one assignment sweep
+// against the global centroids. Eager: from a copy of them, local Lloyd
+// iterations until no local centroid moves Threshold or more, or
+// MaxLocalIters of them when that is above 0 — the paper's "the global
+// map emits the input-centroids and their associated
+// updated-centroids". An eager iteration is the paper's lmap, every
+// point assigned to its nearest local centroid, and lreduce, each
+// cluster's members summed in point order, followed by moving each
+// centroid with members to their mean. Either leaves its last sweep's
+// accumulators in the state and records a record per cluster with
+// members, and k·dims operations a point for the general sweep or, for
+// each eager iteration, k·dims+dims a point and a partial
+// synchronization: what the lmap/lreduce program costs through
+// core.BuildGMap.
+func (d *driver) mapTask(i int) error {
+	st, k, dims := d.states[i], d.cfg.K, d.dims
+	counts := st.acc[k*dims:]
+	m := &d.maps[i]
+	if d.eager {
+		copy(st.centroids, d.centroids)
+		mean := make([]float64, dims)
+		sweeps := 0
+		for {
+			assign(st.acc, st.centroids, dims, st.points)
+			sweeps++
+			delta := 0.0
+			for c, n := range counts {
+				if n == 0 {
+					continue
+				}
+				for j := range mean {
+					mean[j] = st.acc[c*dims+j] / n
+				}
+				row := st.centroids[c*dims : (c+1)*dims]
+				if mv := centroidMovement(mean, row); mv > delta {
+					delta = mv
+				}
+				copy(row, mean)
+			}
+			if d.cfg.MaxLocalIters > 0 && sweeps >= d.cfg.MaxLocalIters || delta < d.cfg.Threshold {
+				break
+			}
+		}
+		m.Ops = int64(sweeps) * int64(len(st.points)) * int64(k*dims+dims)
+		m.LocalSyncs = int64(sweeps)
+	} else {
+		assign(st.acc, d.centroids, dims, st.points)
+		m.Ops = int64(len(st.points) * k * dims)
+	}
+	var records int64
+	for _, n := range counts {
+		if n > 0 {
+			records++
+		}
+	}
+	m.OutRecords, m.OutBytes = records, records*(16+8*int64(dims))
+	return nil
+}
+
+// gather is reduce task p: the clusters that mapreduce.Int64Partition
+// routes to p of len(reduces), c ≡ p mod len(reduces). Each sums its
+// rows with members over the map tasks, in task order, one record and
+// dims operations a row, and its new centroid is the sums over the
+// summed count, one record out. A cluster no point joined keeps its
+// center.
+func (d *driver) gather(p int) error {
+	k, dims := d.cfg.K, d.dims
+	var in, out int64
+	for c := p; c < k; c += len(d.reduces) {
+		row := d.next[c*dims : (c+1)*dims]
+		clear(row)
+		count := 0.0
+		for _, st := range d.states {
+			if n := st.acc[k*dims+c]; n > 0 {
+				for j, x := range st.acc[c*dims : (c+1)*dims] {
+					row[j] += x
+				}
+				count += n
+				in++
+			}
+		}
+		if count == 0 {
+			copy(row, d.centroids[c*dims:(c+1)*dims])
+			continue
+		}
+		for j := range row {
+			row[j] /= count
+		}
+		out++
+	}
+	d.reduces[p] = mapreduce.TaskStats{
+		InRecords:  in,
+		OutRecords: out,
+		OutBytes:   out * (16 + 8*int64(dims)),
+		Ops:        in * int64(dims),
+	}
+	return nil
 }
 
 // prepare checks the inputs every formulation shares and returns the
@@ -318,93 +421,6 @@ func centroidMovement(a, b []float64) float64 {
 	return stats.EuclideanDistance(a, b) / math.Sqrt(float64(len(a)))
 }
 
-// buildJob assembles the per-iteration job. The global reduce — fold
-// accumulators per centroid — is shared between formulations.
-func buildJob(cfg Config, dims int, eager bool) *mapreduce.Job[*state, int64, Accum] {
-	job := &mapreduce.Job[*state, int64, Accum]{
-		Name:      "kmeans-general",
-		Partition: mapreduce.Int64Partition,
-		RecordSize: func(_ int64, v Accum) int64 {
-			return 16 + int64(8*len(v.Sum))
-		},
-		Reduce: func(ctx *mapreduce.TaskContext[int64, Accum], key int64, values []Accum) {
-			total := Accum{Sum: make([]float64, dims)}
-			for _, a := range values {
-				for d, x := range a.Sum {
-					total.Sum[d] += x
-				}
-				total.Count += a.Count
-			}
-			ctx.Charge(int64(len(values) * dims))
-			ctx.Emit(key, total)
-		},
-	}
-	if !eager {
-		job.Map = func(ctx *mapreduce.TaskContext[int64, Accum], split mapreduce.Split[*state]) {
-			generalAssign(ctx, split.Data, cfg.K, dims)
-		}
-		return job
-	}
-	job.Name = "kmeans-eager"
-	job.Map = eagerMap(cfg, dims)
-	return job
-}
-
-// generalAssign performs one synchronous assignment sweep: each point
-// picks its nearest input centroid; the task emits one partial
-// accumulator per centroid (the in-mapper aggregation Mahout's
-// implementation achieves with combiners).
-func generalAssign(ctx *mapreduce.TaskContext[int64, Accum], st *state, k, dims int) {
-	acc := make([]float64, k*(dims+1))
-	assign(acc, st.centroids, dims, st.points)
-	ctx.Charge(int64(len(st.points) * k * dims))
-	emit(ctx, acc, k, dims)
-}
-
-// eagerMap is the eager gmap: local Lloyd iterations on the partition's
-// subset until no local centroid moves Threshold or more, or
-// MaxLocalIters of them when that is above 0, then one accumulator per
-// cluster that has members — the paper's "the global map emits the
-// input-centroids and their associated updated-centroids". An iteration
-// is the paper's lmap, every point assigned to its nearest local
-// centroid, and lreduce, each cluster's members summed in point order,
-// followed by moving each centroid with members to their mean. Its
-// pricing is what the lmap/lreduce program costs through core.BuildGMap:
-// a partial synchronization an iteration, k·dims operations a point for
-// the assignment and dims for the sum, and the local iteration count.
-func eagerMap(cfg Config, dims int) mapreduce.MapFunc[*state, int64, Accum] {
-	return func(tc *mapreduce.TaskContext[int64, Accum], split mapreduce.Split[*state]) {
-		st := split.Data
-		acc, mean := make([]float64, cfg.K*(dims+1)), make([]float64, dims)
-		counts := acc[cfg.K*dims:]
-		sweeps := 0
-		for {
-			assign(acc, st.centroids, dims, st.points)
-			tc.LocalSync()
-			sweeps++
-			delta := 0.0
-			for c, n := range counts {
-				if n == 0 {
-					continue
-				}
-				for d := range mean {
-					mean[d] = acc[c*dims+d] / n
-				}
-				row := st.centroids[c*dims : (c+1)*dims]
-				if m := centroidMovement(mean, row); m > delta {
-					delta = m
-				}
-				copy(row, mean)
-			}
-			if cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters || delta < cfg.Threshold {
-				break
-			}
-		}
-		tc.Charge(int64(sweeps) * int64(len(st.points)) * int64(len(st.centroids)+dims))
-		emit(tc, acc, cfg.K, dims)
-	}
-}
-
 // assign is the Lloyd assignment pass all three formulations share:
 // every point, in order, joins its nearest centroid in the flat K×dims
 // buffer, and acc — flat K×(dims+1), cleared first — gathers cluster c's
@@ -420,16 +436,6 @@ func assign(acc, centroids []float64, dims int, points [][]float64) {
 			row[d] += x
 		}
 		counts[c]++
-	}
-}
-
-// emit sends, in cluster order, one accumulator per cluster of acc (laid
-// out as assign fills it) that has members; each Sum is a view into acc.
-func emit(ctx *mapreduce.TaskContext[int64, Accum], acc []float64, k, dims int) {
-	for c, n := range acc[k*dims:] {
-		if n > 0 {
-			ctx.Emit(int64(c), Accum{Sum: acc[c*dims : (c+1)*dims : (c+1)*dims], Count: int64(n)})
-		}
 	}
 }
 

@@ -82,8 +82,9 @@ type Job[P any, K comparable, V any] struct {
 	// FNV-based partitioner (correct but slower than a type-aware one).
 	Partition PartitionFunc[K]
 	// RecordSize prices one record; nil charges a flat 16 bytes
-	// (8-byte key + 8-byte value), which matches the integer-keyed
-	// records of all three paper applications.
+	// (8-byte key + 8-byte value), what PageRank's and SSSP's records
+	// cost. Its one caller is K-Means' oracle job, whose records carry a
+	// sum per dimension.
 	RecordSize SizeFunc[K, V]
 }
 

@@ -58,8 +58,8 @@ func generalMap(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split
 	emitContributions(tc, split.Data)
 }
 
-// runEngine is Run as the MapReduce jobs it models, driven by
-// core.Driver: job is one iteration's. It keeps every node's rank, from
+// runEngine is Run as the MapReduce jobs it models, core.Iterate around
+// mapreduce.Run: job is one iteration's. It keeps every node's rank, from
 // 1, by node as a job driver does, and wraps the job's map so that every
 // map task first loads its partition's ranks, and in the eager
 // formulation its ghost sums, from them.
@@ -108,26 +108,25 @@ func runEngine(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 		}
 		gmap(tc, split)
 	}
-	driver := &core.Driver[*jobState, int64, float64]{
-		Engine: engine,
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*jobState]) (bool, error) {
-			if len(out)+len(noIn) != n {
-				return false, fmt.Errorf("reduce emitted %d ranks, want %d", len(out), n-len(noIn))
-			}
-			delta := 0.0
-			for _, kv := range out {
-				delta = max(delta, math.Abs(kv.Value-ranks[kv.Key]))
-				ranks[kv.Key] = kv.Value
-			}
-			for _, u := range noIn {
-				delta = max(delta, math.Abs(base-ranks[u]))
-				ranks[u] = base
-			}
-			return delta < cfg.Epsilon, nil
-		},
-	}
-	stats, err := driver.Run(splits)
+	stats, err := core.Iterate(func(int) (mapreduce.Cost, bool, error) {
+		res, err := mapreduce.Run(engine, job, splits)
+		if err != nil {
+			return mapreduce.Cost{}, false, err
+		}
+		if len(res.Output)+len(noIn) != n {
+			return mapreduce.Cost{}, false, fmt.Errorf("reduce emitted %d ranks, want %d", len(res.Output), n-len(noIn))
+		}
+		delta := 0.0
+		for _, kv := range res.Output {
+			delta = max(delta, math.Abs(kv.Value-ranks[kv.Key]))
+			ranks[kv.Key] = kv.Value
+		}
+		for _, u := range noIn {
+			delta = max(delta, math.Abs(base-ranks[u]))
+			ranks[u] = base
+		}
+		return res.Cost, delta < cfg.Epsilon, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +206,7 @@ func sameRun(t *testing.T, got, want *Result, oracle string) {
 // TestGeneralMatchesEngine: the general formulation's native global
 // iterations give the ranks and the run statistics (iterations, shuffle
 // records, replayed attempts, simulated time to the bit) that its job
-// through mapreduce.Run and core.Driver gives, across oracleCases.
+// through mapreduce.Run gives, across oracleCases.
 func TestGeneralMatchesEngine(t *testing.T) {
 	for _, c := range oracleCases(t) {
 		t.Run(c.name, func(t *testing.T) {

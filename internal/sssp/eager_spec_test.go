@@ -10,9 +10,9 @@ import (
 )
 
 // eagerSpec is the eager gmap as the paper writes it, lmap and lreduce
-// through core.BuildGMap, and the reference eagerMap is held to: local
-// Bellman-Ford sweeps over the partition's active frontier until no
-// local distance improves.
+// through core.BuildGMap, and the oracle the native eager map task is
+// held to: local Bellman-Ford sweeps over the partition's active frontier
+// until no local distance improves.
 func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 	return &core.LocalSpec[*state, int32, int64, float64]{
 		// xs: the current local frontier.
@@ -79,9 +79,7 @@ func TestEagerMatchesSpec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job := buildJob(c.cfg, true)
-			job.Map = core.BuildGMap(eagerSpec(c.cfg))
-			want, err := runEngine(c.engine(), c.subs, c.cfg, job)
+			want, err := runEngine(c.engine(), c.subs, c.cfg, buildJob(c.cfg, true))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,10 +14,10 @@ import (
 	"repro/internal/partition"
 )
 
-// runEngine is Run as the MapReduce jobs it models, driven by
-// core.Driver: job is one iteration's. Its Update keeps every node's best
-// distance and disseminates improvements into the partitions, activating
-// the nodes they improve.
+// runEngine is Run as the MapReduce jobs it models, core.Iterate around
+// mapreduce.Run: job is one iteration's. Between iterations it keeps
+// every node's best distance and disseminates improvements into the
+// partitions, activating the nodes they improve.
 func runEngine(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, job *mapreduce.Job[*state, int64, float64]) (*Result, error) {
 	n, err := validate(subs, cfg)
 	if err != nil {
@@ -29,30 +29,29 @@ func runEngine(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, job
 	for i, st := range d.states {
 		splits[i] = mapreduce.Split[*state]{Data: st, Records: int64(st.sub.NumNodes()), Bytes: st.sub.Bytes}
 	}
-	driver := &core.Driver[*state, int64, float64]{
-		Engine: engine,
-		Job:    job,
-		Update: func(iter int, out []mapreduce.KV[int64, float64], _ []mapreduce.Split[*state]) (bool, error) {
-			improved := false
-			for _, kv := range out {
-				if kv.Value < dist[kv.Key] {
-					dist[kv.Key] = kv.Value
-					improved = true
+	stats, err := core.Iterate(func(int) (mapreduce.Cost, bool, error) {
+		res, err := mapreduce.Run(engine, job, splits)
+		if err != nil {
+			return mapreduce.Cost{}, false, err
+		}
+		improved := false
+		for _, kv := range res.Output {
+			if kv.Value < dist[kv.Key] {
+				dist[kv.Key] = kv.Value
+				improved = true
+			}
+		}
+		// A node a capped sweep left active stays so.
+		for _, st := range d.states {
+			for li, u := range st.sub.Nodes {
+				if dist[u] < st.dist[li] {
+					st.dist[li] = dist[u]
+					st.active[li] = true
 				}
 			}
-			// A node a capped sweep left active stays so.
-			for _, st := range d.states {
-				for li, u := range st.sub.Nodes {
-					if dist[u] < st.dist[li] {
-						st.dist[li] = dist[u]
-						st.active[li] = true
-					}
-				}
-			}
-			return !improved, nil
-		},
-	}
-	stats, err := driver.Run(splits)
+		}
+		return res.Cost, !improved, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -79,8 +78,10 @@ func minInto(acc map[int64]float64, key int64, d float64) {
 	}
 }
 
-// buildJob assembles the per-iteration job; the reduce (min per node) is
-// shared between formulations.
+// buildJob assembles the per-iteration job: the general formulation maps
+// with generalMap, the eager one with the lmap/lreduce program
+// (eagerSpec) through core.BuildGMap; the reduce (min per node) is shared
+// between formulations.
 func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
 	job := &mapreduce.Job[*state, int64, float64]{
 		Name:      "sssp-general",
@@ -101,7 +102,7 @@ func buildJob(cfg Config, eager bool) *mapreduce.Job[*state, int64, float64] {
 		return job
 	}
 	job.Name = "sssp-eager"
-	job.Map = eagerMap(cfg)
+	job.Map = core.BuildGMap(eagerSpec(cfg))
 	return job
 }
 
@@ -128,36 +129,6 @@ func generalMap(ctx *mapreduce.TaskContext[int64, float64], split mapreduce.Spli
 	}
 	ctx.Charge(ops)
 	emitSorted(ctx.Emit, acc)
-}
-
-// eagerMap is the eager gmap: relaxation sweeps over the partition's
-// active frontier until no local distance improves, or MaxLocalIters
-// sweeps when that is above 0, then the global emission. A sweep is the
-// paper's lmap, every frontier node relaxing its partition-internal
-// out-edges, and lreduce, the best candidate per node, done as one Jacobi
-// sweep (relax, then settle): candidates collect in st.cand against dist
-// as the sweep found it, and only the settle that follows moves
-// improvements into dist and the next frontier. Its pricing is what the
-// lmap/lreduce program costs through core.BuildGMap: a partial
-// synchronization a sweep (a partition with no frontier pays one empty
-// sweep), an lmap and an lreduce operation per relaxed edge, and the
-// local iteration count.
-func eagerMap(cfg Config) mapreduce.MapFunc[*state, int64, float64] {
-	return func(tc *mapreduce.TaskContext[int64, float64], split mapreduce.Split[*state]) {
-		st := split.Data
-		var edges int64
-		sweeps := 0
-		for {
-			edges += st.relax()
-			tc.LocalSync()
-			sweeps++
-			if !st.settle() || cfg.MaxLocalIters > 0 && sweeps >= cfg.MaxLocalIters {
-				break
-			}
-		}
-		tc.Charge(2 * edges)
-		emitSettled(tc, st)
-	}
 }
 
 // emitSettled is the eager global emission: every node at a finite
@@ -252,10 +223,10 @@ func sameRun(t *testing.T, got, want *Result, oracle string) {
 // TestGeneralMatchesEngine: both formulations' native global iterations
 // give the distances and the run statistics (iterations, local
 // synchronizations, shuffle records, replayed attempts, simulated time to
-// the bit) that their jobs through mapreduce.Run and core.Driver give,
-// over specCases and, in 8 parts, on EC2 replaying one task attempt in
-// twenty and on the HPC preset, which draws no straggler, with EC2's
-// jitter.
+// the bit) that their jobs through mapreduce.Run give, the eager one
+// mapping through the lmap/lreduce program, over specCases and, in 8
+// parts, on EC2 replaying one task attempt in twenty and on the HPC
+// preset, which draws no straggler, with EC2's jitter.
 func TestGeneralMatchesEngine(t *testing.T) {
 	cases := specCases(t)
 	cases = append(cases,
