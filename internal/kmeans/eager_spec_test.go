@@ -72,9 +72,9 @@ func eagerSpec(cfg Config, dims int, deltas *sync.Map) *core.LocalSpec[*state, i
 
 // TestEagerMatchesSpec: eager K-Means' native Lloyd iterations give the
 // centroids, the run statistics (iteration counts, local
-// synchronizations, shuffle volume, simulated time to the bit) and the
-// oscillation verdict that lmap/lreduce through core.LocalContext give,
-// across specCases.
+// synchronizations, shuffle volume, replayed attempts, simulated time to
+// the bit) and the oscillation verdict that lmap/lreduce through
+// core.LocalContext give, across specCases.
 func TestEagerMatchesSpec(t *testing.T) {
 	pts := smallCensus(t)
 	for _, c := range specCases() {

@@ -47,27 +47,17 @@ type AsyncResult struct {
 }
 
 // asyncState is one partition's worker payload: a dense local
-// Gauss-Seidel solver plus the plan (graph.Exchange) to publish its border
-// nodes' contributions (rank/outdeg) and add up the ones it reads from
-// neighbor snapshots. Every array is indexed by the position sub.Pull gives a node,
-// not by its local index, and so are x.Node and x.Border.
+// Gauss-Seidel solver over its state plus the plan (graph.Exchange) to
+// publish its border nodes' contributions (rank/outdeg) and add up the
+// ones it reads from neighbor snapshots. The extra positions hold
+// 1-Damping and a ghost of 0 and stay there (no in-edge, no read). A
+// sweep reads and writes contrib in place, the sweep's own quotient, so
+// rank and contrib never disagree; it lasts from step to step, and
+// Restore rebuilds it from rank.
 type asyncState struct {
-	sub *graph.SubGraph
-	// x is sub.Exchange with Node and Border this run's copies by
-	// position; Slot, Idx and Neighbors are the stored ones, shared.
-	x graph.Exchange
-	// rank and ghost mirror the eager formulation's arrays, one entry per
-	// position: the nodes, then the plan's extra positions, which hold
-	// 1-Damping and 0 and stay there (no in-edge, no ghost).
-	rank  []float64
-	ghost []float64
-	// contrib is every position's contribution rank/outdeg, the sweep's own
-	// quotient, so rank and contrib never disagree, then the plan's pad
-	// position, a +0. A sweep reads it and writes it in place; it lasts
-	// from step to step, and Restore rebuilds it from rank.
-	contrib []float64
+	state
 	// lastPub is the last published contribution vector itself (parallel
-	// to x.Border), for change detection. A published vector is immutable,
+	// to border), for change detection. A published vector is immutable,
 	// so nothing writes through this slice: a publishing step, Restore and
 	// Undo replace the header, and a checkpoint or undo buffer keeps it by
 	// reference.
@@ -83,11 +73,11 @@ type asyncState struct {
 // data is the partition's boundary contribution vector.
 type asyncWorkload struct {
 	cfg    Config
-	states []*asyncState
+	states []asyncState
 }
 
 func (w *asyncWorkload) Parts() int            { return len(w.states) }
-func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].x.Neighbors }
+func (w *asyncWorkload) Neighbors(p int) []int { return w.states[p].sub.Exchange.Neighbors }
 
 // Residual implements async.Progressive: the largest rank delta the
 // partition's most recent step observed. Before the first step it is
@@ -120,7 +110,7 @@ func (w *asyncWorkload) SaveUndo(p int, buf any) any {
 	if c == nil {
 		c = new(asyncCkpt)
 	}
-	st := w.states[p]
+	st := &w.states[p]
 	c.rank = append(c.rank[:0], st.rank[:st.sub.NumNodes()]...)
 	c.lastPub, c.lastDelta = st.lastPub, st.lastDelta
 	return c
@@ -132,41 +122,29 @@ func (w *asyncWorkload) SaveUndo(p int, buf any) any {
 // sweeps deterministically.
 func (w *asyncWorkload) Restore(p int, state any) {
 	c := state.(*asyncCkpt)
-	st := w.states[p]
+	st := &w.states[p]
 	copy(st.rank, c.rank)
 	st.fillContrib()
 	st.lastPub, st.lastDelta = c.lastPub, c.lastDelta
 }
 
-// fillContrib sets every position's contribution from its rank, as a
-// sweep computes it, and the pad's +0.
-func (st *asyncState) fillContrib() {
-	od := st.sub.Pull.OutDeg
-	for i, r := range st.rank {
-		st.contrib[i] = r / od[i]
-	}
-	st.contrib[len(st.rank)] = 0
-}
-
 func (w *asyncWorkload) Init(p int) ([]float64, int64) {
-	st := w.states[p]
+	st := &w.states[p]
 	return st.lastPub, st.sub.Bytes
 }
 
 func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) async.StepOutcome[[]float64] {
-	st := w.states[p]
-	x := &st.x
+	st := &w.states[p]
+	x := &st.sub.Exchange
 	cfg := w.cfg
 	var ops int64
 
 	// Integrate neighbor snapshots into the ghost contributions.
-	for i := range st.ghost {
-		st.ghost[i] = 0
-	}
-	for r, pos := range x.Node {
+	st.clearGhosts()
+	for r, pos := range st.read {
 		st.ghost[pos] += inputs[x.Slot[r]].Data[x.Idx[r]]
 	}
-	ops += int64(len(x.Node))
+	ops += int64(len(st.read))
 
 	// Local Gauss-Seidel sweeps against frozen ghosts, until local
 	// convergence or the sweep bound, pulled over sub.Pull in place: a
@@ -198,7 +176,7 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 	// Publish boundary contributions only on material change.
 	pubEps := cfg.Epsilon * publishFraction
 	changed := false
-	for bi, pos := range x.Border {
+	for bi, pos := range st.border {
 		d := st.contrib[pos] - st.lastPub[bi]
 		if d < 0 {
 			d = -d
@@ -214,8 +192,8 @@ func (w *asyncWorkload) Step(p, step int, inputs []async.Snapshot[[]float64]) as
 		Quiescent:  startDelta < cfg.Epsilon,
 	}
 	if changed {
-		pub := make([]float64, len(x.Border))
-		for bi, pos := range x.Border {
+		pub := make([]float64, len(st.border))
+		for bi, pos := range st.border {
 			pub[bi] = st.contrib[pos]
 		}
 		st.lastPub = pub
@@ -326,10 +304,8 @@ func RunAsync(c *cluster.Cluster, subs []*graph.SubGraph, cfg Config, opt async.
 // result reads the n ranks the partitions settled on.
 func (w *asyncWorkload) result(n int, stats *async.RunStats) *AsyncResult {
 	ranks := make([]float64, n)
-	for _, st := range w.states {
-		for li, u := range st.sub.Nodes {
-			ranks[u] = st.rank[st.sub.Pull.Pos[li]]
-		}
+	for i := range w.states {
+		w.states[i].readRanks(ranks)
 	}
 	return &AsyncResult{Ranks: ranks, Stats: stats}
 }
@@ -357,9 +333,7 @@ func checkPull(p int, s *graph.SubGraph) error {
 // buildAsyncWorkload builds every partition's solver state around the
 // exchange plan its sub-graph carries, which it shares read-only, on
 // engine's tasks (checkEach): a partition's state is filled once its
-// plan and pull plan pass their checks. Its copies of the plan's Node
-// and Border are moved from local indices to the pull plan's positions;
-// contributions follow edge direction. Every array is carved from one
+// plan and pull plan pass their checks. Every array is carved from one
 // slab per element type, so the allocations do not grow with the
 // partition count.
 func buildAsyncWorkload(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config) (*asyncWorkload, int, error) {
@@ -370,14 +344,12 @@ func buildAsyncWorkload(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Co
 		ints += len(s.Exchange.Node) + len(s.Exchange.Border)
 	}
 	fs, is := make([]float64, floats), make([]int32, ints)
-	slab := make([]asyncState, len(subs))
-	states := make([]*asyncState, len(subs))
+	states := make([]asyncState, len(subs))
 	for p, s := range subs {
-		st, x, m := &slab[p], s.Exchange, len(s.Pull.OutDeg)
-		st.sub, st.x = s, x
+		st, x, m := &states[p], &s.Exchange, len(s.Pull.OutDeg)
+		st.sub = s
 		st.rank, st.ghost, st.contrib, st.lastPub = take(&fs, m), take(&fs, m), take(&fs, m+1), take(&fs, len(x.Border))
-		st.x.Node, st.x.Border = take(&is, len(x.Node)), take(&is, len(x.Border))
-		states[p] = st
+		st.read, st.border = take(&is, len(x.Node)), take(&is, len(x.Border))
 	}
 	if err := checkEach(engine, subs, func(p int) { states[p].init(cfg) }); err != nil {
 		return nil, 0, err
@@ -425,27 +397,13 @@ func take[T any](slab *[]T, n int) []T {
 	return v
 }
 
-// init fills the partition's state: every node at rank 1 (§V-B), the
-// extra positions at 1-Damping, what a sweep computes there, so they
-// never change; the residual before the first step, the initial rank
-// magnitude; the contributions, the last published ones among them; the
-// plan's nodes and border by position.
+// init fills the partition's state (state.init); the residual before
+// the first step, the initial rank magnitude; and the last published
+// contributions, the border's initial ones.
 func (st *asyncState) init(cfg Config) {
-	s := st.sub
-	for r := range st.rank {
-		st.rank[r] = 1
-	}
-	for r := s.NumNodes(); r < len(st.rank); r++ {
-		st.rank[r] = 1 - cfg.Damping
-	}
-	st.fillContrib()
+	st.state.init(cfg.Damping)
 	st.lastDelta = 1
-	pos, x := s.Pull.Pos, &s.Exchange
-	for r, li := range x.Node {
-		st.x.Node[r] = pos[li]
-	}
-	for bi, li := range x.Border {
-		st.lastPub[bi] = 1 / float64(s.OutDeg[li])
-		st.x.Border[bi] = pos[li]
+	for bi, r := range st.border {
+		st.lastPub[bi] = st.contrib[r]
 	}
 }

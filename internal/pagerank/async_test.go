@@ -218,7 +218,7 @@ func undoRig(t *testing.T) (func() asynctest.UndoWorkload[[]float64], func(async
 		return w
 	}
 	return fresh, func(w asynctest.UndoWorkload[[]float64], p int) {
-		poisonScratch(w.(*asyncWorkload).states[p])
+		poisonScratch(&w.(*asyncWorkload).states[p])
 	}
 }
 

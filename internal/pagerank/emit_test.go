@@ -122,7 +122,7 @@ func TestPullEmissionMatchesPush(t *testing.T) {
 					rank[li] = math.Copysign(0, -1)
 				}
 				r := s.Pull.Pos[li]
-				st.rank[r], st.contrib[0][r], old[u] = rank[li], rank[li]/s.Pull.OutDeg[r], rank[li]
+				st.rank[r], st.contrib[r], old[u] = rank[li], rank[li]/s.Pull.OutDeg[r], rank[li]
 			}
 			keys, ps, ops := pushSums(s, rank)
 			if m := d.maps[p]; m.Ops != ops || m.OutRecords != int64(len(keys)) || m.OutBytes != 16*m.OutRecords {

@@ -138,23 +138,82 @@ type driver struct {
 	maps, reduces []mapreduce.TaskStats
 }
 
-// part is one partition of a general or eager run. Every float array but
-// out is indexed by sub.Pull position: the nodes, then the plan's extra
-// positions, which have no in-edge and hold 1-χ, what a pass computes
-// there; a contribution array has the pad position's +0 after them. A
-// row is deferred when its node is fed across the cut, that is, has a
-// cross-partition in-edge; the map task finishes every other row.
-type part struct {
+// state is one partition of a PageRank run, what every formulation
+// keeps by sub.Pull position: the nodes, then the plan's extra positions,
+// which have no in-edge and hold rank 1-χ, what a pass computes there.
+type state struct {
 	sub *graph.SubGraph
+	// rank is every position's rank, contrib its contribution
+	// rank/outdeg, then the pad position's +0.
+	rank, contrib []float64
+	// ghost[r] is row r's frozen cross-partition contribution sum, 0 for
+	// a row no read feeds. Only a formulation that gathers ghosts (eager,
+	// async) has ghost and read.
+	ghost []float64
+	// read[i] is the position of sub.Exchange.Node[i], the row exchange
+	// read i adds to; border[b] the position of sub.Exchange.Border[b].
+	read, border []int32
+}
+
+// init sets every node's rank to 1 (§V-B), the extra positions' to 1-χ,
+// and the contributions of both, and maps the exchange plan's reads and
+// border to positions.
+func (st *state) init(damping float64) {
+	s, pos := st.sub, st.sub.Pull.Pos
+	for r := range st.rank {
+		st.rank[r] = 1
+	}
+	for r := s.NumNodes(); r < len(st.rank); r++ {
+		st.rank[r] = 1 - damping
+	}
+	st.fillContrib()
+	for i := range st.read {
+		st.read[i] = pos[s.Exchange.Node[i]]
+	}
+	for b, li := range s.Exchange.Border {
+		st.border[b] = pos[li]
+	}
+}
+
+// fillContrib sets every position's contribution from its rank, as a
+// pass computes it, and the pad's +0.
+func (st *state) fillContrib() {
+	od := st.sub.Pull.OutDeg
+	for r, v := range st.rank {
+		st.contrib[r] = v / od[r]
+	}
+	st.contrib[len(st.rank)] = 0
+}
+
+// clearGhosts zeroes the ghost sums the reads feed, the only ones a
+// gather makes non-zero.
+func (st *state) clearGhosts() {
+	for _, r := range st.read {
+		st.ghost[r] = 0
+	}
+}
+
+// readRanks writes every node's rank into ranks at its global id.
+func (st *state) readRanks(ranks []float64) {
+	for li, u := range st.sub.Nodes {
+		ranks[u] = st.rank[st.sub.Pull.Pos[li]]
+	}
+}
+
+// part is one partition of a general or eager run. Every float array but
+// out is indexed by position, as in state; a contribution array has the
+// pad position's +0 last. A row is deferred when its node is fed across the cut, that is,
+// has a cross-partition in-edge; the map task finishes every other row.
+type part struct {
+	state
 	// rank is the ranks the iteration starts from, next the ones it
 	// computes; the reduce task swaps them.
-	rank, next []float64
-	// contrib[0] is rank's contributions, rank/outdeg, which the
-	// neighbours' ghosts read during the map phase; the map task writes
-	// next's into contrib[1], and the eager local sweeps alternate
-	// contrib[1] and contrib[2]. The map task emits contrib[0], or the
-	// last local sweep's contributions.
-	contrib [3][]float64
+	next []float64
+	// contrib is rank's contributions, which the neighbours' ghosts read
+	// during the map phase; the map task writes next's into spare[0], and
+	// the eager local sweeps alternate spare[0] and spare[1]. The map task
+	// emits contrib, or the last local sweep's contributions.
+	spare [2][]float64
 	// keep[r] is 0 for a deferred row, whose change the map task must not
 	// count, and 1 for every other.
 	keep []float64
@@ -171,14 +230,12 @@ type part struct {
 	// driver.sums[slot[defStart[k]:defStart[k+1]]], the sums of the
 	// partitions that emit it in ascending partition order.
 	def, defStart, slot []int32
-	// ghost[r] is the eager formulation's frozen cross-partition
-	// contribution sum of row r, 0 for a row no read feeds. Exchange read
-	// i adds to position node[i] what it finds at position at[i] of its
-	// neighbour's arrays, the border node it names; in[s] is neighbour
-	// slot s's contrib[0]. A general run fills none of them.
-	ghost    []float64
-	node, at []int32
-	in       [][]float64
+	// The eager ghost gather: exchange read i adds to row read[i] what it
+	// finds at position at[i] of its neighbour's contributions, the
+	// border node it names; in[s] is neighbour slot s's contrib. A
+	// general run fills neither.
+	at []int32
+	in [][]float64
 	// pushOps is the map task's operations, one an out-edge; delta the
 	// iteration's largest rank change on this partition so far.
 	pushOps int64
@@ -201,27 +258,30 @@ func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 	k, nReduces := len(subs), engine.ReduceSlots()
 	d := &driver{engine: engine, cfg: cfg, eager: eager, parts: make([]part, k),
 		maps: make([]mapreduce.TaskStats, k), reduces: make([]mapreduce.TaskStats, nReduces)}
-	floats, slots := 0, 0
+	floats, slots, ints := 0, 0, k
 	for _, s := range subs {
-		m := len(s.Pull.OutDeg)
+		m, x := len(s.Pull.OutDeg), &s.Exchange
 		floats += 5*m + 2
+		slots += len(x.Neighbors)
+		ints += len(x.Border)
 		if eager {
 			floats += 2*m + 1
+			ints += len(x.Node)
 		}
-		slots += len(s.Exchange.Neighbors)
 	}
-	fs, ins, perSlot := make([]float64, floats), make([][]float64, slots), make([]int32, 4*slots+k)
+	fs, ins, is := make([]float64, floats), make([][]float64, slots), make([]int32, 4*slots+ints)
 	red := make([]mapreduce.TaskStats, k*nReduces)
 	sizes := make([]planSize, k)
 	for p, s := range subs {
 		st, z, m, nb := &d.parts[p], &sizes[p], len(s.Pull.OutDeg), len(s.Exchange.Neighbors)
 		st.sub = s
 		st.rank, st.next, st.keep = take(&fs, m), take(&fs, m), take(&fs, m)
-		st.contrib[0], st.contrib[1], st.in = take(&fs, m+1), take(&fs, m+1), take(&ins, nb)
+		st.contrib, st.spare[0], st.in = take(&fs, m+1), take(&fs, m+1), take(&ins, nb)
+		st.border = take(&is, len(s.Exchange.Border))
 		if eager {
-			st.contrib[2], st.ghost = take(&fs, m+1), take(&fs, m)
+			st.spare[1], st.ghost, st.read = take(&fs, m+1), take(&fs, m), take(&is, len(s.Exchange.Node))
 		}
-		z.mark, z.entry, z.src, z.order = take(&perSlot, nb), take(&perSlot, nb), take(&perSlot, nb), take(&perSlot, nb+1)
+		z.mark, z.entry, z.src, z.order = take(&is, nb), take(&is, nb), take(&is, nb), take(&is, nb+1)
 	}
 	err := checkEach(engine, subs, func(p int) {
 		d.parts[p].init(cfg, &sizes[p], &d.maps[p], red[p*nReduces:(p+1)*nReduces])
@@ -247,22 +307,16 @@ func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 		z := &sizes[p]
 		z.base = sums
 		sums += len(s.Pull.OutDeg) + z.entries
-		ints += 2*z.deferred + 1 + z.groups + z.entries + 1 + z.srcs
-		if eager {
-			ints += 2 * z.reads
-		}
+		ints += 2*z.deferred + 1 + z.groups + z.entries + 1 + z.srcs + len(d.parts[p].read)
 	}
 	d.sums = make([]float64, sums)
-	is := make([]int32, ints)
+	is = make([]int32, ints)
 	for p := range subs {
 		st, z, m := &d.parts[p], &sizes[p], len(d.parts[p].rank)
 		st.sum, st.out = d.sums[z.base:z.base+m:z.base+m], d.sums[z.base+m:z.base+m+z.entries:z.base+m+z.entries]
 		st.def, st.defStart, st.slot = take(&is, z.deferred)[:0], take(&is, z.deferred+1)[:0], take(&is, z.groups)[:0]
-		st.emStart, st.emSrc = take(&is, z.entries+1), take(&is, z.srcs)
+		st.emStart, st.emSrc, st.at = take(&is, z.entries+1), take(&is, z.srcs), take(&is, len(st.read))
 		st.emStart[z.entries] = int32(z.srcs)
-		if eager {
-			st.node, st.at = take(&is, z.reads), take(&is, z.reads)
-		}
 	}
 	if err := engine.ForEachTask(k, func(p int) error {
 		d.fillPlans(p, sizes)
@@ -285,39 +339,31 @@ func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 }
 
 // planSize is what set-up counts of a partition's plans and where it
-// places them: its exchange reads, its deferred rows and the sums they
-// add; the entries of its emission plan and their sources; where its
+// places them: its deferred rows and the sums they add; the entries of its emission plan and their sources; where its
 // sums start in driver.sums. Per neighbour slot s, entry[s] and src[s] count
 // the entries and sources of what that neighbour emits to the
 // partition, then, once newDriver has laid out the neighbour's emission
 // plan, where they start in it. mark and order are scratch: mark one
 // entry a neighbour slot, zero between uses, order one more.
 type planSize struct {
-	reads, deferred, groups, entries, srcs, base int
-	mark, entry, src, order                      []int32
+	deferred, groups, entries, srcs, base int
+	mark, entry, src, order               []int32
 }
 
-// init fills the partition's state — every node at rank 1 (§V-B), the
-// extra positions at 1-χ, the contributions of both, and keep — and
-// counts its plans into z, its map task's records and operations into ms
+// init fills the partition's state (state.init) and keep, and counts
+// its plans into z, its map task's records and operations into ms
 // (all but the records of what it emits to other partitions), and the
 // records that reach each reduce task into red. A deferred row has a
 // slot for every partition that emits it: those its exchange reads name,
 // and its own when it has a local in-edge.
 func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []mapreduce.TaskStats) {
+	st.state.init(cfg.Damping)
 	s := st.sub
 	pl, x := &s.Pull, &s.Exchange
-	for r := range st.rank {
-		st.rank[r], st.keep[r] = 1, 1
-	}
-	for r := s.NumNodes(); r < len(st.rank); r++ {
-		st.rank[r] = 1 - cfg.Damping
-	}
-	for r, v := range st.rank {
-		st.contrib[0][r] = v / pl.OutDeg[r]
+	for r := range st.keep {
+		st.keep[r] = 1
 	}
 	*ms = mapreduce.TaskStats{InRecords: int64(s.NumNodes()), InBytes: s.Bytes}
-	z.reads = len(x.Node)
 	i := 0 // the next exchange read; reads run node by node
 	for li := range s.Nodes {
 		r, node := pl.Pos[li], int32(li)
@@ -355,7 +401,7 @@ func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []map
 
 // fillPlans fills partition p's reduce plan, the entries of its
 // neighbours' emission plans that feed it, and the eager formulation's
-// read positions, into the arrays newDriver carved at the sizes init
+// gather positions, into the arrays newDriver carved at the sizes init
 // counted. A deferred row's sums follow the partitions that emit it in
 // ascending order: its own fold's, or a neighbour's entry, which lists
 // the positions the row's reads name in read order, the neighbour's own
@@ -363,10 +409,7 @@ func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []map
 func (d *driver) fillPlans(p int, sizes []planSize) {
 	st, z := &d.parts[p], &sizes[p]
 	pl, x := &st.sub.Pull, &st.sub.Exchange
-	src := func(i int) int32 {
-		t := d.parts[x.Neighbors[x.Slot[i]]].sub
-		return t.Pull.Pos[t.Exchange.Border[x.Idx[i]]]
-	}
+	src := func(i int) int32 { return d.parts[x.Neighbors[x.Slot[i]]].border[x.Idx[i]] }
 	own := int32(len(x.Neighbors))
 	owner := func(sl int32) int {
 		if sl == own {
@@ -375,7 +418,7 @@ func (d *driver) fillPlans(p int, sizes []planSize) {
 		return x.Neighbors[sl]
 	}
 	for i := range st.at {
-		st.node[i], st.at[i] = pl.Pos[x.Node[i]], src(i)
+		st.at[i] = src(i)
 	}
 	st.defStart = append(st.defStart, 0)
 	for i := 0; i < len(x.Node); {
@@ -465,21 +508,21 @@ func (d *driver) iterate() (delta float64, cost mapreduce.Cost, err error) {
 // other partition feeds, and its sums for the nodes of other partitions.
 func (d *driver) mapTask(p int) error {
 	st := &d.parts[p]
-	ops, sweeps, emit := st.pushOps, int64(0), st.contrib[0]
+	ops, sweeps, emit := st.pushOps, int64(0), st.contrib
 	if d.eager {
 		x := &st.sub.Exchange
 		for s, q := range x.Neighbors {
-			st.in[s] = d.parts[q].contrib[0]
+			st.in[s] = d.parts[q].contrib
 		}
-		clear(st.ghost)
-		for i, r := range st.node {
+		st.clearGhosts()
+		for i, r := range st.read {
 			st.ghost[r] += st.in[x.Slot[i]][st.at[i]]
 		}
 		sweeps = st.iterateLocally(d.cfg)
 		ops += 2 * int64(len(st.sub.LocalDst)) * sweeps
-		emit = st.contrib[2]
+		emit = st.spare[1]
 	}
-	f := jacobi{cur: emit, old: st.rank, rank: st.next, next: st.contrib[1], sum: st.sum, keep: st.keep}
+	f := jacobi{cur: emit, old: st.rank, rank: st.next, next: st.spare[0], sum: st.sum, keep: st.keep}
 	st.delta = foldJacobi(&st.sub.Pull, &f, 1-d.cfg.Damping, d.cfg.Damping)
 	emStart, emSrc := st.emStart, st.emSrc
 	for e := range st.out {
@@ -502,7 +545,7 @@ func (d *driver) mapTask(p int) error {
 func (d *driver) reduceTask(p int) error {
 	st := &d.parts[p]
 	base, damping := 1-d.cfg.Damping, d.cfg.Damping
-	rank, next, c, od := st.rank, st.next, st.contrib[1], st.sub.Pull.OutDeg
+	rank, next, c, od := st.rank, st.next, st.spare[0], st.sub.Pull.OutDeg
 	sums, defStart, slot := d.sums, st.defStart, st.slot
 	delta := st.delta
 	for k, r := range st.def {
@@ -518,7 +561,7 @@ func (d *driver) reduceTask(p int) error {
 	}
 	st.delta = delta
 	st.rank, st.next = st.next, st.rank
-	st.contrib[0], st.contrib[1] = st.contrib[1], st.contrib[0]
+	st.contrib, st.spare[0] = st.spare[0], st.contrib
 	return nil
 }
 
@@ -530,10 +573,7 @@ func (d *driver) ranks() []float64 {
 	}
 	ranks := make([]float64, n)
 	for i := range d.parts {
-		st := &d.parts[i]
-		for li, u := range st.sub.Nodes {
-			ranks[u] = st.rank[st.sub.Pull.Pos[li]]
-		}
+		d.parts[i].readRanks(ranks)
 	}
 	return ranks
 }
@@ -549,16 +589,16 @@ func (d *driver) ranks() []float64 {
 // core.BuildGMap make, so ranks come out bit for bit the same. So does
 // the pricing the caller makes of it: one partial synchronization and an
 // lmap and an lreduce operation per local edge a sweep. The first sweep
-// reads contrib[0] and measures its change from rank; the last one's
-// contributions end in contrib[2].
+// reads contrib and measures its change from rank; the last one's
+// contributions end in spare[1].
 func (st *part) iterateLocally(cfg Config) (sweeps int64) {
-	c := &st.contrib
-	w := jacobi{cur: c[0], ghost: st.ghost, old: st.rank, rank: st.next}
+	c := &st.spare
+	w := jacobi{cur: st.contrib, ghost: st.ghost, old: st.rank, rank: st.next}
 	for {
-		w.next = c[1]
+		w.next = c[0]
 		delta := sweepJacobi(&st.sub.Pull, &w, 1-cfg.Damping, cfg.Damping)
-		c[1], c[2] = c[2], c[1]
-		w.cur, w.old = c[2], st.next
+		c[0], c[1] = c[1], c[0]
+		w.cur, w.old = c[1], st.next
 		sweeps++
 		if cfg.MaxLocalIters > 0 && sweeps >= int64(cfg.MaxLocalIters) || delta < cfg.Epsilon {
 			break

@@ -205,7 +205,7 @@ func (sp *stepPair) inputs(p int) []async.Snapshot[[]float64] {
 // diff names the first quantity in which the kernel's step of partition p
 // departed from the oracle's, or returns "".
 func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
-	k, o := sp.kernel.states[p], sp.oracle.states[p]
+	k, o := &sp.kernel.states[p], sp.oracle.states[p]
 	// The kernel's ranks by local index, and what it keeps at the pull
 	// plan's extra positions.
 	ranks := make([]float64, len(o.rank))
@@ -219,7 +219,7 @@ func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
 	}
 	// A position no read feeds has a ghost sum of 0 after every step.
 	read := make([]bool, len(k.ghost))
-	for _, r := range k.x.Node {
+	for _, r := range k.read {
 		read[r] = true
 	}
 	for r, g := range k.ghost {
@@ -255,7 +255,7 @@ func (sp *stepPair) diff(p int, got, want async.StepOutcome[[]float64]) string {
 // The kernel's scratch is poisoned first.
 func (sp *stepPair) step(p, step int) (async.StepOutcome[[]float64], string) {
 	in := sp.inputs(p)
-	poisonScratch(sp.kernel.states[p])
+	poisonScratch(&sp.kernel.states[p])
 	got := sp.kernel.Step(p, step, in)
 	want := stepOracle(sp.oracle, p, in)
 	if d := sp.diff(p, got, want); d != "" {
@@ -268,11 +268,12 @@ func (sp *stepPair) step(p, step int) (async.StepOutcome[[]float64], string) {
 }
 
 // poisonScratch fills what a step must rebuild before it reads it, the
-// ghost sums, with NaN: a step that read what the last one left there
-// would carry it into its ranks.
+// ghost sums the reads feed, with NaN: a step that read what the last one
+// left there would carry it into its ranks. The other ghosts no step
+// writes, and diff checks that they stay +0.
 func poisonScratch(st *asyncState) {
-	for i := range st.ghost {
-		st.ghost[i] = math.NaN()
+	for _, r := range st.read {
+		st.ghost[r] = math.NaN()
 	}
 }
 
@@ -414,7 +415,7 @@ func TestStepAfterRestoreMatchesOracle(t *testing.T) {
 			}
 		}
 		for p, c := range ckpts {
-			st := sp.kernel.states[p]
+			st := &sp.kernel.states[p]
 			for i := range st.contrib {
 				st.contrib[i] = math.NaN()
 			}

@@ -70,8 +70,8 @@ func eagerSpec(cfg Config) *core.LocalSpec[*state, int32, int64, float64] {
 
 // TestEagerMatchesSpec: eager SSSP's native sweeps give the distances and
 // the run statistics (iteration counts, local synchronizations, shuffle
-// volume, simulated time to the bit) that lmap/lreduce through
-// core.LocalContext give, across specCases.
+// volume, replayed attempts, simulated time to the bit) that lmap/lreduce
+// through core.LocalContext give, across specCases.
 func TestEagerMatchesSpec(t *testing.T) {
 	for _, c := range specCases(t) {
 		t.Run(c.name, func(t *testing.T) {

@@ -172,9 +172,11 @@ func (c oracleCase) engine() *mapreduce.Engine {
 	return mapreduce.NewEngine(cluster.New(c.config()))
 }
 
-// specCases is TestEagerMatchesSpec's matrix: partition counts from 3 to
+// specCases is the engine oracles' matrix: partition counts from 3 to
 // 40, multilevel and hash partitioning, several sources, and local
-// iterations capped.
+// iterations capped, on EC2; then the first case on EC2 replaying one
+// task attempt in twenty and on the HPC preset, which draws no
+// straggler, with EC2's jitter.
 func specCases(t *testing.T) []oracleCase {
 	var cases []oracleCase
 	for _, c := range []struct {
@@ -203,7 +205,17 @@ func specCases(t *testing.T) []oracleCase {
 		name := fmt.Sprintf("A÷%d/%d %v parts/source %d/MaxLocalIters %d", c.shrink, c.parts, c.method, c.source, c.maxLocal)
 		cases = append(cases, oracleCase{name, subs, Config{Source: c.source, MaxLocalIters: c.maxLocal}, nil})
 	}
-	return cases
+	return append(cases,
+		oracleCase{cases[0].name + "/ec2 failing 5%", cases[0].subs, cases[0].cfg, func() *cluster.Config {
+			c := cluster.EC2LargeCluster()
+			c.FailureProb = 0.05
+			return c
+		}},
+		oracleCase{cases[0].name + "/hpc with ec2 jitter", cases[0].subs, cases[0].cfg, func() *cluster.Config {
+			c := cluster.HPCCluster()
+			c.StragglerJitter = cluster.EC2LargeCluster().StragglerJitter
+			return c
+		}})
 }
 
 // sameRun fails unless got has want's distances bit for bit and its run
@@ -220,39 +232,102 @@ func sameRun(t *testing.T, got, want *Result, oracle string) {
 	}
 }
 
-// TestGeneralMatchesEngine: both formulations' native global iterations
-// give the distances and the run statistics (iterations, local
-// synchronizations, shuffle records, replayed attempts, simulated time to
-// the bit) that their jobs through mapreduce.Run give, the eager one
-// mapping through the lmap/lreduce program, over specCases and, in 8
-// parts, on EC2 replaying one task attempt in twenty and on the HPC
-// preset, which draws no straggler, with EC2's jitter.
+// TestGeneralMatchesEngine: the general formulation's native global
+// iterations give the distances and the run statistics (iterations,
+// shuffle records, replayed attempts, simulated time to the bit) that its
+// job through mapreduce.Run gives, over specCases.
 func TestGeneralMatchesEngine(t *testing.T) {
-	cases := specCases(t)
-	cases = append(cases,
-		oracleCase{cases[0].name + "/ec2 failing 5%", cases[0].subs, cases[0].cfg, func() *cluster.Config {
-			c := cluster.EC2LargeCluster()
-			c.FailureProb = 0.05
-			return c
-		}},
-		oracleCase{cases[0].name + "/hpc with ec2 jitter", cases[0].subs, cases[0].cfg, func() *cluster.Config {
-			c := cluster.HPCCluster()
-			c.StragglerJitter = cluster.EC2LargeCluster().StragglerJitter
-			return c
-		}})
-	for _, c := range cases {
+	for _, c := range specCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			for _, eager := range []bool{false, true} {
-				got, err := Run(c.engine(), c.subs, c.cfg, eager)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := runEngine(c.engine(), c.subs, c.cfg, buildJob(c.cfg, eager))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRun(t, got, want, fmt.Sprintf("the engine (eager %v)", eager))
+			got, err := Run(c.engine(), c.subs, c.cfg, false)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := runEngine(c.engine(), c.subs, c.cfg, buildJob(c.cfg, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRun(t, got, want, "the engine")
 		})
 	}
+}
+
+// FuzzGlobalIterationsMatchOracle holds both formulations to their jobs
+// through the engine (runEngine with buildJob) on weighted graphs and
+// partitions decoded from the fuzz input, bit for bit in distances and
+// run statistics. Byte 0 gives the node count, 1 to 24, byte 1 the
+// partition count, 1 to the node count, byte 2 MaxLocalIters (bits 0-1:
+// 0, 1, 3, 0), byte 3 the EC2 cluster's seed and byte 4 the source; then
+// one assignment byte per node (partitions no node names are closed up),
+// then edges as (source, destination, weight) byte triples, a weight of
+// b/4, so zero weights and exact ties are common. The committed corpus
+// holds a graph whose every edge crosses the cut, one in a single
+// partition, and one with a node the source cannot reach beside a node
+// fed from partitions below and above its owner as well as from its own.
+func FuzzGlobalIterationsMatchOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		subs, n := fuzzSubGraphs(t, data[0], data[1], data[5:])
+		cfg := Config{Source: graph.NodeID(int(data[4]) % n), MaxLocalIters: []int{0, 1, 3, 0}[data[2]&3]}
+		c := oracleCase{subs: subs, cfg: cfg, config: func() *cluster.Config {
+			c := cluster.EC2LargeCluster()
+			c.Seed = uint64(data[3])
+			return c
+		}}
+		for _, eager := range []bool{false, true} {
+			got, err := Run(c.engine(), subs, cfg, eager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runEngine(c.engine(), subs, cfg, buildJob(cfg, eager))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRun(t, got, want, fmt.Sprintf("the engine (eager %v)", eager))
+		}
+	})
+}
+
+// fuzzSubGraphs decodes a fuzz input's weighted graph and returns its
+// sub-graphs and node count: nb gives the node count, 1 to 24, kb the
+// partition count, 1 to the node count; then one assignment byte per
+// node, then edges as (source, destination, weight) byte triples.
+func fuzzSubGraphs(t *testing.T, nb, kb byte, data []byte) ([]*graph.SubGraph, int) {
+	n := 1 + int(nb)%24
+	k := 1 + int(kb)%n
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	parts := make([]int32, n)
+	used := make([]int32, k)
+	for u := range parts {
+		parts[u] = int32(next() % k)
+		used[parts[u]] = 1
+	}
+	k = 0
+	for p, u := range used { // used[p] becomes p's rank among the named partitions
+		used[p] = int32(k)
+		k += int(u)
+	}
+	for u, p := range parts {
+		parts[u] = used[p]
+	}
+	g := &graph.Graph{Out: make([][]graph.NodeID, n), Weights: make([][]float64, n)}
+	for len(data) >= 3 {
+		u := next() % n
+		g.Out[u] = append(g.Out[u], graph.NodeID(next()%n))
+		g.Weights[u] = append(g.Weights[u], float64(next())/4)
+	}
+	subs, err := graph.BuildSubGraphs(g, parts, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs, n
 }
