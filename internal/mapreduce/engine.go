@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/simtime"
@@ -307,42 +305,29 @@ func group[K comparable, V any](records []KV[K, V]) (keys []K, groups [][]V) {
 }
 
 // ForEachTask runs fn(i) for every i in [0,n) on up to Parallelism real
-// goroutines, the calling one among them, each claiming the next index
-// from a shared counter: the loop every job's tasks run on. A panic in fn
-// becomes that task's error; the other tasks still run, and the first
-// error reported is returned.
+// goroutines: the calling one, which works through every index that is
+// left, and up to Parallelism-1 of the process's helpers (crew), which
+// join while there are indices to claim. Each goroutine claims the next
+// index from a shared counter: the loop every job's tasks run on. A
+// panic in fn becomes that task's error; the other tasks still run, and
+// the first error reported is returned. fn may itself call ForEachTask,
+// and calls from several goroutines at once each finish.
 func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		mu    sync.Mutex
-		first error
-	)
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if err := runTask(i, fn); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}
+	j := &job{fn: fn, n: int64(n), seats: int32(min(workers, n) - 1)}
+	j.done.L = &j.mu
+	helped := j.seats > 0
+	if helped {
+		crew.publish(j)
 	}
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	j.work()
+	if helped {
+		crew.retire(j)
 	}
-	work()
-	wg.Wait()
-	return first
+	return j.wait()
 }
 
 // runTask invokes fn(i), converting panics in user code into errors so a

@@ -270,7 +270,7 @@ func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 		}
 	}
 	fs, ins, is := make([]float64, floats), make([][]float64, slots), make([]int32, 4*slots+ints)
-	red := make([]mapreduce.TaskStats, k*nReduces)
+	red := make([]reduceCount, k*nReduces)
 	sizes := make([]planSize, k)
 	for p, s := range subs {
 		st, z, m, nb := &d.parts[p], &sizes[p], len(s.Pull.OutDeg), len(s.Exchange.Neighbors)
@@ -330,13 +330,20 @@ func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 	}
 	for i, r := range red {
 		t := &d.reduces[i%nReduces]
-		t.InRecords += r.InRecords
-		t.OutRecords += r.OutRecords
-		t.OutBytes += r.OutBytes
-		t.Ops += r.Ops
+		t.InRecords += r.in
+		t.OutRecords += r.out
+	}
+	for r := range d.reduces {
+		t := &d.reduces[r]
+		t.OutBytes, t.Ops = mapreduce.DefaultRecordSize*t.OutRecords, t.InRecords
 	}
 	return d, nil
 }
+
+// reduceCount is what one partition sends one reduce task: in records,
+// and out keys, one 16-byte record each. newDriver folds them into the
+// task's TaskStats, whose Ops are its in records.
+type reduceCount struct{ in, out int64 }
 
 // planSize is what set-up counts of a partition's plans and where it
 // places them: its deferred rows and the sums they add; the entries of its emission plan and their sources; where its
@@ -356,7 +363,7 @@ type planSize struct {
 // records that reach each reduce task into red. A deferred row has a
 // slot for every partition that emits it: those its exchange reads name,
 // and its own when it has a local in-edge.
-func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []mapreduce.TaskStats) {
+func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []reduceCount) {
 	st.state.init(cfg.Damping)
 	s := st.sub
 	pl, x := &s.Pull, &s.Exchange
@@ -388,10 +395,8 @@ func (st *part) init(cfg Config, z *planSize, ms *mapreduce.TaskStats, red []map
 		}
 		if in > 0 {
 			t := &red[mapreduce.Int64Partition(int64(s.Nodes[li]), len(red))]
-			t.InRecords += in
-			t.OutRecords++
-			t.OutBytes += mapreduce.DefaultRecordSize
-			t.Ops += in
+			t.in += in
+			t.out++
 		}
 		ms.Ops += int64(s.OutDeg[li])
 	}
