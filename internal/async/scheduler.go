@@ -36,7 +36,7 @@
 // map-order iteration (this marker), scheduling bookkeeping confined to
 // the scheduling goroutine (//async:sched-only / //async:sched-root),
 // and no goroutine launched but the live executor's timer (//async:pool):
-// both executors' pools are internal/workpool's. The store's lock-free
+// every other worker goroutine is an internal/workpool worker. The store's lock-free
 // fields are typed atomics, which admit no plain access.
 //
 //async:deterministic

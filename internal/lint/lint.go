@@ -39,8 +39,9 @@
 //	//async:pool
 //	    Statement annotation (same line or the line above a go
 //	    statement): waives the determinism rule's bare-go check. The
-//	    runtime's one such launch is the live executor's timer; both
-//	    executors' pools are internal/workpool goroutines.
+//	    runtime's one such launch is the live executor's timer; every
+//	    other worker goroutine, the synchronous task loop's helpers
+//	    too, is an internal/workpool worker.
 //
 // Any other //async: line is reported, so a misspelt directive cannot
 // drop its contract unnoticed.

@@ -11,8 +11,7 @@ import (
 
 // Every index runs exactly once and its result lands at its index, for
 // empty, single and uneven task counts at one, two and four goroutines.
-// Each task is long enough for helpers to join, and the call withdraws
-// its job once it returns, whether or not they took every seat.
+// Each task is long enough for helpers to join.
 func TestForEachTaskRunsEveryIndexOnce(t *testing.T) {
 	for _, parallelism := range []int{1, 2, 4} {
 		for _, n := range []int{0, 1, 2, 17} {
@@ -32,14 +31,13 @@ func TestForEachTaskRunsEveryIndexOnce(t *testing.T) {
 					t.Fatalf("parallelism %d, n %d: task %d ran %d times, result %g", parallelism, n, i, runs[i].Load(), out[i])
 				}
 			}
-			checkNothingPublished(t)
 		}
 	}
 }
 
 // Eight goroutines calling at once, on one engine and on one engine
 // each, each get their own results, and the first error each reports
-// is its own. Once they have returned, no job is left published.
+// is its own.
 func TestForEachTaskConcurrentCalls(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		one := testEngine()
@@ -78,18 +76,6 @@ func TestForEachTaskConcurrentCalls(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	checkNothingPublished(t)
-}
-
-// checkNothingPublished fails t if a job is still offered to the crew
-// once every ForEachTask call has returned.
-func checkNothingPublished(t *testing.T) {
-	t.Helper()
-	crew.mu.Lock()
-	defer crew.mu.Unlock()
-	if len(crew.jobs) != 0 {
-		t.Fatalf("%d jobs still published after every call returned", len(crew.jobs))
-	}
 }
 
 // A task that calls ForEachTask completes, two levels deep, whether a
@@ -115,7 +101,7 @@ func TestForEachTaskNested(t *testing.T) {
 // no seat and never calls fn.
 func TestForEachTaskLateHelperRunsNothing(t *testing.T) {
 	var calls atomic.Int32
-	j := &job{fn: func(int) error { calls.Add(1); return nil }, n: 3, seats: 1}
+	j := &job{fn: func(int) error { calls.Add(1); return nil }, n: 3}
 	j.done.L = &j.mu
 	j.work()
 	if j.join() {
@@ -127,20 +113,30 @@ func TestForEachTaskLateHelperRunsNothing(t *testing.T) {
 	}
 }
 
-// Once spinWindow has passed after a job, no helper is spinning: an idle
-// process burns no core.
-func TestForEachTaskHelpersStopSpinning(t *testing.T) {
+// Four tasks that each wait until all four have started finish at
+// Parallelism 4 after a call at Parallelism 2: the helper pool grows to
+// the three helpers the call asks for.
+func TestForEachTaskGrowsToParallelism(t *testing.T) {
 	e := testEngine()
-	e.Parallelism = 4
-	if err := e.ForEachTask(8, func(int) error { return nil }); err != nil {
+	e.Parallelism = 2
+	if err := e.ForEachTask(2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(spinWindow + 10*time.Millisecond)
-	for crew.spinning.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d helpers still spinning 10 ms after the window", crew.spinning.Load())
+	e.Parallelism = 4
+	var started atomic.Int32
+	deadline := time.Now().Add(5 * time.Second)
+	err := e.ForEachTask(4, func(i int) error {
+		started.Add(1)
+		for started.Load() < 4 {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("task %d: %d of 4 tasks started after 5 s", i, started.Load())
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(100 * time.Microsecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

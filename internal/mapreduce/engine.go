@@ -306,27 +306,29 @@ func group[K comparable, V any](records []KV[K, V]) (keys []K, groups [][]V) {
 
 // ForEachTask runs fn(i) for every i in [0,n) on up to Parallelism real
 // goroutines: the calling one, which works through every index that is
-// left, and up to Parallelism-1 of the process's helpers (crew), which
-// join while there are indices to claim. Each goroutine claims the next
-// index from a shared counter: the loop every job's tasks run on. A
-// panic in fn becomes that task's error; the other tasks still run, and
-// the first error reported is returned. fn may itself call ForEachTask,
-// and calls from several goroutines at once each finish.
+// left, and up to Parallelism-1 helpers, which take the seats the call
+// submits to the process's helper pool (a workpool.Pool) and join while
+// there are indices to claim. Each goroutine claims the next index from
+// a shared counter: the loop every job's tasks run on. A panic in fn
+// becomes that task's error; the other tasks still run, and the first
+// error reported is returned. fn may itself call ForEachTask, and calls
+// from several goroutines at once each finish.
 func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	j := &job{fn: fn, n: int64(n), seats: int32(min(workers, n) - 1)}
+	j := &job{fn: fn, n: int64(n)}
 	j.done.L = &j.mu
-	helped := j.seats > 0
-	if helped {
-		crew.publish(j)
+	if seats := min(workers, n) - 1; seats > 0 {
+		pool := helperPool(seats)
+		for range seats {
+			pool.Submit(j)
+		}
+		// Untaken seats leave the queues, or a caller that never yields piles them up.
+		defer pool.Withdraw(func(x *job) bool { return x == j })
 	}
 	j.work()
-	if helped {
-		crew.retire(j)
-	}
 	return j.wait()
 }
 

@@ -264,37 +264,116 @@ func checkQueueScript(t *testing.T, script []byte) (compactions int) {
 	return compactions
 }
 
-// BenchmarkSubmitToStart times the wake of a parked worker: from Submit
-// to the item starting, while the submitter stays on its core as the
-// live executor's stepping worker does. It reports the 10th, 50th and
-// 90th percentiles of the delays.
+// TestPoolWithdraw: Withdraw removes the matching queued items and keeps
+// the others in their queues' order, past a popped head too.
+func TestPoolWithdraw(t *testing.T) {
+	p := &Pool[int]{queues: make([][]int, 2), heads: make([]int, 2)}
+	p.cond = sync.NewCond(&p.mu)
+	for i := range 10 {
+		p.Submit(i)
+	}
+	p.mu.Lock()
+	p.grabLocked(0) // pops 0, leaving a head index behind
+	p.mu.Unlock()
+	p.Withdraw(func(i int) bool { return i%3 == 0 })
+	var got []int
+	for w, q := range p.queues {
+		got = append(got, q[p.heads[w]:]...)
+	}
+	if want := []int{2, 4, 8, 1, 5, 7}; !slices.Equal(got, want) {
+		t.Fatalf("after Withdraw the queues hold %v, want %v", got, want)
+	}
+}
+
+// TestPoolWorkersParkAfterSpinWindow: every worker is parked within
+// spinWindow + 10 ms of its last item, so an idle pool burns no core.
+func TestPoolWorkersParkAfterSpinWindow(t *testing.T) {
+	var done sync.WaitGroup
+	p := New(4, func(_, _ int) { done.Done() })
+	defer p.Close()
+	done.Add(8)
+	for i := range 8 {
+		p.Submit(i)
+	}
+	done.Wait()
+	deadline := time.Now().Add(spinWindow + 10*time.Millisecond)
+	for !parked(p) {
+		if time.Now().After(deadline) {
+			t.Fatal("a worker is still awake 10 ms after the spin window")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestPoolCloseWhileSpinning: Close, called while the workers spin
+// after their last item, returns and leaves none of the pool's
+// goroutines running.
+func TestPoolCloseWhileSpinning(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var done sync.WaitGroup
+	p := New(4, func(_, _ int) { done.Done() })
+	done.Add(4)
+	for i := range 4 {
+		p.Submit(i)
+	}
+	done.Wait()
+	p.Close()
+	// A worker has signalled its exit once Close returns; give the
+	// runtime a moment to retire the goroutine.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() != before {
+		if time.Now().After(deadline) {
+			t.Fatalf("Close left %d goroutines running, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// BenchmarkSubmitToStart times a worker's start: from Submit to the item
+// starting, while the submitter stays on its core as the live executor's
+// stepping worker does. "parked" submits once every worker has parked;
+// "spinning" submits 10 µs after the previous item ended, inside the
+// worker's spin window. It reports the 10th, 50th and 90th percentiles
+// of the delays.
 //
 //	go test -run xxx -bench SubmitToStart -count 5 ./internal/workpool/
 func BenchmarkSubmitToStart(b *testing.B) {
-	var (
-		started atomic.Bool
-		delay   time.Duration
-	)
-	p := New(runtime.GOMAXPROCS(0), func(_ int, at time.Time) {
-		delay = time.Since(at)
-		started.Store(true)
-	})
-	defer p.Close()
-	delays := make([]time.Duration, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		for p.Queued() > 0 || !parked(p) {
-			runtime.Gosched()
-		}
-		started.Store(false)
-		p.Submit(time.Now())
-		for !started.Load() {
-		}
-		delays = append(delays, delay)
-	}
-	b.StopTimer()
-	slices.Sort(delays)
-	for _, q := range []int{10, 50, 90} {
-		b.ReportMetric(float64(delays[len(delays)*q/100].Nanoseconds()), fmt.Sprintf("p%d-ns", q))
+	for _, spinning := range []bool{false, true} {
+		name := map[bool]string{false: "parked", true: "spinning"}[spinning]
+		b.Run(name, func(b *testing.B) {
+			var (
+				started atomic.Bool
+				ended   time.Time
+				delay   time.Duration
+			)
+			p := New(runtime.GOMAXPROCS(0), func(_ int, at time.Time) {
+				delay = time.Since(at)
+				ended = time.Now()
+				started.Store(true)
+			})
+			defer p.Close()
+			delays := make([]time.Duration, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				if spinning && i > 0 {
+					for time.Since(ended) < 10*time.Microsecond {
+					}
+				} else {
+					for p.Queued() > 0 || !parked(p) {
+						runtime.Gosched()
+					}
+				}
+				started.Store(false)
+				p.Submit(time.Now())
+				for !started.Load() {
+				}
+				delays = append(delays, delay)
+			}
+			b.StopTimer()
+			slices.Sort(delays)
+			for _, q := range []int{10, 50, 90} {
+				b.ReportMetric(float64(delays[len(delays)*q/100].Nanoseconds()), fmt.Sprintf("p%d-ns", q))
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // proseCap bounds the bytes of the repository's Markdown. It only ever
 // comes down: a change that adds prose removes at least as much, and a
 // change that removes prose may lower the cap to the new total.
-const proseCap = 497534
+const proseCap = 391973
 
 // briefHeading matches the first line of a change brief ("# <TAG> <n> · <title>"),
 // a working note for the change in progress rather than documentation.
