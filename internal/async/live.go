@@ -1,11 +1,11 @@
 package async
 
-// The live executor: real partition compute on a work-stealing pool.
+// The live executor: real partition compute on a goroutine pool.
 //
 // Where DES and the speculative parallel executor *draw* every step's
 // cost from the cluster model, the live executor actually runs the
 // workload's Step functions on a fixed goroutine pool
-// (internal/workpool: per-worker sharded run queues + work stealing)
+// (internal/workpool: one FIFO run queue, taken by whichever worker is free)
 // and *measures* costs as monotonic wall-clock deltas. The versioned
 // store, the partition model with its gate, input read, unseen-input
 // and sampling rules (part.go), and the adaptive controller
@@ -52,11 +52,11 @@ package async
 // mutex. Workload compute and store publications run outside the
 // mutex; a single timer goroutine (the executor's second sanctioned
 // goroutine besides the pool) serves the wake heap. It hands each due
-// partition to the pool with Submit (the next queue round-robin; an
-// idle worker steals it from there if that queue is busy), as does
-// every wake from another partition's task. Only a partition re-queued
-// at the end of its own step, because it is not quiescent or already
-// sees unseen input, goes to that worker's queue (SubmitLocal).
+// partition to the pool's run queue with Submit, as does every wake
+// from another partition's task and every partition re-queued at the
+// end of its own step. A step the gate admits on a different worker
+// from its partition's previous step is a migration: counted in
+// RunStats.LiveSteals and traced as KindSteal, under the mutex.
 // Publications reach the store *before* the mutex section that wakes
 // readers, and an idling partition re-checks for unseen versions inside
 // the same locked section that parks it, so no wakeup can be lost.
@@ -80,10 +80,10 @@ import (
 )
 
 // livePart is what measuring adds to the shared partition model
-// (part.go). waitStart is guarded by liveExecutor.mu; lastPubAt, like
-// the part's version, is touched only by the partition's own task
-// (partitions are single-flight). The run's counters are the shared
-// RunStats, which move only under the mutex.
+// (part.go). waitStart and worker are guarded by liveExecutor.mu;
+// lastPubAt, like the part's version, is touched only by the
+// partition's own task (partitions are single-flight). The run's
+// counters are the shared RunStats, which move only under the mutex.
 type livePart struct {
 	// waitStart is the real time a gate wait began (-1 when none); the
 	// wait is measured when the released partition's task runs.
@@ -92,6 +92,9 @@ type livePart struct {
 	// (the store's invariant) when a fast step outruns the previous
 	// publication's modeled network delay.
 	lastPubAt simtime.Duration
+	// worker is the pool worker that ran the partition's previous
+	// admitted step (-1 before its first).
+	worker int
 }
 
 // liveExecutor is one live run: the shared run record plus the pool and
@@ -149,18 +152,9 @@ func runLive[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, 
 		done:      make(chan struct{}),
 	}
 	for p := range s.lps {
-		s.lps[p].waitStart = -1
+		s.lps[p].waitStart, s.lps[p].worker = -1, -1
 	}
 	s.pool = workpool.New(s.poolSize(), s.runPart)
-	if rec := s.rec; rec != nil {
-		// Steal attribution: the hook runs on the stealing worker's
-		// goroutine before the item does; the wall stamp the recorder
-		// applies places the migration on the timeline. No items are
-		// queued yet, so the hook is installed race-free.
-		s.pool.SetStealHook(func(w, p int) {
-			rec.Emit(trace.KindSteal, p, -1, 0, int64(w), 0, 0)
-		})
-	}
 
 	s.start = time.Now()
 	s.rec.StartWall()
@@ -184,7 +178,6 @@ func runLive[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, 
 	}
 	// The pool and timer are stopped: nothing else touches the run. Its
 	// duration is the measured makespan.
-	s.stats.LiveSteals = s.pool.Steals()
 	return s.finish(s.endAt, s.gauges())
 }
 
@@ -213,9 +206,9 @@ func (s *liveExecutor[D]) pushDelay(bytes int64) simtime.Duration {
 // input read; with the clock running and no lock the step itself; then
 // its publication with emulated network visibility; and under the mutex
 // again the completed step, the publish, the controller's signal and the
-// settle point. Non-quiescent partitions re-enqueue on the same worker's
-// queue so its warm scratch is reused; work stealing migrates them only
-// when the worker backs up.
+// settle point. A non-quiescent partition goes back on the run queue;
+// an admitted step on a different worker from the partition's previous
+// one counts as a migration.
 //
 //async:measured — measures step compute by wall clock; the engine mutex serializes the sched-only points.
 func (s *liveExecutor[D]) runPart(w, p int) {
@@ -247,6 +240,11 @@ func (s *liveExecutor[D]) runPart(w, p int) {
 		s.rec.Emit(trace.KindGateRelease, p, pt.steps, t, -1, 0, 0)
 		lp.waitStart = -1
 	}
+	if lp.worker >= 0 && lp.worker != w {
+		s.stats.LiveSteals++
+		s.rec.Emit(trace.KindSteal, p, -1, t, int64(w), 0, 0)
+	}
+	lp.worker = w
 	buf := s.inbuf[p]
 	lead, blind := readInputs(s.store, s.parts, pt, t, buf, pt.consumed)
 	if blind >= 0 {
@@ -295,21 +293,21 @@ func (s *liveExecutor[D]) runPart(w, p int) {
 	s.stats.LiveComputeTime += dc
 	if out.Publish {
 		for _, q := range s.published(p, pubAt, out.Bytes, lp.lastPubAt-pubAt) {
-			s.parkOrRunLocked(q, lp.lastPubAt, -1)
+			s.parkOrRunLocked(q, lp.lastPubAt)
 		}
 	}
 	t = s.now()
 	s.signal(p, out.Publish, &t)
 	at, woken, again := s.next(p, out)
 	if again {
-		s.parkOrRunLocked(p, at, w)
+		s.parkOrRunLocked(p, at)
 		return
 	}
 	// A settled partition releases its gate waiters at its last
 	// publication's visibility time, and the last one to settle ends the
 	// run.
 	for _, q := range woken {
-		s.parkOrRunLocked(q, lp.lastPubAt, -1)
+		s.parkOrRunLocked(q, lp.lastPubAt)
 	}
 	for q := range s.parts {
 		if !s.parts[q].settled() {
@@ -321,16 +319,11 @@ func (s *liveExecutor[D]) runPart(w, p int) {
 }
 
 // parkOrRunLocked makes p runnable now or parks it in the wake heap
-// until at, whichever the clock says. w >= 0 re-enqueues on that
-// worker's own queue. Caller holds s.mu.
-func (s *liveExecutor[D]) parkOrRunLocked(p int, at simtime.Duration, w int) {
+// until at, whichever the clock says. Caller holds s.mu.
+func (s *liveExecutor[D]) parkOrRunLocked(p int, at simtime.Duration) {
 	if at <= s.now() {
 		s.parts[p].state = runnable
-		if w >= 0 {
-			s.pool.SubmitLocal(w, p)
-		} else {
-			s.pool.Submit(p)
-		}
+		s.pool.Submit(p)
 		return
 	}
 	s.parkTimedLocked(p, at)
@@ -369,12 +362,12 @@ func (s *liveExecutor[D]) closeDoneLocked() {
 }
 
 // gauges is what only the live executor puts in a time-series sample:
-// the wall stamp and the pool's queue depth and steals (safely
-// concurrent on their own). The sampler reads the rest under s.mu.
+// the wall stamp, the pool's queue depth and the migrations so far.
+// Caller holds s.mu, or the pool and timer are stopped.
 //
 //async:measured — stamps Sample.Wall; recorded only, never branched on.
 func (s *liveExecutor[D]) gauges() metrics.Sample {
-	return metrics.Sample{Wall: float64(s.now()), QueueDepth: s.pool.Queued(), Steals: s.pool.Steals()}
+	return metrics.Sample{Wall: float64(s.now()), QueueDepth: s.pool.Queued(), Steals: s.stats.LiveSteals}
 }
 
 // wakeMargin is how long before a wake deadline timerLoop stops sleeping

@@ -321,3 +321,64 @@ func TestLiveWakeBeforeVisibleIsOneWait(t *testing.T) {
 			s.stats.GateWaits, count(trace.KindGateRelease), s.parts[0].steps, s.stats.GateWaitTime, visibleAt-began)
 	}
 }
+
+// TestLiveMigrationCount: a migration, a step the gate admits on a
+// different pool worker from its partition's previous step, is counted
+// once in LiveSteals and traced once as KindSteal. One worker has none,
+// and no partition's first step is one, so a run has at most
+// Steps − Parts. Steps run by hand on chosen workers count exactly the
+// changes of worker.
+func TestLiveMigrationCount(t *testing.T) {
+	rec := trace.NewRecorder(1 << 10)
+	r, _, err := newRun(liveCluster(), counter(2, 10, func(int) int64 { return 1 }),
+		Options{Staleness: Unbounded, Executor: Live, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &liveExecutor[int64]{run: r, lps: []livePart{{waitStart: -1, worker: -1}, {waitStart: -1, worker: -1}}, timerKick: make(chan struct{}, 1)}
+	s.pool = workpool.New(1, func(int, int) {}) // takes the steps' re-enqueues
+	defer s.pool.Close()
+	s.start = time.Now()
+	var workers []int64
+	for _, w := range []int{0, 1, 1, 0} {
+		s.runPart(w, 0)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindSteal {
+			workers = append(workers, ev.Arg1)
+		}
+	}
+	if s.parts[0].steps != 4 || s.stats.LiveSteals != 2 || len(workers) != 2 || workers[0] != 1 || workers[1] != 0 {
+		t.Fatalf("4 steps on workers 0, 1, 1, 0: %d steps, %d migrations, traced onto workers %v; want 2, onto 1 then 0", s.parts[0].steps, s.stats.LiveSteals, workers)
+	}
+
+	const parts = 8
+	for _, s := range []int{0, Unbounded} {
+		for _, workers := range []int{1, 2, 4} {
+			rec := trace.NewRecorder(1 << 14)
+			stats, err := Run(liveCluster(), counter(parts, 20, func(int) int64 { return 10 }),
+				Options{Staleness: s, Executor: Live, Workers: workers, Trace: rec})
+			if err != nil {
+				t.Fatalf("S=%d w=%d: %v", s, workers, err)
+			}
+			if !stats.Converged || rec.Dropped() != 0 {
+				t.Fatalf("S=%d w=%d: want a converged run and a complete trace: %v, dropped %d", s, workers, stats, rec.Dropped())
+			}
+			traced := int64(0)
+			for _, ev := range rec.Events() {
+				if ev.Kind == trace.KindSteal {
+					traced++
+				}
+			}
+			t.Logf("S=%d w=%d: %d migrations in %d steps", s, workers, stats.LiveSteals, stats.Steps)
+			switch {
+			case workers == 1 && stats.LiveSteals != 0:
+				t.Fatalf("S=%d: %d migrations on one worker", s, stats.LiveSteals)
+			case stats.LiveSteals > stats.Steps-parts:
+				t.Fatalf("S=%d w=%d: %d migrations in %d steps of %d partitions", s, workers, stats.LiveSteals, stats.Steps, parts)
+			case traced != stats.LiveSteals:
+				t.Fatalf("S=%d w=%d: %d migrations counted, %d traced", s, workers, stats.LiveSteals, traced)
+			}
+		}
+	}
+}

@@ -73,9 +73,9 @@ const (
 	// virtual-time results identical to DES while wall-clock work overlaps
 	// across cores.
 	Parallel
-	// Live runs the actual partition compute on a work-stealing goroutine
-	// pool with costs *measured* by wall clock instead of drawn from the
-	// cluster model (publish visibility keeps the modeled network delay,
+	// Live runs the actual partition compute on a goroutine pool with
+	// costs *measured* by wall clock instead of drawn from the cluster
+	// model (publish visibility keeps the modeled network delay,
 	// in real time — see live.go). Not deterministic: DES is its
 	// correctness oracle, exact for monotone workloads and
 	// tolerance-bounded otherwise (asynctest's TestDifferential). It has
@@ -360,9 +360,9 @@ type RunStats struct {
 	// GateWaitTime, Duration, and the store timestamps are likewise
 	// measured real time, not virtual time.
 	LiveComputeTime simtime.Duration
-	// LiveSteals counts run-queue items executed by a pool worker other
-	// than the one they were queued on — the live executor's
-	// work-stealing migrations (always 0 under DES and parallel).
+	// LiveSteals counts the live executor's migrations: admitted steps
+	// run on a different pool worker from their partition's previous
+	// step (always 0 under DES and parallel).
 	LiveSteals int64
 	// LiveWakes counts the timed wakes the live executor served: partitions
 	// parked in its wake heap until a publication became visible, handed

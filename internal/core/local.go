@@ -131,8 +131,9 @@ type LocalSpec[P any, E any, K comparable, V any] struct {
 	Converged func(part P, lc *LocalContext[K, V]) bool
 
 	// MaxLocalIters caps local iterations; 0 means no cap. Setting 1
-	// degenerates the eager formulation to the general one (one local
-	// sweep per global synchronization) — the ablation benches use this.
+	// leaves one local sweep per global synchronization, which is not
+	// the general formulation: the sweep reads this iteration's local
+	// values, where general reads only the last barrier's.
 	MaxLocalIters int
 
 	// Output emits the gmap task's global records after local

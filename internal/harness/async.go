@@ -194,7 +194,7 @@ type WorkloadRow struct {
 // "live"; staleness applies to the async runtime only, and the async
 // executor comes from the suite (Suite.AsyncExecutor) — except in live
 // mode, which forces the live executor: partition compute runs for real
-// on the work-stealing pool and the reported sim-seconds are measured
+// on the goroutine pool and the reported sim-seconds are measured
 // wall-clock, not the cost model. General and eager sweeps skip the
 // rows that have no MapReduce formulation (connected components). Each
 // row builds its own inputs, so the three graph rows each generate and

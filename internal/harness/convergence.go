@@ -59,7 +59,7 @@ func residuals(ser *metrics.Series) []float64 {
 // baseline), the suite's async configuration under DES and under the
 // parallel executor — whose series files must be byte-identical, so
 // the figure itself enforces sampler determinism end to end — and a
-// live run on the work-stealing pool, sampled on its own wall-clock
+// live run on the goroutine pool, sampled on its own wall-clock
 // grid. Each leg reports Series.TimeToResidual at the baseline's final
 // residual: the paper's question (how fast does asynchrony reach
 // synchronous quality?) read directly off the telemetry. The X axis is

@@ -23,7 +23,7 @@ const liveScalingTol = 1e-2
 // which is the paper's regime; at much smaller scales compute takes over
 // and the speedup shrinks (EXPERIMENTS.md, livescaling). It runs real
 // partition compute
-// on the work-stealing pool, costs taken from monotonic wall-clock
+// on the goroutine pool, costs taken from monotonic wall-clock
 // deltas rather than the cluster cost model. For each worker count it
 // times one async PageRank run at S=0 (lockstep: every step waits for
 // every neighbor's latest publication to become visible) and at S=inf

@@ -217,7 +217,7 @@ func newRun(engine *mapreduce.Engine, points [][]float64, perm []int, numParts i
 // each eager iteration, k·dims+dims a point and a partial
 // synchronization: what the lmap/lreduce program costs through
 // core.BuildGMap.
-func (d *driver) mapTask(i int) error {
+func (d *driver) mapTask(i int) {
 	st, k, dims := d.states[i], d.cfg.K, d.dims
 	counts := st.acc[k*dims:]
 	m := &d.maps[i]
@@ -259,7 +259,6 @@ func (d *driver) mapTask(i int) error {
 		}
 	}
 	m.OutRecords, m.OutBytes = records, records*(16+8*int64(dims))
-	return nil
 }
 
 // gather is reduce task p: the clusters that mapreduce.Int64Partition
@@ -268,7 +267,7 @@ func (d *driver) mapTask(i int) error {
 // dims operations a row, and its new centroid is the sums over the
 // summed count, one record out. A cluster no point joined keeps its
 // center.
-func (d *driver) gather(p int) error {
+func (d *driver) gather(p int) {
 	k, dims := d.cfg.K, d.dims
 	var in, out int64
 	for c := p; c < k; c += len(d.reduces) {
@@ -299,7 +298,6 @@ func (d *driver) gather(p int) error {
 		OutBytes:   out * (16 + 8*int64(dims)),
 		Ops:        in * int64(dims),
 	}
-	return nil
 }
 
 // prepare checks the inputs every formulation shares and returns the

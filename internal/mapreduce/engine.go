@@ -80,7 +80,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	mapOuts := make([][]KV[K, V], len(splits))
 	routed := make([][][]KV[K, V], len(splits))
 	misrouted := make([]error, len(splits))
-	err = e.ForEachTask(len(splits), func(i int) error {
+	err = e.ForEachTask(len(splits), func(i int) {
 		sp := &splits[i]
 		ctx := &TaskContext[K, V]{}
 		job.Map(ctx, *sp)
@@ -103,18 +103,17 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			LocalSyncs: ctx.localSyncs,
 		}
 		if mapOnly {
-			return nil
+			return
 		}
 		routed[i] = make([][]KV[K, V], nReduce)
 		for _, kv := range ctx.out {
 			p := part(kv.Key, nReduce)
 			if p < 0 || p >= nReduce {
 				misrouted[i] = fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, p, nReduce)
-				return nil
+				return
 			}
 			routed[i][p] = append(routed[i][p], kv)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q map phase: %w", job.Name, err)
@@ -136,7 +135,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	// would build.
 	redOuts := make([][]KV[K, V], nReduce)
 	res.Reduces = make([]TaskStats, nReduce)
-	err = e.ForEachTask(nReduce, func(p int) error {
+	err = e.ForEachTask(nReduce, func(p int) {
 		var in []KV[K, V]
 		for i := range routed {
 			in = append(in, routed[i][p]...)
@@ -153,7 +152,6 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			OutBytes:   recordBytes(job.RecordSize, ctx.out),
 			Ops:        ctx.ops,
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q reduce phase: %w", job.Name, err)
@@ -309,11 +307,11 @@ func group[K comparable, V any](records []KV[K, V]) (keys []K, groups [][]V) {
 // left, and up to Parallelism-1 helpers, which take the seats the call
 // submits to the process's helper pool (a workpool.Pool) and join while
 // there are indices to claim. Each goroutine claims the next index from
-// a shared counter: the loop every job's tasks run on. A panic in fn
-// becomes that task's error; the other tasks still run, and the first
-// error reported is returned. fn may itself call ForEachTask, and calls
-// from several goroutines at once each finish.
-func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
+// a shared counter: the loop every job's tasks run on. A panic in fn is
+// a task's one failure: it becomes that task's error, the other tasks
+// still run, and the first such error is returned. fn may itself call
+// ForEachTask, and calls from several goroutines at once each finish.
+func (e *Engine) ForEachTask(n int, fn func(i int)) error {
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -332,13 +330,14 @@ func (e *Engine) ForEachTask(n int, fn func(i int) error) error {
 	return j.wait()
 }
 
-// runTask invokes fn(i), converting panics in user code into errors so a
-// bad mapper cannot take down the whole experiment process.
-func runTask(i int, fn func(i int) error) (err error) {
+// runTask invokes fn(i), converting a panic in user code into an error
+// so a bad mapper cannot take down the whole experiment process.
+func runTask(i int, fn func(i int)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("task %d panicked: %v", i, r)
 		}
 	}()
-	return fn(i)
+	fn(i)
+	return nil
 }

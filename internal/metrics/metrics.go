@@ -116,8 +116,8 @@ type Sample struct {
 	LagMax  int
 	LagHist [LagBuckets]int64
 
-	// QueueDepth is the work-stealing pool's total queued task count
-	// and Steals its cumulative steal count (live executor only).
+	// QueueDepth is the pool's queued task count and Steals the
+	// migrations so far (RunStats.LiveSteals; live executor only).
 	QueueDepth int
 	Steals     int64
 }

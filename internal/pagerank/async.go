@@ -364,12 +364,12 @@ func buildAsyncWorkload(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Co
 func checkEach(engine *mapreduce.Engine, subs []*graph.SubGraph, fill func(p int)) error {
 	check := graph.NewExchangeCheck(subs)
 	errs := make([]error, 1+len(subs))
-	panicked := engine.ForEachTask(len(errs), func(i int) error {
+	panicked := engine.ForEachTask(len(errs), func(i int) {
 		if i == 0 {
 			if err := check.CheckSet(); err != nil {
 				errs[0] = fmt.Errorf("pagerank: %w", err)
 			}
-			return nil
+			return
 		}
 		p := i - 1
 		if err := check.Check(p); err != nil {
@@ -377,7 +377,6 @@ func checkEach(engine *mapreduce.Engine, subs []*graph.SubGraph, fill func(p int
 		} else if errs[i] = checkPull(p, subs[p]); errs[i] == nil {
 			fill(p)
 		}
-		return nil
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -61,8 +61,9 @@ type Config struct {
 	// MaxLocalIters caps local iterations inside one gmap (0 = none),
 	// and the local sweeps of one asynchronous step, where 0 means
 	// AsyncLocalSweeps (async.DefaultMaxSteps restores sweeping to local
-	// convergence). The ablation benches set 1 to degrade Eager into
-	// General. It may not be negative.
+	// convergence). At 1, Eager is still not General: its sweep and the
+	// fold make two Jacobi steps an iteration, so it takes between half
+	// and all of General's iterations. It may not be negative.
 	MaxLocalIters int
 }
 
@@ -318,10 +319,7 @@ func newDriver(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eag
 		st.emStart, st.emSrc, st.at = take(&is, z.entries+1), take(&is, z.srcs), take(&is, len(st.read))
 		st.emStart[z.entries] = int32(z.srcs)
 	}
-	if err := engine.ForEachTask(k, func(p int) error {
-		d.fillPlans(p, sizes)
-		return nil
-	}); err != nil {
+	if err := engine.ForEachTask(k, func(p int) { d.fillPlans(p, sizes) }); err != nil {
 		return nil, fmt.Errorf("pagerank: %w", err)
 	}
 
@@ -511,7 +509,7 @@ func (d *driver) iterate() (delta float64, cost mapreduce.Cost, err error) {
 // sums and local iterations to local convergence; then the fold of its
 // emitted contributions over its pull plan, which finishes every row no
 // other partition feeds, and its sums for the nodes of other partitions.
-func (d *driver) mapTask(p int) error {
+func (d *driver) mapTask(p int) {
 	st := &d.parts[p]
 	ops, sweeps, emit := st.pushOps, int64(0), st.contrib
 	if d.eager {
@@ -538,7 +536,6 @@ func (d *driver) mapTask(p int) error {
 		st.out[e] = sum
 	}
 	d.maps[p].Ops, d.maps[p].LocalSyncs = ops, sweeps
-	return nil
 }
 
 // reduceTask is the greduce of partition p's deferred rows: each one's
@@ -547,7 +544,7 @@ func (d *driver) mapTask(p int) error {
 // identical, as the paper observes; this one is the global. The
 // partition then takes the iteration's ranks and contributions as its
 // own.
-func (d *driver) reduceTask(p int) error {
+func (d *driver) reduceTask(p int) {
 	st := &d.parts[p]
 	base, damping := 1-d.cfg.Damping, d.cfg.Damping
 	rank, next, c, od := st.rank, st.next, st.spare[0], st.sub.Pull.OutDeg
@@ -567,7 +564,6 @@ func (d *driver) reduceTask(p int) error {
 	st.delta = delta
 	st.rank, st.next = st.next, st.rank
 	st.contrib, st.spare[0] = st.spare[0], st.contrib
-	return nil
 }
 
 // ranks reads every node's rank off its partition.

@@ -226,7 +226,7 @@ func newRun(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager 
 // each with the best candidate. It records a record per finite slot, and
 // an op per out-edge of a node at a finite distance (general), or per
 // such node and its remote out-edges, plus 2 per relaxed edge (eager).
-func (d *driver) mapTask(i int) error {
+func (d *driver) mapTask(i int) {
 	st := d.states[i]
 	sub := st.sub
 	for li, u := range sub.Nodes {
@@ -273,7 +273,6 @@ func (d *driver) mapTask(i int) error {
 	m := &d.maps[i]
 	m.OutRecords, m.OutBytes = records, mapreduce.DefaultRecordSize*records
 	m.Ops, m.LocalSyncs = ops, sweeps
-	return nil
 }
 
 // offer lowers each slots[at[e]] to d + w[e] where that is smaller.
@@ -291,7 +290,7 @@ func offer(slots []float64, d float64, at []int32, w []float64) {
 // it if it beats the node's distance. Every slot it reads goes back to
 // +Inf. The local reduce and global reduce are functionally identical, as
 // the paper observes; this one is the global.
-func (d *driver) gather(p int) error {
+func (d *driver) gather(p int) {
 	inf := math.Inf(1)
 	var in, out int64
 	improved := false
@@ -325,7 +324,6 @@ func (d *driver) gather(p int) error {
 		OutBytes:   mapreduce.DefaultRecordSize * out,
 		Ops:        in,
 	}
-	return nil
 }
 
 // AsyncResult of a fully-asynchronous SSSP run.

@@ -77,8 +77,8 @@ const (
 	// KindAdaptBound marks the staleness controller changing the
 	// partition's bound; Arg1 is the new bound in force.
 	KindAdaptBound
-	// KindSteal marks the live executor's pool running partition
-	// Part's queued step on worker Arg1 instead of its home worker.
+	// KindSteal marks the live executor admitting partition Part's step
+	// on pool worker Arg1, not the worker of its previous step.
 	KindSteal
 	kindCount // number of kinds; keep last
 )

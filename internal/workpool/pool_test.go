@@ -38,8 +38,8 @@ func TestPoolRunsEveryItem(t *testing.T) {
 }
 
 // TestPoolSubmitLocalAndResubmit drives the live executor's pattern: a
-// worker re-enqueues its item onto its own queue from inside the
-// runner until the item is done.
+// worker re-submits its item from inside the runner until the item is
+// done.
 func TestPoolSubmitLocalAndResubmit(t *testing.T) {
 	const items, rounds = 16, 50
 	remaining := make([]int32, items)
@@ -49,9 +49,9 @@ func TestPoolSubmitLocalAndResubmit(t *testing.T) {
 	var done sync.WaitGroup
 	done.Add(items)
 	var p *Pool[int]
-	p = New(4, func(w, item int) {
+	p = New(4, func(_, item int) {
 		if atomic.AddInt32(&remaining[item], -1) > 0 {
-			p.SubmitLocal(w, item)
+			p.Submit(item)
 			return
 		}
 		done.Done()
@@ -68,33 +68,27 @@ func TestPoolSubmitLocalAndResubmit(t *testing.T) {
 	}
 }
 
-// TestPoolSteals loads every item onto one worker's queue while that
-// worker is blocked, and checks the other workers steal the backlog.
+// TestPoolSteals blocks one worker on an item and checks the other
+// workers run the 64 items queued behind it.
 func TestPoolSteals(t *testing.T) {
 	block := make(chan struct{})
 	var ran int32
-	var p *Pool[int]
-	p = New(4, func(_ int, item int) {
+	p := New(4, func(_ int, item int) {
 		if item < 0 {
 			<-block // pin one worker
 			return
 		}
 		atomic.AddInt32(&ran, 1)
 	})
-	// One blocking item per queue position 0; then a backlog behind it.
-	p.SubmitLocal(0, -1)
+	p.Submit(-1)
 	for i := 0; i < 64; i++ {
-		p.SubmitLocal(0, i)
+		p.Submit(i)
 	}
-	// Wait for the backlog to drain via steals.
 	for atomic.LoadInt32(&ran) < 64 {
 		runtime.Gosched()
 	}
 	close(block)
 	p.Close()
-	if s := p.Steals(); s == 0 {
-		t.Fatalf("expected steals > 0 with a pinned owner, got %d", s)
-	}
 }
 
 // TestPoolCloseIdempotent closes twice (once concurrently).
@@ -180,17 +174,16 @@ func steadyAllocFree(t *testing.T, cycle func()) {
 	}
 }
 
-// TestQueueMatchesModel drives the run queues through Submit, SubmitLocal
-// and the workers' grab — the owner's head pop, else a steal of the
-// longest other queue's tail — on a pool with no goroutines, against
-// plain slices, over scripts long enough that queues cross their
-// compaction point many times: every grab must return the model's item
-// from the model's queue, and Queued must match.
+// TestQueueMatchesModel drives the run queue through Submit and the
+// workers' pop on a pool with no goroutines, against a plain slice,
+// over scripts long enough that the queue crosses its compaction point
+// many times: every pop must return the model's head, and Queued must
+// match.
 func TestQueueMatchesModel(t *testing.T) {
 	x := uint32(7)
 	compactions := 0
 	for i := 0; i < 200; i++ {
-		script := make([]byte, 2*(20+i))
+		script := make([]byte, 20+i)
 		for j := range script {
 			x = x*1664525 + 1013904223
 			script[j] = byte(x >> 24)
@@ -198,90 +191,59 @@ func TestQueueMatchesModel(t *testing.T) {
 		compactions += checkQueueScript(t, script)
 	}
 	if compactions == 0 {
-		t.Fatal("no queue ever moved its waiting items down: the compaction path was not exercised")
+		t.Fatal("the queue never moved its waiting items down: the compaction path was not exercised")
 	}
 }
 
-// checkQueueScript runs script, two bytes an operation — op%4 and a
-// worker — and returns how many head pops moved waiting items down.
-//
-//	0 Submit of the next item (round-robin placement)
-//	1 SubmitLocal of the next item on the worker's queue
-//	2, 3 the worker grabs its next item
+// checkQueueScript runs script, a byte an operation — an even byte
+// Submits the next item, an odd one pops — and returns how many pops
+// moved waiting items down.
 func checkQueueScript(t *testing.T, script []byte) (compactions int) {
 	t.Helper()
-	const workers = 3
-	p := &Pool[int]{queues: make([][]int, workers), heads: make([]int, workers)}
+	p := &Pool[int]{}
 	p.cond = sync.NewCond(&p.mu)
-	model, next, item := make([][]int, workers), 0, 0
-	for ; len(script) >= 2; script = script[2:] {
-		op, w := script[0]%4, int(script[1])%workers
-		switch op {
-		case 0:
-			p.Submit(item)
-			model[next] = append(model[next], item)
-			next = (next + 1) % workers
-			item++
-		case 1:
-			p.SubmitLocal(w, item)
-			model[w] = append(model[w], item)
-			item++
-		default:
+	var model []int
+	for i, op := range script {
+		if op%2 == 0 {
+			p.Submit(i)
+			model = append(model, i)
+		} else {
 			var want int
-			wantOK, wantStolen := true, false
-			if len(model[w]) > 0 {
-				want, model[w] = model[w][0], model[w][1:]
-			} else {
-				victim := -1
-				for i := range model {
-					if i != w && len(model[i]) > 0 && (victim < 0 || len(model[i]) > len(model[victim])) {
-						victim = i
-					}
-				}
-				if wantOK, wantStolen = victim >= 0, victim >= 0; wantOK {
-					q := model[victim]
-					want, model[victim] = q[len(q)-1], q[:len(q)-1]
-				}
+			wantOK := len(model) > 0
+			if wantOK {
+				want, model = model[0], model[1:]
 			}
 			p.mu.Lock()
-			got, stolen, ok := p.grabLocked(w)
-			if !stolen && ok && p.heads[w] == 0 && len(p.queues[w]) > 0 {
+			got, ok := p.popLocked()
+			if ok && p.head == 0 && len(p.queue) > 0 {
 				compactions++
 			}
 			p.mu.Unlock()
-			if got != want || stolen != wantStolen || ok != wantOK {
-				t.Fatalf("worker %d grabbed (%d, stolen %v, ok %v), model (%d, %v, %v); model queues %v", w, got, stolen, ok, want, wantStolen, wantOK, model)
+			if got != want || ok != wantOK {
+				t.Fatalf("popped (%d, ok %v), model (%d, %v); model queue %v", got, ok, want, wantOK, model)
 			}
 		}
-		queued := 0
-		for _, q := range model {
-			queued += len(q)
-		}
-		if got := p.Queued(); got != queued {
-			t.Fatalf("Queued %d, model %d: %v", got, queued, model)
+		if got := p.Queued(); got != len(model) {
+			t.Fatalf("Queued %d, model %d: %v", got, len(model), model)
 		}
 	}
 	return compactions
 }
 
 // TestPoolWithdraw: Withdraw removes the matching queued items and keeps
-// the others in their queues' order, past a popped head too.
+// the others in order, past a popped head too.
 func TestPoolWithdraw(t *testing.T) {
-	p := &Pool[int]{queues: make([][]int, 2), heads: make([]int, 2)}
+	p := &Pool[int]{}
 	p.cond = sync.NewCond(&p.mu)
 	for i := range 10 {
 		p.Submit(i)
 	}
 	p.mu.Lock()
-	p.grabLocked(0) // pops 0, leaving a head index behind
+	p.popLocked() // pops 0, leaving a head index behind
 	p.mu.Unlock()
 	p.Withdraw(func(i int) bool { return i%3 == 0 })
-	var got []int
-	for w, q := range p.queues {
-		got = append(got, q[p.heads[w]:]...)
-	}
-	if want := []int{2, 4, 8, 1, 5, 7}; !slices.Equal(got, want) {
-		t.Fatalf("after Withdraw the queues hold %v, want %v", got, want)
+	if got, want := p.queue[p.head:], []int{1, 2, 4, 5, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("after Withdraw the queue holds %v, want %v", got, want)
 	}
 }
 
@@ -297,7 +259,7 @@ func TestPoolWorkersParkAfterSpinWindow(t *testing.T) {
 	}
 	done.Wait()
 	deadline := time.Now().Add(spinWindow + 10*time.Millisecond)
-	for !parked(p) {
+	for !parked(p, 4) {
 		if time.Now().After(deadline) {
 			t.Fatal("a worker is still awake 10 ms after the spin window")
 		}
@@ -358,7 +320,7 @@ func BenchmarkSubmitToStart(b *testing.B) {
 					for time.Since(ended) < 10*time.Microsecond {
 					}
 				} else {
-					for p.Queued() > 0 || !parked(p) {
+					for p.Queued() > 0 || !parked(p, runtime.GOMAXPROCS(0)) {
 						runtime.Gosched()
 					}
 				}
@@ -377,9 +339,9 @@ func BenchmarkSubmitToStart(b *testing.B) {
 	}
 }
 
-// parked reports whether every worker of p waits for an item.
-func parked[T any](p *Pool[T]) bool {
+// parked reports whether all workers of p wait for an item.
+func parked[T any](p *Pool[T], workers int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.idle == len(p.queues)
+	return p.idle == workers
 }
